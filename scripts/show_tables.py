@@ -24,7 +24,7 @@ if __name__ == "__main__":
             if value == 0:
                 continue
             print(f"  {label:12s} {str(value):>8s}   [{functional.provenance[label]}]")
-        flagged = [e for e in audit_overrides(repo.surface(sid), space) if e.status == "override"]
+        flagged = [e for e in audit_overrides(functional) if e.status == "override"]
         for e in flagged:
             print(f"  note: {e.label} overrides the lattice value {e.derived}")
         print()

@@ -12,6 +12,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from . import __version__
@@ -26,7 +27,7 @@ from .errors import UnknownNameError
 from .grr import (
     grr_spin_character,
     jet_bundle_chern,
-    locus_lambda2,
+    lambda2_values,
     spin_cover_degree,
 )
 from .linalg import (
@@ -226,6 +227,39 @@ H4PLUS_SYSTEM = MultiplicitySystem(
 _SYSTEMS = {"F31": F31_SYSTEM, "H4plus": H4PLUS_SYSTEM}
 
 
+class Run:
+    """The results that several checks of one run share, each computed on first use.
+
+    run_all and run_check make a fresh Run per call, so a second run on the
+    same Repo recomputes everything; nothing is kept on the Repo, which stays
+    immutable after load, or in module state.
+    """
+
+    def __init__(self, repo: Repo):
+        self.repo = repo
+        self._lhs: dict[str, TautClass] = {}
+        self._solutions: dict[str, tuple] = {}
+
+    @cached_property
+    def lambda2(self) -> dict[str, Fraction]:
+        return lambda2_values(self.repo)
+
+    def lhs(self, system_id: str) -> TautClass:
+        if system_id not in self._lhs:
+            self._lhs[system_id] = _lhs_product(self.repo, _SYSTEMS[system_id])
+        return self._lhs[system_id]
+
+    def solution(self, system_id: str) -> tuple:
+        if system_id not in self._solutions:
+            self._solutions[system_id] = solve_multiplicities(system_id, self)
+        return self._solutions[system_id]
+
+
+def _run_of(source: Repo | Run | None) -> Run:
+    """A Run shares its results; a Repo, or the default one, starts a fresh Run."""
+    return source if isinstance(source, Run) else Run(source or default_repo())
+
+
 def _resolve_component_class(repo: Repo, space: RingSpace, ref: str) -> TautClass:
     kind, _, name = ref.partition(":")
     if kind == "catalog":
@@ -243,7 +277,7 @@ def _lhs_product(repo: Repo, system: MultiplicitySystem) -> TautClass:
     return divisor_product(space, a, b)
 
 
-def _assemble_system(repo: Repo, system: MultiplicitySystem):
+def _assemble_system(run: Run, system: MultiplicitySystem):
     """Rows of the linear system in the unknown multiplicities.
 
     Functional constraints pair every component against a family (the
@@ -252,8 +286,9 @@ def _assemble_system(repo: Repo, system: MultiplicitySystem):
     generator; coefficient constraints equate a single basis coordinate,
     with the unknown component's lam^2 entry taken from the jet pipeline.
     """
+    repo = run.repo
     space = repo.space(system.space)
-    lhs = _lhs_product(repo, system)
+    lhs = run.lhs(system.id)
     known = {
         c.name: _resolve_component_class(repo, space, c.ref) for c in system.components if c.ref
     }
@@ -296,7 +331,7 @@ def _assemble_system(repo: Repo, system: MultiplicitySystem):
             if comp.ref:
                 row.append(known[comp.name].coeffs[idx])
             elif comp.lambda2_from_pipeline and lbl == "lam^2":
-                row.append(locus_lambda2("H4_plus", repo))
+                row.append(run.lambda2["H4_plus"])
             else:
                 raise UnknownNameError(
                     f"{system.id}: no source for coefficient {lbl!r} of component {comp.name!r}"
@@ -308,7 +343,7 @@ def _assemble_system(repo: Repo, system: MultiplicitySystem):
     return names, QMatrix.from_rows(rows), tuple(rhs)
 
 
-def solve_multiplicities(system_id: str, repo: Repo | None = None):
+def solve_multiplicities(system_id: str, repo: Repo | Run | None = None):
     """Solve a registered multiplicity system and scan for redundant rows.
 
     Returns (assignment, redundant_names, parts): the exact solution keyed by
@@ -316,15 +351,15 @@ def solve_multiplicities(system_id: str, repo: Repo | None = None):
     solvable with the same solution (each such constraint is automatically
     satisfied by it), and the serialized comparison parts.
     """
-    repo = repo or default_repo()
+    run = _run_of(repo)
     try:
         system = _SYSTEMS[system_id]
     except KeyError:
         raise UnknownNameError(f"unknown multiplicity system {system_id!r}") from None
-    names, matrix, rhs = _assemble_system(repo, system)
+    names, matrix, rhs = _assemble_system(run, system)
     sol = solve_exact(matrix, rhs)
     parts: list[Part] = []
-    golden = repo.golden[f"multiplicities_{system_id.lower()}"]
+    golden = run.repo.golden[f"multiplicities_{system_id.lower()}"]
     expected = {k: as_fraction(v) for k, v in golden["solution"].items()}
     if isinstance(sol, Inconsistent):
         parts.append(("consistent", "true", f"false (witness rhs {sol.witness_rhs})"))
@@ -357,7 +392,8 @@ def solve_multiplicities(system_id: str, repo: Repo | None = None):
 # --- individual checks ----------------------------------------------------
 
 
-def _parts_basis_m31(repo: Repo) -> list[Part]:
+def _parts_basis_m31(run: Run) -> list[Part]:
+    repo = run.repo
     m31, m22 = repo.space("M31"), repo.space("M22")
     theta = repo.hom("theta_star")
     golden = repo.golden["basis_m31"]
@@ -388,7 +424,8 @@ def _parts_basis_m31(repo: Repo) -> list[Part]:
     return parts
 
 
-def _parts_prop4(repo: Repo) -> list[Part]:
+def _parts_prop4(run: Run) -> list[Part]:
+    repo = run.repo
     m31, m22 = repo.space("M31"), repo.space("M22")
     theta = repo.hom("theta_star")
     golden = repo.golden["prop4"]
@@ -418,7 +455,8 @@ def _parts_prop4(repo: Repo) -> list[Part]:
     return parts
 
 
-def _parts_prop4_alt(repo: Repo) -> list[Part]:
+def _parts_prop4_alt(run: Run) -> list[Part]:
+    repo = run.repo
     m31, m3 = repo.space("M31"), repo.space("M3")
     pullback = repo.hom("p_pullback_m3")
     parts = []
@@ -465,7 +503,8 @@ def compute_hyp31(repo: Repo | None = None) -> tuple[TautClass, list[Part]]:
     return result, parts
 
 
-def _parts_j3_table(repo: Repo) -> list[Part]:
+def _parts_j3_table(run: Run) -> list[Part]:
+    repo = run.repo
     m31 = repo.space("M31")
     j3 = repo.hom("j3_star")
     golden = repo.golden["j3_pullback_table"]
@@ -478,10 +517,11 @@ def _parts_j3_table(repo: Repo) -> list[Part]:
     return parts
 
 
-def _parts_w2_lemmas(repo: Repo) -> list[Part]:
+def _parts_w2_lemmas(run: Run) -> list[Part]:
     """Both node-smoothing lemmas: solve the restriction systems exactly."""
     from .rings import solve_boundary_class
 
+    repo = run.repo
     golden = repo.golden["w2_lemmas"]
     m31, m4, m12, m21 = (repo.space(s) for s in ("M31", "M4", "M12", "M21"))
     weier = repo.catalog_class("W21")
@@ -514,17 +554,18 @@ def _parts_w2_lemmas(repo: Repo) -> list[Part]:
     return parts
 
 
-def compute_f31(repo: Repo | None = None) -> tuple[TautClass, list[Part]]:
+def compute_f31(repo: Repo | Run | None = None) -> tuple[TautClass, list[Part]]:
     """Assemble the marked-hyperflex class from the solved multiplicities."""
-    repo = repo or default_repo()
+    run = _run_of(repo)
+    repo = run.repo
     m31, m3 = repo.space("M31"), repo.space("M3")
     golden = repo.golden["f31"]
-    assignment, _, solve_parts = solve_multiplicities("F31", repo)
+    assignment, _, solve_parts = run.solution("F31")
     parts = list(solve_parts)
     if not assignment:
         # inconsistent system: the solve parts already carry the certificate
         return m31.zero(2), parts
-    lhs = _lhs_product(repo, F31_SYSTEM)
+    lhs = run.lhs("F31")
     n = assignment["n"]
     combination = (
         lhs
@@ -552,16 +593,17 @@ def compute_f31(repo: Repo | None = None) -> tuple[TautClass, list[Part]]:
     return result, parts
 
 
-def compute_h4plus(repo: Repo | None = None) -> tuple[TautClass, list[Part]]:
+def compute_h4plus(repo: Repo | Run | None = None) -> tuple[TautClass, list[Part]]:
     """Assemble the even-theta triple-vanishing class from the solved system."""
-    repo = repo or default_repo()
+    run = _run_of(repo)
+    repo = run.repo
     m4 = repo.space("M4")
     golden = repo.golden["h4plus"]
-    assignment, _, solve_parts = solve_multiplicities("H4plus", repo)
+    assignment, _, solve_parts = run.solution("H4plus")
     parts = list(solve_parts)
     if not assignment:
         return m4.zero(2), parts
-    lhs = _lhs_product(repo, H4PLUS_SYSTEM)
+    lhs = run.lhs("H4plus")
     parts.append(_cls_part("lhs_product", m4.from_dict(2, golden["lhs_product"]), lhs, m4))
     n = assignment["n"]
     parts.append(_val_part("division_multiplicity_nonzero", True, n != 0))
@@ -575,24 +617,18 @@ def compute_h4plus(repo: Repo | None = None) -> tuple[TautClass, list[Part]]:
     ).scale(Fraction(1) / n)
     parts.append(_cls_part("class", m4.from_dict(2, golden["class"]), result, m4))
     parts.append(_cls_part("catalog_agrees", repo.catalog_class("H4plus_theorem"), result, m4))
-    parts.append(
-        _val_part(
-            "lambda2_cross_check",
-            as_fraction(golden["lambda2"]),
-            locus_lambda2("H4_plus", repo),
-        )
-    )
-    parts.append(
-        _val_part("lambda2_entry_agrees", locus_lambda2("H4_plus", repo), result.coeff("lam^2", m4))
-    )
+    lambda2 = run.lambda2["H4_plus"]
+    parts.append(_val_part("lambda2_cross_check", as_fraction(golden["lambda2"]), lambda2))
+    parts.append(_val_part("lambda2_entry_agrees", lambda2, result.coeff("lam^2", m4)))
     return result, parts
 
 
-def _parts_pushforwards(repo: Repo) -> list[Part]:
+def _parts_pushforwards(run: Run) -> list[Part]:
+    repo = run.repo
     m31, m3 = repo.space("M31"), repo.space("M3")
     push = repo.hom("p_star_pushforward")
     golden = repo.golden["pushforwards"]
-    wtheta = _lhs_product(repo, F31_SYSTEM)
+    wtheta = run.lhs("F31")
     parts = [
         _cls_part("divisor_product", m31.from_dict(2, golden["wtheta_product_m31"]), wtheta, m31),
         _cls_part(
@@ -619,22 +655,23 @@ def _parts_pushforwards(repo: Repo) -> list[Part]:
 
 _EVAL_CLASSES = {
     "M31": {
-        "WTheta": lambda repo, sp: _lhs_product(repo, F31_SYSTEM),
-        "Hyp31": lambda repo, sp: repo.catalog_class("Hyp31_theorem"),
-        "W2": lambda repo, sp: repo.catalog_class("W2_M31"),
-        "gamma1": lambda repo, sp: special_expand(sp, "gamma1"),
-        "gamma2": lambda repo, sp: special_expand(sp, "gamma2"),
+        "WTheta": lambda run, sp: run.lhs("F31"),
+        "Hyp31": lambda run, sp: run.repo.catalog_class("Hyp31_theorem"),
+        "W2": lambda run, sp: run.repo.catalog_class("W2_M31"),
+        "gamma1": lambda run, sp: special_expand(sp, "gamma1"),
+        "gamma2": lambda run, sp: special_expand(sp, "gamma2"),
     },
     "M4": {
-        "ThetaT": lambda repo, sp: _lhs_product(repo, H4PLUS_SYSTEM),
-        "Hyp4": lambda repo, sp: repo.catalog_class("Hyp4"),
-        "W2": lambda repo, sp: repo.catalog_class("W2_M4"),
-        "gamma1": lambda repo, sp: sp.basis_class(2, "gamma1"),
+        "ThetaT": lambda run, sp: run.lhs("H4plus"),
+        "Hyp4": lambda run, sp: run.repo.catalog_class("Hyp4"),
+        "W2": lambda run, sp: run.repo.catalog_class("W2_M4"),
+        "gamma1": lambda run, sp: sp.basis_class(2, "gamma1"),
     },
 }
 
 
-def _parts_surface_tables(repo: Repo) -> list[Part]:
+def _parts_surface_tables(run: Run) -> list[Part]:
+    repo = run.repo
     golden = repo.golden["surface_tables"]
     parts: list[Part] = []
     for sid, block in golden["surfaces"].items():
@@ -650,11 +687,11 @@ def _parts_surface_tables(repo: Repo) -> list[Part]:
         for lbl, v in block["extra"].items():
             parts.append(_val_part(f"{sid}:{lbl}", as_fraction(v), functional.values.get(lbl)))
         for cname, v in block["evaluations"].items():
-            cls = _EVAL_CLASSES[space.id][cname](repo, space)
+            cls = _EVAL_CLASSES[space.id][cname](run, space)
             parts.append(_val_part(f"{sid}:<{cname}>", as_fraction(v), evaluate(functional, cls, space)))
     override_rows = []
     for sid in golden["surfaces"]:
-        for entry in audit_overrides(repo.surface(sid), repo.surface_space(sid)):
+        for entry in audit_overrides(repo.functional(sid)):
             if entry.status == "override":
                 override_rows.append([sid, entry.label])
     parts.append(_val_part("override_count", golden["override_count"], len(override_rows)))
@@ -662,7 +699,8 @@ def _parts_surface_tables(repo: Repo) -> list[Part]:
     return parts
 
 
-def _parts_relation_hygiene(repo: Repo) -> list[Part]:
+def _parts_relation_hygiene(run: Run) -> list[Part]:
+    repo = run.repo
     parts: list[Part] = []
     for sid in ("M31", "M4", "M22"):
         space = repo.space(sid)
@@ -691,8 +729,9 @@ def _parts_relation_hygiene(repo: Repo) -> list[Part]:
     return parts
 
 
-def _parts_complete_intersection(repo: Repo) -> list[Part]:
+def _parts_complete_intersection(run: Run) -> list[Part]:
     """Obstruction coordinates vanish on divisor products but not on the loci."""
+    repo = run.repo
     golden = repo.golden["complete_intersection"]
     m31, m4, m3 = repo.space("M31"), repo.space("M4"), repo.space("M3")
     parts: list[Part] = []
@@ -743,8 +782,8 @@ def _parts_complete_intersection(repo: Repo) -> list[Part]:
     return parts
 
 
-def _parts_grr_spin(repo: Repo) -> list[Part]:
-    golden = repo.golden["grr_spin"]
+def _parts_grr_spin(run: Run) -> list[Part]:
+    golden = run.repo.golden["grr_spin"]
     parts = []
     for order, key in ((4, "order4"), (2, "order2")):
         actual = grr_spin_character(order)
@@ -758,8 +797,8 @@ def _parts_grr_spin(repo: Repo) -> list[Part]:
     return parts
 
 
-def _parts_jet_chern(repo: Repo) -> list[Part]:
-    golden = repo.golden["jet_chern"]
+def _parts_jet_chern(run: Run) -> list[Part]:
+    golden = run.repo.golden["jet_chern"]
     parts = []
     for key, (n, w) in (("J2_spin", (2, Fraction(1, 2))), ("J5_canonical", (5, Fraction(1)))):
         block = golden[key]
@@ -777,24 +816,17 @@ def _parts_jet_chern(repo: Repo) -> list[Part]:
     return parts
 
 
-def _parts_lambda2(repo: Repo) -> list[Part]:
+def _parts_lambda2(run: Run) -> list[Part]:
+    repo = run.repo
     golden = repo.golden["lambda2_values"]
-    m4 = repo.space("M4")
-    parts = [
-        _val_part(which, as_fraction(golden[which]), locus_lambda2(which, repo))
-        for which in ("SH4_minus", "H4_minus", "H4", "H4_plus")
-    ]
-    parts.append(
-        _val_part(
-            "agrees_with_class",
-            repo.catalog_class("H4plus_theorem").coeff("lam^2", m4),
-            locus_lambda2("H4_plus", repo),
-        )
-    )
+    parts = [_val_part(which, as_fraction(golden[which]), value) for which, value in run.lambda2.items()]
+    stated = repo.catalog_class("H4plus_theorem").coeff("lam^2", repo.space("M4"))
+    parts.append(_val_part("agrees_with_class", stated, run.lambda2["H4_plus"]))
     return parts
 
 
-def _parts_enumerative(repo: Repo) -> list[Part]:
+def _parts_enumerative(run: Run) -> list[Part]:
+    repo = run.repo
     golden = repo.golden["enumerative"]
     parts = []
     for d, v in golden["abel"].items():
@@ -832,7 +864,7 @@ def _parts_enumerative(repo: Repo) -> list[Part]:
 @dataclass(frozen=True)
 class CheckDef:
     id: str
-    fn: Callable[[Repo], list[Part]]
+    fn: Callable[[Run], list[Part]]
     golden_key: str
 
 
@@ -856,17 +888,13 @@ CHECKS: tuple[CheckDef, ...] = (
     CheckDef("basis_m31", _parts_basis_m31, "basis_m31"),
     CheckDef("prop4", _parts_prop4, "prop4"),
     CheckDef("prop4_alt_route", _parts_prop4_alt, "prop4_alt_route"),
-    CheckDef("hyp31", lambda repo: compute_hyp31(repo)[1], "hyp31"),
+    CheckDef("hyp31", lambda run: compute_hyp31(run.repo)[1], "hyp31"),
     CheckDef("j3_pullback_table", _parts_j3_table, "j3_pullback_table"),
     CheckDef("w2_lemmas", _parts_w2_lemmas, "w2_lemmas"),
-    CheckDef("multiplicities_f31", lambda repo: solve_multiplicities("F31", repo)[2], "multiplicities_f31"),
-    CheckDef("f31", lambda repo: compute_f31(repo)[1], "f31"),
-    CheckDef(
-        "multiplicities_h4plus",
-        lambda repo: solve_multiplicities("H4plus", repo)[2],
-        "multiplicities_h4plus",
-    ),
-    CheckDef("h4plus", lambda repo: compute_h4plus(repo)[1], "h4plus"),
+    CheckDef("multiplicities_f31", lambda run: run.solution("F31")[2], "multiplicities_f31"),
+    CheckDef("f31", lambda run: compute_f31(run)[1], "f31"),
+    CheckDef("multiplicities_h4plus", lambda run: run.solution("H4plus")[2], "multiplicities_h4plus"),
+    CheckDef("h4plus", lambda run: compute_h4plus(run)[1], "h4plus"),
     CheckDef("pushforwards", _parts_pushforwards, "pushforwards"),
     CheckDef("surface_tables", _parts_surface_tables, "surface_tables"),
     CheckDef("relation_hygiene", _parts_relation_hygiene, "relation_hygiene"),
@@ -884,25 +912,31 @@ def check_ids() -> list[str]:
     return [c.id for c in CHECKS]
 
 
-def run_check(check_id: str, repo: Repo | None = None) -> CheckResult:
-    """Run one named check; pure given the loaded repository."""
-    repo = repo or default_repo()
+def run_check(check_id: str, repo: Repo | Run | None = None) -> CheckResult:
+    """Run one named check; pure given the loaded repository.
+
+    Given a Run instead of a Repo, the check shares that run's results.
+    """
+    run = _run_of(repo)
     try:
         check = _CHECK_INDEX[check_id]
     except KeyError:
         raise UnknownNameError(
             f"unknown check {check_id!r}; known ids: {', '.join(check_ids())}"
         ) from None
-    anchor = repo.golden.get(check.golden_key, {}).get("anchor", "")
+    anchor = run.repo.golden.get(check.golden_key, {}).get("anchor", "")
     t0 = time.perf_counter()
-    parts = check.fn(repo)
+    parts = check.fn(run)
     return _finish(check.id, anchor, parts, t0)
 
 
 def run_all(repo: Repo | None = None) -> Report:
-    """Run every registered check deterministically, in declaration order."""
-    repo = repo or default_repo()
-    return Report(__version__, tuple(run_check(c.id, repo) for c in CHECKS))
+    """Run every registered check deterministically, in declaration order.
+
+    The checks share one Run, so each shared result is computed once per call.
+    """
+    run = Run(repo or default_repo())
+    return Report(__version__, tuple(run_check(c.id, run) for c in CHECKS))
 
 
 def export_report(report: Report, format: str = "human", deterministic: bool = True) -> str:

@@ -154,30 +154,28 @@ def canonical_jet_porteous_class() -> TruncatedPoly:
 _LOCI = ("SH4_minus", "H4_minus", "H4", "H4_plus")
 
 
-def locus_lambda2(which: str, repo=None) -> Fraction:
-    """lambda^2 coefficient of a subcanonical locus on the genus-4 interior.
+def lambda2_values(repo) -> dict[str, Fraction]:
+    """lambda^2 coefficients of the subcanonical loci on the genus-4 interior.
 
-    SH4_minus runs the full spin pipeline; H4_minus multiplies it by the odd
-    spin cover degree; H4 runs the canonical-jet pipeline; H4_plus subtracts
-    the hyperelliptic contribution (one per Weierstrass point) and H4_minus
-    from H4.
+    One pass runs each pipeline once.  SH4_minus comes from the spin pipeline;
+    H4_minus multiplies it by the odd spin cover degree; H4 comes from the
+    canonical-jet pipeline; H4_plus subtracts the hyperelliptic contribution
+    (one per Weierstrass point) and H4_minus from H4.
     """
+    from .counts import hyperelliptic_weierstrass_count
+
+    sh4_minus = m4_specialize(spin_porteous_class())
+    h4_minus = spin_cover_degree(4, "odd") * sh4_minus
+    h4 = m4_specialize(canonical_jet_porteous_class())
+    hyp4_lambda2 = repo.catalog_class("Hyp4").coeff("lam^2", repo.space("M4"))
+    h4_plus = h4 - hyperelliptic_weierstrass_count(4) * hyp4_lambda2 - h4_minus
+    return dict(zip(_LOCI, (sh4_minus, h4_minus, h4, h4_plus)))
+
+
+def locus_lambda2(which: str, repo=None) -> Fraction:
+    """lambda^2 coefficient of one subcanonical locus; see lambda2_values."""
     if which not in _LOCI:
         raise ValueError(f"unknown locus {which!r}; expected one of {_LOCI}")
-    if which == "SH4_minus":
-        return m4_specialize(spin_porteous_class())
-    if which == "H4_minus":
-        return spin_cover_degree(4, "odd") * locus_lambda2("SH4_minus", repo)
-    if which == "H4":
-        return m4_specialize(canonical_jet_porteous_class())
-    from .counts import hyperelliptic_weierstrass_count
     from .data import default_repo
 
-    repo = repo or default_repo()
-    m4 = repo.space("M4")
-    hyp4_lambda2 = repo.catalog_class("Hyp4").coeff("lam^2", m4)
-    return (
-        locus_lambda2("H4", repo)
-        - hyperelliptic_weierstrass_count(4) * hyp4_lambda2
-        - locus_lambda2("H4_minus", repo)
-    )
+    return lambda2_values(repo or default_repo())[which]

@@ -4,8 +4,8 @@ Each family is modelled by the numerical-equivalence lattice of its base
 surface (a small Gram matrix), restriction vectors for the divisor
 generators, and directly stated values for the special classes.  Product
 entries are derived from the Gram pairing unless the source table overrides
-them; audit_overrides recomputes every derivable entry and reports the
-comparison.
+them.  The functional keeps each lattice-derived value beside the effective
+one, and audit_overrides reports the comparison.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ class SurfaceFunctional:
     target_space: str
     values: Mapping[str, Fraction]
     provenance: Mapping[str, str]
+    derived: Mapping[str, Fraction]  # label -> value from the lattice, where derivable
 
 
 @dataclass(frozen=True)
@@ -131,21 +132,23 @@ def surface_functional(surface: SurfaceModel, space: RingSpace) -> SurfaceFuncti
     Product labels come from the Gram pairing unless overridden; special
     labels come from lattice computations where the source gives one, and
     from the stated direct values otherwise.  Extra special symbols with
-    direct values (used by the multiplicity systems) ride along.
+    direct values (used by the multiplicity systems) ride along.  Every
+    lattice-derived value is kept too, also where a stated value wins.
     """
     values: dict[str, Fraction] = {}
     prov: dict[str, str] = {}
+    derived: dict[str, Fraction] = {}
     for label in space.codim2_basis:
         if label in space.product_pairs:
-            derived = derived_product_value(surface, space, label)
+            derived[label] = derived_product_value(surface, space, label)
             if label in surface.overrides:
                 values[label] = surface.overrides[label]
-                prov[label] = OVERRIDE if surface.overrides[label] != derived else DERIVED
+                prov[label] = OVERRIDE if surface.overrides[label] != derived[label] else DERIVED
             else:
-                values[label] = derived
+                values[label] = derived[label]
                 prov[label] = DERIVED
         elif label in surface.special_products:
-            values[label] = _derived_special_value(surface, label)
+            values[label] = derived[label] = _derived_special_value(surface, label)
             prov[label] = DERIVED
         elif label in surface.direct_values:
             values[label] = surface.direct_values[label]
@@ -156,11 +159,13 @@ def surface_functional(surface: SurfaceModel, space: RingSpace) -> SurfaceFuncti
         if label not in values:
             values[label] = v
             prov[label] = DIRECT
-    for label, _ in surface.special_products.items():
+    for label in surface.special_products:
+        if label not in derived:
+            derived[label] = _derived_special_value(surface, label)
         if label not in values:
-            values[label] = _derived_special_value(surface, label)
+            values[label] = derived[label]
             prov[label] = DERIVED
-    return SurfaceFunctional(surface.id, surface.target_space, values, prov)
+    return SurfaceFunctional(surface.id, surface.target_space, values, prov, derived)
 
 
 def evaluate(functional: SurfaceFunctional, c: TautClass, space: RingSpace) -> Fraction:
@@ -195,30 +200,14 @@ def evaluate_formal_products(surface: SurfaceModel, space: RingSpace, formal: Ma
     return total
 
 
-def audit_overrides(surface: SurfaceModel, space: RingSpace) -> list[AuditEntry]:
-    """Recompute every derivable entry and compare with the effective value."""
-    functional = surface_functional(surface, space)
+def audit_overrides(functional: SurfaceFunctional) -> list[AuditEntry]:
+    """Compare each effective value with its lattice-derived value, if any."""
     report: list[AuditEntry] = []
-    seen = set()
-    for label in space.codim2_basis:
-        seen.add(label)
-        effective = functional.values[label]
-        if label in space.product_pairs:
-            derived = derived_product_value(surface, space, label)
-        elif label in surface.special_products:
-            derived = _derived_special_value(surface, label)
-        else:
-            report.append(AuditEntry(label, None, effective, "underivable"))
-            continue
-        status = "match" if derived == effective else "override"
-        report.append(AuditEntry(label, derived, effective, status))
     for label, effective in functional.values.items():
-        if label in seen:
-            continue
-        if label in surface.special_products:
-            derived = _derived_special_value(surface, label)
-            status = "match" if derived == effective else "override"
-            report.append(AuditEntry(label, derived, effective, status))
+        derived = functional.derived.get(label)
+        if derived is None:
+            status = "underivable"
         else:
-            report.append(AuditEntry(label, None, effective, "underivable"))
+            status = "match" if derived == effective else "override"
+        report.append(AuditEntry(label, derived, effective, status))
     return report

@@ -83,7 +83,7 @@ def test_criterion_06_intersection_tables(repo):
     result = run_check("surface_tables", repo)
     overrides = []
     for sid in ("S1", "S2", "S3", "T1", "T2", "T3", "V1", "V2", "V3", "V4"):
-        for e in audit_overrides(repo.surface(sid), repo.surface_space(sid)):
+        for e in audit_overrides(repo.functional(sid)):
             if e.status == "override":
                 overrides.append((sid, e.label))
     ok = result.passed and overrides == [("T2", "psi*d21")]

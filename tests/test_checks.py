@@ -1,8 +1,14 @@
 import json
+import shutil
 import subprocess
 import sys
+from collections import Counter
+from importlib import resources
+from pathlib import Path
 
 import pytest
+
+from tautverify import checks, data, grr, surfaces
 
 from tautverify.checks import (
     CHECKS,
@@ -16,7 +22,10 @@ from tautverify.checks import (
     solve_multiplicities,
 )
 from tautverify.cli import main
+from tautverify.data import Repo
 from tautverify.errors import UnknownNameError
+
+CANONICAL_REPORT = Path(__file__).parent / "data" / "canonical_report.json"
 
 
 def test_run_all_passes(repo):
@@ -123,6 +132,59 @@ def test_failure_reports_minimal_diff(repo):
     assert not result.passed
     assert result.expected == "H4_minus: 5311"
     assert result.actual == "H4_minus: 5310"
+
+
+def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
+    # one pass of each lambda^2 pipeline, one solve per multiplicity system and
+    # no functional rebuilt; a second run on the same Repo does it all again
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(grr, "porteous_c3")
+    count(checks, "solve_multiplicities")
+    count(surfaces, "surface_functional")
+    count(data, "surface_functional")
+    for _ in range(2):
+        calls.clear()
+        assert run_all(repo).all_passed
+        assert (calls["porteous_c3"], calls["solve_multiplicities"], calls["surface_functional"]) == (2, 2, 0)
+
+
+def test_run_check_alone_matches_run_all(repo):
+    for shared in run_all(repo).results:
+        alone = run_check(shared.id, repo)
+        assert (alone.expected, alone.actual, alone.passed) == (shared.expected, shared.actual, shared.passed)
+
+
+def test_no_results_leak_between_repos(repo, tmp_path):
+    src = resources.files("tautverify").joinpath("data")
+    with resources.as_file(src) as p:
+        shutil.copytree(p, tmp_path / "data")
+    path = tmp_path / "data" / "catalog.json"
+    raw = json.loads(path.read_text())
+    assert raw["classes"]["Hyp4"]["coeffs"]["lam^2"] == "51/4"
+    raw["classes"]["Hyp4"]["coeffs"]["lam^2"] = "55/4"
+    path.write_text(json.dumps(raw))
+    changed = {r.id: r for r in run_all(Repo(tmp_path / "data")).results}
+    assert not changed["lambda2_values"].passed
+    assert "H4_plus" in changed["lambda2_values"].actual
+    assert run_all(repo).to_json() == CANONICAL_REPORT.read_text(encoding="utf-8")
+
+
+def test_report_matches_canonical_oracle(tmp_path):
+    # the refactor oracle: `tautverify run-all --json` at the shipped data,
+    # byte for byte
+    out = tmp_path / "report.json"
+    assert main(["run-all", "--json", str(out)]) == 0
+    assert out.read_bytes() == CANONICAL_REPORT.read_bytes()
 
 
 # --- command line interface ---------------------------------------------

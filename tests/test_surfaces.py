@@ -1,13 +1,17 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from tautverify.data import SURFACE_IDS
 from tautverify.errors import SpaceMismatchError
 from tautverify.rings import divisor_product, special_expand
 from tautverify.surfaces import (
+    AuditEntry,
     audit_overrides,
+    derived_product_value,
     evaluate,
     evaluate_formal_products,
     pair_on_surface,
@@ -159,13 +163,13 @@ def test_relation_annihilation_via_functional(repo):
 
 
 def test_audit_s1_all_match(repo):
-    entries = audit_overrides(repo.surface("S1"), repo.space("M31"))
+    entries = audit_overrides(repo.functional("S1"))
     products = [e for e in entries if e.derived is not None and e.label in repo.space("M31").product_pairs]
     assert products and all(e.status == "match" for e in products)
 
 
 def test_audit_t2_single_override(repo):
-    entries = {e.label: e for e in audit_overrides(repo.surface("T2"), repo.space("M31"))}
+    entries = {e.label: e for e in audit_overrides(repo.functional("T2"))}
     assert entries["psi*d21"].status == "override"
     assert entries["psi*d21"].derived == -2
     assert entries["psi*d21"].effective == -6
@@ -175,7 +179,7 @@ def test_audit_t2_single_override(repo):
 
 
 def test_audit_v2_lattice_specials_match(repo):
-    entries = {e.label: e for e in audit_overrides(repo.surface("V2"), repo.space("M4"))}
+    entries = {e.label: e for e in audit_overrides(repo.functional("V2"))}
     assert entries["d1^2"].status == "match" and entries["d1^2"].effective == 16
     assert entries["d2^2"].status == "match" and entries["d2^2"].effective == -2
     assert entries["d1|1"].status == "match" and entries["d1|1"].effective == 6
@@ -184,10 +188,41 @@ def test_audit_v2_lattice_specials_match(repo):
 def test_single_override_across_all_surfaces(repo):
     overrides = []
     for sid in ("S1", "S2", "S3", "T1", "T2", "T3", "V1", "V2", "V3", "V4"):
-        for e in audit_overrides(repo.surface(sid), repo.surface_space(sid)):
+        for e in audit_overrides(repo.functional(sid)):
             if e.status == "override":
                 overrides.append((sid, e.label))
     assert overrides == [("T2", "psi*d21")]
+
+
+def _fresh_lattice_value(surface, space, label):
+    if label in space.codim2_index and label in space.product_pairs:
+        return derived_product_value(surface, space, label)
+    if label in surface.special_products:
+        return sum((pair_on_surface(surface, v, w) for v, w in surface.special_products[label]), F(0))
+    return None
+
+
+def test_audit_derived_values_come_from_the_lattice(repo):
+    # the audit reads the values kept at load; each must equal a fresh pairing
+    for sid in SURFACE_IDS:
+        surface, space = repo.surface(sid), repo.surface_space(sid)
+        entries = audit_overrides(repo.functional(sid))
+        assert [e.label for e in entries] == list(repo.functional(sid).values)
+        for e in entries:
+            assert e.derived == _fresh_lattice_value(surface, space, e.label), (sid, e.label)
+    t2 = {e.label: e for e in audit_overrides(repo.functional("T2"))}
+    assert (t2["psi*d21"].derived, t2["psi*d21"].effective) == (-2, -6)
+
+
+def test_audit_label_with_direct_value_and_special_product(repo):
+    # the stated value stays effective; the lattice value is still audited
+    s1, m31 = repo.surface("S1"), repo.space("M31")
+    pairs = ((s1.divisor_restrictions["d0"], s1.divisor_restrictions["psi"]),)
+    model = dataclasses.replace(s1, special_products={"d1|1": pairs})
+    lattice = pair_on_surface(model, *pairs[0])
+    assert lattice != s1.direct_values["d1|1"]
+    entries = {e.label: e for e in audit_overrides(surface_functional(model, m31))}
+    assert entries["d1|1"] == AuditEntry("d1|1", lattice, s1.direct_values["d1|1"], "override")
 
 
 def test_t3_kappa2_consistent_with_two_node_expansion(repo):
