@@ -8,12 +8,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tautverify.data import Repo
+from tautverify.data import SURFACE_IDS, Repo
 from tautverify.surfaces import audit_overrides
 
 if __name__ == "__main__":
     repo = Repo(sys.argv[1]) if len(sys.argv) > 1 else Repo()
-    for sid in ("S1", "S2", "S3", "T1", "T2", "T3", "V1", "V2", "V3", "V4"):
+    for sid in SURFACE_IDS:
         space = repo.surface_space(sid)
         functional = repo.functional(sid)
         print(f"{sid}  (target {space.id})")

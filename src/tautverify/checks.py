@@ -18,18 +18,15 @@ from typing import Callable, Mapping, Sequence
 from . import __version__
 from .counts import (
     abel_difference_degree,
+    even_theta_count,
     mixed_difference_degree,
+    odd_theta_count,
     scorza_correspondence_class,
     scorza_triple_degree,
 )
-from .data import Repo, default_repo
+from .data import SURFACE_IDS, Repo, default_repo
 from .errors import UnknownNameError
-from .grr import (
-    grr_spin_character,
-    jet_bundle_chern,
-    lambda2_values,
-    spin_cover_degree,
-)
+from .grr import grr_spin_character, jet_bundle_chern, lambda2_values
 from .linalg import (
     Inconsistent,
     QMatrix,
@@ -162,6 +159,8 @@ class Component:
     `ref` names a known class ("catalog:X", "special:X" or "basis:X"); the
     unknown component instead carries per-family fiber counts, a known
     pushforward, and optionally draws its lam^2 entry from the jet pipeline.
+    The name of a known component is also its key in the surface tables of
+    the golden file.
     """
 
     name: str
@@ -175,6 +174,7 @@ class Component:
 class MultiplicitySystem:
     id: str
     space: str
+    lhs_key: str  # surface-table key of the left-hand product
     lhs_factors: tuple[str, str]
     unknowns: tuple[str, ...]
     components: tuple[Component, ...]
@@ -186,18 +186,19 @@ class MultiplicitySystem:
 F31_SYSTEM = MultiplicitySystem(
     id="F31",
     space="M31",
+    lhs_key="WTheta",
     lhs_factors=("W31", "Theta31"),
     unknowns=("m", "n", "k", "l", "j"),
     components=(
-        Component("hyperelliptic", ref="catalog:Hyp31_theorem"),
+        Component("Hyp31", ref="catalog:Hyp31_theorem"),
         Component(
             "hyperflex",
             counts={"T1": "T1_F31_fibers", "T2": "T2_F31_fibers"},
             pushforward_ref="F31_pushforward_M3",
         ),
-        Component("weierstrass_boundary", ref="catalog:W2_M31"),
-        Component("elliptic_bridge", ref="special:gamma1"),
-        Component("rational_bridge", ref="special:gamma2"),
+        Component("W2", ref="catalog:W2_M31"),
+        Component("gamma1", ref="special:gamma1"),
+        Component("gamma2", ref="special:gamma2"),
     ),
     functional_constraints=("T1", "T2", "T3"),
     pushforward_constraints=("p_star_pushforward",),
@@ -207,17 +208,18 @@ F31_SYSTEM = MultiplicitySystem(
 H4PLUS_SYSTEM = MultiplicitySystem(
     id="H4plus",
     space="M4",
+    lhs_key="ThetaT",
     lhs_factors=("Theta_null_M4", "T_M4"),
     unknowns=("m", "n", "k", "l"),
     components=(
-        Component("hyperelliptic", ref="catalog:Hyp4"),
+        Component("Hyp4", ref="catalog:Hyp4"),
         Component(
             "even_triple_vanishing",
             counts={"V1": "V1_H4plus", "V2": "V2_H4plus"},
             lambda2_from_pipeline=True,
         ),
-        Component("weierstrass_boundary", ref="catalog:W2_M4"),
-        Component("elliptic_bridge", ref="basis:gamma1"),
+        Component("W2", ref="catalog:W2_M4"),
+        Component("gamma1", ref="basis:gamma1"),
     ),
     functional_constraints=("V1", "V2", "V3", "V4"),
     pushforward_constraints=(),
@@ -244,9 +246,19 @@ class Run:
     def lambda2(self) -> dict[str, Fraction]:
         return lambda2_values(self.repo)
 
+    @cached_property
+    def known(self) -> dict[str, dict[str, TautClass]]:
+        """The known component classes of each system, by system id, then component name."""
+        return {
+            s.id: {c.name: _resolve_component_class(self.repo, s.space, c.ref) for c in s.components if c.ref}
+            for s in _SYSTEMS.values()
+        }
+
     def lhs(self, system_id: str) -> TautClass:
         if system_id not in self._lhs:
-            self._lhs[system_id] = _lhs_product(self.repo, _SYSTEMS[system_id])
+            system = _SYSTEMS[system_id]
+            a, b = (self.repo.catalog_class(n) for n in system.lhs_factors)
+            self._lhs[system_id] = divisor_product(self.repo.space(system.space), a, b)
         return self._lhs[system_id]
 
     def solution(self, system_id: str) -> tuple:
@@ -260,21 +272,15 @@ def _run_of(source: Repo | Run | None) -> Run:
     return source if isinstance(source, Run) else Run(source or default_repo())
 
 
-def _resolve_component_class(repo: Repo, space: RingSpace, ref: str) -> TautClass:
+def _resolve_component_class(repo: Repo, space_id: str, ref: str) -> TautClass:
     kind, _, name = ref.partition(":")
     if kind == "catalog":
         return repo.catalog_class(name)
     if kind == "special":
-        return special_expand(space, name)
+        return special_expand(repo.space(space_id), name)
     if kind == "basis":
-        return space.basis_class(2, name)
+        return repo.space(space_id).basis_class(2, name)
     raise UnknownNameError(f"unknown component reference {ref!r}")
-
-
-def _lhs_product(repo: Repo, system: MultiplicitySystem) -> TautClass:
-    space = repo.space(system.space)
-    a, b = (repo.catalog_class(n) for n in system.lhs_factors)
-    return divisor_product(space, a, b)
 
 
 def _assemble_system(run: Run, system: MultiplicitySystem):
@@ -289,9 +295,7 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
     repo = run.repo
     space = repo.space(system.space)
     lhs = run.lhs(system.id)
-    known = {
-        c.name: _resolve_component_class(repo, space, c.ref) for c in system.components if c.ref
-    }
+    known = run.known[system.id]
     names: list[str] = []
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -344,12 +348,14 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
 
 
 def solve_multiplicities(system_id: str, repo: Repo | Run | None = None):
-    """Solve a registered multiplicity system and scan for redundant rows.
+    """Solve a registered multiplicity system and find its redundant rows.
 
     Returns (assignment, redundant_names, parts): the exact solution keyed by
     unknown name, the constraints whose removal keeps the system uniquely
     solvable with the same solution (each such constraint is automatically
-    satisfied by it), and the serialized comparison parts.
+    satisfied by it), and the serialized comparison parts.  With a unique
+    solution a row is redundant iff some vector of the matrix's left kernel is
+    nonzero there (the row is a combination of the others); else none is.
     """
     run = _run_of(repo)
     try:
@@ -368,17 +374,8 @@ def solve_multiplicities(system_id: str, repo: Repo | Run | None = None):
     parts.append(_val_part("solution", expected, assignment))
     parts.append(_val_part("unique", True, sol.unique))
 
-    redundant: list[str] = []
-    for drop in range(matrix.rows):
-        sub = QMatrix(tuple(r for i, r in enumerate(matrix.entries) if i != drop))
-        sub_rhs = tuple(v for i, v in enumerate(rhs) if i != drop)
-        sub_sol = solve_exact(sub, sub_rhs)
-        if isinstance(sub_sol, Solution) and sub_sol.unique and sub_sol.vector == sol.vector:
-            dropped_lhs = sum(
-                (matrix.entries[drop][j] * sol.vector[j] for j in range(matrix.cols)), Fraction(0)
-            )
-            if dropped_lhs == rhs[drop]:
-                redundant.append(names[drop])
+    left_kernel = kernel_basis(matrix.transpose()) if sol.unique else []
+    redundant = [name for i, name in enumerate(names) if any(v[i] != 0 for v in left_kernel)]
     parts.append(
         _val_part(
             "redundant_constraints_at_least",
@@ -387,6 +384,24 @@ def solve_multiplicities(system_id: str, repo: Repo | Run | None = None):
         )
     )
     return assignment, redundant, parts
+
+
+def _divide_out(run: Run, system: MultiplicitySystem, assignment: dict, parts: list[Part]) -> TautClass | None:
+    """The unknown component's class, from the solved multiplicities.
+
+    The left-hand product minus each known component times its multiplicity,
+    divided by the multiplicity of the unknown component.  Appends whether
+    that multiplicity is nonzero to `parts`; returns None if it is zero.
+    """
+    rest = run.lhs(system.id)
+    known = run.known[system.id]
+    for comp, unknown in zip(system.components, system.unknowns):
+        if comp.ref:
+            rest = rest - known[comp.name].scale(assignment[unknown])
+        else:
+            n = assignment[unknown]
+    parts.append(_val_part("division_multiplicity_nonzero", True, n != 0))
+    return rest.scale(Fraction(1) / n) if n != 0 else None
 
 
 # --- individual checks ----------------------------------------------------
@@ -565,19 +580,9 @@ def compute_f31(repo: Repo | Run | None = None) -> tuple[TautClass, list[Part]]:
     if not assignment:
         # inconsistent system: the solve parts already carry the certificate
         return m31.zero(2), parts
-    lhs = run.lhs("F31")
-    n = assignment["n"]
-    combination = (
-        lhs
-        - repo.catalog_class("Hyp31_theorem").scale(assignment["m"])
-        - repo.catalog_class("W2_M31").scale(assignment["k"])
-        - special_expand(m31, "gamma1").scale(assignment["l"])
-        - special_expand(m31, "gamma2").scale(assignment["j"])
-    )
-    parts.append(_val_part("division_multiplicity_nonzero", True, n != 0))
-    if n == 0:
+    result = _divide_out(run, F31_SYSTEM, assignment, parts)
+    if result is None:
         return m31.zero(2), parts
-    result = combination.scale(Fraction(1) / n)
     parts.append(_cls_part("class", m31.from_dict(2, golden["class"]), result, m31))
     parts.append(_cls_part("catalog_agrees", repo.catalog_class("F31_theorem"), result, m31))
     parts.append(_val_part("kappa2_coefficient", Fraction(3), result.coeff("kappa2", m31)))
@@ -603,18 +608,10 @@ def compute_h4plus(repo: Repo | Run | None = None) -> tuple[TautClass, list[Part
     parts = list(solve_parts)
     if not assignment:
         return m4.zero(2), parts
-    lhs = run.lhs("H4plus")
-    parts.append(_cls_part("lhs_product", m4.from_dict(2, golden["lhs_product"]), lhs, m4))
-    n = assignment["n"]
-    parts.append(_val_part("division_multiplicity_nonzero", True, n != 0))
-    if n == 0:
+    parts.append(_cls_part("lhs_product", m4.from_dict(2, golden["lhs_product"]), run.lhs("H4plus"), m4))
+    result = _divide_out(run, H4PLUS_SYSTEM, assignment, parts)
+    if result is None:
         return m4.zero(2), parts
-    result = (
-        lhs
-        - repo.catalog_class("Hyp4").scale(assignment["m"])
-        - repo.catalog_class("W2_M4").scale(assignment["k"])
-        - m4.basis_class(2, "gamma1").scale(assignment["l"])
-    ).scale(Fraction(1) / n)
     parts.append(_cls_part("class", m4.from_dict(2, golden["class"]), result, m4))
     parts.append(_cls_part("catalog_agrees", repo.catalog_class("H4plus_theorem"), result, m4))
     lambda2 = run.lambda2["H4_plus"]
@@ -653,26 +650,10 @@ def _parts_pushforwards(run: Run) -> list[Part]:
     return parts
 
 
-_EVAL_CLASSES = {
-    "M31": {
-        "WTheta": lambda run, sp: run.lhs("F31"),
-        "Hyp31": lambda run, sp: run.repo.catalog_class("Hyp31_theorem"),
-        "W2": lambda run, sp: run.repo.catalog_class("W2_M31"),
-        "gamma1": lambda run, sp: special_expand(sp, "gamma1"),
-        "gamma2": lambda run, sp: special_expand(sp, "gamma2"),
-    },
-    "M4": {
-        "ThetaT": lambda run, sp: run.lhs("H4plus"),
-        "Hyp4": lambda run, sp: run.repo.catalog_class("Hyp4"),
-        "W2": lambda run, sp: run.repo.catalog_class("W2_M4"),
-        "gamma1": lambda run, sp: sp.basis_class(2, "gamma1"),
-    },
-}
-
-
 def _parts_surface_tables(run: Run) -> list[Part]:
     repo = run.repo
     golden = repo.golden["surface_tables"]
+    systems = {s.space: s for s in _SYSTEMS.values()}
     parts: list[Part] = []
     for sid, block in golden["surfaces"].items():
         space = repo.surface_space(sid)
@@ -686,9 +667,10 @@ def _parts_surface_tables(run: Run) -> list[Part]:
         parts.append(_val_part(f"{sid}:table", "exact", "exact" if not mismatches else ",".join(mismatches)))
         for lbl, v in block["extra"].items():
             parts.append(_val_part(f"{sid}:{lbl}", as_fraction(v), functional.values.get(lbl)))
-        for cname, v in block["evaluations"].items():
-            cls = _EVAL_CLASSES[space.id][cname](run, space)
-            parts.append(_val_part(f"{sid}:<{cname}>", as_fraction(v), evaluate(functional, cls, space)))
+        for key, v in block["evaluations"].items():
+            system = systems[space.id]
+            cls = run.lhs(system.id) if key == system.lhs_key else run.known[system.id][key]
+            parts.append(_val_part(f"{sid}:<{key}>", as_fraction(v), evaluate(functional, cls, space)))
     override_rows = []
     for sid in golden["surfaces"]:
         for entry in audit_overrides(repo.functional(sid)):
@@ -718,13 +700,10 @@ def _parts_relation_hygiene(run: Run) -> list[Part]:
             m31,
         )
     )
-    for sid in ("S1", "S2", "S3", "T1", "T2", "T3"):
-        for i, rel in enumerate(m31.relations):
-            value = evaluate_formal_products(repo.surface(sid), m31, rel)
-            parts.append(_val_part(f"{sid}:lattice_annihilates_relation{i}", Fraction(0), value))
-    for sid in ("V1", "V2", "V3", "V4"):
-        for i, rel in enumerate(m4.relations):
-            value = evaluate_formal_products(repo.surface(sid), m4, rel)
+    for sid in SURFACE_IDS:
+        space = repo.surface_space(sid)
+        for i, rel in enumerate(space.relations):
+            value = evaluate_formal_products(repo.surface(sid), space, rel)
             parts.append(_val_part(f"{sid}:lattice_annihilates_relation{i}", Fraction(0), value))
     return parts
 
@@ -843,9 +822,10 @@ def _parts_enumerative(run: Run) -> list[Part]:
         _val_part("triple_parts", tuple(golden["scorza_triple"]["parts"]), triple_parts)
     )
     parts.append(_val_part("triple_sum_consistent", 0, total - sum(triple_parts)))
+    theta_count = {"odd": odd_theta_count, "even": even_theta_count}
     for key, v in golden["spin_cover"].items():
         g, parity = key.split(",")
-        parts.append(_val_part(f"spin_cover:{key}", v, spin_cover_degree(int(g), parity)))
+        parts.append(_val_part(f"spin_cover:{key}", v, theta_count[parity](int(g))))
     for cid, v in golden["count_values"].items():
         const = repo.counts.get(cid)
         parts.append(_val_part(f"count:{cid}", as_fraction(v), const.value))
@@ -865,44 +845,27 @@ def _parts_enumerative(run: Run) -> list[Part]:
 class CheckDef:
     id: str
     fn: Callable[[Run], list[Part]]
-    golden_key: str
-
-
-def check_basis_m31(repo: Repo | None = None) -> CheckResult:
-    return run_check("basis_m31", repo)
-
-
-def check_prop4(repo: Repo | None = None) -> CheckResult:
-    return run_check("prop4", repo)
-
-
-def check_w2_lemmas(repo: Repo | None = None) -> CheckResult:
-    return run_check("w2_lemmas", repo)
-
-
-def check_complete_intersection_obstructions(repo: Repo | None = None) -> CheckResult:
-    return run_check("complete_intersection", repo)
 
 
 CHECKS: tuple[CheckDef, ...] = (
-    CheckDef("basis_m31", _parts_basis_m31, "basis_m31"),
-    CheckDef("prop4", _parts_prop4, "prop4"),
-    CheckDef("prop4_alt_route", _parts_prop4_alt, "prop4_alt_route"),
-    CheckDef("hyp31", lambda run: compute_hyp31(run.repo)[1], "hyp31"),
-    CheckDef("j3_pullback_table", _parts_j3_table, "j3_pullback_table"),
-    CheckDef("w2_lemmas", _parts_w2_lemmas, "w2_lemmas"),
-    CheckDef("multiplicities_f31", lambda run: run.solution("F31")[2], "multiplicities_f31"),
-    CheckDef("f31", lambda run: compute_f31(run)[1], "f31"),
-    CheckDef("multiplicities_h4plus", lambda run: run.solution("H4plus")[2], "multiplicities_h4plus"),
-    CheckDef("h4plus", lambda run: compute_h4plus(run)[1], "h4plus"),
-    CheckDef("pushforwards", _parts_pushforwards, "pushforwards"),
-    CheckDef("surface_tables", _parts_surface_tables, "surface_tables"),
-    CheckDef("relation_hygiene", _parts_relation_hygiene, "relation_hygiene"),
-    CheckDef("complete_intersection", _parts_complete_intersection, "complete_intersection"),
-    CheckDef("grr_spin", _parts_grr_spin, "grr_spin"),
-    CheckDef("jet_chern", _parts_jet_chern, "jet_chern"),
-    CheckDef("lambda2_values", _parts_lambda2, "lambda2_values"),
-    CheckDef("enumerative", _parts_enumerative, "enumerative"),
+    CheckDef("basis_m31", _parts_basis_m31),
+    CheckDef("prop4", _parts_prop4),
+    CheckDef("prop4_alt_route", _parts_prop4_alt),
+    CheckDef("hyp31", lambda run: compute_hyp31(run.repo)[1]),
+    CheckDef("j3_pullback_table", _parts_j3_table),
+    CheckDef("w2_lemmas", _parts_w2_lemmas),
+    CheckDef("multiplicities_f31", lambda run: run.solution("F31")[2]),
+    CheckDef("f31", lambda run: compute_f31(run)[1]),
+    CheckDef("multiplicities_h4plus", lambda run: run.solution("H4plus")[2]),
+    CheckDef("h4plus", lambda run: compute_h4plus(run)[1]),
+    CheckDef("pushforwards", _parts_pushforwards),
+    CheckDef("surface_tables", _parts_surface_tables),
+    CheckDef("relation_hygiene", _parts_relation_hygiene),
+    CheckDef("complete_intersection", _parts_complete_intersection),
+    CheckDef("grr_spin", _parts_grr_spin),
+    CheckDef("jet_chern", _parts_jet_chern),
+    CheckDef("lambda2_values", _parts_lambda2),
+    CheckDef("enumerative", _parts_enumerative),
 )
 
 _CHECK_INDEX = {c.id: c for c in CHECKS}
@@ -924,7 +887,7 @@ def run_check(check_id: str, repo: Repo | Run | None = None) -> CheckResult:
         raise UnknownNameError(
             f"unknown check {check_id!r}; known ids: {', '.join(check_ids())}"
         ) from None
-    anchor = run.repo.golden.get(check.golden_key, {}).get("anchor", "")
+    anchor = run.repo.golden.get(check.id, {}).get("anchor", "")
     t0 = time.perf_counter()
     parts = check.fn(run)
     return _finish(check.id, anchor, parts, t0)

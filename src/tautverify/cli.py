@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import check_ids, export_report, run_all, run_check
+from .checks import export_report, run_all, run_check
 from .data import Repo
 from .errors import TautVerifyError, UnknownNameError
 from .rings import TautClass

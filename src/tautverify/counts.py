@@ -170,6 +170,3 @@ class CountRegistry:
             return self._constants[cid]
         except KeyError:
             raise UnknownNameError(f"unknown count constant {cid!r}") from None
-
-    def ids(self) -> list[str]:
-        return list(self._constants)

@@ -52,7 +52,7 @@ class Repo:
         self._gluings: dict[str, GluingRestriction] = {}
         self._catalog: dict[str, TautClass] = {}
         self._catalog_sources: dict[str, str] = {}
-        self._formal: dict[str, dict] = {}
+        self._formal: dict[str, dict[str, Fraction]] = {}
         self._surfaces: dict[str, SurfaceModel] = {}
         self._functionals: dict[str, SurfaceFunctional] = {}
         self._load()
@@ -121,11 +121,7 @@ class Repo:
             self._catalog[name] = space.from_dict(entry["degree"], entry["coeffs"])
             self._catalog_sources[name] = entry.get("source", "")
         for name, entry in raw["formal_classes"].items():
-            self._formal[name] = {
-                "space": entry["space"],
-                "degree": entry["degree"],
-                "coeffs": {k: as_fraction(v) for k, v in entry["coeffs"].items()},
-            }
+            self._formal[name] = {k: as_fraction(v) for k, v in entry["coeffs"].items()}
 
         for sid in SURFACE_IDS:
             raw = self._read(f"surfaces/{sid.lower()}.json")
@@ -182,13 +178,9 @@ class Repo:
 
     def formal_class(self, name: str) -> dict[str, Fraction]:
         try:
-            return dict(self._formal[name]["coeffs"])
+            return dict(self._formal[name])
         except KeyError:
             raise UnknownNameError(f"unknown formal class {name!r}") from None
-
-    def formal_class_space(self, name: str) -> str:
-        self.formal_class(name)
-        return self._formal[name]["space"]
 
     def surface(self, sid: str) -> SurfaceModel:
         try:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .chern import CHERN_MAX_DEGREE, ChernVector, chern_from_character
 from .errors import DegreeError
 from .linalg import as_fraction
-from .poly import TruncatedPoly
+from .poly import SYMBOLS, TruncatedPoly, _exps_from_powers
 from .series import exp_scaled, jet_sum, series_mul, todd_inverse
 
 GRR_MAX_ORDER = 4
@@ -66,8 +66,6 @@ def porteous_c3(cJ: ChernVector, cE: ChernVector) -> TruncatedPoly:
 
 def kappa_pushforward(p: TruncatedPoly, g: int) -> TruncatedPoly:
     """Integrate over the fiber: psi^a * M -> kappa_{a-1} * M, psi * M -> (2g-2) M."""
-    from .poly import _INDEX
-
     out = TruncatedPoly.zero(p.max_degree)
     for exps, c in p.terms:
         a = exps[0]
@@ -80,28 +78,22 @@ def kappa_pushforward(p: TruncatedPoly, g: int) -> TruncatedPoly:
             if a - 1 >= len(_KAPPA):
                 raise DegreeError(f"kappa_{a - 1} is outside the supported range")
             kappa_exps = list(rest)
-            kappa_exps[_INDEX[_KAPPA[a - 1]]] += 1
+            kappa_exps[SYMBOLS.index(_KAPPA[a - 1])] += 1
             out = out + TruncatedPoly.from_terms({tuple(kappa_exps): c}, p.max_degree)
     return out
-
-
-def _exps(powers: dict[str, int]) -> tuple[int, ...]:
-    from .poly import _exps_from_powers
-
-    return _exps_from_powers(powers)
 
 
 # lambda^2 extraction on the genus-4 interior: kappa1 = 12 lambda, Faber's
 # kappa2 = 27/2 lambda^2, lambda2 = lambda1^2/2, and lambda == lambda1.
 _SPECIALIZE = {
-    _exps({"kappa2": 1}): Fraction(27, 2),
-    _exps({"kappa1": 1, "lam": 1}): Fraction(12),
-    _exps({"kappa1": 1, "lam1": 1}): Fraction(12),
-    _exps({"kappa1": 2}): Fraction(144),
-    _exps({"lam": 2}): Fraction(1),
-    _exps({"lam": 1, "lam1": 1}): Fraction(1),
-    _exps({"lam1": 2}): Fraction(1),
-    _exps({"lam2": 1}): Fraction(1, 2),
+    _exps_from_powers({"kappa2": 1}): Fraction(27, 2),
+    _exps_from_powers({"kappa1": 1, "lam": 1}): Fraction(12),
+    _exps_from_powers({"kappa1": 1, "lam1": 1}): Fraction(12),
+    _exps_from_powers({"kappa1": 2}): Fraction(144),
+    _exps_from_powers({"lam": 2}): Fraction(1),
+    _exps_from_powers({"lam": 1, "lam1": 1}): Fraction(1),
+    _exps_from_powers({"lam1": 2}): Fraction(1),
+    _exps_from_powers({"lam2": 1}): Fraction(1, 2),
 }
 
 
@@ -116,17 +108,6 @@ def m4_specialize(p: TruncatedPoly) -> Fraction:
             raise DegreeError(f"no genus-4 specialization rule for monomial {exps}")
         total += c * factor
     return total
-
-
-def spin_cover_degree(g: int, parity: str) -> int:
-    """Degree of the forgetful map from the spin moduli space of given parity."""
-    from .counts import even_theta_count, odd_theta_count
-
-    if parity == "odd":
-        return odd_theta_count(g)
-    if parity == "even":
-        return even_theta_count(g)
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
 def spin_porteous_class() -> TruncatedPoly:
@@ -162,10 +143,10 @@ def lambda2_values(repo) -> dict[str, Fraction]:
     canonical-jet pipeline; H4_plus subtracts the hyperelliptic contribution
     (one per Weierstrass point) and H4_minus from H4.
     """
-    from .counts import hyperelliptic_weierstrass_count
+    from .counts import hyperelliptic_weierstrass_count, odd_theta_count
 
     sh4_minus = m4_specialize(spin_porteous_class())
-    h4_minus = spin_cover_degree(4, "odd") * sh4_minus
+    h4_minus = odd_theta_count(4) * sh4_minus
     h4 = m4_specialize(canonical_jet_porteous_class())
     hyp4_lambda2 = repo.catalog_class("Hyp4").coeff("lam^2", repo.space("M4"))
     h4_plus = h4 - hyperelliptic_weierstrass_count(4) * hyp4_lambda2 - h4_minus

@@ -73,9 +73,6 @@ class TruncatedPoly:
                 return c
         return Fraction(0)
 
-    def as_dict(self) -> dict[Exps, Fraction]:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -111,12 +108,6 @@ class TruncatedPoly:
 
     def is_pure_degree(self, d: int) -> bool:
         return all(monomial_degree(e) == d for e, _ in self.terms)
-
-    def symbols_used(self) -> set[str]:
-        used = set()
-        for exps, _ in self.terms:
-            used.update(s for s, e in zip(SYMBOLS, exps) if e)
-        return used
 
     def __str__(self):
         if not self.terms:

@@ -40,11 +40,6 @@ class TruncatedSeries:
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k <= self.order else Fraction(0)
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise DegreeError("cannot extend a truncated series")
-        return TruncatedSeries(self.variable, order, self.coeffs[: order + 1])
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _check_var(self, other)
         order = min(self.order, other.order)
@@ -94,26 +89,6 @@ def jet_sum(n: int, w, order: int, variable: str = "t") -> TruncatedSeries:
     for i in range(n + 1):
         total = total + exp_scaled(i, order, variable)
     return series_mul(exp_scaled(w, order, variable), total)
-
-
-_NAMED = {"exp_scaled", "todd_inverse", "jet_sum"}
-
-
-def series_named(kind: str, order: int, *, w=None, n: int | None = None) -> TruncatedSeries:
-    """Dispatch on a named series kind: exp_scaled(w), todd_inverse, jet_sum(n, w)."""
-    if order < 0:
-        raise DegreeError("order must be >= 0")
-    if kind == "exp_scaled":
-        if w is None:
-            raise ValueError("exp_scaled needs the weight w")
-        return exp_scaled(w, order)
-    if kind == "todd_inverse":
-        return todd_inverse(order)
-    if kind == "jet_sum":
-        if n is None or w is None:
-            raise ValueError("jet_sum needs n and w")
-        return jet_sum(n, w, order)
-    raise ValueError(f"unknown series kind {kind!r}; expected one of {sorted(_NAMED)}")
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

@@ -12,7 +12,6 @@ from tautverify.grr import (
     locus_lambda2,
     m4_specialize,
     porteous_c3,
-    spin_cover_degree,
     spin_porteous_class,
 )
 from tautverify.poly import TruncatedPoly
@@ -134,14 +133,6 @@ def test_specialize_rejects_wrong_degree():
 def test_pipeline_classes():
     assert m4_specialize(spin_porteous_class()) == F(177, 4)
     assert m4_specialize(canonical_jet_porteous_class()) == F(15771, 2)
-
-
-def test_spin_cover_degrees():
-    assert spin_cover_degree(4, "odd") == 120
-    assert spin_cover_degree(2, "odd") == 6
-    assert spin_cover_degree(2, "even") == 10
-    with pytest.raises(ValueError):
-        spin_cover_degree(4, "sideways")
 
 
 def test_locus_lambda2(repo):

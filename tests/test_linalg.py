@@ -26,6 +26,11 @@ matrices = st.integers(1, 5).flatmap(
     lambda c: st.lists(st.lists(rationals, min_size=c, max_size=c), min_size=1, max_size=5)
 ).map(mat)
 
+# small integer entries with many zeros give both droppable and essential rows
+full_column_rank = st.integers(1, 3).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-2, 2), min_size=c, max_size=c), min_size=c, max_size=6)
+).map(mat).filter(lambda m: mat_rref(m).rank == m.cols)
+
 
 def test_rref_identity():
     m = QMatrix.identity(3)
@@ -150,3 +155,13 @@ def test_row_space_canonical_form():
 def test_ragged_rows_rejected():
     with pytest.raises(DimensionError):
         QMatrix.from_rows([[1, 2], [1]])
+
+
+@given(full_column_rank)
+def test_left_kernel_support_is_the_droppable_rows(m):
+    # the rows some left-kernel vector uses are exactly those whose removal keeps full column rank
+    used = {i for v in kernel_basis(m.transpose()) for i, x in enumerate(v) if x != 0}
+    droppable = {
+        i for i in range(m.rows) if mat_rref(QMatrix(m.entries[:i] + m.entries[i + 1 :])).rank == m.cols
+    }
+    assert used == droppable

@@ -11,7 +11,6 @@ from tautverify.series import (
     jet_sum,
     series_inverse,
     series_mul,
-    series_named,
     todd_inverse,
 )
 
@@ -34,14 +33,6 @@ def test_exp_scaled_half_order2():
 def test_jet_sum_5_1_order3():
     # sum of six exponentials with weights 1..6
     assert coeffs(jet_sum(5, 1, 3)) == [F(6), F(21), F(91, 2), F(441, 6)]
-
-
-def test_named_dispatch_matches_builders():
-    assert series_named("todd_inverse", 4) == todd_inverse(4)
-    assert series_named("exp_scaled", 2, w=F(1, 2)) == exp_scaled(F(1, 2), 2)
-    assert series_named("jet_sum", 3, n=5, w=1) == jet_sum(5, 1, 3)
-    with pytest.raises(ValueError):
-        series_named("nope", 3)
 
 
 def test_grr_integrand_product_order4():
