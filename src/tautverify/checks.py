@@ -33,7 +33,6 @@ from .linalg import (
     Solution,
     as_fraction,
     kernel_basis,
-    mat_rref,
     row_space_rref,
     solve_exact,
 )
@@ -414,8 +413,9 @@ def _parts_basis_m31(run: Run) -> list[Part]:
     golden = repo.golden["basis_m31"]
     rows = [apply_hom(theta, m31.basis_class(2, lbl), m31, m22).coeffs for lbl in m31.codim2_basis]
     matrix = QMatrix(tuple(rows))
-    parts = [_val_part("pullback_rank", golden["rank"], mat_rref(matrix).rank)]
+    # one elimination gives both numbers: rank = rows - dim(left kernel)
     kernel = kernel_basis(matrix.transpose())
+    parts = [_val_part("pullback_rank", golden["rank"], matrix.rows - len(kernel))]
     parts.append(_val_part("kernel_dim", golden["kernel_dim"], len(kernel)))
     gens = [
         m31.from_dict(2, golden["relation_generators"][k]).coeffs
@@ -487,31 +487,33 @@ def compute_hyp31(repo: Repo | None = None) -> tuple[TautClass, list[Part]]:
     m31, m4, m3, m22 = (repo.space(s) for s in ("M31", "M4", "M3", "M22"))
     golden = repo.golden["hyp31"]
     result = apply_hom(repo.hom("j3_star"), repo.catalog_class("Hyp4"), m4, m31)
+    pushforward = apply_hom(repo.hom("p_star_pushforward"), result, m31, m3)
+    dr_pullback = apply_hom(repo.hom("theta_star"), result, m31, m22)
     parts = [
         _cls_part("class", m31.from_dict(2, golden["class"]), result, m31),
         _cls_part("catalog_agrees", repo.catalog_class("Hyp31_theorem"), result, m31),
         _cls_part(
             "pushforward",
             m3.from_dict(1, golden["pushforward"]),
-            apply_hom(repo.hom("p_star_pushforward"), result, m31, m3),
+            pushforward,
             m3,
         ),
         _cls_part(
             "pushforward_is_multiple",
             repo.catalog_class("Hyp3_M3").scale(golden["hyp3_multiple"]),
-            apply_hom(repo.hom("p_star_pushforward"), result, m31, m3),
+            pushforward,
             m3,
         ),
         _cls_part(
             "double_ramification_pullback",
             m22.from_dict(2, golden["dr2_pullback"]),
-            apply_hom(repo.hom("theta_star"), result, m31, m22),
+            dr_pullback,
             m22,
         ),
         _cls_part(
             "double_ramification_catalog",
             repo.catalog_class("DR2_2"),
-            apply_hom(repo.hom("theta_star"), result, m31, m22),
+            dr_pullback,
             m22,
         ),
     ]

@@ -2,7 +2,7 @@
 
 Everything here works with `fractions.Fraction`, so all results are exact and
 every comparison in the test suite is a strict equality.  Matrices are small
-(a few dozen rows at most), so plain Gauss-Jordan elimination is all we need.
+and mostly zeros, so Gauss-Jordan elimination that skips zero entries suffices.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class QMatrix:
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise DimensionError(f"matrix has {self.cols} columns, vector has {len(v)}")
-        return tuple(sum((row[j] * v[j] for j in range(self.cols)), Fraction(0)) for row in self.entries)
+        return tuple(sum((x * v[j] for j, x in enumerate(row) if x and v[j]), Fraction(0)) for row in self.entries)
 
     def det3(self) -> Fraction:
         """Determinant of a 3x3 matrix (used by the basis check)."""
@@ -113,6 +113,7 @@ def _rref_rows(rows: list[list[Fraction]], width: int) -> tuple[list[list[Fracti
     Columns beyond `width` (an augmented part, if any) are carried along.
     Pivots are scaled to 1 and cleared above and below; this is the canonical
     normalization fixed by the design decisions, so outputs are deterministic.
+    Zero entries are skipped: only the pivot row's nonzero entries are used.
     """
     pivots: list[int] = []
     r = 0
@@ -122,11 +123,13 @@ def _rref_rows(rows: list[list[Fraction]], width: int) -> tuple[list[list[Fracti
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r] = [x / inv if x else x for x in rows[r]]
+        support = [j for j, y in enumerate(prow) if y]
+        for i, row in enumerate(rows):
+            factor = row[c]
+            if i != r and factor:
+                for j in support:
+                    row[j] -= factor * prow[j]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -57,15 +57,15 @@ class TautClass:
 
     def __add__(self, other: "TautClass") -> "TautClass":
         _check_same(self, other)
-        return TautClass(self.space, self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return TautClass(self.space, self.degree, tuple(a + b if b else a for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TautClass") -> "TautClass":
         _check_same(self, other)
-        return TautClass(self.space, self.degree, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return TautClass(self.space, self.degree, tuple(a - b if b else a for a, b in zip(self.coeffs, other.coeffs)))
 
     def scale(self, c) -> "TautClass":
         c = as_fraction(c)
-        return TautClass(self.space, self.degree, tuple(c * x for x in self.coeffs))
+        return TautClass(self.space, self.degree, tuple(c * x if x else x for x in self.coeffs))
 
 
 def _check_same(a: TautClass, b: TautClass):

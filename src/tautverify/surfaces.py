@@ -96,7 +96,7 @@ def pair_on_surface(surface: SurfaceModel, v: Sequence, w: Sequence) -> Fraction
     if len(vv) != len(surface.lattice_labels) or len(ww) != len(surface.lattice_labels):
         raise DimensionError(f"{surface.id}: lattice vectors must have length {len(surface.lattice_labels)}")
     gw = surface.gram.mul_vec(ww)
-    return sum((a * b for a, b in zip(vv, gw)), Fraction(0))
+    return sum((a * b for a, b in zip(vv, gw) if a and b), Fraction(0))
 
 
 def restrict_divisor(surface: SurfaceModel, d: TautClass, space: RingSpace) -> Vector:

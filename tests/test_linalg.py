@@ -9,13 +9,14 @@ from tautverify.linalg import (
     Inconsistent,
     QMatrix,
     Solution,
+    _rref_rows,
     kernel_basis,
     mat_rref,
     row_space_rref,
     solve_exact,
 )
 
-from conftest import rationals
+from conftest import rationals, sparse_rationals
 
 
 def mat(rows):
@@ -25,6 +26,14 @@ def mat(rows):
 matrices = st.integers(1, 5).flatmap(
     lambda c: st.lists(st.lists(rationals, min_size=c, max_size=c), min_size=1, max_size=5)
 ).map(mat)
+
+# (width, rows): up to 5 x 5 matrices about half zero, each row with 1-3 augmented columns
+sparse_augmented = st.tuples(st.integers(1, 5), st.integers(1, 3)).flatmap(
+    lambda wk: st.tuples(
+        st.just(wk[0]),
+        st.lists(st.lists(sparse_rationals, min_size=sum(wk), max_size=sum(wk)), min_size=1, max_size=5),
+    )
+)
 
 # small integer entries with many zeros give both droppable and essential rows
 full_column_rank = st.integers(1, 3).flatmap(
@@ -165,3 +174,51 @@ def test_left_kernel_support_is_the_droppable_rows(m):
         i for i in range(m.rows) if mat_rref(QMatrix(m.entries[:i] + m.entries[i + 1 :])).rank == m.cols
     }
     assert used == droppable
+
+
+def dense_rref_rows(rows, width):
+    """Reference: Gauss-Jordan elimination that does arithmetic on every entry, zeros included."""
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+@given(sparse_augmented)
+def test_sparse_elimination_matches_dense_oracle(case):
+    width, aug = case
+    m = mat([r[:width] for r in aug])
+    res = mat_rref(m)
+    rows, pivots = dense_rref_rows([list(r) for r in m.entries], width)
+    assert res.reduced.entries == tuple(map(tuple, rows))
+    assert res.pivot_columns == tuple(pivots)
+
+    # augmented columns are carried along, not eliminated
+    got = _rref_rows([list(r) for r in aug], width)
+    assert got == dense_rref_rows([list(r) for r in aug], width)
+    assert all(type(x) is F for r in res.reduced.entries + tuple(got[0]) for x in r)
+
+    rows, pivots = dense_rref_rows([r[: width + 1] for r in aug], width)
+    bad = next((r for r in rows if all(x == 0 for x in r[:-1]) and r[-1] != 0), None)
+    if bad is not None:
+        expected = Inconsistent(tuple(bad[:-1]), bad[-1])
+    else:
+        x = [F(0)] * width
+        for r, c in enumerate(pivots):
+            x[c] = rows[r][-1]
+        expected = Solution(tuple(x), width - len(pivots))
+    assert solve_exact(m, [r[width] for r in aug]) == expected

@@ -7,7 +7,8 @@ import hypothesis.strategies as st
 
 from tautverify.data import SURFACE_IDS
 from tautverify.errors import SpaceMismatchError
-from tautverify.rings import divisor_product, special_expand
+from tautverify.linalg import QMatrix
+from tautverify.rings import TautClass, divisor_product, special_expand
 from tautverify.surfaces import (
     AuditEntry,
     audit_overrides,
@@ -19,7 +20,7 @@ from tautverify.surfaces import (
     surface_functional,
 )
 
-from conftest import rationals
+from conftest import rationals, sparse_rationals
 
 
 def test_pair_fiber_self_intersection(repo):
@@ -54,6 +55,28 @@ def test_pair_disjoint_boundary_divisors(repo):
     d24 = [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
     d35 = [0, 0, 0, 0, 0, 0, 0, 0, 1, 0]
     assert pair_on_surface(v4, d24, d35) == 1
+
+
+@given(st.data())
+def test_sparse_arithmetic_matches_dense_formulas(repo, data):
+    surface = repo.surface(data.draw(st.sampled_from(SURFACE_IDS)))
+    n = len(surface.lattice_labels)
+    vec = lambda k: data.draw(st.lists(sparse_rationals, min_size=k, max_size=k))
+    v, w, t = vec(n), vec(n), data.draw(sparse_rationals)
+    gram = surface.gram.entries
+    pairing = pair_on_surface(surface, v, w)
+    assert pairing == sum((v[i] * gram[i][j] * w[j] for i in range(n) for j in range(n)), F(0))
+
+    rows = [vec(n) for _ in range(data.draw(st.integers(1, 4)))]
+    image = QMatrix.from_rows(rows).mul_vec(v)
+    assert image == tuple(sum((row[j] * v[j] for j in range(n)), F(0)) for row in rows)
+
+    a, b = TautClass("X", 2, tuple(v)), TautClass("X", 2, tuple(w))
+    total, diff, scaled = (a + b).coeffs, (a - b).coeffs, a.scale(t).coeffs
+    assert total == tuple(x + y for x, y in zip(v, w))
+    assert diff == tuple(x - y for x, y in zip(v, w))
+    assert scaled == tuple(t * x for x in v)
+    assert all(type(x) is F for x in (pairing, *image, *total, *diff, *scaled))
 
 
 def test_restrict_divisor_s2(repo):
