@@ -240,6 +240,7 @@ class Run:
         self.repo = repo
         self._lhs: dict[str, TautClass] = {}
         self._solutions: dict[str, tuple] = {}
+        self._family_values: dict[tuple[str, str], dict[str, Fraction]] = {}
 
     @cached_property
     def lambda2(self) -> dict[str, Fraction]:
@@ -259,6 +260,16 @@ class Run:
             a, b = (self.repo.catalog_class(n) for n in system.lhs_factors)
             self._lhs[system_id] = divisor_product(self.repo.space(system.space), a, b)
         return self._lhs[system_id]
+
+    def family_values(self, system_id: str, sid: str) -> dict[str, Fraction]:
+        """A family's pairing with each known component of a system and with its left-hand product."""
+        key = (system_id, sid)
+        if key not in self._family_values:
+            system, f = _SYSTEMS[system_id], self.repo.functional(sid)
+            space = self.repo.space(system.space)
+            classes = {**self.known[system_id], system.lhs_key: self.lhs(system_id)}
+            self._family_values[key] = {name: evaluate(f, c, space) for name, c in classes.items()}
+        return self._family_values[key]
 
     def solution(self, system_id: str) -> tuple:
         if system_id not in self._solutions:
@@ -300,17 +311,17 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
     rhs: list[Fraction] = []
 
     for sid in system.functional_constraints:
-        f = repo.functional(sid)
+        values = run.family_values(system.id, sid)
         row = []
         for comp in system.components:
             if comp.ref:
-                row.append(evaluate(f, known[comp.name], space))
+                row.append(values[comp.name])
             else:
                 cid = (comp.counts or {}).get(sid)
                 row.append(repo.counts.get(cid).value if cid else Fraction(0))
         names.append(f"family:{sid}")
         rows.append(row)
-        rhs.append(evaluate(f, lhs, space))
+        rhs.append(values[system.lhs_key])
 
     for hid in system.pushforward_constraints:
         hom = repo.hom(hid)
@@ -670,9 +681,8 @@ def _parts_surface_tables(run: Run) -> list[Part]:
         for lbl, v in block["extra"].items():
             parts.append(_val_part(f"{sid}:{lbl}", as_fraction(v), functional.values.get(lbl)))
         for key, v in block["evaluations"].items():
-            system = systems[space.id]
-            cls = run.lhs(system.id) if key == system.lhs_key else run.known[system.id][key]
-            parts.append(_val_part(f"{sid}:<{key}>", as_fraction(v), evaluate(functional, cls, space)))
+            value = run.family_values(systems[space.id].id, sid)[key]
+            parts.append(_val_part(f"{sid}:<{key}>", as_fraction(v), value))
     override_rows = []
     for sid in golden["surfaces"]:
         for entry in audit_overrides(repo.functional(sid)):
@@ -705,7 +715,7 @@ def _parts_relation_hygiene(run: Run) -> list[Part]:
     for sid in SURFACE_IDS:
         space = repo.surface_space(sid)
         for i, rel in enumerate(space.relations):
-            value = evaluate_formal_products(repo.surface(sid), space, rel)
+            value = evaluate_formal_products(repo.functional(sid), space, rel)
             parts.append(_val_part(f"{sid}:lattice_annihilates_relation{i}", Fraction(0), value))
     return parts
 

@@ -46,7 +46,7 @@ class Repo:
     """One fully loaded, validated set of definitions and expected values."""
 
     def __init__(self, data_dir: str | Path | None = None):
-        self._dir = Path(data_dir) if data_dir is not None else None
+        self._dir = Path(data_dir) if data_dir is not None else resources.files("tautverify").joinpath("data")
         self._spaces: dict[str, RingSpace] = {}
         self._homs: dict[str, RingHom] = {}
         self._gluings: dict[str, GluingRestriction] = {}
@@ -61,11 +61,7 @@ class Repo:
 
     def _read(self, relpath: str) -> dict:
         try:
-            if self._dir is not None:
-                text = (self._dir / relpath).read_text(encoding="utf-8")
-            else:
-                root = resources.files("tautverify").joinpath("data")
-                text = root.joinpath(relpath).read_text(encoding="utf-8")
+            text = self._dir.joinpath(relpath).read_text(encoding="utf-8")
         except (FileNotFoundError, OSError) as exc:
             raise DataError(f"cannot read definition file {relpath!r}: {exc}") from exc
         try:

@@ -9,7 +9,8 @@ basis reduction, and the homomorphism rules.
 
 Degree-2 classes are vectors over the codim-2 basis.  Formal inputs (plain
 mappings from labels to rationals) may also mention non-basis product labels
-and, where a map stores them, special symbols.
+and, where a map stores them, special symbols.  A ring map's degree-2 images
+are built once at load, so applying any map is one loop over stored images.
 """
 
 from __future__ import annotations
@@ -269,6 +270,7 @@ class RingHom:
     divisor_images: Mapping[str, TautClass]  # ring kind: degree 1 -> degree 1
     special_images: Mapping[str, TautClass]  # ring kind: special label -> degree 2
     table_images: Mapping[str, TautClass]  # table kind: codim-2 label -> degree 1
+    codim2_images: Mapping[str, TautClass]  # ring kind, built at load: product or special label -> degree 2
 
 
 def make_hom(
@@ -302,7 +304,10 @@ def make_hom(
         for label in domain.codim2_basis:
             if label not in domain.product_pairs and label not in spec:
                 raise MissingImageError(f"{id}: no image for special basis label {label!r}")
-        return RingHom(id, kind, domain.id, codomain.id, div, spec, {})
+        codim2 = dict(spec)  # a label that is both a product and a special maps as a product
+        for label, (a, b) in domain.product_pairs.items():
+            codim2[label] = divisor_product(codomain, div[a], div[b])
+        return RingHom(id, kind, domain.id, codomain.id, div, spec, {}, codim2)
     if kind == "table":
         table: dict[str, TautClass] = {}
         for label, vec in table_images.items():
@@ -314,7 +319,7 @@ def make_hom(
                 if not table_unlisted_zero:
                     raise MissingImageError(f"{id}: no table entry for {label!r}")
                 table[label] = codomain.zero(1)
-        return RingHom(id, kind, domain.id, codomain.id, {}, {}, table)
+        return RingHom(id, kind, domain.id, codomain.id, {}, {}, table, {})
     raise DataError(f"{id}: unknown hom kind {kind!r}")
 
 
@@ -339,12 +344,12 @@ def apply_hom(
 ) -> TautClass:
     """Apply a stored map to a class.
 
-    Degree-1 classes map linearly through the divisor images.  Degree-2
-    classes map label by label: product labels via the ring-homomorphism rule
-    (product of divisor images, reduced on the codomain), special labels via
-    the stored special images.  Table (pushforward) maps are applied entry by
-    entry with no product rule.  `c` may be a plain mapping, in which case it
-    may also mention non-basis product labels and any stored special symbol.
+    Degree-1 classes map through the divisor images, degree-2 classes label
+    by label through the images built at load (the product of the divisor
+    images for a product label, the stored image for a special label), and
+    table (pushforward) maps entry by entry with no product rule, all in one
+    loop.  `c` may be a plain mapping, in which case it may also mention
+    non-basis product labels and any stored special symbol.
     """
     if hom.domain != domain.id or hom.codomain != codomain.id:
         raise SpaceMismatchError(f"{hom.id} maps {hom.domain} -> {hom.codomain}")
@@ -361,38 +366,21 @@ def apply_hom(
     if hom.kind == "table":
         if degree != 2:
             raise DegreeError("pushforward tables act on degree-2 classes")
-        out = codomain.zero(1)
-        for label, coeff in items:
-            if coeff == 0:
-                continue
-            if label not in hom.table_images:
-                raise MissingImageError(f"{hom.id}: no table entry for {label!r}")
-            out = out + hom.table_images[label].scale(coeff)
-        return out
-
-    if degree == 1:
-        out = codomain.zero(1)
-        for gen, coeff in items:
-            if coeff == 0:
-                continue
-            if gen not in hom.divisor_images:
-                raise MissingImageError(f"{hom.id}: no divisor image for {gen!r}")
-            out = out + hom.divisor_images[gen].scale(coeff)
-        return out
-
-    out2 = codomain.zero(2)
+        images, out_degree, missing = hom.table_images, 1, "no table entry for"
+    elif degree == 1:
+        images, out_degree, missing = hom.divisor_images, 1, "no divisor image for"
+    else:
+        images, out_degree, missing = hom.codim2_images, 2, "no image for label"
+    out = [Fraction(0)] * len(codomain.basis(out_degree))
     for label, coeff in items:
         if coeff == 0:
             continue
-        if label in domain.product_pairs:
-            a, b = domain.product_pairs[label]
-            img = divisor_product(codomain, hom.divisor_images[a], hom.divisor_images[b])
-        elif label in hom.special_images:
-            img = hom.special_images[label]
-        else:
-            raise MissingImageError(f"{hom.id}: no image for label {label!r}")
-        out2 = out2 + img.scale(coeff)
-    return out2
+        if label not in images:
+            raise MissingImageError(f"{hom.id}: {missing} {label!r}")
+        for i, x in enumerate(images[label].coeffs):
+            if x:
+                out[i] += coeff * x
+    return TautClass(codomain.id, out_degree, tuple(out))
 
 
 # --- gluing restrictions for the node-smoothing lemmas -----------------------

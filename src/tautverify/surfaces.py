@@ -4,8 +4,8 @@ Each family is modelled by the numerical-equivalence lattice of its base
 surface (a small Gram matrix), restriction vectors for the divisor
 generators, and directly stated values for the special classes.  Product
 entries are derived from the Gram pairing unless the source table overrides
-them.  The functional keeps each lattice-derived value beside the effective
-one, and audit_overrides reports the comparison.
+them.  The functional, built at load, keeps each lattice-derived value beside
+the effective one, and audit_overrides reports the comparison.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class SurfaceFunctional:
     target_space: str
     values: Mapping[str, Fraction]
     provenance: Mapping[str, str]
-    derived: Mapping[str, Fraction]  # label -> value from the lattice, where derivable
+    derived: Mapping[str, Fraction]  # label -> lattice value: every formal product, basis or not, and special product
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,11 @@ def pair_on_surface(surface: SurfaceModel, v: Sequence, w: Sequence) -> Fraction
     vv, ww = as_vector(v), as_vector(w)
     if len(vv) != len(surface.lattice_labels) or len(ww) != len(surface.lattice_labels):
         raise DimensionError(f"{surface.id}: lattice vectors must have length {len(surface.lattice_labels)}")
-    gw = surface.gram.mul_vec(ww)
-    return sum((a * b for a, b in zip(vv, gw) if a and b), Fraction(0))
+    return _dot(vv, surface.gram.mul_vec(ww))
+
+
+def _dot(v: Vector, w: Vector) -> Fraction:
+    return sum((a * b for a, b in zip(v, w) if a and b), Fraction(0))
 
 
 def restrict_divisor(surface: SurfaceModel, d: TautClass, space: RingSpace) -> Vector:
@@ -114,11 +117,6 @@ def restrict_divisor(surface: SurfaceModel, d: TautClass, space: RingSpace) -> V
     return tuple(out)
 
 
-def derived_product_value(surface: SurfaceModel, space: RingSpace, label: str) -> Fraction:
-    a, b = space.product_pairs[label]
-    return pair_on_surface(surface, surface.divisor_restrictions[a], surface.divisor_restrictions[b])
-
-
 def _derived_special_value(surface: SurfaceModel, label: str) -> Fraction:
     total = Fraction(0)
     for v, w in surface.special_products[label]:
@@ -133,14 +131,16 @@ def surface_functional(surface: SurfaceModel, space: RingSpace) -> SurfaceFuncti
     labels come from lattice computations where the source gives one, and
     from the stated direct values otherwise.  Extra special symbols with
     direct values (used by the multiplicity systems) ride along.  Every
-    lattice-derived value is kept too, also where a stated value wins.
+    lattice-derived value is kept too, also where a stated value wins and
+    for formal products outside the basis (one Gram product per generator).
     """
     values: dict[str, Fraction] = {}
     prov: dict[str, str] = {}
-    derived: dict[str, Fraction] = {}
+    restr = surface.divisor_restrictions
+    gram_restr = {gen: surface.gram.mul_vec(vec) for gen, vec in restr.items()}
+    derived = {label: _dot(restr[a], gram_restr[b]) for label, (a, b) in space.product_pairs.items()}
     for label in space.codim2_basis:
         if label in space.product_pairs:
-            derived[label] = derived_product_value(surface, space, label)
             if label in surface.overrides:
                 values[label] = surface.overrides[label]
                 prov[label] = OVERRIDE if surface.overrides[label] != derived[label] else DERIVED
@@ -183,11 +183,12 @@ def evaluate(functional: SurfaceFunctional, c: TautClass, space: RingSpace) -> F
     return total
 
 
-def evaluate_formal_products(surface: SurfaceModel, space: RingSpace, formal: Mapping[str, object]) -> Fraction:
+def evaluate_formal_products(functional: SurfaceFunctional, space: RingSpace, formal: Mapping[str, object]) -> Fraction:
     """Pair a formal divisor-product vector with the family via raw Gram pairings.
 
-    This bypasses both the basis reduction and any override, so it checks
-    that the lattice data itself annihilates the stored ring relations.
+    It reads the lattice values built at load, bypassing both the basis
+    reduction and any override, so it checks that the lattice data itself
+    annihilates the stored ring relations.
     """
     total = Fraction(0)
     for label, c in formal.items():
@@ -196,7 +197,7 @@ def evaluate_formal_products(surface: SurfaceModel, space: RingSpace, formal: Ma
             continue
         if label not in space.product_pairs:
             raise UnknownLabelError(f"{label!r} is not a formal divisor product on {space.id}")
-        total += c * derived_product_value(surface, space, label)
+        total += c * functional.derived[label]
     return total
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tautverify import checks, data, grr, surfaces
+from tautverify import checks, data, grr, rings, surfaces
 
 from tautverify.checks import (
     CHECKS,
@@ -136,7 +136,9 @@ def test_failure_reports_minimal_diff(repo):
 
 def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
     # one pass of each lambda^2 pipeline, one solve per multiplicity system and
-    # no functional rebuilt; a second run on the same Repo does it all again
+    # no functional rebuilt; a second run on the same Repo does it all again.
+    # The maps' degree-2 images and the lattice pairings are built at load,
+    # and each family pairs with a system's classes once per run.
     calls = Counter()
 
     def count(module, name):
@@ -152,10 +154,16 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
     count(checks, "solve_multiplicities")
     count(surfaces, "surface_functional")
     count(data, "surface_functional")
+    for module in (rings, checks):
+        count(module, "divisor_product")
+    count(surfaces, "pair_on_surface")
+    for module in (surfaces, checks):
+        count(module, "evaluate")
     for _ in range(2):
         calls.clear()
         assert run_all(repo).all_passed
         assert (calls["porteous_c3"], calls["solve_multiplicities"], calls["surface_functional"]) == (2, 2, 0)
+        assert (calls["divisor_product"], calls["pair_on_surface"], calls["evaluate"]) == (32, 0, 52)
 
 
 def test_run_check_alone_matches_run_all(repo):

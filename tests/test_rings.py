@@ -18,7 +18,7 @@ from tautverify.rings import (
     special_expand,
 )
 
-from conftest import rationals
+from conftest import rationals, sparse_rationals
 
 
 def cls(space, degree, coeffs):
@@ -284,6 +284,51 @@ def test_formal_missing_image(repo):
     m4, m31 = repo.space("M4"), repo.space("M31")
     with pytest.raises(MissingImageError):
         apply_hom(repo.hom("j3_star"), {"mystery": F(1)}, m4, m31)
+
+
+HOM_CASES = (
+    ("theta_star", "M31", "M22"),
+    ("j3_star", "M4", "M31"),
+    ("p_pullback_m3", "M3", "M31"),
+    ("p_star_pushforward", "M31", "M3"),
+)
+
+
+@given(st.data())
+def test_apply_hom_matches_reference_sum(repo, data):
+    # each map against a sum of its stored images; a ring map's degree-2
+    # images are taken from divisor_product of the divisor images afresh
+    hid, dom_id, cod_id = data.draw(st.sampled_from(HOM_CASES))
+    hom, dom, cod = repo.hom(hid), repo.space(dom_id), repo.space(cod_id)
+
+    def draw(labels):
+        return dict(zip(labels, data.draw(st.lists(sparse_rationals, min_size=len(labels), max_size=len(labels)))))
+
+    def check(formal, images, degree, missing):
+        out_degree = 1 if hom.kind == "table" else degree
+        n = len(cod.basis(out_degree))
+        reference = tuple(sum((x * images[k].coeffs[i] for k, x in formal.items()), F(0)) for i in range(n))
+        inputs = [formal]
+        if set(formal) <= set(dom.basis(degree)):
+            inputs.append(dom.from_dict(degree, formal))
+        for c in inputs:
+            out = apply_hom(hom, c, dom, cod, degree)
+            assert (out.space, out.degree, out.coeffs) == (cod.id, out_degree, reference)
+            assert all(type(x) is F for x in out.coeffs)
+        with pytest.raises(MissingImageError) as err:
+            apply_hom(hom, {**formal, "mystery": F(1)}, dom, cod, degree)
+        assert str(err.value) == f"{hid}: {missing} 'mystery'"
+
+    if hom.kind == "table":
+        check(draw(dom.codim2_basis), hom.table_images, 2, "no table entry for")
+        return
+    check(draw(dom.divisor_basis), hom.divisor_images, 1, "no divisor image for")
+    products = {
+        label: divisor_product(cod, hom.divisor_images[a], hom.divisor_images[b])
+        for label, (a, b) in dom.product_pairs.items()
+    }
+    specials = [k for k in hom.special_images if k not in products]
+    check(draw(list(products) + specials), {**hom.special_images, **products}, 2, "no image for label")
 
 
 def test_j3_star_on_relation_class(repo):

@@ -1,5 +1,8 @@
 import dataclasses
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,7 +15,6 @@ from tautverify.rings import TautClass, divisor_product, special_expand
 from tautverify.surfaces import (
     AuditEntry,
     audit_overrides,
-    derived_product_value,
     evaluate,
     evaluate_formal_products,
     pair_on_surface,
@@ -21,6 +23,9 @@ from tautverify.surfaces import (
 )
 
 from conftest import rationals, sparse_rationals
+
+SURFACE_TABLES = Path(__file__).parent / "data" / "surface_tables.txt"
+SHOW_TABLES = Path(__file__).resolve().parent.parent / "scripts" / "show_tables.py"
 
 
 def test_pair_fiber_self_intersection(repo):
@@ -169,10 +174,20 @@ def test_relation_annihilation_via_lattice(repo):
     m31, m4 = repo.space("M31"), repo.space("M4")
     for sid in ("S1", "S2", "S3", "T1", "T2", "T3"):
         for rel in m31.relations:
-            assert evaluate_formal_products(repo.surface(sid), m31, rel) == 0
+            assert evaluate_formal_products(repo.functional(sid), m31, rel) == 0
     for sid in ("V1", "V2", "V3", "V4"):
         for rel in m4.relations:
-            assert evaluate_formal_products(repo.surface(sid), m4, rel) == 0
+            assert evaluate_formal_products(repo.functional(sid), m4, rel) == 0
+
+
+def test_derived_values_cover_every_formal_product(repo):
+    # the lattice value of each formal product, in the basis or not, is kept at load
+    for sid in SURFACE_IDS:
+        surface, space = repo.surface(sid), repo.surface_space(sid)
+        derived = repo.functional(sid).derived
+        for label, (a, b) in space.product_pairs.items():
+            restr_a, restr_b = surface.divisor_restrictions[a], surface.divisor_restrictions[b]
+            assert derived[label] == pair_on_surface(surface, restr_a, restr_b), (sid, label)
 
 
 def test_relation_annihilation_via_functional(repo):
@@ -219,7 +234,8 @@ def test_single_override_across_all_surfaces(repo):
 
 def _fresh_lattice_value(surface, space, label):
     if label in space.codim2_index and label in space.product_pairs:
-        return derived_product_value(surface, space, label)
+        a, b = space.product_pairs[label]
+        return pair_on_surface(surface, surface.divisor_restrictions[a], surface.divisor_restrictions[b])
     if label in surface.special_products:
         return sum((pair_on_surface(surface, v, w) for v, w in surface.special_products[label]), F(0))
     return None
@@ -253,3 +269,9 @@ def test_t3_kappa2_consistent_with_two_node_expansion(repo):
     # of the two-node class: evaluating its expansion must give zero
     m31 = repo.space("M31")
     assert evaluate(repo.functional("T3"), special_expand(m31, "d00"), m31) == 0
+
+
+def test_show_tables_matches_oracle():
+    # every value, its provenance and each override note, byte for byte
+    out = subprocess.run([sys.executable, str(SHOW_TABLES)], capture_output=True, check=True).stdout
+    assert out == SURFACE_TABLES.read_bytes()
