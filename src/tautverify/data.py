@@ -34,11 +34,8 @@ GLUING_IDS = ("xi_star_m31", "xi_star_m4")
 SURFACE_IDS = ("S1", "S2", "S3", "T1", "T2", "T3", "V1", "V2", "V3", "V4")
 
 
-def _strip_comments(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_comments(v) for k, v in obj.items() if k != "comment"}
-    if isinstance(obj, list):
-        return [_strip_comments(v) for v in obj]
+def _drop_comment(obj: dict) -> dict:
+    obj.pop("comment", None)
     return obj
 
 
@@ -65,7 +62,7 @@ class Repo:
         except (FileNotFoundError, OSError) as exc:
             raise DataError(f"cannot read definition file {relpath!r}: {exc}") from exc
         try:
-            return _strip_comments(json.loads(text))
+            return json.loads(text, object_hook=_drop_comment)
         except json.JSONDecodeError as exc:
             raise DataError(f"malformed JSON in {relpath!r}: {exc}") from exc
 

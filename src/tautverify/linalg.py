@@ -3,17 +3,23 @@
 Everything here works with `fractions.Fraction`, so all results are exact and
 every comparison in the test suite is a strict equality.  Matrices are small
 and mostly zeros, so Gauss-Jordan elimination that skips zero entries suffices.
+Every sum of products in the package (dot products, map images, basis
+reductions, series products) goes through one integer-accumulation kernel,
+`_dot` and `_combine`: it skips zero factors, adds numerators over a running
+common denominator in plain ints, and normalises once per result entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionError
 
 Vector = tuple[Fraction, ...]
+_ZERO = Fraction(0)
 
 
 def as_fraction(x) -> Fraction:
@@ -29,6 +35,38 @@ def as_fraction(x) -> Fraction:
 
 def as_vector(xs: Iterable) -> Vector:
     return tuple(as_fraction(x) for x in xs)
+
+
+def _dot(xs: Iterable, ys: Iterable) -> Fraction:
+    """Exact sum of x * y over paired entries (Fractions or ints), normalised once."""
+    num, den = 0, 1
+    for x, y in zip(xs, ys):
+        if x and y:
+            n, d = x.numerator * y.numerator, x.denominator * y.denominator
+            if d == den:
+                num += n
+            else:
+                g = gcd(den, d)
+                num, den = num * (d // g) + n * (den // g), den // g * d
+    return Fraction(num, den) if num else _ZERO
+
+
+def _combine(terms: Iterable[tuple[object, Sequence]], width: int) -> Vector:
+    """Exact entries of the sum of c * v over `terms`, each v of length `width`, normalised once."""
+    nums, dens = [0] * width, [1] * width
+    for c, v in terms:
+        if not c:
+            continue
+        cn, cd = c.numerator, c.denominator
+        for i, x in enumerate(v):
+            if x:
+                n, d, den = cn * x.numerator, cd * x.denominator, dens[i]
+                if d == den:
+                    nums[i] += n
+                else:
+                    g = gcd(den, d)
+                    nums[i], dens[i] = nums[i] * (d // g) + n * (den // g), den // g * d
+    return tuple(Fraction(n, d) if n else _ZERO for n, d in zip(nums, dens))
 
 
 @dataclass(frozen=True)
@@ -70,7 +108,7 @@ class QMatrix:
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise DimensionError(f"matrix has {self.cols} columns, vector has {len(v)}")
-        return tuple(sum((x * v[j] for j, x in enumerate(row) if x and v[j]), Fraction(0)) for row in self.entries)
+        return tuple(_dot(row, v) for row in self.entries)
 
     def det3(self) -> Fraction:
         """Determinant of a 3x3 matrix (used by the basis check)."""

@@ -26,7 +26,7 @@ from .errors import (
     SpaceMismatchError,
     UnknownLabelError,
 )
-from .linalg import QMatrix, Solution, as_fraction, solve_exact
+from .linalg import QMatrix, Solution, Vector, _combine, _dot, as_fraction, solve_exact
 
 Formal = Mapping[str, Fraction]
 
@@ -94,6 +94,8 @@ class RingSpace:
     special_expansions: Mapping[str, TautClass]
     # (gen_a, gen_b) pairs for every canonical product label
     product_pairs: Mapping[str, tuple[str, str]]
+    # basis label or reduced product label -> its vector over codim2_basis
+    codim2_vectors: Mapping[str, Vector]
 
     def basis(self, degree: int) -> tuple[str, ...]:
         if degree == 1:
@@ -171,6 +173,9 @@ def make_space(
             if k not in div_index:
                 raise DataError(f"{id}: divisor reduction of {alias!r} mentions {k!r}")
 
+    zero = (Fraction(0),) * len(cod)
+    vectors = {label: zero[:i] + (Fraction(1),) + zero[i + 1 :] for i, label in enumerate(cod)}
+    vectors.update((label, tuple(vec.get(k, Fraction(0)) for k in cod)) for label, vec in reductions.items())
     bare = RingSpace(
         id=id,
         divisor_basis=div,
@@ -182,6 +187,7 @@ def make_space(
         relations=tuple({k: as_fraction(v) for k, v in rel.items()} for rel in relations),
         special_expansions={},
         product_pairs=pairs,
+        codim2_vectors=vectors,
     )
     specials = {
         name: reduce_to_basis(bare, {k: as_fraction(v) for k, v in formal.items()})
@@ -202,19 +208,15 @@ def reduce_to_basis(space: RingSpace, formal: Formal) -> TautClass:
     or formal products with a stored rewrite; anything else is an error (in
     particular special-times-divisor products, which these models never need).
     """
-    vec = [Fraction(0)] * len(space.codim2_basis)
+    terms = []
     for label, c in formal.items():
         c = as_fraction(c)
         if c == 0:
             continue
-        if label in space.codim2_index:
-            vec[space.codim2_index[label]] += c
-        elif label in space.product_reductions:
-            for k, v in space.product_reductions[label].items():
-                vec[space.codim2_index[k]] += c * v
-        else:
+        if label not in space.codim2_vectors:
             raise UnknownLabelError(f"{label!r} cannot be reduced on {space.id}")
-    return TautClass(space.id, 2, tuple(vec))
+        terms.append((c, space.codim2_vectors[label]))
+    return TautClass(space.id, 2, _combine(terms, len(space.codim2_basis)))
 
 
 def expand_divisor(space: RingSpace, coeffs: Formal) -> dict[str, Fraction]:
@@ -239,7 +241,7 @@ def divisor_product(space: RingSpace, a: TautClass, b: TautClass) -> TautClass:
             raise SpaceMismatchError(f"class on {x.space} given to product on {space.id}")
         if x.degree != 1:
             raise DegreeError(f"divisor_product needs degree-1 classes, got degree {x.degree}")
-    formal: dict[str, Fraction] = {}
+    factors: dict[str, tuple[list, list]] = {}
     for i, ca in enumerate(a.coeffs):
         if ca == 0:
             continue
@@ -247,8 +249,10 @@ def divisor_product(space: RingSpace, a: TautClass, b: TautClass) -> TautClass:
             if cb == 0:
                 continue
             label = product_label(space.divisor_index, space.divisor_basis[i], space.divisor_basis[j])
-            formal[label] = formal.get(label, Fraction(0)) + ca * cb
-    return reduce_to_basis(space, formal)
+            xs, ys = factors.setdefault(label, ([], []))
+            xs.append(ca)
+            ys.append(cb)
+    return reduce_to_basis(space, {label: _dot(xs, ys) for label, (xs, ys) in factors.items()})
 
 
 def special_expand(space: RingSpace, symbol: str) -> TautClass:
@@ -371,16 +375,13 @@ def apply_hom(
         images, out_degree, missing = hom.divisor_images, 1, "no divisor image for"
     else:
         images, out_degree, missing = hom.codim2_images, 2, "no image for label"
-    out = [Fraction(0)] * len(codomain.basis(out_degree))
+    terms = []
     for label, coeff in items:
-        if coeff == 0:
-            continue
-        if label not in images:
-            raise MissingImageError(f"{hom.id}: {missing} {label!r}")
-        for i, x in enumerate(images[label].coeffs):
-            if x:
-                out[i] += coeff * x
-    return TautClass(codomain.id, out_degree, tuple(out))
+        if coeff:
+            if label not in images:
+                raise MissingImageError(f"{hom.id}: {missing} {label!r}")
+            terms.append((coeff, images[label].coeffs))
+    return TautClass(codomain.id, out_degree, _combine(terms, len(codomain.basis(out_degree))))
 
 
 # --- gluing restrictions for the node-smoothing lemmas -----------------------

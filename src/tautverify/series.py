@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeError, NonUnitSeriesError, VariableMismatchError
-from .linalg import as_fraction
+from .linalg import _dot, as_fraction
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,8 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at min(a.order, b.order)."""
     _check_var(a, b)
     order = min(a.order, b.order)
-    coeffs = [Fraction(0)] * (order + 1)
-    for i in range(order + 1):
-        if a.coeffs[i] == 0:
-            continue
-        for j in range(order + 1 - i):
-            coeffs[i + j] += a.coeffs[i] * b.coeffs[j]
-    return TruncatedSeries(a.variable, order, tuple(coeffs))
+    coeffs = tuple(_dot(a.coeffs[: k + 1], b.coeffs[k::-1]) for k in range(order + 1))
+    return TruncatedSeries(a.variable, order, coeffs)
 
 
 def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
@@ -111,8 +106,5 @@ def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
     inv0 = 1 / a.coeffs[0]
     coeffs = [inv0] + [Fraction(0)] * a.order
     for m in range(1, a.order + 1):
-        acc = Fraction(0)
-        for k in range(1, m + 1):
-            acc += a.coeff(k) * coeffs[m - k]
-        coeffs[m] = -inv0 * acc
+        coeffs[m] = -inv0 * _dot(a.coeffs[1 : m + 1], coeffs[m - 1 :: -1])
     return TruncatedSeries(a.variable, a.order, tuple(coeffs))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DataError, DegreeError, DimensionError, SpaceMismatchError, UnknownLabelError
-from .linalg import QMatrix, Vector, as_fraction, as_vector
+from .linalg import QMatrix, Vector, _dot, as_fraction, as_vector
 from .rings import RingSpace, TautClass
 
 DERIVED = "derived"
@@ -98,30 +98,9 @@ def pair_on_surface(surface: SurfaceModel, v: Sequence, w: Sequence) -> Fraction
     return _dot(vv, surface.gram.mul_vec(ww))
 
 
-def _dot(v: Vector, w: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(v, w) if a and b), Fraction(0))
-
-
-def restrict_divisor(surface: SurfaceModel, d: TautClass, space: RingSpace) -> Vector:
-    """Linear extension of the stored generator restrictions."""
-    if d.space != surface.target_space:
-        raise SpaceMismatchError(f"class on {d.space} restricted to a family over {surface.target_space}")
-    if d.degree != 1:
-        raise DegreeError("restrict_divisor needs a degree-1 class")
-    out = [Fraction(0)] * len(surface.lattice_labels)
-    for gen, c in zip(space.divisor_basis, d.coeffs):
-        if c == 0:
-            continue
-        for i, x in enumerate(surface.divisor_restrictions[gen]):
-            out[i] += c * x
-    return tuple(out)
-
-
 def _derived_special_value(surface: SurfaceModel, label: str) -> Fraction:
-    total = Fraction(0)
-    for v, w in surface.special_products[label]:
-        total += pair_on_surface(surface, v, w)
-    return total
+    pairings = [pair_on_surface(surface, v, w) for v, w in surface.special_products[label]]
+    return _dot(pairings, [1] * len(pairings))
 
 
 def surface_functional(surface: SurfaceModel, space: RingSpace) -> SurfaceFunctional:
@@ -176,11 +155,8 @@ def evaluate(functional: SurfaceFunctional, c: TautClass, space: RingSpace) -> F
         )
     if c.degree != 2:
         raise DegreeError("evaluate needs a degree-2 class")
-    total = Fraction(0)
-    for label, coeff in zip(space.codim2_basis, c.coeffs):
-        if coeff != 0:
-            total += coeff * functional.values[label]
-    return total
+    nonzero = [(coeff, label) for label, coeff in zip(space.codim2_basis, c.coeffs) if coeff]
+    return _dot([coeff for coeff, _ in nonzero], [functional.values[label] for _, label in nonzero])
 
 
 def evaluate_formal_products(functional: SurfaceFunctional, space: RingSpace, formal: Mapping[str, object]) -> Fraction:
@@ -190,15 +166,20 @@ def evaluate_formal_products(functional: SurfaceFunctional, space: RingSpace, fo
     reduction and any override, so it checks that the lattice data itself
     annihilates the stored ring relations.
     """
-    total = Fraction(0)
+    if space.id != functional.target_space:
+        raise SpaceMismatchError(
+            f"products on {space.id} evaluated against a functional for {functional.target_space}"
+        )
+    coeffs, values = [], []
     for label, c in formal.items():
         c = as_fraction(c)
         if c == 0:
             continue
         if label not in space.product_pairs:
             raise UnknownLabelError(f"{label!r} is not a formal divisor product on {space.id}")
-        total += c * functional.derived[label]
-    return total
+        coeffs.append(c)
+        values.append(functional.derived[label])
+    return _dot(coeffs, values)
 
 
 def audit_overrides(functional: SurfaceFunctional) -> list[AuditEntry]:

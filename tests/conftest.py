@@ -22,13 +22,15 @@ def repo() -> Repo:
 
 
 # small exact rationals keep the property tests fast while still exercising
-# non-integer arithmetic
-rationals = st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=12)
-
-# the values `rationals` draws, about half of them zero so that the kernel's
-# zero-skipping branches run; sampled from a list because drawing fractions is slow
+# non-integer arithmetic: every fraction in [-6, 6] with denominator <= 12, the
+# set st.fractions(-6, 6, max_denominator=12) draws from, sampled from a list
+# because drawing fractions is slow; shrinking goes to small denominators first
 _small_rationals = sorted(
     {Fraction(n, d) for d in range(1, 13) for n in range(-6 * d, 6 * d + 1)},
     key=lambda x: (x.denominator, abs(x), x < 0),
 )
+rationals = st.sampled_from(_small_rationals)
+
+# the same values, about half of them zero so that the kernel's zero-skipping
+# branches run
 sparse_rationals = st.sampled_from([Fraction(0)] * len(_small_rationals) + _small_rationals)

@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from tautverify.errors import DimensionError
@@ -9,6 +10,8 @@ from tautverify.linalg import (
     Inconsistent,
     QMatrix,
     Solution,
+    _combine,
+    _dot,
     _rref_rows,
     kernel_basis,
     mat_rref,
@@ -16,7 +19,7 @@ from tautverify.linalg import (
     solve_exact,
 )
 
-from conftest import rationals, sparse_rationals
+from conftest import _small_rationals, rationals, sparse_rationals
 
 
 def mat(rows):
@@ -222,3 +225,42 @@ def test_sparse_elimination_matches_dense_oracle(case):
             x[c] = rows[r][-1]
         expected = Solution(tuple(x), width - len(pivots))
     assert solve_exact(m, [r[width] for r in aug]) == expected
+
+
+def test_small_rationals_are_every_bounded_fraction():
+    # enumerated as coprime (numerator, denominator) pairs, without Fraction's normalisation
+    pairs = {(n, d) for d in range(1, 13) for n in range(-6 * d, 6 * d + 1) if gcd(n, d) == 1}
+    assert sorted((x.numerator, x.denominator) for x in _small_rationals) == sorted(pairs)
+
+
+# kernel inputs: mostly zero or small, plus ints and large coprime denominators,
+# so that the running denominator of a sum both matches and differs term by term
+kernel_entries = st.one_of(
+    sparse_rationals,
+    st.sampled_from([*range(-6, 7), *(F(n, d) for d in (7, 11, 13, 97) for n in range(-100, 101, 9))]),
+)
+kernel_terms = st.integers(0, 5).flatmap(
+    lambda w: st.tuples(
+        st.just(w),
+        st.lists(st.tuples(kernel_entries, st.lists(kernel_entries, min_size=w, max_size=w)), max_size=8),
+    )
+)
+
+
+def _normalised_fractions(xs):
+    return all(type(x) is F and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1 for x in xs)
+
+
+@given(kernel_terms, st.lists(st.tuples(kernel_entries, kernel_entries), max_size=16))
+@example((0, []), [])
+@example((3, [(0, [1, 2, 3]), (F(1, 2), [0, 0, 0])]), [(0, 5), (F(1, 7), 0)])
+@example((2, [(2, [1, -3]), (-1, [2, -6])]), [(2, 3), (-3, 2)])
+def test_kernel_matches_plain_fraction_sums(case, pairs):
+    width, terms = case
+    combined = _combine(terms, width)
+    assert combined == tuple(sum((F(c) * F(v[i]) for c, v in terms), F(0)) for i in range(width))
+    assert _normalised_fractions(combined)
+
+    dot = _dot([x for x, _ in pairs], [y for _, y in pairs])
+    assert dot == sum((F(x) * F(y) for x, y in pairs), F(0))
+    assert _normalised_fractions([dot])

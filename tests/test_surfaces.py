@@ -18,7 +18,6 @@ from tautverify.surfaces import (
     evaluate,
     evaluate_formal_products,
     pair_on_surface,
-    restrict_divisor,
     surface_functional,
 )
 
@@ -82,21 +81,6 @@ def test_sparse_arithmetic_matches_dense_formulas(repo, data):
     assert diff == tuple(x - y for x, y in zip(v, w))
     assert scaled == tuple(t * x for x in v)
     assert all(type(x) is F for x in (pairing, *image, *total, *diff, *scaled))
-
-
-def test_restrict_divisor_s2(repo):
-    m31 = repo.space("M31")
-    assert restrict_divisor(repo.surface("S2"), m31.basis_class(1, "d0"), m31) == (F(-2), F(12))
-
-
-def test_restrict_divisor_v3(repo):
-    m4 = repo.space("M4")
-    assert restrict_divisor(repo.surface("V3"), m4.basis_class(1, "d2"), m4) == (F(-3), F(1), F(-1))
-
-
-def test_restrict_zero(repo):
-    m31 = repo.space("M31")
-    assert restrict_divisor(repo.surface("T1"), m31.zero(1), m31) == (F(0), F(0))
 
 
 def test_functional_s1_nonzero_entries(repo):
@@ -178,6 +162,13 @@ def test_relation_annihilation_via_lattice(repo):
     for sid in ("V1", "V2", "V3", "V4"):
         for rel in m4.relations:
             assert evaluate_formal_products(repo.functional(sid), m4, rel) == 0
+
+
+@pytest.mark.parametrize("formal", [{"d0^2": 1}, {"psi^2": 1}])
+def test_formal_products_need_the_family_space(repo, formal):
+    # V1 is a family over M4; M31 products used to give 0 or a bare KeyError
+    with pytest.raises(SpaceMismatchError, match="products on M31 evaluated against a functional for M4"):
+        evaluate_formal_products(repo.functional("V1"), repo.space("M31"), formal)
 
 
 def test_derived_values_cover_every_formal_product(repo):
