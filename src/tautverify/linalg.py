@@ -1,19 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with `fractions.Fraction`, so all results are exact and
-every comparison in the test suite is a strict equality.  Matrices are small
-and mostly zeros, so Gauss-Jordan elimination that skips zero entries suffices.
-Every sum of products in the package (dot products, map images, basis
-reductions, series products) goes through one integer-accumulation kernel,
-`_dot` and `_combine`: it skips zero factors, adds numerators over a running
-common denominator in plain ints, and normalises once per result entry.
+Everything here takes and returns `fractions.Fraction`, so all results are
+exact and every comparison in the test suite is a strict equality, but the
+arithmetic runs on Python ints.  Every sum of products in the package (dot
+products, map images, basis reductions, series products) goes through one
+integer-accumulation kernel, `_dot` and `_combine`: it skips zero factors,
+adds numerators over a running common denominator, and normalises once per
+result entry.  Elimination (`_rref_rows`) is Gauss-Jordan on rows cleared of
+denominators; it skips zeros and builds one Fraction per output entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError
@@ -151,27 +152,47 @@ def _rref_rows(rows: list[list[Fraction]], width: int) -> tuple[list[list[Fracti
     Columns beyond `width` (an augmented part, if any) are carried along.
     Pivots are scaled to 1 and cleared above and below; this is the canonical
     normalization fixed by the design decisions, so outputs are deterministic.
-    Zero entries are skipped: only the pivot row's nonzero entries are used.
+    The work is in ints: each row is cleared of denominators once and kept as
+    ints times a rational scale.  Clearing pivot row P (pivot p) from a row R
+    with R[c] = f is R = (p/g) R - (f/g) P, g = gcd(p, f), then R is divided
+    by its content; only rows with f != 0 and, when p/g is 1, only P's nonzero
+    entries are touched.  At the end a pivot row is x / pivot and any other
+    row x times its scale, exactly what eliminating over Q gives.
     """
+    dens = [lcm(*(x.denominator for x in row if x)) for row in rows]
+    ints = [[x.numerator * (den // x.denominator) if x else 0 for x in row] for row, den in zip(rows, dens)]
+    scales = [(1, den) for den in dens]
     pivots: list[int] = []
     r = 0
     for c in range(width):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(ints)) if ints[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        prow = rows[r] = [x / inv if x else x for x in rows[r]]
-        support = [j for j, y in enumerate(prow) if y]
-        for i, row in enumerate(rows):
-            factor = row[c]
-            if i != r and factor:
-                for j in support:
-                    row[j] -= factor * prow[j]
+        ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
+        scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
+        p = ints[r][c]
+        support = [(j, y) for j, y in enumerate(ints[r]) if y]
+        for i, row in enumerate(ints):
+            f = row[c]
+            if i == r or not f:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                row = [a * x for x in row]
+            for j, y in support:
+                row[j] -= b * y
+            h = gcd(*row)
+            ints[i] = [x // h for x in row] if h > 1 else row
+            num, den = scales[i]
+            scales[i] = (num * g * h, den * p)
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == len(ints):
             break
+    for i, row in enumerate(ints):
+        num, den = (1, row[pivots[i]]) if i < r else scales[i]
+        rows[i] = [Fraction(x * num, den) if x else _ZERO for x in row]
     return rows, pivots
 
 

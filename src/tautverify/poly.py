@@ -5,6 +5,10 @@ lam (line-bundle case) and lam1/lam2 (rank-four case), and the pushforward
 classes kappa0..kappa3.  Grading weights: psi, lam, lam1 have weight 1, lam2
 weight 2, kappa_i weight i.  Monomials above the maximum total degree are
 dropped; zero coefficients are never stored.
+
+`from_terms`, `+`, `-`, `scale` and `*` collect like terms in one keyed
+accumulator, `_collect`: int numerators over a running common denominator
+per monomial, and one normalised Fraction per monomial at the end.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd
+from operator import add, mul
 from typing import Iterable
 
 from .errors import DegreeError
@@ -20,12 +27,34 @@ from .linalg import as_fraction
 SYMBOLS = ("psi", "lam", "lam1", "lam2", "kappa0", "kappa1", "kappa2", "kappa3")
 WEIGHTS = {"psi": 1, "lam": 1, "lam1": 1, "lam2": 2, "kappa0": 0, "kappa1": 1, "kappa2": 2, "kappa3": 3}
 _INDEX = {s: i for i, s in enumerate(SYMBOLS)}
+_WEIGHTS = tuple(WEIGHTS[s] for s in SYMBOLS)
 
 Exps = tuple[int, ...]
 
 
 def monomial_degree(exps: Exps) -> int:
-    return sum(e * WEIGHTS[s] for s, e in zip(SYMBOLS, exps))
+    return sum(map(mul, exps, _WEIGHTS))
+
+
+def _collect(triples: Iterable[tuple[Exps, int, int]], max_degree: int) -> tuple[tuple[Exps, Fraction], ...]:
+    """Sorted nonzero terms of the sum of n/d * x^exps over `triples`, up to `max_degree`."""
+    acc: dict[Exps, list[int]] = {}
+    for exps, n, d in triples:
+        if not n or monomial_degree(exps) > max_degree:
+            continue
+        slot = acc.get(exps)
+        if slot is None:
+            acc[exps] = [n, d]
+        elif slot[1] == d:
+            slot[0] += n
+        else:
+            g = gcd(slot[1], d)
+            slot[:] = slot[0] * (d // g) + n * (slot[1] // g), slot[1] // g * d
+    return tuple((e, Fraction(n, d)) for e, (n, d) in sorted(acc.items()) if n)
+
+
+def _ratios(terms: Iterable[tuple[Exps, Fraction]], sign: int = 1) -> Iterable[tuple[Exps, int, int]]:
+    return ((e, sign * c.numerator, c.denominator) for e, c in terms)
 
 
 def _exps_from_powers(powers: Mapping[str, int]) -> Exps:
@@ -45,14 +74,7 @@ class TruncatedPoly:
     @classmethod
     def from_terms(cls, terms: Mapping[Exps, Fraction] | Iterable[tuple[Exps, Fraction]], max_degree: int) -> "TruncatedPoly":
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Exps, Fraction] = {}
-        for exps, c in items:
-            c = as_fraction(c)
-            if c == 0 or monomial_degree(exps) > max_degree:
-                continue
-            acc[exps] = acc.get(exps, Fraction(0)) + c
-        cleaned = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-        return cls(max_degree, cleaned)
+        return cls(max_degree, _collect(_ratios((e, as_fraction(c)) for e, c in items), max_degree))
 
     @classmethod
     def zero(cls, max_degree: int = 4) -> "TruncatedPoly":
@@ -78,33 +100,30 @@ class TruncatedPoly:
 
     def __add__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         deg = min(self.max_degree, other.max_degree)
-        acc = dict(self.terms)
-        for exps, c in other.terms:
-            acc[exps] = acc.get(exps, Fraction(0)) + c
-        return TruncatedPoly.from_terms(acc, deg)
+        return TruncatedPoly(deg, _collect(chain(_ratios(self.terms), _ratios(other.terms)), deg))
 
     def __sub__(self, other: "TruncatedPoly") -> "TruncatedPoly":
-        return self + other.scale(-1)
+        deg = min(self.max_degree, other.max_degree)
+        return TruncatedPoly(deg, _collect(chain(_ratios(self.terms), _ratios(other.terms, -1)), deg))
 
     def scale(self, c) -> "TruncatedPoly":
         c = as_fraction(c)
-        return TruncatedPoly.from_terms({e: c * v for e, v in self.terms}, self.max_degree)
+        cn, cd = c.numerator, c.denominator
+        triples = ((e, cn * n, cd * d) for e, n, d in _ratios(self.terms))
+        return TruncatedPoly(self.max_degree, _collect(triples, self.max_degree))
 
     def __mul__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         deg = min(self.max_degree, other.max_degree)
-        acc: dict[Exps, Fraction] = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                if monomial_degree(exps) > deg:
-                    continue
-                acc[exps] = acc.get(exps, Fraction(0)) + ca * cb
-        return TruncatedPoly.from_terms(acc, deg)
+        right = list(_ratios(other.terms))
+        triples = (
+            (tuple(map(add, ea, eb)), na * nb, da * db)
+            for ea, na, da in _ratios(self.terms)
+            for eb, nb, db in right
+        )
+        return TruncatedPoly(deg, _collect(triples, deg))
 
     def degree_part(self, d: int) -> "TruncatedPoly":
-        return TruncatedPoly.from_terms(
-            {e: c for e, c in self.terms if monomial_degree(e) == d}, self.max_degree
-        )
+        return TruncatedPoly(self.max_degree, tuple((e, c) for e, c in self.terms if monomial_degree(e) == d))
 
     def is_pure_degree(self, d: int) -> bool:
         return all(monomial_degree(e) == d for e, _ in self.terms)

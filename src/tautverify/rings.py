@@ -85,8 +85,6 @@ class RingSpace:
     codim2_basis: tuple[str, ...]
     divisor_index: Mapping[str, int]
     codim2_index: Mapping[str, int]
-    # non-basis formal product label -> vector over codim2_basis
-    product_reductions: Mapping[str, dict[str, Fraction]]
     # alias divisor symbol -> vector over divisor_basis (e.g. psi_i on the
     # two-pointed genus-1 space)
     divisor_reductions: Mapping[str, dict[str, Fraction]]
@@ -182,7 +180,6 @@ def make_space(
         codim2_basis=cod,
         divisor_index=div_index,
         codim2_index=cod_index,
-        product_reductions=reductions,
         divisor_reductions=dred,
         relations=tuple({k: as_fraction(v) for k, v in rel.items()} for rel in relations),
         special_expansions={},

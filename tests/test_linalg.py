@@ -18,6 +18,7 @@ from tautverify.linalg import (
     row_space_rref,
     solve_exact,
 )
+from tautverify.rings import apply_hom
 
 from conftest import _small_rationals, rationals, sparse_rationals
 
@@ -201,9 +202,7 @@ def dense_rref_rows(rows, width):
     return rows, pivots
 
 
-@given(sparse_augmented)
-def test_sparse_elimination_matches_dense_oracle(case):
-    width, aug = case
+def assert_elimination_matches_dense(width, aug):
     m = mat([r[:width] for r in aug])
     res = mat_rref(m)
     rows, pivots = dense_rref_rows([list(r) for r in m.entries], width)
@@ -224,7 +223,67 @@ def test_sparse_elimination_matches_dense_oracle(case):
         for r, c in enumerate(pivots):
             x[c] = rows[r][-1]
         expected = Solution(tuple(x), width - len(pivots))
-    assert solve_exact(m, [r[width] for r in aug]) == expected
+    got = solve_exact(m, [r[width] for r in aug])
+    assert got == expected
+    return got
+
+
+@given(sparse_augmented)
+def test_sparse_elimination_matches_dense_oracle(case):
+    assert_elimination_matches_dense(*case)
+
+
+# denominators 7, 11, 13 and 97, negative pivots that do not divide the entries
+# below them, and rows that end as 0 = rhs after several eliminations, so the
+# integer rows' content division and per-row scales all take part
+_LARGE_DENOMINATOR_SYSTEMS = [
+    (
+        3,
+        [
+            [F(1, 7), F(2, 11), F(3, 13), F(5, 97), F(-1, 7)],
+            [F(-2, 7), F(-1, 13), F(0), F(1, 11), F(0)],
+            [F(3, 97), F(4, 7), F(6, 11), F(-2, 13), F(9, 97)],
+        ],
+        True,
+    ),
+    (
+        2,
+        [[F(1, 7), F(3, 11), F(1, 97)], [F(2, 7), F(6, 11), F(5, 13)]],
+        False,
+    ),
+    (
+        3,
+        [
+            _R1 := [F(0), F(-3, 11), F(2, 13), F(1, 7), F(4, 97)],
+            _R2 := [F(5, 7), F(0), F(-1, 97), F(2, 11), F(0)],
+            # two rank-deficient rows whose augmented parts break the combination
+            [F(1, 2) * x + 3 * y for x, y in zip(_R1[:3], _R2)] + [F(1, 13), F(1, 97)],
+            [-2 * x + F(7, 11) * y for x, y in zip(_R1[:3], _R2)] + [F(0), F(5, 7)],
+        ],
+        False,
+    ),
+    (
+        2,
+        [[F(-13, 11), F(7, 97), F(1, 2)], [F(26, 11), F(-14, 97), F(-1)], [F(-11, 13), F(97, 7), F(0)]],
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize("width, aug, consistent", _LARGE_DENOMINATOR_SYSTEMS)
+def test_large_denominators_match_dense_oracle(width, aug, consistent):
+    got = assert_elimination_matches_dense(width, aug)
+    assert isinstance(got, Solution) is consistent
+
+
+def test_basis_m31_pullback_matches_dense_oracle(repo):
+    # the shipped theta-star pullback matrix, denominators up to 300, both ways round
+    m31, m22 = repo.space("M31"), repo.space("M22")
+    theta = repo.hom("theta_star")
+    rows = [apply_hom(theta, m31.basis_class(2, lbl), m31, m22).coeffs for lbl in m31.codim2_basis]
+    assert max(x.denominator for r in rows for x in r) == 300
+    for m in (mat(rows), mat(rows).transpose()):
+        assert_elimination_matches_dense(m.cols, [list(r) + [F(1, 7 + i)] for i, r in enumerate(m.entries)])
 
 
 def test_small_rationals_are_every_bounded_fraction():

@@ -96,3 +96,10 @@ series_units = st.lists(rationals, min_size=5, max_size=5).map(
 @given(series_units)
 def test_inverse_roundtrip(s):
     assert series_mul(s, series_inverse(s)) == TruncatedSeries.one(s.order)
+
+
+def test_add_keeps_the_smaller_order():
+    a = TruncatedSeries.from_coeffs([1, 2, 3])
+    b = TruncatedSeries.from_coeffs([1, 1, 1, 1])
+    assert a + b == TruncatedSeries.from_coeffs([2, 3, 4])
+    assert (b + a).order == 2
