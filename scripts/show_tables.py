@@ -14,8 +14,8 @@ from tautverify.surfaces import audit_overrides
 if __name__ == "__main__":
     repo = Repo(sys.argv[1]) if len(sys.argv) > 1 else Repo()
     for sid in SURFACE_IDS:
-        space = repo.surface_space(sid)
         functional = repo.functional(sid)
+        space = functional.space
         print(f"{sid}  (target {space.id})")
         for label in list(space.codim2_basis) + sorted(
             set(functional.values) - set(space.codim2_basis)

@@ -36,7 +36,14 @@ from .linalg import (
     row_space_rref,
     solve_exact,
 )
-from .rings import RingSpace, TautClass, apply_hom, divisor_product, reduce_to_basis, special_expand
+from .rings import (
+    TautClass,
+    apply_hom,
+    divisor_product,
+    reduce_to_basis,
+    solve_boundary_class,
+    special_expand,
+)
 from .series import jet_sum
 from .surfaces import audit_overrides, evaluate, evaluate_formal_products
 
@@ -61,13 +68,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _fmt_class(c: TautClass, space: RingSpace) -> str:
-    parts = [f"{lbl}={coeff}" for lbl, coeff in zip(space.basis(c.degree), c.coeffs) if coeff != 0]
+def _fmt_class(c: TautClass) -> str:
+    parts = [f"{lbl}={coeff}" for lbl, coeff in zip(c.space.basis(c.degree), c.coeffs) if coeff != 0]
     return ", ".join(parts) if parts else "0"
 
 
-def _cls_part(name: str, expected: TautClass, actual: TautClass, space: RingSpace) -> Part:
-    return (name, _fmt_class(expected, space), _fmt_class(actual, space))
+def _cls_part(name: str, expected: TautClass, actual: TautClass) -> Part:
+    return (name, _fmt_class(expected), _fmt_class(actual))
 
 
 def _val_part(name: str, expected, actual) -> Part:
@@ -258,7 +265,7 @@ class Run:
         if system_id not in self._lhs:
             system = _SYSTEMS[system_id]
             a, b = (self.repo.catalog_class(n) for n in system.lhs_factors)
-            self._lhs[system_id] = divisor_product(self.repo.space(system.space), a, b)
+            self._lhs[system_id] = divisor_product(a, b)
         return self._lhs[system_id]
 
     def family_values(self, system_id: str, sid: str) -> dict[str, Fraction]:
@@ -266,9 +273,8 @@ class Run:
         key = (system_id, sid)
         if key not in self._family_values:
             system, f = _SYSTEMS[system_id], self.repo.functional(sid)
-            space = self.repo.space(system.space)
             classes = {**self.known[system_id], system.lhs_key: self.lhs(system_id)}
-            self._family_values[key] = {name: evaluate(f, c, space) for name, c in classes.items()}
+            self._family_values[key] = {name: evaluate(f, c) for name, c in classes.items()}
         return self._family_values[key]
 
     def solution(self, system_id: str) -> tuple:
@@ -303,7 +309,6 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
     with the unknown component's lam^2 entry taken from the jet pipeline.
     """
     repo = run.repo
-    space = repo.space(system.space)
     lhs = run.lhs(system.id)
     known = run.known[system.id]
     names: list[str] = []
@@ -325,21 +330,20 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
 
     for hid in system.pushforward_constraints:
         hom = repo.hom(hid)
-        codomain = repo.space(hom.codomain)
-        lhs_push = apply_hom(hom, lhs, space, codomain)
+        lhs_push = apply_hom(hom, lhs)
         images = {}
         for comp in system.components:
             if comp.ref:
-                images[comp.name] = apply_hom(hom, known[comp.name], space, codomain)
+                images[comp.name] = apply_hom(hom, known[comp.name])
             else:
                 images[comp.name] = repo.catalog_class(comp.pushforward_ref)
-        for i, lbl in enumerate(codomain.divisor_basis):
+        for i, lbl in enumerate(hom.codomain.divisor_basis):
             names.append(f"pushforward:{lbl}")
             rows.append([images[c.name].coeffs[i] for c in system.components])
             rhs.append(lhs_push.coeffs[i])
 
     for lbl in system.coefficient_constraints:
-        idx = space.codim2_index[lbl]
+        idx = lhs.space.codim2_index[lbl]
         row = []
         for comp in system.components:
             if comp.ref:
@@ -419,10 +423,10 @@ def _divide_out(run: Run, system: MultiplicitySystem, assignment: dict, parts: l
 
 def _parts_basis_m31(run: Run) -> list[Part]:
     repo = run.repo
-    m31, m22 = repo.space("M31"), repo.space("M22")
+    m31 = repo.space("M31")
     theta = repo.hom("theta_star")
     golden = repo.golden["basis_m31"]
-    rows = [apply_hom(theta, m31.basis_class(2, lbl), m31, m22).coeffs for lbl in m31.codim2_basis]
+    rows = [apply_hom(theta, m31.basis_class(2, lbl)).coeffs for lbl in m31.codim2_basis]
     matrix = QMatrix(tuple(rows))
     # one elimination gives both numbers: rank = rows - dim(left kernel)
     kernel = kernel_basis(matrix.transpose())
@@ -438,7 +442,7 @@ def _parts_basis_m31(run: Run) -> list[Part]:
     eval_matrix = QMatrix.from_rows(
         [
             [
-                evaluate(repo.functional(sid), m31.from_dict(2, golden["relation_generators"][k]), m31)
+                evaluate(repo.functional(sid), m31.from_dict(2, golden["relation_generators"][k]))
                 for k in ("alpha", "beta", "gamma")
             ]
             for sid in ("S1", "S2", "S3")
@@ -452,81 +456,59 @@ def _parts_basis_m31(run: Run) -> list[Part]:
 
 def _parts_prop4(run: Run) -> list[Part]:
     repo = run.repo
-    m31, m22 = repo.space("M31"), repo.space("M22")
+    m31 = repo.space("M31")
     theta = repo.hom("theta_star")
     golden = repo.golden["prop4"]
     parts: list[Part] = []
     # the dependent-product identity is the stored relation; it must die both
     # on the space itself and under the gluing pullback
     rel = m31.relations[0]
-    parts.append(_cls_part("lam_d11_relation_reduces", m31.zero(2), reduce_to_basis(m31, rel), m31))
-    parts.append(
-        _cls_part("lam_d11_relation_pullback", m22.zero(2), apply_hom(theta, rel, m31, m22), m22)
-    )
+    parts.append(_cls_part("lam_d11_relation_reduces", m31.zero(2), reduce_to_basis(m31, rel)))
+    parts.append(_cls_part("lam_d11_relation_pullback", theta.codomain.zero(2), apply_hom(theta, rel)))
     for sym in ("d00", "d1|1", "gamma1", "gamma2"):
         expansion = special_expand(m31, sym)
         parts.append(
-            _cls_part(
-                f"pullback_consistency:{sym}",
-                theta.special_images[sym],
-                apply_hom(theta, expansion, m31, m22),
-                m22,
-            )
+            _cls_part(f"pullback_consistency:{sym}", theta.special_images[sym], apply_hom(theta, expansion))
         )
         expected = [as_fraction(v) for v in golden["surface_values"][sym]]
-        actual = [
-            evaluate(repo.functional(sid), expansion, m31) for sid in golden["surface_order"]
-        ]
+        actual = [evaluate(repo.functional(sid), expansion) for sid in golden["surface_order"]]
         parts.append(_val_part(f"family_values:{sym}", tuple(expected), tuple(actual)))
     return parts
 
 
 def _parts_prop4_alt(run: Run) -> list[Part]:
     repo = run.repo
-    m31, m3 = repo.space("M31"), repo.space("M3")
+    m31 = repo.space("M31")
     pullback = repo.hom("p_pullback_m3")
     parts = []
     for sym, catalog_name in (("d00", "delta00_M3"), ("gamma1", "gamma1_M3")):
-        via_m3 = apply_hom(pullback, repo.catalog_class(catalog_name), m3, m31)
-        parts.append(_cls_part(f"alt_route:{sym}", special_expand(m31, sym), via_m3, m31))
+        via_m3 = apply_hom(pullback, repo.catalog_class(catalog_name))
+        parts.append(_cls_part(f"alt_route:{sym}", special_expand(m31, sym), via_m3))
     return parts
 
 
 def compute_hyp31(repo: Repo | None = None) -> tuple[TautClass, list[Part]]:
     """Pull the genus-4 hyperelliptic class back along the elliptic-tail map."""
     repo = repo or default_repo()
-    m31, m4, m3, m22 = (repo.space(s) for s in ("M31", "M4", "M3", "M22"))
     golden = repo.golden["hyp31"]
-    result = apply_hom(repo.hom("j3_star"), repo.catalog_class("Hyp4"), m4, m31)
-    pushforward = apply_hom(repo.hom("p_star_pushforward"), result, m31, m3)
-    dr_pullback = apply_hom(repo.hom("theta_star"), result, m31, m22)
+    result = apply_hom(repo.hom("j3_star"), repo.catalog_class("Hyp4"))
+    pushforward = apply_hom(repo.hom("p_star_pushforward"), result)
+    dr_pullback = apply_hom(repo.hom("theta_star"), result)
     parts = [
-        _cls_part("class", m31.from_dict(2, golden["class"]), result, m31),
-        _cls_part("catalog_agrees", repo.catalog_class("Hyp31_theorem"), result, m31),
-        _cls_part(
-            "pushforward",
-            m3.from_dict(1, golden["pushforward"]),
-            pushforward,
-            m3,
-        ),
+        _cls_part("class", result.space.from_dict(2, golden["class"]), result),
+        _cls_part("catalog_agrees", repo.catalog_class("Hyp31_theorem"), result),
+        _cls_part("pushforward", pushforward.space.from_dict(1, golden["pushforward"]), pushforward),
         _cls_part(
             "pushforward_is_multiple",
             repo.catalog_class("Hyp3_M3").scale(golden["hyp3_multiple"]),
             pushforward,
-            m3,
         ),
         _cls_part(
             "double_ramification_pullback",
-            m22.from_dict(2, golden["dr2_pullback"]),
+            dr_pullback.space.from_dict(2, golden["dr2_pullback"]),
             dr_pullback,
-            m22,
         ),
-        _cls_part(
-            "double_ramification_catalog",
-            repo.catalog_class("DR2_2"),
-            dr_pullback,
-            m22,
-        ),
+        _cls_part("double_ramification_catalog", repo.catalog_class("DR2_2"), dr_pullback),
     ]
     return result, parts
 
@@ -539,46 +521,38 @@ def _parts_j3_table(run: Run) -> list[Part]:
     parts = []
     for sym in ("d1|1", "gamma1"):
         parts.append(
-            _cls_part(f"pullback_image:{sym}", m31.from_dict(2, golden[sym]), j3.special_images[sym], m31)
+            _cls_part(f"pullback_image:{sym}", m31.from_dict(2, golden[sym]), j3.special_images[sym])
         )
-    parts.append(_cls_part("pullback_image:d00", special_expand(m31, "d00"), j3.special_images["d00"], m31))
+    parts.append(_cls_part("pullback_image:d00", special_expand(m31, "d00"), j3.special_images["d00"]))
     return parts
 
 
 def _parts_w2_lemmas(run: Run) -> list[Part]:
-    """Both node-smoothing lemmas: solve the restriction systems exactly."""
-    from .rings import solve_boundary_class
+    """Both node-smoothing lemmas: solve the restriction systems exactly.
 
+    An inconsistent system fails the lemma with its certificate, as an
+    inconsistent multiplicity system does.
+    """
     repo = run.repo
     golden = repo.golden["w2_lemmas"]
-    m31, m4, m12, m21 = (repo.space(s) for s in ("M31", "M4", "M12", "M21"))
     weier = repo.catalog_class("W21")
-    parts = [
-        _cls_part(
-            "weierstrass_divisor_input", m21.from_dict(1, golden["weierstrass_divisor_g2"]), weier, m21
-        )
-    ]
-    pres, reduced, sol = solve_boundary_class(repo.gluing("xi_star_m31"), (m12, m21), weier, m31)
-    parts.append(_val_part("m31_unique", True, sol.unique))
-    parts.append(
-        _val_part(
-            "m31_presentation",
-            {k: as_fraction(v) for k, v in golden["m31_presentation"].items()},
-            pres,
-        )
+    expected_weier = repo.space("M21").from_dict(1, golden["weierstrass_divisor_g2"])
+    parts = [_cls_part("weierstrass_divisor_input", expected_weier, weier)]
+    m4_reduced = ("m4_reduced", repo.space("M4").from_dict(2, golden["m4_reduced"]))
+    lemmas = (
+        ("m31", "xi_star_m31", (("m31_class", repo.catalog_class("W2_M31")),)),
+        ("m4", "xi_star_m4", (m4_reduced, ("m4_catalog_agrees", repo.catalog_class("W2_M4")))),
     )
-    parts.append(_cls_part("m31_class", repo.catalog_class("W2_M31"), reduced, m31))
-    pres4, reduced4, sol4 = solve_boundary_class(repo.gluing("xi_star_m4"), (m21, m21), weier, m4)
-    parts.append(_val_part("m4_unique", True, sol4.unique))
-    parts.append(
-        _val_part(
-            "m4_presentation",
-            {k: as_fraction(v) for k, v in golden["m4_presentation"].items()},
-            pres4,
-        )
-    )
-    parts.append(_cls_part("m4_reduced", m4.from_dict(2, golden["m4_reduced"]), reduced4, m4))
-    parts.append(_cls_part("m4_catalog_agrees", repo.catalog_class("W2_M4"), reduced4, m4))
+    for key, gid, expected_classes in lemmas:
+        solved = solve_boundary_class(repo.gluing(gid), weier)
+        if isinstance(solved, Inconsistent):
+            parts.append((f"{key}_consistent", "true", f"false (witness rhs {solved.witness_rhs})"))
+            continue
+        pres, reduced, sol = solved
+        parts.append(_val_part(f"{key}_unique", True, sol.unique))
+        expected_pres = {k: as_fraction(v) for k, v in golden[f"{key}_presentation"].items()}
+        parts.append(_val_part(f"{key}_presentation", expected_pres, pres))
+        parts.extend(_cls_part(name, expected, reduced) for name, expected in expected_classes)
     return parts
 
 
@@ -586,7 +560,7 @@ def compute_f31(repo: Repo | Run | None = None) -> tuple[TautClass, list[Part]]:
     """Assemble the marked-hyperflex class from the solved multiplicities."""
     run = _run_of(repo)
     repo = run.repo
-    m31, m3 = repo.space("M31"), repo.space("M3")
+    m31 = repo.space("M31")
     golden = repo.golden["f31"]
     assignment, _, solve_parts = run.solution("F31")
     parts = list(solve_parts)
@@ -596,18 +570,12 @@ def compute_f31(repo: Repo | Run | None = None) -> tuple[TautClass, list[Part]]:
     result = _divide_out(run, F31_SYSTEM, assignment, parts)
     if result is None:
         return m31.zero(2), parts
-    parts.append(_cls_part("class", m31.from_dict(2, golden["class"]), result, m31))
-    parts.append(_cls_part("catalog_agrees", repo.catalog_class("F31_theorem"), result, m31))
-    parts.append(_val_part("kappa2_coefficient", Fraction(3), result.coeff("kappa2", m31)))
-    parts.append(_val_part("psi2_coefficient", Fraction(-3), result.coeff("psi^2", m31)))
-    parts.append(
-        _cls_part(
-            "pushforward",
-            m3.from_dict(1, golden["pushforward"]),
-            apply_hom(repo.hom("p_star_pushforward"), result, m31, m3),
-            m3,
-        )
-    )
+    parts.append(_cls_part("class", m31.from_dict(2, golden["class"]), result))
+    parts.append(_cls_part("catalog_agrees", repo.catalog_class("F31_theorem"), result))
+    parts.append(_val_part("kappa2_coefficient", Fraction(3), result.coeff("kappa2")))
+    parts.append(_val_part("psi2_coefficient", Fraction(-3), result.coeff("psi^2")))
+    pushforward = apply_hom(repo.hom("p_star_pushforward"), result)
+    parts.append(_cls_part("pushforward", pushforward.space.from_dict(1, golden["pushforward"]), pushforward))
     return result, parts
 
 
@@ -621,45 +589,30 @@ def compute_h4plus(repo: Repo | Run | None = None) -> tuple[TautClass, list[Part
     parts = list(solve_parts)
     if not assignment:
         return m4.zero(2), parts
-    parts.append(_cls_part("lhs_product", m4.from_dict(2, golden["lhs_product"]), run.lhs("H4plus"), m4))
+    parts.append(_cls_part("lhs_product", m4.from_dict(2, golden["lhs_product"]), run.lhs("H4plus")))
     result = _divide_out(run, H4PLUS_SYSTEM, assignment, parts)
     if result is None:
         return m4.zero(2), parts
-    parts.append(_cls_part("class", m4.from_dict(2, golden["class"]), result, m4))
-    parts.append(_cls_part("catalog_agrees", repo.catalog_class("H4plus_theorem"), result, m4))
+    parts.append(_cls_part("class", m4.from_dict(2, golden["class"]), result))
+    parts.append(_cls_part("catalog_agrees", repo.catalog_class("H4plus_theorem"), result))
     lambda2 = run.lambda2["H4_plus"]
     parts.append(_val_part("lambda2_cross_check", as_fraction(golden["lambda2"]), lambda2))
-    parts.append(_val_part("lambda2_entry_agrees", lambda2, result.coeff("lam^2", m4)))
+    parts.append(_val_part("lambda2_entry_agrees", lambda2, result.coeff("lam^2")))
     return result, parts
 
 
 def _parts_pushforwards(run: Run) -> list[Part]:
     repo = run.repo
-    m31, m3 = repo.space("M31"), repo.space("M3")
     push = repo.hom("p_star_pushforward")
     golden = repo.golden["pushforwards"]
     wtheta = run.lhs("F31")
-    parts = [
-        _cls_part("divisor_product", m31.from_dict(2, golden["wtheta_product_m31"]), wtheta, m31),
-        _cls_part(
-            "wtheta_pushforward",
-            m3.from_dict(1, golden["wtheta"]),
-            apply_hom(push, wtheta, m31, m3),
-            m3,
-        ),
-        _cls_part(
-            "hyp31_pushforward",
-            m3.from_dict(1, golden["hyp31"]),
-            apply_hom(push, repo.catalog_class("Hyp31_theorem"), m31, m3),
-            m3,
-        ),
-        _cls_part(
-            "f31_pushforward",
-            m3.from_dict(1, golden["f31"]),
-            apply_hom(push, repo.catalog_class("F31_theorem"), m31, m3),
-            m3,
-        ),
-    ]
+    parts = [_cls_part("divisor_product", wtheta.space.from_dict(2, golden["wtheta_product_m31"]), wtheta)]
+    for name, key, c in (
+        ("wtheta_pushforward", "wtheta", wtheta),
+        ("hyp31_pushforward", "hyp31", repo.catalog_class("Hyp31_theorem")),
+        ("f31_pushforward", "f31", repo.catalog_class("F31_theorem")),
+    ):
+        parts.append(_cls_part(name, push.codomain.from_dict(1, golden[key]), apply_hom(push, c)))
     return parts
 
 
@@ -669,8 +622,8 @@ def _parts_surface_tables(run: Run) -> list[Part]:
     systems = {s.space: s for s in _SYSTEMS.values()}
     parts: list[Part] = []
     for sid, block in golden["surfaces"].items():
-        space = repo.surface_space(sid)
         functional = repo.functional(sid)
+        space = functional.space
         nonzero = {k: as_fraction(v) for k, v in block["nonzero_basis"].items()}
         mismatches = []
         for lbl in space.codim2_basis:
@@ -700,22 +653,15 @@ def _parts_relation_hygiene(run: Run) -> list[Part]:
         space = repo.space(sid)
         for i, rel in enumerate(space.relations):
             parts.append(
-                _cls_part(f"{sid}:relation{i}_reduces", space.zero(2), reduce_to_basis(space, rel), space)
+                _cls_part(f"{sid}:relation{i}_reduces", space.zero(2), reduce_to_basis(space, rel))
             )
-    m31, m4 = repo.space("M31"), repo.space("M4")
+    j3 = repo.hom("j3_star")
     rel_formal = repo.formal_class("kappa2_relation_M4")
-    parts.append(
-        _cls_part(
-            "kappa2_relation_pullback",
-            m31.zero(2),
-            apply_hom(repo.hom("j3_star"), rel_formal, m4, m31),
-            m31,
-        )
-    )
+    parts.append(_cls_part("kappa2_relation_pullback", j3.codomain.zero(2), apply_hom(j3, rel_formal)))
     for sid in SURFACE_IDS:
-        space = repo.surface_space(sid)
-        for i, rel in enumerate(space.relations):
-            value = evaluate_formal_products(repo.functional(sid), space, rel)
+        functional = repo.functional(sid)
+        for i, rel in enumerate(functional.space.relations):
+            value = evaluate_formal_products(functional, rel)
             parts.append(_val_part(f"{sid}:lattice_annihilates_relation{i}", Fraction(0), value))
     return parts
 
@@ -724,18 +670,18 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
     """Obstruction coordinates vanish on divisor products but not on the loci."""
     repo = run.repo
     golden = repo.golden["complete_intersection"]
-    m31, m4, m3 = repo.space("M31"), repo.space("M4"), repo.space("M3")
+    m31, m4 = repo.space("M31"), repo.space("M4")
     parts: list[Part] = []
 
     bad31 = []
     for i, a in enumerate(m31.divisor_basis):
         for b in m31.divisor_basis[i:]:
-            product = divisor_product(m31, m31.basis_class(1, a), m31.basis_class(1, b))
+            product = divisor_product(m31.basis_class(1, a), m31.basis_class(1, b))
             for obs in ("kappa2", "d01a"):
-                if product.coeff(obs, m31) != 0:
+                if product.coeff(obs) != 0:
                     bad31.append(f"{a}*{b}:{obs}")
     parts.append(_val_part("m31_products_miss_obstructions", "none", ",".join(bad31) or "none"))
-    f31_kappa2 = repo.catalog_class("F31_theorem").coeff("kappa2", m31)
+    f31_kappa2 = repo.catalog_class("F31_theorem").coeff("kappa2")
     parts.append(_val_part("f31_kappa2", as_fraction(golden["f31_kappa2"]), f31_kappa2))
     parts.append(_val_part("f31_kappa2_nonzero", True, f31_kappa2 != 0))
 
@@ -743,31 +689,29 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
     obstructions = ("d00", "gamma1", "d01a", "d1|1")
     for i, a in enumerate(m4.divisor_basis):
         for b in m4.divisor_basis[i:]:
-            product = divisor_product(m4, m4.basis_class(1, a), m4.basis_class(1, b))
+            product = divisor_product(m4.basis_class(1, a), m4.basis_class(1, b))
             for obs in obstructions:
-                if product.coeff(obs, m4) != 0:
+                if product.coeff(obs) != 0:
                     bad4.append(f"{a}*{b}:{obs}")
     parts.append(_val_part("m4_products_miss_obstructions", "none", ",".join(bad4) or "none"))
     for name, cls in (("h4plus", "H4plus_theorem"), ("hyp4", "Hyp4")):
         expected = {k: as_fraction(v) for k, v in golden[f"{name}_obstructions"].items()}
-        actual = {obs: repo.catalog_class(cls).coeff(obs, m4) for obs in obstructions}
+        actual = {obs: repo.catalog_class(cls).coeff(obs) for obs in obstructions}
         parts.append(_val_part(f"{name}_obstructions", expected, actual))
         parts.append(_val_part(f"{name}_obstructions_nonzero", True, all(v != 0 for v in actual.values())))
 
     # cofactor: with the hyperelliptic pullback factor fixed, the divisor b
     # solving (factor) * b = hyperelliptic-pointed class is unique and is
     # exactly the stated obstruction divisor
-    factor = apply_hom(repo.hom("p_pullback_m3"), repo.catalog_class("Hyp3_M3"), m3, m31)
-    columns = [
-        divisor_product(m31, factor, m31.basis_class(1, g)).coeffs for g in m31.divisor_basis
-    ]
+    factor = apply_hom(repo.hom("p_pullback_m3"), repo.catalog_class("Hyp3_M3"))
+    columns = [divisor_product(factor, m31.basis_class(1, g)).coeffs for g in m31.divisor_basis]
     matrix = QMatrix.from_rows(list(map(list, zip(*columns))))
     sol = solve_exact(matrix, repo.catalog_class("Hyp31_theorem").coeffs)
     if isinstance(sol, Solution):
         parts.append(_val_part("cofactor_unique", True, sol.unique))
         cofactor = m31.from_dict(1, dict(zip(m31.divisor_basis, sol.vector)))
-        parts.append(_cls_part("cofactor", m31.from_dict(1, golden["cofactor"]), cofactor, m31))
-        parts.append(_cls_part("cofactor_catalog_agrees", repo.catalog_class("D_M31"), cofactor, m31))
+        parts.append(_cls_part("cofactor", m31.from_dict(1, golden["cofactor"]), cofactor))
+        parts.append(_cls_part("cofactor_catalog_agrees", repo.catalog_class("D_M31"), cofactor))
     else:
         parts.append(_val_part("cofactor_unique", True, f"inconsistent ({sol.witness_rhs})"))
     return parts
@@ -811,7 +755,7 @@ def _parts_lambda2(run: Run) -> list[Part]:
     repo = run.repo
     golden = repo.golden["lambda2_values"]
     parts = [_val_part(which, as_fraction(golden[which]), value) for which, value in run.lambda2.items()]
-    stated = repo.catalog_class("H4plus_theorem").coeff("lam^2", repo.space("M4"))
+    stated = repo.catalog_class("H4plus_theorem").coeff("lam^2")
     parts.append(_val_part("agrees_with_class", stated, run.lambda2["H4_plus"]))
     return parts
 

@@ -31,11 +31,6 @@ class ChernVector:
                 raise DegreeError(f"c{i} must have pure total degree {i}, got {ci}")
 
     @classmethod
-    def trivial(cls, rank: int) -> "ChernVector":
-        z = TruncatedPoly.zero(CHERN_MAX_DEGREE)
-        return cls(rank, z, z, z)
-
-    @classmethod
     def line_bundle(cls, c1: TruncatedPoly) -> "ChernVector":
         z = TruncatedPoly.zero(CHERN_MAX_DEGREE)
         return cls(1, c1, z, z)

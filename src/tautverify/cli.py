@@ -47,11 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format_class(c: TautClass, repo: Repo) -> str:
-    space = repo.space(c.space)
-    entries = [f"  {lbl:10s} {coeff}" for lbl, coeff in zip(space.basis(c.degree), c.coeffs) if coeff != 0]
-    body = "\n".join(entries) if entries else "  0"
-    return body
+def _format_class(c: TautClass) -> str:
+    entries = [f"  {lbl:10s} {coeff}" for lbl, coeff in zip(c.space.basis(c.degree), c.coeffs) if coeff != 0]
+    return "\n".join(entries) if entries else "  0"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,18 +81,16 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "show-class":
             c = repo.catalog_class(args.name)
-            print(f"{args.name}  (space {c.space}, degree {c.degree})")
+            print(f"{args.name}  (space {c.space.id}, degree {c.degree})")
             source = repo.catalog_source(args.name)
             if source:
                 print(f"  source: {source}")
-            print(_format_class(c, repo))
+            print(_format_class(c))
             return 0
 
         if args.command == "eval":
             functional = repo.functional(args.surface)
-            c = repo.catalog_class(args.class_name)
-            space = repo.space(c.space)
-            value = evaluate(functional, c, space)
+            value = evaluate(functional, repo.catalog_class(args.class_name))
             print(f"<{args.surface}, {args.class_name}> = {value}")
             return 0
     except UnknownNameError as exc:

@@ -118,20 +118,18 @@ class Repo:
 
         for sid in SURFACE_IDS:
             raw = self._read(f"surfaces/{sid.lower()}.json")
-            space = self.space(raw["target_space"])
             model = make_surface(
                 id=raw["id"],
-                target_space=raw["target_space"],
+                space=self.space(raw["target_space"]),
                 lattice=raw["lattice"],
                 gram_rows=raw["gram"],
                 restrictions=raw["restrictions"],
                 overrides=raw["overrides"],
                 direct_values=raw["direct_values"],
                 special_products=raw["special_products"],
-                space=space,
             )
             self._surfaces[sid] = model
-            self._functionals[sid] = surface_functional(model, space)
+            self._functionals[sid] = surface_functional(model)
 
         self.counts = CountRegistry(self._read("counts.json"))
         self.golden = self._read("golden_checks.json")
@@ -166,9 +164,6 @@ class Repo:
         self.catalog_class(name)
         return self._catalog_sources[name]
 
-    def catalog_names(self) -> list[str]:
-        return sorted(self._catalog)
-
     def formal_class(self, name: str) -> dict[str, Fraction]:
         try:
             return dict(self._formal[name])
@@ -184,9 +179,6 @@ class Repo:
     def functional(self, sid: str) -> SurfaceFunctional:
         self.surface(sid)
         return self._functionals[sid]
-
-    def surface_space(self, sid: str) -> RingSpace:
-        return self.space(self.surface(sid).target_space)
 
 
 _DEFAULT: Repo | None = None

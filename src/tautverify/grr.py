@@ -148,7 +148,7 @@ def lambda2_values(repo) -> dict[str, Fraction]:
     sh4_minus = m4_specialize(spin_porteous_class())
     h4_minus = odd_theta_count(4) * sh4_minus
     h4 = m4_specialize(canonical_jet_porteous_class())
-    hyp4_lambda2 = repo.catalog_class("Hyp4").coeff("lam^2", repo.space("M4"))
+    hyp4_lambda2 = repo.catalog_class("Hyp4").coeff("lam^2")
     h4_plus = h4 - hyperelliptic_weierstrass_count(4) * hyp4_lambda2 - h4_minus
     return dict(zip(_LOCI, (sh4_minus, h4_minus, h4, h4_plus)))
 

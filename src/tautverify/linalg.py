@@ -85,16 +85,6 @@ class QMatrix:
     def from_rows(cls, rows: Iterable[Iterable]) -> "QMatrix":
         return cls(tuple(as_vector(r) for r in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        z = Fraction(0)
-        return cls(tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)

@@ -57,6 +57,12 @@ def _ratios(terms: Iterable[tuple[Exps, Fraction]], sign: int = 1) -> Iterable[t
     return ((e, sign * c.numerator, c.denominator) for e, c in terms)
 
 
+def _full_length(exps: Exps) -> Exps:
+    if len(exps) != len(SYMBOLS):
+        raise DegreeError(f"exponent tuple {exps} must have one entry per symbol of {SYMBOLS}")
+    return exps
+
+
 def _exps_from_powers(powers: Mapping[str, int]) -> Exps:
     exps = [0] * len(SYMBOLS)
     for sym, e in powers.items():
@@ -74,7 +80,8 @@ class TruncatedPoly:
     @classmethod
     def from_terms(cls, terms: Mapping[Exps, Fraction] | Iterable[tuple[Exps, Fraction]], max_degree: int) -> "TruncatedPoly":
         items = terms.items() if isinstance(terms, Mapping) else terms
-        return cls(max_degree, _collect(_ratios((e, as_fraction(c)) for e, c in items), max_degree))
+        triples = _ratios((_full_length(e), as_fraction(c)) for e, c in items)
+        return cls(max_degree, _collect(triples, max_degree))
 
     @classmethod
     def zero(cls, max_degree: int = 4) -> "TruncatedPoly":
@@ -94,9 +101,6 @@ class TruncatedPoly:
             if exps == target:
                 return c
         return Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __add__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         deg = min(self.max_degree, other.max_degree)

@@ -7,6 +7,11 @@ expansions of special codimension-two symbols.  Every coefficient lives in a
 definition file; this module only implements the bilinear expansion, the
 basis reduction, and the homomorphism rules.
 
+Classes, maps and gluing restrictions hold the RingSpace objects they live
+on, so no function takes a space beside an object that already names it.
+Spaces compare by identity: two spaces are the same only if they are one
+loaded object.
+
 Degree-2 classes are vectors over the codim-2 basis.  Formal inputs (plain
 mappings from labels to rationals) may also mention non-basis product labels
 and, where a map stores them, special symbols.  A ring map's degree-2 images
@@ -15,7 +20,7 @@ are built once at load, so applying any map is one loop over stored images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -26,7 +31,7 @@ from .errors import (
     SpaceMismatchError,
     UnknownLabelError,
 )
-from .linalg import QMatrix, Solution, Vector, _combine, _dot, as_fraction, solve_exact
+from .linalg import Inconsistent, QMatrix, Solution, Vector, _combine, _dot, as_fraction, solve_exact
 
 Formal = Mapping[str, Fraction]
 
@@ -42,16 +47,15 @@ def product_label(basis_index: Mapping[str, int], a: str, b: str) -> str:
 class TautClass:
     """Exact rational coefficient vector over one graded piece of one space."""
 
-    space: str
+    space: "RingSpace"
     degree: int
     coeffs: tuple[Fraction, ...]
 
-    def coeff(self, label: str, space: "RingSpace") -> Fraction:
-        return self.coeffs[space.basis_index(self.degree)[label]]
+    def coeff(self, label: str) -> Fraction:
+        return self.coeffs[self.space.basis_index(self.degree)[label]]
 
-    def as_dict(self, space: "RingSpace") -> dict[str, Fraction]:
-        basis = space.basis(self.degree)
-        return {lbl: c for lbl, c in zip(basis, self.coeffs) if c != 0}
+    def as_dict(self) -> dict[str, Fraction]:
+        return {lbl: c for lbl, c in zip(self.space.basis(self.degree), self.coeffs) if c != 0}
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -70,13 +74,13 @@ class TautClass:
 
 
 def _check_same(a: TautClass, b: TautClass):
-    if a.space != b.space or a.degree != b.degree:
+    if a.space is not b.space or a.degree != b.degree:
         raise SpaceMismatchError(
-            f"cannot combine ({a.space}, degree {a.degree}) with ({b.space}, degree {b.degree})"
+            f"cannot combine ({a.space.id}, degree {a.degree}) with ({b.space.id}, degree {b.degree})"
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RingSpace:
     """One moduli space: bases, product rewrites, relations, special expansions."""
 
@@ -89,11 +93,17 @@ class RingSpace:
     # two-pointed genus-1 space)
     divisor_reductions: Mapping[str, dict[str, Fraction]]
     relations: tuple[dict[str, Fraction], ...]
-    special_expansions: Mapping[str, TautClass]
+    # special symbol -> its vector over codim2_basis; bare vectors, so that a
+    # space and its classes form no reference cycle and a dropped load is
+    # freed at once
+    special_expansions: Mapping[str, Vector]
     # (gen_a, gen_b) pairs for every canonical product label
     product_pairs: Mapping[str, tuple[str, str]]
     # basis label or reduced product label -> its vector over codim2_basis
     codim2_vectors: Mapping[str, Vector]
+
+    def __repr__(self) -> str:
+        return f"RingSpace({self.id!r})"
 
     def basis(self, degree: int) -> tuple[str, ...]:
         if degree == 1:
@@ -106,7 +116,7 @@ class RingSpace:
         return self.divisor_index if degree == 1 else self.codim2_index
 
     def zero(self, degree: int) -> TautClass:
-        return TautClass(self.id, degree, (Fraction(0),) * len(self.basis(degree)))
+        return TautClass(self, degree, (Fraction(0),) * len(self.basis(degree)))
 
     def from_dict(self, degree: int, coeffs: Mapping[str, object]) -> TautClass:
         index = self.basis_index(degree)
@@ -115,7 +125,7 @@ class RingSpace:
             if label not in index:
                 raise UnknownLabelError(f"{label!r} is not a degree-{degree} basis label of {self.id}")
             vec[index[label]] = as_fraction(c)
-        return TautClass(self.id, degree, tuple(vec))
+        return TautClass(self, degree, tuple(vec))
 
     def basis_class(self, degree: int, label: str) -> TautClass:
         return self.from_dict(degree, {label: 1})
@@ -174,7 +184,7 @@ def make_space(
     zero = (Fraction(0),) * len(cod)
     vectors = {label: zero[:i] + (Fraction(1),) + zero[i + 1 :] for i, label in enumerate(cod)}
     vectors.update((label, tuple(vec.get(k, Fraction(0)) for k in cod)) for label, vec in reductions.items())
-    bare = RingSpace(
+    space = RingSpace(
         id=id,
         divisor_basis=div,
         codim2_basis=cod,
@@ -186,11 +196,10 @@ def make_space(
         product_pairs=pairs,
         codim2_vectors=vectors,
     )
-    specials = {
-        name: reduce_to_basis(bare, {k: as_fraction(v) for k, v in formal.items()})
+    space.special_expansions.update(
+        (name, reduce_to_basis(space, {k: as_fraction(v) for k, v in formal.items()}).coeffs)
         for name, formal in special_expansions_formal.items()
-    }
-    space = replace(bare, special_expansions=specials)
+    )
 
     for rel in space.relations:
         if not reduce_to_basis(space, rel).is_zero():
@@ -213,7 +222,7 @@ def reduce_to_basis(space: RingSpace, formal: Formal) -> TautClass:
         if label not in space.codim2_vectors:
             raise UnknownLabelError(f"{label!r} cannot be reduced on {space.id}")
         terms.append((c, space.codim2_vectors[label]))
-    return TautClass(space.id, 2, _combine(terms, len(space.codim2_basis)))
+    return TautClass(space, 2, _combine(terms, len(space.codim2_basis)))
 
 
 def expand_divisor(space: RingSpace, coeffs: Formal) -> dict[str, Fraction]:
@@ -231,13 +240,14 @@ def expand_divisor(space: RingSpace, coeffs: Formal) -> dict[str, Fraction]:
     return out
 
 
-def divisor_product(space: RingSpace, a: TautClass, b: TautClass) -> TautClass:
+def divisor_product(a: TautClass, b: TautClass) -> TautClass:
     """Bilinear symmetric product of two divisor classes, reduced to the basis."""
     for x in (a, b):
-        if x.space != space.id:
-            raise SpaceMismatchError(f"class on {x.space} given to product on {space.id}")
         if x.degree != 1:
             raise DegreeError(f"divisor_product needs degree-1 classes, got degree {x.degree}")
+    space = a.space
+    if b.space is not space:
+        raise SpaceMismatchError(f"cannot multiply a class on {space.id} by a class on {b.space.id}")
     factors: dict[str, tuple[list, list]] = {}
     for i, ca in enumerate(a.coeffs):
         if ca == 0:
@@ -255,7 +265,7 @@ def divisor_product(space: RingSpace, a: TautClass, b: TautClass) -> TautClass:
 def special_expand(space: RingSpace, symbol: str) -> TautClass:
     """Stored expansion of a special codim-2 symbol in the space's basis."""
     try:
-        return space.special_expansions[symbol]
+        return TautClass(space, 2, space.special_expansions[symbol])
     except KeyError:
         raise UnknownLabelError(f"no stored expansion of {symbol!r} on {space.id}") from None
 
@@ -266,8 +276,8 @@ class RingHom:
 
     id: str
     kind: str  # "ring" | "table"
-    domain: str
-    codomain: str
+    domain: RingSpace
+    codomain: RingSpace
     divisor_images: Mapping[str, TautClass]  # ring kind: degree 1 -> degree 1
     special_images: Mapping[str, TautClass]  # ring kind: special label -> degree 2
     table_images: Mapping[str, TautClass]  # table kind: codim-2 label -> degree 1
@@ -307,8 +317,8 @@ def make_hom(
                 raise MissingImageError(f"{id}: no image for special basis label {label!r}")
         codim2 = dict(spec)  # a label that is both a product and a special maps as a product
         for label, (a, b) in domain.product_pairs.items():
-            codim2[label] = divisor_product(codomain, div[a], div[b])
-        return RingHom(id, kind, domain.id, codomain.id, div, spec, {}, codim2)
+            codim2[label] = divisor_product(div[a], div[b])
+        return RingHom(id, kind, domain, codomain, div, spec, {}, codim2)
     if kind == "table":
         table: dict[str, TautClass] = {}
         for label, vec in table_images.items():
@@ -320,7 +330,7 @@ def make_hom(
                 if not table_unlisted_zero:
                     raise MissingImageError(f"{id}: no table entry for {label!r}")
                 table[label] = codomain.zero(1)
-        return RingHom(id, kind, domain.id, codomain.id, {}, {}, table, {})
+        return RingHom(id, kind, domain, codomain, {}, {}, table, {})
     raise DataError(f"{id}: unknown hom kind {kind!r}")
 
 
@@ -336,13 +346,7 @@ def _resolve_special_image(codomain: RingSpace, vec: Mapping[str, object]) -> Ta
     return out + reduce_to_basis(codomain, formal)
 
 
-def apply_hom(
-    hom: RingHom,
-    c: TautClass | Formal,
-    domain: RingSpace,
-    codomain: RingSpace,
-    degree: int | None = None,
-) -> TautClass:
+def apply_hom(hom: RingHom, c: TautClass | Formal, degree: int | None = None) -> TautClass:
     """Apply a stored map to a class.
 
     Degree-1 classes map through the divisor images, degree-2 classes label
@@ -352,13 +356,11 @@ def apply_hom(
     loop.  `c` may be a plain mapping, in which case it may also mention
     non-basis product labels and any stored special symbol.
     """
-    if hom.domain != domain.id or hom.codomain != codomain.id:
-        raise SpaceMismatchError(f"{hom.id} maps {hom.domain} -> {hom.codomain}")
     if isinstance(c, TautClass):
-        if c.space != domain.id:
-            raise SpaceMismatchError(f"class on {c.space} given to {hom.id} (domain {domain.id})")
+        if c.space is not hom.domain:
+            raise SpaceMismatchError(f"class on {c.space.id} given to {hom.id} (domain {hom.domain.id})")
         degree = c.degree
-        items = list(zip(domain.basis(degree), c.coeffs))
+        items = list(zip(c.space.basis(degree), c.coeffs))
     else:
         if degree is None:
             degree = 2
@@ -378,7 +380,7 @@ def apply_hom(
             if label not in images:
                 raise MissingImageError(f"{hom.id}: {missing} {label!r}")
             terms.append((coeff, images[label].coeffs))
-    return TautClass(codomain.id, out_degree, _combine(terms, len(codomain.basis(out_degree))))
+    return TautClass(hom.codomain, out_degree, _combine(terms, len(hom.codomain.basis(out_degree))))
 
 
 # --- gluing restrictions for the node-smoothing lemmas -----------------------
@@ -393,9 +395,9 @@ class GluingRestriction:
     """
 
     id: str
-    domain: str
+    domain: RingSpace
     domain_labels: tuple[str, ...]
-    factors: tuple[str, str]
+    factors: tuple[RingSpace, RingSpace]
     images: Mapping[str, dict[tuple[int, str], Fraction]]
     weierstrass_factors: tuple[int, ...]
 
@@ -408,6 +410,9 @@ def make_gluing(
     images: Mapping[str, Mapping[str, object]],
     weierstrass_factors: Sequence[int],
 ) -> GluingRestriction:
+    for fac in weierstrass_factors:
+        if fac not in (1, 2):
+            raise DataError(f"{id}: weierstrass factor {fac!r} is neither 1 nor 2")
     resolved: dict[str, dict[tuple[int, str], Fraction]] = {}
     for label in domain_labels:
         if label not in images:
@@ -421,26 +426,23 @@ def make_gluing(
                 vec[(fac, k)] = vec.get((fac, k), Fraction(0)) + v
         resolved[label] = vec
     return GluingRestriction(
-        id, domain.id, tuple(domain_labels), (factors[0].id, factors[1].id), resolved, tuple(weierstrass_factors)
+        id, domain, tuple(domain_labels), tuple(factors), resolved, tuple(weierstrass_factors)
     )
 
 
 def solve_boundary_class(
-    gluing: GluingRestriction,
-    factors: tuple[RingSpace, RingSpace],
-    weierstrass: TautClass,
-    space: RingSpace,
-) -> tuple[dict[str, Fraction], TautClass, Solution]:
+    gluing: GluingRestriction, weierstrass: TautClass
+) -> tuple[dict[str, Fraction], TautClass, Solution] | Inconsistent:
     """Express a Weierstrass boundary locus in the boundary-divisor sub-basis.
 
     Sets up the linear system ``sum_i x_i * restriction(label_i) = pullback of
     the genus-2 Weierstrass divisor from the stated factors`` and solves it
     exactly.  Returns the sub-basis presentation, its reduction to the
-    canonical codim-2 basis, and the raw solver output (for uniqueness and
-    consistency assertions).
+    canonical codim-2 basis, and the raw solver output (for the uniqueness
+    assertion); an inconsistent system returns the solver's certificate.
     """
     coords: list[tuple[int, str]] = []
-    for fac, factor_space in ((1, factors[0]), (2, factors[1])):
+    for fac, factor_space in enumerate(gluing.factors, 1):
         for lbl in factor_space.divisor_basis:
             coords.append((fac, lbl))
     coord_index = {c: i for i, c in enumerate(coords)}
@@ -455,17 +457,16 @@ def solve_boundary_class(
 
     rhs = [Fraction(0)] * len(coords)
     for fac in gluing.weierstrass_factors:
-        factor_space = factors[fac - 1]
-        if weierstrass.space != factor_space.id:
+        factor_space = gluing.factors[fac - 1]
+        if weierstrass.space is not factor_space:
             raise SpaceMismatchError(
-                f"Weierstrass divisor lives on {weierstrass.space}, factor is {factor_space.id}"
+                f"Weierstrass divisor lives on {weierstrass.space.id}, factor is {factor_space.id}"
             )
-        for lbl, c in weierstrass.as_dict(factor_space).items():
+        for lbl, c in weierstrass.as_dict().items():
             rhs[coord_index[(fac, lbl)]] += c
 
     sol = solve_exact(matrix, rhs)
-    if isinstance(sol, Solution):
-        presentation = {lbl: sol.vector[i] for i, lbl in enumerate(gluing.domain_labels)}
-        reduced = reduce_to_basis(space, presentation)
-        return presentation, reduced, sol
-    raise DataError(f"{gluing.id}: restriction system is inconsistent: {sol}")
+    if isinstance(sol, Inconsistent):
+        return sol
+    presentation = {lbl: sol.vector[i] for i, lbl in enumerate(gluing.domain_labels)}
+    return presentation, reduce_to_basis(gluing.domain, presentation), sol

@@ -28,28 +28,8 @@ class TruncatedSeries:
         if len(self.coeffs) != self.order + 1:
             raise DegreeError(f"need {self.order + 1} coefficients, got {len(self.coeffs)}")
 
-    @classmethod
-    def from_coeffs(cls, coeffs, variable: str = "t") -> "TruncatedSeries":
-        cs = tuple(as_fraction(c) for c in coeffs)
-        return cls(variable, len(cs) - 1, cs)
-
-    @classmethod
-    def one(cls, order: int, variable: str = "t") -> "TruncatedSeries":
-        return cls(variable, order, (Fraction(1),) + (Fraction(0),) * order)
-
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k <= self.order else Fraction(0)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        _check_var(self, other)
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            self.variable, order, tuple(self.coeffs[k] + other.coeffs[k] for k in range(order + 1))
-        )
-
-    def scale(self, c) -> "TruncatedSeries":
-        c = as_fraction(c)
-        return TruncatedSeries(self.variable, self.order, tuple(c * x for x in self.coeffs))
 
     def __str__(self):
         parts = [f"{c}*{self.variable}^{k}" for k, c in enumerate(self.coeffs) if c != 0]
@@ -82,13 +62,15 @@ def todd_inverse(order: int, variable: str = "t") -> TruncatedSeries:
 
 
 def jet_sum(n: int, w, order: int, variable: str = "t") -> TruncatedSeries:
-    """e^{wt} * sum_{i=0}^{n} e^{it}: Chern character of a weight-w jet sum."""
+    """e^{wt} * sum_{i=0}^{n} e^{it}: Chern character of a weight-w jet sum.
+
+    The t^k coefficient of the sum of exponentials is the power sum
+    sum_i i^k over k!, one Fraction per coefficient.
+    """
     if n < 0:
         raise DegreeError("jet order must be >= 0")
-    total = TruncatedSeries(variable, order, (Fraction(0),) * (order + 1))
-    for i in range(n + 1):
-        total = total + exp_scaled(i, order, variable)
-    return series_mul(exp_scaled(w, order, variable), total)
+    sums = tuple(Fraction(sum(i**k for i in range(n + 1)), math.factorial(k)) for k in range(order + 1))
+    return series_mul(exp_scaled(w, order, variable), TruncatedSeries(variable, order, sums))
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

@@ -6,6 +6,9 @@ generators, and directly stated values for the special classes.  Product
 entries are derived from the Gram pairing unless the source table overrides
 them.  The functional, built at load, keeps each lattice-derived value beside
 the effective one, and audit_overrides reports the comparison.
+
+A model and its functional hold the RingSpace of the family's target, so a
+class is paired with a functional without naming a space again.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ OVERRIDE = "override"
 @dataclass(frozen=True)
 class SurfaceModel:
     id: str
-    target_space: str
+    space: RingSpace
     lattice_labels: tuple[str, ...]
     gram: QMatrix
     divisor_restrictions: Mapping[str, Vector]
@@ -40,7 +43,7 @@ class SurfaceModel:
 @dataclass(frozen=True)
 class SurfaceFunctional:
     surface: str
-    target_space: str
+    space: RingSpace
     values: Mapping[str, Fraction]
     provenance: Mapping[str, str]
     derived: Mapping[str, Fraction]  # label -> lattice value: every formal product, basis or not, and special product
@@ -56,14 +59,13 @@ class AuditEntry:
 
 def make_surface(
     id: str,
-    target_space: str,
+    space: RingSpace,
     lattice: Sequence[str],
     gram_rows: Sequence[Sequence],
     restrictions: Mapping[str, Sequence],
     overrides: Mapping[str, object],
     direct_values: Mapping[str, object],
     special_products: Mapping[str, Sequence],
-    space: RingSpace,
 ) -> SurfaceModel:
     labels = tuple(lattice)
     gram = QMatrix.from_rows(gram_rows)
@@ -87,7 +89,7 @@ def make_surface(
     sp = {}
     for k, pairs in special_products.items():
         sp[k] = tuple((as_vector(p[0]), as_vector(p[1])) for p in pairs)
-    return SurfaceModel(id, target_space, labels, gram, restr, ov, dv, sp)
+    return SurfaceModel(id, space, labels, gram, restr, ov, dv, sp)
 
 
 def pair_on_surface(surface: SurfaceModel, v: Sequence, w: Sequence) -> Fraction:
@@ -103,7 +105,7 @@ def _derived_special_value(surface: SurfaceModel, label: str) -> Fraction:
     return _dot(pairings, [1] * len(pairings))
 
 
-def surface_functional(surface: SurfaceModel, space: RingSpace) -> SurfaceFunctional:
+def surface_functional(surface: SurfaceModel) -> SurfaceFunctional:
     """Build the full functional: every codim-2 basis label gets a value.
 
     Product labels come from the Gram pairing unless overridden; special
@@ -113,6 +115,7 @@ def surface_functional(surface: SurfaceModel, space: RingSpace) -> SurfaceFuncti
     lattice-derived value is kept too, also where a stated value wins and
     for formal products outside the basis (one Gram product per generator).
     """
+    space = surface.space
     values: dict[str, Fraction] = {}
     prov: dict[str, str] = {}
     restr = surface.divisor_restrictions
@@ -144,32 +147,29 @@ def surface_functional(surface: SurfaceModel, space: RingSpace) -> SurfaceFuncti
         if label not in values:
             values[label] = derived[label]
             prov[label] = DERIVED
-    return SurfaceFunctional(surface.id, surface.target_space, values, prov, derived)
+    return SurfaceFunctional(surface.id, space, values, prov, derived)
 
 
-def evaluate(functional: SurfaceFunctional, c: TautClass, space: RingSpace) -> Fraction:
+def evaluate(functional: SurfaceFunctional, c: TautClass) -> Fraction:
     """Pair the functional with a codim-2 class: sum of value * coefficient."""
-    if c.space != functional.target_space:
+    if c.space is not functional.space:
         raise SpaceMismatchError(
-            f"class on {c.space} evaluated against a functional for {functional.target_space}"
+            f"class on {c.space.id} evaluated against a functional for {functional.space.id}"
         )
     if c.degree != 2:
         raise DegreeError("evaluate needs a degree-2 class")
-    nonzero = [(coeff, label) for label, coeff in zip(space.codim2_basis, c.coeffs) if coeff]
+    nonzero = [(coeff, label) for label, coeff in zip(c.space.codim2_basis, c.coeffs) if coeff]
     return _dot([coeff for coeff, _ in nonzero], [functional.values[label] for _, label in nonzero])
 
 
-def evaluate_formal_products(functional: SurfaceFunctional, space: RingSpace, formal: Mapping[str, object]) -> Fraction:
+def evaluate_formal_products(functional: SurfaceFunctional, formal: Mapping[str, object]) -> Fraction:
     """Pair a formal divisor-product vector with the family via raw Gram pairings.
 
     It reads the lattice values built at load, bypassing both the basis
     reduction and any override, so it checks that the lattice data itself
     annihilates the stored ring relations.
     """
-    if space.id != functional.target_space:
-        raise SpaceMismatchError(
-            f"products on {space.id} evaluated against a functional for {functional.target_space}"
-        )
+    space = functional.space
     coeffs, values = [], []
     for label, c in formal.items():
         c = as_fraction(c)

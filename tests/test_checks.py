@@ -86,15 +86,14 @@ def test_multiplicity_solutions(repo):
 
 
 def test_computed_classes_match_catalog(repo):
-    m31, m4 = repo.space("M31"), repo.space("M4")
     hyp31, _ = compute_hyp31(repo)
     assert hyp31 == repo.catalog_class("Hyp31_theorem")
     f31, _ = compute_f31(repo)
     assert f31 == repo.catalog_class("F31_theorem")
-    assert f31.coeff("kappa2", m31) == 3
+    assert f31.coeff("kappa2") == 3
     h4plus, _ = compute_h4plus(repo)
     assert h4plus == repo.catalog_class("H4plus_theorem")
-    assert h4plus.coeff("lam^2", m4) == 2448
+    assert h4plus.coeff("lam^2") == 2448
 
 
 def test_inconsistent_system_fails_with_certificate(tmp_path):
@@ -221,6 +220,70 @@ def test_cli_eval(capsys):
     assert main(["eval", "--surface", "V1", "--class", "Hyp4"]) == 0
     captured = capsys.readouterr()
     assert "= 36" in captured.out
+
+
+HYP4_SHOWN = """\
+Hyp4  (space M4, degree 2)
+  source: published class of the closed hyperelliptic locus in genus 4
+  lam^2      51/4
+  lam*d0     -31/10
+  lam*d1     -117/10
+  lam*d2     3
+  d0^2       7/40
+  d0*d1      7/5
+  d1^2       21/10
+  d1*d2      3
+  d2^2       9/2
+  d00        1/40
+  d01a       -3/40
+  gamma1     -3/10
+  d1|1       9/10
+"""
+
+
+def test_cli_show_class_and_eval_output_is_pinned(capsys):
+    # the full stdout of both commands, byte for byte
+    assert main(["show-class", "Hyp4"]) == 0
+    assert capsys.readouterr().out == HYP4_SHOWN
+    assert main(["eval", "--surface", "V1", "--class", "Hyp4"]) == 0
+    assert capsys.readouterr().out == "<V1, Hyp4> = 36\n"
+
+
+def _data_copy_with(tmp_path, relpath, edit):
+    src = resources.files("tautverify").joinpath("data")
+    with resources.as_file(src) as p:
+        shutil.copytree(p, tmp_path / "data")
+    path = tmp_path / "data" / relpath
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+    return str(tmp_path / "data")
+
+
+def test_weierstrass_factor_out_of_range_is_rejected_at_load(tmp_path, capsys):
+    def edit(raw):
+        raw["weierstrass_factors"] = [3]
+
+    data_dir = _data_copy_with(tmp_path, "homs/xi_star_m31.json", edit)
+    assert main(["--data-dir", data_dir, "run-all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "xi_star_m31: weierstrass factor 3 is neither 1 nor 2" in captured.err
+
+
+def test_inconsistent_restriction_system_fails_w2_lemmas(tmp_path, capsys):
+    # a restriction image that no boundary class solves: the lemma fails with
+    # the solver's witness and every other check still runs
+    def edit(raw):
+        raw["images"]["d0*d2"]["1:d0"] = 2
+
+    data_dir = _data_copy_with(tmp_path, "homs/xi_star_m4.json", edit)
+    assert main(["--data-dir", data_dir, "run-all"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] w2_lemmas" in out
+    assert "expected: m4_consistent: true\n" in out
+    assert "actual:   m4_consistent: false (witness rhs -1/20)\n" in out
+    assert "17/18 checks passed" in out
 
 
 def test_cli_data_dir_override(tmp_path):

@@ -1,10 +1,13 @@
+import gc
 import json
 import shutil
+import weakref
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from tautverify.checks import run_all
 from tautverify.data import Repo
 from tautverify.errors import DataError, UnknownNameError
 
@@ -19,7 +22,10 @@ def _copy_embedded(tmp_path: Path) -> Path:
 def test_override_dir_loads_identically(repo, tmp_path):
     data_dir = _copy_embedded(tmp_path)
     other = Repo(data_dir)
-    assert other.catalog_class("Hyp4") == repo.catalog_class("Hyp4")
+    # spaces compare by identity, so classes of two loads compare by content
+    mine, theirs = repo.catalog_class("Hyp4"), other.catalog_class("Hyp4")
+    assert (theirs.space.id, theirs.degree, theirs.coeffs) == (mine.space.id, mine.degree, mine.coeffs)
+    assert theirs.space is not mine.space
     assert other.functional("T2").values == repo.functional("T2").values
 
 
@@ -82,7 +88,23 @@ def test_unknown_lookups(repo):
 
 
 def test_all_catalog_classes_well_formed(repo):
-    for name in repo.catalog_names():
+    catalog = json.loads(resources.files("tautverify").joinpath("data", "catalog.json").read_text())
+    for name, entry in catalog["classes"].items():
         c = repo.catalog_class(name)
-        space = repo.space(c.space)
-        assert len(c.coeffs) == len(space.basis(c.degree))
+        assert c.space is repo.space(entry["space"])
+        assert len(c.coeffs) == len(c.space.basis(c.degree))
+
+
+def test_a_dropped_load_is_freed_without_the_cycle_collector():
+    # classes point at their space, so the space must not point back at
+    # classes: a reference cycle would keep every dropped load alive until
+    # the cycle collector runs
+    gc.disable()
+    try:
+        repo = Repo()
+        run_all(repo)
+        space = weakref.ref(repo.space("M31"))
+        del repo
+        assert space() is None
+    finally:
+        gc.enable()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
+from tautverify.errors import DegreeError
 from tautverify.poly import SYMBOLS, WEIGHTS, TruncatedPoly, _exps_from_powers
 
 from conftest import sparse_rationals
@@ -113,3 +114,12 @@ def test_poly_rejects_floats():
         TruncatedPoly.from_terms({_MONOMIALS[1]: 0.5}, 3)
     with pytest.raises(TypeError):
         mono({"psi": 1}, 1).scale(0.5)
+
+
+def test_poly_rejects_exponent_tuples_of_the_wrong_length():
+    # a short tuple used to be stored beside the full-length key of the same
+    # monomial: this printed "1*psi + 1*psi" with psi coefficient 1, not 2
+    with pytest.raises(DegreeError):
+        TruncatedPoly.from_terms({(1,): 1, (1, 0, 0, 0, 0, 0, 0, 0): 1}, 3)
+    with pytest.raises(DegreeError):
+        TruncatedPoly.from_terms([((1, 0, 0, 0, 0, 0, 0, 0, 0), 1)], 3)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from tautverify.data import Repo
 from tautverify.errors import (
     MissingImageError,
     SpaceMismatchError,
@@ -67,25 +68,25 @@ def test_m22_basis_is_the_fourteen_products(repo):
 
 def test_m4_d0_d2_rewrites(repo):
     m4 = repo.space("M4")
-    prod = divisor_product(m4, m4.basis_class(1, "d0"), m4.basis_class(1, "d2"))
+    prod = divisor_product(m4.basis_class(1, "d0"), m4.basis_class(1, "d2"))
     assert prod == cls(m4, 2, {"lam*d2": 10, "d1*d2": -2})
 
 
 def test_m22_psi1_d012_vanishes(repo):
     m22 = repo.space("M22")
-    prod = divisor_product(m22, m22.basis_class(1, "psi1"), m22.basis_class(1, "d0_12"))
+    prod = divisor_product(m22.basis_class(1, "psi1"), m22.basis_class(1, "d0_12"))
     assert prod.is_zero()
 
 
 def test_product_with_zero(repo):
     m31 = repo.space("M31")
-    assert divisor_product(m31, m31.zero(1), m31.basis_class(1, "psi")).is_zero()
+    assert divisor_product(m31.zero(1), m31.basis_class(1, "psi")).is_zero()
 
 
 def test_divisor_pairing_display(repo):
     # the Weierstrass-times-bitangent product in the sixteen-class basis
     m31 = repo.space("M31")
-    prod = divisor_product(m31, repo.catalog_class("W31"), repo.catalog_class("Theta31"))
+    prod = divisor_product(repo.catalog_class("W31"), repo.catalog_class("Theta31"))
     assert prod == cls(m31, 2, repo.golden["pushforwards"]["wtheta_product_m31"])
 
 
@@ -104,7 +105,7 @@ def test_reduce_getzler_relation(repo):
 def test_reduce_idempotent_on_canonical(repo):
     m31 = repo.space("M31")
     c = repo.catalog_class("F31_theorem")
-    assert reduce_to_basis(m31, c.as_dict(m31)) == c
+    assert reduce_to_basis(m31, c.as_dict()) == c
 
 
 def test_reduce_rejects_unknown_label(repo):
@@ -128,11 +129,20 @@ def test_all_relations_reduce_to_zero(repo):
 def test_space_and_degree_mismatch(repo):
     m31, m4 = repo.space("M31"), repo.space("M4")
     with pytest.raises(SpaceMismatchError):
-        divisor_product(m31, m4.basis_class(1, "lam"), m31.basis_class(1, "psi"))
+        divisor_product(m4.basis_class(1, "lam"), m31.basis_class(1, "psi"))
     from tautverify.errors import DegreeError
 
     with pytest.raises(DegreeError):
-        divisor_product(m31, repo.catalog_class("Hyp31_theorem"), m31.basis_class(1, "psi"))
+        divisor_product(repo.catalog_class("Hyp31_theorem"), m31.basis_class(1, "psi"))
+
+
+def test_class_arithmetic_needs_one_space_object(repo):
+    m31, m4 = repo.space("M31"), repo.space("M4")
+    with pytest.raises(SpaceMismatchError, match=r"cannot combine \(M31, degree 1\) with \(M4, degree 1\)"):
+        m31.basis_class(1, "psi") + m4.basis_class(1, "lam")
+    # spaces compare by identity: the same space loaded twice is two spaces
+    with pytest.raises(SpaceMismatchError):
+        m31.zero(2) - Repo().space("M31").zero(2)
 
 
 @given(st.data())
@@ -144,9 +154,9 @@ def test_product_bilinear_symmetric(repo, data):
     )
     a, b, c = vec(), vec(), vec()
     t = data.draw(rationals)
-    assert divisor_product(space, a, b) == divisor_product(space, b, a)
-    left = divisor_product(space, a + b.scale(t), c)
-    right = divisor_product(space, a, c) + divisor_product(space, b, c).scale(t)
+    assert divisor_product(a, b) == divisor_product(b, a)
+    left = divisor_product(a + b.scale(t), c)
+    right = divisor_product(a, c) + divisor_product(b, c).scale(t)
     assert left == right
 
 
@@ -156,10 +166,10 @@ def test_product_bilinear_symmetric(repo, data):
 def test_gamma2_expansion_entries(repo):
     m31 = repo.space("M31")
     g2 = special_expand(m31, "gamma2")
-    assert g2.coeff("psi^2", m31) == F(15, 2)
-    assert g2.coeff("psi*lam", m31) == -21
-    assert g2.coeff("lam^2", m31) == F(101, 2)
-    assert g2.coeff("kappa2", m31) == F(-1, 2)
+    assert g2.coeff("psi^2") == F(15, 2)
+    assert g2.coeff("psi*lam") == -21
+    assert g2.coeff("lam^2") == F(101, 2)
+    assert g2.coeff("kappa2") == F(-1, 2)
 
 
 def test_d00_expansion_entries(repo):
@@ -192,7 +202,7 @@ def test_m22_kappa2_from_hodge_product(repo):
     lam = cls(m22, 1, {"d0": F(1, 10), "d1_1": F(1, 5), "d1_12": F(1, 5)})
     shifted = lam + cls(m22, 1, {"d1_1": 1, "d1_12": 1})
     squares = reduce_to_basis(m22, {"psi1^2": 1, "psi2^2": 1, "d0_12^2": 1})
-    assert divisor_product(m22, lam, shifted) + squares == special_expand(m22, "kappa2")
+    assert divisor_product(lam, shifted) + squares == special_expand(m22, "kappa2")
 
 
 def test_unknown_special(repo):
@@ -229,61 +239,50 @@ def test_catalog_unknown_name(repo):
 def test_theta_star_divisor_images(repo):
     m31, m22 = repo.space("M31"), repo.space("M22")
     theta = repo.hom("theta_star")
-    img = apply_hom(theta, m31.basis_class(1, "d21"), m31, m22)
+    img = apply_hom(theta, m31.basis_class(1, "d21"))
     assert img == cls(m22, 1, {"psi2": -1, "d1_12": 1})
 
 
 def test_pushforward_table_entries(repo):
     m31, m3 = repo.space("M31"), repo.space("M3")
     push = repo.hom("p_star_pushforward")
-    assert apply_hom(push, m31.basis_class(2, "psi*d21"), m31, m3) == cls(m3, 1, {"d1": 3})
-    assert apply_hom(push, m31.basis_class(2, "lam^2"), m31, m3).is_zero()
-    assert apply_hom(push, m31.basis_class(2, "kappa2"), m31, m3) == cls(
+    assert apply_hom(push, m31.basis_class(2, "psi*d21")) == cls(m3, 1, {"d1": 3})
+    assert apply_hom(push, m31.basis_class(2, "lam^2")).is_zero()
+    assert apply_hom(push, m31.basis_class(2, "kappa2")) == cls(
         m3, 1, {"lam": 12, "d0": -1, "d1": -1}
     )
 
 
 def test_apply_hom_to_zero(repo):
-    m31, m22 = repo.space("M31"), repo.space("M22")
-    for hom, dom, cod in (
-        (repo.hom("theta_star"), m31, m22),
-        (repo.hom("p_star_pushforward"), m31, repo.space("M3")),
-    ):
-        assert apply_hom(hom, dom.zero(2), dom, cod).is_zero()
+    for hid in ("theta_star", "p_star_pushforward"):
+        hom = repo.hom(hid)
+        assert apply_hom(hom, hom.domain.zero(2)).is_zero()
 
 
 def test_hom_law_on_generator_pairs(repo):
     # pullbacks are ring maps: image of a product equals product of images
-    cases = (
-        ("j3_star", "M4", "M31"),
-        ("theta_star", "M31", "M22"),
-        ("p_pullback_m3", "M3", "M31"),
-    )
-    for hid, dom_id, cod_id in cases:
-        hom, dom, cod = repo.hom(hid), repo.space(dom_id), repo.space(cod_id)
+    for hid in ("j3_star", "theta_star", "p_pullback_m3"):
+        hom = repo.hom(hid)
+        dom = hom.domain
         for i, a in enumerate(dom.divisor_basis):
             for b in dom.divisor_basis[i:]:
-                via_product = apply_hom(
-                    hom, divisor_product(dom, dom.basis_class(1, a), dom.basis_class(1, b)), dom, cod
-                )
+                via_product = apply_hom(hom, divisor_product(dom.basis_class(1, a), dom.basis_class(1, b)))
                 direct = divisor_product(
-                    cod,
-                    apply_hom(hom, dom.basis_class(1, a), dom, cod),
-                    apply_hom(hom, dom.basis_class(1, b), dom, cod),
+                    apply_hom(hom, dom.basis_class(1, a)),
+                    apply_hom(hom, dom.basis_class(1, b)),
                 )
                 assert via_product == direct, (hid, a, b)
 
 
 def test_hom_space_mismatch(repo):
-    m31, m22, m4 = repo.space("M31"), repo.space("M22"), repo.space("M4")
-    with pytest.raises(SpaceMismatchError):
-        apply_hom(repo.hom("theta_star"), m4.basis_class(1, "lam"), m31, m22)
+    m4 = repo.space("M4")
+    with pytest.raises(SpaceMismatchError, match="class on M4 given to theta_star"):
+        apply_hom(repo.hom("theta_star"), m4.basis_class(1, "lam"))
 
 
 def test_formal_missing_image(repo):
-    m4, m31 = repo.space("M4"), repo.space("M31")
     with pytest.raises(MissingImageError):
-        apply_hom(repo.hom("j3_star"), {"mystery": F(1)}, m4, m31)
+        apply_hom(repo.hom("j3_star"), {"mystery": F(1)})
 
 
 HOM_CASES = (
@@ -300,6 +299,7 @@ def test_apply_hom_matches_reference_sum(repo, data):
     # images are taken from divisor_product of the divisor images afresh
     hid, dom_id, cod_id = data.draw(st.sampled_from(HOM_CASES))
     hom, dom, cod = repo.hom(hid), repo.space(dom_id), repo.space(cod_id)
+    assert hom.domain is dom and hom.codomain is cod
 
     def draw(labels):
         return dict(zip(labels, data.draw(st.lists(sparse_rationals, min_size=len(labels), max_size=len(labels)))))
@@ -312,11 +312,11 @@ def test_apply_hom_matches_reference_sum(repo, data):
         if set(formal) <= set(dom.basis(degree)):
             inputs.append(dom.from_dict(degree, formal))
         for c in inputs:
-            out = apply_hom(hom, c, dom, cod, degree)
-            assert (out.space, out.degree, out.coeffs) == (cod.id, out_degree, reference)
+            out = apply_hom(hom, c, degree)
+            assert (out.space, out.degree, out.coeffs) == (cod, out_degree, reference)
             assert all(type(x) is F for x in out.coeffs)
         with pytest.raises(MissingImageError) as err:
-            apply_hom(hom, {**formal, "mystery": F(1)}, dom, cod, degree)
+            apply_hom(hom, {**formal, "mystery": F(1)}, degree)
         assert str(err.value) == f"{hid}: {missing} 'mystery'"
 
     if hom.kind == "table":
@@ -324,7 +324,7 @@ def test_apply_hom_matches_reference_sum(repo, data):
         return
     check(draw(dom.divisor_basis), hom.divisor_images, 1, "no divisor image for")
     products = {
-        label: divisor_product(cod, hom.divisor_images[a], hom.divisor_images[b])
+        label: divisor_product(hom.divisor_images[a], hom.divisor_images[b])
         for label, (a, b) in dom.product_pairs.items()
     }
     specials = [k for k in hom.special_images if k not in products]
@@ -332,22 +332,15 @@ def test_apply_hom_matches_reference_sum(repo, data):
 
 
 def test_j3_star_on_relation_class(repo):
-    m4, m31 = repo.space("M4"), repo.space("M31")
     rel = repo.formal_class("kappa2_relation_M4")
-    assert apply_hom(repo.hom("j3_star"), rel, m4, m31).is_zero()
+    assert apply_hom(repo.hom("j3_star"), rel).is_zero()
 
 
 # --- boundary Weierstrass solves --------------------------------------------
 
 
 def test_w2_solve_m31(repo):
-    m31 = repo.space("M31")
-    pres, reduced, sol = solve_boundary_class(
-        repo.gluing("xi_star_m31"),
-        (repo.space("M12"), repo.space("M21")),
-        repo.catalog_class("W21"),
-        m31,
-    )
+    pres, reduced, sol = solve_boundary_class(repo.gluing("xi_star_m31"), repo.catalog_class("W21"))
     assert sol.unique
     assert pres == {
         "psi*d11": F(-9, 5),
@@ -358,14 +351,15 @@ def test_w2_solve_m31(repo):
     assert reduced == repo.catalog_class("W2_M31")
 
 
+def test_w2_solve_needs_the_divisor_on_the_weierstrass_factor(repo):
+    # the genus-1 boundary locus pulls back from factor 2, the genus-2 space
+    with pytest.raises(SpaceMismatchError, match="Weierstrass divisor lives on M12, factor is M21"):
+        solve_boundary_class(repo.gluing("xi_star_m31"), repo.space("M12").basis_class(1, "d0"))
+
+
 def test_w2_solve_m4_reduces_to_catalog(repo):
     m4 = repo.space("M4")
-    pres, reduced, sol = solve_boundary_class(
-        repo.gluing("xi_star_m4"),
-        (repo.space("M21"), repo.space("M21")),
-        repo.catalog_class("W21"),
-        m4,
-    )
+    pres, reduced, sol = solve_boundary_class(repo.gluing("xi_star_m4"), repo.catalog_class("W21"))
     assert sol.unique
     assert pres == {"d0*d2": F(-1, 10), "d1*d2": F(-6, 5), "d2^2": F(-3)}
     assert reduced == cls(m4, 2, {"lam*d2": -1, "d1*d2": -1, "d2^2": -3})

@@ -9,7 +9,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from tautverify.data import SURFACE_IDS
-from tautverify.errors import SpaceMismatchError
+from tautverify.errors import SpaceMismatchError, UnknownLabelError
 from tautverify.linalg import QMatrix
 from tautverify.rings import TautClass, divisor_product, special_expand
 from tautverify.surfaces import (
@@ -122,59 +122,63 @@ def test_functional_provenance_tags(repo):
 
 def test_evaluate_big_pairings(repo):
     m4 = repo.space("M4")
-    theta_t = divisor_product(m4, repo.catalog_class("Theta_null_M4"), repo.catalog_class("T_M4"))
-    assert evaluate(repo.functional("V1"), theta_t, m4) == 18432
+    theta_t = divisor_product(repo.catalog_class("Theta_null_M4"), repo.catalog_class("T_M4"))
+    assert evaluate(repo.functional("V1"), theta_t) == 18432
     m31 = repo.space("M31")
-    w_theta = divisor_product(m31, repo.catalog_class("W31"), repo.catalog_class("Theta31"))
-    assert evaluate(repo.functional("T2"), w_theta, m31) == 388
+    w_theta = divisor_product(repo.catalog_class("W31"), repo.catalog_class("Theta31"))
+    assert evaluate(repo.functional("T2"), w_theta) == 388
 
 
 def test_evaluate_zero(repo):
     m31 = repo.space("M31")
-    assert evaluate(repo.functional("S3"), m31.zero(2), m31) == 0
+    assert evaluate(repo.functional("S3"), m31.zero(2)) == 0
 
 
 def test_evaluate_space_mismatch(repo):
     m4 = repo.space("M4")
     with pytest.raises(SpaceMismatchError):
-        evaluate(repo.functional("S1"), repo.catalog_class("Hyp4"), m4)
+        evaluate(repo.functional("S1"), repo.catalog_class("Hyp4"))
 
 
 @given(st.data())
 def test_evaluate_linear(repo, data):
     sid = data.draw(st.sampled_from(["S1", "S2", "T2", "V2", "V4"]))
-    space = repo.surface_space(sid)
     f = repo.functional(sid)
+    space = f.space
     n = len(space.codim2_basis)
     coeffs_a = data.draw(st.lists(rationals, min_size=n, max_size=n))
     coeffs_b = data.draw(st.lists(rationals, min_size=n, max_size=n))
     t = data.draw(rationals)
     a = space.from_dict(2, dict(zip(space.codim2_basis, coeffs_a)))
     b = space.from_dict(2, dict(zip(space.codim2_basis, coeffs_b)))
-    assert evaluate(f, a + b.scale(t), space) == evaluate(f, a, space) + t * evaluate(f, b, space)
+    assert evaluate(f, a + b.scale(t)) == evaluate(f, a) + t * evaluate(f, b)
 
 
 def test_relation_annihilation_via_lattice(repo):
     m31, m4 = repo.space("M31"), repo.space("M4")
     for sid in ("S1", "S2", "S3", "T1", "T2", "T3"):
         for rel in m31.relations:
-            assert evaluate_formal_products(repo.functional(sid), m31, rel) == 0
+            assert evaluate_formal_products(repo.functional(sid), rel) == 0
     for sid in ("V1", "V2", "V3", "V4"):
         for rel in m4.relations:
-            assert evaluate_formal_products(repo.functional(sid), m4, rel) == 0
+            assert evaluate_formal_products(repo.functional(sid), rel) == 0
 
 
-@pytest.mark.parametrize("formal", [{"d0^2": 1}, {"psi^2": 1}])
-def test_formal_products_need_the_family_space(repo, formal):
-    # V1 is a family over M4; M31 products used to give 0 or a bare KeyError
-    with pytest.raises(SpaceMismatchError, match="products on M31 evaluated against a functional for M4"):
-        evaluate_formal_products(repo.functional("V1"), repo.space("M31"), formal)
+def test_formal_products_read_the_family_space(repo):
+    # V1 is a family over M4: its own products pair through the lattice, and
+    # an M31 product is not a label there
+    v1 = repo.functional("V1")
+    assert v1.space is repo.space("M4")
+    assert evaluate_formal_products(v1, {"d0^2": 2}) == 2 * v1.derived["d0^2"]
+    with pytest.raises(UnknownLabelError, match="'psi\\^2' is not a formal divisor product on M4"):
+        evaluate_formal_products(v1, {"psi^2": 1})
 
 
 def test_derived_values_cover_every_formal_product(repo):
     # the lattice value of each formal product, in the basis or not, is kept at load
     for sid in SURFACE_IDS:
-        surface, space = repo.surface(sid), repo.surface_space(sid)
+        surface = repo.surface(sid)
+        space = surface.space
         derived = repo.functional(sid).derived
         for label, (a, b) in space.product_pairs.items():
             restr_a, restr_b = surface.divisor_restrictions[a], surface.divisor_restrictions[b]
@@ -188,7 +192,7 @@ def test_relation_annihilation_via_functional(repo):
     m31 = repo.space("M31")
     reduced = reduce_to_basis(m31, m31.relations[0])
     for sid in ("S1", "S2", "S3", "T1", "T2", "T3"):
-        assert evaluate(repo.functional(sid), reduced, m31) == 0
+        assert evaluate(repo.functional(sid), reduced) == 0
 
 
 def test_audit_s1_all_match(repo):
@@ -235,7 +239,8 @@ def _fresh_lattice_value(surface, space, label):
 def test_audit_derived_values_come_from_the_lattice(repo):
     # the audit reads the values kept at load; each must equal a fresh pairing
     for sid in SURFACE_IDS:
-        surface, space = repo.surface(sid), repo.surface_space(sid)
+        surface = repo.surface(sid)
+        space = surface.space
         entries = audit_overrides(repo.functional(sid))
         assert [e.label for e in entries] == list(repo.functional(sid).values)
         for e in entries:
@@ -246,12 +251,12 @@ def test_audit_derived_values_come_from_the_lattice(repo):
 
 def test_audit_label_with_direct_value_and_special_product(repo):
     # the stated value stays effective; the lattice value is still audited
-    s1, m31 = repo.surface("S1"), repo.space("M31")
+    s1 = repo.surface("S1")
     pairs = ((s1.divisor_restrictions["d0"], s1.divisor_restrictions["psi"]),)
     model = dataclasses.replace(s1, special_products={"d1|1": pairs})
     lattice = pair_on_surface(model, *pairs[0])
     assert lattice != s1.direct_values["d1|1"]
-    entries = {e.label: e for e in audit_overrides(surface_functional(model, m31))}
+    entries = {e.label: e for e in audit_overrides(surface_functional(model))}
     assert entries["d1|1"] == AuditEntry("d1|1", lattice, s1.direct_values["d1|1"], "override")
 
 
@@ -259,7 +264,7 @@ def test_t3_kappa2_consistent_with_two_node_expansion(repo):
     # the stated kappa2 value on the chain family follows from the vanishing
     # of the two-node class: evaluating its expansion must give zero
     m31 = repo.space("M31")
-    assert evaluate(repo.functional("T3"), special_expand(m31, "d00"), m31) == 0
+    assert evaluate(repo.functional("T3"), special_expand(m31, "d00")) == 0
 
 
 def test_show_tables_matches_oracle():
