@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from . import __version__
+from .chern import ChernVector
 from .counts import (
     abel_difference_degree,
     even_theta_count,
@@ -26,11 +27,12 @@ from .counts import (
 )
 from .data import SURFACE_IDS, Repo, default_repo
 from .errors import UnknownNameError
-from .grr import grr_spin_character, jet_bundle_chern, lambda2_values
+from .grr import JET_BUNDLES, grr_spin_character, jet_bundles, lambda2_values
 from .linalg import (
     Inconsistent,
     QMatrix,
     Solution,
+    _ZERO,
     as_fraction,
     kernel_basis,
     row_space_rref,
@@ -69,7 +71,8 @@ def _fmt(v) -> str:
 
 
 def _fmt_class(c: TautClass) -> str:
-    parts = [f"{lbl}={coeff}" for lbl, coeff in zip(c.space.basis(c.degree), c.coeffs) if coeff != 0]
+    basis = c.space.basis(c.degree)
+    parts = [f"{basis[i]}={n}" if d == 1 else f"{basis[i]}={n}/{d}" for i, n, d in c.support]
     return ", ".join(parts) if parts else "0"
 
 
@@ -250,8 +253,13 @@ class Run:
         self._family_values: dict[tuple[str, str], dict[str, Fraction]] = {}
 
     @cached_property
+    def jets(self) -> dict[str, ChernVector]:
+        """The Chern classes of the jet bundles, read by jet_chern and the lambda^2 pipelines."""
+        return jet_bundles()
+
+    @cached_property
     def lambda2(self) -> dict[str, Fraction]:
-        return lambda2_values(self.repo)
+        return lambda2_values(self.repo, self.jets)
 
     @cached_property
     def known(self) -> dict[str, dict[str, TautClass]]:
@@ -323,7 +331,7 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
                 row.append(values[comp.name])
             else:
                 cid = (comp.counts or {}).get(sid)
-                row.append(repo.counts.get(cid).value if cid else Fraction(0))
+                row.append(repo.counts.get(cid).value if cid else _ZERO)
         names.append(f"family:{sid}")
         rows.append(row)
         rhs.append(values[system.lhs_key])
@@ -415,7 +423,7 @@ def _divide_out(run: Run, system: MultiplicitySystem, assignment: dict, parts: l
         else:
             n = assignment[unknown]
     parts.append(_val_part("division_multiplicity_nonzero", True, n != 0))
-    return rest.scale(Fraction(1) / n) if n != 0 else None
+    return rest.scale(1 / n) if n else None
 
 
 # --- individual checks ----------------------------------------------------
@@ -627,7 +635,7 @@ def _parts_surface_tables(run: Run) -> list[Part]:
         nonzero = {k: as_fraction(v) for k, v in block["nonzero_basis"].items()}
         mismatches = []
         for lbl in space.codim2_basis:
-            expected = nonzero.get(lbl, Fraction(0))
+            expected = nonzero.get(lbl, _ZERO)
             if functional.values[lbl] != expected:
                 mismatches.append(f"{lbl}:{functional.values[lbl]}!={expected}")
         parts.append(_val_part(f"{sid}:table", "exact", "exact" if not mismatches else ",".join(mismatches)))
@@ -662,7 +670,7 @@ def _parts_relation_hygiene(run: Run) -> list[Part]:
         functional = repo.functional(sid)
         for i, rel in enumerate(functional.space.relations):
             value = evaluate_formal_products(functional, rel)
-            parts.append(_val_part(f"{sid}:lattice_annihilates_relation{i}", Fraction(0), value))
+            parts.append(_val_part(f"{sid}:lattice_annihilates_relation{i}", _ZERO, value))
     return parts
 
 
@@ -678,7 +686,7 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
         for b in m31.divisor_basis[i:]:
             product = divisor_product(m31.basis_class(1, a), m31.basis_class(1, b))
             for obs in ("kappa2", "d01a"):
-                if product.coeff(obs) != 0:
+                if product.coeff(obs):
                     bad31.append(f"{a}*{b}:{obs}")
     parts.append(_val_part("m31_products_miss_obstructions", "none", ",".join(bad31) or "none"))
     f31_kappa2 = repo.catalog_class("F31_theorem").coeff("kappa2")
@@ -691,7 +699,7 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
         for b in m4.divisor_basis[i:]:
             product = divisor_product(m4.basis_class(1, a), m4.basis_class(1, b))
             for obs in obstructions:
-                if product.coeff(obs) != 0:
+                if product.coeff(obs):
                     bad4.append(f"{a}*{b}:{obs}")
     parts.append(_val_part("m4_products_miss_obstructions", "none", ",".join(bad4) or "none"))
     for name, cls in (("h4plus", "H4plus_theorem"), ("hyp4", "Hyp4")):
@@ -735,9 +743,9 @@ def _parts_grr_spin(run: Run) -> list[Part]:
 def _parts_jet_chern(run: Run) -> list[Part]:
     golden = run.repo.golden["jet_chern"]
     parts = []
-    for key, (n, w) in (("J2_spin", (2, Fraction(1, 2))), ("J5_canonical", (5, Fraction(1)))):
+    for key, (n, w) in JET_BUNDLES.items():
         block = golden[key]
-        cv = jet_bundle_chern(n, w)
+        cv = run.jets[key]
         parts.append(_val_part(f"{key}:rank", block["rank"], cv.rank))
         actual_c = (
             cv.c1.coeff({"psi": 1}),

@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _format_class(c: TautClass) -> str:
-    entries = [f"  {lbl:10s} {coeff}" for lbl, coeff in zip(c.space.basis(c.degree), c.coeffs) if coeff != 0]
+    basis = c.space.basis(c.degree)
+    entries = [f"  {basis[i]:10s} {c.coeffs[i]}" for i, _, _ in c.support]
     return "\n".join(entries) if entries else "  0"
 
 

@@ -4,18 +4,21 @@ All bases, relations, images, catalog classes, families and expected values
 live in JSON files under ``tautverify/data``; a ``data_dir`` override may
 replace the embedded copies bit-for-bit.  Everything is validated once at
 load and is immutable afterwards, so a repository can be shared freely
-between threads.
+between threads.  Any error raised while a file is turned into objects (a
+missing key, a float, a zero denominator, a value of the wrong type) becomes
+a DataError that names the file, so a malformed data dir fails closed.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .counts import CountRegistry
-from .errors import DataError, UnknownNameError
+from .errors import DataError, TautVerifyError, UnknownNameError
 from .linalg import as_fraction
 from .rings import (
     GluingRestriction,
@@ -66,72 +69,83 @@ class Repo:
         except json.JSONDecodeError as exc:
             raise DataError(f"malformed JSON in {relpath!r}: {exc}") from exc
 
+    @contextmanager
+    def _building(self, relpath: str):
+        """Read a file; an error other than the package's own while building from it becomes a DataError."""
+        raw = self._read(relpath)
+        try:
+            yield raw
+        except TautVerifyError:
+            raise
+        except Exception as exc:
+            raise DataError(f"malformed definition file {relpath!r}: {type(exc).__name__}: {exc}") from exc
+
     # -- loading ----------------------------------------------------------
 
     def _load(self):
         for sid in SPACE_IDS:
-            raw = self._read(f"spaces/{sid.lower()}.json")
-            if raw["id"] != sid:
-                raise DataError(f"space file {sid.lower()}.json declares id {raw['id']!r}")
-            self._spaces[sid] = make_space(
-                id=raw["id"],
-                divisor_basis=raw["divisor_basis"],
-                codim2_basis=raw["codim2_basis"],
-                product_reductions=raw["product_reductions"],
-                divisor_reductions=raw["divisor_reductions"],
-                relations=raw["relations"],
-                special_expansions_formal=raw["special_expansions"],
-            )
+            with self._building(f"spaces/{sid.lower()}.json") as raw:
+                if raw["id"] != sid:
+                    raise DataError(f"space file {sid.lower()}.json declares id {raw['id']!r}")
+                self._spaces[sid] = make_space(
+                    id=raw["id"],
+                    divisor_basis=raw["divisor_basis"],
+                    codim2_basis=raw["codim2_basis"],
+                    product_reductions=raw["product_reductions"],
+                    divisor_reductions=raw["divisor_reductions"],
+                    relations=raw["relations"],
+                    special_expansions_formal=raw["special_expansions"],
+                )
 
         for hid in RING_HOM_IDS:
-            raw = self._read(f"homs/{hid}.json")
-            self._homs[hid] = make_hom(
-                id=raw["id"],
-                kind=raw["kind"],
-                domain=self.space(raw["domain"]),
-                codomain=self.space(raw["codomain"]),
-                divisor_images=raw["divisor_images"],
-                special_images=raw["special_images"],
-                table_images=raw["table_images"],
-                table_unlisted_zero=raw.get("table_unlisted_zero", False),
-            )
+            with self._building(f"homs/{hid}.json") as raw:
+                self._homs[hid] = make_hom(
+                    id=raw["id"],
+                    kind=raw["kind"],
+                    domain=self.space(raw["domain"]),
+                    codomain=self.space(raw["codomain"]),
+                    divisor_images=raw["divisor_images"],
+                    special_images=raw["special_images"],
+                    table_images=raw["table_images"],
+                    table_unlisted_zero=raw.get("table_unlisted_zero", False),
+                )
 
         for gid in GLUING_IDS:
-            raw = self._read(f"homs/{gid}.json")
-            factors = tuple(self.space(f) for f in raw["factors"])
-            self._gluings[gid] = make_gluing(
-                id=raw["id"],
-                domain=self.space(raw["domain"]),
-                domain_labels=raw["domain_labels"],
-                factors=factors,
-                images=raw["images"],
-                weierstrass_factors=raw["weierstrass_factors"],
-            )
+            with self._building(f"homs/{gid}.json") as raw:
+                self._gluings[gid] = make_gluing(
+                    id=raw["id"],
+                    domain=self.space(raw["domain"]),
+                    domain_labels=raw["domain_labels"],
+                    factors=tuple(self.space(f) for f in raw["factors"]),
+                    images=raw["images"],
+                    weierstrass_factors=raw["weierstrass_factors"],
+                )
 
-        raw = self._read("catalog.json")
-        for name, entry in raw["classes"].items():
-            space = self.space(entry["space"])
-            self._catalog[name] = space.from_dict(entry["degree"], entry["coeffs"])
-            self._catalog_sources[name] = entry.get("source", "")
-        for name, entry in raw["formal_classes"].items():
-            self._formal[name] = {k: as_fraction(v) for k, v in entry["coeffs"].items()}
+        with self._building("catalog.json") as raw:
+            for name, entry in raw["classes"].items():
+                space = self.space(entry["space"])
+                self._catalog[name] = space.from_dict(entry["degree"], entry["coeffs"])
+                self._catalog_sources[name] = entry.get("source", "")
+            for name, entry in raw["formal_classes"].items():
+                self._formal[name] = {k: as_fraction(v) for k, v in entry["coeffs"].items()}
 
         for sid in SURFACE_IDS:
-            raw = self._read(f"surfaces/{sid.lower()}.json")
-            model = make_surface(
-                id=raw["id"],
-                space=self.space(raw["target_space"]),
-                lattice=raw["lattice"],
-                gram_rows=raw["gram"],
-                restrictions=raw["restrictions"],
-                overrides=raw["overrides"],
-                direct_values=raw["direct_values"],
-                special_products=raw["special_products"],
-            )
-            self._surfaces[sid] = model
-            self._functionals[sid] = surface_functional(model)
+            with self._building(f"surfaces/{sid.lower()}.json") as raw:
+                model = make_surface(
+                    id=raw["id"],
+                    space=self.space(raw["target_space"]),
+                    lattice=raw["lattice"],
+                    gram_rows=raw["gram"],
+                    restrictions=raw["restrictions"],
+                    overrides=raw["overrides"],
+                    direct_values=raw["direct_values"],
+                    special_products=raw["special_products"],
+                )
+                self._surfaces[sid] = model
+                self._functionals[sid] = surface_functional(model)
 
-        self.counts = CountRegistry(self._read("counts.json"))
+        with self._building("counts.json") as raw:
+            self.counts = CountRegistry(raw)
         self.golden = self._read("golden_checks.json")
 
     # -- accessors --------------------------------------------------------

@@ -2,20 +2,27 @@
 spin bundle, jet-bundle Chern classes, the degeneracy-locus degree-3 class of
 a virtual difference, the kappa pushforward, and the genus-4 specialization
 extracting lambda^2 coefficients.
+
+The two jet bundles are built once by `jet_bundles`; a run of the checks
+keeps them, and both the jet_chern check and the lambda^2 pipelines read
+that one copy.  The readers work on the polynomials' int triples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 from .chern import CHERN_MAX_DEGREE, ChernVector, chern_from_character
 from .errors import DegreeError
-from .linalg import as_fraction
-from .poly import SYMBOLS, TruncatedPoly, _exps_from_powers
+from .linalg import _ratio_sum, as_fraction
+from .poly import SYMBOLS, TruncatedPoly, _collect, _exps_from_powers
 from .series import exp_scaled, jet_sum, series_mul, todd_inverse
 
 GRR_MAX_ORDER = 4
 _KAPPA = ("kappa0", "kappa1", "kappa2", "kappa3")
+# name -> (order n, weight w) of the jet bundles the pipelines use
+JET_BUNDLES = {"J2_spin": (2, Fraction(1, 2)), "J5_canonical": (5, Fraction(1))}
 
 
 def grr_spin_character(order: int) -> TruncatedPoly:
@@ -30,12 +37,8 @@ def grr_spin_character(order: int) -> TruncatedPoly:
     if order > GRR_MAX_ORDER:
         raise DegreeError(f"order {order} exceeds the configured series support {GRR_MAX_ORDER}")
     s = series_mul(todd_inverse(order), exp_scaled(Fraction(1, 2), order))
-    out = TruncatedPoly.zero(max(order - 1, 0))
-    for k in range(1, order + 1):
-        c = s.coeff(k)
-        if c != 0:
-            out = out + TruncatedPoly.monomial({_KAPPA[k - 1]: 1}, c, out.max_degree)
-    return out
+    kappas = {_exps_from_powers({_KAPPA[k - 1]: 1}): s.coeff(k) for k in range(1, order + 1)}
+    return TruncatedPoly.from_terms(kappas, max(order - 1, 0))
 
 
 def jet_bundle_chern(n: int, w) -> ChernVector:
@@ -46,6 +49,11 @@ def jet_bundle_chern(n: int, w) -> ChernVector:
         TruncatedPoly.monomial({"psi": k}, ch.coeff(k), CHERN_MAX_DEGREE) for k in range(1, 4)
     ]
     return chern_from_character(n + 1, *polys)
+
+
+def jet_bundles() -> dict[str, ChernVector]:
+    """Chern classes of the jet bundles of JET_BUNDLES, by name."""
+    return {name: jet_bundle_chern(n, w) for name, (n, w) in JET_BUNDLES.items()}
 
 
 def porteous_c3(cJ: ChernVector, cE: ChernVector) -> TruncatedPoly:
@@ -59,41 +67,40 @@ def porteous_c3(cJ: ChernVector, cE: ChernVector) -> TruncatedPoly:
     e = cE.c1 + cE.c2 + cE.c3
     inv = one - e + e * e - e * e * e
     total = cJ.total() * inv
-    deg3 = total.degree_part(3)
-    kept = {exps: c for exps, c in deg3.terms if exps[0] >= 1}
-    return TruncatedPoly.from_terms(kept, CHERN_MAX_DEGREE)
+    return TruncatedPoly(CHERN_MAX_DEGREE, tuple(t for t in total.degree_part(3).triples if t[0][0] >= 1))
 
 
 def kappa_pushforward(p: TruncatedPoly, g: int) -> TruncatedPoly:
     """Integrate over the fiber: psi^a * M -> kappa_{a-1} * M, psi * M -> (2g-2) M."""
-    out = TruncatedPoly.zero(p.max_degree)
-    for exps, c in p.terms:
+    triples = []
+    for exps, n, d in p.triples:
         a = exps[0]
         rest = (0,) + exps[1:]
         if a == 0:
             raise DegreeError(f"monomial {exps} has no fiber-class factor to integrate")
         if a == 1:
-            out = out + TruncatedPoly.from_terms({rest: c * (2 * g - 2)}, p.max_degree)
+            triples.append((rest, n * (2 * g - 2), d))
         else:
             if a - 1 >= len(_KAPPA):
                 raise DegreeError(f"kappa_{a - 1} is outside the supported range")
             kappa_exps = list(rest)
             kappa_exps[SYMBOLS.index(_KAPPA[a - 1])] += 1
-            out = out + TruncatedPoly.from_terms({tuple(kappa_exps): c}, p.max_degree)
-    return out
+            triples.append((tuple(kappa_exps), n, d))
+    return TruncatedPoly(p.max_degree, _collect(triples, p.max_degree))
 
 
 # lambda^2 extraction on the genus-4 interior: kappa1 = 12 lambda, Faber's
-# kappa2 = 27/2 lambda^2, lambda2 = lambda1^2/2, and lambda == lambda1.
+# kappa2 = 27/2 lambda^2, lambda2 = lambda1^2/2, and lambda == lambda1;
+# each factor is a (numerator, denominator) pair.
 _SPECIALIZE = {
-    _exps_from_powers({"kappa2": 1}): Fraction(27, 2),
-    _exps_from_powers({"kappa1": 1, "lam": 1}): Fraction(12),
-    _exps_from_powers({"kappa1": 1, "lam1": 1}): Fraction(12),
-    _exps_from_powers({"kappa1": 2}): Fraction(144),
-    _exps_from_powers({"lam": 2}): Fraction(1),
-    _exps_from_powers({"lam": 1, "lam1": 1}): Fraction(1),
-    _exps_from_powers({"lam1": 2}): Fraction(1),
-    _exps_from_powers({"lam2": 1}): Fraction(1, 2),
+    _exps_from_powers({"kappa2": 1}): (27, 2),
+    _exps_from_powers({"kappa1": 1, "lam": 1}): (12, 1),
+    _exps_from_powers({"kappa1": 1, "lam1": 1}): (12, 1),
+    _exps_from_powers({"kappa1": 2}): (144, 1),
+    _exps_from_powers({"lam": 2}): (1, 1),
+    _exps_from_powers({"lam": 1, "lam1": 1}): (1, 1),
+    _exps_from_powers({"lam1": 2}): (1, 1),
+    _exps_from_powers({"lam2": 1}): (1, 2),
 }
 
 
@@ -101,27 +108,25 @@ def m4_specialize(p: TruncatedPoly) -> Fraction:
     """Coefficient of lambda^2 after the genus-4 interior substitutions."""
     if not p.is_pure_degree(2):
         raise DegreeError("m4_specialize needs a class of pure total degree 2")
-    total = Fraction(0)
-    for exps, c in p.terms:
+    products = []
+    for exps, n, d in p.triples:
         factor = _SPECIALIZE.get(exps)
         if factor is None:
             raise DegreeError(f"no genus-4 specialization rule for monomial {exps}")
-        total += c * factor
-    return total
+        products.append((n * factor[0], d * factor[1]))
+    return _ratio_sum(products)
 
 
-def spin_porteous_class() -> TruncatedPoly:
-    """kappa-pushforward of the spin degeneracy class at genus 4."""
-    cJ = jet_bundle_chern(2, Fraction(1, 2))
+def spin_porteous_class(cJ: ChernVector) -> TruncatedPoly:
+    """kappa-pushforward of the spin degeneracy class at genus 4, given the J2_spin jet bundle."""
     # c1 of the pushforward line bundle is -lambda/4 (the stated value is the
     # doubled one); its c2 vanishes as an input datum.
     cE = ChernVector.line_bundle(TruncatedPoly.monomial({"lam": 1}, Fraction(-1, 4), CHERN_MAX_DEGREE))
     return kappa_pushforward(porteous_c3(cJ, cE), g=4)
 
 
-def canonical_jet_porteous_class() -> TruncatedPoly:
-    """kappa-pushforward of the order-5 canonical jet degeneracy class at genus 4."""
-    cJ = jet_bundle_chern(5, 1)
+def canonical_jet_porteous_class(cJ: ChernVector) -> TruncatedPoly:
+    """kappa-pushforward of the order-5 canonical jet degeneracy class at genus 4, given J5_canonical."""
     z = TruncatedPoly.zero(CHERN_MAX_DEGREE)
     cE = ChernVector(
         4,
@@ -135,19 +140,21 @@ def canonical_jet_porteous_class() -> TruncatedPoly:
 _LOCI = ("SH4_minus", "H4_minus", "H4", "H4_plus")
 
 
-def lambda2_values(repo) -> dict[str, Fraction]:
+def lambda2_values(repo, jets: Mapping[str, ChernVector]) -> dict[str, Fraction]:
     """lambda^2 coefficients of the subcanonical loci on the genus-4 interior.
 
-    One pass runs each pipeline once.  SH4_minus comes from the spin pipeline;
-    H4_minus multiplies it by the odd spin cover degree; H4 comes from the
-    canonical-jet pipeline; H4_plus subtracts the hyperelliptic contribution
-    (one per Weierstrass point) and H4_minus from H4.
+    One pass runs each pipeline once, on the jet bundles `jets` (keyed by
+    JET_BUNDLES name, as `jet_bundles` builds them).  SH4_minus comes from
+    the spin pipeline; H4_minus multiplies it by the odd spin cover degree;
+    H4 comes from the canonical-jet pipeline; H4_plus subtracts the
+    hyperelliptic contribution (one per Weierstrass point) and H4_minus from
+    H4.
     """
     from .counts import hyperelliptic_weierstrass_count, odd_theta_count
 
-    sh4_minus = m4_specialize(spin_porteous_class())
+    sh4_minus = m4_specialize(spin_porteous_class(jets["J2_spin"]))
     h4_minus = odd_theta_count(4) * sh4_minus
-    h4 = m4_specialize(canonical_jet_porteous_class())
+    h4 = m4_specialize(canonical_jet_porteous_class(jets["J5_canonical"]))
     hyp4_lambda2 = repo.catalog_class("Hyp4").coeff("lam^2")
     h4_plus = h4 - hyperelliptic_weierstrass_count(4) * hyp4_lambda2 - h4_minus
     return dict(zip(_LOCI, (sh4_minus, h4_minus, h4, h4_plus)))
@@ -159,4 +166,4 @@ def locus_lambda2(which: str, repo=None) -> Fraction:
         raise ValueError(f"unknown locus {which!r}; expected one of {_LOCI}")
     from .data import default_repo
 
-    return lambda2_values(repo or default_repo())[which]
+    return lambda2_values(repo or default_repo(), jet_bundles())[which]

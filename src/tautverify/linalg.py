@@ -1,13 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Everything here takes and returns `fractions.Fraction`, so all results are
-exact and every comparison in the test suite is a strict equality, but the
-arithmetic runs on Python ints.  Every sum of products in the package (dot
-products, map images, basis reductions, series products) goes through one
-integer-accumulation kernel, `_dot` and `_combine`: it skips zero factors,
-adds numerators over a running common denominator, and normalises once per
-result entry.  Elimination (`_rref_rows`) is Gauss-Jordan on rows cleared of
-denominators; it skips zeros and builds one Fraction per output entry.
+Values enter and leave as `fractions.Fraction`, so all results are exact and
+every comparison in the test suite is a strict equality, but the arithmetic
+runs on Python ints.  An exact vector's nonzero entries are kept once as its
+*support*: a tuple of ``(index, numerator, denominator)`` int triples,
+ascending in index, in lowest terms with positive denominators.  Every sum of
+products in the package (dot products, map images, basis reductions, class
+arithmetic, series products) goes through one integer-accumulation kernel,
+`_dot` and `_combine`: it walks supports only, adds numerators over a running
+common denominator, and normalises once per result entry; `_combine` returns
+a support, so chained kernel calls build no Fraction in between.
+Elimination (`_rref_rows`) is Gauss-Jordan on rows cleared of denominators;
+it skips zeros and builds one Fraction per output entry.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from typing import Iterable, Sequence
 from .errors import DimensionError
 
 Vector = tuple[Fraction, ...]
+Support = tuple[tuple[int, int, int], ...]
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def as_fraction(x) -> Fraction:
@@ -38,36 +44,59 @@ def as_vector(xs: Iterable) -> Vector:
     return tuple(as_fraction(x) for x in xs)
 
 
-def _dot(xs: Iterable, ys: Iterable) -> Fraction:
-    """Exact sum of x * y over paired entries (Fractions or ints), normalised once."""
+def _support_of(xs: Iterable) -> Support:
+    """The nonzero entries of a vector of Fractions or ints as (index, numerator, denominator)."""
+    return tuple((i, x.numerator, x.denominator) for i, x in enumerate(xs) if x)
+
+
+def _from_support(s: Support, width: int) -> Vector:
+    """The dense vector of length `width` whose nonzero entries are `s`."""
+    v = [_ZERO] * width
+    for i, n, d in s:
+        v[i] = Fraction(n, d)
+    return tuple(v)
+
+
+def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of n / d over int pairs with d > 0, normalised once."""
     num, den = 0, 1
-    for x, y in zip(xs, ys):
-        if x and y:
-            n, d = x.numerator * y.numerator, x.denominator * y.denominator
-            if d == den:
-                num += n
-            else:
-                g = gcd(den, d)
-                num, den = num * (d // g) + n * (den // g), den // g * d
+    for n, d in ratios:
+        if d == den:
+            num += n
+        else:
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
     return Fraction(num, den) if num else _ZERO
 
 
-def _combine(terms: Iterable[tuple[object, Sequence]], width: int) -> Vector:
-    """Exact entries of the sum of c * v over `terms`, each v of length `width`, normalised once."""
+def _dot(xs: Support, ys: Support) -> Fraction:
+    """Exact sum of x_i * y_i over the indices that both supports hold."""
+    right = {i: (n, d) for i, n, d in ys}
+    products = []
+    for i, n, d in xs:
+        y = right.get(i)
+        if y:
+            products.append((n * y[0], d * y[1]))
+    return _ratio_sum(products)
+
+
+def _combine(terms: Iterable[tuple[int, int, Support]], width: int) -> Support:
+    """Support of the sum of n/d * v over `terms` (n, d, support of v), each v of length `width`."""
     nums, dens = [0] * width, [1] * width
-    for c, v in terms:
-        if not c:
-            continue
-        cn, cd = c.numerator, c.denominator
-        for i, x in enumerate(v):
-            if x:
-                n, d, den = cn * x.numerator, cd * x.denominator, dens[i]
-                if d == den:
-                    nums[i] += n
-                else:
-                    g = gcd(den, d)
-                    nums[i], dens[i] = nums[i] * (d // g) + n * (den // g), den // g * d
-    return tuple(Fraction(n, d) if n else _ZERO for n, d in zip(nums, dens))
+    for cn, cd, vs in terms:
+        for i, n, d in vs:
+            n, d, den = cn * n, cd * d, dens[i]
+            if d == den:
+                nums[i] += n
+            else:
+                g = gcd(den, d)
+                nums[i], dens[i] = nums[i] * (d // g) + n * (den // g), den // g * d
+    out = []
+    for i, n in enumerate(nums):
+        if n:
+            g = gcd(n, dens[i])
+            out.append((i, n // g, dens[i] // g))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -99,7 +128,8 @@ class QMatrix:
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise DimensionError(f"matrix has {self.cols} columns, vector has {len(v)}")
-        return tuple(_dot(row, v) for row in self.entries)
+        vs = _support_of(v)
+        return tuple(_dot(_support_of(row), vs) for row in self.entries)
 
     def det3(self) -> Fraction:
         """Determinant of a 3x3 matrix (used by the basis check)."""
@@ -207,9 +237,9 @@ def solve_exact(a: QMatrix, b: Sequence) -> Solution | Inconsistent:
     rows = [list(r) + [bvec[i]] for i, r in enumerate(a.entries)]
     rows, pivots = _rref_rows(rows, a.cols)
     for row in rows:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
+        if row[-1] and not any(row[:-1]):
             return Inconsistent(tuple(row[:-1]), row[-1])
-    x = [Fraction(0)] * a.cols
+    x = [_ZERO] * a.cols
     for r, c in enumerate(pivots):
         x[c] = rows[r][-1]
     return Solution(tuple(x), a.cols - len(pivots))
@@ -228,8 +258,8 @@ def kernel_basis(a: QMatrix) -> list[Vector]:
     for f in range(a.cols):
         if f in pivset:
             continue
-        v = [Fraction(0)] * a.cols
-        v[f] = Fraction(1)
+        v = [_ZERO] * a.cols
+        v[f] = _ONE
         for r, c in enumerate(res.pivot_columns):
             v[c] = -res.reduced.entries[r][f]
         basis.append(tuple(v))
@@ -244,5 +274,5 @@ def row_space_rref(vectors: Sequence[Sequence[Fraction]]) -> QMatrix:
     if not vectors:
         return QMatrix(())
     res = mat_rref(QMatrix.from_rows(vectors))
-    keep = tuple(r for r in res.reduced.entries if any(x != 0 for x in r))
+    keep = tuple(r for r in res.reduced.entries if any(r))
     return QMatrix(keep)

@@ -6,9 +6,12 @@ classes kappa0..kappa3.  Grading weights: psi, lam, lam1 have weight 1, lam2
 weight 2, kappa_i weight i.  Monomials above the maximum total degree are
 dropped; zero coefficients are never stored.
 
-`from_terms`, `+`, `-`, `scale` and `*` collect like terms in one keyed
-accumulator, `_collect`: int numerators over a running common denominator
-per monomial, and one normalised Fraction per monomial at the end.
+Terms are stored as ``(exponents, numerator, denominator)`` int triples in
+lowest terms with positive denominators, sorted by exponent tuple, so that
+chained `+`, `-`, `scale` and `*` build no Fraction: each collects like terms
+in one keyed int accumulator, `_collect`, with a running common denominator
+per monomial and one normalisation per monomial at the end.  `terms` is the
+public Fraction view, built once per polynomial on first read.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd
 from operator import add, mul
 from typing import Iterable
 
 from .errors import DegreeError
-from .linalg import as_fraction
+from .linalg import _ZERO, as_fraction
 
 SYMBOLS = ("psi", "lam", "lam1", "lam2", "kappa0", "kappa1", "kappa2", "kappa3")
 WEIGHTS = {"psi": 1, "lam": 1, "lam1": 1, "lam2": 2, "kappa0": 0, "kappa1": 1, "kappa2": 2, "kappa3": 3}
@@ -30,14 +34,15 @@ _INDEX = {s: i for i, s in enumerate(SYMBOLS)}
 _WEIGHTS = tuple(WEIGHTS[s] for s in SYMBOLS)
 
 Exps = tuple[int, ...]
+Triple = tuple[Exps, int, int]
 
 
 def monomial_degree(exps: Exps) -> int:
     return sum(map(mul, exps, _WEIGHTS))
 
 
-def _collect(triples: Iterable[tuple[Exps, int, int]], max_degree: int) -> tuple[tuple[Exps, Fraction], ...]:
-    """Sorted nonzero terms of the sum of n/d * x^exps over `triples`, up to `max_degree`."""
+def _collect(triples: Iterable[Triple], max_degree: int) -> tuple[Triple, ...]:
+    """Sorted nonzero lowest-terms triples of the sum of n/d * x^exps over `triples`, up to `max_degree`."""
     acc: dict[Exps, list[int]] = {}
     for exps, n, d in triples:
         if not n or monomial_degree(exps) > max_degree:
@@ -50,11 +55,12 @@ def _collect(triples: Iterable[tuple[Exps, int, int]], max_degree: int) -> tuple
         else:
             g = gcd(slot[1], d)
             slot[:] = slot[0] * (d // g) + n * (slot[1] // g), slot[1] // g * d
-    return tuple((e, Fraction(n, d)) for e, (n, d) in sorted(acc.items()) if n)
-
-
-def _ratios(terms: Iterable[tuple[Exps, Fraction]], sign: int = 1) -> Iterable[tuple[Exps, int, int]]:
-    return ((e, sign * c.numerator, c.denominator) for e, c in terms)
+    out = []
+    for e, (n, d) in sorted(acc.items()):
+        if n:
+            g = gcd(n, d)
+            out.append((e, n // g, d // g))
+    return tuple(out)
 
 
 def _full_length(exps: Exps) -> Exps:
@@ -75,12 +81,18 @@ def _exps_from_powers(powers: Mapping[str, int]) -> Exps:
 @dataclass(frozen=True)
 class TruncatedPoly:
     max_degree: int
-    terms: tuple[tuple[Exps, Fraction], ...]  # sorted by exponent tuple, no zeros
+    triples: tuple[Triple, ...]  # sorted by exponent tuple, nonzero, lowest terms, positive denominators
+
+    @cached_property
+    def terms(self) -> tuple[tuple[Exps, Fraction], ...]:
+        """The terms as (exponents, Fraction) pairs, sorted by exponent tuple."""
+        return tuple((e, Fraction(n, d)) for e, n, d in self.triples)
 
     @classmethod
     def from_terms(cls, terms: Mapping[Exps, Fraction] | Iterable[tuple[Exps, Fraction]], max_degree: int) -> "TruncatedPoly":
         items = terms.items() if isinstance(terms, Mapping) else terms
-        triples = _ratios((_full_length(e), as_fraction(c)) for e, c in items)
+        checked = ((_full_length(e), as_fraction(c)) for e, c in items)
+        triples = ((e, c.numerator, c.denominator) for e, c in checked)
         return cls(max_degree, _collect(triples, max_degree))
 
     @classmethod
@@ -97,48 +109,48 @@ class TruncatedPoly:
 
     def coeff(self, powers: Mapping[str, int]) -> Fraction:
         target = _exps_from_powers(powers)
-        for exps, c in self.terms:
+        for exps, n, d in self.triples:
             if exps == target:
-                return c
-        return Fraction(0)
+                return Fraction(n, d)
+        return _ZERO
 
     def __add__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         deg = min(self.max_degree, other.max_degree)
-        return TruncatedPoly(deg, _collect(chain(_ratios(self.terms), _ratios(other.terms)), deg))
+        return TruncatedPoly(deg, _collect(chain(self.triples, other.triples), deg))
 
     def __sub__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         deg = min(self.max_degree, other.max_degree)
-        return TruncatedPoly(deg, _collect(chain(_ratios(self.terms), _ratios(other.terms, -1)), deg))
+        return TruncatedPoly(deg, _collect(chain(self.triples, ((e, -n, d) for e, n, d in other.triples)), deg))
 
     def scale(self, c) -> "TruncatedPoly":
         c = as_fraction(c)
         cn, cd = c.numerator, c.denominator
-        triples = ((e, cn * n, cd * d) for e, n, d in _ratios(self.terms))
+        triples = ((e, cn * n, cd * d) for e, n, d in self.triples)
         return TruncatedPoly(self.max_degree, _collect(triples, self.max_degree))
 
     def __mul__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         deg = min(self.max_degree, other.max_degree)
-        right = list(_ratios(other.terms))
         triples = (
             (tuple(map(add, ea, eb)), na * nb, da * db)
-            for ea, na, da in _ratios(self.terms)
-            for eb, nb, db in right
+            for ea, na, da in self.triples
+            for eb, nb, db in other.triples
         )
         return TruncatedPoly(deg, _collect(triples, deg))
 
     def degree_part(self, d: int) -> "TruncatedPoly":
-        return TruncatedPoly(self.max_degree, tuple((e, c) for e, c in self.terms if monomial_degree(e) == d))
+        return TruncatedPoly(self.max_degree, tuple(t for t in self.triples if monomial_degree(t[0]) == d))
 
     def is_pure_degree(self, d: int) -> bool:
-        return all(monomial_degree(e) == d for e, _ in self.terms)
+        return all(monomial_degree(e) == d for e, _, _ in self.triples)
 
     def __str__(self):
-        if not self.terms:
+        if not self.triples:
             return "0"
         parts = []
-        for exps, c in self.terms:
+        for exps, n, d in self.triples:
+            c = f"{n}" if d == 1 else f"{n}/{d}"
             syms = "*".join(
                 (f"{s}^{e}" if e > 1 else s) for s, e in zip(SYMBOLS, exps) if e
             )
-            parts.append(f"{c}*{syms}" if syms else f"{c}")
+            parts.append(f"{c}*{syms}" if syms else c)
         return " + ".join(parts)

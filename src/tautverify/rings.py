@@ -16,12 +16,17 @@ Degree-2 classes are vectors over the codim-2 basis.  Formal inputs (plain
 mappings from labels to rationals) may also mention non-basis product labels
 and, where a map stores them, special symbols.  A ring map's degree-2 images
 are built once at load, so applying any map is one loop over stored images.
+A class keeps its support (its nonzero coefficients as int triples, see
+`linalg`) once computed, and every reduction, product, map image and class
+sum walks supports through the `linalg` kernel; a class made by the kernel
+carries the support the kernel returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -31,7 +36,19 @@ from .errors import (
     SpaceMismatchError,
     UnknownLabelError,
 )
-from .linalg import Inconsistent, QMatrix, Solution, Vector, _combine, _dot, as_fraction, solve_exact
+from .linalg import (
+    Inconsistent,
+    QMatrix,
+    Solution,
+    Support,
+    _ONE,
+    _ZERO,
+    _combine,
+    _from_support,
+    _support_of,
+    as_fraction,
+    solve_exact,
+)
 
 Formal = Mapping[str, Fraction]
 
@@ -51,26 +68,43 @@ class TautClass:
     degree: int
     coeffs: tuple[Fraction, ...]
 
+    @cached_property
+    def support(self) -> Support:
+        """The nonzero coefficients as (index, numerator, denominator) ints."""
+        return _support_of(self.coeffs)
+
     def coeff(self, label: str) -> Fraction:
         return self.coeffs[self.space.basis_index(self.degree)[label]]
 
     def as_dict(self) -> dict[str, Fraction]:
-        return {lbl: c for lbl, c in zip(self.space.basis(self.degree), self.coeffs) if c != 0}
+        basis = self.space.basis(self.degree)
+        return {basis[i]: self.coeffs[i] for i, _, _ in self.support}
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.support
 
     def __add__(self, other: "TautClass") -> "TautClass":
-        _check_same(self, other)
-        return TautClass(self.space, self.degree, tuple(a + b if b else a for a, b in zip(self.coeffs, other.coeffs)))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "TautClass") -> "TautClass":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "TautClass", sign: int) -> "TautClass":
         _check_same(self, other)
-        return TautClass(self.space, self.degree, tuple(a - b if b else a for a, b in zip(self.coeffs, other.coeffs)))
+        s = _combine(((1, 1, self.support), (sign, 1, other.support)), len(self.coeffs))
+        return _class_of(self.space, self.degree, s, len(self.coeffs))
 
     def scale(self, c) -> "TautClass":
         c = as_fraction(c)
-        return TautClass(self.space, self.degree, tuple(c * x if x else x for x in self.coeffs))
+        s = _combine(((c.numerator, c.denominator, self.support),), len(self.coeffs))
+        return _class_of(self.space, self.degree, s, len(self.coeffs))
+
+
+def _class_of(space: "RingSpace", degree: int, s: Support, width: int) -> TautClass:
+    """The class with support `s`, which it keeps instead of recomputing it."""
+    c = TautClass(space, degree, _from_support(s, width))
+    c.__dict__["support"] = s  # seeds the cached property; the dataclass stays frozen
+    return c
 
 
 def _check_same(a: TautClass, b: TautClass):
@@ -93,14 +127,15 @@ class RingSpace:
     # two-pointed genus-1 space)
     divisor_reductions: Mapping[str, dict[str, Fraction]]
     relations: tuple[dict[str, Fraction], ...]
-    # special symbol -> its vector over codim2_basis; bare vectors, so that a
-    # space and its classes form no reference cycle and a dropped load is
-    # freed at once
-    special_expansions: Mapping[str, Vector]
+    # special symbol -> the support of its vector over codim2_basis; bare int
+    # tuples, so that a space and its classes form no reference cycle and a
+    # dropped load is freed at once
+    special_expansions: Mapping[str, Support]
     # (gen_a, gen_b) pairs for every canonical product label
     product_pairs: Mapping[str, tuple[str, str]]
-    # basis label or reduced product label -> its vector over codim2_basis
-    codim2_vectors: Mapping[str, Vector]
+    # basis label or reduced product label -> the support of its vector over
+    # codim2_basis
+    codim2_supports: Mapping[str, Support]
 
     def __repr__(self) -> str:
         return f"RingSpace({self.id!r})"
@@ -116,11 +151,11 @@ class RingSpace:
         return self.divisor_index if degree == 1 else self.codim2_index
 
     def zero(self, degree: int) -> TautClass:
-        return TautClass(self, degree, (Fraction(0),) * len(self.basis(degree)))
+        return _class_of(self, degree, (), len(self.basis(degree)))
 
     def from_dict(self, degree: int, coeffs: Mapping[str, object]) -> TautClass:
         index = self.basis_index(degree)
-        vec = [Fraction(0)] * len(self.basis(degree))
+        vec = [_ZERO] * len(self.basis(degree))
         for label, c in coeffs.items():
             if label not in index:
                 raise UnknownLabelError(f"{label!r} is not a degree-{degree} basis label of {self.id}")
@@ -128,7 +163,13 @@ class RingSpace:
         return TautClass(self, degree, tuple(vec))
 
     def basis_class(self, degree: int, label: str) -> TautClass:
-        return self.from_dict(degree, {label: 1})
+        index = self.basis_index(degree)
+        if label not in index:
+            raise UnknownLabelError(f"{label!r} is not a degree-{degree} basis label of {self.id}")
+        i, width = index[label], len(self.basis(degree))
+        c = TautClass(self, degree, (_ZERO,) * i + (_ONE,) + (_ZERO,) * (width - i - 1))
+        c.__dict__["support"] = ((i, 1, 1),)
+        return c
 
 
 def make_space(
@@ -181,9 +222,8 @@ def make_space(
             if k not in div_index:
                 raise DataError(f"{id}: divisor reduction of {alias!r} mentions {k!r}")
 
-    zero = (Fraction(0),) * len(cod)
-    vectors = {label: zero[:i] + (Fraction(1),) + zero[i + 1 :] for i, label in enumerate(cod)}
-    vectors.update((label, tuple(vec.get(k, Fraction(0)) for k in cod)) for label, vec in reductions.items())
+    supports = {label: ((i, 1, 1),) for i, label in enumerate(cod)}
+    supports.update((label, _support_of(vec.get(k, 0) for k in cod)) for label, vec in reductions.items())
     space = RingSpace(
         id=id,
         divisor_basis=div,
@@ -194,10 +234,10 @@ def make_space(
         relations=tuple({k: as_fraction(v) for k, v in rel.items()} for rel in relations),
         special_expansions={},
         product_pairs=pairs,
-        codim2_vectors=vectors,
+        codim2_supports=supports,
     )
     space.special_expansions.update(
-        (name, reduce_to_basis(space, {k: as_fraction(v) for k, v in formal.items()}).coeffs)
+        (name, reduce_to_basis(space, {k: as_fraction(v) for k, v in formal.items()}).support)
         for name, formal in special_expansions_formal.items()
     )
 
@@ -217,12 +257,17 @@ def reduce_to_basis(space: RingSpace, formal: Formal) -> TautClass:
     terms = []
     for label, c in formal.items():
         c = as_fraction(c)
-        if c == 0:
-            continue
-        if label not in space.codim2_vectors:
-            raise UnknownLabelError(f"{label!r} cannot be reduced on {space.id}")
-        terms.append((c, space.codim2_vectors[label]))
-    return TautClass(space, 2, _combine(terms, len(space.codim2_basis)))
+        if c:
+            terms.append((c.numerator, c.denominator, _codim2_support(space, label)))
+    width = len(space.codim2_basis)
+    return _class_of(space, 2, _combine(terms, width), width)
+
+
+def _codim2_support(space: RingSpace, label: str) -> Support:
+    try:
+        return space.codim2_supports[label]
+    except KeyError:
+        raise UnknownLabelError(f"{label!r} cannot be reduced on {space.id}") from None
 
 
 def expand_divisor(space: RingSpace, coeffs: Formal) -> dict[str, Fraction]:
@@ -231,10 +276,10 @@ def expand_divisor(space: RingSpace, coeffs: Formal) -> dict[str, Fraction]:
     for label, c in coeffs.items():
         c = as_fraction(c)
         if label in space.divisor_index:
-            out[label] = out.get(label, Fraction(0)) + c
+            out[label] = out.get(label, _ZERO) + c
         elif label in space.divisor_reductions:
             for k, v in space.divisor_reductions[label].items():
-                out[k] = out.get(k, Fraction(0)) + c * v
+                out[k] = out.get(k, _ZERO) + c * v
         else:
             raise UnknownLabelError(f"{label!r} is not a divisor label of {space.id}")
     return out
@@ -248,26 +293,23 @@ def divisor_product(a: TautClass, b: TautClass) -> TautClass:
     space = a.space
     if b.space is not space:
         raise SpaceMismatchError(f"cannot multiply a class on {space.id} by a class on {b.space.id}")
-    factors: dict[str, tuple[list, list]] = {}
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if cb == 0:
-                continue
-            label = product_label(space.divisor_index, space.divisor_basis[i], space.divisor_basis[j])
-            xs, ys = factors.setdefault(label, ([], []))
-            xs.append(ca)
-            ys.append(cb)
-    return reduce_to_basis(space, {label: _dot(xs, ys) for label, (xs, ys) in factors.items()})
+    index, basis = space.divisor_index, space.divisor_basis
+    terms = [
+        (na * nb, da * db, _codim2_support(space, product_label(index, basis[i], basis[j])))
+        for i, na, da in a.support
+        for j, nb, db in b.support
+    ]
+    width = len(space.codim2_basis)
+    return _class_of(space, 2, _combine(terms, width), width)
 
 
 def special_expand(space: RingSpace, symbol: str) -> TautClass:
     """Stored expansion of a special codim-2 symbol in the space's basis."""
     try:
-        return TautClass(space, 2, space.special_expansions[symbol])
+        s = space.special_expansions[symbol]
     except KeyError:
         raise UnknownLabelError(f"no stored expansion of {symbol!r} on {space.id}") from None
+    return _class_of(space, 2, s, len(space.codim2_basis))
 
 
 @dataclass(frozen=True)
@@ -342,7 +384,7 @@ def _resolve_special_image(codomain: RingSpace, vec: Mapping[str, object]) -> Ta
         if key.startswith("special:"):
             out = out + special_expand(codomain, key[len("special:"):]).scale(c)
         else:
-            formal[key] = formal.get(key, Fraction(0)) + c
+            formal[key] = formal.get(key, _ZERO) + c
     return out + reduce_to_basis(codomain, formal)
 
 
@@ -360,11 +402,12 @@ def apply_hom(hom: RingHom, c: TautClass | Formal, degree: int | None = None) ->
         if c.space is not hom.domain:
             raise SpaceMismatchError(f"class on {c.space.id} given to {hom.id} (domain {hom.domain.id})")
         degree = c.degree
-        items = list(zip(c.space.basis(degree), c.coeffs))
+        labels = c.space.basis(degree)
+        items = [(labels[i], n, d) for i, n, d in c.support]
     else:
         if degree is None:
             degree = 2
-        items = [(k, as_fraction(v)) for k, v in c.items()]
+        items = [(k, v.numerator, v.denominator) for k, v in ((k, as_fraction(v)) for k, v in c.items()) if v]
 
     if hom.kind == "table":
         if degree != 2:
@@ -375,12 +418,12 @@ def apply_hom(hom: RingHom, c: TautClass | Formal, degree: int | None = None) ->
     else:
         images, out_degree, missing = hom.codim2_images, 2, "no image for label"
     terms = []
-    for label, coeff in items:
-        if coeff:
-            if label not in images:
-                raise MissingImageError(f"{hom.id}: {missing} {label!r}")
-            terms.append((coeff, images[label].coeffs))
-    return TautClass(hom.codomain, out_degree, _combine(terms, len(hom.codomain.basis(out_degree))))
+    for label, n, d in items:
+        if label not in images:
+            raise MissingImageError(f"{hom.id}: {missing} {label!r}")
+        terms.append((n, d, images[label].support))
+    width = len(hom.codomain.basis(out_degree))
+    return _class_of(hom.codomain, out_degree, _combine(terms, width), width)
 
 
 # --- gluing restrictions for the node-smoothing lemmas -----------------------
@@ -419,11 +462,13 @@ def make_gluing(
             raise MissingImageError(f"{id}: no restriction stored for {label!r}")
         vec: dict[tuple[int, str], Fraction] = {}
         for key, c in images[label].items():
-            fac_s, div_label = key.split(":", 1)
+            fac_s, _, div_label = key.partition(":")
+            if fac_s not in ("1", "2"):
+                raise DataError(f"{id}: image key {key!r} of {label!r} names no factor 1 or 2")
             fac = int(fac_s)
             expanded = expand_divisor(factors[fac - 1], {div_label: as_fraction(c)})
             for k, v in expanded.items():
-                vec[(fac, k)] = vec.get((fac, k), Fraction(0)) + v
+                vec[(fac, k)] = vec.get((fac, k), _ZERO) + v
         resolved[label] = vec
     return GluingRestriction(
         id, domain, tuple(domain_labels), tuple(factors), resolved, tuple(weierstrass_factors)
@@ -449,13 +494,13 @@ def solve_boundary_class(
 
     cols = []
     for label in gluing.domain_labels:
-        col = [Fraction(0)] * len(coords)
+        col = [_ZERO] * len(coords)
         for key, v in gluing.images[label].items():
             col[coord_index[key]] += v
         cols.append(col)
     matrix = QMatrix.from_rows(list(map(list, zip(*cols))))
 
-    rhs = [Fraction(0)] * len(coords)
+    rhs = [_ZERO] * len(coords)
     for fac in gluing.weierstrass_factors:
         factor_space = gluing.factors[fac - 1]
         if weierstrass.space is not factor_space:

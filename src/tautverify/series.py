@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeError, NonUnitSeriesError, VariableMismatchError
-from .linalg import _dot, as_fraction
+from .linalg import _ZERO, _combine, _dot, _from_support, _support_of, as_fraction
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class TruncatedSeries:
             raise DegreeError(f"need {self.order + 1} coefficients, got {len(self.coeffs)}")
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k <= self.order else Fraction(0)
+        return self.coeffs[k] if 0 <= k <= self.order else _ZERO
 
     def __str__(self):
         parts = [f"{c}*{self.variable}^{k}" for k, c in enumerate(self.coeffs) if c != 0]
@@ -74,11 +74,15 @@ def jet_sum(n: int, w, order: int, variable: str = "t") -> TruncatedSeries:
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at min(a.order, b.order)."""
+    """Cauchy product truncated at min(a.order, b.order): one kernel sum of shifted copies of b."""
     _check_var(a, b)
     order = min(a.order, b.order)
-    coeffs = tuple(_dot(a.coeffs[: k + 1], b.coeffs[k::-1]) for k in range(order + 1))
-    return TruncatedSeries(a.variable, order, coeffs)
+    sb = _support_of(b.coeffs)
+    shifted = (
+        (n, d, tuple((i + j, m, e) for j, m, e in sb if i + j <= order))
+        for i, n, d in _support_of(a.coeffs[: order + 1])
+    )
+    return TruncatedSeries(a.variable, order, _from_support(_combine(shifted, order + 1), order + 1))
 
 
 def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
@@ -86,7 +90,7 @@ def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
     if a.coeffs[0] == 0:
         raise NonUnitSeriesError("cannot invert a series with zero constant term")
     inv0 = 1 / a.coeffs[0]
-    coeffs = [inv0] + [Fraction(0)] * a.order
+    coeffs = [inv0] + [_ZERO] * a.order
     for m in range(1, a.order + 1):
-        coeffs[m] = -inv0 * _dot(a.coeffs[1 : m + 1], coeffs[m - 1 :: -1])
+        coeffs[m] = -inv0 * _dot(_support_of(a.coeffs[1 : m + 1]), _support_of(coeffs[m - 1 :: -1]))
     return TruncatedSeries(a.variable, a.order, tuple(coeffs))

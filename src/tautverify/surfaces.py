@@ -8,17 +8,20 @@ them.  The functional, built at load, keeps each lattice-derived value beside
 the effective one, and audit_overrides reports the comparison.
 
 A model and its functional hold the RingSpace of the family's target, so a
-class is paired with a functional without naming a space again.
+class is paired with a functional without naming a space again.  Pairings
+run on supports (see `linalg`): a functional keeps the support of its values
+over the codim-2 basis, so evaluating a class walks two int supports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DataError, DegreeError, DimensionError, SpaceMismatchError, UnknownLabelError
-from .linalg import QMatrix, Vector, _dot, as_fraction, as_vector
+from .linalg import QMatrix, Support, Vector, _dot, _ratio_sum, _support_of, as_fraction, as_vector
 from .rings import RingSpace, TautClass
 
 DERIVED = "derived"
@@ -47,6 +50,11 @@ class SurfaceFunctional:
     values: Mapping[str, Fraction]
     provenance: Mapping[str, str]
     derived: Mapping[str, Fraction]  # label -> lattice value: every formal product, basis or not, and special product
+
+    @cached_property
+    def support(self) -> Support:
+        """The support of the values over the codim-2 basis of the space."""
+        return _support_of(self.values[label] for label in self.space.codim2_basis)
 
 
 @dataclass(frozen=True)
@@ -97,12 +105,12 @@ def pair_on_surface(surface: SurfaceModel, v: Sequence, w: Sequence) -> Fraction
     vv, ww = as_vector(v), as_vector(w)
     if len(vv) != len(surface.lattice_labels) or len(ww) != len(surface.lattice_labels):
         raise DimensionError(f"{surface.id}: lattice vectors must have length {len(surface.lattice_labels)}")
-    return _dot(vv, surface.gram.mul_vec(ww))
+    return _dot(_support_of(vv), _support_of(surface.gram.mul_vec(ww)))
 
 
 def _derived_special_value(surface: SurfaceModel, label: str) -> Fraction:
     pairings = [pair_on_surface(surface, v, w) for v, w in surface.special_products[label]]
-    return _dot(pairings, [1] * len(pairings))
+    return _ratio_sum((p.numerator, p.denominator) for p in pairings)
 
 
 def surface_functional(surface: SurfaceModel) -> SurfaceFunctional:
@@ -118,8 +126,8 @@ def surface_functional(surface: SurfaceModel) -> SurfaceFunctional:
     space = surface.space
     values: dict[str, Fraction] = {}
     prov: dict[str, str] = {}
-    restr = surface.divisor_restrictions
-    gram_restr = {gen: surface.gram.mul_vec(vec) for gen, vec in restr.items()}
+    restr = {gen: _support_of(vec) for gen, vec in surface.divisor_restrictions.items()}
+    gram_restr = {gen: _support_of(surface.gram.mul_vec(vec)) for gen, vec in surface.divisor_restrictions.items()}
     derived = {label: _dot(restr[a], gram_restr[b]) for label, (a, b) in space.product_pairs.items()}
     for label in space.codim2_basis:
         if label in space.product_pairs:
@@ -158,8 +166,7 @@ def evaluate(functional: SurfaceFunctional, c: TautClass) -> Fraction:
         )
     if c.degree != 2:
         raise DegreeError("evaluate needs a degree-2 class")
-    nonzero = [(coeff, label) for label, coeff in zip(c.space.codim2_basis, c.coeffs) if coeff]
-    return _dot([coeff for coeff, _ in nonzero], [functional.values[label] for _, label in nonzero])
+    return _dot(c.support, functional.support)
 
 
 def evaluate_formal_products(functional: SurfaceFunctional, formal: Mapping[str, object]) -> Fraction:
@@ -179,7 +186,7 @@ def evaluate_formal_products(functional: SurfaceFunctional, formal: Mapping[str,
             raise UnknownLabelError(f"{label!r} is not a formal divisor product on {space.id}")
         coeffs.append(c)
         values.append(functional.derived[label])
-    return _dot(coeffs, values)
+    return _dot(_support_of(coeffs), _support_of(values))
 
 
 def audit_overrides(functional: SurfaceFunctional) -> list[AuditEntry]:

@@ -134,8 +134,9 @@ def test_failure_reports_minimal_diff(repo):
 
 
 def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
-    # one pass of each lambda^2 pipeline, one solve per multiplicity system and
-    # no functional rebuilt; a second run on the same Repo does it all again.
+    # one pass of each lambda^2 pipeline, each jet bundle built once (jet_chern
+    # and the pipelines share it), one solve per multiplicity system and no
+    # functional rebuilt; a second run on the same Repo does it all again.
     # The maps' degree-2 images and the lattice pairings are built at load,
     # and each family pairs with a system's classes once per run.
     calls = Counter()
@@ -150,6 +151,9 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(grr, "porteous_c3")
+    for module in (grr, checks):  # wherever it is imported
+        if hasattr(module, "jet_bundle_chern"):
+            count(module, "jet_bundle_chern")
     count(checks, "solve_multiplicities")
     count(surfaces, "surface_functional")
     count(data, "surface_functional")
@@ -162,6 +166,7 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
         calls.clear()
         assert run_all(repo).all_passed
         assert (calls["porteous_c3"], calls["solve_multiplicities"], calls["surface_functional"]) == (2, 2, 0)
+        assert calls["jet_bundle_chern"] == 2
         assert (calls["divisor_product"], calls["pair_on_surface"], calls["evaluate"]) == (32, 0, 52)
 
 
@@ -269,6 +274,51 @@ def test_weierstrass_factor_out_of_range_is_rejected_at_load(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "xi_star_m31: weierstrass factor 3 is neither 1 nor 2" in captured.err
+
+
+def test_gluing_key_naming_no_factor_is_rejected_at_load(tmp_path, capsys):
+    def edit(raw):
+        raw["images"]["d0*d2"] = {"3:d0": 1, "2:d0": 1}
+
+    data_dir = _data_copy_with(tmp_path, "homs/xi_star_m4.json", edit)
+    assert main(["--data-dir", data_dir, "run-all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "xi_star_m4: image key '3:d0' of 'd0*d2' names no factor 1 or 2" in captured.err
+
+
+def _drop_relations(raw):
+    del raw["relations"]
+
+
+def _set_hyp4_coeff(value):
+    def edit(raw):
+        raw["classes"]["Hyp4"]["coeffs"]["lam^2"] = value
+
+    return edit
+
+
+def _target_space_as_list(raw):
+    raw["target_space"] = [raw["target_space"]]
+
+
+@pytest.mark.parametrize(
+    "relpath, edit, error",
+    [
+        ("spaces/m31.json", _drop_relations, "KeyError: 'relations'"),
+        ("catalog.json", _set_hyp4_coeff(1.5), "TypeError: exact rational expected, got float: 1.5"),
+        ("catalog.json", _set_hyp4_coeff("1/0"), "ZeroDivisionError"),
+        ("surfaces/s1.json", _target_space_as_list, "TypeError: unhashable type: 'list'"),
+    ],
+    ids=["missing_key", "float", "zero_denominator", "list_for_id"],
+)
+def test_malformed_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, edit, error):
+    data_dir = _data_copy_with(tmp_path, relpath, edit)
+    assert main(["--data-dir", data_dir, "run-all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: malformed definition file {relpath!r}: ")
+    assert error in captured.err
 
 
 def test_inconsistent_restriction_system_fails_w2_lemmas(tmp_path, capsys):

@@ -8,6 +8,7 @@ from tautverify.grr import (
     canonical_jet_porteous_class,
     grr_spin_character,
     jet_bundle_chern,
+    jet_bundles,
     kappa_pushforward,
     locus_lambda2,
     m4_specialize,
@@ -131,9 +132,15 @@ def test_specialize_rejects_wrong_degree():
         m4_specialize(mono({"psi": 3}, 1))
 
 
+def test_jet_bundles_are_the_pipelines_jet_bundles():
+    jets = jet_bundles()
+    assert jets == {"J2_spin": jet_bundle_chern(2, F(1, 2)), "J5_canonical": jet_bundle_chern(5, 1)}
+
+
 def test_pipeline_classes():
-    assert m4_specialize(spin_porteous_class()) == F(177, 4)
-    assert m4_specialize(canonical_jet_porteous_class()) == F(15771, 2)
+    jets = jet_bundles()
+    assert m4_specialize(spin_porteous_class(jets["J2_spin"])) == F(177, 4)
+    assert m4_specialize(canonical_jet_porteous_class(jets["J5_canonical"])) == F(15771, 2)
 
 
 def test_locus_lambda2(repo):

@@ -12,7 +12,9 @@ from tautverify.linalg import (
     Solution,
     _combine,
     _dot,
+    _from_support,
     _rref_rows,
+    _support_of,
     kernel_basis,
     mat_rref,
     row_space_rref,
@@ -314,16 +316,34 @@ def _normalised_fractions(xs):
     return all(type(x) is F and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1 for x in xs)
 
 
+def _is_support_of(s, xs):
+    """`s` lists exactly the nonzero entries of `xs`, ascending, in lowest terms with positive denominators."""
+    return [i for i, _, _ in s] == [i for i, x in enumerate(xs) if x] and all(
+        type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1 and F(n, d) == xs[i] for i, n, d in s
+    )
+
+
 @given(kernel_terms, st.lists(st.tuples(kernel_entries, kernel_entries), max_size=16))
 @example((0, []), [])
 @example((3, [(0, [1, 2, 3]), (F(1, 2), [0, 0, 0])]), [(0, 5), (F(1, 7), 0)])
 @example((2, [(2, [1, -3]), (-1, [2, -6])]), [(2, 3), (-3, 2)])
 def test_kernel_matches_plain_fraction_sums(case, pairs):
     width, terms = case
-    combined = _combine(terms, width)
-    assert combined == tuple(sum((F(c) * F(v[i]) for c, v in terms), F(0)) for i in range(width))
-    assert _normalised_fractions(combined)
+    combined = _combine(((F(c).numerator, F(c).denominator, _support_of(v)) for c, v in terms), width)
+    expected = tuple(sum((F(c) * F(v[i]) for c, v in terms), F(0)) for i in range(width))
+    assert _is_support_of(combined, expected)
+    assert _from_support(combined, width) == expected
+    assert _normalised_fractions(_from_support(combined, width))
 
-    dot = _dot([x for x, _ in pairs], [y for _, y in pairs])
+    dot = _dot(_support_of([x for x, _ in pairs]), _support_of([y for _, y in pairs]))
     assert dot == sum((F(x) * F(y) for x, y in pairs), F(0))
     assert _normalised_fractions([dot])
+
+
+@given(st.lists(kernel_entries, max_size=12))
+@example([])
+@example([0, F(2, 4), -3, F(0), F(-9, 6)])
+def test_support_lists_exactly_the_nonzero_entries(xs):
+    s = _support_of(xs)
+    assert _is_support_of(s, xs)
+    assert _from_support(s, len(xs)) == tuple(F(x) for x in xs)

@@ -11,6 +11,7 @@ from tautverify.errors import (
     UnknownLabelError,
     UnknownNameError,
 )
+from tautverify.linalg import _support_of
 from tautverify.rings import (
     apply_hom,
     divisor_product,
@@ -60,7 +61,7 @@ def test_m22_basis_is_the_fourteen_products(repo):
         "psi1^2", "psi1*d0_12", "psi2*d0_12", "d0_12*d1_1",
         "d1_1^2", "d1_1*d1_12", "d1_12^2",
     }
-    assert non_basis == set(m22.codim2_vectors) - set(m22.codim2_basis)
+    assert non_basis == set(m22.codim2_supports) - set(m22.codim2_basis)
 
 
 # --- products and reduction ---------------------------------------------
@@ -158,6 +159,30 @@ def test_product_bilinear_symmetric(repo, data):
     left = divisor_product(a + b.scale(t), c)
     right = divisor_product(a, c) + divisor_product(b, c).scale(t)
     assert left == right
+
+
+@given(st.data())
+def test_classes_made_by_the_kernel_keep_their_true_support(repo, data):
+    # a class built from kernel output carries the support the kernel gave;
+    # it must be the one its coefficients have
+    space = repo.space(data.draw(st.sampled_from(["M31", "M4", "M22"])))
+
+    def draw(degree):
+        labels = space.basis(degree)
+        coeffs = data.draw(st.lists(sparse_rationals, min_size=len(labels), max_size=len(labels)))
+        return space.from_dict(degree, dict(zip(labels, coeffs)))
+
+    a, b, t = draw(1), draw(1), data.draw(sparse_rationals)
+    x, y = draw(2), draw(2)
+    made = [
+        a + b, a - b, a.scale(t), x + y, x - y, x.scale(t), space.zero(2),
+        divisor_product(a, b), reduce_to_basis(space, x.as_dict()),
+        space.basis_class(1, space.divisor_basis[-1]), space.basis_class(2, space.codim2_basis[0]),
+        *(special_expand(space, name) for name in space.special_expansions),
+    ]
+    for c in made:
+        assert c.support == _support_of(c.coeffs)
+        assert all(type(v) is F for v in c.coeffs)
 
 
 # --- special expansions ---------------------------------------------------
