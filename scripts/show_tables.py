@@ -9,7 +9,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tautverify.data import SURFACE_IDS, Repo
-from tautverify.surfaces import audit_overrides
+from tautverify.surfaces import OVERRIDE
 
 if __name__ == "__main__":
     repo = Repo(sys.argv[1]) if len(sys.argv) > 1 else Repo()
@@ -24,7 +24,7 @@ if __name__ == "__main__":
             if value == 0:
                 continue
             print(f"  {label:12s} {str(value):>8s}   [{functional.provenance[label]}]")
-        flagged = [e for e in audit_overrides(functional) if e.status == "override"]
-        for e in flagged:
-            print(f"  note: {e.label} overrides the lattice value {e.derived}")
+        for label, provenance in functional.provenance.items():
+            if provenance == OVERRIDE:
+                print(f"  note: {label} overrides the lattice value {functional.derived[label]}")
         print()

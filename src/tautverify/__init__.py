@@ -8,13 +8,12 @@ tables, family lattices, fiber counts) live in auditable data files.
 
 __version__ = "0.1.0"
 
-from .data import Repo, default_repo
+from .data import Repo
 from .rings import TautClass, divisor_product, reduce_to_basis, special_expand, apply_hom
-from .surfaces import evaluate, surface_functional, audit_overrides
+from .surfaces import evaluate, surface_functional
 
 __all__ = [
     "Repo",
-    "default_repo",
     "TautClass",
     "divisor_product",
     "reduce_to_basis",
@@ -22,21 +21,20 @@ __all__ = [
     "apply_hom",
     "evaluate",
     "surface_functional",
-    "audit_overrides",
     "run_all",
     "run_check",
     "__version__",
 ]
 
 
-def run_all(repo=None):
+def run_all(repo):
     """Run every registered check; see tautverify.checks for the full API."""
     from .checks import run_all as _run_all
 
     return _run_all(repo)
 
 
-def run_check(check_id, repo=None):
+def run_check(check_id, repo):
     from .checks import run_check as _run_check
 
     return _run_check(check_id, repo)

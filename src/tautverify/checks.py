@@ -25,7 +25,7 @@ from .counts import (
     scorza_correspondence_class,
     scorza_triple_degree,
 )
-from .data import SURFACE_IDS, Repo, default_repo
+from .data import SURFACE_IDS, Repo
 from .errors import UnknownNameError
 from .grr import JET_BUNDLES, grr_spin_character, jet_bundles, lambda2_values
 from .linalg import (
@@ -47,7 +47,7 @@ from .rings import (
     special_expand,
 )
 from .series import jet_sum
-from .surfaces import audit_overrides, evaluate, evaluate_formal_products
+from .surfaces import OVERRIDE, evaluate, evaluate_formal_products
 
 Part = tuple[str, str, str]
 
@@ -106,11 +106,11 @@ class Report:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def to_json(self, deterministic: bool = True) -> str:
+    def to_json(self) -> str:
         """Canonical JSON document; byte-stable for fixed inputs.
 
         Measured runtimes vary between runs, so the canonical form zeroes the
-        micros field; pass deterministic=False to keep measured timings.
+        micros field; the human report shows them.
         """
         doc = {
             "version": self.version,
@@ -121,7 +121,7 @@ class Report:
                     "expected": r.expected,
                     "actual": r.actual,
                     "passed": r.passed,
-                    "micros": 0 if deterministic else r.micros,
+                    "micros": 0,
                 }
                 for r in self.results
             ],
@@ -291,11 +291,6 @@ class Run:
         return self._solutions[system_id]
 
 
-def _run_of(source: Repo | Run | None) -> Run:
-    """A Run shares its results; a Repo, or the default one, starts a fresh Run."""
-    return source if isinstance(source, Run) else Run(source or default_repo())
-
-
 def _resolve_component_class(repo: Repo, space_id: str, ref: str) -> TautClass:
     kind, _, name = ref.partition(":")
     if kind == "catalog":
@@ -369,7 +364,7 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
     return names, QMatrix.from_rows(rows), tuple(rhs)
 
 
-def solve_multiplicities(system_id: str, repo: Repo | Run | None = None):
+def solve_multiplicities(system_id: str, run: Run):
     """Solve a registered multiplicity system and find its redundant rows.
 
     Returns (assignment, redundant_names, parts): the exact solution keyed by
@@ -379,7 +374,6 @@ def solve_multiplicities(system_id: str, repo: Repo | Run | None = None):
     solution a row is redundant iff some vector of the matrix's left kernel is
     nonzero there (the row is a combination of the others); else none is.
     """
-    run = _run_of(repo)
     try:
         system = _SYSTEMS[system_id]
     except KeyError:
@@ -495,9 +489,9 @@ def _parts_prop4_alt(run: Run) -> list[Part]:
     return parts
 
 
-def compute_hyp31(repo: Repo | None = None) -> tuple[TautClass, list[Part]]:
+def compute_hyp31(run: Run) -> tuple[TautClass, list[Part]]:
     """Pull the genus-4 hyperelliptic class back along the elliptic-tail map."""
-    repo = repo or default_repo()
+    repo = run.repo
     golden = repo.golden["hyp31"]
     result = apply_hom(repo.hom("j3_star"), repo.catalog_class("Hyp4"))
     pushforward = apply_hom(repo.hom("p_star_pushforward"), result)
@@ -564,9 +558,8 @@ def _parts_w2_lemmas(run: Run) -> list[Part]:
     return parts
 
 
-def compute_f31(repo: Repo | Run | None = None) -> tuple[TautClass, list[Part]]:
+def compute_f31(run: Run) -> tuple[TautClass, list[Part]]:
     """Assemble the marked-hyperflex class from the solved multiplicities."""
-    run = _run_of(repo)
     repo = run.repo
     m31 = repo.space("M31")
     golden = repo.golden["f31"]
@@ -587,9 +580,8 @@ def compute_f31(repo: Repo | Run | None = None) -> tuple[TautClass, list[Part]]:
     return result, parts
 
 
-def compute_h4plus(repo: Repo | Run | None = None) -> tuple[TautClass, list[Part]]:
+def compute_h4plus(run: Run) -> tuple[TautClass, list[Part]]:
     """Assemble the even-theta triple-vanishing class from the solved system."""
-    run = _run_of(repo)
     repo = run.repo
     m4 = repo.space("M4")
     golden = repo.golden["h4plus"]
@@ -646,9 +638,9 @@ def _parts_surface_tables(run: Run) -> list[Part]:
             parts.append(_val_part(f"{sid}:<{key}>", as_fraction(v), value))
     override_rows = []
     for sid in golden["surfaces"]:
-        for entry in audit_overrides(repo.functional(sid)):
-            if entry.status == "override":
-                override_rows.append([sid, entry.label])
+        for label, provenance in repo.functional(sid).provenance.items():
+            if provenance == OVERRIDE:
+                override_rows.append([sid, label])
     parts.append(_val_part("override_count", golden["override_count"], len(override_rows)))
     parts.append(_val_part("override_at", [golden["override_at"]], override_rows))
     return parts
@@ -815,7 +807,7 @@ CHECKS: tuple[CheckDef, ...] = (
     CheckDef("basis_m31", _parts_basis_m31),
     CheckDef("prop4", _parts_prop4),
     CheckDef("prop4_alt_route", _parts_prop4_alt),
-    CheckDef("hyp31", lambda run: compute_hyp31(run.repo)[1]),
+    CheckDef("hyp31", lambda run: compute_hyp31(run)[1]),
     CheckDef("j3_pullback_table", _parts_j3_table),
     CheckDef("w2_lemmas", _parts_w2_lemmas),
     CheckDef("multiplicities_f31", lambda run: run.solution("F31")[2]),
@@ -839,36 +831,36 @@ def check_ids() -> list[str]:
     return [c.id for c in CHECKS]
 
 
-def run_check(check_id: str, repo: Repo | Run | None = None) -> CheckResult:
-    """Run one named check; pure given the loaded repository.
-
-    Given a Run instead of a Repo, the check shares that run's results.
-    """
-    run = _run_of(repo)
-    try:
-        check = _CHECK_INDEX[check_id]
-    except KeyError:
-        raise UnknownNameError(
-            f"unknown check {check_id!r}; known ids: {', '.join(check_ids())}"
-        ) from None
+def _run_one(check: CheckDef, run: Run) -> CheckResult:
     anchor = run.repo.golden.get(check.id, {}).get("anchor", "")
     t0 = time.perf_counter()
     parts = check.fn(run)
     return _finish(check.id, anchor, parts, t0)
 
 
-def run_all(repo: Repo | None = None) -> Report:
-    """Run every registered check deterministically, in declaration order.
+def run_check(check_id: str, repo: Repo) -> CheckResult:
+    """Run one named check on a fresh Run; pure given the loaded repository."""
+    try:
+        check = _CHECK_INDEX[check_id]
+    except KeyError:
+        raise UnknownNameError(
+            f"unknown check {check_id!r}; known ids: {', '.join(check_ids())}"
+        ) from None
+    return _run_one(check, Run(repo))
+
+
+def run_all(repo: Repo) -> Report:
+    """Run every registered check, in declaration order.
 
     The checks share one Run, so each shared result is computed once per call.
     """
-    run = Run(repo or default_repo())
-    return Report(__version__, tuple(run_check(c.id, run) for c in CHECKS))
+    run = Run(repo)
+    return Report(__version__, tuple(_run_one(c, run) for c in CHECKS))
 
 
-def export_report(report: Report, format: str = "human", deterministic: bool = True) -> str:
+def export_report(report: Report, format: str) -> str:
     if format == "json":
-        return report.to_json(deterministic=deterministic)
+        return report.to_json()
     if format == "human":
         return report.to_human()
     raise ValueError(f"unknown report format {format!r}")

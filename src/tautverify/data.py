@@ -193,14 +193,3 @@ class Repo:
     def functional(self, sid: str) -> SurfaceFunctional:
         self.surface(sid)
         return self._functionals[sid]
-
-
-_DEFAULT: Repo | None = None
-
-
-def default_repo() -> Repo:
-    """The lazily loaded repository backed by the embedded data files."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = Repo()
-    return _DEFAULT

@@ -13,10 +13,6 @@ class SpaceMismatchError(TautVerifyError):
     """Classes from different ring spaces (or of the wrong degree) were combined."""
 
 
-class VariableMismatchError(TautVerifyError):
-    """Series in different formal variables were combined."""
-
-
 class NonUnitSeriesError(TautVerifyError):
     """Inversion requires a nonzero constant term."""
 

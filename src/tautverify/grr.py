@@ -158,12 +158,3 @@ def lambda2_values(repo, jets: Mapping[str, ChernVector]) -> dict[str, Fraction]
     hyp4_lambda2 = repo.catalog_class("Hyp4").coeff("lam^2")
     h4_plus = h4 - hyperelliptic_weierstrass_count(4) * hyp4_lambda2 - h4_minus
     return dict(zip(_LOCI, (sh4_minus, h4_minus, h4, h4_plus)))
-
-
-def locus_lambda2(which: str, repo=None) -> Fraction:
-    """lambda^2 coefficient of one subcanonical locus; see lambda2_values."""
-    if which not in _LOCI:
-        raise ValueError(f"unknown locus {which!r}; expected one of {_LOCI}")
-    from .data import default_repo
-
-    return lambda2_values(repo or default_repo(), jet_bundles())[which]

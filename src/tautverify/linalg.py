@@ -6,12 +6,14 @@ runs on Python ints.  An exact vector's nonzero entries are kept once as its
 *support*: a tuple of ``(index, numerator, denominator)`` int triples,
 ascending in index, in lowest terms with positive denominators.  Every sum of
 products in the package (dot products, map images, basis reductions, class
-arithmetic, series products) goes through one integer-accumulation kernel,
-`_dot` and `_combine`: it walks supports only, adds numerators over a running
-common denominator, and normalises once per result entry; `_combine` returns
-a support, so chained kernel calls build no Fraction in between.
-Elimination (`_rref_rows`) is Gauss-Jordan on rows cleared of denominators;
-it skips zeros and builds one Fraction per output entry.
+arithmetic, series products, polynomial term collection) goes through one
+keyed integer accumulator, `_accumulate`: it adds numerators per key over a
+running common denominator and normalises once per key.  `_dot` and
+`_combine` feed it products of supports (keyed by index), and `poly` feeds it
+terms keyed by exponent tuple; `_combine` returns a support, so chained
+kernel calls build no Fraction in between.  Elimination (`_rref_rows`) is
+Gauss-Jordan on rows cleared of denominators; it skips zeros and builds one
+Fraction per output entry.
 """
 
 from __future__ import annotations
@@ -57,46 +59,46 @@ def _from_support(s: Support, width: int) -> Vector:
     return tuple(v)
 
 
-def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of n / d over int pairs with d > 0, normalised once."""
-    num, den = 0, 1
-    for n, d in ratios:
-        if d == den:
-            num += n
+def _accumulate(terms: Iterable[tuple[object, int, int]]) -> tuple[tuple[object, int, int], ...]:
+    """The sums of n / d per key over (key, n, d) int terms with d > 0.
+
+    Returns (key, numerator, denominator) triples sorted by key, in lowest
+    terms, with zero sums dropped.  This is the one exact summation loop:
+    each key keeps a numerator over a running common denominator.
+    """
+    acc: dict = {}
+    for k, n, d in terms:
+        slot = acc.get(k)
+        if slot is None:
+            acc[k] = [n, d]
+        elif slot[1] == d:
+            slot[0] += n
         else:
-            g = gcd(den, d)
-            num, den = num * (d // g) + n * (den // g), den // g * d
-    return Fraction(num, den) if num else _ZERO
+            g = gcd(slot[1], d)
+            slot[0], slot[1] = slot[0] * (d // g) + n * (slot[1] // g), slot[1] // g * d
+    out = []
+    for k, (n, d) in sorted(acc.items()):
+        if n:
+            g = gcd(n, d)
+            out.append((k, n // g, d // g))
+    return tuple(out)
+
+
+def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of n / d over int pairs with d > 0."""
+    total = _accumulate((0, n, d) for n, d in ratios)
+    return Fraction(total[0][1], total[0][2]) if total else _ZERO
 
 
 def _dot(xs: Support, ys: Support) -> Fraction:
     """Exact sum of x_i * y_i over the indices that both supports hold."""
     right = {i: (n, d) for i, n, d in ys}
-    products = []
-    for i, n, d in xs:
-        y = right.get(i)
-        if y:
-            products.append((n * y[0], d * y[1]))
-    return _ratio_sum(products)
+    return _ratio_sum((n * right[i][0], d * right[i][1]) for i, n, d in xs if i in right)
 
 
-def _combine(terms: Iterable[tuple[int, int, Support]], width: int) -> Support:
-    """Support of the sum of n/d * v over `terms` (n, d, support of v), each v of length `width`."""
-    nums, dens = [0] * width, [1] * width
-    for cn, cd, vs in terms:
-        for i, n, d in vs:
-            n, d, den = cn * n, cd * d, dens[i]
-            if d == den:
-                nums[i] += n
-            else:
-                g = gcd(den, d)
-                nums[i], dens[i] = nums[i] * (d // g) + n * (den // g), den // g * d
-    out = []
-    for i, n in enumerate(nums):
-        if n:
-            g = gcd(n, dens[i])
-            out.append((i, n // g, dens[i] // g))
-    return tuple(out)
+def _combine(terms: Iterable[tuple[int, int, Support]]) -> Support:
+    """Support of the sum of n/d * v over `terms` (n, d, support of v)."""
+    return _accumulate((i, cn * n, cd * d) for cn, cd, vs in terms for i, n, d in vs)
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def _rref_rows(rows: list[list[Fraction]], width: int) -> tuple[list[list[Fracti
 
     Columns beyond `width` (an augmented part, if any) are carried along.
     Pivots are scaled to 1 and cleared above and below; this is the canonical
-    normalization fixed by the design decisions, so outputs are deterministic.
+    normalization fixed by the design decisions, so each input has one output.
     The work is in ints: each row is cleared of denominators once and kept as
     ints times a rational scale.  Clearing pivot row P (pivot p) from a row R
     with R[c] = f is R = (p/g) R - (f/g) P, g = gcd(p, f), then R is divided

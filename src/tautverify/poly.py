@@ -9,8 +9,8 @@ dropped; zero coefficients are never stored.
 Terms are stored as ``(exponents, numerator, denominator)`` int triples in
 lowest terms with positive denominators, sorted by exponent tuple, so that
 chained `+`, `-`, `scale` and `*` build no Fraction: each collects like terms
-in one keyed int accumulator, `_collect`, with a running common denominator
-per monomial and one normalisation per monomial at the end.  `terms` is the
+in the keyed int accumulator of `linalg`, keyed by exponent tuple, after
+`_collect` drops the monomials above the maximum degree.  `terms` is the
 public Fraction view, built once per polynomial on first read.
 """
 
@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd
 from operator import add, mul
 from typing import Iterable
 
 from .errors import DegreeError
-from .linalg import _ZERO, as_fraction
+from .linalg import _ZERO, _accumulate, as_fraction
 
 SYMBOLS = ("psi", "lam", "lam1", "lam2", "kappa0", "kappa1", "kappa2", "kappa3")
 WEIGHTS = {"psi": 1, "lam": 1, "lam1": 1, "lam2": 2, "kappa0": 0, "kappa1": 1, "kappa2": 2, "kappa3": 3}
@@ -43,24 +42,7 @@ def monomial_degree(exps: Exps) -> int:
 
 def _collect(triples: Iterable[Triple], max_degree: int) -> tuple[Triple, ...]:
     """Sorted nonzero lowest-terms triples of the sum of n/d * x^exps over `triples`, up to `max_degree`."""
-    acc: dict[Exps, list[int]] = {}
-    for exps, n, d in triples:
-        if not n or monomial_degree(exps) > max_degree:
-            continue
-        slot = acc.get(exps)
-        if slot is None:
-            acc[exps] = [n, d]
-        elif slot[1] == d:
-            slot[0] += n
-        else:
-            g = gcd(slot[1], d)
-            slot[:] = slot[0] * (d // g) + n * (slot[1] // g), slot[1] // g * d
-    out = []
-    for e, (n, d) in sorted(acc.items()):
-        if n:
-            g = gcd(n, d)
-            out.append((e, n // g, d // g))
-    return tuple(out)
+    return _accumulate(t for t in triples if monomial_degree(t[0]) <= max_degree)
 
 
 def _full_length(exps: Exps) -> Exps:

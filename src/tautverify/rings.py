@@ -41,7 +41,6 @@ from .linalg import (
     QMatrix,
     Solution,
     Support,
-    _ONE,
     _ZERO,
     _combine,
     _from_support,
@@ -91,12 +90,12 @@ class TautClass:
 
     def _plus(self, other: "TautClass", sign: int) -> "TautClass":
         _check_same(self, other)
-        s = _combine(((1, 1, self.support), (sign, 1, other.support)), len(self.coeffs))
+        s = _combine(((1, 1, self.support), (sign, 1, other.support)))
         return _class_of(self.space, self.degree, s, len(self.coeffs))
 
     def scale(self, c) -> "TautClass":
         c = as_fraction(c)
-        s = _combine(((c.numerator, c.denominator, self.support),), len(self.coeffs))
+        s = _combine(((c.numerator, c.denominator, self.support),))
         return _class_of(self.space, self.degree, s, len(self.coeffs))
 
 
@@ -166,10 +165,7 @@ class RingSpace:
         index = self.basis_index(degree)
         if label not in index:
             raise UnknownLabelError(f"{label!r} is not a degree-{degree} basis label of {self.id}")
-        i, width = index[label], len(self.basis(degree))
-        c = TautClass(self, degree, (_ZERO,) * i + (_ONE,) + (_ZERO,) * (width - i - 1))
-        c.__dict__["support"] = ((i, 1, 1),)
-        return c
+        return _class_of(self, degree, ((index[label], 1, 1),), len(index))
 
 
 def make_space(
@@ -260,7 +256,7 @@ def reduce_to_basis(space: RingSpace, formal: Formal) -> TautClass:
         if c:
             terms.append((c.numerator, c.denominator, _codim2_support(space, label)))
     width = len(space.codim2_basis)
-    return _class_of(space, 2, _combine(terms, width), width)
+    return _class_of(space, 2, _combine(terms), width)
 
 
 def _codim2_support(space: RingSpace, label: str) -> Support:
@@ -300,7 +296,7 @@ def divisor_product(a: TautClass, b: TautClass) -> TautClass:
         for j, nb, db in b.support
     ]
     width = len(space.codim2_basis)
-    return _class_of(space, 2, _combine(terms, width), width)
+    return _class_of(space, 2, _combine(terms), width)
 
 
 def special_expand(space: RingSpace, symbol: str) -> TautClass:
@@ -423,7 +419,7 @@ def apply_hom(hom: RingHom, c: TautClass | Formal, degree: int | None = None) ->
             raise MissingImageError(f"{hom.id}: {missing} {label!r}")
         terms.append((n, d, images[label].support))
     width = len(hom.codomain.basis(out_degree))
-    return _class_of(hom.codomain, out_degree, _combine(terms, width), width)
+    return _class_of(hom.codomain, out_degree, _combine(terms), width)
 
 
 # --- gluing restrictions for the node-smoothing lemmas -----------------------

@@ -1,4 +1,4 @@
-"""Truncated univariate power series with exact rational coefficients.
+"""Truncated power series in one variable t with exact rational coefficients.
 
 These feed the Riemann-Roch pushforward computation: the inverse Todd series
 t/(e^t - 1), scaled exponentials e^{wt}, and the jet-bundle character sums
@@ -12,13 +12,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeError, NonUnitSeriesError, VariableMismatchError
+from .errors import DegreeError, NonUnitSeriesError
 from .linalg import _ZERO, _combine, _dot, _from_support, _support_of, as_fraction
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    variable: str
     order: int
     coeffs: tuple[Fraction, ...]
 
@@ -32,36 +31,31 @@ class TruncatedSeries:
         return self.coeffs[k] if 0 <= k <= self.order else _ZERO
 
     def __str__(self):
-        parts = [f"{c}*{self.variable}^{k}" for k, c in enumerate(self.coeffs) if c != 0]
+        parts = [f"{c}*t^{k}" for k, c in enumerate(self.coeffs) if c != 0]
         return " + ".join(parts) if parts else "0"
 
 
-def _check_var(a: TruncatedSeries, b: TruncatedSeries):
-    if a.variable != b.variable:
-        raise VariableMismatchError(f"cannot combine series in {a.variable!r} and {b.variable!r}")
-
-
-def exp_scaled(w, order: int, variable: str = "t") -> TruncatedSeries:
+def exp_scaled(w, order: int) -> TruncatedSeries:
     """e^{w t} = sum_k (w t)^k / k!  truncated at `order`."""
     w = as_fraction(w)
     return TruncatedSeries(
-        variable, order, tuple(w**k / math.factorial(k) for k in range(order + 1))
+        order, tuple(w**k / math.factorial(k) for k in range(order + 1))
     )
 
 
-def todd_inverse(order: int, variable: str = "t") -> TruncatedSeries:
+def todd_inverse(order: int) -> TruncatedSeries:
     """t/(e^t - 1), the inverse Todd series: 1 - t/2 + t^2/12 + 0 t^3 - t^4/720 ...
 
     Computed by inverting (e^t - 1)/t = sum_k t^k/(k+1)!, so no Bernoulli
     table is needed and any order is supported.
     """
     denom = TruncatedSeries(
-        variable, order, tuple(Fraction(1, math.factorial(k + 1)) for k in range(order + 1))
+        order, tuple(Fraction(1, math.factorial(k + 1)) for k in range(order + 1))
     )
     return series_inverse(denom)
 
 
-def jet_sum(n: int, w, order: int, variable: str = "t") -> TruncatedSeries:
+def jet_sum(n: int, w, order: int) -> TruncatedSeries:
     """e^{wt} * sum_{i=0}^{n} e^{it}: Chern character of a weight-w jet sum.
 
     The t^k coefficient of the sum of exponentials is the power sum
@@ -70,19 +64,18 @@ def jet_sum(n: int, w, order: int, variable: str = "t") -> TruncatedSeries:
     if n < 0:
         raise DegreeError("jet order must be >= 0")
     sums = tuple(Fraction(sum(i**k for i in range(n + 1)), math.factorial(k)) for k in range(order + 1))
-    return series_mul(exp_scaled(w, order, variable), TruncatedSeries(variable, order, sums))
+    return series_mul(exp_scaled(w, order), TruncatedSeries(order, sums))
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at min(a.order, b.order): one kernel sum of shifted copies of b."""
-    _check_var(a, b)
     order = min(a.order, b.order)
     sb = _support_of(b.coeffs)
     shifted = (
         (n, d, tuple((i + j, m, e) for j, m, e in sb if i + j <= order))
         for i, n, d in _support_of(a.coeffs[: order + 1])
     )
-    return TruncatedSeries(a.variable, order, _from_support(_combine(shifted, order + 1), order + 1))
+    return TruncatedSeries(order, _from_support(_combine(shifted), order + 1))
 
 
 def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
@@ -93,4 +86,4 @@ def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
     coeffs = [inv0] + [_ZERO] * a.order
     for m in range(1, a.order + 1):
         coeffs[m] = -inv0 * _dot(_support_of(a.coeffs[1 : m + 1]), _support_of(coeffs[m - 1 :: -1]))
-    return TruncatedSeries(a.variable, a.order, tuple(coeffs))
+    return TruncatedSeries(a.order, tuple(coeffs))

@@ -5,7 +5,9 @@ surface (a small Gram matrix), restriction vectors for the divisor
 generators, and directly stated values for the special classes.  Product
 entries are derived from the Gram pairing unless the source table overrides
 them.  The functional, built at load, keeps each lattice-derived value beside
-the effective one, and audit_overrides reports the comparison.
+the effective one, and its provenance is the one record of the comparison:
+a stated value that differs from the lattice value of its label is an
+override.
 
 A model and its functional hold the RingSpace of the family's target, so a
 class is paired with a functional without naming a space again.  Pairings
@@ -55,14 +57,6 @@ class SurfaceFunctional:
     def support(self) -> Support:
         """The support of the values over the codim-2 basis of the space."""
         return _support_of(self.values[label] for label in self.space.codim2_basis)
-
-
-@dataclass(frozen=True)
-class AuditEntry:
-    label: str
-    derived: Fraction | None
-    effective: Fraction
-    status: str  # "match" | "override" | "underivable"
 
 
 def make_surface(
@@ -122,6 +116,8 @@ def surface_functional(surface: SurfaceModel) -> SurfaceFunctional:
     direct values (used by the multiplicity systems) ride along.  Every
     lattice-derived value is kept too, also where a stated value wins and
     for formal products outside the basis (one Gram product per generator).
+    A stated value whose label has a different lattice value is marked
+    override, in the basis or not.
     """
     space = surface.space
     values: dict[str, Fraction] = {}
@@ -155,6 +151,9 @@ def surface_functional(surface: SurfaceModel) -> SurfaceFunctional:
         if label not in values:
             values[label] = derived[label]
             prov[label] = DERIVED
+    for label, p in prov.items():
+        if p == DIRECT and label in derived and values[label] != derived[label]:
+            prov[label] = OVERRIDE
     return SurfaceFunctional(surface.id, space, values, prov, derived)
 
 
@@ -187,16 +186,3 @@ def evaluate_formal_products(functional: SurfaceFunctional, formal: Mapping[str,
         coeffs.append(c)
         values.append(functional.derived[label])
     return _dot(_support_of(coeffs), _support_of(values))
-
-
-def audit_overrides(functional: SurfaceFunctional) -> list[AuditEntry]:
-    """Compare each effective value with its lattice-derived value, if any."""
-    report: list[AuditEntry] = []
-    for label, effective in functional.values.items():
-        derived = functional.derived.get(label)
-        if derived is None:
-            status = "underivable"
-        else:
-            status = "match" if derived == effective else "override"
-        report.append(AuditEntry(label, derived, effective, status))
-    return report

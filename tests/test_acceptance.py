@@ -10,6 +10,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from tautverify.checks import (
+    Run,
     compute_f31,
     compute_h4plus,
     compute_hyp31,
@@ -17,12 +18,12 @@ from tautverify.checks import (
     solve_multiplicities,
 )
 from tautverify.counts import abel_difference_degree, mixed_difference_degree, scorza_triple_degree
-from tautverify.grr import grr_spin_character, jet_bundle_chern, locus_lambda2
+from tautverify.grr import grr_spin_character, jet_bundle_chern, jet_bundles, lambda2_values
 from tautverify.linalg import QMatrix, Solution, kernel_basis, mat_rref, solve_exact
 from tautverify.poly import TruncatedPoly
 from tautverify.rings import apply_hom, divisor_product, reduce_to_basis, special_expand
 from tautverify.series import exp_scaled, series_mul, todd_inverse
-from tautverify.surfaces import audit_overrides, evaluate
+from tautverify.surfaces import evaluate
 
 from conftest import rationals
 
@@ -33,8 +34,8 @@ def _line(num: int, name: str, ok: bool):
 
 
 def test_criterion_01_theorem1_reproduction(repo):
-    hyp31, hyp_parts = compute_hyp31(repo)
-    f31, f_parts = compute_f31(repo)
+    hyp31, hyp_parts = compute_hyp31(Run(repo))
+    f31, f_parts = compute_f31(Run(repo))
     ok = (
         hyp31 == repo.catalog_class("Hyp31_theorem")
         and f31 == repo.catalog_class("F31_theorem")
@@ -45,15 +46,15 @@ def test_criterion_01_theorem1_reproduction(repo):
 
 
 def test_criterion_02_theorem2_reproduction(repo):
-    h4plus, parts = compute_h4plus(repo)
+    h4plus, parts = compute_h4plus(Run(repo))
     expected = (2448, -542, -1608, 276, 32, 178, 336, 276, 576, -4, 12, -60, -144)
     ok = h4plus.coeffs == tuple(F(x) for x in expected) and all(e == a for _, e, a in parts)
     _line(2, "genus-4 even-theta class", ok)
 
 
 def test_criterion_03_multiplicity_systems(repo):
-    sol31, red31, _ = solve_multiplicities("F31", repo)
-    sol4, red4, _ = solve_multiplicities("H4plus", repo)
+    sol31, red31, _ = solve_multiplicities("F31", Run(repo))
+    sol4, red4, _ = solve_multiplicities("H4plus", Run(repo))
     ok = (
         sol31 == {"m": 7, "n": 2, "k": 3, "l": 3, "j": 12}
         and sol4 == {"m": 320, "n": 2, "k": 96, "l": 216}
@@ -82,9 +83,9 @@ def test_criterion_06_intersection_tables(repo):
     result = run_check("surface_tables", repo)
     overrides = []
     for sid in ("S1", "S2", "S3", "T1", "T2", "T3", "V1", "V2", "V3", "V4"):
-        for e in audit_overrides(repo.functional(sid)):
-            if e.status == "override":
-                overrides.append((sid, e.label))
+        for label, provenance in repo.functional(sid).provenance.items():
+            if provenance == "override":
+                overrides.append((sid, label))
     ok = result.passed and overrides == [("T2", "psi*d21")]
     _line(6, "family intersection tables, single override", ok)
 
@@ -92,6 +93,7 @@ def test_criterion_06_intersection_tables(repo):
 def test_criterion_07_jet_pipeline_values(repo):
     spin = grr_spin_character(4)
     j2, j5 = jet_bundle_chern(2, F(1, 2)), jet_bundle_chern(5, 1)
+    lambda2 = lambda2_values(repo, jet_bundles())
     ok = (
         spin.coeff({"kappa1": 1}) == F(-1, 24)
         and spin.coeff({"kappa3": 1}) == F(7, 5760)
@@ -99,12 +101,11 @@ def test_criterion_07_jet_pipeline_values(repo):
         == (F(9, 2), F(23, 4), F(15, 8))
         and (j5.c1.coeff({"psi": 1}), j5.c2.coeff({"psi": 2}), j5.c3.coeff({"psi": 3}))
         == (21, 175, 735)
-        and locus_lambda2("SH4_minus", repo) == F(177, 4)
-        and locus_lambda2("H4_minus", repo) == 5310
-        and locus_lambda2("H4", repo) == F(15771, 2)
-        and locus_lambda2("H4_plus", repo) == 2448
-        and locus_lambda2("H4_plus", repo)
-        == repo.catalog_class("H4plus_theorem").coeff("lam^2")
+        and lambda2["SH4_minus"] == F(177, 4)
+        and lambda2["H4_minus"] == 5310
+        and lambda2["H4"] == F(15771, 2)
+        and lambda2["H4_plus"] == 2448
+        and lambda2["H4_plus"] == repo.catalog_class("H4plus_theorem").coeff("lam^2")
     )
     _line(7, "pushforward character, jet classes, lambda^2 values", ok)
 

@@ -12,6 +12,7 @@ from tautverify import checks, data, grr, rings, surfaces
 
 from tautverify.checks import (
     CHECKS,
+    Run,
     check_ids,
     compute_f31,
     compute_h4plus,
@@ -58,7 +59,7 @@ def test_checks_independent_of_order(repo):
         )
 
 
-def test_json_export_deterministic(repo):
+def test_json_export_is_byte_stable(repo):
     a = export_report(run_all(repo), "json")
     b = export_report(run_all(repo), "json")
     assert a == b
@@ -77,21 +78,21 @@ def test_human_export_lists_every_check(repo):
 
 
 def test_multiplicity_solutions(repo):
-    assignment, redundant, _ = solve_multiplicities("F31", repo)
+    assignment, redundant, _ = solve_multiplicities("F31", Run(repo))
     assert assignment == {"m": 7, "n": 2, "k": 3, "l": 3, "j": 12}
     assert redundant == ["family:T1", "family:T2", "pushforward:d1"]
-    assignment4, redundant4, _ = solve_multiplicities("H4plus", repo)
+    assignment4, redundant4, _ = solve_multiplicities("H4plus", Run(repo))
     assert assignment4 == {"m": 320, "n": 2, "k": 96, "l": 216}
     assert redundant4 == ["family:V1", "family:V2", "family:V3", "family:V4", "coefficient:lam^2"]
 
 
 def test_computed_classes_match_catalog(repo):
-    hyp31, _ = compute_hyp31(repo)
+    hyp31, _ = compute_hyp31(Run(repo))
     assert hyp31 == repo.catalog_class("Hyp31_theorem")
-    f31, _ = compute_f31(repo)
+    f31, _ = compute_f31(Run(repo))
     assert f31 == repo.catalog_class("F31_theorem")
     assert f31.coeff("kappa2") == 3
-    h4plus, _ = compute_h4plus(repo)
+    h4plus, _ = compute_h4plus(Run(repo))
     assert h4plus == repo.catalog_class("H4plus_theorem")
     assert h4plus.coeff("lam^2") == 2448
 

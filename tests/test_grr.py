@@ -10,7 +10,7 @@ from tautverify.grr import (
     jet_bundle_chern,
     jet_bundles,
     kappa_pushforward,
-    locus_lambda2,
+    lambda2_values,
     m4_specialize,
     porteous_c3,
     spin_porteous_class,
@@ -143,12 +143,14 @@ def test_pipeline_classes():
     assert m4_specialize(canonical_jet_porteous_class(jets["J5_canonical"])) == F(15771, 2)
 
 
-def test_locus_lambda2(repo):
-    assert locus_lambda2("SH4_minus", repo) == F(177, 4)
-    assert locus_lambda2("H4_minus", repo) == 5310
-    assert locus_lambda2("H4", repo) == F(15771, 2)
-    assert locus_lambda2("H4_plus", repo) == 2448
+def test_lambda2_values(repo):
+    values = lambda2_values(repo, jet_bundles())
+    assert list(values) == ["SH4_minus", "H4_minus", "H4", "H4_plus"]
+    assert values["SH4_minus"] == F(177, 4)
+    assert values["H4_minus"] == 5310
+    assert values["H4"] == F(15771, 2)
+    assert values["H4_plus"] == 2448
 
 
 def test_lambda2_matches_assembled_class(repo):
-    assert locus_lambda2("H4_plus", repo) == repo.catalog_class("H4plus_theorem").coeff("lam^2")
+    assert lambda2_values(repo, jet_bundles())["H4_plus"] == repo.catalog_class("H4plus_theorem").coeff("lam^2")

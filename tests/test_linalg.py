@@ -20,6 +20,7 @@ from tautverify.linalg import (
     row_space_rref,
     solve_exact,
 )
+from tautverify.poly import _collect, _exps_from_powers, monomial_degree
 from tautverify.rings import apply_hom
 
 from conftest import _small_rationals, rationals, sparse_rationals
@@ -311,6 +312,14 @@ kernel_terms = st.integers(0, 5).flatmap(
     )
 )
 
+# keyed terms as the polynomials feed them: exponent-tuple keys that repeat,
+# with monomials of degree 0 to 4, summed up to a maximum degree of 0 to 3
+_KEYS = [
+    _exps_from_powers(p)
+    for p in ({}, {"psi": 1}, {"lam": 1}, {"psi": 2}, {"psi": 1, "lam": 1}, {"lam2": 1}, {"kappa3": 1, "psi": 1})
+]
+keyed_terms = st.tuples(st.integers(0, 3), st.lists(st.tuples(st.sampled_from(_KEYS), kernel_entries), max_size=12))
+
 
 def _normalised_fractions(xs):
     return all(type(x) is F and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1 for x in xs)
@@ -323,13 +332,13 @@ def _is_support_of(s, xs):
     )
 
 
-@given(kernel_terms, st.lists(st.tuples(kernel_entries, kernel_entries), max_size=16))
-@example((0, []), [])
-@example((3, [(0, [1, 2, 3]), (F(1, 2), [0, 0, 0])]), [(0, 5), (F(1, 7), 0)])
-@example((2, [(2, [1, -3]), (-1, [2, -6])]), [(2, 3), (-3, 2)])
-def test_kernel_matches_plain_fraction_sums(case, pairs):
+@given(kernel_terms, st.lists(st.tuples(kernel_entries, kernel_entries), max_size=16), keyed_terms)
+@example((0, []), [], (0, []))
+@example((3, [(0, [1, 2, 3]), (F(1, 2), [0, 0, 0])]), [(0, 5), (F(1, 7), 0)], (1, [(_KEYS[1], F(1, 2)), (_KEYS[1], F(-1, 2))]))
+@example((2, [(2, [1, -3]), (-1, [2, -6])]), [(2, 3), (-3, 2)], (1, [(_KEYS[1], 0), (_KEYS[3], 5), (_KEYS[2], F(1, 7))]))
+def test_kernel_matches_plain_fraction_sums(case, pairs, keyed):
     width, terms = case
-    combined = _combine(((F(c).numerator, F(c).denominator, _support_of(v)) for c, v in terms), width)
+    combined = _combine((F(c).numerator, F(c).denominator, _support_of(v)) for c, v in terms)
     expected = tuple(sum((F(c) * F(v[i]) for c, v in terms), F(0)) for i in range(width))
     assert _is_support_of(combined, expected)
     assert _from_support(combined, width) == expected
@@ -338,6 +347,17 @@ def test_kernel_matches_plain_fraction_sums(case, pairs):
     dot = _dot(_support_of([x for x, _ in pairs]), _support_of([y for _, y in pairs]))
     assert dot == sum((F(x) * F(y) for x, y in pairs), F(0))
     assert _normalised_fractions([dot])
+
+    # the same accumulator keyed by exponent tuple: zero sums and monomials
+    # above the maximum degree are dropped, the rest sorted by key
+    max_degree, monomials = keyed
+    collected = _collect(((e, F(c).numerator, F(c).denominator) for e, c in monomials), max_degree)
+    sums = {}
+    for e, c in monomials:
+        if monomial_degree(e) <= max_degree:
+            sums[e] = sums.get(e, F(0)) + F(c)
+    assert [(e, F(n, d)) for e, n, d in collected] == sorted((e, c) for e, c in sums.items() if c)
+    assert all(type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1 for _, n, d in collected)
 
 
 @given(st.lists(kernel_entries, max_size=12))

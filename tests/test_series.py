@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from tautverify.errors import NonUnitSeriesError, VariableMismatchError
+from tautverify.errors import NonUnitSeriesError
 from tautverify.series import (
     TruncatedSeries,
     exp_scaled,
@@ -21,8 +21,8 @@ def coeffs(s):
     return list(s.coeffs)
 
 
-def series(cs, variable="t"):
-    return TruncatedSeries(variable, len(cs) - 1, tuple(F(c) for c in cs))
+def series(cs):
+    return TruncatedSeries(len(cs) - 1, tuple(F(c) for c in cs))
 
 
 def one(order):
@@ -80,13 +80,6 @@ def test_mul_truncates_to_min_order():
     assert coeffs(prod) == [F(1), F(0)]
     prod2 = series_mul(series([1, 1, 0]), b)
     assert coeffs(prod2) == [F(1), F(0), F(-1)]
-
-
-def test_variable_mismatch():
-    a = series([1, 1], variable="t")
-    b = series([1, 1], variable="u")
-    with pytest.raises(VariableMismatchError):
-        series_mul(a, b)
 
 
 def test_inverse_geometric():

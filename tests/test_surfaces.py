@@ -13,8 +13,6 @@ from tautverify.errors import SpaceMismatchError, UnknownLabelError
 from tautverify.linalg import QMatrix
 from tautverify.rings import TautClass, divisor_product, special_expand
 from tautverify.surfaces import (
-    AuditEntry,
-    audit_overrides,
     evaluate,
     evaluate_formal_products,
     pair_on_surface,
@@ -196,34 +194,33 @@ def test_relation_annihilation_via_functional(repo):
 
 
 def test_audit_s1_all_match(repo):
-    entries = audit_overrides(repo.functional("S1"))
-    products = [e for e in entries if e.derived is not None and e.label in repo.space("M31").product_pairs]
-    assert products and all(e.status == "match" for e in products)
+    f = repo.functional("S1")
+    products = [lbl for lbl in f.values if lbl in repo.space("M31").product_pairs]
+    assert products and all(f.provenance[lbl] == "derived" and f.values[lbl] == f.derived[lbl] for lbl in products)
 
 
 def test_audit_t2_single_override(repo):
-    entries = {e.label: e for e in audit_overrides(repo.functional("T2"))}
-    assert entries["psi*d21"].status == "override"
-    assert entries["psi*d21"].derived == -2
-    assert entries["psi*d21"].effective == -6
+    f = repo.functional("T2")
+    assert f.provenance["psi*d21"] == "override"
+    assert f.derived["psi*d21"] == -2
+    assert f.values["psi*d21"] == -6
     for lbl in ("psi^2", "d21^2", "d11^2"):
-        assert entries[lbl].status == "match"
-    assert entries["kappa2"].status == "underivable"
+        assert f.provenance[lbl] == "derived" and f.values[lbl] == f.derived[lbl]
+    assert f.provenance["kappa2"] == "direct" and "kappa2" not in f.derived
 
 
 def test_audit_v2_lattice_specials_match(repo):
-    entries = {e.label: e for e in audit_overrides(repo.functional("V2"))}
-    assert entries["d1^2"].status == "match" and entries["d1^2"].effective == 16
-    assert entries["d2^2"].status == "match" and entries["d2^2"].effective == -2
-    assert entries["d1|1"].status == "match" and entries["d1|1"].effective == 6
+    f = repo.functional("V2")
+    for lbl, value in (("d1^2", 16), ("d2^2", -2), ("d1|1", 6)):
+        assert (f.provenance[lbl], f.values[lbl], f.derived[lbl]) == ("derived", value, value)
 
 
 def test_single_override_across_all_surfaces(repo):
     overrides = []
     for sid in ("S1", "S2", "S3", "T1", "T2", "T3", "V1", "V2", "V3", "V4"):
-        for e in audit_overrides(repo.functional(sid)):
-            if e.status == "override":
-                overrides.append((sid, e.label))
+        for label, provenance in repo.functional(sid).provenance.items():
+            if provenance == "override":
+                overrides.append((sid, label))
     assert overrides == [("T2", "psi*d21")]
 
 
@@ -237,27 +234,33 @@ def _fresh_lattice_value(surface, space, label):
 
 
 def test_audit_derived_values_come_from_the_lattice(repo):
-    # the audit reads the values kept at load; each must equal a fresh pairing
+    # the lattice values kept at load must each equal a fresh pairing, and a
+    # value is an override exactly where it differs from its lattice value
     for sid in SURFACE_IDS:
         surface = repo.surface(sid)
         space = surface.space
-        entries = audit_overrides(repo.functional(sid))
-        assert [e.label for e in entries] == list(repo.functional(sid).values)
-        for e in entries:
-            assert e.derived == _fresh_lattice_value(surface, space, e.label), (sid, e.label)
-    t2 = {e.label: e for e in audit_overrides(repo.functional("T2"))}
-    assert (t2["psi*d21"].derived, t2["psi*d21"].effective) == (-2, -6)
+        f = repo.functional(sid)
+        assert list(f.provenance) == list(f.values)
+        for label, value in f.values.items():
+            fresh = _fresh_lattice_value(surface, space, label)
+            assert f.derived.get(label) == fresh, (sid, label)
+            assert (f.provenance[label] == "override") == (fresh is not None and fresh != value), (sid, label)
+    t2 = repo.functional("T2")
+    assert (t2.derived["psi*d21"], t2.values["psi*d21"]) == (-2, -6)
 
 
 def test_audit_label_with_direct_value_and_special_product(repo):
-    # the stated value stays effective; the lattice value is still audited
+    # an off-basis label: the stated value stays effective, and since the
+    # lattice value differs, the provenance marks it as an override
     s1 = repo.surface("S1")
     pairs = ((s1.divisor_restrictions["d0"], s1.divisor_restrictions["psi"]),)
     model = dataclasses.replace(s1, special_products={"d1|1": pairs})
+    assert "d1|1" not in s1.space.codim2_index
     lattice = pair_on_surface(model, *pairs[0])
     assert lattice != s1.direct_values["d1|1"]
-    entries = {e.label: e for e in audit_overrides(surface_functional(model))}
-    assert entries["d1|1"] == AuditEntry("d1|1", lattice, s1.direct_values["d1|1"], "override")
+    f = surface_functional(model)
+    assert (f.values["d1|1"], f.derived["d1|1"]) == (s1.direct_values["d1|1"], lattice)
+    assert f.provenance["d1|1"] == "override"
 
 
 def test_t3_kappa2_consistent_with_two_node_expansion(repo):
