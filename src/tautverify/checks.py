@@ -30,11 +30,13 @@ from .errors import UnknownNameError
 from .grr import JET_BUNDLES, grr_spin_character, jet_bundles, lambda2_values
 from .linalg import (
     Inconsistent,
-    QMatrix,
     Solution,
     _ZERO,
+    _support_of,
+    _transpose,
     as_fraction,
-    kernel_basis,
+    det3,
+    left_kernel,
     row_space_rref,
     solve_exact,
 )
@@ -315,7 +317,7 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
     lhs = run.lhs(system.id)
     known = run.known[system.id]
     names: list[str] = []
-    rows: list[list[Fraction]] = []
+    rows: list = []  # supports over the components
     rhs: list[Fraction] = []
 
     for sid in system.functional_constraints:
@@ -328,22 +330,21 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
                 cid = (comp.counts or {}).get(sid)
                 row.append(repo.counts.get(cid).value if cid else _ZERO)
         names.append(f"family:{sid}")
-        rows.append(row)
+        rows.append(_support_of(row))
         rhs.append(values[system.lhs_key])
 
     for hid in system.pushforward_constraints:
         hom = repo.hom(hid)
         lhs_push = apply_hom(hom, lhs)
-        images = {}
+        images = []
         for comp in system.components:
             if comp.ref:
-                images[comp.name] = apply_hom(hom, known[comp.name])
+                images.append(apply_hom(hom, known[comp.name]).support)
             else:
-                images[comp.name] = repo.catalog_class(comp.pushforward_ref)
-        for i, lbl in enumerate(hom.codomain.divisor_basis):
-            names.append(f"pushforward:{lbl}")
-            rows.append([images[c.name].coeffs[i] for c in system.components])
-            rhs.append(lhs_push.coeffs[i])
+                images.append(repo.catalog_class(comp.pushforward_ref).support)
+        names.extend(f"pushforward:{lbl}" for lbl in hom.codomain.divisor_basis)
+        rows.extend(_transpose(images, len(hom.codomain.divisor_basis)))
+        rhs.extend(lhs_push.coeffs)
 
     for lbl in system.coefficient_constraints:
         idx = lhs.space.codim2_index[lbl]
@@ -358,10 +359,10 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
                     f"{system.id}: no source for coefficient {lbl!r} of component {comp.name!r}"
                 )
         names.append(f"coefficient:{lbl}")
-        rows.append(row)
+        rows.append(_support_of(row))
         rhs.append(lhs.coeffs[idx])
 
-    return names, QMatrix.from_rows(rows), tuple(rhs)
+    return names, rows, tuple(rhs)
 
 
 def solve_multiplicities(system_id: str, run: Run):
@@ -378,8 +379,8 @@ def solve_multiplicities(system_id: str, run: Run):
         system = _SYSTEMS[system_id]
     except KeyError:
         raise UnknownNameError(f"unknown multiplicity system {system_id!r}") from None
-    names, matrix, rhs = _assemble_system(run, system)
-    sol = solve_exact(matrix, rhs)
+    names, rows, rhs = _assemble_system(run, system)
+    sol = solve_exact(rows, rhs, len(system.components))
     parts: list[Part] = []
     golden = run.repo.golden[f"multiplicities_{system_id.lower()}"]
     expected = {k: as_fraction(v) for k, v in golden["solution"].items()}
@@ -390,8 +391,9 @@ def solve_multiplicities(system_id: str, run: Run):
     parts.append(_val_part("solution", expected, assignment))
     parts.append(_val_part("unique", True, sol.unique))
 
-    left_kernel = kernel_basis(matrix.transpose()) if sol.unique else []
-    redundant = [name for i, name in enumerate(names) if any(v[i] != 0 for v in left_kernel)]
+    kernel = left_kernel(rows) if sol.unique else []
+    used = {i for v in kernel for i, _, _ in v}
+    redundant = [name for i, name in enumerate(names) if i in used]
     parts.append(
         _val_part(
             "redundant_constraints_at_least",
@@ -428,20 +430,20 @@ def _parts_basis_m31(run: Run) -> list[Part]:
     m31 = repo.space("M31")
     theta = repo.hom("theta_star")
     golden = repo.golden["basis_m31"]
-    rows = [apply_hom(theta, m31.basis_class(2, lbl)).coeffs for lbl in m31.codim2_basis]
-    matrix = QMatrix(tuple(rows))
+    rows = [apply_hom(theta, m31.basis_class(2, lbl)).support for lbl in m31.codim2_basis]
     # one elimination gives both numbers: rank = rows - dim(left kernel)
-    kernel = kernel_basis(matrix.transpose())
-    parts = [_val_part("pullback_rank", golden["rank"], matrix.rows - len(kernel))]
+    kernel = left_kernel(rows)
+    parts = [_val_part("pullback_rank", golden["rank"], len(rows) - len(kernel))]
     parts.append(_val_part("kernel_dim", golden["kernel_dim"], len(kernel)))
     gens = [
-        m31.from_dict(2, golden["relation_generators"][k]).coeffs
+        m31.from_dict(2, golden["relation_generators"][k]).support
         for k in ("alpha", "beta", "gamma")
     ]
+    width = len(m31.codim2_basis)
     parts.append(
-        _val_part("kernel_span_matches", True, row_space_rref(kernel) == row_space_rref(gens))
+        _val_part("kernel_span_matches", True, row_space_rref(kernel, width) == row_space_rref(gens, width))
     )
-    eval_matrix = QMatrix.from_rows(
+    det = det3(
         [
             [
                 evaluate(repo.functional(sid), m31.from_dict(2, golden["relation_generators"][k]))
@@ -450,7 +452,6 @@ def _parts_basis_m31(run: Run) -> list[Part]:
             for sid in ("S1", "S2", "S3")
         ]
     )
-    det = eval_matrix.det3()
     parts.append(_val_part("family_matrix_det", golden["surface_matrix_det"], det))
     parts.append(_val_part("relations_forced_to_zero", True, det != 0))
     return parts
@@ -704,9 +705,9 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
     # solving (factor) * b = hyperelliptic-pointed class is unique and is
     # exactly the stated obstruction divisor
     factor = apply_hom(repo.hom("p_pullback_m3"), repo.catalog_class("Hyp3_M3"))
-    columns = [divisor_product(factor, m31.basis_class(1, g)).coeffs for g in m31.divisor_basis]
-    matrix = QMatrix.from_rows(list(map(list, zip(*columns))))
-    sol = solve_exact(matrix, repo.catalog_class("Hyp31_theorem").coeffs)
+    columns = [divisor_product(factor, m31.basis_class(1, g)).support for g in m31.divisor_basis]
+    rows = _transpose(columns, len(m31.codim2_basis))
+    sol = solve_exact(rows, repo.catalog_class("Hyp31_theorem").coeffs, len(columns))
     if isinstance(sol, Solution):
         parts.append(_val_part("cofactor_unique", True, sol.unique))
         cofactor = m31.from_dict(1, dict(zip(m31.divisor_basis, sol.vector)))

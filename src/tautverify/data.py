@@ -150,46 +150,33 @@ class Repo:
 
     # -- accessors --------------------------------------------------------
 
-    def space(self, sid: str) -> RingSpace:
+    @staticmethod
+    def _lookup(table: dict, name: str, kind: str):
         try:
-            return self._spaces[sid]
+            return table[name]
         except KeyError:
-            raise UnknownNameError(f"unknown space {sid!r}") from None
+            raise UnknownNameError(f"unknown {kind} {name!r}") from None
+
+    def space(self, sid: str) -> RingSpace:
+        return self._lookup(self._spaces, sid, "space")
 
     def hom(self, hid: str) -> RingHom:
-        try:
-            return self._homs[hid]
-        except KeyError:
-            raise UnknownNameError(f"unknown homomorphism {hid!r}") from None
+        return self._lookup(self._homs, hid, "homomorphism")
 
     def gluing(self, gid: str) -> GluingRestriction:
-        try:
-            return self._gluings[gid]
-        except KeyError:
-            raise UnknownNameError(f"unknown gluing restriction {gid!r}") from None
+        return self._lookup(self._gluings, gid, "gluing restriction")
 
     def catalog_class(self, name: str) -> TautClass:
-        try:
-            return self._catalog[name]
-        except KeyError:
-            raise UnknownNameError(f"unknown catalog class {name!r}") from None
+        return self._lookup(self._catalog, name, "catalog class")
 
     def catalog_source(self, name: str) -> str:
-        self.catalog_class(name)
-        return self._catalog_sources[name]
+        return self._lookup(self._catalog_sources, name, "catalog class")
 
     def formal_class(self, name: str) -> dict[str, Fraction]:
-        try:
-            return dict(self._formal[name])
-        except KeyError:
-            raise UnknownNameError(f"unknown formal class {name!r}") from None
+        return dict(self._lookup(self._formal, name, "formal class"))
 
     def surface(self, sid: str) -> SurfaceModel:
-        try:
-            return self._surfaces[sid]
-        except KeyError:
-            raise UnknownNameError(f"unknown surface {sid!r}") from None
+        return self._lookup(self._surfaces, sid, "surface")
 
     def functional(self, sid: str) -> SurfaceFunctional:
-        self.surface(sid)
-        return self._functionals[sid]
+        return self._lookup(self._functionals, sid, "surface")

@@ -1,19 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Values enter and leave as `fractions.Fraction`, so all results are exact and
-every comparison in the test suite is a strict equality, but the arithmetic
-runs on Python ints.  An exact vector's nonzero entries are kept once as its
-*support*: a tuple of ``(index, numerator, denominator)`` int triples,
-ascending in index, in lowest terms with positive denominators.  Every sum of
-products in the package (dot products, map images, basis reductions, class
-arithmetic, series products, polynomial term collection) goes through one
-keyed integer accumulator, `_accumulate`: it adds numerators per key over a
-running common denominator and normalises once per key.  `_dot` and
-`_combine` feed it products of supports (keyed by index), and `poly` feeds it
-terms keyed by exponent tuple; `_combine` returns a support, so chained
-kernel calls build no Fraction in between.  Elimination (`_rref_rows`) is
-Gauss-Jordan on rows cleared of denominators; it skips zeros and builds one
-Fraction per output entry.
+The arithmetic runs on Python ints, so all results are exact and every
+comparison in the test suite is a strict equality.  An exact vector is kept
+as its *support*: a tuple of ``(index, numerator, denominator)`` int triples
+for its nonzero entries, ascending in index, in lowest terms with positive
+denominators.  This is the one exact-vector format: a matrix is a sequence of
+row supports with a stated width, and elimination, kernels and row spaces
+take and return supports.  Fractions are built only where a value leaves the
+kernels: a dot product, the entries of a solution, an inconsistency witness.
+Every sum of products in the package (dot products, map images, basis
+reductions, class arithmetic, series products, polynomial term collection)
+goes through one keyed integer accumulator, `_accumulate`: it adds
+numerators per key over a running common denominator and normalises once
+per key.  `_dot` and `_combine` feed it products of supports (keyed by
+index), and `poly` feeds it terms keyed by exponent tuple.  Elimination
+(`_rref_rows`) is Gauss-Jordan on rows cleared of denominators; it skips
+zeros and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import DimensionError
 Vector = tuple[Fraction, ...]
 Support = tuple[tuple[int, int, int], ...]
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def as_fraction(x) -> Fraction:
@@ -101,51 +102,21 @@ def _combine(terms: Iterable[tuple[int, int, Support]]) -> Support:
     return _accumulate((i, cn * n, cd * d) for cn, cd, vs in terms for i, n, d in vs)
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    """Immutable rectangular matrix of exact rationals."""
-
-    entries: tuple[Vector, ...]
-
-    def __post_init__(self):
-        widths = {len(r) for r in self.entries}
-        if len(widths) > 1:
-            raise DimensionError("ragged rows in matrix")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "QMatrix":
-        return cls(tuple(as_vector(r) for r in rows))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(tuple(zip(*self.entries))) if self.entries else QMatrix(())
-
-    def mul_vec(self, v: Sequence[Fraction]) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionError(f"matrix has {self.cols} columns, vector has {len(v)}")
-        vs = _support_of(v)
-        return tuple(_dot(_support_of(row), vs) for row in self.entries)
-
-    def det3(self) -> Fraction:
-        """Determinant of a 3x3 matrix (used by the basis check)."""
-        if self.rows != 3 or self.cols != 3:
-            raise DimensionError("det3 needs a 3x3 matrix")
-        ((a, b, c), (d, e, f), (g, h, i)) = self.entries
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+def _transpose(rows: Sequence[Support], width: int) -> list[Support]:
+    """The `width` columns, as supports, of the matrix with these rows."""
+    cols: list[list] = [[] for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, n, d in row:
+            cols[j].append((i, n, d))
+    return [tuple(c) for c in cols]
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    reduced: QMatrix
-    pivot_columns: tuple[int, ...]
-    rank: int
+def det3(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a 3x3 matrix given as three rows (used by the basis check)."""
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise DimensionError("det3 needs a 3x3 matrix")
+    ((a, b, c), (d, e, f), (g, h, i)) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 @dataclass(frozen=True)
@@ -164,117 +135,132 @@ class Solution:
 class Inconsistent:
     """Certificate of inconsistency: an eliminated row reading 0 = rhs with rhs != 0."""
 
-    witness_coeffs: Vector
     witness_rhs: Fraction
 
 
-def _rref_rows(rows: list[list[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form on the leftmost `width` columns.
+def _rref_rows(rows: Sequence[Support], width: int) -> tuple[list[Support], list[int]]:
+    """Reduced row echelon form, on the leftmost `width` columns, of rows given as supports.
 
-    Columns beyond `width` (an augmented part, if any) are carried along.
-    Pivots are scaled to 1 and cleared above and below; this is the canonical
-    normalization fixed by the design decisions, so each input has one output.
-    The work is in ints: each row is cleared of denominators once and kept as
-    ints times a rational scale.  Clearing pivot row P (pivot p) from a row R
-    with R[c] = f is R = (p/g) R - (f/g) P, g = gcd(p, f), then R is divided
-    by its content; only rows with f != 0 and, when p/g is 1, only P's nonzero
-    entries are touched.  At the end a pivot row is x / pivot and any other
-    row x times its scale, exactly what eliminating over Q gives.
+    Entries at column `width` and above (an augmented part, if any) are
+    carried along.  Pivots are scaled to 1 and cleared above and below; this
+    is the canonical normalization fixed by the design decisions, so each
+    input has one output.  Returns the reduced rows as supports, zero rows
+    included, and the pivot columns.  The work is in ints: each row is
+    cleared of denominators once and kept as a map from column to int times a
+    rational scale.  Clearing pivot row P (pivot p) from a row R with R[c] =
+    f is R = (p/g) R - (f/g) P, g = gcd(p, f), then R is divided by its
+    content; only rows with f != 0 and only P's nonzero entries are touched.
+    At the end a pivot row is x / pivot and any other row x times its scale,
+    exactly what eliminating over Q gives.
     """
-    dens = [lcm(*(x.denominator for x in row if x)) for row in rows]
-    ints = [[x.numerator * (den // x.denominator) if x else 0 for x in row] for row, den in zip(rows, dens)]
-    scales = [(1, den) for den in dens]
+    ints: list[dict[int, int]] = []
+    scales = []
+    for row in rows:
+        den = lcm(*(d for _, _, d in row))
+        ints.append({j: n * (den // d) for j, n, d in row})
+        scales.append((1, den))
     pivots: list[int] = []
     r = 0
     for c in range(width):
-        pivot_row = next((i for i in range(r, len(ints)) if ints[i][c]), None)
+        pivot_row = next((i for i in range(r, len(ints)) if c in ints[i]), None)
         if pivot_row is None:
             continue
         ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
         scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
         p = ints[r][c]
-        support = [(j, y) for j, y in enumerate(ints[r]) if y]
+        support = list(ints[r].items())
         for i, row in enumerate(ints):
-            f = row[c]
+            f = row.get(c)
             if i == r or not f:
                 continue
             g = gcd(p, f)
             a, b = p // g, f // g
             if a != 1:
-                row = [a * x for x in row]
+                row = {j: a * x for j, x in row.items()}
             for j, y in support:
-                row[j] -= b * y
-            h = gcd(*row)
-            ints[i] = [x // h for x in row] if h > 1 else row
+                x = row.get(j, 0) - b * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            h = gcd(*row.values())
+            ints[i] = {j: x // h for j, x in row.items()} if h > 1 else row
             num, den = scales[i]
             scales[i] = (num * g * h, den * p)
         pivots.append(c)
         r += 1
         if r == len(ints):
             break
+    out = []
     for i, row in enumerate(ints):
         num, den = (1, row[pivots[i]]) if i < r else scales[i]
-        rows[i] = [Fraction(x * num, den) if x else _ZERO for x in row]
-    return rows, pivots
+        if den < 0:
+            num, den = -num, -den
+        reduced = []
+        for j, x in sorted(row.items()):
+            x *= num
+            g = gcd(x, den)
+            reduced.append((j, x // g, den // g))
+        out.append(tuple(reduced))
+    return out, pivots
 
 
-def mat_rref(m: QMatrix) -> RrefResult:
-    """Unique reduced row echelon form with pivot columns and rank."""
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _rref_rows(rows, m.cols)
-    reduced = QMatrix(tuple(tuple(r) for r in rows))
-    return RrefResult(reduced, tuple(pivots), len(pivots))
-
-
-def solve_exact(a: QMatrix, b: Sequence) -> Solution | Inconsistent:
-    """Solve A x = b exactly.
+def solve_exact(rows: Sequence[Support], rhs: Sequence, width: int) -> Solution | Inconsistent:
+    """Solve A x = b exactly for A given by its rows as supports over `width` columns.
 
     Returns a Solution carrying one exact solution (the one with all free
     variables set to 0) and the kernel dimension, or an Inconsistent
-    certificate row if elimination produces 0 = nonzero.
+    certificate if elimination produces a row reading 0 = nonzero.
     """
-    bvec = as_vector(b)
-    if len(bvec) != a.rows:
-        raise DimensionError(f"matrix has {a.rows} rows, rhs has {len(bvec)}")
-    rows = [list(r) + [bvec[i]] for i, r in enumerate(a.entries)]
-    rows, pivots = _rref_rows(rows, a.cols)
-    for row in rows:
-        if row[-1] and not any(row[:-1]):
-            return Inconsistent(tuple(row[:-1]), row[-1])
-    x = [_ZERO] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][-1]
-    return Solution(tuple(x), a.cols - len(pivots))
+    if len(rhs) != len(rows):
+        raise DimensionError(f"matrix has {len(rows)} rows, rhs has {len(rhs)}")
+    augmented = []
+    for row, b in zip(rows, rhs):
+        b = as_fraction(b)
+        augmented.append((*row, (width, b.numerator, b.denominator)) if b else row)
+    reduced, pivots = _rref_rows(augmented, width)
+    for row in reduced:
+        if row and row[0][0] == width:
+            return Inconsistent(Fraction(row[0][1], row[0][2]))
+    x = [_ZERO] * width
+    for row, c in zip(reduced, pivots):
+        j, n, d = row[-1]
+        if j == width:
+            x[c] = Fraction(n, d)
+    return Solution(tuple(x), width - len(pivots))
 
 
-def kernel_basis(a: QMatrix) -> list[Vector]:
-    """Canonical basis of the right null space of A.
+def kernel_basis(rows: Sequence[Support], width: int) -> list[Support]:
+    """Canonical basis of the right null space of A, given by its rows over `width` columns.
 
     For each free column f the basis vector has a 1 in position f, the
     negated reduced-row entries in the pivot positions, and 0 elsewhere.
     Vectors are ordered by free column index; empty iff full column rank.
     """
-    res = mat_rref(a)
-    pivset = set(res.pivot_columns)
-    basis: list[Vector] = []
-    for f in range(a.cols):
+    reduced, pivots = _rref_rows(rows, width)
+    entries = [{j: (n, d) for j, n, d in row} for row in reduced[: len(pivots)]]
+    pivset = set(pivots)
+    basis = []
+    for f in range(width):
         if f in pivset:
             continue
-        v = [_ZERO] * a.cols
-        v[f] = _ONE
-        for r, c in enumerate(res.pivot_columns):
-            v[c] = -res.reduced.entries[r][f]
-        basis.append(tuple(v))
+        v = [(f, 1, 1)] + [(c, -e[f][0], e[f][1]) for c, e in zip(pivots, entries) if f in e]
+        basis.append(tuple(sorted(v)))
     return basis
 
 
-def row_space_rref(vectors: Sequence[Sequence[Fraction]]) -> QMatrix:
-    """Canonical form of the span of `vectors`: RREF with zero rows dropped.
+def left_kernel(rows: Sequence[Support]) -> list[Support]:
+    """Canonical basis of the left null space of A (the y with y A = 0), given A's rows.
+
+    It is the right null space of the transpose, whose columns are the rows.
+    """
+    width = 1 + max((row[-1][0] for row in rows if row), default=-1)
+    return kernel_basis(_transpose(rows, width), len(rows))
+
+
+def row_space_rref(rows: Sequence[Support], width: int) -> tuple[Support, ...]:
+    """Canonical form of the span of `rows` over `width` columns: RREF with zero rows dropped.
 
     Two families span the same subspace iff their canonical forms are equal.
     """
-    if not vectors:
-        return QMatrix(())
-    res = mat_rref(QMatrix.from_rows(vectors))
-    keep = tuple(r for r in res.reduced.entries if any(r))
-    return QMatrix(keep)
+    return tuple(row for row in _rref_rows(rows, width)[0] if row)

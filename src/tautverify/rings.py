@@ -16,10 +16,11 @@ Degree-2 classes are vectors over the codim-2 basis.  Formal inputs (plain
 mappings from labels to rationals) may also mention non-basis product labels
 and, where a map stores them, special symbols.  A ring map's degree-2 images
 are built once at load, so applying any map is one loop over stored images.
-A class keeps its support (its nonzero coefficients as int triples, see
-`linalg`) once computed, and every reduction, product, map image and class
-sum walks supports through the `linalg` kernel; a class made by the kernel
-carries the support the kernel returned.
+A class is stored as its support only (its nonzero coefficients as int
+triples, see `linalg`); its dense Fraction coefficients are derived from the
+support when first read.  Every reduction, product, map image, class sum
+and linear solve walks supports through the `linalg` kernels, and a class
+made by a kernel holds the support the kernel returned.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .errors import (
 )
 from .linalg import (
     Inconsistent,
-    QMatrix,
     Solution,
     Support,
     _ZERO,
@@ -61,23 +61,27 @@ def product_label(basis_index: Mapping[str, int], a: str, b: str) -> str:
 
 @dataclass(frozen=True)
 class TautClass:
-    """Exact rational coefficient vector over one graded piece of one space."""
+    """Exact rational coefficient vector over one graded piece of one space.
+
+    `support` lists the nonzero coefficients as (index, numerator,
+    denominator) ints, so two classes are equal iff their supports are.
+    """
 
     space: "RingSpace"
     degree: int
-    coeffs: tuple[Fraction, ...]
+    support: Support
 
     @cached_property
-    def support(self) -> Support:
-        """The nonzero coefficients as (index, numerator, denominator) ints."""
-        return _support_of(self.coeffs)
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Every coefficient over the basis of the class's degree, as Fractions."""
+        return _from_support(self.support, len(self.space.basis(self.degree)))
 
     def coeff(self, label: str) -> Fraction:
         return self.coeffs[self.space.basis_index(self.degree)[label]]
 
     def as_dict(self) -> dict[str, Fraction]:
         basis = self.space.basis(self.degree)
-        return {basis[i]: self.coeffs[i] for i, _, _ in self.support}
+        return {basis[i]: Fraction(n, d) for i, n, d in self.support}
 
     def is_zero(self) -> bool:
         return not self.support
@@ -90,20 +94,11 @@ class TautClass:
 
     def _plus(self, other: "TautClass", sign: int) -> "TautClass":
         _check_same(self, other)
-        s = _combine(((1, 1, self.support), (sign, 1, other.support)))
-        return _class_of(self.space, self.degree, s, len(self.coeffs))
+        return TautClass(self.space, self.degree, _combine(((1, 1, self.support), (sign, 1, other.support))))
 
     def scale(self, c) -> "TautClass":
         c = as_fraction(c)
-        s = _combine(((c.numerator, c.denominator, self.support),))
-        return _class_of(self.space, self.degree, s, len(self.coeffs))
-
-
-def _class_of(space: "RingSpace", degree: int, s: Support, width: int) -> TautClass:
-    """The class with support `s`, which it keeps instead of recomputing it."""
-    c = TautClass(space, degree, _from_support(s, width))
-    c.__dict__["support"] = s  # seeds the cached property; the dataclass stays frozen
-    return c
+        return TautClass(self.space, self.degree, _combine(((c.numerator, c.denominator, self.support),)))
 
 
 def _check_same(a: TautClass, b: TautClass):
@@ -150,22 +145,26 @@ class RingSpace:
         return self.divisor_index if degree == 1 else self.codim2_index
 
     def zero(self, degree: int) -> TautClass:
-        return _class_of(self, degree, (), len(self.basis(degree)))
+        self.basis(degree)  # rejects a degree other than 1 or 2
+        return TautClass(self, degree, ())
 
     def from_dict(self, degree: int, coeffs: Mapping[str, object]) -> TautClass:
+        self.basis(degree)  # rejects a degree other than 1 or 2
         index = self.basis_index(degree)
-        vec = [_ZERO] * len(self.basis(degree))
+        entries = []
         for label, c in coeffs.items():
             if label not in index:
                 raise UnknownLabelError(f"{label!r} is not a degree-{degree} basis label of {self.id}")
-            vec[index[label]] = as_fraction(c)
-        return TautClass(self, degree, tuple(vec))
+            c = as_fraction(c)
+            if c:
+                entries.append((index[label], c.numerator, c.denominator))
+        return TautClass(self, degree, tuple(sorted(entries)))
 
     def basis_class(self, degree: int, label: str) -> TautClass:
         index = self.basis_index(degree)
         if label not in index:
             raise UnknownLabelError(f"{label!r} is not a degree-{degree} basis label of {self.id}")
-        return _class_of(self, degree, ((index[label], 1, 1),), len(index))
+        return TautClass(self, degree, ((index[label], 1, 1),))
 
 
 def make_space(
@@ -255,8 +254,7 @@ def reduce_to_basis(space: RingSpace, formal: Formal) -> TautClass:
         c = as_fraction(c)
         if c:
             terms.append((c.numerator, c.denominator, _codim2_support(space, label)))
-    width = len(space.codim2_basis)
-    return _class_of(space, 2, _combine(terms), width)
+    return TautClass(space, 2, _combine(terms))
 
 
 def _codim2_support(space: RingSpace, label: str) -> Support:
@@ -295,8 +293,7 @@ def divisor_product(a: TautClass, b: TautClass) -> TautClass:
         for i, na, da in a.support
         for j, nb, db in b.support
     ]
-    width = len(space.codim2_basis)
-    return _class_of(space, 2, _combine(terms), width)
+    return TautClass(space, 2, _combine(terms))
 
 
 def special_expand(space: RingSpace, symbol: str) -> TautClass:
@@ -305,7 +302,7 @@ def special_expand(space: RingSpace, symbol: str) -> TautClass:
         s = space.special_expansions[symbol]
     except KeyError:
         raise UnknownLabelError(f"no stored expansion of {symbol!r} on {space.id}") from None
-    return _class_of(space, 2, s, len(space.codim2_basis))
+    return TautClass(space, 2, s)
 
 
 @dataclass(frozen=True)
@@ -418,8 +415,7 @@ def apply_hom(hom: RingHom, c: TautClass | Formal, degree: int | None = None) ->
         if label not in images:
             raise MissingImageError(f"{hom.id}: {missing} {label!r}")
         terms.append((n, d, images[label].support))
-    width = len(hom.codomain.basis(out_degree))
-    return _class_of(hom.codomain, out_degree, _combine(terms), width)
+    return TautClass(hom.codomain, out_degree, _combine(terms))
 
 
 # --- gluing restrictions for the node-smoothing lemmas -----------------------
@@ -488,13 +484,12 @@ def solve_boundary_class(
             coords.append((fac, lbl))
     coord_index = {c: i for i, c in enumerate(coords)}
 
-    cols = []
-    for label in gluing.domain_labels:
-        col = [_ZERO] * len(coords)
+    # one row per coordinate; column j is the restriction of domain label j
+    rows: list[list] = [[] for _ in coords]
+    for j, label in enumerate(gluing.domain_labels):
         for key, v in gluing.images[label].items():
-            col[coord_index[key]] += v
-        cols.append(col)
-    matrix = QMatrix.from_rows(list(map(list, zip(*cols))))
+            if v:
+                rows[coord_index[key]].append((j, v.numerator, v.denominator))
 
     rhs = [_ZERO] * len(coords)
     for fac in gluing.weierstrass_factors:
@@ -506,7 +501,7 @@ def solve_boundary_class(
         for lbl, c in weierstrass.as_dict().items():
             rhs[coord_index[(fac, lbl)]] += c
 
-    sol = solve_exact(matrix, rhs)
+    sol = solve_exact(rows, rhs, len(gluing.domain_labels))
     if isinstance(sol, Inconsistent):
         return sol
     presentation = {lbl: sol.vector[i] for i, lbl in enumerate(gluing.domain_labels)}

@@ -11,8 +11,9 @@ override.
 
 A model and its functional hold the RingSpace of the family's target, so a
 class is paired with a functional without naming a space again.  Pairings
-run on supports (see `linalg`): a functional keeps the support of its values
-over the codim-2 basis, so evaluating a class walks two int supports.
+run on supports (see `linalg`): the Gram matrix is kept as its row supports,
+and a functional keeps the support of its values over the codim-2 basis, so
+evaluating a class walks two int supports.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DataError, DegreeError, DimensionError, SpaceMismatchError, UnknownLabelError
-from .linalg import QMatrix, Support, Vector, _dot, _ratio_sum, _support_of, as_fraction, as_vector
+from .linalg import Support, Vector, _combine, _dot, _ratio_sum, _support_of, as_fraction, as_vector
 from .rings import RingSpace, TautClass
 
 DERIVED = "derived"
@@ -36,7 +37,7 @@ class SurfaceModel:
     id: str
     space: RingSpace
     lattice_labels: tuple[str, ...]
-    gram: QMatrix
+    gram: tuple[Support, ...]  # the rows of the symmetric Gram matrix
     divisor_restrictions: Mapping[str, Vector]
     overrides: Mapping[str, Fraction]  # product label -> stated value
     direct_values: Mapping[str, Fraction]  # special label -> stated value
@@ -70,11 +71,12 @@ def make_surface(
     special_products: Mapping[str, Sequence],
 ) -> SurfaceModel:
     labels = tuple(lattice)
-    gram = QMatrix.from_rows(gram_rows)
-    if gram.rows != len(labels) or gram.cols != len(labels):
+    rows = [as_vector(r) for r in gram_rows]
+    if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
         raise DataError(f"{id}: gram matrix must be {len(labels)}x{len(labels)}")
-    if gram.transpose() != gram:
+    if any(r[j] != rows[j][i] for i, r in enumerate(rows) for j in range(i)):
         raise DataError(f"{id}: gram matrix must be symmetric")
+    gram = tuple(_support_of(r) for r in rows)
     restr = {}
     for gen in space.divisor_basis:
         if gen not in restrictions:
@@ -99,7 +101,12 @@ def pair_on_surface(surface: SurfaceModel, v: Sequence, w: Sequence) -> Fraction
     vv, ww = as_vector(v), as_vector(w)
     if len(vv) != len(surface.lattice_labels) or len(ww) != len(surface.lattice_labels):
         raise DimensionError(f"{surface.id}: lattice vectors must have length {len(surface.lattice_labels)}")
-    return _dot(_support_of(vv), _support_of(surface.gram.mul_vec(ww)))
+    return _dot(_support_of(vv), _gram_times(surface, _support_of(ww)))
+
+
+def _gram_times(surface: SurfaceModel, w: Support) -> Support:
+    """Gram w; the Gram matrix is symmetric, so this is its rows combined with w's entries."""
+    return _combine((n, d, surface.gram[j]) for j, n, d in w)
 
 
 def _derived_special_value(surface: SurfaceModel, label: str) -> Fraction:
@@ -123,7 +130,7 @@ def surface_functional(surface: SurfaceModel) -> SurfaceFunctional:
     values: dict[str, Fraction] = {}
     prov: dict[str, str] = {}
     restr = {gen: _support_of(vec) for gen, vec in surface.divisor_restrictions.items()}
-    gram_restr = {gen: _support_of(surface.gram.mul_vec(vec)) for gen, vec in surface.divisor_restrictions.items()}
+    gram_restr = {gen: _gram_times(surface, vec) for gen, vec in restr.items()}
     derived = {label: _dot(restr[a], gram_restr[b]) for label, (a, b) in space.product_pairs.items()}
     for label in space.codim2_basis:
         if label in space.product_pairs:

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings
 import hypothesis.strategies as st
 
 from tautverify.data import Repo
+from tautverify.linalg import _dot, _support_of
 
 settings.register_profile(
     "exact",
@@ -34,3 +35,14 @@ rationals = st.sampled_from(_small_rationals)
 # the same values, about half of them zero so that the kernel's zero-skipping
 # branches run
 sparse_rationals = st.sampled_from([Fraction(0)] * len(_small_rationals) + _small_rationals)
+
+
+def mat(rows):
+    """A matrix given by dense rows of ints or Fractions, as the row supports the kernels take."""
+    return [_support_of(r) for r in rows]
+
+
+def mul_vec(rows, v):
+    """The dense product A v of row supports with a dense vector."""
+    vs = _support_of(v)
+    return tuple(_dot(r, vs) for r in rows)

@@ -19,13 +19,13 @@ from tautverify.checks import (
 )
 from tautverify.counts import abel_difference_degree, mixed_difference_degree, scorza_triple_degree
 from tautverify.grr import grr_spin_character, jet_bundle_chern, jet_bundles, lambda2_values
-from tautverify.linalg import QMatrix, Solution, kernel_basis, mat_rref, solve_exact
+from tautverify.linalg import Solution, _from_support, _rref_rows, kernel_basis, solve_exact
 from tautverify.poly import TruncatedPoly
 from tautverify.rings import apply_hom, divisor_product, reduce_to_basis, special_expand
 from tautverify.series import exp_scaled, series_mul, todd_inverse
 from tautverify.surfaces import evaluate
 
-from conftest import rationals
+from conftest import mat, mul_vec, rationals
 
 
 def _line(num: int, name: str, ok: bool):
@@ -177,9 +177,8 @@ def test_criterion_10_enumerative(repo):
 
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=5))
 def _prop_rref_idempotent(rows):
-    m = QMatrix.from_rows(rows)
-    once = mat_rref(m).reduced
-    assert mat_rref(once).reduced == once
+    once = _rref_rows(mat(rows), 4)[0]
+    assert _rref_rows(once, 4)[0] == once
 
 
 @given(
@@ -187,15 +186,15 @@ def _prop_rref_idempotent(rows):
     st.lists(rationals, min_size=4, max_size=4),
 )
 def _prop_solve_and_kernel_exact(rows, x0):
-    m = QMatrix.from_rows(rows)
-    b = m.mul_vec(x0)
-    sol = solve_exact(m, b)
+    m = mat(rows)
+    b = mul_vec(m, x0)
+    sol = solve_exact(m, b, 4)
     assert isinstance(sol, Solution)
-    assert m.mul_vec(sol.vector) == b
-    basis = kernel_basis(m)
-    assert len(basis) == m.cols - mat_rref(m).rank
-    zero = tuple(F(0) for _ in range(m.rows))
-    assert all(m.mul_vec(v) == zero for v in basis)
+    assert mul_vec(m, sol.vector) == b
+    basis = kernel_basis(m, 4)
+    assert len(basis) == 4 - len(_rref_rows(m, 4)[1])
+    zero = tuple(F(0) for _ in rows)
+    assert all(mul_vec(m, _from_support(v, 4)) == zero for v in basis)
 
 
 def _make_product_properties(repo):

@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 from tautverify.errors import DimensionError
 from tautverify.linalg import (
     Inconsistent,
-    QMatrix,
     Solution,
     _combine,
     _dot,
@@ -16,27 +15,34 @@ from tautverify.linalg import (
     _rref_rows,
     _support_of,
     kernel_basis,
-    mat_rref,
+    left_kernel,
     row_space_rref,
     solve_exact,
 )
 from tautverify.poly import _collect, _exps_from_powers, monomial_degree
 from tautverify.rings import apply_hom
 
-from conftest import _small_rationals, rationals, sparse_rationals
-
-
-def mat(rows):
-    return QMatrix.from_rows(rows)
+from conftest import _small_rationals, mat, mul_vec, rationals, sparse_rationals
 
 
 def identity(n):
     return mat([[int(i == j) for j in range(n)] for i in range(n)])
 
 
+def dense(rows, width):
+    return [list(_from_support(r, width)) for r in rows]
+
+
+def rank(rows, width):
+    return len(_rref_rows(rows, width)[1])
+
+
+# (rows as supports, width)
 matrices = st.integers(1, 5).flatmap(
-    lambda c: st.lists(st.lists(rationals, min_size=c, max_size=c), min_size=1, max_size=5)
-).map(mat)
+    lambda c: st.tuples(
+        st.lists(st.lists(rationals, min_size=c, max_size=c), min_size=1, max_size=5).map(mat), st.just(c)
+    )
+)
 
 # (width, rows): up to 5 x 5 matrices about half zero, each row with 1-3 augmented columns
 sparse_augmented = st.tuples(st.integers(1, 5), st.integers(1, 3)).flatmap(
@@ -48,51 +54,53 @@ sparse_augmented = st.tuples(st.integers(1, 5), st.integers(1, 3)).flatmap(
 
 # small integer entries with many zeros give both droppable and essential rows
 full_column_rank = st.integers(1, 3).flatmap(
-    lambda c: st.lists(st.lists(st.integers(-2, 2), min_size=c, max_size=c), min_size=c, max_size=6)
-).map(mat).filter(lambda m: mat_rref(m).rank == m.cols)
+    lambda c: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=c, max_size=c), min_size=c, max_size=6).map(mat), st.just(c)
+    )
+).filter(lambda m: rank(*m) == m[1])
 
 
 def test_rref_identity():
     m = identity(3)
-    res = mat_rref(m)
-    assert res.reduced == m
-    assert res.pivot_columns == (0, 1, 2)
-    assert res.rank == 3
+    reduced, pivots = _rref_rows(m, 3)
+    assert reduced == m
+    assert pivots == [0, 1, 2]
 
 
 def test_rref_zero_matrix():
     m = mat([[0, 0]] * 4)
-    res = mat_rref(m)
-    assert res.reduced == m
-    assert res.pivot_columns == ()
-    assert res.rank == 0
+    assert m == [()] * 4
+    assert _rref_rows(m, 2) == (m, [])
 
 
 def test_rref_rank_deficient():
-    res = mat_rref(mat([[1, 2], [2, 4], [1, 0]]))
-    assert res.rank == 2
-    assert res.reduced.entries[0] == (F(1), F(0))
-    assert res.reduced.entries[1] == (F(0), F(1))
+    reduced, pivots = _rref_rows(mat([[1, 2], [2, 4], [1, 0]]), 2)
+    assert len(pivots) == 2
+    assert reduced[0] == ((0, 1, 1),)
+    assert reduced[1] == ((1, 1, 1),)
 
 
 @given(matrices)
 def test_rref_idempotent(m):
-    once = mat_rref(m).reduced
-    assert mat_rref(once).reduced == once
+    rows, width = m
+    once = _rref_rows(rows, width)[0]
+    assert _rref_rows(once, width)[0] == once
 
 
 @given(matrices)
 def test_rref_pivots_normalized(m):
-    res = mat_rref(m)
-    for r, c in enumerate(res.pivot_columns):
-        col = [res.reduced.entries[i][c] for i in range(m.rows)]
+    rows, width = m
+    reduced, pivots = _rref_rows(rows, width)
+    entries = dense(reduced, width)
+    for r, c in enumerate(pivots):
+        col = [row[c] for row in entries]
         assert col[r] == 1
         assert all(x == 0 for i, x in enumerate(col) if i != r)
 
 
 def test_solve_identity():
     b = [F(3), F(-1, 2), F(7)]
-    sol = solve_exact(identity(3), b)
+    sol = solve_exact(identity(3), b, 3)
     assert isinstance(sol, Solution)
     assert sol.vector == tuple(b)
     assert sol.unique
@@ -107,7 +115,7 @@ def test_solve_f31_subsystem():
         [1, 0, 0, 0],
         [0, 1, 0, 0],
     ])
-    sol = solve_exact(a, [252, 388, 27, 7, 2])
+    sol = solve_exact(a, [252, 388, 27, 7, 2], 4)
     assert isinstance(sol, Solution) and sol.unique
     assert sol.vector == (F(7), F(2), F(3), F(3))
 
@@ -119,71 +127,74 @@ def test_solve_h4plus_system():
         [0, 0, -3, 12],
         [0, 0, -1, -2],
     ])
-    sol = solve_exact(a, [18432, 16896, 2304, -528])
+    sol = solve_exact(a, [18432, 16896, 2304, -528], 4)
     assert isinstance(sol, Solution) and sol.unique
     assert sol.vector == (F(320), F(2), F(96), F(216))
 
 
 def test_solve_inconsistent_certificate():
-    sol = solve_exact(mat([[1, 1], [1, 1]]), [1, 2])
+    sol = solve_exact(mat([[1, 1], [1, 1]]), [1, 2], 2)
     assert isinstance(sol, Inconsistent)
-    assert all(x == 0 for x in sol.witness_coeffs)
     assert sol.witness_rhs != 0
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionError):
-        solve_exact(identity(2), [1, 2, 3])
+        solve_exact(identity(2), [1, 2, 3], 2)
+
+
+def test_rows_with_no_columns():
+    # a matrix with rows but no columns: every row is zero, so the left
+    # kernel is the whole row space and a nonzero rhs is inconsistent
+    assert left_kernel([(), (), ()]) == [((0, 1, 1),), ((1, 1, 1),), ((2, 1, 1),)]
+    assert solve_exact([(), ()], [0, 0], 0) == Solution((), 0)
+    assert solve_exact([()], [1], 0) == Inconsistent(F(1))
 
 
 @given(matrices, st.data())
 def test_solve_exactness(m, data):
-    x0 = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
-    b = m.mul_vec(x0)
-    sol = solve_exact(m, b)
+    rows, width = m
+    x0 = data.draw(st.lists(rationals, min_size=width, max_size=width))
+    b = mul_vec(rows, x0)
+    sol = solve_exact(rows, b, width)
     assert isinstance(sol, Solution)
-    assert m.mul_vec(sol.vector) == b
+    assert mul_vec(rows, sol.vector) == b
 
 
 def test_kernel_invertible():
-    assert kernel_basis(mat([[1, 2], [3, 4]])) == []
+    assert kernel_basis(mat([[1, 2], [3, 4]]), 2) == []
 
 
 def test_kernel_one_relation():
-    (v,) = kernel_basis(mat([[1, 1]]))
+    (v,) = kernel_basis(mat([[1, 1]]), 2)
     # canonical normalization puts 1 at the free column
-    assert v == (F(-1), F(1))
+    assert v == ((0, -1, 1), (1, 1, 1))
 
 
 @given(matrices)
 def test_kernel_members_annihilated(m):
-    basis = kernel_basis(m)
-    assert len(basis) == m.cols - mat_rref(m).rank
-    zero = tuple(F(0) for _ in range(m.rows))
+    rows, width = m
+    basis = kernel_basis(rows, width)
+    assert len(basis) == width - rank(rows, width)
+    zero = tuple(F(0) for _ in rows)
     for v in basis:
-        assert m.mul_vec(v) == zero
+        assert mul_vec(rows, _from_support(v, width)) == zero
 
 
 def test_row_space_canonical_form():
-    a = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-    b = [[F(1), F(1), F(2)], [F(2), F(1), F(3)]]
-    assert row_space_rref(a) == row_space_rref(b)
-    c = [[F(1), F(1), F(2)], [F(2), F(2), F(4)]]
-    assert row_space_rref(a) != row_space_rref(c)
-
-
-def test_ragged_rows_rejected():
-    with pytest.raises(DimensionError):
-        QMatrix.from_rows([[1, 2], [1]])
+    a = mat([[F(1), F(0), F(1)], [F(0), F(1), F(1)]])
+    b = mat([[F(1), F(1), F(2)], [F(2), F(1), F(3)]])
+    assert row_space_rref(a, 3) == row_space_rref(b, 3)
+    c = mat([[F(1), F(1), F(2)], [F(2), F(2), F(4)]])
+    assert row_space_rref(a, 3) != row_space_rref(c, 3)
 
 
 @given(full_column_rank)
 def test_left_kernel_support_is_the_droppable_rows(m):
     # the rows some left-kernel vector uses are exactly those whose removal keeps full column rank
-    used = {i for v in kernel_basis(m.transpose()) for i, x in enumerate(v) if x != 0}
-    droppable = {
-        i for i in range(m.rows) if mat_rref(QMatrix(m.entries[:i] + m.entries[i + 1 :])).rank == m.cols
-    }
+    rows, width = m
+    used = {i for v in left_kernel(rows) for i, _, _ in v}
+    droppable = {i for i in range(len(rows)) if rank(rows[:i] + rows[i + 1 :], width) == width}
     assert used == droppable
 
 
@@ -211,26 +222,25 @@ def dense_rref_rows(rows, width):
 
 def assert_elimination_matches_dense(width, aug):
     m = mat([r[:width] for r in aug])
-    res = mat_rref(m)
-    rows, pivots = dense_rref_rows([list(r) for r in m.entries], width)
-    assert res.reduced.entries == tuple(map(tuple, rows))
-    assert res.pivot_columns == tuple(pivots)
+    reduced, pivots = _rref_rows(m, width)
+    assert (dense(reduced, width), pivots) == dense_rref_rows([list(r[:width]) for r in aug], width)
 
     # augmented columns are carried along, not eliminated
-    got = _rref_rows([list(r) for r in aug], width)
-    assert got == dense_rref_rows([list(r) for r in aug], width)
-    assert all(type(x) is F for r in res.reduced.entries + tuple(got[0]) for x in r)
+    total = len(aug[0])
+    got, got_pivots = _rref_rows(mat(aug), width)
+    assert (dense(got, total), got_pivots) == dense_rref_rows([list(r) for r in aug], width)
+    assert all(_is_support_of(s, row) for s, row in zip(reduced + got, dense(reduced, width) + dense(got, total)))
 
     rows, pivots = dense_rref_rows([r[: width + 1] for r in aug], width)
     bad = next((r for r in rows if all(x == 0 for x in r[:-1]) and r[-1] != 0), None)
     if bad is not None:
-        expected = Inconsistent(tuple(bad[:-1]), bad[-1])
+        expected = Inconsistent(bad[-1])
     else:
         x = [F(0)] * width
         for r, c in enumerate(pivots):
             x[c] = rows[r][-1]
         expected = Solution(tuple(x), width - len(pivots))
-    got = solve_exact(m, [r[width] for r in aug])
+    got = solve_exact(m, [r[width] for r in aug], width)
     assert got == expected
     return got
 
@@ -289,8 +299,8 @@ def test_basis_m31_pullback_matches_dense_oracle(repo):
     theta = repo.hom("theta_star")
     rows = [apply_hom(theta, m31.basis_class(2, lbl)).coeffs for lbl in m31.codim2_basis]
     assert max(x.denominator for r in rows for x in r) == 300
-    for m in (mat(rows), mat(rows).transpose()):
-        assert_elimination_matches_dense(m.cols, [list(r) + [F(1, 7 + i)] for i, r in enumerate(m.entries)])
+    for m in (rows, list(zip(*rows))):
+        assert_elimination_matches_dense(len(m[0]), [list(r) + [F(1, 7 + i)] for i, r in enumerate(m)])
 
 
 def test_small_rationals_are_every_bounded_fraction():

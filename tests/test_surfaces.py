@@ -9,12 +9,13 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from tautverify.data import SURFACE_IDS
-from tautverify.errors import SpaceMismatchError, UnknownLabelError
-from tautverify.linalg import QMatrix
-from tautverify.rings import TautClass, divisor_product, special_expand
+from tautverify.errors import DataError, SpaceMismatchError, UnknownLabelError
+from tautverify.linalg import _from_support
+from tautverify.rings import divisor_product, special_expand
 from tautverify.surfaces import (
     evaluate,
     evaluate_formal_products,
+    make_surface,
     pair_on_surface,
     surface_functional,
 )
@@ -31,19 +32,31 @@ def test_pair_fiber_self_intersection(repo):
     assert pair_on_surface(s1, [1, 0], [0, 1]) == 1
 
 
+def gram_entries(surface):
+    n = len(surface.lattice_labels)
+    return [_from_support(row, n) for row in surface.gram]
+
+
 def test_lattice_invariants(repo):
     # diagonal self-intersection 2-2g = -2 on the genus-2 square families
     for sid in ("T2", "V2"):
         surface = repo.surface(sid)
         d = surface.lattice_labels.index("D")
-        assert surface.gram.entries[d][d] == -2
+        assert gram_entries(surface)[d][d] == -2
     # boundary divisors on the five-pointed genus-0 base square to -1
     v4 = repo.surface("V4")
-    assert all(v4.gram.entries[i][i] == -1 for i in range(len(v4.lattice_labels)))
+    assert all(gram_entries(v4)[i][i] == -1 for i in range(len(v4.lattice_labels)))
     # fiber classes square to zero on every product base
     for sid in ("S1", "S2", "S3", "T1"):
-        gram = repo.surface(sid).gram
-        assert gram.entries[0][0] == 0 and gram.entries[1][1] == 0
+        gram = gram_entries(repo.surface(sid))
+        assert gram[0][0] == 0 and gram[1][1] == 0
+
+
+def test_ragged_gram_rejected(repo):
+    s1 = repo.surface("S1")
+    for gram in ([[0, 1], [1]], [[0, 1]], [[0, 1, 0], [1, 0, 0]]):
+        with pytest.raises(DataError, match="gram matrix must be 2x2"):
+            make_surface("S1", s1.space, s1.lattice_labels, gram, {}, {}, {}, {})
 
 
 def test_pair_blowup_lattice(repo):
@@ -65,20 +78,19 @@ def test_sparse_arithmetic_matches_dense_formulas(repo, data):
     n = len(surface.lattice_labels)
     vec = lambda k: data.draw(st.lists(sparse_rationals, min_size=k, max_size=k))
     v, w, t = vec(n), vec(n), data.draw(sparse_rationals)
-    gram = surface.gram.entries
+    gram = gram_entries(surface)
     pairing = pair_on_surface(surface, v, w)
     assert pairing == sum((v[i] * gram[i][j] * w[j] for i in range(n) for j in range(n)), F(0))
 
-    rows = [vec(n) for _ in range(data.draw(st.integers(1, 4)))]
-    image = QMatrix.from_rows(rows).mul_vec(v)
-    assert image == tuple(sum((row[j] * v[j] for j in range(n)), F(0)) for row in rows)
-
-    a, b = TautClass("X", 2, tuple(v)), TautClass("X", 2, tuple(w))
+    space = surface.space
+    k = len(space.codim2_basis)
+    x, y = vec(k), vec(k)
+    a, b = space.from_dict(2, dict(zip(space.codim2_basis, x))), space.from_dict(2, dict(zip(space.codim2_basis, y)))
     total, diff, scaled = (a + b).coeffs, (a - b).coeffs, a.scale(t).coeffs
-    assert total == tuple(x + y for x, y in zip(v, w))
-    assert diff == tuple(x - y for x, y in zip(v, w))
-    assert scaled == tuple(t * x for x in v)
-    assert all(type(x) is F for x in (pairing, *image, *total, *diff, *scaled))
+    assert total == tuple(p + q for p, q in zip(x, y))
+    assert diff == tuple(p - q for p, q in zip(x, y))
+    assert scaled == tuple(t * p for p in x)
+    assert all(type(z) is F for z in (pairing, *total, *diff, *scaled))
 
 
 def test_functional_s1_nonzero_entries(repo):

@@ -10,6 +10,7 @@ PINNED = Path(__file__).parent / "data" / "sweep_digest.txt"
 SAMPLE = (
     ("+1", "catalog.json", ("classes", "Hyp4", "degree")),  # rejected at load
     ("+1", "surfaces/t2.json", ("gram", 0, 0)),  # caught by a check
+    ("+1", "catalog.json", ("classes", "Hyp31_theorem", "coeffs", "psi*lam")),  # caught: the cofactor solve is inconsistent
     ("+1", "surfaces/t2.json", ("gram", 1, 1)),  # undetected
     ("del", "golden_checks.json", ("basis_m31", "rank")),  # aborts the run
     ("del", "golden_checks.json", ("surface_tables", "surfaces", "S1")),  # undetected
