@@ -747,7 +747,7 @@ def _parts_jet_chern(run: Run) -> list[Part]:
         )
         parts.append(_val_part(f"{key}:c", tuple(as_fraction(v) for v in block["c"]), actual_c))
         ch = jet_sum(n, w, 3)
-        actual_ch = (ch.coeff(1), ch.coeff(2), ch.coeff(3))
+        actual_ch = tuple(ch.coeff({"psi": k}) for k in range(1, 4))
         parts.append(_val_part(f"{key}:ch", tuple(as_fraction(v) for v in block["ch"]), actual_ch))
     return parts
 

@@ -3,9 +3,10 @@ spin bundle, jet-bundle Chern classes, the degeneracy-locus degree-3 class of
 a virtual difference, the kappa pushforward, and the genus-4 specialization
 extracting lambda^2 coefficients.
 
-The two jet bundles are built once by `jet_bundles`; a run of the checks
-keeps them, and both the jet_chern check and the lambda^2 pipelines read
-that one copy.  The readers work on the polynomials' int triples.
+A series from `series` is a `TruncatedPoly` in psi, read by degree part or
+term.  The two jet bundles are built once by `jet_bundles`; a run of the
+checks keeps them, and both the jet_chern check and the lambda^2 pipelines
+read that one copy.  The readers work on the polynomials' int triples.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .chern import CHERN_MAX_DEGREE, ChernVector, chern_from_character
 from .errors import DegreeError
 from .linalg import _ratio_sum, as_fraction
 from .poly import SYMBOLS, TruncatedPoly, _collect, _exps_from_powers
-from .series import exp_scaled, jet_sum, series_mul, todd_inverse
+from .series import exp_scaled, jet_sum, todd_inverse
 
 GRR_MAX_ORDER = 4
 _KAPPA = ("kappa0", "kappa1", "kappa2", "kappa3")
@@ -36,19 +37,16 @@ def grr_spin_character(order: int) -> TruncatedPoly:
         raise DegreeError("order must be >= 0")
     if order > GRR_MAX_ORDER:
         raise DegreeError(f"order {order} exceeds the configured series support {GRR_MAX_ORDER}")
-    s = series_mul(todd_inverse(order), exp_scaled(Fraction(1, 2), order))
-    kappas = {_exps_from_powers({_KAPPA[k - 1]: 1}): s.coeff(k) for k in range(1, order + 1)}
-    return TruncatedPoly.from_terms(kappas, max(order - 1, 0))
+    s = todd_inverse(order) * exp_scaled(Fraction(1, 2), order)
+    kappas = ((_exps_from_powers({_KAPPA[e[0] - 1]: 1}), n, d) for e, n, d in s.triples if e[0])
+    return TruncatedPoly(max(order - 1, 0), _collect(kappas, max(order - 1, 0)))
 
 
 def jet_bundle_chern(n: int, w) -> ChernVector:
     """Chern classes of the weight-w jet bundle of order n (rank n + 1)."""
     w = as_fraction(w)
     ch = jet_sum(n, w, CHERN_MAX_DEGREE)
-    polys = [
-        TruncatedPoly.monomial({"psi": k}, ch.coeff(k), CHERN_MAX_DEGREE) for k in range(1, 4)
-    ]
-    return chern_from_character(n + 1, *polys)
+    return chern_from_character(n + 1, *(ch.degree_part(k) for k in range(1, 4)))
 
 
 def jet_bundles() -> dict[str, ChernVector]:

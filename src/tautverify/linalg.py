@@ -9,10 +9,11 @@ row supports with a stated width, and elimination, kernels and row spaces
 take and return supports.  Fractions are built only where a value leaves the
 kernels: a dot product, the entries of a solution, an inconsistency witness.
 Every sum of products in the package (dot products, map images, basis
-reductions, class arithmetic, series products, polynomial term collection)
-goes through one keyed integer accumulator, `_accumulate`: it adds
-numerators per key over a running common denominator and normalises once
-per key.  `_dot` and `_combine` feed it products of supports (keyed by
+reductions, divisor alias expansions, special images, gluing restrictions
+and their right-hand sides, class arithmetic, polynomial and power-series
+term collection) goes through one keyed integer accumulator, `_accumulate`:
+it adds numerators per key over a running common denominator and normalises
+once per key.  `_dot` and `_combine` feed it products of supports (keyed by
 index), and `poly` feeds it terms keyed by exponent tuple.  Elimination
 (`_rref_rows`) is Gauss-Jordan on rows cleared of denominators; it skips
 zeros and builds no Fraction.

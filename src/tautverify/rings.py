@@ -1,11 +1,12 @@
 """Data-driven models of the graded ring pieces and the maps between them.
 
 A RingSpace is a pure data object: an ordered divisor basis, an ordered
-codimension-two basis, rewrite rules sending non-basis formal divisor
-products into the basis, relation vectors that must reduce to zero, and
-expansions of special codimension-two symbols.  Every coefficient lives in a
-definition file; this module only implements the bilinear expansion, the
-basis reduction, and the homomorphism rules.
+codimension-two basis, rewrite rules sending divisor aliases and non-basis
+formal divisor products into the bases, relation vectors that must reduce to
+zero, and expansions of special codimension-two symbols.  Every coefficient
+lives in a definition file; this module only implements the bilinear
+expansion, the basis reduction, the homomorphism rules and the node-smoothing
+solves.
 
 Classes, maps and gluing restrictions hold the RingSpace objects they live
 on, so no function takes a space beside an object that already names it.
@@ -14,8 +15,10 @@ loaded object.
 
 Degree-2 classes are vectors over the codim-2 basis.  Formal inputs (plain
 mappings from labels to rationals) may also mention non-basis product labels
-and, where a map stores them, special symbols.  A ring map's degree-2 images
-are built once at load, so applying any map is one loop over stored images.
+and, where a map stores them, special symbols.  Each divisor label's and
+product label's vector, a ring map's degree-2 images and a gluing
+restriction's columns are built as supports once at load, so applying any
+map is one loop over stored images.
 A class is stored as its support only (its nonzero coefficients as int
 triples, see `linalg`); its dense Fraction coefficients are derived from the
 support when first read.  Every reduction, product, map image, class sum
@@ -41,10 +44,10 @@ from .linalg import (
     Inconsistent,
     Solution,
     Support,
-    _ZERO,
     _combine,
     _from_support,
     _support_of,
+    _transpose,
     as_fraction,
     solve_exact,
 )
@@ -78,10 +81,6 @@ class TautClass:
 
     def coeff(self, label: str) -> Fraction:
         return self.coeffs[self.space.basis_index(self.degree)[label]]
-
-    def as_dict(self) -> dict[str, Fraction]:
-        basis = self.space.basis(self.degree)
-        return {basis[i]: Fraction(n, d) for i, n, d in self.support}
 
     def is_zero(self) -> bool:
         return not self.support
@@ -117,9 +116,9 @@ class RingSpace:
     codim2_basis: tuple[str, ...]
     divisor_index: Mapping[str, int]
     codim2_index: Mapping[str, int]
-    # alias divisor symbol -> vector over divisor_basis (e.g. psi_i on the
-    # two-pointed genus-1 space)
-    divisor_reductions: Mapping[str, dict[str, Fraction]]
+    # basis label or alias divisor symbol (e.g. psi_i on the two-pointed
+    # genus-1 space) -> the support of its vector over divisor_basis
+    divisor_supports: Mapping[str, Support]
     relations: tuple[dict[str, Fraction], ...]
     # special symbol -> the support of its vector over codim2_basis; bare int
     # tuples, so that a space and its classes form no reference cycle and a
@@ -142,6 +141,7 @@ class RingSpace:
         raise DegreeError(f"degree must be 1 or 2, got {degree}")
 
     def basis_index(self, degree: int) -> Mapping[str, int]:
+        self.basis(degree)  # rejects a degree other than 1 or 2
         return self.divisor_index if degree == 1 else self.codim2_index
 
     def zero(self, degree: int) -> TautClass:
@@ -149,7 +149,6 @@ class RingSpace:
         return TautClass(self, degree, ())
 
     def from_dict(self, degree: int, coeffs: Mapping[str, object]) -> TautClass:
-        self.basis(degree)  # rejects a degree other than 1 or 2
         index = self.basis_index(degree)
         entries = []
         for label, c in coeffs.items():
@@ -217,6 +216,8 @@ def make_space(
             if k not in div_index:
                 raise DataError(f"{id}: divisor reduction of {alias!r} mentions {k!r}")
 
+    div_supports = {alias: _support_of(vec.get(k, 0) for k in div) for alias, vec in dred.items()}
+    div_supports.update((label, ((i, 1, 1),)) for i, label in enumerate(div))
     supports = {label: ((i, 1, 1),) for i, label in enumerate(cod)}
     supports.update((label, _support_of(vec.get(k, 0) for k in cod)) for label, vec in reductions.items())
     space = RingSpace(
@@ -225,7 +226,7 @@ def make_space(
         codim2_basis=cod,
         divisor_index=div_index,
         codim2_index=cod_index,
-        divisor_reductions=dred,
+        divisor_supports=div_supports,
         relations=tuple({k: as_fraction(v) for k, v in rel.items()} for rel in relations),
         special_expansions={},
         product_pairs=pairs,
@@ -264,19 +265,15 @@ def _codim2_support(space: RingSpace, label: str) -> Support:
         raise UnknownLabelError(f"{label!r} cannot be reduced on {space.id}") from None
 
 
-def expand_divisor(space: RingSpace, coeffs: Formal) -> dict[str, Fraction]:
-    """Resolve divisor aliases, returning a vector over the divisor basis."""
-    out: dict[str, Fraction] = {}
+def expand_divisor(space: RingSpace, coeffs: Formal) -> TautClass:
+    """The degree-1 class of a formal vector over divisor basis labels and aliases."""
+    terms = []
     for label, c in coeffs.items():
         c = as_fraction(c)
-        if label in space.divisor_index:
-            out[label] = out.get(label, _ZERO) + c
-        elif label in space.divisor_reductions:
-            for k, v in space.divisor_reductions[label].items():
-                out[k] = out.get(k, _ZERO) + c * v
-        else:
+        if label not in space.divisor_supports:
             raise UnknownLabelError(f"{label!r} is not a divisor label of {space.id}")
-    return out
+        terms.append((c.numerator, c.denominator, space.divisor_supports[label]))
+    return TautClass(space, 1, _combine(terms))
 
 
 def divisor_product(a: TautClass, b: TautClass) -> TautClass:
@@ -340,7 +337,7 @@ def make_hom(
         for gen, vec in divisor_images.items():
             if gen not in domain.divisor_index:
                 raise DataError(f"{id}: image given for unknown generator {gen!r}")
-            div[gen] = codomain.from_dict(1, expand_divisor(codomain, {k: as_fraction(v) for k, v in vec.items()}))
+            div[gen] = expand_divisor(codomain, vec)
         for gen in domain.divisor_basis:
             if gen not in div:
                 raise MissingImageError(f"{id}: no image for divisor generator {gen!r}")
@@ -370,15 +367,17 @@ def make_hom(
 
 
 def _resolve_special_image(codomain: RingSpace, vec: Mapping[str, object]) -> TautClass:
-    out = codomain.zero(2)
-    formal: dict[str, Fraction] = {}
+    # special keys are looked up in order, formal labels after all of them
+    special, formal = [], []
     for key, c in vec.items():
         c = as_fraction(c)
         if key.startswith("special:"):
-            out = out + special_expand(codomain, key[len("special:"):]).scale(c)
-        else:
-            formal[key] = formal.get(key, _ZERO) + c
-    return out + reduce_to_basis(codomain, formal)
+            expansion = special_expand(codomain, key[len("special:"):])
+            special.append((c.numerator, c.denominator, expansion.support))
+        elif c:
+            formal.append((c.numerator, c.denominator, key))
+    formal_terms = [(n, d, _codim2_support(codomain, key)) for n, d, key in formal]
+    return TautClass(codomain, 2, _combine(special + formal_terms))
 
 
 def apply_hom(hom: RingHom, c: TautClass | Formal, degree: int | None = None) -> TautClass:
@@ -425,15 +424,16 @@ def apply_hom(hom: RingHom, c: TautClass | Formal, degree: int | None = None) ->
 class GluingRestriction:
     """Restriction of a boundary-divisor sub-basis to a product of two spaces.
 
-    Images live on the disjoint sum of the Picard groups of the two factors;
-    coordinates are keyed ``(factor, divisor label)`` with factor 1 or 2.
+    Images live on the disjoint sum of the Picard groups of the two factors:
+    `columns` holds one support per domain label, over the factor-1 divisor
+    basis followed by the factor-2 divisor basis.
     """
 
     id: str
     domain: RingSpace
     domain_labels: tuple[str, ...]
     factors: tuple[RingSpace, RingSpace]
-    images: Mapping[str, dict[tuple[int, str], Fraction]]
+    columns: tuple[Support, ...]
     weierstrass_factors: tuple[int, ...]
 
 
@@ -448,23 +448,28 @@ def make_gluing(
     for fac in weierstrass_factors:
         if fac not in (1, 2):
             raise DataError(f"{id}: weierstrass factor {fac!r} is neither 1 nor 2")
-    resolved: dict[str, dict[tuple[int, str], Fraction]] = {}
+    columns = []
     for label in domain_labels:
         if label not in images:
             raise MissingImageError(f"{id}: no restriction stored for {label!r}")
-        vec: dict[tuple[int, str], Fraction] = {}
+        terms = []
         for key, c in images[label].items():
             fac_s, _, div_label = key.partition(":")
             if fac_s not in ("1", "2"):
                 raise DataError(f"{id}: image key {key!r} of {label!r} names no factor 1 or 2")
             fac = int(fac_s)
-            expanded = expand_divisor(factors[fac - 1], {div_label: as_fraction(c)})
-            for k, v in expanded.items():
-                vec[(fac, k)] = vec.get((fac, k), _ZERO) + v
-        resolved[label] = vec
+            image = expand_divisor(factors[fac - 1], {div_label: c})
+            terms.append((1, 1, _on_factor(factors, fac, image.support)))
+        columns.append(_combine(terms))
     return GluingRestriction(
-        id, domain, tuple(domain_labels), tuple(factors), resolved, tuple(weierstrass_factors)
+        id, domain, tuple(domain_labels), tuple(factors), tuple(columns), tuple(weierstrass_factors)
     )
+
+
+def _on_factor(factors: Sequence[RingSpace], fac: int, support: Support) -> Support:
+    """A vector over factor `fac`'s divisor basis as one over both factors' bases."""
+    shift = len(factors[0].divisor_basis) if fac == 2 else 0
+    return tuple((shift + i, n, d) for i, n, d in support)
 
 
 def solve_boundary_class(
@@ -478,28 +483,18 @@ def solve_boundary_class(
     canonical codim-2 basis, and the raw solver output (for the uniqueness
     assertion); an inconsistent system returns the solver's certificate.
     """
-    coords: list[tuple[int, str]] = []
-    for fac, factor_space in enumerate(gluing.factors, 1):
-        for lbl in factor_space.divisor_basis:
-            coords.append((fac, lbl))
-    coord_index = {c: i for i, c in enumerate(coords)}
-
+    height = sum(len(f.divisor_basis) for f in gluing.factors)
     # one row per coordinate; column j is the restriction of domain label j
-    rows: list[list] = [[] for _ in coords]
-    for j, label in enumerate(gluing.domain_labels):
-        for key, v in gluing.images[label].items():
-            if v:
-                rows[coord_index[key]].append((j, v.numerator, v.denominator))
-
-    rhs = [_ZERO] * len(coords)
+    rows = _transpose(gluing.columns, height)
+    terms = []
     for fac in gluing.weierstrass_factors:
         factor_space = gluing.factors[fac - 1]
         if weierstrass.space is not factor_space:
             raise SpaceMismatchError(
                 f"Weierstrass divisor lives on {weierstrass.space.id}, factor is {factor_space.id}"
             )
-        for lbl, c in weierstrass.as_dict().items():
-            rhs[coord_index[(fac, lbl)]] += c
+        terms.append((1, 1, _on_factor(gluing.factors, fac, weierstrass.support)))
+    rhs = _from_support(_combine(terms), height)
 
     sol = solve_exact(rows, rhs, len(gluing.domain_labels))
     if isinstance(sol, Inconsistent):

@@ -108,3 +108,16 @@ def test_a_dropped_load_is_freed_without_the_cycle_collector():
         assert space() is None
     finally:
         gc.enable()
+
+
+def test_package_data_globs_ship_every_data_file():
+    # every other test imports the source tree, so only this one notices a
+    # data file that an installed package would leave out
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    config = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    package = root / "src" / "tautverify"
+    globs = config["tool"]["setuptools"]["package-data"]["tautverify"]
+    shipped = {p for pattern in globs for p in package.glob(pattern) if p.is_file()}
+    present = {p for p in (package / "data").rglob("*") if p.is_file()}
+    assert shipped == present

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from tautverify.data import Repo
 from tautverify.errors import (
+    DegreeError,
     MissingImageError,
     SpaceMismatchError,
     UnknownLabelError,
@@ -15,6 +16,7 @@ from tautverify.linalg import _support_of
 from tautverify.rings import (
     apply_hom,
     divisor_product,
+    expand_divisor,
     reduce_to_basis,
     solve_boundary_class,
     special_expand,
@@ -25,6 +27,11 @@ from conftest import rationals, sparse_rationals
 
 def cls(space, degree, coeffs):
     return space.from_dict(degree, coeffs)
+
+
+def as_mapping(c):
+    basis = c.space.basis(c.degree)
+    return {basis[i]: F(n, d) for i, n, d in c.support}
 
 
 # --- basis content -----------------------------------------------------
@@ -106,7 +113,7 @@ def test_reduce_getzler_relation(repo):
 def test_reduce_idempotent_on_canonical(repo):
     m31 = repo.space("M31")
     c = repo.catalog_class("F31_theorem")
-    assert reduce_to_basis(m31, c.as_dict()) == c
+    assert reduce_to_basis(m31, as_mapping(c)) == c
 
 
 def test_reduce_rejects_unknown_label(repo):
@@ -131,10 +138,27 @@ def test_space_and_degree_mismatch(repo):
     m31, m4 = repo.space("M31"), repo.space("M4")
     with pytest.raises(SpaceMismatchError):
         divisor_product(m4.basis_class(1, "lam"), m31.basis_class(1, "psi"))
-    from tautverify.errors import DegreeError
-
     with pytest.raises(DegreeError):
         divisor_product(repo.catalog_class("Hyp31_theorem"), m31.basis_class(1, "psi"))
+
+
+def test_classes_need_degree_1_or_2(repo):
+    m31 = repo.space("M31")
+    for make in (lambda: m31.basis_class(3, "psi^2"), lambda: m31.from_dict(3, {}), lambda: m31.zero(0)):
+        with pytest.raises(DegreeError, match=r"^degree must be 1 or 2, got [03]$"):
+            make()
+
+
+def test_expand_divisor_resolves_aliases(repo):
+    m21 = repo.space("M21")
+    assert expand_divisor(m21, {"lam": 1, "d0": 2}) == cls(m21, 1, {"d0": "21/10", "d1": "1/5"})
+    assert expand_divisor(m21, {"lam": 0}).is_zero()
+
+
+def test_expand_divisor_rejects_unknown_label(repo):
+    # even with coefficient 0: the label is checked before anything is summed
+    with pytest.raises(UnknownLabelError, match=r"^'psi2' is not a divisor label of M21$"):
+        expand_divisor(repo.space("M21"), {"lam": 1, "psi2": 0})
 
 
 def test_class_arithmetic_needs_one_space_object(repo):
@@ -176,7 +200,7 @@ def test_classes_made_by_the_kernel_keep_their_true_support(repo, data):
     x, y = draw(2), draw(2)
     made = [
         a + b, a - b, a.scale(t), x + y, x - y, x.scale(t), space.zero(2),
-        divisor_product(a, b), reduce_to_basis(space, x.as_dict()),
+        divisor_product(a, b), reduce_to_basis(space, as_mapping(x)),
         space.basis_class(1, space.divisor_basis[-1]), space.basis_class(2, space.codim2_basis[0]),
         *(special_expand(space, name) for name in space.special_expansions),
     ]

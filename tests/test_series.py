@@ -1,28 +1,25 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from tautverify.errors import NonUnitSeriesError
-from tautverify.series import (
-    TruncatedSeries,
-    exp_scaled,
-    jet_sum,
-    series_inverse,
-    series_mul,
-    todd_inverse,
-)
+from tautverify.errors import DegreeError, NonUnitSeriesError
+from tautverify.poly import TruncatedPoly
+from tautverify.series import exp_scaled, jet_sum, series_inverse, todd_inverse
 
 from conftest import rationals
 
 
 def coeffs(s):
-    return list(s.coeffs)
+    return [s.coeff({"psi": k}) for k in range(s.max_degree + 1)]
 
 
 def series(cs):
-    return TruncatedSeries(len(cs) - 1, tuple(F(c) for c in cs))
+    order = len(cs) - 1
+    terms = (TruncatedPoly.monomial({"psi": k}, F(c), order) for k, c in enumerate(cs))
+    return sum(terms, TruncatedPoly.zero(order))
 
 
 def one(order):
@@ -50,35 +47,35 @@ def test_jet_sum_matches_sum_of_exponentials(w):
     for n in range(7):
         for order in range(6):
             exps = [exp_scaled(i, order) for i in range(n + 1)]
-            total = series([sum((e.coeffs[k] for e in exps), F(0)) for k in range(order + 1)])
-            expected = series_mul(exp_scaled(w, order), total)
+            total = series([sum((coeffs(e)[k] for e in exps), F(0)) for k in range(order + 1)])
+            expected = exp_scaled(w, order) * total
             got = jet_sum(n, w, order)
             assert got == expected, (n, order)
-            assert all(type(c) is F for c in got.coeffs)
+            assert all(type(n) is int and d > 0 and gcd(n, d) == 1 for _, n, d in got.triples)
 
 
 def test_grr_integrand_product_order4():
-    s = series_mul(todd_inverse(4), exp_scaled(F(1, 2), 4))
+    s = todd_inverse(4) * exp_scaled(F(1, 2), 4)
     assert coeffs(s) == [F(1), F(0), F(-1, 24), F(0), F(7, 5760)]
 
 
 def test_grr_integrand_is_even_through_order6():
-    s = series_mul(todd_inverse(6), exp_scaled(F(1, 2), 6))
-    assert all(s.coeff(k) == 0 for k in (1, 3, 5))
+    s = todd_inverse(6) * exp_scaled(F(1, 2), 6)
+    assert all(s.coeff({"psi": k}) == 0 for k in (1, 3, 5))
 
 
 def test_mul_by_one_identity():
     s = jet_sum(2, F(1, 2), 4)
-    assert series_mul(one(4), s) == s
+    assert one(4) * s == s
 
 
 def test_mul_truncates_to_min_order():
     a = series([1, 1])
     b = series([1, -1, 0])
-    prod = series_mul(a, b)
-    assert prod.order == 1
+    prod = a * b
+    assert prod.max_degree == 1
     assert coeffs(prod) == [F(1), F(0)]
-    prod2 = series_mul(series([1, 1, 0]), b)
+    prod2 = series([1, 1, 0]) * b
     assert coeffs(prod2) == [F(1), F(0), F(-1)]
 
 
@@ -110,4 +107,16 @@ series_units = st.lists(rationals, min_size=5, max_size=5).map(
 
 @given(series_units)
 def test_inverse_roundtrip(s):
-    assert series_mul(s, series_inverse(s)) == one(s.order)
+    assert s * series_inverse(s) == one(s.max_degree)
+
+
+def test_negative_orders_raise():
+    with pytest.raises(DegreeError, match="truncation order must be >= 0"):
+        exp_scaled(1, -1)
+    with pytest.raises(DegreeError, match="jet order must be >= 0"):
+        jet_sum(-1, 1, 2)
+
+
+def test_inverse_rejects_other_symbols():
+    with pytest.raises(DegreeError, match="series in psi alone"):
+        series_inverse(one(2) + TruncatedPoly.monomial({"lam": 1}, 1, 2))
