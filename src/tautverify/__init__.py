@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .data import Repo
 from .rings import TautClass, divisor_product, reduce_to_basis, special_expand, apply_hom
-from .surfaces import evaluate, surface_functional
+from .surfaces import evaluate
 
 __all__ = [
     "Repo",
@@ -20,7 +20,6 @@ __all__ = [
     "special_expand",
     "apply_hom",
     "evaluate",
-    "surface_functional",
     "run_all",
     "run_check",
     "__version__",

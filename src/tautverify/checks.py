@@ -1,9 +1,11 @@
 """Named, independently runnable checks covering every verified result.
 
 Each check recomputes a published statement from the loaded definitions and
-compares against the golden expected values, exactly.  A check result carries
-the comparison serialized part by part; on failure only the differing parts
-are kept, so a 16-entry vector mismatch reports just the offending entries.
+compares against the golden expected values, exactly.  Load has already
+parsed the golden file into Fractions, so a check reads its expected values
+as they are and parses nothing.  A check result carries the comparison
+serialized part by part; on failure only the differing parts are kept, so a
+16-entry vector mismatch reports just the offending entries.
 """
 
 from __future__ import annotations
@@ -27,19 +29,19 @@ from .counts import (
 )
 from .data import SURFACE_IDS, Repo
 from .errors import UnknownNameError
-from .grr import JET_BUNDLES, grr_spin_character, jet_bundles, lambda2_values
+from .grr import grr_spin_character, jet_bundles, lambda2_values
 from .linalg import (
     Inconsistent,
     Solution,
     _ZERO,
     _support_of,
     _transpose,
-    as_fraction,
     det3,
     left_kernel,
     row_space_rref,
     solve_exact,
 )
+from .poly import TruncatedPoly
 from .rings import (
     TautClass,
     apply_hom,
@@ -48,7 +50,6 @@ from .rings import (
     solve_boundary_class,
     special_expand,
 )
-from .series import jet_sum
 from .surfaces import OVERRIDE, evaluate, evaluate_formal_products
 
 Part = tuple[str, str, str]
@@ -255,8 +256,8 @@ class Run:
         self._family_values: dict[tuple[str, str], dict[str, Fraction]] = {}
 
     @cached_property
-    def jets(self) -> dict[str, ChernVector]:
-        """The Chern classes of the jet bundles, read by jet_chern and the lambda^2 pipelines."""
+    def jets(self) -> dict[str, tuple[TruncatedPoly, ChernVector]]:
+        """The Chern character and classes of each jet bundle, read by jet_chern and the lambda^2 pipelines."""
         return jet_bundles()
 
     @cached_property
@@ -383,12 +384,11 @@ def solve_multiplicities(system_id: str, run: Run):
     sol = solve_exact(rows, rhs, len(system.components))
     parts: list[Part] = []
     golden = run.repo.golden[f"multiplicities_{system_id.lower()}"]
-    expected = {k: as_fraction(v) for k, v in golden["solution"].items()}
     if isinstance(sol, Inconsistent):
         parts.append(("consistent", "true", f"false (witness rhs {sol.witness_rhs})"))
         return {}, [], parts
     assignment = dict(zip(system.unknowns, sol.vector))
-    parts.append(_val_part("solution", expected, assignment))
+    parts.append(_val_part("solution", golden["solution"], assignment))
     parts.append(_val_part("unique", True, sol.unique))
 
     kernel = left_kernel(rows) if sol.unique else []
@@ -473,9 +473,8 @@ def _parts_prop4(run: Run) -> list[Part]:
         parts.append(
             _cls_part(f"pullback_consistency:{sym}", theta.special_images[sym], apply_hom(theta, expansion))
         )
-        expected = [as_fraction(v) for v in golden["surface_values"][sym]]
         actual = [evaluate(repo.functional(sid), expansion) for sid in golden["surface_order"]]
-        parts.append(_val_part(f"family_values:{sym}", tuple(expected), tuple(actual)))
+        parts.append(_val_part(f"family_values:{sym}", tuple(golden["surface_values"][sym]), tuple(actual)))
     return parts
 
 
@@ -553,8 +552,7 @@ def _parts_w2_lemmas(run: Run) -> list[Part]:
             continue
         pres, reduced, sol = solved
         parts.append(_val_part(f"{key}_unique", True, sol.unique))
-        expected_pres = {k: as_fraction(v) for k, v in golden[f"{key}_presentation"].items()}
-        parts.append(_val_part(f"{key}_presentation", expected_pres, pres))
+        parts.append(_val_part(f"{key}_presentation", golden[f"{key}_presentation"], pres))
         parts.extend(_cls_part(name, expected, reduced) for name, expected in expected_classes)
     return parts
 
@@ -597,7 +595,7 @@ def compute_h4plus(run: Run) -> tuple[TautClass, list[Part]]:
     parts.append(_cls_part("class", m4.from_dict(2, golden["class"]), result))
     parts.append(_cls_part("catalog_agrees", repo.catalog_class("H4plus_theorem"), result))
     lambda2 = run.lambda2["H4_plus"]
-    parts.append(_val_part("lambda2_cross_check", as_fraction(golden["lambda2"]), lambda2))
+    parts.append(_val_part("lambda2_cross_check", golden["lambda2"], lambda2))
     parts.append(_val_part("lambda2_entry_agrees", lambda2, result.coeff("lam^2")))
     return result, parts
 
@@ -625,7 +623,7 @@ def _parts_surface_tables(run: Run) -> list[Part]:
     for sid, block in golden["surfaces"].items():
         functional = repo.functional(sid)
         space = functional.space
-        nonzero = {k: as_fraction(v) for k, v in block["nonzero_basis"].items()}
+        nonzero = block["nonzero_basis"]
         mismatches = []
         for lbl in space.codim2_basis:
             expected = nonzero.get(lbl, _ZERO)
@@ -633,10 +631,10 @@ def _parts_surface_tables(run: Run) -> list[Part]:
                 mismatches.append(f"{lbl}:{functional.values[lbl]}!={expected}")
         parts.append(_val_part(f"{sid}:table", "exact", "exact" if not mismatches else ",".join(mismatches)))
         for lbl, v in block["extra"].items():
-            parts.append(_val_part(f"{sid}:{lbl}", as_fraction(v), functional.values.get(lbl)))
+            parts.append(_val_part(f"{sid}:{lbl}", v, functional.values.get(lbl)))
         for key, v in block["evaluations"].items():
             value = run.family_values(systems[space.id].id, sid)[key]
-            parts.append(_val_part(f"{sid}:<{key}>", as_fraction(v), value))
+            parts.append(_val_part(f"{sid}:<{key}>", v, value))
     override_rows = []
     for sid in golden["surfaces"]:
         for label, provenance in repo.functional(sid).provenance.items():
@@ -683,7 +681,7 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
                     bad31.append(f"{a}*{b}:{obs}")
     parts.append(_val_part("m31_products_miss_obstructions", "none", ",".join(bad31) or "none"))
     f31_kappa2 = repo.catalog_class("F31_theorem").coeff("kappa2")
-    parts.append(_val_part("f31_kappa2", as_fraction(golden["f31_kappa2"]), f31_kappa2))
+    parts.append(_val_part("f31_kappa2", golden["f31_kappa2"], f31_kappa2))
     parts.append(_val_part("f31_kappa2_nonzero", True, f31_kappa2 != 0))
 
     bad4 = []
@@ -696,9 +694,8 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
                     bad4.append(f"{a}*{b}:{obs}")
     parts.append(_val_part("m4_products_miss_obstructions", "none", ",".join(bad4) or "none"))
     for name, cls in (("h4plus", "H4plus_theorem"), ("hyp4", "Hyp4")):
-        expected = {k: as_fraction(v) for k, v in golden[f"{name}_obstructions"].items()}
         actual = {obs: repo.catalog_class(cls).coeff(obs) for obs in obstructions}
-        parts.append(_val_part(f"{name}_obstructions", expected, actual))
+        parts.append(_val_part(f"{name}_obstructions", golden[f"{name}_obstructions"], actual))
         parts.append(_val_part(f"{name}_obstructions_nonzero", True, all(v != 0 for v in actual.values())))
 
     # cofactor: with the hyperelliptic pullback factor fixed, the divisor b
@@ -723,12 +720,11 @@ def _parts_grr_spin(run: Run) -> list[Part]:
     parts = []
     for order, key in ((4, "order4"), (2, "order2")):
         actual = grr_spin_character(order)
-        expected = {k: as_fraction(v) for k, v in golden[key].items()}
         actual_map = {
             sym: actual.coeff({sym: 1}) for sym in ("kappa0", "kappa1", "kappa2", "kappa3")
         }
         actual_map = {k: v for k, v in actual_map.items() if v != 0}
-        parts.append(_val_part(f"character_order{order}", expected, actual_map))
+        parts.append(_val_part(f"character_order{order}", golden[key], actual_map))
     parts.append(_val_part("character_order0", "0", str(grr_spin_character(0))))
     return parts
 
@@ -736,26 +732,24 @@ def _parts_grr_spin(run: Run) -> list[Part]:
 def _parts_jet_chern(run: Run) -> list[Part]:
     golden = run.repo.golden["jet_chern"]
     parts = []
-    for key, (n, w) in JET_BUNDLES.items():
+    for key, (ch, cv) in run.jets.items():
         block = golden[key]
-        cv = run.jets[key]
         parts.append(_val_part(f"{key}:rank", block["rank"], cv.rank))
         actual_c = (
             cv.c1.coeff({"psi": 1}),
             cv.c2.coeff({"psi": 2}),
             cv.c3.coeff({"psi": 3}),
         )
-        parts.append(_val_part(f"{key}:c", tuple(as_fraction(v) for v in block["c"]), actual_c))
-        ch = jet_sum(n, w, 3)
+        parts.append(_val_part(f"{key}:c", tuple(block["c"]), actual_c))
         actual_ch = tuple(ch.coeff({"psi": k}) for k in range(1, 4))
-        parts.append(_val_part(f"{key}:ch", tuple(as_fraction(v) for v in block["ch"]), actual_ch))
+        parts.append(_val_part(f"{key}:ch", tuple(block["ch"]), actual_ch))
     return parts
 
 
 def _parts_lambda2(run: Run) -> list[Part]:
     repo = run.repo
     golden = repo.golden["lambda2_values"]
-    parts = [_val_part(which, as_fraction(golden[which]), value) for which, value in run.lambda2.items()]
+    parts = [_val_part(which, golden[which], value) for which, value in run.lambda2.items()]
     stated = repo.catalog_class("H4plus_theorem").coeff("lam^2")
     parts.append(_val_part("agrees_with_class", stated, run.lambda2["H4_plus"]))
     return parts
@@ -785,7 +779,7 @@ def _parts_enumerative(run: Run) -> list[Part]:
         parts.append(_val_part(f"spin_cover:{key}", v, theta_count[parity](int(g))))
     for cid, v in golden["count_values"].items():
         const = repo.counts.get(cid)
-        parts.append(_val_part(f"count:{cid}", as_fraction(v), const.value))
+        parts.append(_val_part(f"count:{cid}", v, const.value))
         parts.append(_val_part(f"count_reevaluates:{cid}", const.value, const.reevaluate(repo.counts)))
     # the two one-variable/two-variable formulas agree where they overlap
     agree = all(

@@ -4,14 +4,19 @@ All bases, relations, images, catalog classes, families and expected values
 live in JSON files under ``tautverify/data``; a ``data_dir`` override may
 replace the embedded copies bit-for-bit.  Everything is validated once at
 load and is immutable afterwards, so a repository can be shared freely
-between threads.  Any error raised while a file is turned into objects (a
-missing key, a float, a zero denominator, a value of the wrong type) becomes
-a DataError that names the file, so a malformed data dir fails closed.
+between threads.  Load is the only place where raw JSON becomes values: each
+space, map and family is one object built from its file, which must declare
+the id it is loaded under, and golden numbers become Fractions, so a run of
+the checks parses nothing.  Any error raised while a file is turned into
+objects (a missing key, a float, a zero denominator, a value of the wrong
+type) becomes a DataError that names the file, so a malformed data dir fails
+closed.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
@@ -29,17 +34,30 @@ from .rings import (
     make_hom,
     make_space,
 )
-from .surfaces import SurfaceFunctional, SurfaceModel, make_surface, surface_functional
+from .surfaces import SurfaceFunctional, make_surface
 
 SPACE_IDS = ("M22", "M31", "M3", "M4", "M12", "M21")
 RING_HOM_IDS = ("theta_star", "j3_star", "p_star_pushforward", "p_pullback_m3")
 GLUING_IDS = ("xi_star_m31", "xi_star_m4")
 SURFACE_IDS = ("S1", "S2", "S3", "T1", "T2", "T3", "V1", "V2", "V3", "V4")
+# a golden string in this form is a number; any other string is a label or an anchor
+_RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
 
 def _drop_comment(obj: dict) -> dict:
     obj.pop("comment", None)
     return obj
+
+
+def _golden_values(node):
+    """The golden document with every int and rational string as a Fraction."""
+    if isinstance(node, dict):
+        return {k: _golden_values(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_golden_values(v) for v in node]
+    if isinstance(node, str) and not _RATIONAL.fullmatch(node):
+        return node
+    return as_fraction(node)
 
 
 class Repo:
@@ -53,7 +71,6 @@ class Repo:
         self._catalog: dict[str, TautClass] = {}
         self._catalog_sources: dict[str, str] = {}
         self._formal: dict[str, dict[str, Fraction]] = {}
-        self._surfaces: dict[str, SurfaceModel] = {}
         self._functionals: dict[str, SurfaceFunctional] = {}
         self._load()
 
@@ -70,10 +87,13 @@ class Repo:
             raise DataError(f"malformed JSON in {relpath!r}: {exc}") from exc
 
     @contextmanager
-    def _building(self, relpath: str):
-        """Read a file; an error other than the package's own while building from it becomes a DataError."""
+    def _building(self, relpath: str, id: str | None = None):
+        """Read a file, which must declare `id` if one is given; an error other
+        than the package's own while building from it becomes a DataError."""
         raw = self._read(relpath)
         try:
+            if id is not None and raw["id"] != id:
+                raise DataError(f"definition file {relpath!r} declares id {raw['id']!r}, not {id!r}")
             yield raw
         except TautVerifyError:
             raise
@@ -84,9 +104,7 @@ class Repo:
 
     def _load(self):
         for sid in SPACE_IDS:
-            with self._building(f"spaces/{sid.lower()}.json") as raw:
-                if raw["id"] != sid:
-                    raise DataError(f"space file {sid.lower()}.json declares id {raw['id']!r}")
+            with self._building(f"spaces/{sid.lower()}.json", sid) as raw:
                 self._spaces[sid] = make_space(
                     id=raw["id"],
                     divisor_basis=raw["divisor_basis"],
@@ -98,7 +116,7 @@ class Repo:
                 )
 
         for hid in RING_HOM_IDS:
-            with self._building(f"homs/{hid}.json") as raw:
+            with self._building(f"homs/{hid}.json", hid) as raw:
                 self._homs[hid] = make_hom(
                     id=raw["id"],
                     kind=raw["kind"],
@@ -111,7 +129,7 @@ class Repo:
                 )
 
         for gid in GLUING_IDS:
-            with self._building(f"homs/{gid}.json") as raw:
+            with self._building(f"homs/{gid}.json", gid) as raw:
                 self._gluings[gid] = make_gluing(
                     id=raw["id"],
                     domain=self.space(raw["domain"]),
@@ -130,8 +148,8 @@ class Repo:
                 self._formal[name] = {k: as_fraction(v) for k, v in entry["coeffs"].items()}
 
         for sid in SURFACE_IDS:
-            with self._building(f"surfaces/{sid.lower()}.json") as raw:
-                model = make_surface(
+            with self._building(f"surfaces/{sid.lower()}.json", sid) as raw:
+                self._functionals[sid] = make_surface(
                     id=raw["id"],
                     space=self.space(raw["target_space"]),
                     lattice=raw["lattice"],
@@ -141,12 +159,11 @@ class Repo:
                     direct_values=raw["direct_values"],
                     special_products=raw["special_products"],
                 )
-                self._surfaces[sid] = model
-                self._functionals[sid] = surface_functional(model)
 
         with self._building("counts.json") as raw:
             self.counts = CountRegistry(raw)
-        self.golden = self._read("golden_checks.json")
+        with self._building("golden_checks.json") as raw:
+            self.golden = _golden_values(raw)
 
     # -- accessors --------------------------------------------------------
 
@@ -174,9 +191,6 @@ class Repo:
 
     def formal_class(self, name: str) -> dict[str, Fraction]:
         return dict(self._lookup(self._formal, name, "formal class"))
-
-    def surface(self, sid: str) -> SurfaceModel:
-        return self._lookup(self._surfaces, sid, "surface")
 
     def functional(self, sid: str) -> SurfaceFunctional:
         return self._lookup(self._functionals, sid, "surface")

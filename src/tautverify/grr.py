@@ -4,9 +4,10 @@ a virtual difference, the kappa pushforward, and the genus-4 specialization
 extracting lambda^2 coefficients.
 
 A series from `series` is a `TruncatedPoly` in psi, read by degree part or
-term.  The two jet bundles are built once by `jet_bundles`; a run of the
-checks keeps them, and both the jet_chern check and the lambda^2 pipelines
-read that one copy.  The readers work on the polynomials' int triples.
+term.  The two jet bundles are built once by `jet_bundles`, each as its
+Chern character beside its Chern classes; a run of the checks keeps them,
+and both the jet_chern check and the lambda^2 pipelines read that one copy.
+The readers work on the polynomials' int triples.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Mapping
 
 from .chern import CHERN_MAX_DEGREE, ChernVector, chern_from_character
 from .errors import DegreeError
-from .linalg import _ratio_sum, as_fraction
+from .linalg import _ratio_sum
 from .poly import SYMBOLS, TruncatedPoly, _collect, _exps_from_powers
 from .series import exp_scaled, jet_sum, todd_inverse
 
@@ -42,16 +43,18 @@ def grr_spin_character(order: int) -> TruncatedPoly:
     return TruncatedPoly(max(order - 1, 0), _collect(kappas, max(order - 1, 0)))
 
 
-def jet_bundle_chern(n: int, w) -> ChernVector:
-    """Chern classes of the weight-w jet bundle of order n (rank n + 1)."""
-    w = as_fraction(w)
-    ch = jet_sum(n, w, CHERN_MAX_DEGREE)
+def jet_bundle_chern(n: int, ch: TruncatedPoly) -> ChernVector:
+    """Chern classes of the jet bundle of order n (rank n + 1) whose Chern character is `ch`."""
     return chern_from_character(n + 1, *(ch.degree_part(k) for k in range(1, 4)))
 
 
-def jet_bundles() -> dict[str, ChernVector]:
-    """Chern classes of the jet bundles of JET_BUNDLES, by name."""
-    return {name: jet_bundle_chern(n, w) for name, (n, w) in JET_BUNDLES.items()}
+def jet_bundles() -> dict[str, tuple[TruncatedPoly, ChernVector]]:
+    """The Chern character and the Chern classes of each jet bundle of JET_BUNDLES, by name."""
+    jets = {}
+    for name, (n, w) in JET_BUNDLES.items():
+        ch = jet_sum(n, w, CHERN_MAX_DEGREE)
+        jets[name] = (ch, jet_bundle_chern(n, ch))
+    return jets
 
 
 def porteous_c3(cJ: ChernVector, cE: ChernVector) -> TruncatedPoly:
@@ -138,21 +141,22 @@ def canonical_jet_porteous_class(cJ: ChernVector) -> TruncatedPoly:
 _LOCI = ("SH4_minus", "H4_minus", "H4", "H4_plus")
 
 
-def lambda2_values(repo, jets: Mapping[str, ChernVector]) -> dict[str, Fraction]:
+def lambda2_values(repo, jets: Mapping[str, tuple[TruncatedPoly, ChernVector]]) -> dict[str, Fraction]:
     """lambda^2 coefficients of the subcanonical loci on the genus-4 interior.
 
-    One pass runs each pipeline once, on the jet bundles `jets` (keyed by
-    JET_BUNDLES name, as `jet_bundles` builds them).  SH4_minus comes from
-    the spin pipeline; H4_minus multiplies it by the odd spin cover degree;
+    One pass runs each pipeline once, on the Chern classes of the jet
+    bundles `jets` (keyed by JET_BUNDLES name, as `jet_bundles` builds
+    them).  SH4_minus comes from the spin pipeline; H4_minus multiplies it by the odd spin cover degree;
     H4 comes from the canonical-jet pipeline; H4_plus subtracts the
     hyperelliptic contribution (one per Weierstrass point) and H4_minus from
     H4.
     """
     from .counts import hyperelliptic_weierstrass_count, odd_theta_count
 
-    sh4_minus = m4_specialize(spin_porteous_class(jets["J2_spin"]))
+    (_, c_spin), (_, c_canonical) = jets["J2_spin"], jets["J5_canonical"]
+    sh4_minus = m4_specialize(spin_porteous_class(c_spin))
     h4_minus = odd_theta_count(4) * sh4_minus
-    h4 = m4_specialize(canonical_jet_porteous_class(jets["J5_canonical"]))
+    h4 = m4_specialize(canonical_jet_porteous_class(c_canonical))
     hyp4_lambda2 = repo.catalog_class("Hyp4").coeff("lam^2")
     h4_plus = h4 - hyperelliptic_weierstrass_count(4) * hyp4_lambda2 - h4_minus
     return dict(zip(_LOCI, (sh4_minus, h4_minus, h4, h4_plus)))

@@ -10,8 +10,8 @@ Terms are stored as ``(exponents, numerator, denominator)`` int triples in
 lowest terms with positive denominators, sorted by exponent tuple, so that
 chained `+`, `-`, `scale` and `*` build no Fraction: each collects like terms
 in the keyed int accumulator of `linalg`, keyed by exponent tuple, after
-`_collect` drops the monomials above the maximum degree.  `terms` is the
-public Fraction view, built once per polynomial on first read.
+`_collect` drops the monomials above the maximum degree.  A Fraction is
+built only where `coeff` reads a coefficient.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from operator import add, mul
 from typing import Iterable
@@ -64,11 +63,6 @@ def _exps_from_powers(powers: Mapping[str, int]) -> Exps:
 class TruncatedPoly:
     max_degree: int
     triples: tuple[Triple, ...]  # sorted by exponent tuple, nonzero, lowest terms, positive denominators
-
-    @cached_property
-    def terms(self) -> tuple[tuple[Exps, Fraction], ...]:
-        """The terms as (exponents, Fraction) pairs, sorted by exponent tuple."""
-        return tuple((e, Fraction(n, d)) for e, n, d in self.triples)
 
     @classmethod
     def from_terms(cls, terms: Mapping[Exps, Fraction] | Iterable[tuple[Exps, Fraction]], max_degree: int) -> "TruncatedPoly":

@@ -380,15 +380,15 @@ def _resolve_special_image(codomain: RingSpace, vec: Mapping[str, object]) -> Ta
     return TautClass(codomain, 2, _combine(special + formal_terms))
 
 
-def apply_hom(hom: RingHom, c: TautClass | Formal, degree: int | None = None) -> TautClass:
+def apply_hom(hom: RingHom, c: TautClass | Formal) -> TautClass:
     """Apply a stored map to a class.
 
     Degree-1 classes map through the divisor images, degree-2 classes label
     by label through the images built at load (the product of the divisor
     images for a product label, the stored image for a special label), and
     table (pushforward) maps entry by entry with no product rule, all in one
-    loop.  `c` may be a plain mapping, in which case it may also mention
-    non-basis product labels and any stored special symbol.
+    loop.  `c` may be a plain mapping of degree 2, in which case it may also
+    mention non-basis product labels and any stored special symbol.
     """
     if isinstance(c, TautClass):
         if c.space is not hom.domain:
@@ -397,8 +397,7 @@ def apply_hom(hom: RingHom, c: TautClass | Formal, degree: int | None = None) ->
         labels = c.space.basis(degree)
         items = [(labels[i], n, d) for i, n, d in c.support]
     else:
-        if degree is None:
-            degree = 2
+        degree = 2
         items = [(k, v.numerator, v.denominator) for k, v in ((k, as_fraction(v)) for k, v in c.items()) if v]
 
     if hom.kind == "table":

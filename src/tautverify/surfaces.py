@@ -1,19 +1,22 @@
 """Two-dimensional test families as linear functionals on codim-2 bases.
 
-Each family is modelled by the numerical-equivalence lattice of its base
+Each family is given by the numerical-equivalence lattice of its base
 surface (a small Gram matrix), restriction vectors for the divisor
 generators, and directly stated values for the special classes.  Product
 entries are derived from the Gram pairing unless the source table overrides
-them.  The functional, built at load, keeps each lattice-derived value beside
-the effective one, and its provenance is the one record of the comparison:
-a stated value that differs from the lattice value of its label is an
-override.
+them.  `make_surface` turns a family file into its one object, the
+functional, at load: the restriction and special-product vectors become
+supports and are paired there, and the functional keeps only what pairing
+needs, the lattice labels and the Gram rows, beside its values.  It keeps
+each lattice-derived value beside the effective one, and its provenance is
+the one record of the comparison: a stated value that differs from the
+lattice value of its label is an override.
 
-A model and its functional hold the RingSpace of the family's target, so a
-class is paired with a functional without naming a space again.  Pairings
-run on supports (see `linalg`): the Gram matrix is kept as its row supports,
-and a functional keeps the support of its values over the codim-2 basis, so
-evaluating a class walks two int supports.
+A functional holds the RingSpace of the family's target, so a class is
+paired with it without naming a space again.  Pairings run on supports (see
+`linalg`): the Gram matrix is kept as its row supports, and a functional
+keeps the support of its values over the codim-2 basis, so evaluating a
+class walks two int supports.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DataError, DegreeError, DimensionError, SpaceMismatchError, UnknownLabelError
-from .linalg import Support, Vector, _combine, _dot, _ratio_sum, _support_of, as_fraction, as_vector
+from .linalg import Support, _combine, _dot, _ratio_sum, _support_of, as_fraction, as_vector
 from .rings import RingSpace, TautClass
 
 DERIVED = "derived"
@@ -33,23 +36,13 @@ OVERRIDE = "override"
 
 
 @dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceFunctional:
+    """A family as it pairs with classes: its lattice and its value on every label."""
+
     id: str
     space: RingSpace
     lattice_labels: tuple[str, ...]
     gram: tuple[Support, ...]  # the rows of the symmetric Gram matrix
-    divisor_restrictions: Mapping[str, Vector]
-    overrides: Mapping[str, Fraction]  # product label -> stated value
-    direct_values: Mapping[str, Fraction]  # special label -> stated value
-    # special label -> list of lattice-vector pairs whose Gram pairings sum
-    # to the value (for special classes the source computes on the lattice)
-    special_products: Mapping[str, tuple[tuple[Vector, Vector], ...]]
-
-
-@dataclass(frozen=True)
-class SurfaceFunctional:
-    surface: str
-    space: RingSpace
     values: Mapping[str, Fraction]
     provenance: Mapping[str, str]
     derived: Mapping[str, Fraction]  # label -> lattice value: every formal product, basis or not, and special product
@@ -58,6 +51,24 @@ class SurfaceFunctional:
     def support(self) -> Support:
         """The support of the values over the codim-2 basis of the space."""
         return _support_of(self.values[label] for label in self.space.codim2_basis)
+
+
+def _gram_times(gram: Sequence[Support], w: Support) -> Support:
+    """Gram w; the Gram matrix is symmetric, so this is its rows combined with w's entries."""
+    return _combine((n, d, gram[j]) for j, n, d in w)
+
+
+def _pair(id: str, gram: Sequence[Support], v: Sequence, w: Sequence) -> Fraction:
+    vectors = [as_vector(x) for x in (v, w)]
+    if any(len(x) != len(gram) for x in vectors):
+        raise DimensionError(f"{id}: lattice vectors must have length {len(gram)}")
+    vs, ws = (_support_of(x) for x in vectors)
+    return _dot(vs, _gram_times(gram, ws))
+
+
+def pair_on_surface(functional: SurfaceFunctional, v: Sequence, w: Sequence) -> Fraction:
+    """Intersection number v . w on the base surface: v^T Gram w."""
+    return _pair(functional.id, functional.gram, v, w)
 
 
 def make_surface(
@@ -69,7 +80,19 @@ def make_surface(
     overrides: Mapping[str, object],
     direct_values: Mapping[str, object],
     special_products: Mapping[str, Sequence],
-) -> SurfaceModel:
+) -> SurfaceFunctional:
+    """Build a family's functional: every codim-2 basis label gets a value.
+
+    Product labels come from the Gram pairing of the divisor restrictions
+    unless overridden; special labels come from lattice computations where
+    the source gives one (`special_products`: lists of lattice-vector pairs
+    whose Gram pairings sum to the value), and from the stated direct values
+    otherwise.  Extra special symbols with direct values (used by the
+    multiplicity systems) ride along.  Every lattice-derived value is kept
+    too, also where a stated value wins and for formal products outside the
+    basis (one Gram product per generator).  A stated value whose label has a
+    different lattice value is marked override, in the basis or not.
+    """
     labels = tuple(lattice)
     rows = [as_vector(r) for r in gram_rows]
     if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
@@ -84,84 +107,50 @@ def make_surface(
         vec = as_vector(restrictions[gen])
         if len(vec) != len(labels):
             raise DataError(f"{id}: restriction of {gen!r} has wrong length")
-        restr[gen] = vec
+        restr[gen] = _support_of(vec)
     ov = {k: as_fraction(v) for k, v in overrides.items()}
     for k in ov:
         if k not in space.product_pairs or k not in space.codim2_index:
             raise DataError(f"{id}: override for non-basis product {k!r}")
     dv = {k: as_fraction(v) for k, v in direct_values.items()}
-    sp = {}
-    for k, pairs in special_products.items():
-        sp[k] = tuple((as_vector(p[0]), as_vector(p[1])) for p in pairs)
-    return SurfaceModel(id, space, labels, gram, restr, ov, dv, sp)
+    special = {}
+    for label, pairs in special_products.items():
+        pairings = [_pair(id, gram, v, w) for v, w in pairs]
+        special[label] = _ratio_sum((p.numerator, p.denominator) for p in pairings)
 
-
-def pair_on_surface(surface: SurfaceModel, v: Sequence, w: Sequence) -> Fraction:
-    """Intersection number v . w on the base surface: v^T Gram w."""
-    vv, ww = as_vector(v), as_vector(w)
-    if len(vv) != len(surface.lattice_labels) or len(ww) != len(surface.lattice_labels):
-        raise DimensionError(f"{surface.id}: lattice vectors must have length {len(surface.lattice_labels)}")
-    return _dot(_support_of(vv), _gram_times(surface, _support_of(ww)))
-
-
-def _gram_times(surface: SurfaceModel, w: Support) -> Support:
-    """Gram w; the Gram matrix is symmetric, so this is its rows combined with w's entries."""
-    return _combine((n, d, surface.gram[j]) for j, n, d in w)
-
-
-def _derived_special_value(surface: SurfaceModel, label: str) -> Fraction:
-    pairings = [pair_on_surface(surface, v, w) for v, w in surface.special_products[label]]
-    return _ratio_sum((p.numerator, p.denominator) for p in pairings)
-
-
-def surface_functional(surface: SurfaceModel) -> SurfaceFunctional:
-    """Build the full functional: every codim-2 basis label gets a value.
-
-    Product labels come from the Gram pairing unless overridden; special
-    labels come from lattice computations where the source gives one, and
-    from the stated direct values otherwise.  Extra special symbols with
-    direct values (used by the multiplicity systems) ride along.  Every
-    lattice-derived value is kept too, also where a stated value wins and
-    for formal products outside the basis (one Gram product per generator).
-    A stated value whose label has a different lattice value is marked
-    override, in the basis or not.
-    """
-    space = surface.space
     values: dict[str, Fraction] = {}
     prov: dict[str, str] = {}
-    restr = {gen: _support_of(vec) for gen, vec in surface.divisor_restrictions.items()}
-    gram_restr = {gen: _gram_times(surface, vec) for gen, vec in restr.items()}
+    gram_restr = {gen: _gram_times(gram, vec) for gen, vec in restr.items()}
     derived = {label: _dot(restr[a], gram_restr[b]) for label, (a, b) in space.product_pairs.items()}
     for label in space.codim2_basis:
         if label in space.product_pairs:
-            if label in surface.overrides:
-                values[label] = surface.overrides[label]
-                prov[label] = OVERRIDE if surface.overrides[label] != derived[label] else DERIVED
+            if label in ov:
+                values[label] = ov[label]
+                prov[label] = OVERRIDE if ov[label] != derived[label] else DERIVED
             else:
                 values[label] = derived[label]
                 prov[label] = DERIVED
-        elif label in surface.special_products:
-            values[label] = derived[label] = _derived_special_value(surface, label)
+        elif label in special:
+            values[label] = derived[label] = special[label]
             prov[label] = DERIVED
-        elif label in surface.direct_values:
-            values[label] = surface.direct_values[label]
+        elif label in dv:
+            values[label] = dv[label]
             prov[label] = DIRECT
         else:
-            raise DataError(f"{surface.id}: codim-2 basis label {label!r} is not covered")
-    for label, v in surface.direct_values.items():
+            raise DataError(f"{id}: codim-2 basis label {label!r} is not covered")
+    for label, v in dv.items():
         if label not in values:
             values[label] = v
             prov[label] = DIRECT
-    for label in surface.special_products:
-        if label not in derived:
-            derived[label] = _derived_special_value(surface, label)
+    for label, v in special.items():
+        derived.setdefault(label, v)
         if label not in values:
             values[label] = derived[label]
             prov[label] = DERIVED
     for label, p in prov.items():
         if p == DIRECT and label in derived and values[label] != derived[label]:
             prov[label] = OVERRIDE
-    return SurfaceFunctional(surface.id, space, values, prov, derived)
+    return SurfaceFunctional(id, space, labels, gram, values, prov, derived)
 
 
 def evaluate(functional: SurfaceFunctional, c: TautClass) -> Fraction:

@@ -18,7 +18,7 @@ from tautverify.checks import (
     solve_multiplicities,
 )
 from tautverify.counts import abel_difference_degree, mixed_difference_degree, scorza_triple_degree
-from tautverify.grr import grr_spin_character, jet_bundle_chern, jet_bundles, lambda2_values
+from tautverify.grr import grr_spin_character, jet_bundles, lambda2_values
 from tautverify.linalg import Solution, _from_support, _rref_rows, kernel_basis, solve_exact
 from tautverify.poly import TruncatedPoly
 from tautverify.rings import apply_hom, divisor_product, reduce_to_basis, special_expand
@@ -92,8 +92,9 @@ def test_criterion_06_intersection_tables(repo):
 
 def test_criterion_07_jet_pipeline_values(repo):
     spin = grr_spin_character(4)
-    j2, j5 = jet_bundle_chern(2, F(1, 2)), jet_bundle_chern(5, 1)
-    lambda2 = lambda2_values(repo, jet_bundles())
+    jets = jet_bundles()
+    (_, j2), (_, j5) = jets["J2_spin"], jets["J5_canonical"]
+    lambda2 = lambda2_values(repo, jets)
     ok = (
         spin.coeff({"kappa1": 1}) == F(-1, 24)
         and spin.coeff({"kappa3": 1}) == F(7, 5760)

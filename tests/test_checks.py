@@ -3,6 +3,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -136,8 +137,9 @@ def test_failure_reports_minimal_diff(repo):
 
 def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
     # one pass of each lambda^2 pipeline, each jet bundle built once (jet_chern
-    # and the pipelines share it), one solve per multiplicity system and no
-    # functional rebuilt; a second run on the same Repo does it all again.
+    # and the pipelines share its character and Chern classes), one solve per
+    # multiplicity system and no family rebuilt; a second run on the same Repo
+    # does it all again.
     # The maps' degree-2 images and the lattice pairings are built at load,
     # and each family pairs with a system's classes once per run.
     calls = Counter()
@@ -152,12 +154,13 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(grr, "porteous_c3")
-    for module in (grr, checks):  # wherever it is imported
-        if hasattr(module, "jet_bundle_chern"):
-            count(module, "jet_bundle_chern")
+    for module in (grr, checks):  # wherever they are imported
+        for name in ("jet_bundle_chern", "jet_sum"):
+            if hasattr(module, name):
+                count(module, name)
     count(checks, "solve_multiplicities")
-    count(surfaces, "surface_functional")
-    count(data, "surface_functional")
+    count(surfaces, "make_surface")
+    count(data, "make_surface")
     for module in (rings, checks):
         count(module, "divisor_product")
     count(surfaces, "pair_on_surface")
@@ -166,9 +169,42 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
     for _ in range(2):
         calls.clear()
         assert run_all(repo).all_passed
-        assert (calls["porteous_c3"], calls["solve_multiplicities"], calls["surface_functional"]) == (2, 2, 0)
-        assert calls["jet_bundle_chern"] == 2
+        assert (calls["porteous_c3"], calls["solve_multiplicities"], calls["make_surface"]) == (2, 2, 0)
+        assert (calls["jet_bundle_chern"], calls["jet_sum"]) == (2, 2)
         assert (calls["divisor_product"], calls["pair_on_surface"], calls["evaluate"]) == (32, 0, 52)
+
+
+def test_golden_values_are_parsed_once_at_load(repo, monkeypatch):
+    # load turns every golden number into a Fraction, so a warm run hands
+    # as_fraction no string to parse, in any module that imports it
+    def leaves(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            return [leaf for v in node for leaf in leaves(v)]
+        return [node]
+
+    def parses(text):
+        try:
+            Fraction(text)
+        except ValueError:
+            return False
+        return True
+
+    golden = leaves(repo.golden)
+    assert all(type(v) in (Fraction, str) for v in golden)
+    assert not [v for v in golden if isinstance(v, str) and parses(v)]
+    run_all(repo)
+    seen = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("tautverify") and hasattr(m, "as_fraction")]
+    for module in modules:
+        def counted(x, original=module.as_fraction):
+            seen[type(x)] += 1
+            return original(x)
+
+        monkeypatch.setattr(module, "as_fraction", counted)
+    assert run_all(repo).all_passed
+    assert seen[str] == 0 and seen[Fraction] > 0
 
 
 def test_run_check_alone_matches_run_all(repo):
@@ -320,6 +356,24 @@ def test_malformed_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, 
     assert captured.out == ""
     assert captured.err.startswith(f"configuration error: malformed definition file {relpath!r}: ")
     assert error in captured.err
+
+
+@pytest.mark.parametrize(
+    "relpath, declared",
+    [("homs/j3_star.json", "theta_star"), ("homs/xi_star_m4.json", "xi_star_m31"), ("surfaces/v1.json", "S1")],
+    ids=["ring_hom", "gluing", "family"],
+)
+def test_file_declaring_another_id_is_rejected_at_load(tmp_path, capsys, relpath, declared):
+    # otherwise the object is looked up by its file name but carries the
+    # declared id, so every error it raises names the other object
+    def edit(raw):
+        raw["id"] = declared
+
+    data_dir = _data_copy_with(tmp_path, relpath, edit)
+    assert main(["--data-dir", data_dir, "run-all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"definition file {relpath!r} declares id {declared!r}" in captured.err
 
 
 def test_inconsistent_restriction_system_fails_w2_lemmas(tmp_path, capsys):

@@ -33,7 +33,7 @@ def test_canonical_jet_example():
 
 def test_trivial_character():
     cv = chern_from_character(5, *ch_input(0, 0, 0))
-    assert not cv.c1.terms and not cv.c2.terms and not cv.c3.terms
+    assert not cv.c1.triples and not cv.c2.triples and not cv.c3.triples
 
 
 def test_degree_validation():
@@ -56,7 +56,7 @@ def test_character_roundtrip(a, b, c):
 def test_poly_truncation_drops_high_degree():
     p = TruncatedPoly.monomial({"psi": 2}, 1, 3)
     q = TruncatedPoly.monomial({"psi": 2}, 1, 3)
-    assert not (p * q).terms  # degree 4 > 3
+    assert not (p * q).triples  # degree 4 > 3
 
 
 def test_poly_grading_weights():
@@ -69,7 +69,7 @@ def test_poly_grading_weights():
 
 def test_poly_zero_coefficients_not_stored():
     p = psi(1, 1) - psi(1, 1)
-    assert p.terms == ()
+    assert p.triples == ()
 
 
 def test_poly_unknown_symbol_rejected():

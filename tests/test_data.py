@@ -82,7 +82,7 @@ def test_unknown_lookups(repo):
     with pytest.raises(UnknownNameError):
         repo.hom("q_star")
     with pytest.raises(UnknownNameError):
-        repo.surface("Z9")
+        repo.functional("Z9")
     with pytest.raises(UnknownNameError):
         repo.formal_class("missing")
 

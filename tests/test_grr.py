@@ -16,10 +16,16 @@ from tautverify.grr import (
     spin_porteous_class,
 )
 from tautverify.poly import TruncatedPoly
+from tautverify.series import jet_sum
 
 
 def mono(powers, coeff, deg=3):
     return TruncatedPoly.monomial(powers, coeff, deg)
+
+
+def jet(n, w):
+    """The Chern classes of the weight-w jet bundle of order n."""
+    return jet_bundle_chern(n, jet_sum(n, w, 3))
 
 
 def test_spin_character_order4():
@@ -32,7 +38,7 @@ def test_spin_character_order2():
 
 
 def test_spin_character_order0():
-    assert not grr_spin_character(0).terms
+    assert not grr_spin_character(0).triples
 
 
 def test_spin_character_order_cap():
@@ -41,7 +47,7 @@ def test_spin_character_order_cap():
 
 
 def test_jet_chern_spin():
-    cv = jet_bundle_chern(2, F(1, 2))
+    cv = jet(2, F(1, 2))
     assert cv.rank == 3
     assert cv.c1 == mono({"psi": 1}, F(9, 2))
     assert cv.c2 == mono({"psi": 2}, F(23, 4))
@@ -49,27 +55,27 @@ def test_jet_chern_spin():
 
 
 def test_jet_chern_canonical():
-    cv = jet_bundle_chern(5, 1)
+    cv = jet(5, 1)
     assert cv.rank == 6
     assert (cv.c1, cv.c2, cv.c3) == (mono({"psi": 1}, 21), mono({"psi": 2}, 175), mono({"psi": 3}, 735))
 
 
 def test_jet_chern_order_zero():
-    cv = jet_bundle_chern(0, F(1, 2))
+    cv = jet(0, F(1, 2))
     assert cv.rank == 1
     assert cv.c1 == mono({"psi": 1}, F(1, 2))
-    assert not cv.c2.terms and not cv.c3.terms
+    assert not cv.c2.triples and not cv.c3.triples
 
 
 def test_porteous_with_trivial_denominator():
-    cJ = jet_bundle_chern(2, F(1, 2))
+    cJ = jet(2, F(1, 2))
     z = TruncatedPoly.zero(3)
     out = porteous_c3(cJ, ChernVector(1, z, z, z))
     assert out == cJ.c3
 
 
 def test_porteous_spin_case():
-    cJ = jet_bundle_chern(2, F(1, 2))
+    cJ = jet(2, F(1, 2))
     cE = ChernVector.line_bundle(mono({"lam": 1}, F(-1, 4)))
     out = porteous_c3(cJ, cE)
     expected = (
@@ -84,7 +90,7 @@ def test_porteous_spin_case():
 
 
 def test_porteous_hodge_case():
-    cJ = jet_bundle_chern(5, 1)
+    cJ = jet(5, 1)
     cE = ChernVector(4, mono({"lam1": 1}, 1), mono({"lam2": 1}, 1), TruncatedPoly.zero(3))
     out = porteous_c3(cJ, cE)
     expected = (
@@ -133,14 +139,18 @@ def test_specialize_rejects_wrong_degree():
 
 
 def test_jet_bundles_are_the_pipelines_jet_bundles():
+    # each bundle's Chern character is kept beside its Chern classes
     jets = jet_bundles()
-    assert jets == {"J2_spin": jet_bundle_chern(2, F(1, 2)), "J5_canonical": jet_bundle_chern(5, 1)}
+    assert jets == {
+        "J2_spin": (jet_sum(2, F(1, 2), 3), jet(2, F(1, 2))),
+        "J5_canonical": (jet_sum(5, 1, 3), jet(5, 1)),
+    }
 
 
 def test_pipeline_classes():
     jets = jet_bundles()
-    assert m4_specialize(spin_porteous_class(jets["J2_spin"])) == F(177, 4)
-    assert m4_specialize(canonical_jet_porteous_class(jets["J5_canonical"])) == F(15771, 2)
+    assert m4_specialize(spin_porteous_class(jets["J2_spin"][1])) == F(177, 4)
+    assert m4_specialize(canonical_jet_porteous_class(jets["J5_canonical"][1])) == F(15771, 2)
 
 
 def test_lambda2_values(repo):

@@ -1,7 +1,8 @@
-import dataclasses
+import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from tautverify.surfaces import (
     evaluate_formal_products,
     make_surface,
     pair_on_surface,
-    surface_functional,
 )
 
 from conftest import rationals, sparse_rationals
@@ -26,8 +26,14 @@ SURFACE_TABLES = Path(__file__).parent / "data" / "surface_tables.txt"
 SHOW_TABLES = Path(__file__).resolve().parent.parent / "scripts" / "show_tables.py"
 
 
+def family_file(sid):
+    """The raw definition file of a family: the oracles read its vectors, not the functional."""
+    path = resources.files("tautverify").joinpath("data", "surfaces", f"{sid.lower()}.json")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def test_pair_fiber_self_intersection(repo):
-    s1 = repo.surface("S1")
+    s1 = repo.functional("S1")
     assert pair_on_surface(s1, [1, 0], [1, 0]) == 0
     assert pair_on_surface(s1, [1, 0], [0, 1]) == 1
 
@@ -40,20 +46,20 @@ def gram_entries(surface):
 def test_lattice_invariants(repo):
     # diagonal self-intersection 2-2g = -2 on the genus-2 square families
     for sid in ("T2", "V2"):
-        surface = repo.surface(sid)
+        surface = repo.functional(sid)
         d = surface.lattice_labels.index("D")
         assert gram_entries(surface)[d][d] == -2
     # boundary divisors on the five-pointed genus-0 base square to -1
-    v4 = repo.surface("V4")
+    v4 = repo.functional("V4")
     assert all(gram_entries(v4)[i][i] == -1 for i in range(len(v4.lattice_labels)))
     # fiber classes square to zero on every product base
     for sid in ("S1", "S2", "S3", "T1"):
-        gram = gram_entries(repo.surface(sid))
+        gram = gram_entries(repo.functional(sid))
         assert gram[0][0] == 0 and gram[1][1] == 0
 
 
 def test_ragged_gram_rejected(repo):
-    s1 = repo.surface("S1")
+    s1 = repo.functional("S1")
     for gram in ([[0, 1], [1]], [[0, 1]], [[0, 1, 0], [1, 0, 0]]):
         with pytest.raises(DataError, match="gram matrix must be 2x2"):
             make_surface("S1", s1.space, s1.lattice_labels, gram, {}, {}, {}, {})
@@ -61,12 +67,12 @@ def test_ragged_gram_rejected(repo):
 
 def test_pair_blowup_lattice(repo):
     # lam against d2 on the pencil family over the blown-up plane
-    v3 = repo.surface("V3")
+    v3 = repo.functional("V3")
     assert pair_on_surface(v3, [3, -1, 0], [-3, 1, -1]) == -1
 
 
 def test_pair_disjoint_boundary_divisors(repo):
-    v4 = repo.surface("V4")
+    v4 = repo.functional("V4")
     d24 = [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
     d35 = [0, 0, 0, 0, 0, 0, 0, 0, 1, 0]
     assert pair_on_surface(v4, d24, d35) == 1
@@ -74,7 +80,7 @@ def test_pair_disjoint_boundary_divisors(repo):
 
 @given(st.data())
 def test_sparse_arithmetic_matches_dense_formulas(repo, data):
-    surface = repo.surface(data.draw(st.sampled_from(SURFACE_IDS)))
+    surface = repo.functional(data.draw(st.sampled_from(SURFACE_IDS)))
     n = len(surface.lattice_labels)
     vec = lambda k: data.draw(st.lists(sparse_rationals, min_size=k, max_size=k))
     v, w, t = vec(n), vec(n), data.draw(sparse_rationals)
@@ -187,12 +193,9 @@ def test_formal_products_read_the_family_space(repo):
 def test_derived_values_cover_every_formal_product(repo):
     # the lattice value of each formal product, in the basis or not, is kept at load
     for sid in SURFACE_IDS:
-        surface = repo.surface(sid)
-        space = surface.space
-        derived = repo.functional(sid).derived
-        for label, (a, b) in space.product_pairs.items():
-            restr_a, restr_b = surface.divisor_restrictions[a], surface.divisor_restrictions[b]
-            assert derived[label] == pair_on_surface(surface, restr_a, restr_b), (sid, label)
+        f, restrictions = repo.functional(sid), family_file(sid)["restrictions"]
+        for label, (a, b) in f.space.product_pairs.items():
+            assert f.derived[label] == pair_on_surface(f, restrictions[a], restrictions[b]), (sid, label)
 
 
 def test_relation_annihilation_via_functional(repo):
@@ -236,12 +239,12 @@ def test_single_override_across_all_surfaces(repo):
     assert overrides == [("T2", "psi*d21")]
 
 
-def _fresh_lattice_value(surface, space, label):
-    if label in space.codim2_index and label in space.product_pairs:
-        a, b = space.product_pairs[label]
-        return pair_on_surface(surface, surface.divisor_restrictions[a], surface.divisor_restrictions[b])
-    if label in surface.special_products:
-        return sum((pair_on_surface(surface, v, w) for v, w in surface.special_products[label]), F(0))
+def _fresh_lattice_value(f, raw, label):
+    if label in f.space.codim2_index and label in f.space.product_pairs:
+        a, b = f.space.product_pairs[label]
+        return pair_on_surface(f, raw["restrictions"][a], raw["restrictions"][b])
+    if label in raw["special_products"]:
+        return sum((pair_on_surface(f, v, w) for v, w in raw["special_products"][label]), F(0))
     return None
 
 
@@ -249,12 +252,10 @@ def test_audit_derived_values_come_from_the_lattice(repo):
     # the lattice values kept at load must each equal a fresh pairing, and a
     # value is an override exactly where it differs from its lattice value
     for sid in SURFACE_IDS:
-        surface = repo.surface(sid)
-        space = surface.space
-        f = repo.functional(sid)
+        f, raw = repo.functional(sid), family_file(sid)
         assert list(f.provenance) == list(f.values)
         for label, value in f.values.items():
-            fresh = _fresh_lattice_value(surface, space, label)
+            fresh = _fresh_lattice_value(f, raw, label)
             assert f.derived.get(label) == fresh, (sid, label)
             assert (f.provenance[label] == "override") == (fresh is not None and fresh != value), (sid, label)
     t2 = repo.functional("T2")
@@ -264,14 +265,16 @@ def test_audit_derived_values_come_from_the_lattice(repo):
 def test_audit_label_with_direct_value_and_special_product(repo):
     # an off-basis label: the stated value stays effective, and since the
     # lattice value differs, the provenance marks it as an override
-    s1 = repo.surface("S1")
-    pairs = ((s1.divisor_restrictions["d0"], s1.divisor_restrictions["psi"]),)
-    model = dataclasses.replace(s1, special_products={"d1|1": pairs})
-    assert "d1|1" not in s1.space.codim2_index
-    lattice = pair_on_surface(model, *pairs[0])
-    assert lattice != s1.direct_values["d1|1"]
-    f = surface_functional(model)
-    assert (f.values["d1|1"], f.derived["d1|1"]) == (s1.direct_values["d1|1"], lattice)
+    raw, space = family_file("S1"), repo.space("M31")
+    pair = (raw["restrictions"]["d0"], raw["restrictions"]["psi"])
+    f = make_surface(
+        "S1", space, raw["lattice"], raw["gram"], raw["restrictions"], raw["overrides"],
+        raw["direct_values"], {"d1|1": [pair]},
+    )
+    assert "d1|1" not in space.codim2_index
+    lattice = pair_on_surface(f, *pair)
+    assert lattice != raw["direct_values"]["d1|1"]
+    assert (f.values["d1|1"], f.derived["d1|1"]) == (raw["direct_values"]["d1|1"], lattice)
     assert f.provenance["d1|1"] == "override"
 
 
