@@ -29,7 +29,7 @@ from .counts import (
 )
 from .data import SURFACE_IDS, Repo
 from .errors import UnknownNameError
-from .grr import grr_spin_character, jet_bundles, lambda2_values
+from .grr import GRR_MAX_ORDER, grr_spin_character, jet_bundles, lambda2_values, lower_order_character
 from .linalg import (
     Inconsistent,
     Solution,
@@ -718,14 +718,15 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
 def _parts_grr_spin(run: Run) -> list[Part]:
     golden = run.repo.golden["grr_spin"]
     parts = []
+    top = grr_spin_character(GRR_MAX_ORDER)
     for order, key in ((4, "order4"), (2, "order2")):
-        actual = grr_spin_character(order)
+        actual = lower_order_character(top, order)
         actual_map = {
             sym: actual.coeff({sym: 1}) for sym in ("kappa0", "kappa1", "kappa2", "kappa3")
         }
         actual_map = {k: v for k, v in actual_map.items() if v != 0}
         parts.append(_val_part(f"character_order{order}", golden[key], actual_map))
-    parts.append(_val_part("character_order0", "0", str(grr_spin_character(0))))
+    parts.append(_val_part("character_order0", "0", str(lower_order_character(top, 0))))
     return parts
 
 

@@ -140,10 +140,8 @@ class CountRegistry:
             self._constants[cid] = const
 
     def eval_expr(self, expr) -> Fraction:
-        if isinstance(expr, int):
-            return Fraction(expr)
-        if isinstance(expr, str):
-            return Fraction(expr)
+        if isinstance(expr, (int, str)):
+            return as_fraction(expr)  # a bool is rejected there
         if not isinstance(expr, tuple) or not expr:
             raise DataError(f"malformed count expression: {expr!r}")
         head = expr[0]
@@ -162,6 +160,8 @@ class CountRegistry:
                 raise DataError("sub takes exactly two arguments")
             return args[0] - args[1]
         if head in _FUNCTIONS:
+            if any(type(a) is not int for a in expr[1:]):
+                raise TypeError(f"count function {head!r} takes int arguments, got {list(expr[1:])!r}")
             return Fraction(_FUNCTIONS[head](*expr[1:]))
         raise DataError(f"unknown count expression head {head!r}")
 

@@ -1,30 +1,29 @@
 """Loading and validation of the embedded definition data.
 
 All bases, relations, images, catalog classes, families and expected values
-live in JSON files under ``tautverify/data``; a ``data_dir`` override may
-replace the embedded copies bit-for-bit.  Everything is validated once at
-load and is immutable afterwards, so a repository can be shared freely
-between threads.  Load is the only place where raw JSON becomes values: each
-space, map and family is one object built from its file, which must declare
-the id it is loaded under, and golden numbers become Fractions, so a run of
-the checks parses nothing.  Any error raised while a file is turned into
-objects (a missing key, a float, a zero denominator, a value of the wrong
-type) becomes a DataError that names the file, so a malformed data dir fails
-closed.
+live in JSON files in the ``data`` directory beside this module; a
+``data_dir`` override may replace the embedded copies bit-for-bit.
+Everything is validated once at load and is immutable afterwards, so a
+repository can be shared freely between threads.  Load is the only place
+where raw JSON becomes values: each space, map and family is one object built
+from its file, which must declare the id it is loaded under.  Each number is
+parsed once, where it is read, by the one parser of `linalg`: definition
+numbers become the int pairs of supports and golden numbers Fractions, so a
+run of the checks parses nothing.  Any error raised while a file is turned
+into objects (a missing key, a float or a bool for a number, a zero
+denominator, a value of the wrong type) becomes a DataError naming the file.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from contextlib import contextmanager
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .counts import CountRegistry
 from .errors import DataError, TautVerifyError, UnknownNameError
-from .linalg import as_fraction
+from .linalg import _RATIONAL, as_fraction
 from .rings import (
     GluingRestriction,
     RingHom,
@@ -40,8 +39,6 @@ SPACE_IDS = ("M22", "M31", "M3", "M4", "M12", "M21")
 RING_HOM_IDS = ("theta_star", "j3_star", "p_star_pushforward", "p_pullback_m3")
 GLUING_IDS = ("xi_star_m31", "xi_star_m4")
 SURFACE_IDS = ("S1", "S2", "S3", "T1", "T2", "T3", "V1", "V2", "V3", "V4")
-# a golden string in this form is a number; any other string is a label or an anchor
-_RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
 
 def _drop_comment(obj: dict) -> dict:
@@ -50,12 +47,17 @@ def _drop_comment(obj: dict) -> dict:
 
 
 def _golden_values(node):
-    """The golden document with every int and rational string as a Fraction."""
-    if isinstance(node, dict):
+    """The golden document with every int and rational string as a Fraction.
+
+    A string that `_RATIONAL` matches is a number; any other string is a
+    label or an anchor.
+    """
+    kind = type(node)
+    if kind is dict:
         return {k: _golden_values(v) for k, v in node.items()}
-    if isinstance(node, list):
+    if kind is list:
         return [_golden_values(v) for v in node]
-    if isinstance(node, str) and not _RATIONAL.fullmatch(node):
+    if kind is str and not _RATIONAL.fullmatch(node):
         return node
     return as_fraction(node)
 
@@ -64,7 +66,7 @@ class Repo:
     """One fully loaded, validated set of definitions and expected values."""
 
     def __init__(self, data_dir: str | Path | None = None):
-        self._dir = Path(data_dir) if data_dir is not None else resources.files("tautverify").joinpath("data")
+        self._dir = Path(data_dir) if data_dir is not None else Path(__file__).parent / "data"
         self._spaces: dict[str, RingSpace] = {}
         self._homs: dict[str, RingHom] = {}
         self._gluings: dict[str, GluingRestriction] = {}

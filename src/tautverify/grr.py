@@ -18,7 +18,7 @@ from typing import Mapping
 from .chern import CHERN_MAX_DEGREE, ChernVector, chern_from_character
 from .errors import DegreeError
 from .linalg import _ratio_sum
-from .poly import SYMBOLS, TruncatedPoly, _collect, _exps_from_powers
+from .poly import SYMBOLS, TruncatedPoly, _collect, _exps_from_powers, monomial_degree
 from .series import exp_scaled, jet_sum, todd_inverse
 
 GRR_MAX_ORDER = 4
@@ -41,6 +41,15 @@ def grr_spin_character(order: int) -> TruncatedPoly:
     s = todd_inverse(order) * exp_scaled(Fraction(1, 2), order)
     kappas = ((_exps_from_powers({_KAPPA[e[0] - 1]: 1}), n, d) for e, n, d in s.triples if e[0])
     return TruncatedPoly(max(order - 1, 0), _collect(kappas, max(order - 1, 0)))
+
+
+def lower_order_character(character: TruncatedPoly, order: int) -> TruncatedPoly:
+    """The spin character of a lower `order`, read off a higher-order one.
+
+    Truncating the series at `order` keeps psi^k for k <= order, and psi^k
+    feeds kappa_{k-1} of degree k - 1, so no series is inverted again.
+    """
+    return TruncatedPoly(max(order - 1, 0), tuple(t for t in character.triples if monomial_degree(t[0]) < order))
 
 
 def jet_bundle_chern(n: int, ch: TruncatedPoly) -> ChernVector:

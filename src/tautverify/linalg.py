@@ -6,8 +6,13 @@ as its *support*: a tuple of ``(index, numerator, denominator)`` int triples
 for its nonzero entries, ascending in index, in lowest terms with positive
 denominators.  This is the one exact-vector format: a matrix is a sequence of
 row supports with a stated width, and elimination, kernels and row spaces
-take and return supports.  Fractions are built only where a value leaves the
-kernels: a dot product, the entries of a solution, an inconsistency witness.
+take and return supports.  One parser, `_ratio`, turns a number (an int, a
+Fraction or a rational string; never a bool or a float) into an int pair, at
+the point where a data file or a kernel entry point reads it, so load builds
+supports without a Fraction round trip.  Fractions are built only for values
+read as Fractions (golden values, family values, stored relations and count
+constants, through `as_fraction`) and where a value leaves the kernels: a dot
+product, the entries of a solution, an inconsistency witness.
 Every sum of products in the package (dot products, map images, basis
 reductions, divisor alias expansions, special images, gluing restrictions
 and their right-hand sides, class arithmetic, polynomial and power-series
@@ -21,6 +26,7 @@ zeros and builds no Fraction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -31,26 +37,46 @@ from .errors import DimensionError
 Vector = tuple[Fraction, ...]
 Support = tuple[tuple[int, int, int], ...]
 _ZERO = Fraction(0)
+# an int or a rational string with an unsigned denominator: the fast path of `_ratio`
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+
+
+def _ratio(x) -> tuple[int, int]:
+    """An int, a Fraction or a rational string as (numerator, denominator) in lowest terms.
+
+    The one numeric parser: every number read from a definition or golden
+    file, and every coefficient a kernel entry point is handed, goes through
+    it.  Ints, Fractions and strings like ``"-31/10"`` take a fast path; any
+    other string goes to `Fraction`, so decimals, whitespace and a zero
+    denominator behave as they do there.  A bool or a float is not an exact
+    rational and raises TypeError.
+    """
+    kind = type(x)
+    if kind is int:
+        return x, 1
+    if kind is Fraction:
+        return x.numerator, x.denominator
+    if kind is str:
+        m = _RATIONAL.fullmatch(x)
+        if m:
+            n, d = int(m[1]), int(m[2] or 1)
+            if d:
+                g = gcd(n, d)
+                return n // g, d // g
+    if kind is not bool and isinstance(x, (int, Fraction, str)):
+        f = Fraction(x)
+        return f.numerator, f.denominator
+    raise TypeError(f"exact rational expected, got {kind.__name__}: {x!r}")
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints/strings like ``"-31/10"`` to Fraction. Floats are rejected."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"exact rational expected, got {type(x).__name__}: {x!r}")
-
-
-def as_vector(xs: Iterable) -> Vector:
-    return tuple(as_fraction(x) for x in xs)
+    """An int, a Fraction or a rational string as a Fraction (see `_ratio`)."""
+    return x if type(x) is Fraction else Fraction(*_ratio(x))
 
 
 def _support_of(xs: Iterable) -> Support:
-    """The nonzero entries of a vector of Fractions or ints as (index, numerator, denominator)."""
-    return tuple((i, x.numerator, x.denominator) for i, x in enumerate(xs) if x)
+    """The nonzero entries of a vector of numbers (see `_ratio`) as (index, numerator, denominator)."""
+    return tuple((i, n, d) for i, (n, d) in enumerate(map(_ratio, xs)) if n)
 
 
 def _from_support(s: Support, width: int) -> Vector:
@@ -217,8 +243,8 @@ def solve_exact(rows: Sequence[Support], rhs: Sequence, width: int) -> Solution 
         raise DimensionError(f"matrix has {len(rows)} rows, rhs has {len(rhs)}")
     augmented = []
     for row, b in zip(rows, rhs):
-        b = as_fraction(b)
-        augmented.append((*row, (width, b.numerator, b.denominator)) if b else row)
+        n, d = _ratio(b)
+        augmented.append((*row, (width, n, d)) if n else row)
     reduced, pivots = _rref_rows(augmented, width)
     for row in reduced:
         if row and row[0][0] == width:

@@ -24,7 +24,7 @@ from operator import add, mul
 from typing import Iterable
 
 from .errors import DegreeError
-from .linalg import _ZERO, _accumulate, as_fraction
+from .linalg import _ZERO, _accumulate, _ratio
 
 SYMBOLS = ("psi", "lam", "lam1", "lam2", "kappa0", "kappa1", "kappa2", "kappa3")
 WEIGHTS = {"psi": 1, "lam": 1, "lam1": 1, "lam2": 2, "kappa0": 0, "kappa1": 1, "kappa2": 2, "kappa3": 3}
@@ -67,8 +67,7 @@ class TruncatedPoly:
     @classmethod
     def from_terms(cls, terms: Mapping[Exps, Fraction] | Iterable[tuple[Exps, Fraction]], max_degree: int) -> "TruncatedPoly":
         items = terms.items() if isinstance(terms, Mapping) else terms
-        checked = ((_full_length(e), as_fraction(c)) for e, c in items)
-        triples = ((e, c.numerator, c.denominator) for e, c in checked)
+        triples = ((_full_length(e), *_ratio(c)) for e, c in items)
         return cls(max_degree, _collect(triples, max_degree))
 
     @classmethod
@@ -77,7 +76,7 @@ class TruncatedPoly:
 
     @classmethod
     def monomial(cls, powers: Mapping[str, int], coeff, max_degree: int = 4) -> "TruncatedPoly":
-        return cls.from_terms({_exps_from_powers(powers): as_fraction(coeff)}, max_degree)
+        return cls.from_terms({_exps_from_powers(powers): coeff}, max_degree)
 
     @classmethod
     def constant(cls, coeff, max_degree: int = 4) -> "TruncatedPoly":
@@ -99,8 +98,7 @@ class TruncatedPoly:
         return TruncatedPoly(deg, _collect(chain(self.triples, ((e, -n, d) for e, n, d in other.triples)), deg))
 
     def scale(self, c) -> "TruncatedPoly":
-        c = as_fraction(c)
-        cn, cd = c.numerator, c.denominator
+        cn, cd = _ratio(c)
         triples = ((e, cn * n, cd * d) for e, n, d in self.triples)
         return TruncatedPoly(self.max_degree, _collect(triples, self.max_degree))
 

@@ -17,8 +17,10 @@ Degree-2 classes are vectors over the codim-2 basis.  Formal inputs (plain
 mappings from labels to rationals) may also mention non-basis product labels
 and, where a map stores them, special symbols.  Each divisor label's and
 product label's vector, a ring map's degree-2 images and a gluing
-restriction's columns are built as supports once at load, so applying any
-map is one loop over stored images.
+restriction's columns are built as supports once at load, straight from the
+int pairs of the file's numbers, so applying any map is one loop over stored
+images; a product of two divisor classes reads the product of each pair of
+generators from a table indexed by their basis positions.
 A class is stored as its support only (its nonzero coefficients as int
 triples, see `linalg`); its dense Fraction coefficients are derived from the
 support when first read.  Every reduction, product, map image, class sum
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -46,7 +47,7 @@ from .linalg import (
     Support,
     _combine,
     _from_support,
-    _support_of,
+    _ratio,
     _transpose,
     as_fraction,
     solve_exact,
@@ -62,22 +63,38 @@ def product_label(basis_index: Mapping[str, int], a: str, b: str) -> str:
     return f"{a}^2" if a == b else f"{a}*{b}"
 
 
-@dataclass(frozen=True)
 class TautClass:
     """Exact rational coefficient vector over one graded piece of one space.
 
     `support` lists the nonzero coefficients as (index, numerator,
-    denominator) ints, so two classes are equal iff their supports are.
+    denominator) ints, so two classes are equal iff their supports are.  A
+    plain slotted class, not a dataclass: kernels build hundreds per run.
     """
 
-    space: "RingSpace"
-    degree: int
-    support: Support
+    __slots__ = ("space", "degree", "support", "_coeffs")
 
-    @cached_property
+    def __init__(self, space: "RingSpace", degree: int, support: Support):
+        self.space, self.degree, self.support = space, degree, support
+
+    def __eq__(self, other):
+        if other.__class__ is not TautClass:
+            return NotImplemented
+        return (self.space, self.degree, self.support) == (other.space, other.degree, other.support)
+
+    def __hash__(self):
+        return hash((self.space, self.degree, self.support))
+
+    def __repr__(self) -> str:
+        return f"TautClass(space={self.space!r}, degree={self.degree!r}, support={self.support!r})"
+
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """Every coefficient over the basis of the class's degree, as Fractions."""
-        return _from_support(self.support, len(self.space.basis(self.degree)))
+        """Every coefficient over the basis of the class's degree, as Fractions, built on first read."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            self._coeffs = _from_support(self.support, len(self.space.basis(self.degree)))
+            return self._coeffs
 
     def coeff(self, label: str) -> Fraction:
         return self.coeffs[self.space.basis_index(self.degree)[label]]
@@ -96,8 +113,7 @@ class TautClass:
         return TautClass(self.space, self.degree, _combine(((1, 1, self.support), (sign, 1, other.support))))
 
     def scale(self, c) -> "TautClass":
-        c = as_fraction(c)
-        return TautClass(self.space, self.degree, _combine(((c.numerator, c.denominator, self.support),)))
+        return TautClass(self.space, self.degree, _combine(((*_ratio(c), self.support),)))
 
 
 def _check_same(a: TautClass, b: TautClass):
@@ -129,6 +145,9 @@ class RingSpace:
     # basis label or reduced product label -> the support of its vector over
     # codim2_basis
     codim2_supports: Mapping[str, Support]
+    # [i][j] -> the support of the product of divisor generators i and j, as in
+    # codim2_supports, or None where no product is defined
+    product_supports: Sequence[Sequence[Support | None]]
 
     def __repr__(self) -> str:
         return f"RingSpace({self.id!r})"
@@ -149,21 +168,23 @@ class RingSpace:
         return TautClass(self, degree, ())
 
     def from_dict(self, degree: int, coeffs: Mapping[str, object]) -> TautClass:
-        index = self.basis_index(degree)
-        entries = []
-        for label, c in coeffs.items():
-            if label not in index:
-                raise UnknownLabelError(f"{label!r} is not a degree-{degree} basis label of {self.id}")
-            c = as_fraction(c)
-            if c:
-                entries.append((index[label], c.numerator, c.denominator))
-        return TautClass(self, degree, tuple(sorted(entries)))
+        unknown = lambda label: UnknownLabelError(f"{label!r} is not a degree-{degree} basis label of {self.id}")
+        return TautClass(self, degree, _labelled_support(self.basis_index(degree), coeffs, unknown))
 
     def basis_class(self, degree: int, label: str) -> TautClass:
-        index = self.basis_index(degree)
+        return self.from_dict(degree, {label: 1})
+
+
+def _labelled_support(index: Mapping[str, int], coeffs: Mapping[str, object], unknown) -> Support:
+    """The support of a vector given by label; a label not in `index` raises `unknown(label)`."""
+    entries = []
+    for label, c in coeffs.items():
         if label not in index:
-            raise UnknownLabelError(f"{label!r} is not a degree-{degree} basis label of {self.id}")
-        return TautClass(self, degree, ((index[label], 1, 1),))
+            raise unknown(label)
+        n, d = _ratio(c)
+        if n:
+            entries.append((index[label], n, d))
+    return tuple(sorted(entries))
 
 
 def make_space(
@@ -188,38 +209,30 @@ def make_space(
         for b in div[i:]:
             pairs[product_label(div_index, a, b)] = (a, b)
 
-    reductions = {
-        label: {k: as_fraction(v) for k, v in vec.items()}
-        for label, vec in product_reductions.items()
-    }
-    for label, vec in reductions.items():
+    supports = {label: ((i, 1, 1),) for i, label in enumerate(cod)}
+    for label, vec in product_reductions.items():
         if label not in pairs:
             raise DataError(f"{id}: reduction target {label!r} is not a formal product")
         if label in cod_index:
             raise DataError(f"{id}: basis label {label!r} must not carry a reduction")
-        for k in vec:
-            if k not in cod_index:
-                raise DataError(f"{id}: reduction of {label!r} mentions non-basis label {k!r}")
+        unknown = lambda k: DataError(f"{id}: reduction of {label!r} mentions non-basis label {k!r}")
+        supports[label] = _labelled_support(cod_index, vec, unknown)
     # Pic-only auxiliary spaces carry no degree-2 piece; products are not
     # defined there and the completeness requirement is vacuous.
     if cod:
         for label in pairs:
-            if label not in cod_index and label not in reductions:
+            if label not in supports:
                 raise DataError(f"{id}: formal product {label!r} has neither basis slot nor reduction")
 
-    dred = {
-        alias: {k: as_fraction(v) for k, v in vec.items()}
-        for alias, vec in divisor_reductions.items()
-    }
-    for alias, vec in dred.items():
-        for k in vec:
-            if k not in div_index:
-                raise DataError(f"{id}: divisor reduction of {alias!r} mentions {k!r}")
-
-    div_supports = {alias: _support_of(vec.get(k, 0) for k in div) for alias, vec in dred.items()}
+    div_supports = {}
+    for alias, vec in divisor_reductions.items():
+        unknown = lambda k: DataError(f"{id}: divisor reduction of {alias!r} mentions {k!r}")
+        div_supports[alias] = _labelled_support(div_index, vec, unknown)
     div_supports.update((label, ((i, 1, 1),)) for i, label in enumerate(div))
-    supports = {label: ((i, 1, 1),) for i, label in enumerate(cod)}
-    supports.update((label, _support_of(vec.get(k, 0) for k in cod)) for label, vec in reductions.items())
+    products = [[None] * len(div) for _ in div]
+    for label, (a, b) in pairs.items():
+        i, j = div_index[a], div_index[b]
+        products[i][j] = products[j][i] = supports.get(label)
     space = RingSpace(
         id=id,
         divisor_basis=div,
@@ -231,14 +244,14 @@ def make_space(
         special_expansions={},
         product_pairs=pairs,
         codim2_supports=supports,
+        product_supports=products,
     )
     space.special_expansions.update(
-        (name, reduce_to_basis(space, {k: as_fraction(v) for k, v in formal.items()}).support)
-        for name, formal in special_expansions_formal.items()
+        (name, reduce_to_basis(space, formal).support) for name, formal in special_expansions_formal.items()
     )
 
-    for rel in space.relations:
-        if not reduce_to_basis(space, rel).is_zero():
+    for raw, rel in zip(relations, space.relations):
+        if not reduce_to_basis(space, raw).is_zero():
             raise DataError(f"{id}: stored relation {rel} does not reduce to zero")
     return space
 
@@ -252,9 +265,9 @@ def reduce_to_basis(space: RingSpace, formal: Formal) -> TautClass:
     """
     terms = []
     for label, c in formal.items():
-        c = as_fraction(c)
-        if c:
-            terms.append((c.numerator, c.denominator, _codim2_support(space, label)))
+        n, d = _ratio(c)
+        if n:
+            terms.append((n, d, _codim2_support(space, label)))
     return TautClass(space, 2, _combine(terms))
 
 
@@ -269,10 +282,10 @@ def expand_divisor(space: RingSpace, coeffs: Formal) -> TautClass:
     """The degree-1 class of a formal vector over divisor basis labels and aliases."""
     terms = []
     for label, c in coeffs.items():
-        c = as_fraction(c)
+        n, d = _ratio(c)
         if label not in space.divisor_supports:
             raise UnknownLabelError(f"{label!r} is not a divisor label of {space.id}")
-        terms.append((c.numerator, c.denominator, space.divisor_supports[label]))
+        terms.append((n, d, space.divisor_supports[label]))
     return TautClass(space, 1, _combine(terms))
 
 
@@ -284,12 +297,14 @@ def divisor_product(a: TautClass, b: TautClass) -> TautClass:
     space = a.space
     if b.space is not space:
         raise SpaceMismatchError(f"cannot multiply a class on {space.id} by a class on {b.space.id}")
-    index, basis = space.divisor_index, space.divisor_basis
-    terms = [
-        (na * nb, da * db, _codim2_support(space, product_label(index, basis[i], basis[j])))
-        for i, na, da in a.support
-        for j, nb, db in b.support
-    ]
+    terms = []
+    for i, na, da in a.support:
+        row = space.product_supports[i]
+        for j, nb, db in b.support:
+            if row[j] is None:
+                label = product_label(space.divisor_index, space.divisor_basis[i], space.divisor_basis[j])
+                raise UnknownLabelError(f"{label!r} cannot be reduced on {space.id}")
+            terms.append((na * nb, da * db, row[j]))
     return TautClass(space, 2, _combine(terms))
 
 
@@ -370,12 +385,11 @@ def _resolve_special_image(codomain: RingSpace, vec: Mapping[str, object]) -> Ta
     # special keys are looked up in order, formal labels after all of them
     special, formal = [], []
     for key, c in vec.items():
-        c = as_fraction(c)
+        n, d = _ratio(c)
         if key.startswith("special:"):
-            expansion = special_expand(codomain, key[len("special:"):])
-            special.append((c.numerator, c.denominator, expansion.support))
-        elif c:
-            formal.append((c.numerator, c.denominator, key))
+            special.append((n, d, special_expand(codomain, key[len("special:"):]).support))
+        elif n:
+            formal.append((n, d, key))
     formal_terms = [(n, d, _codim2_support(codomain, key)) for n, d, key in formal]
     return TautClass(codomain, 2, _combine(special + formal_terms))
 
@@ -398,7 +412,7 @@ def apply_hom(hom: RingHom, c: TautClass | Formal) -> TautClass:
         items = [(labels[i], n, d) for i, n, d in c.support]
     else:
         degree = 2
-        items = [(k, v.numerator, v.denominator) for k, v in ((k, as_fraction(v)) for k, v in c.items()) if v]
+        items = [(k, n, d) for k, (n, d) in ((k, _ratio(v)) for k, v in c.items()) if n]
 
     if hom.kind == "table":
         if degree != 2:

@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DataError, DegreeError, DimensionError, SpaceMismatchError, UnknownLabelError
-from .linalg import Support, _combine, _dot, _ratio_sum, _support_of, as_fraction, as_vector
+from .linalg import Support, _combine, _dot, _ratio, _ratio_sum, _support_of, _transpose, as_fraction
 from .rings import RingSpace, TautClass
 
 DERIVED = "derived"
@@ -59,10 +59,9 @@ def _gram_times(gram: Sequence[Support], w: Support) -> Support:
 
 
 def _pair(id: str, gram: Sequence[Support], v: Sequence, w: Sequence) -> Fraction:
-    vectors = [as_vector(x) for x in (v, w)]
-    if any(len(x) != len(gram) for x in vectors):
+    vs, ws = _support_of(v), _support_of(w)
+    if len(v) != len(gram) or len(w) != len(gram):
         raise DimensionError(f"{id}: lattice vectors must have length {len(gram)}")
-    vs, ws = (_support_of(x) for x in vectors)
     return _dot(vs, _gram_times(gram, ws))
 
 
@@ -94,20 +93,19 @@ def make_surface(
     different lattice value is marked override, in the basis or not.
     """
     labels = tuple(lattice)
-    rows = [as_vector(r) for r in gram_rows]
-    if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
+    gram = tuple(_support_of(r) for r in gram_rows)
+    if len(gram_rows) != len(labels) or any(len(r) != len(labels) for r in gram_rows):
         raise DataError(f"{id}: gram matrix must be {len(labels)}x{len(labels)}")
-    if any(r[j] != rows[j][i] for i, r in enumerate(rows) for j in range(i)):
+    # supports are canonical, so the rows equal the columns iff the matrix is symmetric
+    if list(gram) != _transpose(gram, len(labels)):
         raise DataError(f"{id}: gram matrix must be symmetric")
-    gram = tuple(_support_of(r) for r in rows)
     restr = {}
     for gen in space.divisor_basis:
         if gen not in restrictions:
             raise DataError(f"{id}: no restriction stored for divisor generator {gen!r}")
-        vec = as_vector(restrictions[gen])
-        if len(vec) != len(labels):
+        restr[gen] = _support_of(restrictions[gen])
+        if len(restrictions[gen]) != len(labels):
             raise DataError(f"{id}: restriction of {gen!r} has wrong length")
-        restr[gen] = _support_of(vec)
     ov = {k: as_fraction(v) for k, v in overrides.items()}
     for k in ov:
         if k not in space.product_pairs or k not in space.codim2_index:
@@ -115,8 +113,7 @@ def make_surface(
     dv = {k: as_fraction(v) for k, v in direct_values.items()}
     special = {}
     for label, pairs in special_products.items():
-        pairings = [_pair(id, gram, v, w) for v, w in pairs]
-        special[label] = _ratio_sum((p.numerator, p.denominator) for p in pairings)
+        special[label] = _ratio_sum(_ratio(_pair(id, gram, v, w)) for v, w in pairs)
 
     values: dict[str, Fraction] = {}
     prov: dict[str, str] = {}

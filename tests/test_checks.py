@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tautverify import checks, data, grr, rings, surfaces
+from tautverify import checks, data, grr, rings, series, surfaces
 
 from tautverify.checks import (
     CHECKS,
@@ -166,12 +167,56 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
     count(surfaces, "pair_on_surface")
     for module in (surfaces, checks):
         count(module, "evaluate")
+    # the spin character is built once, at the top order, and truncated for
+    # the lower orders
+    count(grr, "todd_inverse")
+    count(series, "series_inverse")
     for _ in range(2):
         calls.clear()
         assert run_all(repo).all_passed
         assert (calls["porteous_c3"], calls["solve_multiplicities"], calls["make_surface"]) == (2, 2, 0)
         assert (calls["jet_bundle_chern"], calls["jet_sum"]) == (2, 2)
         assert (calls["divisor_product"], calls["pair_on_surface"], calls["evaluate"]) == (32, 0, 52)
+        assert (calls["todd_inverse"], calls["series_inverse"]) == (1, 1)
+
+
+def _profile(action, on_call):
+    """Run `action()`, handing `on_call` the frame of every Python function call it makes."""
+
+    def profile(frame, event, arg):
+        if event == "call":
+            on_call(frame)
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+
+
+def test_load_builds_fractions_only_for_values_read_as_fractions():
+    # every other number becomes an int pair where it is read: golden values,
+    # family values, stored relations and count constants are the Fractions
+    # (1,183 before the numeric parser, 556 after, on Python 3.11)
+    new = Fraction.__new__.__code__
+    built = []
+    _profile(Repo, lambda frame: built.append(frame.f_code is new))
+    assert sum(built) <= 560
+
+
+def test_a_warm_run_builds_classes_through_the_plain_init(repo):
+    # a dataclass __init__ costs several times the slotted class's
+    assert not dataclasses.is_dataclass(rings.TautClass)
+    init = rings.TautClass.__init__.__code__
+    inits = []
+
+    def record(frame):
+        if frame.f_code.co_name == "__init__" and type(frame.f_locals.get("self")) is rings.TautClass:
+            inits.append(frame.f_code is init)
+
+    run_all(repo)
+    _profile(lambda: run_all(repo), record)
+    assert inits and all(inits)
 
 
 def test_golden_values_are_parsed_once_at_load(repo, monkeypatch):
@@ -196,13 +241,15 @@ def test_golden_values_are_parsed_once_at_load(repo, monkeypatch):
     assert not [v for v in golden if isinstance(v, str) and parses(v)]
     run_all(repo)
     seen = Counter()
-    modules = [m for name, m in sys.modules.items() if name.startswith("tautverify") and hasattr(m, "as_fraction")]
-    for module in modules:
-        def counted(x, original=module.as_fraction):
-            seen[type(x)] += 1
-            return original(x)
+    # both the Fraction coercion and the int-pair parser behind it
+    for parser in ("as_fraction", "_ratio"):
+        modules = [m for name, m in sys.modules.items() if name.startswith("tautverify") and hasattr(m, parser)]
+        for module in modules:
+            def counted(x, original=getattr(module, parser)):
+                seen[type(x)] += 1
+                return original(x)
 
-        monkeypatch.setattr(module, "as_fraction", counted)
+            monkeypatch.setattr(module, parser, counted)
     assert run_all(repo).all_passed
     assert seen[str] == 0 and seen[Fraction] > 0
 
@@ -339,6 +386,26 @@ def _target_space_as_list(raw):
     raw["target_space"] = [raw["target_space"]]
 
 
+# each true stands where a 1 stood, so reading it as the number 1 would pass
+def _gram_off_diagonal_true(raw):
+    raw["gram"] = [[0, True], [True, 0]]
+
+
+def _reduction_coefficient_true(raw):
+    raw["product_reductions"]["psi1^2"]["psi2^2"] = True
+
+
+def _golden_value_true(raw):
+    raw["basis_m31"]["relation_generators"]["alpha"]["kappa2"] = True
+
+
+def _set_count_expr(cid, expr):
+    def edit(raw):
+        next(c for c in raw["constants"] if c["id"] == cid)["expr"] = expr
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "relpath, edit, error",
     [
@@ -346,8 +413,31 @@ def _target_space_as_list(raw):
         ("catalog.json", _set_hyp4_coeff(1.5), "TypeError: exact rational expected, got float: 1.5"),
         ("catalog.json", _set_hyp4_coeff("1/0"), "ZeroDivisionError"),
         ("surfaces/s1.json", _target_space_as_list, "TypeError: unhashable type: 'list'"),
+        ("surfaces/s1.json", _gram_off_diagonal_true, "TypeError: exact rational expected, got bool: True"),
+        ("spaces/m22.json", _reduction_coefficient_true, "TypeError: exact rational expected, got bool: True"),
+        ("golden_checks.json", _golden_value_true, "TypeError: exact rational expected, got bool: True"),
+        (
+            "counts.json",
+            _set_count_expr("torsion2_nontrivial", ["sub", ["torsion", 2], True]),
+            "TypeError: exact rational expected, got bool: True",
+        ),
+        (
+            "counts.json",
+            _set_count_expr("even_theta_g1", ["even_theta", True]),
+            "TypeError: count function 'even_theta' takes int arguments, got [True]",
+        ),
     ],
-    ids=["missing_key", "float", "zero_denominator", "list_for_id"],
+    ids=[
+        "missing_key",
+        "float",
+        "zero_denominator",
+        "list_for_id",
+        "bool_gram_entry",
+        "bool_reduction_coefficient",
+        "bool_golden_value",
+        "bool_count_leaf",
+        "bool_count_argument",
+    ],
 )
 def test_malformed_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, edit, error):
     data_dir = _data_copy_with(tmp_path, relpath, edit)

@@ -1,12 +1,16 @@
 import gc
 import json
+import os
 import shutil
+import subprocess
+import sys
 import weakref
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import tautverify
 from tautverify.checks import run_all
 from tautverify.data import Repo
 from tautverify.errors import DataError, UnknownNameError
@@ -121,3 +125,13 @@ def test_package_data_globs_ship_every_data_file():
     shipped = {p for pattern in globs for p in package.glob(pattern) if p.is_file()}
     present = {p for p in (package / "data").rglob("*") if p.is_file()}
     assert shipped == present
+
+
+def test_import_leaves_importlib_resources_unloaded():
+    # the default data root is the directory beside the module; -S keeps out
+    # site hooks that import importlib.resources on their own
+    src = Path(tautverify.__file__).resolve().parent.parent
+    code = "import sys, tautverify.cli; print(sorted(m for m in sys.modules if m.startswith('importlib.resources')))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

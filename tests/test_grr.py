@@ -11,6 +11,7 @@ from tautverify.grr import (
     jet_bundles,
     kappa_pushforward,
     lambda2_values,
+    lower_order_character,
     m4_specialize,
     porteous_c3,
     spin_porteous_class,
@@ -39,6 +40,12 @@ def test_spin_character_order2():
 
 def test_spin_character_order0():
     assert not grr_spin_character(0).triples
+
+
+def test_lower_orders_read_off_the_top_order():
+    top = grr_spin_character(4)
+    for order in range(5):
+        assert lower_order_character(top, order) == grr_spin_character(order)
 
 
 def test_spin_character_order_cap():

@@ -12,8 +12,10 @@ from tautverify.linalg import (
     _combine,
     _dot,
     _from_support,
+    _ratio,
     _rref_rows,
     _support_of,
+    as_fraction,
     kernel_basis,
     left_kernel,
     row_space_rref,
@@ -377,3 +379,54 @@ def test_support_lists_exactly_the_nonzero_entries(xs):
     s = _support_of(xs)
     assert _is_support_of(s, xs)
     assert _from_support(s, len(xs)) == tuple(F(x) for x in xs)
+
+
+# a rational string as a data file may write it: an optional sign, leading
+# zeros, and a denominator that need not be reduced
+rational_strings = st.builds(
+    lambda sign, zeros, n, d: f"{sign}{'0' * zeros}{n}" + ("" if d is None else f"/{'0' * zeros}{d}"),
+    st.sampled_from(["", "-"]),
+    st.integers(0, 3),
+    st.integers(0, 10**30),
+    st.none() | st.integers(1, 10**6),
+)
+
+
+@given(st.one_of(st.integers(), rational_strings, st.fractions()))
+@example("-0")
+@example("0/7")
+@example("0012/0018")
+@example("-6/4")
+def test_ratio_agrees_with_fraction(x):
+    n, d = _ratio(x)
+    assert type(n) is int and type(d) is int
+    assert (n, d) == (F(x).numerator, F(x).denominator)
+    assert type(as_fraction(x)) is F and as_fraction(x) == F(x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    ["1.5", "-.25", "1e3", " 1/2 ", "\t-3\n", "+3", "1_000", "1/0", "1/00", "-0/0", "3/-4", "", "/2", "1/", "x"],
+)
+def test_ratio_leaves_other_strings_to_fraction(x):
+    # decimals, whitespace, signs, underscores and zero denominators parse, or
+    # fail with the same exception type, exactly as Fraction does
+    try:
+        expected = F(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        for parse in (_ratio, as_fraction):
+            with pytest.raises(type(exc)):
+                parse(x)
+    else:
+        assert _ratio(x) == (expected.numerator, expected.denominator)
+        assert as_fraction(x) == expected
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0, float("nan"), None, [1], True, False])
+def test_ratio_rejects_what_is_not_an_exact_rational(x):
+    # a JSON true is not the number 1, and a float is not exact
+    for parse in (_ratio, as_fraction):
+        with pytest.raises(TypeError, match="exact rational expected"):
+            parse(x)
+    with pytest.raises(TypeError):
+        _support_of([0, x])
