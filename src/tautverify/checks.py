@@ -3,9 +3,15 @@
 Each check recomputes a published statement from the loaded definitions and
 compares against the golden expected values, exactly.  Load has already
 parsed the golden file into Fractions, so a check reads its expected values
-as they are and parses nothing.  A check result carries the comparison
-serialized part by part; on failure only the differing parts are kept, so a
-16-entry vector mismatch reports just the offending entries.
+as they are and parses nothing.  A check returns parts, each (name,
+expected, actual) holding the values themselves.  `_finish` alone compares
+them, with `==`, and alone formats them: a passing check prints each
+expected value once, a failing one both sides of its differing parts only,
+so a 16-entry vector mismatch reports just the offending entries.  Both
+sides of a part have one type, since `==` tells a tuple from a list and True
+from 1.  Four parts stay text, because their report text is no value's
+format: the surface_tables mismatch list, the two obstruction lists, the
+cofactor's "inconsistent (X)" and the printed order-0 spin character.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from .rings import (
 )
 from .surfaces import OVERRIDE, evaluate, evaluate_formal_products
 
-Part = tuple[str, str, str]
+Part = tuple[str, object, object]  # (name, expected value, actual value)
 
 
 # --- formatting ---------------------------------------------------------
@@ -65,26 +71,19 @@ def _fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (int, str)):
         return str(v)
+    if isinstance(v, TautClass):
+        basis = v.space.basis(v.degree)
+        entries = [f"{basis[i]}={n}" if d == 1 else f"{basis[i]}={n}/{d}" for i, n, d in v.support]
+        return ", ".join(entries) if entries else "0"
     if isinstance(v, (tuple, list)):
         return "(" + ", ".join(_fmt(x) for x in v) + ")"
     if isinstance(v, dict):
         # key-sorted so the serialization never depends on insertion order
         return ", ".join(f"{k}={_fmt(v[k])}" for k in sorted(v))
+    if isinstance(v, Inconsistent):
+        # the certificate of a solve that was expected to succeed
+        return f"false (witness rhs {v.witness_rhs})"
     return str(v)
-
-
-def _fmt_class(c: TautClass) -> str:
-    basis = c.space.basis(c.degree)
-    parts = [f"{basis[i]}={n}" if d == 1 else f"{basis[i]}={n}/{d}" for i, n, d in c.support]
-    return ", ".join(parts) if parts else "0"
-
-
-def _cls_part(name: str, expected: TautClass, actual: TautClass) -> Part:
-    return (name, _fmt_class(expected), _fmt_class(actual))
-
-
-def _val_part(name: str, expected, actual) -> Part:
-    return (name, _fmt(expected), _fmt(actual))
 
 
 # --- results -------------------------------------------------------------
@@ -151,14 +150,14 @@ class Report:
 
 
 def _finish(check_id: str, anchor: str, parts: Sequence[Part], t0: float) -> CheckResult:
-    micros = int((time.perf_counter() - t0) * 1_000_000)
     diffs = [p for p in parts if p[1] != p[2]]
     if diffs:
-        expected = "; ".join(f"{n}: {e}" for n, e, _ in diffs)
-        actual = "; ".join(f"{n}: {a}" for n, _, a in diffs)
-        return CheckResult(check_id, anchor, expected, actual, False, micros)
-    text = "; ".join(f"{n}: {e}" for n, e, _ in parts)
-    return CheckResult(check_id, anchor, text, text, True, micros)
+        expected = "; ".join(f"{n}: {_fmt(e)}" for n, e, _ in diffs)
+        actual = "; ".join(f"{n}: {_fmt(a)}" for n, _, a in diffs)
+    else:
+        expected = actual = "; ".join(f"{n}: {_fmt(e)}" for n, e, _ in parts)
+    micros = int((time.perf_counter() - t0) * 1_000_000)
+    return CheckResult(check_id, anchor, expected, actual, not diffs, micros)
 
 
 # --- multiplicity systems -------------------------------------------------
@@ -372,7 +371,7 @@ def solve_multiplicities(system_id: str, run: Run):
     Returns (assignment, redundant_names, parts): the exact solution keyed by
     unknown name, the constraints whose removal keeps the system uniquely
     solvable with the same solution (each such constraint is automatically
-    satisfied by it), and the serialized comparison parts.  With a unique
+    satisfied by it), and the comparison parts.  With a unique
     solution a row is redundant iff some vector of the matrix's left kernel is
     nonzero there (the row is a combination of the others); else none is.
     """
@@ -382,25 +381,18 @@ def solve_multiplicities(system_id: str, run: Run):
         raise UnknownNameError(f"unknown multiplicity system {system_id!r}") from None
     names, rows, rhs = _assemble_system(run, system)
     sol = solve_exact(rows, rhs, len(system.components))
-    parts: list[Part] = []
-    golden = run.repo.golden[f"multiplicities_{system_id.lower()}"]
     if isinstance(sol, Inconsistent):
-        parts.append(("consistent", "true", f"false (witness rhs {sol.witness_rhs})"))
-        return {}, [], parts
+        return {}, [], [("consistent", True, sol)]
+    golden = run.repo.golden[f"multiplicities_{system_id.lower()}"]
     assignment = dict(zip(system.unknowns, sol.vector))
-    parts.append(_val_part("solution", golden["solution"], assignment))
-    parts.append(_val_part("unique", True, sol.unique))
+    parts: list[Part] = [("solution", golden["solution"], assignment)]
+    parts.append(("unique", True, sol.unique))
 
     kernel = left_kernel(rows) if sol.unique else []
     used = {i for v in kernel for i, _, _ in v}
     redundant = [name for i, name in enumerate(names) if i in used]
-    parts.append(
-        _val_part(
-            "redundant_constraints_at_least",
-            golden["min_redundant"],
-            min(len(redundant), golden["min_redundant"]),
-        )
-    )
+    bound = golden["min_redundant"]
+    parts.append(("redundant_constraints_at_least", bound, min(len(redundant), bound)))
     return assignment, redundant, parts
 
 
@@ -418,7 +410,7 @@ def _divide_out(run: Run, system: MultiplicitySystem, assignment: dict, parts: l
             rest = rest - known[comp.name].scale(assignment[unknown])
         else:
             n = assignment[unknown]
-    parts.append(_val_part("division_multiplicity_nonzero", True, n != 0))
+    parts.append(("division_multiplicity_nonzero", True, n != 0))
     return rest.scale(1 / n) if n else None
 
 
@@ -433,15 +425,15 @@ def _parts_basis_m31(run: Run) -> list[Part]:
     rows = [apply_hom(theta, m31.basis_class(2, lbl)).support for lbl in m31.codim2_basis]
     # one elimination gives both numbers: rank = rows - dim(left kernel)
     kernel = left_kernel(rows)
-    parts = [_val_part("pullback_rank", golden["rank"], len(rows) - len(kernel))]
-    parts.append(_val_part("kernel_dim", golden["kernel_dim"], len(kernel)))
+    parts = [("pullback_rank", golden["rank"], len(rows) - len(kernel))]
+    parts.append(("kernel_dim", golden["kernel_dim"], len(kernel)))
     gens = [
         m31.from_dict(2, golden["relation_generators"][k]).support
         for k in ("alpha", "beta", "gamma")
     ]
     width = len(m31.codim2_basis)
     parts.append(
-        _val_part("kernel_span_matches", True, row_space_rref(kernel, width) == row_space_rref(gens, width))
+        ("kernel_span_matches", True, row_space_rref(kernel, width) == row_space_rref(gens, width))
     )
     det = det3(
         [
@@ -452,8 +444,8 @@ def _parts_basis_m31(run: Run) -> list[Part]:
             for sid in ("S1", "S2", "S3")
         ]
     )
-    parts.append(_val_part("family_matrix_det", golden["surface_matrix_det"], det))
-    parts.append(_val_part("relations_forced_to_zero", True, det != 0))
+    parts.append(("family_matrix_det", golden["surface_matrix_det"], det))
+    parts.append(("relations_forced_to_zero", True, det != 0))
     return parts
 
 
@@ -466,15 +458,15 @@ def _parts_prop4(run: Run) -> list[Part]:
     # the dependent-product identity is the stored relation; it must die both
     # on the space itself and under the gluing pullback
     rel = m31.relations[0]
-    parts.append(_cls_part("lam_d11_relation_reduces", m31.zero(2), reduce_to_basis(m31, rel)))
-    parts.append(_cls_part("lam_d11_relation_pullback", theta.codomain.zero(2), apply_hom(theta, rel)))
+    parts.append(("lam_d11_relation_reduces", m31.zero(2), reduce_to_basis(m31, rel)))
+    parts.append(("lam_d11_relation_pullback", theta.codomain.zero(2), apply_hom(theta, rel)))
     for sym in ("d00", "d1|1", "gamma1", "gamma2"):
         expansion = special_expand(m31, sym)
         parts.append(
-            _cls_part(f"pullback_consistency:{sym}", theta.special_images[sym], apply_hom(theta, expansion))
+            (f"pullback_consistency:{sym}", theta.special_images[sym], apply_hom(theta, expansion))
         )
         actual = [evaluate(repo.functional(sid), expansion) for sid in golden["surface_order"]]
-        parts.append(_val_part(f"family_values:{sym}", tuple(golden["surface_values"][sym]), tuple(actual)))
+        parts.append((f"family_values:{sym}", tuple(golden["surface_values"][sym]), tuple(actual)))
     return parts
 
 
@@ -485,7 +477,7 @@ def _parts_prop4_alt(run: Run) -> list[Part]:
     parts = []
     for sym, catalog_name in (("d00", "delta00_M3"), ("gamma1", "gamma1_M3")):
         via_m3 = apply_hom(pullback, repo.catalog_class(catalog_name))
-        parts.append(_cls_part(f"alt_route:{sym}", special_expand(m31, sym), via_m3))
+        parts.append((f"alt_route:{sym}", special_expand(m31, sym), via_m3))
     return parts
 
 
@@ -497,20 +489,20 @@ def compute_hyp31(run: Run) -> tuple[TautClass, list[Part]]:
     pushforward = apply_hom(repo.hom("p_star_pushforward"), result)
     dr_pullback = apply_hom(repo.hom("theta_star"), result)
     parts = [
-        _cls_part("class", result.space.from_dict(2, golden["class"]), result),
-        _cls_part("catalog_agrees", repo.catalog_class("Hyp31_theorem"), result),
-        _cls_part("pushforward", pushforward.space.from_dict(1, golden["pushforward"]), pushforward),
-        _cls_part(
+        ("class", result.space.from_dict(2, golden["class"]), result),
+        ("catalog_agrees", repo.catalog_class("Hyp31_theorem"), result),
+        ("pushforward", pushforward.space.from_dict(1, golden["pushforward"]), pushforward),
+        (
             "pushforward_is_multiple",
             repo.catalog_class("Hyp3_M3").scale(golden["hyp3_multiple"]),
             pushforward,
         ),
-        _cls_part(
+        (
             "double_ramification_pullback",
             dr_pullback.space.from_dict(2, golden["dr2_pullback"]),
             dr_pullback,
         ),
-        _cls_part("double_ramification_catalog", repo.catalog_class("DR2_2"), dr_pullback),
+        ("double_ramification_catalog", repo.catalog_class("DR2_2"), dr_pullback),
     ]
     return result, parts
 
@@ -523,9 +515,9 @@ def _parts_j3_table(run: Run) -> list[Part]:
     parts = []
     for sym in ("d1|1", "gamma1"):
         parts.append(
-            _cls_part(f"pullback_image:{sym}", m31.from_dict(2, golden[sym]), j3.special_images[sym])
+            (f"pullback_image:{sym}", m31.from_dict(2, golden[sym]), j3.special_images[sym])
         )
-    parts.append(_cls_part("pullback_image:d00", special_expand(m31, "d00"), j3.special_images["d00"]))
+    parts.append(("pullback_image:d00", special_expand(m31, "d00"), j3.special_images["d00"]))
     return parts
 
 
@@ -539,7 +531,7 @@ def _parts_w2_lemmas(run: Run) -> list[Part]:
     golden = repo.golden["w2_lemmas"]
     weier = repo.catalog_class("W21")
     expected_weier = repo.space("M21").from_dict(1, golden["weierstrass_divisor_g2"])
-    parts = [_cls_part("weierstrass_divisor_input", expected_weier, weier)]
+    parts = [("weierstrass_divisor_input", expected_weier, weier)]
     m4_reduced = ("m4_reduced", repo.space("M4").from_dict(2, golden["m4_reduced"]))
     lemmas = (
         ("m31", "xi_star_m31", (("m31_class", repo.catalog_class("W2_M31")),)),
@@ -548,12 +540,12 @@ def _parts_w2_lemmas(run: Run) -> list[Part]:
     for key, gid, expected_classes in lemmas:
         solved = solve_boundary_class(repo.gluing(gid), weier)
         if isinstance(solved, Inconsistent):
-            parts.append((f"{key}_consistent", "true", f"false (witness rhs {solved.witness_rhs})"))
+            parts.append((f"{key}_consistent", True, solved))
             continue
         pres, reduced, sol = solved
-        parts.append(_val_part(f"{key}_unique", True, sol.unique))
-        parts.append(_val_part(f"{key}_presentation", golden[f"{key}_presentation"], pres))
-        parts.extend(_cls_part(name, expected, reduced) for name, expected in expected_classes)
+        parts.append((f"{key}_unique", True, sol.unique))
+        parts.append((f"{key}_presentation", golden[f"{key}_presentation"], pres))
+        parts.extend((name, expected, reduced) for name, expected in expected_classes)
     return parts
 
 
@@ -570,12 +562,12 @@ def compute_f31(run: Run) -> tuple[TautClass, list[Part]]:
     result = _divide_out(run, F31_SYSTEM, assignment, parts)
     if result is None:
         return m31.zero(2), parts
-    parts.append(_cls_part("class", m31.from_dict(2, golden["class"]), result))
-    parts.append(_cls_part("catalog_agrees", repo.catalog_class("F31_theorem"), result))
-    parts.append(_val_part("kappa2_coefficient", Fraction(3), result.coeff("kappa2")))
-    parts.append(_val_part("psi2_coefficient", Fraction(-3), result.coeff("psi^2")))
+    parts.append(("class", m31.from_dict(2, golden["class"]), result))
+    parts.append(("catalog_agrees", repo.catalog_class("F31_theorem"), result))
+    parts.append(("kappa2_coefficient", Fraction(3), result.coeff("kappa2")))
+    parts.append(("psi2_coefficient", Fraction(-3), result.coeff("psi^2")))
     pushforward = apply_hom(repo.hom("p_star_pushforward"), result)
-    parts.append(_cls_part("pushforward", pushforward.space.from_dict(1, golden["pushforward"]), pushforward))
+    parts.append(("pushforward", pushforward.space.from_dict(1, golden["pushforward"]), pushforward))
     return result, parts
 
 
@@ -588,15 +580,15 @@ def compute_h4plus(run: Run) -> tuple[TautClass, list[Part]]:
     parts = list(solve_parts)
     if not assignment:
         return m4.zero(2), parts
-    parts.append(_cls_part("lhs_product", m4.from_dict(2, golden["lhs_product"]), run.lhs("H4plus")))
+    parts.append(("lhs_product", m4.from_dict(2, golden["lhs_product"]), run.lhs("H4plus")))
     result = _divide_out(run, H4PLUS_SYSTEM, assignment, parts)
     if result is None:
         return m4.zero(2), parts
-    parts.append(_cls_part("class", m4.from_dict(2, golden["class"]), result))
-    parts.append(_cls_part("catalog_agrees", repo.catalog_class("H4plus_theorem"), result))
+    parts.append(("class", m4.from_dict(2, golden["class"]), result))
+    parts.append(("catalog_agrees", repo.catalog_class("H4plus_theorem"), result))
     lambda2 = run.lambda2["H4_plus"]
-    parts.append(_val_part("lambda2_cross_check", golden["lambda2"], lambda2))
-    parts.append(_val_part("lambda2_entry_agrees", lambda2, result.coeff("lam^2")))
+    parts.append(("lambda2_cross_check", golden["lambda2"], lambda2))
+    parts.append(("lambda2_entry_agrees", lambda2, result.coeff("lam^2")))
     return result, parts
 
 
@@ -605,13 +597,13 @@ def _parts_pushforwards(run: Run) -> list[Part]:
     push = repo.hom("p_star_pushforward")
     golden = repo.golden["pushforwards"]
     wtheta = run.lhs("F31")
-    parts = [_cls_part("divisor_product", wtheta.space.from_dict(2, golden["wtheta_product_m31"]), wtheta)]
+    parts = [("divisor_product", wtheta.space.from_dict(2, golden["wtheta_product_m31"]), wtheta)]
     for name, key, c in (
         ("wtheta_pushforward", "wtheta", wtheta),
         ("hyp31_pushforward", "hyp31", repo.catalog_class("Hyp31_theorem")),
         ("f31_pushforward", "f31", repo.catalog_class("F31_theorem")),
     ):
-        parts.append(_cls_part(name, push.codomain.from_dict(1, golden[key]), apply_hom(push, c)))
+        parts.append((name, push.codomain.from_dict(1, golden[key]), apply_hom(push, c)))
     return parts
 
 
@@ -629,19 +621,19 @@ def _parts_surface_tables(run: Run) -> list[Part]:
             expected = nonzero.get(lbl, _ZERO)
             if functional.values[lbl] != expected:
                 mismatches.append(f"{lbl}:{functional.values[lbl]}!={expected}")
-        parts.append(_val_part(f"{sid}:table", "exact", "exact" if not mismatches else ",".join(mismatches)))
+        parts.append((f"{sid}:table", "exact", "exact" if not mismatches else ",".join(mismatches)))
         for lbl, v in block["extra"].items():
-            parts.append(_val_part(f"{sid}:{lbl}", v, functional.values.get(lbl)))
+            parts.append((f"{sid}:{lbl}", v, functional.values.get(lbl)))
         for key, v in block["evaluations"].items():
             value = run.family_values(systems[space.id].id, sid)[key]
-            parts.append(_val_part(f"{sid}:<{key}>", v, value))
+            parts.append((f"{sid}:<{key}>", v, value))
     override_rows = []
     for sid in golden["surfaces"]:
         for label, provenance in repo.functional(sid).provenance.items():
             if provenance == OVERRIDE:
                 override_rows.append([sid, label])
-    parts.append(_val_part("override_count", golden["override_count"], len(override_rows)))
-    parts.append(_val_part("override_at", [golden["override_at"]], override_rows))
+    parts.append(("override_count", golden["override_count"], len(override_rows)))
+    parts.append(("override_at", [golden["override_at"]], override_rows))
     return parts
 
 
@@ -652,16 +644,16 @@ def _parts_relation_hygiene(run: Run) -> list[Part]:
         space = repo.space(sid)
         for i, rel in enumerate(space.relations):
             parts.append(
-                _cls_part(f"{sid}:relation{i}_reduces", space.zero(2), reduce_to_basis(space, rel))
+                (f"{sid}:relation{i}_reduces", space.zero(2), reduce_to_basis(space, rel))
             )
     j3 = repo.hom("j3_star")
     rel_formal = repo.formal_class("kappa2_relation_M4")
-    parts.append(_cls_part("kappa2_relation_pullback", j3.codomain.zero(2), apply_hom(j3, rel_formal)))
+    parts.append(("kappa2_relation_pullback", j3.codomain.zero(2), apply_hom(j3, rel_formal)))
     for sid in SURFACE_IDS:
         functional = repo.functional(sid)
         for i, rel in enumerate(functional.space.relations):
             value = evaluate_formal_products(functional, rel)
-            parts.append(_val_part(f"{sid}:lattice_annihilates_relation{i}", _ZERO, value))
+            parts.append((f"{sid}:lattice_annihilates_relation{i}", _ZERO, value))
     return parts
 
 
@@ -679,10 +671,10 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
             for obs in ("kappa2", "d01a"):
                 if product.coeff(obs):
                     bad31.append(f"{a}*{b}:{obs}")
-    parts.append(_val_part("m31_products_miss_obstructions", "none", ",".join(bad31) or "none"))
+    parts.append(("m31_products_miss_obstructions", "none", ",".join(bad31) or "none"))
     f31_kappa2 = repo.catalog_class("F31_theorem").coeff("kappa2")
-    parts.append(_val_part("f31_kappa2", golden["f31_kappa2"], f31_kappa2))
-    parts.append(_val_part("f31_kappa2_nonzero", True, f31_kappa2 != 0))
+    parts.append(("f31_kappa2", golden["f31_kappa2"], f31_kappa2))
+    parts.append(("f31_kappa2_nonzero", True, f31_kappa2 != 0))
 
     bad4 = []
     obstructions = ("d00", "gamma1", "d01a", "d1|1")
@@ -692,11 +684,11 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
             for obs in obstructions:
                 if product.coeff(obs):
                     bad4.append(f"{a}*{b}:{obs}")
-    parts.append(_val_part("m4_products_miss_obstructions", "none", ",".join(bad4) or "none"))
+    parts.append(("m4_products_miss_obstructions", "none", ",".join(bad4) or "none"))
     for name, cls in (("h4plus", "H4plus_theorem"), ("hyp4", "Hyp4")):
         actual = {obs: repo.catalog_class(cls).coeff(obs) for obs in obstructions}
-        parts.append(_val_part(f"{name}_obstructions", golden[f"{name}_obstructions"], actual))
-        parts.append(_val_part(f"{name}_obstructions_nonzero", True, all(v != 0 for v in actual.values())))
+        parts.append((f"{name}_obstructions", golden[f"{name}_obstructions"], actual))
+        parts.append((f"{name}_obstructions_nonzero", True, all(v != 0 for v in actual.values())))
 
     # cofactor: with the hyperelliptic pullback factor fixed, the divisor b
     # solving (factor) * b = hyperelliptic-pointed class is unique and is
@@ -706,12 +698,12 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
     rows = _transpose(columns, len(m31.codim2_basis))
     sol = solve_exact(rows, repo.catalog_class("Hyp31_theorem").coeffs, len(columns))
     if isinstance(sol, Solution):
-        parts.append(_val_part("cofactor_unique", True, sol.unique))
+        parts.append(("cofactor_unique", True, sol.unique))
         cofactor = m31.from_dict(1, dict(zip(m31.divisor_basis, sol.vector)))
-        parts.append(_cls_part("cofactor", m31.from_dict(1, golden["cofactor"]), cofactor))
-        parts.append(_cls_part("cofactor_catalog_agrees", repo.catalog_class("D_M31"), cofactor))
+        parts.append(("cofactor", m31.from_dict(1, golden["cofactor"]), cofactor))
+        parts.append(("cofactor_catalog_agrees", repo.catalog_class("D_M31"), cofactor))
     else:
-        parts.append(_val_part("cofactor_unique", True, f"inconsistent ({sol.witness_rhs})"))
+        parts.append(("cofactor_unique", True, f"inconsistent ({sol.witness_rhs})"))
     return parts
 
 
@@ -725,8 +717,8 @@ def _parts_grr_spin(run: Run) -> list[Part]:
             sym: actual.coeff({sym: 1}) for sym in ("kappa0", "kappa1", "kappa2", "kappa3")
         }
         actual_map = {k: v for k, v in actual_map.items() if v != 0}
-        parts.append(_val_part(f"character_order{order}", golden[key], actual_map))
-    parts.append(_val_part("character_order0", "0", str(lower_order_character(top, 0))))
+        parts.append((f"character_order{order}", golden[key], actual_map))
+    parts.append(("character_order0", "0", str(lower_order_character(top, 0))))
     return parts
 
 
@@ -735,24 +727,24 @@ def _parts_jet_chern(run: Run) -> list[Part]:
     parts = []
     for key, (ch, cv) in run.jets.items():
         block = golden[key]
-        parts.append(_val_part(f"{key}:rank", block["rank"], cv.rank))
+        parts.append((f"{key}:rank", block["rank"], cv.rank))
         actual_c = (
             cv.c1.coeff({"psi": 1}),
             cv.c2.coeff({"psi": 2}),
             cv.c3.coeff({"psi": 3}),
         )
-        parts.append(_val_part(f"{key}:c", tuple(block["c"]), actual_c))
+        parts.append((f"{key}:c", tuple(block["c"]), actual_c))
         actual_ch = tuple(ch.coeff({"psi": k}) for k in range(1, 4))
-        parts.append(_val_part(f"{key}:ch", tuple(block["ch"]), actual_ch))
+        parts.append((f"{key}:ch", tuple(block["ch"]), actual_ch))
     return parts
 
 
 def _parts_lambda2(run: Run) -> list[Part]:
     repo = run.repo
     golden = repo.golden["lambda2_values"]
-    parts = [_val_part(which, golden[which], value) for which, value in run.lambda2.items()]
+    parts = [(which, golden[which], value) for which, value in run.lambda2.items()]
     stated = repo.catalog_class("H4plus_theorem").coeff("lam^2")
-    parts.append(_val_part("agrees_with_class", stated, run.lambda2["H4_plus"]))
+    parts.append(("agrees_with_class", stated, run.lambda2["H4_plus"]))
     return parts
 
 
@@ -761,32 +753,32 @@ def _parts_enumerative(run: Run) -> list[Part]:
     golden = repo.golden["enumerative"]
     parts = []
     for d, v in golden["abel"].items():
-        parts.append(_val_part(f"abel:{d}", v, abel_difference_degree(int(d))))
+        parts.append((f"abel:{d}", v, abel_difference_degree(int(d))))
     for key, v in golden["mixed"].items():
         d1, d2 = (int(x) for x in key.split(","))
-        parts.append(_val_part(f"mixed:{key}", v, mixed_difference_degree(d1, d2)))
+        parts.append((f"mixed:{key}", v, mixed_difference_degree(d1, d2)))
     for g, v in golden["scorza_class"].items():
         cc = scorza_correspondence_class(int(g))
-        parts.append(_val_part(f"correspondence_class:{g}", tuple(v), (cc.a, cc.b, cc.c)))
+        parts.append((f"correspondence_class:{g}", tuple(v), (cc.a, cc.b, cc.c)))
     total, triple_parts = scorza_triple_degree()
-    parts.append(_val_part("triple_total", golden["scorza_triple"]["total"], total))
+    parts.append(("triple_total", golden["scorza_triple"]["total"], total))
     parts.append(
-        _val_part("triple_parts", tuple(golden["scorza_triple"]["parts"]), triple_parts)
+        ("triple_parts", tuple(golden["scorza_triple"]["parts"]), triple_parts)
     )
-    parts.append(_val_part("triple_sum_consistent", 0, total - sum(triple_parts)))
+    parts.append(("triple_sum_consistent", 0, total - sum(triple_parts)))
     theta_count = {"odd": odd_theta_count, "even": even_theta_count}
     for key, v in golden["spin_cover"].items():
         g, parity = key.split(",")
-        parts.append(_val_part(f"spin_cover:{key}", v, theta_count[parity](int(g))))
+        parts.append((f"spin_cover:{key}", v, theta_count[parity](int(g))))
     for cid, v in golden["count_values"].items():
         const = repo.counts.get(cid)
-        parts.append(_val_part(f"count:{cid}", v, const.value))
-        parts.append(_val_part(f"count_reevaluates:{cid}", const.value, const.reevaluate(repo.counts)))
+        parts.append((f"count:{cid}", v, const.value))
+        parts.append((f"count_reevaluates:{cid}", const.value, const.reevaluate(repo.counts)))
     # the two one-variable/two-variable formulas agree where they overlap
     agree = all(
         abel_difference_degree(d) == mixed_difference_degree(d + 1, d) for d in range(1, 11)
     )
-    parts.append(_val_part("difference_formulas_agree", True, agree))
+    parts.append(("difference_formulas_agree", True, agree))
     return parts
 
 

@@ -1,11 +1,11 @@
-"""Command-line entry point.
+"""Command-line entry point: tautverify [--data-dir DIR] <subcommand> ...
 
 Subcommands:
   run-all     run every check; exit 0 iff all pass, 1 on any failure
   check ID    run one named check
   show-class  print a catalog class over its basis
   eval        pair a family functional with a catalog class
-Exit code 2 signals a configuration error (bad data dir, unknown name).
+Exit code 2 signals a configuration error (a bad or empty data dir, an unknown name).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _format_class(c: TautClass) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        repo = Repo(args.data_dir) if args.data_dir else Repo()
+        repo = Repo(args.data_dir)
     except TautVerifyError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

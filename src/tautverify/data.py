@@ -10,8 +10,9 @@ from its file, which must declare the id it is loaded under.  Each number is
 parsed once, where it is read, by the one parser of `linalg`: definition
 numbers become the int pairs of supports and golden numbers Fractions, so a
 run of the checks parses nothing.  Any error raised while a file is turned
-into objects (a missing key, a float or a bool for a number, a zero
-denominator, a value of the wrong type) becomes a DataError naming the file.
+into objects names the file: the package's own keep their type, and any
+other (a missing key, a float or a bool for a number, a zero denominator, a
+value of the wrong type) becomes a DataError.
 """
 
 from __future__ import annotations
@@ -90,15 +91,17 @@ class Repo:
 
     @contextmanager
     def _building(self, relpath: str, id: str | None = None):
-        """Read a file, which must declare `id` if one is given; an error other
-        than the package's own while building from it becomes a DataError."""
+        """Read a file, which must declare `id` if one is given; an error while
+        building from it names the file, and the package's own keep their type."""
         raw = self._read(relpath)
         try:
             if id is not None and raw["id"] != id:
                 raise DataError(f"definition file {relpath!r} declares id {raw['id']!r}, not {id!r}")
             yield raw
-        except TautVerifyError:
-            raise
+        except TautVerifyError as exc:
+            if relpath in str(exc):
+                raise
+            raise type(exc)(f"{relpath}: {exc}") from exc
         except Exception as exc:
             raise DataError(f"malformed definition file {relpath!r}: {type(exc).__name__}: {exc}") from exc
 

@@ -226,6 +226,8 @@ def make_space(
 
     div_supports = {}
     for alias, vec in divisor_reductions.items():
+        if alias in div_index:
+            raise DataError(f"{id}: basis label {alias!r} must not carry a reduction")
         unknown = lambda k: DataError(f"{id}: divisor reduction of {alias!r} mentions {k!r}")
         div_supports[alias] = _labelled_support(div_index, vec, unknown)
     div_supports.update((label, ((i, 1, 1),)) for i, label in enumerate(div))

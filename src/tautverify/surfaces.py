@@ -2,15 +2,14 @@
 
 Each family is given by the numerical-equivalence lattice of its base
 surface (a small Gram matrix), restriction vectors for the divisor
-generators, and directly stated values for the special classes.  Product
-entries are derived from the Gram pairing unless the source table overrides
-them.  `make_surface` turns a family file into its one object, the
-functional, at load: the restriction and special-product vectors become
-supports and are paired there, and the functional keeps only what pairing
-needs, the lattice labels and the Gram rows, beside its values.  It keeps
-each lattice-derived value beside the effective one, and its provenance is
-the one record of the comparison: a stated value that differs from the
-lattice value of its label is an override.
+generators, and directly stated values for the special classes.  One rule
+sets each value: a stated value wins over the lattice value of its label,
+and the provenance records how the two compare, so a stated value that
+differs from its lattice value is an override.  `make_surface` turns a
+family file into its one object, the functional, at load: the restriction
+and special-product vectors become supports and are paired there, and the
+functional keeps only what pairing needs, the lattice labels and the Gram
+rows, beside its values and each lattice value.
 
 A functional holds the RingSpace of the family's target, so a class is
 paired with it without naming a space again.  Pairings run on supports (see
@@ -82,15 +81,17 @@ def make_surface(
 ) -> SurfaceFunctional:
     """Build a family's functional: every codim-2 basis label gets a value.
 
-    Product labels come from the Gram pairing of the divisor restrictions
-    unless overridden; special labels come from lattice computations where
-    the source gives one (`special_products`: lists of lattice-vector pairs
-    whose Gram pairings sum to the value), and from the stated direct values
-    otherwise.  Extra special symbols with direct values (used by the
-    multiplicity systems) ride along.  Every lattice-derived value is kept
-    too, also where a stated value wins and for formal products outside the
-    basis (one Gram product per generator).  A stated value whose label has a
-    different lattice value is marked override, in the basis or not.
+    One rule sets every value.  The stated values are `direct_values` plus
+    `overrides`, which may name basis products only.  The lattice values are
+    the Gram pairing of the divisor restrictions of every formal product and,
+    for each `special_products` label, the sum of the Gram pairings of its
+    lattice-vector pairs.  Each label of the basis, of the stated values and
+    of the special products takes its stated value if it has one, else its
+    lattice value; its provenance is direct if it has no lattice value,
+    override if the two differ and derived otherwise.  A label has at most
+    one stated and one lattice value, and only `overrides` may replace the
+    lattice value of a basis label: any other input is a DataError naming
+    the label, never dropped.
     """
     labels = tuple(lattice)
     gram = tuple(_support_of(r) for r in gram_rows)
@@ -106,47 +107,33 @@ def make_surface(
         restr[gen] = _support_of(restrictions[gen])
         if len(restrictions[gen]) != len(labels):
             raise DataError(f"{id}: restriction of {gen!r} has wrong length")
-    ov = {k: as_fraction(v) for k, v in overrides.items()}
-    for k in ov:
+    stated = {k: as_fraction(v) for k, v in direct_values.items()}
+    for k, v in overrides.items():
         if k not in space.product_pairs or k not in space.codim2_index:
             raise DataError(f"{id}: override for non-basis product {k!r}")
-    dv = {k: as_fraction(v) for k, v in direct_values.items()}
-    special = {}
+        if k in stated:
+            raise DataError(f"{id}: {k!r} has both a direct value and an override")
+        stated[k] = as_fraction(v)
+    gram_restr = {gen: _gram_times(gram, vec) for gen, vec in restr.items()}
+    derived = {label: _dot(restr[a], gram_restr[b]) for label, (a, b) in space.product_pairs.items()}
     for label, pairs in special_products.items():
-        special[label] = _ratio_sum(_ratio(_pair(id, gram, v, w)) for v, w in pairs)
+        if label in derived:
+            raise DataError(f"{id}: special product for formal product {label!r}")
+        derived[label] = _ratio_sum(_ratio(_pair(id, gram, v, w)) for v, w in pairs)
 
     values: dict[str, Fraction] = {}
     prov: dict[str, str] = {}
-    gram_restr = {gen: _gram_times(gram, vec) for gen, vec in restr.items()}
-    derived = {label: _dot(restr[a], gram_restr[b]) for label, (a, b) in space.product_pairs.items()}
-    for label in space.codim2_basis:
-        if label in space.product_pairs:
-            if label in ov:
-                values[label] = ov[label]
-                prov[label] = OVERRIDE if ov[label] != derived[label] else DERIVED
-            else:
-                values[label] = derived[label]
-                prov[label] = DERIVED
-        elif label in special:
-            values[label] = derived[label] = special[label]
-            prov[label] = DERIVED
-        elif label in dv:
-            values[label] = dv[label]
-            prov[label] = DIRECT
-        else:
+    for label in dict.fromkeys((*space.codim2_basis, *stated, *special_products)):
+        lattice_value = derived.get(label)
+        value = values[label] = stated.get(label, lattice_value)
+        if value is None:
             raise DataError(f"{id}: codim-2 basis label {label!r} is not covered")
-    for label, v in dv.items():
-        if label not in values:
-            values[label] = v
-            prov[label] = DIRECT
-    for label, v in special.items():
-        derived.setdefault(label, v)
-        if label not in values:
-            values[label] = derived[label]
+        if label not in stated:
             prov[label] = DERIVED
-    for label, p in prov.items():
-        if p == DIRECT and label in derived and values[label] != derived[label]:
-            prov[label] = OVERRIDE
+            continue
+        prov[label] = DIRECT if lattice_value is None else DERIVED if value == lattice_value else OVERRIDE
+        if prov[label] == OVERRIDE and label in space.codim2_index and label not in overrides:
+            raise DataError(f"{id}: direct value {value} of {label!r} is not its lattice value {lattice_value}")
     return SurfaceFunctional(id, space, labels, gram, values, prov, derived)
 
 

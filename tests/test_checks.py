@@ -204,6 +204,17 @@ def test_load_builds_fractions_only_for_values_read_as_fractions():
     assert sum(built) <= 560
 
 
+def test_a_warm_run_formats_each_part_once(repo):
+    # parts hold values and _finish formats a passing part's expected value
+    # only (504 calls to _fmt and _fmt_class when both sides of every part
+    # were formatted to compare text)
+    fmt = checks._fmt.__code__
+    calls = []
+    run_all(repo)
+    _profile(lambda: run_all(repo), lambda frame: calls.append(frame.f_code is fmt))
+    assert sum(calls) <= 270
+
+
 def test_a_warm_run_builds_classes_through_the_plain_init(repo):
     # a dataclass __init__ costs several times the slotted class's
     assert not dataclasses.is_dataclass(rings.TautClass)
@@ -494,6 +505,15 @@ def test_cli_data_dir_override(tmp_path):
 
 def test_cli_bad_data_dir(tmp_path):
     assert main(["--data-dir", str(tmp_path / "empty"), "run-all"]) == 2
+
+
+def test_cli_empty_data_dir_fails_closed(tmp_path, monkeypatch, capsys):
+    # an empty path names the working directory, which holds no definitions,
+    # not the shipped data
+    monkeypatch.chdir(tmp_path)
+    assert main(["--data-dir", "", "run-all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot read definition file" in captured.err
 
 
 def test_console_entry_point_installed():

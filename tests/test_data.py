@@ -12,6 +12,7 @@ import pytest
 
 import tautverify
 from tautverify.checks import run_all
+from tautverify.cli import main
 from tautverify.data import Repo
 from tautverify.errors import DataError, UnknownNameError
 
@@ -61,13 +62,15 @@ def test_uncovered_special_rejected(tmp_path):
 
 
 def test_bad_count_decomposition_rejected(tmp_path):
+    # an error the package raises itself keeps its type and gains the file name
     data_dir = _copy_embedded(tmp_path)
     path = data_dir / "counts.json"
     raw = json.loads(path.read_text())
-    raw["constants"][0]["value"] = 7  # decomposition no longer matches
+    raw["constants"][0]["value"] += 1  # decomposition no longer matches
     path.write_text(json.dumps(raw))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError) as err:
         Repo(data_dir)
+    assert str(err.value) == "counts.json: count constant 'weierstrass_g2': decomposition gives 6, stored 7"
 
 
 def test_asymmetric_gram_rejected(tmp_path):
@@ -135,3 +138,48 @@ def test_import_leaves_importlib_resources_unloaded():
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def _set(*keys, value):
+    def edit(raw):
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "relpath, edit, label",
+    [
+        # a direct value on a basis product: only overrides may replace its lattice value
+        ("surfaces/t1.json", _set("direct_values", "psi^2", value=999), "psi^2"),
+        # a direct value on a basis label that special_products derives
+        ("surfaces/v2.json", _set("direct_values", "d1|1", value=12345), "d1|1"),
+        # a special product for a formal product, which has its Gram value already
+        ("surfaces/v1.json", _set("special_products", "d0^2", value=[[[3, 0], [0, 1]]]), "d0^2"),
+        # a label stated both as a direct value and as an override
+        ("surfaces/t2.json", _set("direct_values", "psi*d21", value=-6), "psi*d21"),
+        # a divisor reduction of a divisor basis label
+        ("spaces/m21.json", _set("divisor_reductions", "d0", value={"d1": 7}), "d0"),
+    ],
+    ids=[
+        "direct_on_basis_product",
+        "direct_on_special_product",
+        "special_on_formal_product",
+        "stated_twice",
+        "basis_divisor_reduction",
+    ],
+)
+def test_input_that_load_would_drop_is_rejected(tmp_path, capsys, relpath, edit, label):
+    data_dir = _copy_embedded(tmp_path)
+    path = data_dir / relpath
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError) as err:
+        Repo(data_dir)
+    assert str(err.value).startswith(f"{relpath}: ") and repr(label) in str(err.value)
+    assert main(["--data-dir", str(data_dir), "run-all"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {err.value}\n"

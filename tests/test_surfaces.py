@@ -278,6 +278,19 @@ def test_audit_label_with_direct_value_and_special_product(repo):
     assert f.provenance["d1|1"] == "override"
 
 
+def test_stated_value_equal_to_its_lattice_value_reads_derived(repo):
+    # whichever field states it: here a direct value on an off-basis label
+    raw, space = family_file("S1"), repo.space("M31")
+    pair = (raw["restrictions"]["d0"], raw["restrictions"]["psi"])
+    lattice = pair_on_surface(repo.functional("S1"), *pair)
+    f = make_surface(
+        "S1", space, raw["lattice"], raw["gram"], raw["restrictions"], raw["overrides"],
+        {**raw["direct_values"], "d1|1": lattice}, {"d1|1": [pair]},
+    )
+    assert "d1|1" not in space.codim2_index
+    assert (f.values["d1|1"], f.derived["d1|1"], f.provenance["d1|1"]) == (lattice, lattice, "derived")
+
+
 def test_t3_kappa2_consistent_with_two_node_expansion(repo):
     # the stated kappa2 value on the chain family follows from the vanishing
     # of the two-node class: evaluating its expansion must give zero
