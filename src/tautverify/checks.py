@@ -167,11 +167,11 @@ def _finish(check_id: str, anchor: str, parts: Sequence[Part], t0: float) -> Che
 class Component:
     """One right-hand class of a multiplicity decomposition.
 
-    `ref` names a known class ("catalog:X", "special:X" or "basis:X"); the
-    unknown component instead carries per-family fiber counts, a known
-    pushforward, and optionally draws its lam^2 entry from the jet pipeline.
-    The name of a known component is also its key in the surface tables of
-    the golden file.
+    `ref` names a known class ("class:X", a computed paper result or a
+    catalog input, "special:X" or "basis:X"); the unknown component instead
+    carries per-family fiber counts, a known pushforward, and optionally
+    draws its lam^2 entry from the jet pipeline.  The name of a known
+    component is also its key in the surface tables of the golden file.
     """
 
     name: str
@@ -201,13 +201,13 @@ F31_SYSTEM = MultiplicitySystem(
     lhs_factors=("W31", "Theta31"),
     unknowns=("m", "n", "k", "l", "j"),
     components=(
-        Component("Hyp31", ref="catalog:Hyp31_theorem"),
+        Component("Hyp31", ref="class:Hyp31_theorem"),
         Component(
             "hyperflex",
             counts={"T1": "T1_F31_fibers", "T2": "T2_F31_fibers"},
             pushforward_ref="F31_pushforward_M3",
         ),
-        Component("W2", ref="catalog:W2_M31"),
+        Component("W2", ref="class:W2_M31"),
         Component("gamma1", ref="special:gamma1"),
         Component("gamma2", ref="special:gamma2"),
     ),
@@ -223,13 +223,13 @@ H4PLUS_SYSTEM = MultiplicitySystem(
     lhs_factors=("Theta_null_M4", "T_M4"),
     unknowns=("m", "n", "k", "l"),
     components=(
-        Component("Hyp4", ref="catalog:Hyp4"),
+        Component("Hyp4", ref="class:Hyp4"),
         Component(
             "even_triple_vanishing",
             counts={"V1": "V1_H4plus", "V2": "V2_H4plus"},
             lambda2_from_pipeline=True,
         ),
-        Component("W2", ref="catalog:W2_M4"),
+        Component("W2", ref="class:W2_M4"),
         Component("gamma1", ref="basis:gamma1"),
     ),
     functional_constraints=("V1", "V2", "V3", "V4"),
@@ -239,20 +239,36 @@ H4PLUS_SYSTEM = MultiplicitySystem(
 
 _SYSTEMS = {"F31": F31_SYSTEM, "H4plus": H4PLUS_SYSTEM}
 
+# the paper results that a check computes and later checks read, each by the
+# name it is known by, with the id of that check; the golden file states
+# each of them once, and no catalog class has one of these names
+COMPUTED = {
+    "Hyp31_theorem": "hyp31",
+    "W2_M31": "w2_lemmas",
+    "W2_M4": "w2_lemmas",
+    "F31_theorem": "f31",
+    "H4plus_theorem": "h4plus",
+}
+
 
 class Run:
     """The results that several checks of one run share, each computed on first use.
 
-    run_all and run_check make a fresh Run per call, so a second run on the
-    same Repo recomputes everything; nothing is kept on the Repo, which stays
+    A computed paper result, a system's left-hand product, known classes,
+    family pairings and solve are each built once per run.  run_all and
+    run_check make a fresh Run per call, so a second run on the same Repo
+    recomputes everything; nothing is kept on the Repo, which stays
     immutable after load, or in module state.
     """
 
     def __init__(self, repo: Repo):
         self.repo = repo
-        self._lhs: dict[str, TautClass] = {}
-        self._solutions: dict[str, tuple] = {}
-        self._family_values: dict[tuple[str, str], dict[str, Fraction]] = {}
+        self._memo: dict = {}
+
+    def _once(self, key, make: Callable[[], object]):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     @cached_property
     def jets(self) -> dict[str, tuple[TruncatedPoly, ChernVector]]:
@@ -263,44 +279,51 @@ class Run:
     def lambda2(self) -> dict[str, Fraction]:
         return lambda2_values(self.repo, self.jets)
 
-    @cached_property
-    def known(self) -> dict[str, dict[str, TautClass]]:
-        """The known component classes of each system, by system id, then component name."""
-        return {
-            s.id: {c.name: _resolve_component_class(self.repo, s.space, c.ref) for c in s.components if c.ref}
-            for s in _SYSTEMS.values()
-        }
+    def cls(self, name: str) -> TautClass:
+        """A class by name: a computed paper result (COMPUTED), else a catalog input."""
+        check_id = COMPUTED.get(name)
+        if check_id is None:
+            return self.repo.catalog_class(name)
+        return self.result(check_id)[0][name]
+
+    def result(self, check_id: str) -> tuple[dict[str, TautClass], list[Part]]:
+        """The classes a computing check builds, by name, and the check's parts."""
+        return self._once(check_id, lambda: _COMPUTE[check_id](self))
+
+    def known(self, system_id: str) -> dict[str, TautClass]:
+        """The known component classes of a system, by component name."""
+        system = _SYSTEMS[system_id]
+        return self._once(
+            ("known", system_id),
+            lambda: {c.name: _component_class(self, system.space, c.ref) for c in system.components if c.ref},
+        )
 
     def lhs(self, system_id: str) -> TautClass:
-        if system_id not in self._lhs:
-            system = _SYSTEMS[system_id]
-            a, b = (self.repo.catalog_class(n) for n in system.lhs_factors)
-            self._lhs[system_id] = divisor_product(a, b)
-        return self._lhs[system_id]
+        factors = _SYSTEMS[system_id].lhs_factors
+        return self._once(("lhs", system_id), lambda: divisor_product(*map(self.repo.catalog_class, factors)))
 
     def family_values(self, system_id: str, sid: str) -> dict[str, Fraction]:
         """A family's pairing with each known component of a system and with its left-hand product."""
-        key = (system_id, sid)
-        if key not in self._family_values:
-            system, f = _SYSTEMS[system_id], self.repo.functional(sid)
-            classes = {**self.known[system_id], system.lhs_key: self.lhs(system_id)}
-            self._family_values[key] = {name: evaluate(f, c) for name, c in classes.items()}
-        return self._family_values[key]
+
+        def pair():
+            f = self.repo.functional(sid)
+            classes = {**self.known(system_id), _SYSTEMS[system_id].lhs_key: self.lhs(system_id)}
+            return {name: evaluate(f, c) for name, c in classes.items()}
+
+        return self._once((system_id, sid), pair)
 
     def solution(self, system_id: str) -> tuple:
-        if system_id not in self._solutions:
-            self._solutions[system_id] = solve_multiplicities(system_id, self)
-        return self._solutions[system_id]
+        return self._once(("solution", system_id), lambda: solve_multiplicities(system_id, self))
 
 
-def _resolve_component_class(repo: Repo, space_id: str, ref: str) -> TautClass:
+def _component_class(run: Run, space_id: str, ref: str) -> TautClass:
     kind, _, name = ref.partition(":")
-    if kind == "catalog":
-        return repo.catalog_class(name)
+    if kind == "class":
+        return run.cls(name)
     if kind == "special":
-        return special_expand(repo.space(space_id), name)
+        return special_expand(run.repo.space(space_id), name)
     if kind == "basis":
-        return repo.space(space_id).basis_class(2, name)
+        return run.repo.space(space_id).basis_class(2, name)
     raise UnknownNameError(f"unknown component reference {ref!r}")
 
 
@@ -315,7 +338,7 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
     """
     repo = run.repo
     lhs = run.lhs(system.id)
-    known = run.known[system.id]
+    known = run.known(system.id)
     names: list[str] = []
     rows: list = []  # supports over the components
     rhs: list[Fraction] = []
@@ -404,7 +427,7 @@ def _divide_out(run: Run, system: MultiplicitySystem, assignment: dict, parts: l
     that multiplicity is nonzero to `parts`; returns None if it is zero.
     """
     rest = run.lhs(system.id)
-    known = run.known[system.id]
+    known = run.known(system.id)
     for comp, unknown in zip(system.components, system.unknowns):
         if comp.ref:
             rest = rest - known[comp.name].scale(assignment[unknown])
@@ -481,30 +504,21 @@ def _parts_prop4_alt(run: Run) -> list[Part]:
     return parts
 
 
-def compute_hyp31(run: Run) -> tuple[TautClass, list[Part]]:
+def compute_hyp31(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
     """Pull the genus-4 hyperelliptic class back along the elliptic-tail map."""
     repo = run.repo
     golden = repo.golden["hyp31"]
     result = apply_hom(repo.hom("j3_star"), repo.catalog_class("Hyp4"))
-    pushforward = apply_hom(repo.hom("p_star_pushforward"), result)
-    dr_pullback = apply_hom(repo.hom("theta_star"), result)
     parts = [
         ("class", result.space.from_dict(2, golden["class"]), result),
-        ("catalog_agrees", repo.catalog_class("Hyp31_theorem"), result),
-        ("pushforward", pushforward.space.from_dict(1, golden["pushforward"]), pushforward),
         (
             "pushforward_is_multiple",
             repo.catalog_class("Hyp3_M3").scale(golden["hyp3_multiple"]),
-            pushforward,
+            apply_hom(repo.hom("p_star_pushforward"), result),
         ),
-        (
-            "double_ramification_pullback",
-            dr_pullback.space.from_dict(2, golden["dr2_pullback"]),
-            dr_pullback,
-        ),
-        ("double_ramification_catalog", repo.catalog_class("DR2_2"), dr_pullback),
+        ("double_ramification_catalog", repo.catalog_class("DR2_2"), apply_hom(repo.hom("theta_star"), result)),
     ]
-    return result, parts
+    return {"Hyp31_theorem": result}, parts
 
 
 def _parts_j3_table(run: Run) -> list[Part]:
@@ -521,75 +535,65 @@ def _parts_j3_table(run: Run) -> list[Part]:
     return parts
 
 
-def _parts_w2_lemmas(run: Run) -> list[Part]:
+def compute_w2(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
     """Both node-smoothing lemmas: solve the restriction systems exactly.
 
     An inconsistent system fails the lemma with its certificate, as an
-    inconsistent multiplicity system does.
+    inconsistent multiplicity system does, and gives the zero class.
     """
     repo = run.repo
     golden = repo.golden["w2_lemmas"]
     weier = repo.catalog_class("W21")
-    expected_weier = repo.space("M21").from_dict(1, golden["weierstrass_divisor_g2"])
-    parts = [("weierstrass_divisor_input", expected_weier, weier)]
-    m4_reduced = ("m4_reduced", repo.space("M4").from_dict(2, golden["m4_reduced"]))
-    lemmas = (
-        ("m31", "xi_star_m31", (("m31_class", repo.catalog_class("W2_M31")),)),
-        ("m4", "xi_star_m4", (m4_reduced, ("m4_catalog_agrees", repo.catalog_class("W2_M4")))),
-    )
-    for key, gid, expected_classes in lemmas:
-        solved = solve_boundary_class(repo.gluing(gid), weier)
+    m4_reduced = repo.space("M4").from_dict(2, golden["m4_reduced"])
+    classes: dict[str, TautClass] = {}
+    parts: list[Part] = []
+    for key, name, reduced in (("m31", "W2_M31", None), ("m4", "W2_M4", m4_reduced)):
+        gluing = repo.gluing(f"xi_star_{key}")
+        solved = solve_boundary_class(gluing, weier)
         if isinstance(solved, Inconsistent):
             parts.append((f"{key}_consistent", True, solved))
+            classes[name] = gluing.domain.zero(2)
             continue
-        pres, reduced, sol = solved
+        pres, classes[name], sol = solved
         parts.append((f"{key}_unique", True, sol.unique))
         parts.append((f"{key}_presentation", golden[f"{key}_presentation"], pres))
-        parts.extend((name, expected, reduced) for name, expected in expected_classes)
-    return parts
+        if reduced is not None:
+            parts.append((f"{key}_reduced", reduced, classes[name]))
+    return classes, parts
 
 
-def compute_f31(run: Run) -> tuple[TautClass, list[Part]]:
-    """Assemble the marked-hyperflex class from the solved multiplicities."""
-    repo = run.repo
-    m31 = repo.space("M31")
-    golden = repo.golden["f31"]
+def compute_f31(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
+    """Assemble the marked-hyperflex class from the solved multiplicities.
+
+    An inconsistent system (its solve parts carry the certificate) or a zero
+    division multiplicity gives the zero class.
+    """
+    m31 = run.repo.space("M31")
+    golden = run.repo.golden["f31"]
     assignment, _, solve_parts = run.solution("F31")
     parts = list(solve_parts)
-    if not assignment:
-        # inconsistent system: the solve parts already carry the certificate
-        return m31.zero(2), parts
-    result = _divide_out(run, F31_SYSTEM, assignment, parts)
+    result = _divide_out(run, F31_SYSTEM, assignment, parts) if assignment else None
     if result is None:
-        return m31.zero(2), parts
+        return {"F31_theorem": m31.zero(2)}, parts
     parts.append(("class", m31.from_dict(2, golden["class"]), result))
-    parts.append(("catalog_agrees", repo.catalog_class("F31_theorem"), result))
-    parts.append(("kappa2_coefficient", Fraction(3), result.coeff("kappa2")))
-    parts.append(("psi2_coefficient", Fraction(-3), result.coeff("psi^2")))
-    pushforward = apply_hom(repo.hom("p_star_pushforward"), result)
-    parts.append(("pushforward", pushforward.space.from_dict(1, golden["pushforward"]), pushforward))
-    return result, parts
+    return {"F31_theorem": result}, parts
 
 
-def compute_h4plus(run: Run) -> tuple[TautClass, list[Part]]:
+def compute_h4plus(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
     """Assemble the even-theta triple-vanishing class from the solved system."""
-    repo = run.repo
-    m4 = repo.space("M4")
-    golden = repo.golden["h4plus"]
+    m4 = run.repo.space("M4")
+    golden = run.repo.golden["h4plus"]
     assignment, _, solve_parts = run.solution("H4plus")
     parts = list(solve_parts)
     if not assignment:
-        return m4.zero(2), parts
+        return {"H4plus_theorem": m4.zero(2)}, parts
     parts.append(("lhs_product", m4.from_dict(2, golden["lhs_product"]), run.lhs("H4plus")))
     result = _divide_out(run, H4PLUS_SYSTEM, assignment, parts)
     if result is None:
-        return m4.zero(2), parts
+        return {"H4plus_theorem": m4.zero(2)}, parts
     parts.append(("class", m4.from_dict(2, golden["class"]), result))
-    parts.append(("catalog_agrees", repo.catalog_class("H4plus_theorem"), result))
-    lambda2 = run.lambda2["H4_plus"]
-    parts.append(("lambda2_cross_check", golden["lambda2"], lambda2))
-    parts.append(("lambda2_entry_agrees", lambda2, result.coeff("lam^2")))
-    return result, parts
+    parts.append(("lambda2_entry_agrees", run.lambda2["H4_plus"], result.coeff("lam^2")))
+    return {"H4plus_theorem": result}, parts
 
 
 def _parts_pushforwards(run: Run) -> list[Part]:
@@ -600,8 +604,8 @@ def _parts_pushforwards(run: Run) -> list[Part]:
     parts = [("divisor_product", wtheta.space.from_dict(2, golden["wtheta_product_m31"]), wtheta)]
     for name, key, c in (
         ("wtheta_pushforward", "wtheta", wtheta),
-        ("hyp31_pushforward", "hyp31", repo.catalog_class("Hyp31_theorem")),
-        ("f31_pushforward", "f31", repo.catalog_class("F31_theorem")),
+        ("hyp31_pushforward", "hyp31", run.cls("Hyp31_theorem")),
+        ("f31_pushforward", "f31", run.cls("F31_theorem")),
     ):
         parts.append((name, push.codomain.from_dict(1, golden[key]), apply_hom(push, c)))
     return parts
@@ -657,38 +661,28 @@ def _parts_relation_hygiene(run: Run) -> list[Part]:
     return parts
 
 
+def _products_missing(space, obstructions: tuple[str, ...]) -> str:
+    """Each product of two divisor generators that has an obstruction coordinate, or "none"."""
+    hits = []
+    for i, a in enumerate(space.divisor_basis):
+        for b in space.divisor_basis[i:]:
+            product = divisor_product(space.basis_class(1, a), space.basis_class(1, b))
+            hits.extend(f"{a}*{b}:{obs}" for obs in obstructions if product.coeff(obs))
+    return ",".join(hits) or "none"
+
+
 def _parts_complete_intersection(run: Run) -> list[Part]:
     """Obstruction coordinates vanish on divisor products but not on the loci."""
     repo = run.repo
     golden = repo.golden["complete_intersection"]
     m31, m4 = repo.space("M31"), repo.space("M4")
-    parts: list[Part] = []
-
-    bad31 = []
-    for i, a in enumerate(m31.divisor_basis):
-        for b in m31.divisor_basis[i:]:
-            product = divisor_product(m31.basis_class(1, a), m31.basis_class(1, b))
-            for obs in ("kappa2", "d01a"):
-                if product.coeff(obs):
-                    bad31.append(f"{a}*{b}:{obs}")
-    parts.append(("m31_products_miss_obstructions", "none", ",".join(bad31) or "none"))
-    f31_kappa2 = repo.catalog_class("F31_theorem").coeff("kappa2")
-    parts.append(("f31_kappa2", golden["f31_kappa2"], f31_kappa2))
-    parts.append(("f31_kappa2_nonzero", True, f31_kappa2 != 0))
-
-    bad4 = []
+    parts = [("m31_products_miss_obstructions", "none", _products_missing(m31, ("kappa2", "d01a")))]
+    parts.append(("f31_kappa2_nonzero", True, run.cls("F31_theorem").coeff("kappa2") != 0))
     obstructions = ("d00", "gamma1", "d01a", "d1|1")
-    for i, a in enumerate(m4.divisor_basis):
-        for b in m4.divisor_basis[i:]:
-            product = divisor_product(m4.basis_class(1, a), m4.basis_class(1, b))
-            for obs in obstructions:
-                if product.coeff(obs):
-                    bad4.append(f"{a}*{b}:{obs}")
-    parts.append(("m4_products_miss_obstructions", "none", ",".join(bad4) or "none"))
+    parts.append(("m4_products_miss_obstructions", "none", _products_missing(m4, obstructions)))
     for name, cls in (("h4plus", "H4plus_theorem"), ("hyp4", "Hyp4")):
-        actual = {obs: repo.catalog_class(cls).coeff(obs) for obs in obstructions}
-        parts.append((f"{name}_obstructions", golden[f"{name}_obstructions"], actual))
-        parts.append((f"{name}_obstructions_nonzero", True, all(v != 0 for v in actual.values())))
+        c = run.cls(cls)
+        parts.append((f"{name}_obstructions_nonzero", True, all(c.coeff(obs) != 0 for obs in obstructions)))
 
     # cofactor: with the hyperelliptic pullback factor fixed, the divisor b
     # solving (factor) * b = hyperelliptic-pointed class is unique and is
@@ -696,12 +690,11 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
     factor = apply_hom(repo.hom("p_pullback_m3"), repo.catalog_class("Hyp3_M3"))
     columns = [divisor_product(factor, m31.basis_class(1, g)).support for g in m31.divisor_basis]
     rows = _transpose(columns, len(m31.codim2_basis))
-    sol = solve_exact(rows, repo.catalog_class("Hyp31_theorem").coeffs, len(columns))
+    sol = solve_exact(rows, run.cls("Hyp31_theorem").coeffs, len(columns))
     if isinstance(sol, Solution):
         parts.append(("cofactor_unique", True, sol.unique))
         cofactor = m31.from_dict(1, dict(zip(m31.divisor_basis, sol.vector)))
         parts.append(("cofactor", m31.from_dict(1, golden["cofactor"]), cofactor))
-        parts.append(("cofactor_catalog_agrees", repo.catalog_class("D_M31"), cofactor))
     else:
         parts.append(("cofactor_unique", True, f"inconsistent ({sol.witness_rhs})"))
     return parts
@@ -740,12 +733,8 @@ def _parts_jet_chern(run: Run) -> list[Part]:
 
 
 def _parts_lambda2(run: Run) -> list[Part]:
-    repo = run.repo
-    golden = repo.golden["lambda2_values"]
-    parts = [(which, golden[which], value) for which, value in run.lambda2.items()]
-    stated = repo.catalog_class("H4plus_theorem").coeff("lam^2")
-    parts.append(("agrees_with_class", stated, run.lambda2["H4_plus"]))
-    return parts
+    golden = run.repo.golden["lambda2_values"]
+    return [(which, golden[which], value) for which, value in run.lambda2.items()]
 
 
 def _parts_enumerative(run: Run) -> list[Part]:
@@ -791,17 +780,26 @@ class CheckDef:
     fn: Callable[[Run], list[Part]]
 
 
+# each computing check by id; a lambda looks its function up when called, so
+# a wrapped or patched function is the one that runs
+_COMPUTE: dict[str, Callable[[Run], tuple[dict[str, TautClass], list[Part]]]] = {
+    "hyp31": lambda run: compute_hyp31(run),
+    "w2_lemmas": lambda run: compute_w2(run),
+    "f31": lambda run: compute_f31(run),
+    "h4plus": lambda run: compute_h4plus(run),
+}
+
 CHECKS: tuple[CheckDef, ...] = (
     CheckDef("basis_m31", _parts_basis_m31),
     CheckDef("prop4", _parts_prop4),
     CheckDef("prop4_alt_route", _parts_prop4_alt),
-    CheckDef("hyp31", lambda run: compute_hyp31(run)[1]),
+    CheckDef("hyp31", lambda run: run.result("hyp31")[1]),
     CheckDef("j3_pullback_table", _parts_j3_table),
-    CheckDef("w2_lemmas", _parts_w2_lemmas),
+    CheckDef("w2_lemmas", lambda run: run.result("w2_lemmas")[1]),
     CheckDef("multiplicities_f31", lambda run: run.solution("F31")[2]),
-    CheckDef("f31", lambda run: compute_f31(run)[1]),
+    CheckDef("f31", lambda run: run.result("f31")[1]),
     CheckDef("multiplicities_h4plus", lambda run: run.solution("H4plus")[2]),
-    CheckDef("h4plus", lambda run: compute_h4plus(run)[1]),
+    CheckDef("h4plus", lambda run: run.result("h4plus")[1]),
     CheckDef("pushforwards", _parts_pushforwards),
     CheckDef("surface_tables", _parts_surface_tables),
     CheckDef("relation_hygiene", _parts_relation_hygiene),

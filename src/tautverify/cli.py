@@ -3,8 +3,8 @@
 Subcommands:
   run-all     run every check; exit 0 iff all pass, 1 on any failure
   check ID    run one named check
-  show-class  print a catalog class over its basis
-  eval        pair a family functional with a catalog class
+  show-class  print a catalog input or a computed paper result over its basis
+  eval        pair a family functional with such a class
 Exit code 2 signals a configuration error (a bad or empty data dir, an unknown name).
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import export_report, run_all, run_check
+from .checks import COMPUTED, Run, export_report, run_all, run_check
 from .data import Repo
 from .errors import TautVerifyError, UnknownNameError
 from .rings import TautClass
@@ -38,12 +38,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run one named check")
     p_check.add_argument("id", help="check id (see run-all output)")
 
-    p_show = sub.add_parser("show-class", help="print a catalog class")
-    p_show.add_argument("name", help="catalog class name")
+    p_show = sub.add_parser("show-class", help="print a catalog or computed class")
+    p_show.add_argument("name", help="catalog or computed class name")
 
     p_eval = sub.add_parser("eval", help="pair a family functional with a class")
     p_eval.add_argument("--surface", required=True, help="family id (S1..S3, T1..T3, V1..V4)")
-    p_eval.add_argument("--class", dest="class_name", required=True, help="catalog class name")
+    p_eval.add_argument("--class", dest="class_name", required=True, help="catalog or computed class name")
     return parser
 
 
@@ -81,9 +81,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if result.passed else 1
 
         if args.command == "show-class":
-            c = repo.catalog_class(args.name)
+            c = Run(repo).cls(args.name)
             print(f"{args.name}  (space {c.space.id}, degree {c.degree})")
-            source = repo.catalog_source(args.name)
+            check_id = COMPUTED.get(args.name)
+            source = f"computed by the {check_id} check" if check_id else repo.catalog_source(args.name)
             if source:
                 print(f"  source: {source}")
             print(_format_class(c))
@@ -91,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "eval":
             functional = repo.functional(args.surface)
-            value = evaluate(functional, repo.catalog_class(args.class_name))
+            value = evaluate(functional, Run(repo).cls(args.class_name))
             print(f"<{args.surface}, {args.class_name}> = {value}")
             return 0
     except UnknownNameError as exc:

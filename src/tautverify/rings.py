@@ -252,9 +252,10 @@ def make_space(
         (name, reduce_to_basis(space, formal).support) for name, formal in special_expansions_formal.items()
     )
 
-    for raw, rel in zip(relations, space.relations):
+    for i, (raw, rel) in enumerate(zip(relations, space.relations)):
         if not reduce_to_basis(space, raw).is_zero():
-            raise DataError(f"{id}: stored relation {rel} does not reduce to zero")
+            terms = ", ".join(f"{k}: {v}" for k, v in rel.items())
+            raise DataError(f"{id}: relations/{i} {{{terms}}} does not reduce to zero")
     return space
 
 

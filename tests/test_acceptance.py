@@ -34,12 +34,13 @@ def _line(num: int, name: str, ok: bool):
 
 
 def test_criterion_01_theorem1_reproduction(repo):
+    m31 = repo.space("M31")
     hyp31, hyp_parts = compute_hyp31(Run(repo))
     f31, f_parts = compute_f31(Run(repo))
     ok = (
-        hyp31 == repo.catalog_class("Hyp31_theorem")
-        and f31 == repo.catalog_class("F31_theorem")
-        and f31.coeff("kappa2") == 3
+        hyp31["Hyp31_theorem"] == m31.from_dict(2, repo.golden["hyp31"]["class"])
+        and f31["F31_theorem"] == m31.from_dict(2, repo.golden["f31"]["class"])
+        and f31["F31_theorem"].coeff("kappa2") == 3
         and all(e == a for _, e, a in hyp_parts + f_parts)
     )
     _line(1, "pointed genus-3 classes", ok)
@@ -48,7 +49,7 @@ def test_criterion_01_theorem1_reproduction(repo):
 def test_criterion_02_theorem2_reproduction(repo):
     h4plus, parts = compute_h4plus(Run(repo))
     expected = (2448, -542, -1608, 276, 32, 178, 336, 276, 576, -4, 12, -60, -144)
-    ok = h4plus.coeffs == tuple(F(x) for x in expected) and all(e == a for _, e, a in parts)
+    ok = h4plus["H4plus_theorem"].coeffs == tuple(F(x) for x in expected) and all(e == a for _, e, a in parts)
     _line(2, "genus-4 even-theta class", ok)
 
 
@@ -106,7 +107,7 @@ def test_criterion_07_jet_pipeline_values(repo):
         and lambda2["H4_minus"] == 5310
         and lambda2["H4"] == F(15771, 2)
         and lambda2["H4_plus"] == 2448
-        and lambda2["H4_plus"] == repo.catalog_class("H4plus_theorem").coeff("lam^2")
+        and lambda2["H4_plus"] == repo.golden["h4plus"]["class"]["lam^2"]
     )
     _line(7, "pushforward character, jet classes, lambda^2 values", ok)
 
@@ -135,15 +136,15 @@ def test_criterion_08_relation_hygiene(repo):
 
 
 def test_criterion_09_pushforwards(repo):
-    m3 = repo.space("M3")
+    m3, run = repo.space("M3"), Run(repo)
     push = repo.hom("p_star_pushforward")
     wtheta = divisor_product(repo.catalog_class("W31"), repo.catalog_class("Theta31"))
     ok = (
-        apply_hom(push, repo.catalog_class("Hyp31_theorem"))
+        apply_hom(push, run.cls("Hyp31_theorem"))
         == repo.catalog_class("Hyp3_M3").scale(8)
         and apply_hom(push, wtheta)
         == m3.from_dict(1, {"lam": 1120, "d0": -108, "d1": -320})
-        and apply_hom(push, repo.catalog_class("F31_theorem"))
+        and apply_hom(push, run.cls("F31_theorem"))
         == m3.from_dict(1, {"lam": 308, "d0": -32, "d1": -76})
     )
     _line(9, "point-forgetting pushforwards", ok)

@@ -14,6 +14,7 @@ from tautverify import checks, data, grr, rings, series, surfaces
 
 from tautverify.checks import (
     CHECKS,
+    COMPUTED,
     Run,
     check_ids,
     compute_f31,
@@ -89,14 +90,29 @@ def test_multiplicity_solutions(repo):
 
 
 def test_computed_classes_match_catalog(repo):
-    hyp31, _ = compute_hyp31(Run(repo))
-    assert hyp31 == repo.catalog_class("Hyp31_theorem")
-    f31, _ = compute_f31(Run(repo))
-    assert f31 == repo.catalog_class("F31_theorem")
+    # each computed paper result equals its one statement, in the golden file
+    m31, m4 = repo.space("M31"), repo.space("M4")
+    hyp31 = compute_hyp31(Run(repo))[0]["Hyp31_theorem"]
+    assert hyp31 == m31.from_dict(2, repo.golden["hyp31"]["class"])
+    f31 = compute_f31(Run(repo))[0]["F31_theorem"]
+    assert f31 == m31.from_dict(2, repo.golden["f31"]["class"])
     assert f31.coeff("kappa2") == 3
-    h4plus, _ = compute_h4plus(Run(repo))
-    assert h4plus == repo.catalog_class("H4plus_theorem")
+    h4plus = compute_h4plus(Run(repo))[0]["H4plus_theorem"]
+    assert h4plus == m4.from_dict(2, repo.golden["h4plus"]["class"])
     assert h4plus.coeff("lam^2") == 2448
+    run = Run(repo)
+    assert run.cls("W2_M31") == m31.from_dict(2, repo.golden["w2_lemmas"]["m31_presentation"])
+    assert run.cls("W2_M4") == m4.from_dict(2, repo.golden["w2_lemmas"]["m4_reduced"])
+
+
+def test_no_computed_name_is_a_catalog_class(repo):
+    # a paper result is stated once, in the golden file, never as an input
+    catalog = json.loads(resources.files("tautverify").joinpath("data", "catalog.json").read_text())
+    assert set(COMPUTED) and not set(COMPUTED) & set(catalog["classes"])
+    for name in COMPUTED:
+        with pytest.raises(UnknownNameError):
+            repo.catalog_class(name)
+    assert set(COMPUTED.values()) <= set(check_ids())
 
 
 def test_inconsistent_system_fails_with_certificate(tmp_path):
@@ -160,6 +176,9 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
             if hasattr(module, name):
                 count(module, name)
     count(checks, "solve_multiplicities")
+    count(checks, "solve_boundary_class")
+    for name in ("compute_hyp31", "compute_w2", "compute_f31", "compute_h4plus"):
+        count(checks, name)
     count(surfaces, "make_surface")
     count(data, "make_surface")
     for module in (rings, checks):
@@ -175,6 +194,9 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
         calls.clear()
         assert run_all(repo).all_passed
         assert (calls["porteous_c3"], calls["solve_multiplicities"], calls["make_surface"]) == (2, 2, 0)
+        # each computed paper result is built once and read from the Run
+        assert calls["solve_boundary_class"] == 2
+        assert [calls[f] for f in ("compute_hyp31", "compute_w2", "compute_f31", "compute_h4plus")] == [1, 1, 1, 1]
         assert (calls["jet_bundle_chern"], calls["jet_sum"]) == (2, 2)
         assert (calls["divisor_product"], calls["pair_on_surface"], calls["evaluate"]) == (32, 0, 52)
         assert (calls["todd_inverse"], calls["series_inverse"]) == (1, 1)
@@ -489,7 +511,30 @@ def test_inconsistent_restriction_system_fails_w2_lemmas(tmp_path, capsys):
     assert "[FAIL] w2_lemmas" in out
     assert "expected: m4_consistent: true\n" in out
     assert "actual:   m4_consistent: false (witness rhs -1/20)\n" in out
-    assert "17/18 checks passed" in out
+    # the failed lemma gives the zero class, which fails every check that
+    # reads it: the genus-4 system, its class and what reads them
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == [
+        "w2_lemmas",
+        "multiplicities_h4plus",
+        "h4plus",
+        "surface_tables",
+        "complete_intersection",
+    ]
+    assert "13/18 checks passed" in out
+
+
+def test_a_changed_restriction_image_fails_every_check_reading_the_class(tmp_path, capsys):
+    # the genus-3 lemma stays solvable but gives another class: the F31
+    # system reads the computed class, not a stored copy of it
+    def edit(raw):
+        raw["images"]["psi*d11"]["1:psi1"] += 1
+
+    data_dir = _data_copy_with(tmp_path, "homs/xi_star_m31.json", edit)
+    assert main(["--data-dir", data_dir, "run-all"]) == 1
+    out = capsys.readouterr().out
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["w2_lemmas", "multiplicities_f31", "f31", "surface_tables"]
 
 
 def test_cli_data_dir_override(tmp_path):

@@ -51,6 +51,20 @@ def test_bad_relation_rejected(tmp_path):
         Repo(data_dir)
 
 
+def test_bad_relation_error_names_its_path_and_writes_values_as_the_file_does(tmp_path):
+    data_dir = _copy_embedded(tmp_path)
+    path = data_dir / "spaces" / "m22.json"
+    raw = json.loads(path.read_text())
+    raw["relations"][0]["d1_1*d1_12"] = 13
+    raw["relations"][0]["d0*d1_12"] = "-1/2"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError) as err:
+        Repo(data_dir)
+    assert str(err.value) == (
+        "spaces/m22.json: M22: relations/0 {d1_1*d1_12: 13, d1_12^2: 12, d0*d1_12: -1/2} does not reduce to zero"
+    )
+
+
 def test_uncovered_special_rejected(tmp_path):
     data_dir = _copy_embedded(tmp_path)
     path = data_dir / "surfaces" / "v1.json"

@@ -170,4 +170,4 @@ def test_lambda2_values(repo):
 
 
 def test_lambda2_matches_assembled_class(repo):
-    assert lambda2_values(repo, jet_bundles())["H4_plus"] == repo.catalog_class("H4plus_theorem").coeff("lam^2")
+    assert lambda2_values(repo, jet_bundles())["H4_plus"] == repo.golden["h4plus"]["class"]["lam^2"]

@@ -112,7 +112,7 @@ def test_reduce_getzler_relation(repo):
 
 def test_reduce_idempotent_on_canonical(repo):
     m31 = repo.space("M31")
-    c = repo.catalog_class("F31_theorem")
+    c = m31.from_dict(2, repo.golden["f31"]["class"])
     assert reduce_to_basis(m31, as_mapping(c)) == c
 
 
@@ -139,7 +139,7 @@ def test_space_and_degree_mismatch(repo):
     with pytest.raises(SpaceMismatchError):
         divisor_product(m4.basis_class(1, "lam"), m31.basis_class(1, "psi"))
     with pytest.raises(DegreeError):
-        divisor_product(repo.catalog_class("Hyp31_theorem"), m31.basis_class(1, "psi"))
+        divisor_product(m31.from_dict(2, repo.golden["hyp31"]["class"]), m31.basis_class(1, "psi"))
 
 
 def test_classes_need_degree_1_or_2(repo):
@@ -273,7 +273,7 @@ def test_catalog_pencil_divisor(repo):
 
 
 def test_catalog_zero_class(repo):
-    z = repo.catalog_class("zero_M31_codim2")
+    z = repo.space("M31").zero(2)
     assert z.is_zero() and len(z.coeffs) == 16
 
 
@@ -399,7 +399,8 @@ def test_w2_solve_m31(repo):
         "d11^2": F(-3),
         "d11*d21": F(-6, 5),
     }
-    assert reduced == repo.catalog_class("W2_M31")
+    # the stated class is the presentation itself: every label is a basis label
+    assert reduced == repo.space("M31").from_dict(2, repo.golden["w2_lemmas"]["m31_presentation"])
 
 
 def test_w2_solve_needs_the_divisor_on_the_weierstrass_factor(repo):
