@@ -486,7 +486,7 @@ def _parts_prop4(run: Run) -> list[Part]:
     for sym in ("d00", "d1|1", "gamma1", "gamma2"):
         expansion = special_expand(m31, sym)
         parts.append(
-            (f"pullback_consistency:{sym}", theta.special_images[sym], apply_hom(theta, expansion))
+            (f"pullback_consistency:{sym}", apply_hom(theta, {sym: 1}), apply_hom(theta, expansion))
         )
         actual = [evaluate(repo.functional(sid), expansion) for sid in golden["surface_order"]]
         parts.append((f"family_values:{sym}", tuple(golden["surface_values"][sym]), tuple(actual)))
@@ -529,9 +529,9 @@ def _parts_j3_table(run: Run) -> list[Part]:
     parts = []
     for sym in ("d1|1", "gamma1"):
         parts.append(
-            (f"pullback_image:{sym}", m31.from_dict(2, golden[sym]), j3.special_images[sym])
+            (f"pullback_image:{sym}", m31.from_dict(2, golden[sym]), apply_hom(j3, {sym: 1}))
         )
-    parts.append(("pullback_image:d00", special_expand(m31, "d00"), j3.special_images["d00"]))
+    parts.append(("pullback_image:d00", special_expand(m31, "d00"), apply_hom(j3, {"d00": 1})))
     return parts
 
 

@@ -5,7 +5,9 @@ Subcommands:
   check ID    run one named check
   show-class  print a catalog input or a computed paper result over its basis
   eval        pair a family functional with such a class
-Exit code 2 signals a configuration error (a bad or empty data dir, an unknown name).
+Either exits 1 on a computed result whose check fails.  Exit code 2 signals
+a configuration error (a bad or empty data dir, an unknown name, a JSON
+report that cannot be written).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="pair a family functional with a class")
     p_eval.add_argument("--surface", required=True, help="family id (S1..S3, T1..T3, V1..V4)")
-    p_eval.add_argument("--class", dest="class_name", required=True, help="catalog or computed class name")
+    p_eval.add_argument("--class", dest="name", required=True, help="catalog or computed class name")
     return parser
 
 
@@ -66,8 +68,12 @@ def main(argv: list[str] | None = None) -> int:
             report = run_all(repo)
             sys.stdout.write(export_report(report, "human"))
             if args.json:
-                with open(args.json, "w", encoding="utf-8") as fh:
-                    fh.write(export_report(report, "json"))
+                try:
+                    with open(args.json, "w", encoding="utf-8") as fh:
+                        fh.write(export_report(report, "json"))
+                except OSError as exc:
+                    print(f"configuration error: cannot write report {args.json!r}: {exc.strerror}", file=sys.stderr)
+                    return 2
             return 0 if report.all_passed else 1
 
         if args.command == "check":
@@ -80,28 +86,31 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"       actual:   {result.actual}")
             return 0 if result.passed else 1
 
-        if args.command == "show-class":
-            c = Run(repo).cls(args.name)
-            print(f"{args.name}  (space {c.space.id}, degree {c.degree})")
-            check_id = COMPUTED.get(args.name)
-            source = f"computed by the {check_id} check" if check_id else repo.catalog_source(args.name)
-            if source:
-                print(f"  source: {source}")
-            print(_format_class(c))
+        # show-class and eval: a computed result only once its one check agrees
+        functional = repo.functional(args.surface) if args.command == "eval" else None
+        check_id = COMPUTED.get(args.name)
+        if check_id is None:
+            c, source = repo.catalog_class(args.name), repo.catalog_source(args.name)
+        else:
+            classes, parts = Run(repo).result(check_id)
+            if any(expected != actual for _, expected, actual in parts):
+                print(f"error: {args.name} is computed by the {check_id} check, which fails", file=sys.stderr)
+                return 1
+            c, source = classes[args.name], f"computed by the {check_id} check"
+        if functional is not None:
+            print(f"<{args.surface}, {args.name}> = {evaluate(functional, c)}")
             return 0
-
-        if args.command == "eval":
-            functional = repo.functional(args.surface)
-            value = evaluate(functional, Run(repo).cls(args.class_name))
-            print(f"<{args.surface}, {args.class_name}> = {value}")
-            return 0
+        print(f"{args.name}  (space {c.space.id}, degree {c.degree})")
+        if source:
+            print(f"  source: {source}")
+        print(_format_class(c))
+        return 0
     except UnknownNameError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except TautVerifyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -122,16 +122,9 @@ class Repo:
 
         for hid in RING_HOM_IDS:
             with self._building(f"homs/{hid}.json", hid) as raw:
-                self._homs[hid] = make_hom(
-                    id=raw["id"],
-                    kind=raw["kind"],
-                    domain=self.space(raw["domain"]),
-                    codomain=self.space(raw["codomain"]),
-                    divisor_images=raw["divisor_images"],
-                    special_images=raw["special_images"],
-                    table_images=raw["table_images"],
-                    table_unlisted_zero=raw.get("table_unlisted_zero", False),
-                )
+                # the fields left after these four are the image fields of the kind
+                _, kind, domain, codomain = (raw.pop(k) for k in ("id", "kind", "domain", "codomain"))
+                self._homs[hid] = make_hom(hid, kind, self.space(domain), self.space(codomain), **raw)
 
         for gid in GLUING_IDS:
             with self._building(f"homs/{gid}.json", gid) as raw:
@@ -189,10 +182,10 @@ class Repo:
         return self._lookup(self._gluings, gid, "gluing restriction")
 
     def catalog_class(self, name: str) -> TautClass:
-        return self._lookup(self._catalog, name, "catalog class")
+        return self._lookup(self._catalog, name, "class")
 
     def catalog_source(self, name: str) -> str:
-        return self._lookup(self._catalog_sources, name, "catalog class")
+        return self._lookup(self._catalog_sources, name, "class")
 
     def formal_class(self, name: str) -> dict[str, Fraction]:
         return dict(self._lookup(self._formal, name, "formal class"))

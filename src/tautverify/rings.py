@@ -13,14 +13,17 @@ on, so no function takes a space beside an object that already names it.
 Spaces compare by identity: two spaces are the same only if they are one
 loaded object.
 
-Degree-2 classes are vectors over the codim-2 basis.  Formal inputs (plain
-mappings from labels to rationals) may also mention non-basis product labels
-and, where a map stores them, special symbols.  Each divisor label's and
-product label's vector, a ring map's degree-2 images and a gluing
-restriction's columns are built as supports once at load, straight from the
-int pairs of the file's numbers, so applying any map is one loop over stored
-images; a product of two divisor classes reads the product of each pair of
-generators from a table indexed by their basis positions.
+Labelled numbers become a vector one way: `_labelled` sums c * table[label]
+over a table of supports, rejecting a label the table lacks even where c is
+0.  Rewrite rules, divisor aliases, `reduce_to_basis`, `expand_divisor`, a
+ring map's special images and `apply_hom` on a plain mapping (which may
+mention non-basis products and stored special labels) all read labels
+through it; `from_dict` alone builds its basis vector directly.  Supports
+are built once at load, straight from the int pairs of the file's numbers.
+A map keeps one image table per source degree, `images[degree] = (image
+degree, {label: support})`, so applying it is one lookup and one loop; a
+product of two divisor classes reads the product of each pair of generators
+from a table indexed by their basis positions.
 A class is stored as its support only (its nonzero coefficients as int
 triples, see `linalg`); its dense Fraction coefficients are derived from the
 support when first read.  Every reduction, product, map image, class sum
@@ -168,23 +171,36 @@ class RingSpace:
         return TautClass(self, degree, ())
 
     def from_dict(self, degree: int, coeffs: Mapping[str, object]) -> TautClass:
-        unknown = lambda label: UnknownLabelError(f"{label!r} is not a degree-{degree} basis label of {self.id}")
-        return TautClass(self, degree, _labelled_support(self.basis_index(degree), coeffs, unknown))
+        """The class of these coefficients by basis label; another label raises, even at 0."""
+        index = self.basis_index(degree)
+        entries = []
+        for label, c in coeffs.items():
+            if label not in index:
+                raise UnknownLabelError(f"{label!r} is not a degree-{degree} basis label of {self.id}")
+            n, d = _ratio(c)
+            if n:
+                entries.append((index[label], n, d))
+        # a basis vector sums nothing, so its sorted entries are its support
+        return TautClass(self, degree, tuple(sorted(entries)))
 
     def basis_class(self, degree: int, label: str) -> TautClass:
         return self.from_dict(degree, {label: 1})
 
 
-def _labelled_support(index: Mapping[str, int], coeffs: Mapping[str, object], unknown) -> Support:
-    """The support of a vector given by label; a label not in `index` raises `unknown(label)`."""
-    entries = []
+def _labelled(table: Mapping[str, Support], coeffs: Mapping[str, object], unknown) -> Support:
+    """The support of the sum of c * table[label] over `coeffs`.
+
+    A label not in `table` raises `unknown(label)`, also where its
+    coefficient is 0.
+    """
+    terms = []
     for label, c in coeffs.items():
-        if label not in index:
+        if label not in table:
             raise unknown(label)
         n, d = _ratio(c)
         if n:
-            entries.append((index[label], n, d))
-    return tuple(sorted(entries))
+            terms.append((n, d, table[label]))
+    return _combine(terms)
 
 
 def make_space(
@@ -209,14 +225,15 @@ def make_space(
         for b in div[i:]:
             pairs[product_label(div_index, a, b)] = (a, b)
 
-    supports = {label: ((i, 1, 1),) for i, label in enumerate(cod)}
+    cod_units = {label: ((i, 1, 1),) for label, i in cod_index.items()}
+    supports = dict(cod_units)
     for label, vec in product_reductions.items():
         if label not in pairs:
             raise DataError(f"{id}: reduction target {label!r} is not a formal product")
         if label in cod_index:
             raise DataError(f"{id}: basis label {label!r} must not carry a reduction")
         unknown = lambda k: DataError(f"{id}: reduction of {label!r} mentions non-basis label {k!r}")
-        supports[label] = _labelled_support(cod_index, vec, unknown)
+        supports[label] = _labelled(cod_units, vec, unknown)
     # Pic-only auxiliary spaces carry no degree-2 piece; products are not
     # defined there and the completeness requirement is vacuous.
     if cod:
@@ -224,13 +241,13 @@ def make_space(
             if label not in supports:
                 raise DataError(f"{id}: formal product {label!r} has neither basis slot nor reduction")
 
-    div_supports = {}
+    div_units = {label: ((i, 1, 1),) for label, i in div_index.items()}
+    div_supports = dict(div_units)
     for alias, vec in divisor_reductions.items():
         if alias in div_index:
             raise DataError(f"{id}: basis label {alias!r} must not carry a reduction")
         unknown = lambda k: DataError(f"{id}: divisor reduction of {alias!r} mentions {k!r}")
-        div_supports[alias] = _labelled_support(div_index, vec, unknown)
-    div_supports.update((label, ((i, 1, 1),)) for i, label in enumerate(div))
+        div_supports[alias] = _labelled(div_units, vec, unknown)
     products = [[None] * len(div) for _ in div]
     for label, (a, b) in pairs.items():
         i, j = div_index[a], div_index[b]
@@ -266,30 +283,14 @@ def reduce_to_basis(space: RingSpace, formal: Formal) -> TautClass:
     or formal products with a stored rewrite; anything else is an error (in
     particular special-times-divisor products, which these models never need).
     """
-    terms = []
-    for label, c in formal.items():
-        n, d = _ratio(c)
-        if n:
-            terms.append((n, d, _codim2_support(space, label)))
-    return TautClass(space, 2, _combine(terms))
-
-
-def _codim2_support(space: RingSpace, label: str) -> Support:
-    try:
-        return space.codim2_supports[label]
-    except KeyError:
-        raise UnknownLabelError(f"{label!r} cannot be reduced on {space.id}") from None
+    unknown = lambda label: UnknownLabelError(f"{label!r} cannot be reduced on {space.id}")
+    return TautClass(space, 2, _labelled(space.codim2_supports, formal, unknown))
 
 
 def expand_divisor(space: RingSpace, coeffs: Formal) -> TautClass:
     """The degree-1 class of a formal vector over divisor basis labels and aliases."""
-    terms = []
-    for label, c in coeffs.items():
-        n, d = _ratio(c)
-        if label not in space.divisor_supports:
-            raise UnknownLabelError(f"{label!r} is not a divisor label of {space.id}")
-        terms.append((n, d, space.divisor_supports[label]))
-    return TautClass(space, 1, _combine(terms))
+    unknown = lambda label: UnknownLabelError(f"{label!r} is not a divisor label of {space.id}")
+    return TautClass(space, 1, _labelled(space.divisor_supports, coeffs, unknown))
 
 
 def divisor_product(a: TautClass, b: TautClass) -> TautClass:
@@ -313,124 +314,92 @@ def divisor_product(a: TautClass, b: TautClass) -> TautClass:
 
 def special_expand(space: RingSpace, symbol: str) -> TautClass:
     """Stored expansion of a special codim-2 symbol in the space's basis."""
-    try:
-        s = space.special_expansions[symbol]
-    except KeyError:
-        raise UnknownLabelError(f"no stored expansion of {symbol!r} on {space.id}") from None
-    return TautClass(space, 2, s)
+    if symbol not in space.special_expansions:
+        raise UnknownLabelError(f"no stored expansion of {symbol!r} on {space.id}")
+    return TautClass(space, 2, space.special_expansions[symbol])
 
 
 @dataclass(frozen=True)
 class RingHom:
-    """A pullback (ring rule) or pushforward (plain table) between two spaces."""
+    """A pullback (ring rule) or pushforward (plain table) between two spaces.
+
+    `images` maps each source degree the map acts on to (image degree,
+    {label: support of its image}); see the module docstring.
+    """
 
     id: str
-    kind: str  # "ring" | "table"
     domain: RingSpace
     codomain: RingSpace
-    divisor_images: Mapping[str, TautClass]  # ring kind: degree 1 -> degree 1
-    special_images: Mapping[str, TautClass]  # ring kind: special label -> degree 2
-    table_images: Mapping[str, TautClass]  # table kind: codim-2 label -> degree 1
-    codim2_images: Mapping[str, TautClass]  # ring kind, built at load: product or special label -> degree 2
+    images: Mapping[int, tuple[int, Mapping[str, Support]]]
 
 
-def make_hom(
-    id: str,
-    kind: str,
-    domain: RingSpace,
-    codomain: RingSpace,
-    divisor_images: Mapping[str, Mapping],
-    special_images: Mapping[str, Mapping],
-    table_images: Mapping[str, Mapping],
-    table_unlisted_zero: bool = False,
-) -> RingHom:
+def make_hom(id: str, kind: str, domain: RingSpace, codomain: RingSpace, **maps) -> RingHom:
     """Build and validate a RingHom from raw definition data.
 
-    Special-image vectors may reference the codomain's stored special
-    expansions with ``special:<name>`` keys; everything else reduces through
-    the codomain's rewrite rules.
+    A ring map takes `divisor_images` and `special_images`, whose vectors may
+    name the codomain's special expansions as ``special:<name>``; a table map
+    takes `table_images`, one entry per codim-2 basis label.  Any other field
+    is an error.
     """
-    if kind == "ring":
-        div: dict[str, TautClass] = {}
-        for gen, vec in divisor_images.items():
-            if gen not in domain.divisor_index:
-                raise DataError(f"{id}: image given for unknown generator {gen!r}")
-            div[gen] = expand_divisor(codomain, vec)
-        for gen in domain.divisor_basis:
-            if gen not in div:
-                raise MissingImageError(f"{id}: no image for divisor generator {gen!r}")
-        spec: dict[str, TautClass] = {}
-        for name, vec in special_images.items():
-            spec[name] = _resolve_special_image(codomain, vec)
-        for label in domain.codim2_basis:
-            if label not in domain.product_pairs and label not in spec:
-                raise MissingImageError(f"{id}: no image for special basis label {label!r}")
-        codim2 = dict(spec)  # a label that is both a product and a special maps as a product
-        for label, (a, b) in domain.product_pairs.items():
-            codim2[label] = divisor_product(div[a], div[b])
-        return RingHom(id, kind, domain, codomain, div, spec, {}, codim2)
-    if kind == "table":
-        table: dict[str, TautClass] = {}
-        for label, vec in table_images.items():
-            if label not in domain.codim2_index:
-                raise DataError(f"{id}: table entry for unknown label {label!r}")
-            table[label] = codomain.from_dict(1, vec)
-        for label in domain.codim2_basis:
-            if label not in table:
-                if not table_unlisted_zero:
-                    raise MissingImageError(f"{id}: no table entry for {label!r}")
-                table[label] = codomain.zero(1)
-        return RingHom(id, kind, domain, codomain, {}, {}, table, {})
-    raise DataError(f"{id}: unknown hom kind {kind!r}")
+    build = {"ring": _ring_images, "table": _table_images}.get(kind)
+    if build is None:
+        raise DataError(f"{id}: unknown hom kind {kind!r}")
+    return RingHom(id, domain, codomain, build(id, domain, codomain, **maps))
 
 
-def _resolve_special_image(codomain: RingSpace, vec: Mapping[str, object]) -> TautClass:
-    # special keys are looked up in order, formal labels after all of them
-    special, formal = [], []
-    for key, c in vec.items():
-        n, d = _ratio(c)
-        if key.startswith("special:"):
-            special.append((n, d, special_expand(codomain, key[len("special:"):]).support))
-        elif n:
-            formal.append((n, d, key))
-    formal_terms = [(n, d, _codim2_support(codomain, key)) for n, d, key in formal]
-    return TautClass(codomain, 2, _combine(special + formal_terms))
+def _ring_images(id, domain, codomain, divisor_images, special_images):
+    div: dict[str, TautClass] = {}
+    for gen, vec in divisor_images.items():
+        if gen not in domain.divisor_index:
+            raise DataError(f"{id}: image given for unknown generator {gen!r}")
+        div[gen] = expand_divisor(codomain, vec)
+    for gen in domain.divisor_basis:
+        if gen not in div:
+            raise MissingImageError(f"{id}: no image for divisor generator {gen!r}")
+    table = {**codomain.codim2_supports, **{f"special:{k}": s for k, s in codomain.special_expansions.items()}}
+    unknown = lambda label: UnknownLabelError(f"{id}: {label!r} cannot be reduced on {codomain.id}")
+    codim2 = {name: _labelled(table, vec, unknown) for name, vec in special_images.items()}
+    for label in domain.codim2_basis:
+        if label not in domain.product_pairs and label not in codim2:
+            raise MissingImageError(f"{id}: no image for special basis label {label!r}")
+    # a label that is both a product and a special maps as a product
+    for label, (a, b) in domain.product_pairs.items():
+        codim2[label] = divisor_product(div[a], div[b]).support
+    return {1: (1, {gen: c.support for gen, c in div.items()}), 2: (2, codim2)}
+
+
+def _table_images(id, domain, codomain, table_images):
+    table = {}
+    for label, vec in table_images.items():
+        if label not in domain.codim2_index:
+            raise DataError(f"{id}: table entry for unknown label {label!r}")
+        table[label] = codomain.from_dict(1, vec).support
+    for label in domain.codim2_basis:
+        if label not in table:
+            raise MissingImageError(f"{id}: no table entry for {label!r}")
+    return {2: (1, table)}
 
 
 def apply_hom(hom: RingHom, c: TautClass | Formal) -> TautClass:
-    """Apply a stored map to a class.
+    """Apply a stored map to a class, or to a plain mapping read as degree 2.
 
-    Degree-1 classes map through the divisor images, degree-2 classes label
-    by label through the images built at load (the product of the divisor
-    images for a product label, the stored image for a special label), and
-    table (pushforward) maps entry by entry with no product rule, all in one
-    loop.  `c` may be a plain mapping of degree 2, in which case it may also
-    mention non-basis product labels and any stored special symbol.
+    A class sums the images of its basis labels, each stored at load; a
+    mapping reads its labels through `_labelled`.
     """
+    degree = 2
     if isinstance(c, TautClass):
         if c.space is not hom.domain:
             raise SpaceMismatchError(f"class on {c.space.id} given to {hom.id} (domain {hom.domain.id})")
         degree = c.degree
+    if degree not in hom.images:
+        raise DegreeError(f"{hom.id} maps no degree-{degree} class")
+    out_degree, images = hom.images[degree]
+    if isinstance(c, TautClass):
         labels = c.space.basis(degree)
-        items = [(labels[i], n, d) for i, n, d in c.support]
+        support = _combine([(n, d, images[labels[i]]) for i, n, d in c.support])
     else:
-        degree = 2
-        items = [(k, n, d) for k, (n, d) in ((k, _ratio(v)) for k, v in c.items()) if n]
-
-    if hom.kind == "table":
-        if degree != 2:
-            raise DegreeError("pushforward tables act on degree-2 classes")
-        images, out_degree, missing = hom.table_images, 1, "no table entry for"
-    elif degree == 1:
-        images, out_degree, missing = hom.divisor_images, 1, "no divisor image for"
-    else:
-        images, out_degree, missing = hom.codim2_images, 2, "no image for label"
-    terms = []
-    for label, n, d in items:
-        if label not in images:
-            raise MissingImageError(f"{hom.id}: {missing} {label!r}")
-        terms.append((n, d, images[label].support))
-    return TautClass(hom.codomain, out_degree, _combine(terms))
+        support = _labelled(images, c, lambda label: MissingImageError(f"{hom.id}: no image for label {label!r}"))
+    return TautClass(hom.codomain, out_degree, support)
 
 
 # --- gluing restrictions for the node-smoothing lemmas -----------------------
@@ -464,19 +433,15 @@ def make_gluing(
     for fac in weierstrass_factors:
         if fac not in (1, 2):
             raise DataError(f"{id}: weierstrass factor {fac!r} is neither 1 nor 2")
+    # "<factor>:<divisor label or alias>" -> its vector over both factors' bases
+    keyed = ((fac, k, s) for fac in (1, 2) for k, s in factors[fac - 1].divisor_supports.items())
+    table = {f"{fac}:{k}": _on_factor(factors, fac, s) for fac, k, s in keyed}
     columns = []
     for label in domain_labels:
         if label not in images:
             raise MissingImageError(f"{id}: no restriction stored for {label!r}")
-        terms = []
-        for key, c in images[label].items():
-            fac_s, _, div_label = key.partition(":")
-            if fac_s not in ("1", "2"):
-                raise DataError(f"{id}: image key {key!r} of {label!r} names no factor 1 or 2")
-            fac = int(fac_s)
-            image = expand_divisor(factors[fac - 1], {div_label: c})
-            terms.append((1, 1, _on_factor(factors, fac, image.support)))
-        columns.append(_combine(terms))
+        unknown = lambda key: DataError(f"{id}: image key {key!r} of {label!r} names no factor 1 or 2 label")
+        columns.append(_labelled(table, images[label], unknown))
     return GluingRestriction(
         id, domain, tuple(domain_labels), tuple(factors), tuple(columns), tuple(weierstrass_factors)
     )

@@ -336,6 +336,7 @@ def test_cli_check_and_errors(capsys):
     captured = capsys.readouterr()
     assert "psi" in captured.out
     assert main(["show-class", "NoSuch"]) == 2
+    assert capsys.readouterr().err == "configuration error: unknown class 'NoSuch'\n"
 
 
 def test_cli_eval(capsys):
@@ -415,6 +416,10 @@ def _set_hyp4_coeff(value):
     return edit
 
 
+def _ring_map_with_table_images(raw):
+    raw["table_images"] = {}
+
+
 def _target_space_as_list(raw):
     raw["target_space"] = [raw["target_space"]]
 
@@ -445,6 +450,7 @@ def _set_count_expr(cid, expr):
         ("spaces/m31.json", _drop_relations, "KeyError: 'relations'"),
         ("catalog.json", _set_hyp4_coeff(1.5), "TypeError: exact rational expected, got float: 1.5"),
         ("catalog.json", _set_hyp4_coeff("1/0"), "ZeroDivisionError"),
+        ("homs/j3_star.json", _ring_map_with_table_images, "unexpected keyword argument 'table_images'"),
         ("surfaces/s1.json", _target_space_as_list, "TypeError: unhashable type: 'list'"),
         ("surfaces/s1.json", _gram_off_diagonal_true, "TypeError: exact rational expected, got bool: True"),
         ("spaces/m22.json", _reduction_coefficient_true, "TypeError: exact rational expected, got bool: True"),
@@ -464,6 +470,7 @@ def _set_count_expr(cid, expr):
         "missing_key",
         "float",
         "zero_denominator",
+        "field_of_another_hom_kind",
         "list_for_id",
         "bool_gram_entry",
         "bool_reduction_coefficient",
@@ -535,6 +542,36 @@ def test_a_changed_restriction_image_fails_every_check_reading_the_class(tmp_pat
     out = capsys.readouterr().out
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")]
     assert failed == ["w2_lemmas", "multiplicities_f31", "f31", "surface_tables"]
+
+
+def test_cli_refuses_a_computed_class_whose_check_fails(tmp_path, capsys):
+    # the inconsistent restriction system above: w2_lemmas gives the zero
+    # class, so W2_M4 and the H4plus class built on it are not verified
+    def edit(raw):
+        raw["images"]["d0*d2"]["1:d0"] = 2
+
+    data_dir = _data_copy_with(tmp_path, "homs/xi_star_m4.json", edit)
+    assert main(["--data-dir", data_dir, "show-class", "W2_M4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: W2_M4 is computed by the w2_lemmas check, which fails\n"
+    assert main(["--data-dir", data_dir, "eval", "--surface", "V1", "--class", "H4plus_theorem"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "H4plus_theorem is computed by the h4plus check, which fails" in captured.err
+    # a catalog input on the same data still prints
+    assert main(["--data-dir", data_dir, "show-class", "Hyp4"]) == 0
+    assert capsys.readouterr().out == HYP4_SHOWN
+
+
+def test_cli_unwritable_json_report_is_a_configuration_error(tmp_path, capsys):
+    # every check passes, so exit 1 would misreport a verification failure
+    out = tmp_path / "missing" / "report.json"
+    assert main(["run-all", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "18/18 checks passed" in captured.out
+    assert captured.err == f"configuration error: cannot write report {str(out)!r}: No such file or directory\n"
+    assert not out.parent.exists()
 
 
 def test_cli_data_dir_override(tmp_path):

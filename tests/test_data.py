@@ -14,7 +14,7 @@ import tautverify
 from tautverify.checks import run_all
 from tautverify.cli import main
 from tautverify.data import Repo
-from tautverify.errors import DataError, UnknownNameError
+from tautverify.errors import DataError, MissingImageError, UnknownNameError
 
 
 def _copy_embedded(tmp_path: Path) -> Path:
@@ -63,6 +63,18 @@ def test_bad_relation_error_names_its_path_and_writes_values_as_the_file_does(tm
     assert str(err.value) == (
         "spaces/m22.json: M22: relations/0 {d1_1*d1_12: 13, d1_12^2: 12, d0*d1_12: -1/2} does not reduce to zero"
     )
+
+
+def test_a_table_map_lists_every_codim2_label(tmp_path):
+    # a zero image is written {}; an unlisted label is a load error, never a zero
+    data_dir = _copy_embedded(tmp_path)
+    path = data_dir / "homs" / "p_star_pushforward.json"
+    raw = json.loads(path.read_text())
+    del raw["table_images"]["lam^2"]
+    path.write_text(json.dumps(raw))
+    with pytest.raises(MissingImageError) as err:
+        Repo(data_dir)
+    assert str(err.value) == "homs/p_star_pushforward.json: p_star_pushforward: no table entry for 'lam^2'"
 
 
 def test_uncovered_special_rejected(tmp_path):

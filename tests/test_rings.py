@@ -14,6 +14,7 @@ from tautverify.errors import (
 )
 from tautverify.linalg import _support_of
 from tautverify.rings import (
+    TautClass,
     apply_hom,
     divisor_product,
     expand_divisor,
@@ -344,8 +345,9 @@ HOM_CASES = (
 
 @given(st.data())
 def test_apply_hom_matches_reference_sum(repo, data):
-    # each map against a sum of its stored images; a ring map's degree-2
-    # images are taken from divisor_product of the divisor images afresh
+    # each map against a sum of its stored images, degree by degree; a ring
+    # map's product images are taken from divisor_product of its divisor
+    # images afresh
     hid, dom_id, cod_id = data.draw(st.sampled_from(HOM_CASES))
     hom, dom, cod = repo.hom(hid), repo.space(dom_id), repo.space(cod_id)
     assert hom.domain is dom and hom.codomain is cod
@@ -353,9 +355,10 @@ def test_apply_hom_matches_reference_sum(repo, data):
     def draw(labels):
         return dict(zip(labels, data.draw(st.lists(sparse_rationals, min_size=len(labels), max_size=len(labels)))))
 
-    def check(formal, images, degree, missing):
+    def check(formal, degree, images):
         # a mapping is read as degree 2; a degree-1 input is given as a class
-        out_degree = 1 if hom.kind == "table" else degree
+        out_degree, stored = hom.images[degree]
+        assert set(stored) == set(images)
         n = len(cod.basis(out_degree))
         reference = tuple(sum((x * images[k].coeffs[i] for k, x in formal.items()), F(0)) for i in range(n))
         inputs = [formal] if degree == 2 else []
@@ -365,21 +368,42 @@ def test_apply_hom_matches_reference_sum(repo, data):
             out = apply_hom(hom, c)
             assert (out.space, out.degree, out.coeffs) == (cod, out_degree, reference)
             assert all(type(x) is F for x in out.coeffs)
-        if missing:
+        if degree == 2:
             with pytest.raises(MissingImageError) as err:
                 apply_hom(hom, {**formal, "mystery": F(1)})
-            assert str(err.value) == f"{hid}: {missing} 'mystery'"
+            assert str(err.value) == f"{hid}: no image for label 'mystery'"
 
-    if hom.kind == "table":
-        check(draw(dom.codim2_basis), hom.table_images, 2, "no table entry for")
+    def stored(degree):
+        out_degree, images = hom.images[degree]
+        return {k: TautClass(cod, out_degree, s) for k, s in images.items()}
+
+    if hid == "p_star_pushforward":
+        # a table map sends degree 2 to degree 1 and acts on nothing else
+        assert set(hom.images) == {2} and hom.images[2][0] == 1
+        check(draw(dom.codim2_basis), 2, stored(2))
         return
-    check(draw(dom.divisor_basis), hom.divisor_images, 1, None)
+    assert set(hom.images) == {1, 2} and hom.images[1][0] == 1 and hom.images[2][0] == 2
+    divisors = stored(1)
+    check(draw(dom.divisor_basis), 1, divisors)
     products = {
-        label: divisor_product(hom.divisor_images[a], hom.divisor_images[b])
+        label: divisor_product(divisors[a], divisors[b])
         for label, (a, b) in dom.product_pairs.items()
     }
-    specials = [k for k in hom.special_images if k not in products]
-    check(draw(list(products) + specials), {**hom.special_images, **products}, 2, "no image for label")
+    specials = {k: c for k, c in stored(2).items() if k not in products}
+    check(draw(list(products) + list(specials)), 2, {**specials, **products})
+
+
+def test_every_label_read_rejects_an_unknown_label_with_coefficient_0(repo):
+    # the zero coefficient is skipped only after its label is found
+    m31 = repo.space("M31")
+    for read, known, error in (
+        (lambda formal: m31.from_dict(2, formal), "psi^2", UnknownLabelError),
+        (lambda formal: reduce_to_basis(m31, formal), "psi^2", UnknownLabelError),
+        (lambda formal: expand_divisor(m31, formal), "psi", UnknownLabelError),
+        (lambda formal: apply_hom(repo.hom("j3_star"), formal), "lam^2", MissingImageError),
+    ):
+        with pytest.raises(error, match="'mystery'"):
+            read({known: 1, "mystery": 0})
 
 
 def test_j3_star_on_relation_class(repo):
