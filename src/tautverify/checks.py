@@ -89,20 +89,19 @@ def _fmt(v) -> str:
 # --- results -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    id: str
-    anchor: str
-    expected: str
-    actual: str
-    passed: bool
-    micros: int
+    __slots__ = ("id", "anchor", "expected", "actual", "passed", "micros")
+
+    def __init__(self, id: str, anchor: str, expected: str, actual: str, passed: bool, micros: int):
+        self.id, self.anchor, self.expected, self.actual = id, anchor, expected, actual
+        self.passed, self.micros = passed, micros
 
 
-@dataclass(frozen=True)
 class Report:
-    version: str
-    results: tuple[CheckResult, ...]
+    __slots__ = ("version", "results")
+
+    def __init__(self, version: str, results: tuple[CheckResult, ...]):
+        self.version, self.results = version, results
 
     @property
     def all_passed(self) -> bool:
@@ -163,7 +162,6 @@ def _finish(check_id: str, anchor: str, parts: Sequence[Part], t0: float) -> Che
 # --- multiplicity systems -------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Component:
     """One right-hand class of a multiplicity decomposition.
 
@@ -174,24 +172,43 @@ class Component:
     component is also its key in the surface tables of the golden file.
     """
 
-    name: str
-    ref: str | None = None
-    counts: Mapping[str, str] | None = None  # surface id -> count-constant id
-    pushforward_ref: str | None = None
-    lambda2_from_pipeline: bool = False
+    __slots__ = ("name", "ref", "counts", "pushforward_ref", "lambda2_from_pipeline")
+
+    def __init__(
+        self,
+        name: str,
+        ref: str | None = None,
+        counts: Mapping[str, str] | None = None,  # surface id -> count-constant id
+        pushforward_ref: str | None = None,
+        lambda2_from_pipeline: bool = False,
+    ):
+        self.name, self.ref, self.counts = name, ref, counts
+        self.pushforward_ref, self.lambda2_from_pipeline = pushforward_ref, lambda2_from_pipeline
 
 
-@dataclass(frozen=True)
 class MultiplicitySystem:
-    id: str
-    space: str
-    lhs_key: str  # surface-table key of the left-hand product
-    lhs_factors: tuple[str, str]
-    unknowns: tuple[str, ...]
-    components: tuple[Component, ...]
-    functional_constraints: tuple[str, ...]  # surface ids
-    pushforward_constraints: tuple[str, ...]  # hom ids
-    coefficient_constraints: tuple[str, ...]  # codim-2 basis labels
+    __slots__ = (
+        "id", "space", "lhs_key", "lhs_factors", "unknowns", "components",
+        "functional_constraints", "pushforward_constraints", "coefficient_constraints",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        space: str,
+        lhs_key: str,  # surface-table key of the left-hand product
+        lhs_factors: tuple[str, str],
+        unknowns: tuple[str, ...],
+        components: tuple[Component, ...],
+        functional_constraints: tuple[str, ...],  # surface ids
+        pushforward_constraints: tuple[str, ...],  # hom ids
+        coefficient_constraints: tuple[str, ...],  # codim-2 basis labels
+    ):
+        self.id, self.space, self.lhs_key, self.lhs_factors = id, space, lhs_key, lhs_factors
+        self.unknowns, self.components = unknowns, components
+        self.functional_constraints = functional_constraints
+        self.pushforward_constraints = pushforward_constraints
+        self.coefficient_constraints = coefficient_constraints
 
 
 F31_SYSTEM = MultiplicitySystem(
@@ -774,6 +791,8 @@ def _parts_enumerative(run: Run) -> list[Part]:
 # --- registry -------------------------------------------------------------
 
 
+# the package's one dataclass: perfbench/tracer.py rebuilds each check with
+# dataclasses.replace
 @dataclass(frozen=True)
 class CheckDef:
     id: str

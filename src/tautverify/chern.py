@@ -7,7 +7,6 @@ round-trip testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeError
@@ -16,19 +15,24 @@ from .poly import TruncatedPoly
 CHERN_MAX_DEGREE = 3
 
 
-@dataclass(frozen=True)
 class ChernVector:
     """Total Chern class 1 + c1 + c2 + c3 of a bundle of the given rank."""
 
-    rank: int
-    c1: TruncatedPoly
-    c2: TruncatedPoly
-    c3: TruncatedPoly
+    __slots__ = ("rank", "c1", "c2", "c3")
 
-    def __post_init__(self):
-        for i, ci in ((1, self.c1), (2, self.c2), (3, self.c3)):
+    def __init__(self, rank: int, c1: TruncatedPoly, c2: TruncatedPoly, c3: TruncatedPoly):
+        self.rank, self.c1, self.c2, self.c3 = rank, c1, c2, c3
+        for i, ci in ((1, c1), (2, c2), (3, c3)):
             if not ci.is_pure_degree(i):
                 raise DegreeError(f"c{i} must have pure total degree {i}, got {ci}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ChernVector:
+            return NotImplemented
+        return (self.rank, self.c1, self.c2, self.c3) == (other.rank, other.c1, other.c2, other.c3)
+
+    def __hash__(self):
+        return hash((self.rank, self.c1, self.c2, self.c3))
 
     @classmethod
     def line_bundle(cls, c1: TruncatedPoly) -> "ChernVector":

@@ -9,7 +9,6 @@ reproduce its stored value exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -31,13 +30,13 @@ def mixed_difference_degree(d1: int, d2: int) -> int:
     return 2 * d1 * d1 * d2 * d2
 
 
-@dataclass(frozen=True)
 class CorrespondenceClass:
     """Class a*F1 + b*F2 + c*Delta on the square of a curve."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction):
+        self.a, self.b, self.c = a, b, c
 
 
 def scorza_correspondence_class(g: int) -> CorrespondenceClass:
@@ -102,12 +101,11 @@ _FUNCTIONS = {
 _OPS = {"add", "sub", "mul"}
 
 
-@dataclass(frozen=True)
 class CountConstant:
-    id: str
-    value: Fraction
-    expr: tuple
-    source: str
+    __slots__ = ("id", "value", "expr", "source")
+
+    def __init__(self, id: str, value: Fraction, expr: tuple, source: str):
+        self.id, self.value, self.expr, self.source = id, value, expr, source
 
     def reevaluate(self, registry: "CountRegistry") -> Fraction:
         return registry.eval_expr(self.expr)

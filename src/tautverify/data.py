@@ -3,8 +3,10 @@
 All bases, relations, images, catalog classes, families and expected values
 live in JSON files in the ``data`` directory beside this module; a
 ``data_dir`` override may replace the embedded copies bit-for-bit.
-Everything is validated once at load and is immutable afterwards, so a
-repository can be shared freely between threads.  Load is the only place
+Everything is validated once at load and is not changed afterwards, so a
+repository can be shared freely between threads; that immutability is a
+convention, since the value classes are plain classes that do not forbid
+assignment.  Load is the only place
 where raw JSON becomes values: each space, map and family is one object built
 from its file, which must declare the id it is loaded under.  Each number is
 parsed once, where it is read, by the one parser of `linalg`: definition

@@ -106,9 +106,7 @@ _SPECIALIZE = {
     _exps_from_powers({"kappa2": 1}): (27, 2),
     _exps_from_powers({"kappa1": 1, "lam": 1}): (12, 1),
     _exps_from_powers({"kappa1": 1, "lam1": 1}): (12, 1),
-    _exps_from_powers({"kappa1": 2}): (144, 1),
     _exps_from_powers({"lam": 2}): (1, 1),
-    _exps_from_powers({"lam": 1, "lam1": 1}): (1, 1),
     _exps_from_powers({"lam1": 2}): (1, 1),
     _exps_from_powers({"lam2": 1}): (1, 2),
 }

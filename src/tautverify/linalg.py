@@ -27,7 +27,6 @@ zeros and builds no Fraction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -146,23 +145,42 @@ def det3(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-@dataclass(frozen=True)
 class Solution:
     """One exact solution of A x = b, plus the dimension of ker A."""
 
-    vector: Vector
-    kernel_dim: int
+    __slots__ = ("vector", "kernel_dim")
+
+    def __init__(self, vector: Vector, kernel_dim: int):
+        self.vector, self.kernel_dim = vector, kernel_dim
+
+    def __eq__(self, other):
+        if other.__class__ is not Solution:
+            return NotImplemented
+        return (self.vector, self.kernel_dim) == (other.vector, other.kernel_dim)
+
+    def __hash__(self):
+        return hash((self.vector, self.kernel_dim))
 
     @property
     def unique(self) -> bool:
         return self.kernel_dim == 0
 
 
-@dataclass(frozen=True)
 class Inconsistent:
     """Certificate of inconsistency: an eliminated row reading 0 = rhs with rhs != 0."""
 
-    witness_rhs: Fraction
+    __slots__ = ("witness_rhs",)
+
+    def __init__(self, witness_rhs: Fraction):
+        self.witness_rhs = witness_rhs
+
+    def __eq__(self, other):
+        if other.__class__ is not Inconsistent:
+            return NotImplemented
+        return self.witness_rhs == other.witness_rhs
+
+    def __hash__(self):
+        return hash(self.witness_rhs)
 
 
 def _rref_rows(rows: Sequence[Support], width: int) -> tuple[list[Support], list[int]]:

@@ -17,7 +17,6 @@ built only where `coeff` reads a coefficient.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import add, mul
@@ -59,10 +58,25 @@ def _exps_from_powers(powers: Mapping[str, int]) -> Exps:
     return tuple(exps)
 
 
-@dataclass(frozen=True)
 class TruncatedPoly:
-    max_degree: int
-    triples: tuple[Triple, ...]  # sorted by exponent tuple, nonzero, lowest terms, positive denominators
+    """A polynomial with every monomial above `max_degree` dropped.
+
+    `triples` are sorted by exponent tuple, nonzero, in lowest terms, with
+    positive denominators.
+    """
+
+    __slots__ = ("max_degree", "triples")
+
+    def __init__(self, max_degree: int, triples: tuple[Triple, ...]):
+        self.max_degree, self.triples = max_degree, triples
+
+    def __eq__(self, other):
+        if other.__class__ is not TruncatedPoly:
+            return NotImplemented
+        return (self.max_degree, self.triples) == (other.max_degree, other.triples)
+
+    def __hash__(self):
+        return hash((self.max_degree, self.triples))
 
     @classmethod
     def from_terms(cls, terms: Mapping[Exps, Fraction] | Iterable[tuple[Exps, Fraction]], max_degree: int) -> "TruncatedPoly":

@@ -33,7 +33,6 @@ made by a kernel holds the support the kernel returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -126,31 +125,51 @@ def _check_same(a: TautClass, b: TautClass):
         )
 
 
-@dataclass(frozen=True, eq=False)
 class RingSpace:
     """One moduli space: bases, product rewrites, relations, special expansions."""
 
-    id: str
-    divisor_basis: tuple[str, ...]
-    codim2_basis: tuple[str, ...]
-    divisor_index: Mapping[str, int]
-    codim2_index: Mapping[str, int]
-    # basis label or alias divisor symbol (e.g. psi_i on the two-pointed
-    # genus-1 space) -> the support of its vector over divisor_basis
-    divisor_supports: Mapping[str, Support]
-    relations: tuple[dict[str, Fraction], ...]
-    # special symbol -> the support of its vector over codim2_basis; bare int
-    # tuples, so that a space and its classes form no reference cycle and a
-    # dropped load is freed at once
-    special_expansions: Mapping[str, Support]
-    # (gen_a, gen_b) pairs for every canonical product label
-    product_pairs: Mapping[str, tuple[str, str]]
-    # basis label or reduced product label -> the support of its vector over
-    # codim2_basis
-    codim2_supports: Mapping[str, Support]
-    # [i][j] -> the support of the product of divisor generators i and j, as in
-    # codim2_supports, or None where no product is defined
-    product_supports: Sequence[Sequence[Support | None]]
+    # __weakref__: a dropped load must be seen to be freed
+    __slots__ = (
+        "id", "divisor_basis", "codim2_basis", "divisor_index", "codim2_index", "divisor_supports",
+        "relations", "special_expansions", "product_pairs", "codim2_supports", "product_supports",
+        "__weakref__",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        divisor_basis: tuple[str, ...],
+        codim2_basis: tuple[str, ...],
+        divisor_index: Mapping[str, int],
+        codim2_index: Mapping[str, int],
+        # basis label or alias divisor symbol (e.g. psi_i on the two-pointed
+        # genus-1 space) -> the support of its vector over divisor_basis
+        divisor_supports: Mapping[str, Support],
+        relations: tuple[dict[str, Fraction], ...],
+        # special symbol -> the support of its vector over codim2_basis; bare
+        # int tuples, so that a space and its classes form no reference cycle
+        # and a dropped load is freed at once
+        special_expansions: Mapping[str, Support],
+        # (gen_a, gen_b) pairs for every canonical product label
+        product_pairs: Mapping[str, tuple[str, str]],
+        # basis label or reduced product label -> the support of its vector
+        # over codim2_basis
+        codim2_supports: Mapping[str, Support],
+        # [i][j] -> the support of the product of divisor generators i and j,
+        # as in codim2_supports, or None where no product is defined
+        product_supports: Sequence[Sequence[Support | None]],
+    ):
+        self.id = id
+        self.divisor_basis = divisor_basis
+        self.codim2_basis = codim2_basis
+        self.divisor_index = divisor_index
+        self.codim2_index = codim2_index
+        self.divisor_supports = divisor_supports
+        self.relations = relations
+        self.special_expansions = special_expansions
+        self.product_pairs = product_pairs
+        self.codim2_supports = codim2_supports
+        self.product_supports = product_supports
 
     def __repr__(self) -> str:
         return f"RingSpace({self.id!r})"
@@ -319,7 +338,6 @@ def special_expand(space: RingSpace, symbol: str) -> TautClass:
     return TautClass(space, 2, space.special_expansions[symbol])
 
 
-@dataclass(frozen=True)
 class RingHom:
     """A pullback (ring rule) or pushforward (plain table) between two spaces.
 
@@ -327,10 +345,12 @@ class RingHom:
     {label: support of its image}); see the module docstring.
     """
 
-    id: str
-    domain: RingSpace
-    codomain: RingSpace
-    images: Mapping[int, tuple[int, Mapping[str, Support]]]
+    __slots__ = ("id", "domain", "codomain", "images")
+
+    def __init__(
+        self, id: str, domain: RingSpace, codomain: RingSpace, images: Mapping[int, tuple[int, Mapping[str, Support]]]
+    ):
+        self.id, self.domain, self.codomain, self.images = id, domain, codomain, images
 
 
 def make_hom(id: str, kind: str, domain: RingSpace, codomain: RingSpace, **maps) -> RingHom:
@@ -405,7 +425,6 @@ def apply_hom(hom: RingHom, c: TautClass | Formal) -> TautClass:
 # --- gluing restrictions for the node-smoothing lemmas -----------------------
 
 
-@dataclass(frozen=True)
 class GluingRestriction:
     """Restriction of a boundary-divisor sub-basis to a product of two spaces.
 
@@ -414,12 +433,19 @@ class GluingRestriction:
     basis followed by the factor-2 divisor basis.
     """
 
-    id: str
-    domain: RingSpace
-    domain_labels: tuple[str, ...]
-    factors: tuple[RingSpace, RingSpace]
-    columns: tuple[Support, ...]
-    weierstrass_factors: tuple[int, ...]
+    __slots__ = ("id", "domain", "domain_labels", "factors", "columns", "weierstrass_factors")
+
+    def __init__(
+        self,
+        id: str,
+        domain: RingSpace,
+        domain_labels: tuple[str, ...],
+        factors: tuple[RingSpace, RingSpace],
+        columns: tuple[Support, ...],
+        weierstrass_factors: tuple[int, ...],
+    ):
+        self.id, self.domain, self.domain_labels = id, domain, domain_labels
+        self.factors, self.columns, self.weierstrass_factors = factors, columns, weierstrass_factors
 
 
 def make_gluing(

@@ -20,7 +20,6 @@ class walks two int supports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -34,17 +33,26 @@ DIRECT = "direct"
 OVERRIDE = "override"
 
 
-@dataclass(frozen=True)
 class SurfaceFunctional:
-    """A family as it pairs with classes: its lattice and its value on every label."""
+    """A family as it pairs with classes: its lattice and its value on every label.
 
-    id: str
-    space: RingSpace
-    lattice_labels: tuple[str, ...]
-    gram: tuple[Support, ...]  # the rows of the symmetric Gram matrix
-    values: Mapping[str, Fraction]
-    provenance: Mapping[str, str]
-    derived: Mapping[str, Fraction]  # label -> lattice value: every formal product, basis or not, and special product
+    No __slots__: the cached `support` is kept in the instance __dict__.
+    """
+
+    def __init__(
+        self,
+        id: str,
+        space: RingSpace,
+        lattice_labels: tuple[str, ...],
+        gram: tuple[Support, ...],  # the rows of the symmetric Gram matrix
+        values: Mapping[str, Fraction],
+        provenance: Mapping[str, str],
+        # label -> lattice value: every formal product, basis or not, and
+        # special product
+        derived: Mapping[str, Fraction],
+    ):
+        self.id, self.space, self.lattice_labels, self.gram = id, space, lattice_labels, gram
+        self.values, self.provenance, self.derived = values, provenance, derived
 
     @cached_property
     def support(self) -> Support:

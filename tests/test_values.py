@@ -1,0 +1,123 @@
+"""The package's value classes: plain classes, and the value semantics the
+few that compare by value write out by hand."""
+
+from fractions import Fraction as F
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import tautverify
+from tautverify.checks import Component
+from tautverify.chern import ChernVector
+from tautverify.errors import DegreeError
+from tautverify.linalg import Inconsistent, Solution
+from tautverify.poly import TruncatedPoly
+
+
+def _package_classes():
+    for info in pkgutil.iter_modules(tautverify.__path__):
+        mod = importlib.import_module(f"tautverify.{info.name}")
+        for name, obj in vars(mod).items():
+            if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                yield f"{info.name}.{name}", obj
+
+
+def test_checkdef_is_the_only_dataclass():
+    # each @dataclass decoration generates and compiles its methods in every
+    # fresh process; CheckDef stays one because perfbench/tracer.py rebuilds
+    # each check with dataclasses.replace
+    found = [name for name, cls in _package_classes() if dataclasses.is_dataclass(cls)]
+    assert found == ["checks.CheckDef"]
+
+
+def test_value_classes_are_slotted():
+    # SurfaceFunctional alone keeps a __dict__, where its cached_property
+    # stores the support
+    value_classes = (
+        "linalg.Solution", "linalg.Inconsistent", "counts.CorrespondenceClass", "counts.CountConstant",
+        "rings.TautClass", "rings.RingSpace", "rings.RingHom", "rings.GluingRestriction",
+        "poly.TruncatedPoly", "chern.ChernVector",
+        "checks.CheckResult", "checks.Report", "checks.Component", "checks.MultiplicitySystem",
+    )
+    classes = dict(_package_classes())
+    for name in value_classes:
+        assert "__slots__" in vars(classes[name]), name
+    assert "__slots__" not in vars(classes["surfaces.SurfaceFunctional"])
+
+
+def _poly(powers, coeff):
+    return TruncatedPoly.monomial(powers, coeff, 3)
+
+
+_Z = TruncatedPoly.zero(3)
+
+# (one object, an equal one built apart, one differing in a field, the
+# fields as a tuple)
+VALUES = {
+    "Solution": (
+        Solution((F(1), F(-2, 3)), 0),
+        Solution((F(1), F(-2, 3)), 0),
+        Solution((F(1), F(-2, 3)), 1),
+        ((F(1), F(-2, 3)), 0),
+    ),
+    "Inconsistent": (Inconsistent(F(3, 2)), Inconsistent(F(3, 2)), Inconsistent(F(1)), (F(3, 2),)),
+    "TruncatedPoly": (
+        _poly({"lam": 1}, F(1, 4)),
+        TruncatedPoly.from_terms({(0, 1, 0, 0, 0, 0, 0, 0): F(1, 4)}, 3),
+        _poly({"lam": 1}, F(1, 4)).scale(2),
+        (3, (((0, 1, 0, 0, 0, 0, 0, 0), 1, 4),)),
+    ),
+    "ChernVector": (
+        ChernVector(1, _poly({"lam": 1}, -1), _Z, _Z),
+        ChernVector.line_bundle(_poly({"lam": 1}, -1)),
+        ChernVector(2, _poly({"lam": 1}, -1), _Z, _Z),
+        (1, _poly({"lam": 1}, -1), _Z, _Z),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_equal_fields_make_equal_objects(name):
+    a, same, other, fields = VALUES[name]
+    assert a is not same
+    assert a == same and not a != same
+    assert hash(a) == hash(same)
+    assert a != other and not a == other
+    # another type with the same field values is never equal
+    assert a != fields and fields != a
+    assert a != object()
+
+
+@pytest.mark.parametrize(
+    "cs, text",
+    [
+        ((_poly({"lam": 2}, 1), _Z, _poly({"psi": 1}, 1)), "c1 must have pure total degree 1, got 1*lam^2"),
+        (
+            (_Z, _poly({"psi": 1}, 2) + _poly({"lam": 2}, 1), _Z),
+            "c2 must have pure total degree 2, got 1*lam^2 + 2*psi",
+        ),
+        ((_Z, _Z, _poly({"kappa2": 1}, "1/2")), "c3 must have pure total degree 3, got 1/2*kappa2"),
+    ],
+)
+def test_an_impure_chern_class_raises_the_same_text(cs, text):
+    with pytest.raises(DegreeError) as err:
+        ChernVector(1, *cs)
+    assert str(err.value) == text
+
+
+def test_component_defaults_are_unchanged():
+    c = Component("W2")
+    assert (c.name, c.ref, c.counts, c.pushforward_ref, c.lambda2_from_pipeline) == ("W2", None, None, None, False)
+    params = inspect.signature(Component).parameters
+    assert {n: p.default for n, p in params.items()} == {
+        "name": inspect.Parameter.empty,
+        "ref": None,
+        "counts": None,
+        "pushforward_ref": None,
+        "lambda2_from_pipeline": False,
+    }
+    c = Component("hyperflex", counts={"T1": "T1_F31_fibers"}, pushforward_ref="F31_pushforward_M3")
+    assert (c.ref, c.counts, c.lambda2_from_pipeline) == (None, {"T1": "T1_F31_fibers"}, False)
