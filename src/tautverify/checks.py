@@ -149,7 +149,8 @@ class Report:
 
 
 def _finish(check_id: str, anchor: str, parts: Sequence[Part], t0: float) -> CheckResult:
-    diffs = [p for p in parts if p[1] != p[2]]
+    # `not ==`: Fraction defines no `__ne__`, so `!=` takes a slower generic path
+    diffs = [p for p in parts if not p[1] == p[2]]
     if diffs:
         expected = "; ".join(f"{n}: {_fmt(e)}" for n, e, _ in diffs)
         actual = "; ".join(f"{n}: {_fmt(a)}" for n, _, a in diffs)
@@ -640,7 +641,7 @@ def _parts_surface_tables(run: Run) -> list[Part]:
         mismatches = []
         for lbl in space.codim2_basis:
             expected = nonzero.get(lbl, _ZERO)
-            if functional.values[lbl] != expected:
+            if not functional.values[lbl] == expected:
                 mismatches.append(f"{lbl}:{functional.values[lbl]}!={expected}")
         parts.append((f"{sid}:table", "exact", "exact" if not mismatches else ",".join(mismatches)))
         for lbl, v in block["extra"].items():

@@ -13,15 +13,16 @@ supports without a Fraction round trip.  Fractions are built only for values
 read as Fractions (golden values, family values, stored relations and count
 constants, through `as_fraction`) and where a value leaves the kernels: a dot
 product, the entries of a solution, an inconsistency witness.
-Every sum of products in the package (dot products, map images, basis
-reductions, divisor alias expansions, special images, gluing restrictions
-and their right-hand sides, class arithmetic, polynomial and power-series
-term collection) goes through one keyed integer accumulator, `_accumulate`:
-it adds numerators per key over a running common denominator and normalises
-once per key.  `_dot` and `_combine` feed it products of supports (keyed by
-index), and `poly` feeds it terms keyed by exponent tuple.  Elimination
-(`_rref_rows`) is Gauss-Jordan on rows cleared of denominators; it skips
-zeros and builds no Fraction.
+Every keyed sum of products in the package (map images, basis reductions,
+divisor alias expansions, special images, gluing restrictions and their
+right-hand sides, class arithmetic, polynomial term collection) goes through
+one keyed integer accumulator, `_combine`: it adds each scaled entry into
+its key's numerator over a running common denominator and normalises once
+per key; supports are keyed by index and `poly` terms by exponent tuple.
+Every scalar sum (dot products, pairings, the lambda^2 readout, the series
+inverse) is one plain loop, `_pair_sum` (inlined in `_dot`), keeping a
+running numerator over one denominator.  Elimination (`_rref_rows`) is
+Gauss-Jordan on rows cleared of denominators; it builds no Fraction.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _ratio(x) -> tuple[int, int]:
     if kind is int:
         return x, 1
     if kind is Fraction:
-        return x.numerator, x.denominator
+        return x.as_integer_ratio()
     if kind is str:
         m = _RATIONAL.fullmatch(x)
         if m:
@@ -63,8 +64,7 @@ def _ratio(x) -> tuple[int, int]:
                 g = gcd(n, d)
                 return n // g, d // g
     if kind is not bool and isinstance(x, (int, Fraction, str)):
-        f = Fraction(x)
-        return f.numerator, f.denominator
+        return Fraction(x).as_integer_ratio()
     raise TypeError(f"exact rational expected, got {kind.__name__}: {x!r}")
 
 
@@ -86,23 +86,26 @@ def _from_support(s: Support, width: int) -> Vector:
     return tuple(v)
 
 
-def _accumulate(terms: Iterable[tuple[object, int, int]]) -> tuple[tuple[object, int, int], ...]:
-    """The sums of n / d per key over (key, n, d) int terms with d > 0.
+def _combine(terms: Iterable[tuple[int, int, Iterable]]) -> tuple[tuple[object, int, int], ...]:
+    """The sum of cn/cd * v over `terms` (cn, cd, v), each v given by (key, n, d) int terms with d > 0.
 
     Returns (key, numerator, denominator) triples sorted by key, in lowest
-    terms, with zero sums dropped.  This is the one exact summation loop:
-    each key keeps a numerator over a running common denominator.
+    terms, with zero sums dropped.  This is the one keyed summation loop:
+    each scaled entry goes straight into its key's numerator over a running
+    common denominator, and each key is normalised once.
     """
     acc: dict = {}
-    for k, n, d in terms:
-        slot = acc.get(k)
-        if slot is None:
-            acc[k] = [n, d]
-        elif slot[1] == d:
-            slot[0] += n
-        else:
-            g = gcd(slot[1], d)
-            slot[0], slot[1] = slot[0] * (d // g) + n * (slot[1] // g), slot[1] // g * d
+    for cn, cd, vs in terms:
+        for k, n, d in vs:
+            n, d = n * cn, d * cd
+            slot = acc.get(k)
+            if slot is None:
+                acc[k] = [n, d]
+            elif slot[1] == d:
+                slot[0] += n
+            else:
+                g = gcd(slot[1], d)
+                slot[0], slot[1] = slot[0] * (d // g) + n * (slot[1] // g), slot[1] // g * d
     out = []
     for k, (n, d) in sorted(acc.items()):
         if n:
@@ -111,21 +114,39 @@ def _accumulate(terms: Iterable[tuple[object, int, int]]) -> tuple[tuple[object,
     return tuple(out)
 
 
+def _pair_sum(ratios: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Exact sum of n / d over int pairs with d > 0, as a pair in lowest terms."""
+    num, den = 0, 1
+    for n, d in ratios:
+        if d == den:
+            num += n
+        else:
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Fraction:
     """Exact sum of n / d over int pairs with d > 0."""
-    total = _accumulate((0, n, d) for n, d in ratios)
-    return Fraction(total[0][1], total[0][2]) if total else _ZERO
+    n, d = _pair_sum(ratios)
+    return Fraction(n, d) if n else _ZERO
 
 
 def _dot(xs: Support, ys: Support) -> Fraction:
     """Exact sum of x_i * y_i over the indices that both supports hold."""
     right = {i: (n, d) for i, n, d in ys}
-    return _ratio_sum((n * right[i][0], d * right[i][1]) for i, n, d in xs if i in right)
-
-
-def _combine(terms: Iterable[tuple[int, int, Support]]) -> Support:
-    """Support of the sum of n/d * v over `terms` (n, d, support of v)."""
-    return _accumulate((i, cn * n, cd * d) for cn, cd, vs in terms for i, n, d in vs)
+    num, den = 0, 1
+    for i, n, d in xs:
+        r = right.get(i)
+        if r:
+            n, d = n * r[0], d * r[1]
+            if d == den:
+                num += n
+            else:
+                g = gcd(den, d)
+                num, den = num * (d // g) + n * (den // g), den // g * d
+    return Fraction(num, den) if num else _ZERO
 
 
 def _transpose(rows: Sequence[Support], width: int) -> list[Support]:

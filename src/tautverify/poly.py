@@ -9,21 +9,23 @@ dropped; zero coefficients are never stored.
 Terms are stored as ``(exponents, numerator, denominator)`` int triples in
 lowest terms with positive denominators, sorted by exponent tuple, so that
 chained `+`, `-`, `scale` and `*` build no Fraction: each collects like terms
-in the keyed int accumulator of `linalg`, keyed by exponent tuple, after
-`_collect` drops the monomials above the maximum degree.  A Fraction is
-built only where `coeff` reads a coefficient.
+in the keyed int accumulator of `linalg`, keyed by exponent tuple.  A
+polynomial's terms never exceed its own maximum degree, so truncation runs
+only where it can drop a term: `+` and `-` filter only an operand whose bound
+is above the result's, `scale` filters nothing, and `*` skips a pair of terms
+above the bound before it builds the pair's exponents.  A Fraction is built
+only where `coeff` reads a coefficient.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain
 from operator import add, mul
 from typing import Iterable
 
 from .errors import DegreeError
-from .linalg import _ZERO, _accumulate, _ratio
+from .linalg import _ZERO, _combine, _ratio
 
 SYMBOLS = ("psi", "lam", "lam1", "lam2", "kappa0", "kappa1", "kappa2", "kappa3")
 WEIGHTS = {"psi": 1, "lam": 1, "lam1": 1, "lam2": 2, "kappa0": 0, "kappa1": 1, "kappa2": 2, "kappa3": 3}
@@ -40,7 +42,14 @@ def monomial_degree(exps: Exps) -> int:
 
 def _collect(triples: Iterable[Triple], max_degree: int) -> tuple[Triple, ...]:
     """Sorted nonzero lowest-terms triples of the sum of n/d * x^exps over `triples`, up to `max_degree`."""
-    return _accumulate(t for t in triples if monomial_degree(t[0]) <= max_degree)
+    return _combine(((1, 1, [t for t in triples if monomial_degree(t[0]) <= max_degree]),))
+
+
+def _within(p: "TruncatedPoly", max_degree: int) -> tuple[Triple, ...]:
+    """The terms of `p` up to `max_degree`; only a bound below p's own can drop one."""
+    if p.max_degree <= max_degree:
+        return p.triples
+    return tuple(t for t in p.triples if monomial_degree(t[0]) <= max_degree)
 
 
 def _full_length(exps: Exps) -> Exps:
@@ -104,26 +113,28 @@ class TruncatedPoly:
         return _ZERO
 
     def __add__(self, other: "TruncatedPoly") -> "TruncatedPoly":
-        deg = min(self.max_degree, other.max_degree)
-        return TruncatedPoly(deg, _collect(chain(self.triples, other.triples), deg))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "TruncatedPoly") -> "TruncatedPoly":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "TruncatedPoly", sign: int) -> "TruncatedPoly":
         deg = min(self.max_degree, other.max_degree)
-        return TruncatedPoly(deg, _collect(chain(self.triples, ((e, -n, d) for e, n, d in other.triples)), deg))
+        return TruncatedPoly(deg, _combine(((1, 1, _within(self, deg)), (sign, 1, _within(other, deg)))))
 
     def scale(self, c) -> "TruncatedPoly":
-        cn, cd = _ratio(c)
-        triples = ((e, cn * n, cd * d) for e, n, d in self.triples)
-        return TruncatedPoly(self.max_degree, _collect(triples, self.max_degree))
+        return TruncatedPoly(self.max_degree, _combine(((*_ratio(c), self.triples),)))
 
     def __mul__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         deg = min(self.max_degree, other.max_degree)
-        triples = (
-            (tuple(map(add, ea, eb)), na * nb, da * db)
-            for ea, na, da in self.triples
-            for eb, nb, db in other.triples
-        )
-        return TruncatedPoly(deg, _collect(triples, deg))
+        right = [(monomial_degree(eb), eb, nb, db) for eb, nb, db in other.triples]
+        triples = []
+        for ea, na, da in self.triples:
+            room = deg - monomial_degree(ea)
+            for kb, eb, nb, db in right:
+                if kb <= room:
+                    triples.append((tuple(map(add, ea, eb)), na * nb, da * db))
+        return TruncatedPoly(deg, _combine(((1, 1, triples),)))
 
     def degree_part(self, d: int) -> "TruncatedPoly":
         return TruncatedPoly(self.max_degree, tuple(t for t in self.triples if monomial_degree(t[0]) == d))

@@ -47,6 +47,7 @@ from .linalg import (
     Inconsistent,
     Solution,
     Support,
+    _ZERO,
     _combine,
     _from_support,
     _ratio,
@@ -99,7 +100,10 @@ class TautClass:
             return self._coeffs
 
     def coeff(self, label: str) -> Fraction:
-        return self.coeffs[self.space.basis_index(self.degree)[label]]
+        i = self.space.basis_index(self.degree).get(label)
+        if i is None:
+            raise UnknownLabelError(f"{label!r} is not a degree-{self.degree} basis label of {self.space.id}")
+        return next((Fraction(n, d) for j, n, d in self.support if j == i), _ZERO)
 
     def is_zero(self) -> bool:
         return not self.support

@@ -5,32 +5,39 @@ psi/(e^psi - 1), scaled exponentials e^{w psi}, and the jet-bundle character
 sums e^{w psi} * sum_i e^{i psi}.  A series of order n is a one-variable
 `TruncatedPoly` in psi with maximum degree n (psi has weight 1), so a product
 is `*` and coefficients beyond the order are discarded the same way;
-operations never silently extend the order.
+operations never silently extend the order.  Coefficients are built as
+(numerator, denominator) int pairs, one pair per coefficient, and the
+inverse runs its recurrence on int pairs too, so no Fraction is built here.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+from math import factorial, gcd
 from typing import Iterable
 
 from .errors import DegreeError, NonUnitSeriesError
-from .linalg import _dot, _from_support, _support_of, as_fraction
-from .poly import TruncatedPoly, _collect, _exps_from_powers
+from .linalg import _pair_sum, _ratio
+from .poly import TruncatedPoly
+
+_REST = (0,) * 7  # the exponents of every symbol after psi
 
 
-def _series(coeffs: Iterable[Fraction], order: int) -> TruncatedPoly:
-    """The series sum_k coeffs[k] psi^k of the given order."""
+def _series(pairs: Iterable[tuple[int, int]], order: int) -> TruncatedPoly:
+    """The series sum_k n_k/d_k psi^k of the given order, from its order + 1 int pairs (n_k, d_k), d_k > 0."""
     if order < 0:
         raise DegreeError("truncation order must be >= 0")
-    terms = ((_exps_from_powers({"psi": k}), c.numerator, c.denominator) for k, c in enumerate(coeffs))
-    return TruncatedPoly(order, _collect(terms, order))
+    triples = []
+    for k, (n, d) in enumerate(pairs):
+        if n:
+            g = gcd(n, d)
+            triples.append(((k, *_REST), n // g, d // g))
+    return TruncatedPoly(order, tuple(triples))
 
 
 def exp_scaled(w, order: int) -> TruncatedPoly:
     """e^{w psi} = sum_k (w psi)^k / k!  truncated at `order`."""
-    w = as_fraction(w)
-    return _series((w**k / math.factorial(k) for k in range(order + 1)), order)
+    wn, wd = _ratio(w)
+    return _series([(wn**k, wd**k * factorial(k)) for k in range(order + 1)], order)
 
 
 def todd_inverse(order: int) -> TruncatedPoly:
@@ -39,19 +46,18 @@ def todd_inverse(order: int) -> TruncatedPoly:
     Computed by inverting (e^psi - 1)/psi = sum_k psi^k/(k+1)!, so no
     Bernoulli table is needed and any order is supported.
     """
-    denom = _series((Fraction(1, math.factorial(k + 1)) for k in range(order + 1)), order)
-    return series_inverse(denom)
+    return series_inverse(_series([(1, factorial(k + 1)) for k in range(order + 1)], order))
 
 
 def jet_sum(n: int, w, order: int) -> TruncatedPoly:
     """e^{w psi} * sum_{i=0}^{n} e^{i psi}: Chern character of a weight-w jet sum.
 
     The psi^k coefficient of the sum of exponentials is the power sum
-    sum_i i^k over k!, one Fraction per coefficient.
+    sum_i i^k over k!, one int pair per coefficient.
     """
     if n < 0:
         raise DegreeError("jet order must be >= 0")
-    sums = tuple(Fraction(sum(i**k for i in range(n + 1)), math.factorial(k)) for k in range(order + 1))
+    sums = [(sum([i**k for i in range(n + 1)]), factorial(k)) for k in range(order + 1)]
     return exp_scaled(w, order) * _series(sums, order)
 
 
@@ -59,10 +65,15 @@ def series_inverse(a: TruncatedPoly) -> TruncatedPoly:
     """Multiplicative inverse of a series in psi: a * result = 1 up to the truncation order."""
     if any(any(e[1:]) for e, _, _ in a.triples):
         raise DegreeError("series_inverse needs a series in psi alone")
-    coeffs = _from_support(tuple((e[0], n, d) for e, n, d in a.triples), a.max_degree + 1)
-    if coeffs[0] == 0:
+    coeffs = [(0, 1)] * (a.max_degree + 1)
+    for e, n, d in a.triples:
+        coeffs[e[0]] = (n, d)
+    n0, d0 = coeffs[0]
+    if not n0:
         raise NonUnitSeriesError("cannot invert a series with zero constant term")
-    inv = [1 / coeffs[0]]
+    # inv[0] = 1/a_0 and inv[m] = -inv[0] * sum_{k=1}^{m} a_k inv[m-k], on int pairs
+    inv = [(d0, n0) if n0 > 0 else (-d0, -n0)]
     for m in range(1, a.max_degree + 1):
-        inv.append(-inv[0] * _dot(_support_of(coeffs[1 : m + 1]), _support_of(inv[::-1])))
+        n, d = _pair_sum([(an * bn, ad * bd) for (an, ad), (bn, bd) in zip(coeffs[1:], reversed(inv))])
+        inv.append((-n * inv[0][0], d * inv[0][1]))
     return _series(inv, a.max_degree)

@@ -164,13 +164,13 @@ def evaluate_formal_products(functional: SurfaceFunctional, formal: Mapping[str,
     annihilates the stored ring relations.
     """
     space = functional.space
-    coeffs, values = [], []
+    products = []
     for label, c in formal.items():
-        c = as_fraction(c)
-        if c == 0:
+        n, d = _ratio(c)
+        if not n:
             continue
         if label not in space.product_pairs:
             raise UnknownLabelError(f"{label!r} is not a formal divisor product on {space.id}")
-        coeffs.append(c)
-        values.append(functional.derived[label])
-    return _dot(_support_of(coeffs), _support_of(values))
+        vn, vd = _ratio(functional.derived[label])
+        products.append((n * vn, d * vd))
+    return _ratio_sum(products)

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 from hypothesis import given
@@ -276,6 +278,23 @@ def test_catalog_pencil_divisor(repo):
 def test_catalog_zero_class(repo):
     z = repo.space("M31").zero(2)
     assert z.is_zero() and len(z.coeffs) == 16
+
+
+def test_coeff_reads_every_basis_label_of_every_catalog_class(repo):
+    catalog = json.loads(resources.files("tautverify").joinpath("data", "catalog.json").read_text())
+    for name in catalog["classes"]:
+        c = repo.catalog_class(name)
+        for i, label in enumerate(c.space.basis(c.degree)):
+            got = c.coeff(label)
+            assert type(got) is F and got == c.coeffs[i], (name, label)
+
+
+def test_coeff_rejects_unknown_label(repo):
+    c = repo.catalog_class("Theta_null_M4")
+    with pytest.raises(UnknownLabelError, match=r"^'nope' is not a degree-1 basis label of M4$"):
+        c.coeff("nope")
+    with pytest.raises(UnknownLabelError, match=r"^'lam\^2' is not a degree-1 basis label of M4$"):
+        c.coeff("lam^2")
 
 
 def test_catalog_unknown_name(repo):

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given
@@ -35,6 +35,41 @@ def test_exp_scaled_half_order2():
     assert coeffs(exp_scaled(F(1, 2), 2)) == [F(1), F(1, 2), F(1, 8)]
 
 
+def lowest_terms(s):
+    return all(type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1 for _, n, d in s.triples)
+
+
+@given(rationals, st.integers(0, 6))
+def test_exp_scaled_is_the_exponential_series(w, order):
+    s = exp_scaled(w, order)
+    assert s.max_degree == order
+    assert coeffs(s) == [w**k / factorial(k) for k in range(order + 1)]
+    assert lowest_terms(s)
+
+
+def bernoulli(n):
+    """B_0..B_n from sum_{j=0}^{m} C(m+1, j) B_j = 0 (m >= 1), so B_1 = -1/2."""
+    b = [F(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_todd_inverse_is_the_bernoulli_series(n):
+    s = todd_inverse(n)
+    assert coeffs(s) == [b / factorial(k) for k, b in enumerate(bernoulli(n))]
+    assert lowest_terms(s)
+
+
+@given(st.lists(rationals, min_size=5, max_size=5).filter(lambda cs: cs[0] != 0).map(series))
+def test_series_inverse_is_in_lowest_terms(s):
+    # any nonzero constant term, negative ones too, so the inverse's sign is normalised
+    inv = series_inverse(s)
+    assert lowest_terms(inv)
+    assert s * inv == one(s.max_degree)
+
+
 def test_jet_sum_5_1_order3():
     # sum of six exponentials with weights 1..6
     assert coeffs(jet_sum(5, 1, 3)) == [F(6), F(21), F(91, 2), F(441, 6)]
@@ -51,7 +86,7 @@ def test_jet_sum_matches_sum_of_exponentials(w):
             expected = exp_scaled(w, order) * total
             got = jet_sum(n, w, order)
             assert got == expected, (n, order)
-            assert all(type(n) is int and d > 0 and gcd(n, d) == 1 for _, n, d in got.triples)
+            assert lowest_terms(got)
 
 
 def test_grr_integrand_product_order4():
