@@ -2,8 +2,9 @@
 
 Each check recomputes a published statement from the loaded definitions and
 compares against the golden expected values, exactly.  Load has already
-parsed the golden file into Fractions, so a check reads its expected values
-as they are and parses nothing.  A check returns parts, each (name,
+parsed the golden file into exact values (an int where integral, else a
+Fraction, as every value the kernels return), so a check reads its expected
+values as they are and parses nothing.  A check returns parts, each (name,
 expected, actual) holding the values themselves.  `_finish` alone compares
 them, with `==`, and alone formats them: a passing check prints each
 expected value once, a failing one both sides of its differing parts only,
@@ -38,6 +39,7 @@ from .errors import UnknownNameError
 from .grr import GRR_MAX_ORDER, grr_spin_character, jet_bundles, lambda2_values, lower_order_character
 from .linalg import (
     Inconsistent,
+    Number,
     Solution,
     _ZERO,
     _support_of,
@@ -50,6 +52,7 @@ from .linalg import (
 from .poly import TruncatedPoly
 from .rings import (
     TautClass,
+    _no_product,
     apply_hom,
     divisor_product,
     reduce_to_basis,
@@ -65,7 +68,8 @@ Part = tuple[str, object, object]  # (name, expected value, actual value)
 
 
 def _fmt(v) -> str:
-    if isinstance(v, Fraction):
+    # exact types first: a bool is no number here, and an int skips Fraction's ABC check
+    if type(v) is int or type(v) is Fraction:
         return str(v)
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -294,7 +298,7 @@ class Run:
         return jet_bundles()
 
     @cached_property
-    def lambda2(self) -> dict[str, Fraction]:
+    def lambda2(self) -> dict[str, Number]:
         return lambda2_values(self.repo, self.jets)
 
     def cls(self, name: str) -> TautClass:
@@ -320,7 +324,7 @@ class Run:
         factors = _SYSTEMS[system_id].lhs_factors
         return self._once(("lhs", system_id), lambda: divisor_product(*map(self.repo.catalog_class, factors)))
 
-    def family_values(self, system_id: str, sid: str) -> dict[str, Fraction]:
+    def family_values(self, system_id: str, sid: str) -> dict[str, Number]:
         """A family's pairing with each known component of a system and with its left-hand product."""
 
         def pair():
@@ -359,7 +363,7 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
     known = run.known(system.id)
     names: list[str] = []
     rows: list = []  # supports over the components
-    rhs: list[Fraction] = []
+    rhs: list[Number] = []
 
     for sid in system.functional_constraints:
         values = run.family_values(system.id, sid)
@@ -452,7 +456,8 @@ def _divide_out(run: Run, system: MultiplicitySystem, assignment: dict, parts: l
         else:
             n = assignment[unknown]
     parts.append(("division_multiplicity_nonzero", True, n != 0))
-    return rest.scale(1 / n) if n else None
+    # Fraction(1, n), not 1 / n: an int multiplicity divides exactly
+    return rest.scale(Fraction(1, n)) if n else None
 
 
 # --- individual checks ----------------------------------------------------
@@ -463,7 +468,9 @@ def _parts_basis_m31(run: Run) -> list[Part]:
     m31 = repo.space("M31")
     theta = repo.hom("theta_star")
     golden = repo.golden["basis_m31"]
-    rows = [apply_hom(theta, m31.basis_class(2, lbl)).support for lbl in m31.codim2_basis]
+    # the image of each basis label, as load stored it
+    images = theta.images[2][1]
+    rows = [images[lbl] for lbl in m31.codim2_basis]
     # one elimination gives both numbers: rank = rows - dim(left kernel)
     kernel = left_kernel(rows)
     parts = [("pullback_rank", golden["rank"], len(rows) - len(kernel))]
@@ -680,12 +687,19 @@ def _parts_relation_hygiene(run: Run) -> list[Part]:
 
 
 def _products_missing(space, obstructions: tuple[str, ...]) -> str:
-    """Each product of two divisor generators that has an obstruction coordinate, or "none"."""
+    """Each product of two divisor generators that has an obstruction coordinate, or "none".
+
+    The products are the ones load stored for the space.
+    """
+    positions = [space.label_position(2, obs) for obs in obstructions]
     hits = []
     for i, a in enumerate(space.divisor_basis):
-        for b in space.divisor_basis[i:]:
-            product = divisor_product(space.basis_class(1, a), space.basis_class(1, b))
-            hits.extend(f"{a}*{b}:{obs}" for obs in obstructions if product.coeff(obs))
+        for j, b in enumerate(space.divisor_basis[i:], i):
+            support = space.product_supports[i][j]
+            if support is None:
+                raise _no_product(space, i, j)
+            held = {k for k, _, _ in support}
+            hits.extend(f"{a}*{b}:{obs}" for obs, k in zip(obstructions, positions) if k in held)
     return ",".join(hits) or "none"
 
 

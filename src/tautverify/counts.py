@@ -4,16 +4,17 @@ The closed-form degrees (difference maps on a genus-2 curve, theta
 characteristic counts) are computed; counts that rest on degeneration case
 analysis are data, and only their arithmetic assembly is re-evaluated here.
 Every registered constant's expression tree is re-evaluated at load and must
-reproduce its stored value exactly.
+reproduce its stored value exactly.  Values are exact: an int where integral,
+else a Fraction (see `linalg.as_fraction`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import prod
 from typing import Mapping
 
 from .errors import DataError, UnknownNameError
-from .linalg import as_fraction
+from .linalg import Number, as_fraction
 
 
 def abel_difference_degree(d: int) -> int:
@@ -35,7 +36,7 @@ class CorrespondenceClass:
 
     __slots__ = ("a", "b", "c")
 
-    def __init__(self, a: Fraction, b: Fraction, c: Fraction):
+    def __init__(self, a: Number, b: Number, c: Number):
         self.a, self.b, self.c = a, b, c
 
 
@@ -43,7 +44,7 @@ def scorza_correspondence_class(g: int) -> CorrespondenceClass:
     """(g-1)F1 + (g-1)F2 + Delta, the class of a reduced Scorza correspondence."""
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
-    return CorrespondenceClass(Fraction(g - 1), Fraction(g - 1), Fraction(1))
+    return CorrespondenceClass(g - 1, g - 1, 1)
 
 
 def even_theta_count(g: int) -> int:
@@ -104,10 +105,10 @@ _OPS = {"add", "sub", "mul"}
 class CountConstant:
     __slots__ = ("id", "value", "expr", "source")
 
-    def __init__(self, id: str, value: Fraction, expr: tuple, source: str):
+    def __init__(self, id: str, value: Number, expr: tuple, source: str):
         self.id, self.value, self.expr, self.source = id, value, expr, source
 
-    def reevaluate(self, registry: "CountRegistry") -> Fraction:
+    def reevaluate(self, registry: "CountRegistry") -> Number:
         return registry.eval_expr(self.expr)
 
 
@@ -137,7 +138,7 @@ class CountRegistry:
                 )
             self._constants[cid] = const
 
-    def eval_expr(self, expr) -> Fraction:
+    def eval_expr(self, expr) -> Number:
         if isinstance(expr, (int, str)):
             return as_fraction(expr)  # a bool is rejected there
         if not isinstance(expr, tuple) or not expr:
@@ -148,19 +149,19 @@ class CountRegistry:
         if head in _OPS:
             args = [self.eval_expr(e) for e in expr[1:]]
             if head == "add":
-                return sum(args, Fraction(0))
-            if head == "mul":
-                out = Fraction(1)
-                for a in args:
-                    out *= a
-                return out
-            if len(args) != 2:
+                out = sum(args, 0)
+            elif head == "mul":
+                out = prod(args, start=1)
+            elif len(args) != 2:
                 raise DataError("sub takes exactly two arguments")
-            return args[0] - args[1]
+            else:
+                out = args[0] - args[1]
+            # Fraction arithmetic may give an integral Fraction, which is read back as an int
+            return out if type(out) is int else as_fraction(out)
         if head in _FUNCTIONS:
             if any(type(a) is not int for a in expr[1:]):
                 raise TypeError(f"count function {head!r} takes int arguments, got {list(expr[1:])!r}")
-            return Fraction(_FUNCTIONS[head](*expr[1:]))
+            return _FUNCTIONS[head](*expr[1:])
         raise DataError(f"unknown count expression head {head!r}")
 
     def get(self, cid: str) -> CountConstant:

@@ -10,23 +10,25 @@ assignment.  Load is the only place
 where raw JSON becomes values: each space, map and family is one object built
 from its file, which must declare the id it is loaded under.  Each number is
 parsed once, where it is read, by the one parser of `linalg`: definition
-numbers become the int pairs of supports and golden numbers Fractions, so a
-run of the checks parses nothing.  Any error raised while a file is turned
-into objects names the file: the package's own keep their type, and any
-other (a missing key, a float or a bool for a number, a zero denominator, a
-value of the wrong type) becomes a DataError.
+numbers become the int pairs of supports, and golden numbers, family values,
+count constants, stored relations and formal classes become exact values
+(an int where integral, else a Fraction; see `linalg._number`), so a run of
+the checks parses nothing.  A file is read as bytes and decoded as strict
+UTF-8.  Any error raised while a file is turned into objects names the file:
+the package's own keep their type, and any other (bytes that are not UTF-8,
+a missing key, a float or a bool for a number, a zero denominator, a value
+of the wrong type) becomes a DataError.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from contextlib import contextmanager
-from fractions import Fraction
-from pathlib import Path
 
 from .counts import CountRegistry
 from .errors import DataError, TautVerifyError, UnknownNameError
-from .linalg import _RATIONAL, as_fraction
+from .linalg import _RATIONAL, Number, as_fraction
 from .rings import (
     GluingRestriction,
     RingHom,
@@ -50,12 +52,14 @@ def _drop_comment(obj: dict) -> dict:
 
 
 def _golden_values(node):
-    """The golden document with every int and rational string as a Fraction.
+    """The golden document with every number as an exact value (see `as_fraction`).
 
-    A string that `_RATIONAL` matches is a number; any other string is a
-    label or an anchor.
+    An int stays as it is.  A string that `_RATIONAL` matches is a number;
+    any other string is a label or an anchor.
     """
     kind = type(node)
+    if kind is int:
+        return node
     if kind is dict:
         return {k: _golden_values(v) for k, v in node.items()}
     if kind is list:
@@ -68,14 +72,15 @@ def _golden_values(node):
 class Repo:
     """One fully loaded, validated set of definitions and expected values."""
 
-    def __init__(self, data_dir: str | Path | None = None):
-        self._dir = Path(data_dir) if data_dir is not None else Path(__file__).parent / "data"
+    def __init__(self, data_dir: str | os.PathLike | None = None):
+        default = os.path.join(os.path.dirname(__file__), "data")
+        self._dir = os.fspath(data_dir) if data_dir is not None else default
         self._spaces: dict[str, RingSpace] = {}
         self._homs: dict[str, RingHom] = {}
         self._gluings: dict[str, GluingRestriction] = {}
         self._catalog: dict[str, TautClass] = {}
         self._catalog_sources: dict[str, str] = {}
-        self._formal: dict[str, dict[str, Fraction]] = {}
+        self._formal: dict[str, dict[str, Number]] = {}
         self._functionals: dict[str, SurfaceFunctional] = {}
         self._load()
 
@@ -83,11 +88,15 @@ class Repo:
 
     def _read(self, relpath: str) -> dict:
         try:
-            text = self._dir.joinpath(relpath).read_text(encoding="utf-8")
-        except (FileNotFoundError, OSError) as exc:
+            with open(os.path.join(self._dir, relpath), "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
             raise DataError(f"cannot read definition file {relpath!r}: {exc}") from exc
         try:
-            return json.loads(text, object_hook=_drop_comment)
+            # decoded here, not by json.loads, which would also take UTF-16, UTF-32 and a BOM
+            return json.loads(raw.decode("utf-8"), object_hook=_drop_comment)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"definition file {relpath!r} is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise DataError(f"malformed JSON in {relpath!r}: {exc}") from exc
 
@@ -189,7 +198,7 @@ class Repo:
     def catalog_source(self, name: str) -> str:
         return self._lookup(self._catalog_sources, name, "class")
 
-    def formal_class(self, name: str) -> dict[str, Fraction]:
+    def formal_class(self, name: str) -> dict[str, Number]:
         return dict(self._lookup(self._formal, name, "formal class"))
 
     def functional(self, sid: str) -> SurfaceFunctional:

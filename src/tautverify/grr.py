@@ -17,14 +17,14 @@ from typing import Mapping
 
 from .chern import CHERN_MAX_DEGREE, ChernVector, chern_from_character
 from .errors import DegreeError
-from .linalg import _ratio_sum
+from .linalg import Number, _ratio, _ratio_sum
 from .poly import SYMBOLS, TruncatedPoly, _collect, _exps_from_powers, monomial_degree
 from .series import exp_scaled, jet_sum, todd_inverse
 
 GRR_MAX_ORDER = 4
 _KAPPA = ("kappa0", "kappa1", "kappa2", "kappa3")
 # name -> (order n, weight w) of the jet bundles the pipelines use
-JET_BUNDLES = {"J2_spin": (2, Fraction(1, 2)), "J5_canonical": (5, Fraction(1))}
+JET_BUNDLES = {"J2_spin": (2, Fraction(1, 2)), "J5_canonical": (5, 1)}
 
 
 def grr_spin_character(order: int) -> TruncatedPoly:
@@ -112,7 +112,7 @@ _SPECIALIZE = {
 }
 
 
-def m4_specialize(p: TruncatedPoly) -> Fraction:
+def m4_specialize(p: TruncatedPoly) -> Number:
     """Coefficient of lambda^2 after the genus-4 interior substitutions."""
     if not p.is_pure_degree(2):
         raise DegreeError("m4_specialize needs a class of pure total degree 2")
@@ -148,7 +148,7 @@ def canonical_jet_porteous_class(cJ: ChernVector) -> TruncatedPoly:
 _LOCI = ("SH4_minus", "H4_minus", "H4", "H4_plus")
 
 
-def lambda2_values(repo, jets: Mapping[str, tuple[TruncatedPoly, ChernVector]]) -> dict[str, Fraction]:
+def lambda2_values(repo, jets: Mapping[str, tuple[TruncatedPoly, ChernVector]]) -> dict[str, Number]:
     """lambda^2 coefficients of the subcanonical loci on the genus-4 interior.
 
     One pass runs each pipeline once, on the Chern classes of the jet
@@ -156,14 +156,17 @@ def lambda2_values(repo, jets: Mapping[str, tuple[TruncatedPoly, ChernVector]]) 
     them).  SH4_minus comes from the spin pipeline; H4_minus multiplies it by the odd spin cover degree;
     H4 comes from the canonical-jet pipeline; H4_plus subtracts the
     hyperelliptic contribution (one per Weierstrass point) and H4_minus from
-    H4.
+    H4.  The two combinations are summed on int pairs, so each value is an
+    int where it is integral.
     """
     from .counts import hyperelliptic_weierstrass_count, odd_theta_count
 
     (_, c_spin), (_, c_canonical) = jets["J2_spin"], jets["J5_canonical"]
     sh4_minus = m4_specialize(spin_porteous_class(c_spin))
-    h4_minus = odd_theta_count(4) * sh4_minus
     h4 = m4_specialize(canonical_jet_porteous_class(c_canonical))
-    hyp4_lambda2 = repo.catalog_class("Hyp4").coeff("lam^2")
-    h4_plus = h4 - hyperelliptic_weierstrass_count(4) * hyp4_lambda2 - h4_minus
+    (sn, sd), (hn, hd) = _ratio(sh4_minus), _ratio(h4)
+    yn, yd = _ratio(repo.catalog_class("Hyp4").coeff("lam^2"))
+    odd = odd_theta_count(4)
+    h4_minus = _ratio_sum([(odd * sn, sd)])
+    h4_plus = _ratio_sum([(hn, hd), (-hyperelliptic_weierstrass_count(4) * yn, yd), (-odd * sn, sd)])
     return dict(zip(_LOCI, (sh4_minus, h4_minus, h4, h4_plus)))

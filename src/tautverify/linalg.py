@@ -9,10 +9,15 @@ row supports with a stated width, and elimination, kernels and row spaces
 take and return supports.  One parser, `_ratio`, turns a number (an int, a
 Fraction or a rational string; never a bool or a float) into an int pair, at
 the point where a data file or a kernel entry point reads it, so load builds
-supports without a Fraction round trip.  Fractions are built only for values
-read as Fractions (golden values, family values, stored relations and count
-constants, through `as_fraction`) and where a value leaves the kernels: a dot
-product, the entries of a solution, an inconsistency witness.
+supports without a Fraction round trip.  One constructor, `_number`, turns
+an int pair back into an exact value where one leaves the kernels (a dot
+product, a sum of ratios, a dense vector, the entries of a solution, an
+inconsistency witness) or is read as a value at load (golden values, family
+values, stored relations and count constants, through `as_fraction`): an
+int when the value is integral, a Fraction only when it is not.  The two
+agree as values, since ``Fraction(n) == n``, ``hash(Fraction(n)) ==
+hash(n)`` and ``str(Fraction(n)) == str(n)``, and an int costs no
+normalising constructor and compares without Fraction's ABC check.
 Every keyed sum of products in the package (map images, basis reductions,
 divisor alias expansions, special images, gluing restrictions and their
 right-hand sides, class arithmetic, polynomial term collection) goes through
@@ -34,9 +39,11 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionError
 
-Vector = tuple[Fraction, ...]
+# an exact value: an int if it is integral, else a Fraction whose denominator is > 1
+Number = int | Fraction
+Vector = tuple[Number, ...]
 Support = tuple[tuple[int, int, int], ...]
-_ZERO = Fraction(0)
+_ZERO = 0
 # an int or a rational string with an unsigned denominator: the fast path of `_ratio`
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
 
@@ -68,9 +75,19 @@ def _ratio(x) -> tuple[int, int]:
     raise TypeError(f"exact rational expected, got {kind.__name__}: {x!r}")
 
 
-def as_fraction(x) -> Fraction:
-    """An int, a Fraction or a rational string as a Fraction (see `_ratio`)."""
-    return x if type(x) is Fraction else Fraction(*_ratio(x))
+def _number(n: int, d: int) -> Number:
+    """The exact value n / d of an int pair in lowest terms with d > 0: n if d == 1, else a Fraction."""
+    return n if d == 1 else Fraction(n, d)
+
+
+def as_fraction(x) -> Number:
+    """An int, a Fraction or a rational string (see `_ratio`) as an exact value.
+
+    The value is an int when it is integral and a Fraction, whose
+    denominator is then greater than 1, when it is not; so an integral
+    Fraction comes back as an int.
+    """
+    return _number(*_ratio(x))
 
 
 def _support_of(xs: Iterable) -> Support:
@@ -82,7 +99,7 @@ def _from_support(s: Support, width: int) -> Vector:
     """The dense vector of length `width` whose nonzero entries are `s`."""
     v = [_ZERO] * width
     for i, n, d in s:
-        v[i] = Fraction(n, d)
+        v[i] = _number(n, d)
     return tuple(v)
 
 
@@ -127,13 +144,12 @@ def _pair_sum(ratios: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Fraction:
+def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Number:
     """Exact sum of n / d over int pairs with d > 0."""
-    n, d = _pair_sum(ratios)
-    return Fraction(n, d) if n else _ZERO
+    return _number(*_pair_sum(ratios))
 
 
-def _dot(xs: Support, ys: Support) -> Fraction:
+def _dot(xs: Support, ys: Support) -> Number:
     """Exact sum of x_i * y_i over the indices that both supports hold."""
     right = {i: (n, d) for i, n, d in ys}
     num, den = 0, 1
@@ -146,7 +162,8 @@ def _dot(xs: Support, ys: Support) -> Fraction:
             else:
                 g = gcd(den, d)
                 num, den = num * (d // g) + n * (den // g), den // g * d
-    return Fraction(num, den) if num else _ZERO
+    g = gcd(num, den)
+    return _number(num // g, den // g)
 
 
 def _transpose(rows: Sequence[Support], width: int) -> list[Support]:
@@ -158,7 +175,7 @@ def _transpose(rows: Sequence[Support], width: int) -> list[Support]:
     return [tuple(c) for c in cols]
 
 
-def det3(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+def det3(rows: Sequence[Sequence[Number]]) -> Number:
     """Determinant of a 3x3 matrix given as three rows (used by the basis check)."""
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise DimensionError("det3 needs a 3x3 matrix")
@@ -192,7 +209,7 @@ class Inconsistent:
 
     __slots__ = ("witness_rhs",)
 
-    def __init__(self, witness_rhs: Fraction):
+    def __init__(self, witness_rhs: Number):
         self.witness_rhs = witness_rhs
 
     def __eq__(self, other):
@@ -287,12 +304,12 @@ def solve_exact(rows: Sequence[Support], rhs: Sequence, width: int) -> Solution 
     reduced, pivots = _rref_rows(augmented, width)
     for row in reduced:
         if row and row[0][0] == width:
-            return Inconsistent(Fraction(row[0][1], row[0][2]))
+            return Inconsistent(_number(row[0][1], row[0][2]))
     x = [_ZERO] * width
     for row, c in zip(reduced, pivots):
         j, n, d = row[-1]
         if j == width:
-            x[c] = Fraction(n, d)
+            x[c] = _number(n, d)
     return Solution(tuple(x), width - len(pivots))
 
 

@@ -13,19 +13,19 @@ in the keyed int accumulator of `linalg`, keyed by exponent tuple.  A
 polynomial's terms never exceed its own maximum degree, so truncation runs
 only where it can drop a term: `+` and `-` filter only an operand whose bound
 is above the result's, `scale` filters nothing, and `*` skips a pair of terms
-above the bound before it builds the pair's exponents.  A Fraction is built
-only where `coeff` reads a coefficient.
+above the bound before it builds the pair's exponents.  `coeff` reads a
+coefficient as an exact value: an int where it is integral, and a Fraction
+only where it is not (see `linalg._number`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from operator import add, mul
 from typing import Iterable
 
 from .errors import DegreeError
-from .linalg import _ZERO, _combine, _ratio
+from .linalg import _ZERO, Number, _combine, _number, _ratio
 
 SYMBOLS = ("psi", "lam", "lam1", "lam2", "kappa0", "kappa1", "kappa2", "kappa3")
 WEIGHTS = {"psi": 1, "lam": 1, "lam1": 1, "lam2": 2, "kappa0": 0, "kappa1": 1, "kappa2": 2, "kappa3": 3}
@@ -88,7 +88,7 @@ class TruncatedPoly:
         return hash((self.max_degree, self.triples))
 
     @classmethod
-    def from_terms(cls, terms: Mapping[Exps, Fraction] | Iterable[tuple[Exps, Fraction]], max_degree: int) -> "TruncatedPoly":
+    def from_terms(cls, terms: Mapping[Exps, Number] | Iterable[tuple[Exps, Number]], max_degree: int) -> "TruncatedPoly":
         items = terms.items() if isinstance(terms, Mapping) else terms
         triples = ((_full_length(e), *_ratio(c)) for e, c in items)
         return cls(max_degree, _collect(triples, max_degree))
@@ -105,11 +105,11 @@ class TruncatedPoly:
     def constant(cls, coeff, max_degree: int = 4) -> "TruncatedPoly":
         return cls.monomial({}, coeff, max_degree)
 
-    def coeff(self, powers: Mapping[str, int]) -> Fraction:
+    def coeff(self, powers: Mapping[str, int]) -> Number:
         target = _exps_from_powers(powers)
         for exps, n, d in self.triples:
             if exps == target:
-                return Fraction(n, d)
+                return _number(n, d)
         return _ZERO
 
     def __add__(self, other: "TruncatedPoly") -> "TruncatedPoly":

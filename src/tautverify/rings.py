@@ -25,15 +25,15 @@ degree, {label: support})`, so applying it is one lookup and one loop; a
 product of two divisor classes reads the product of each pair of generators
 from a table indexed by their basis positions.
 A class is stored as its support only (its nonzero coefficients as int
-triples, see `linalg`); its dense Fraction coefficients are derived from the
-support when first read.  Every reduction, product, map image, class sum
-and linear solve walks supports through the `linalg` kernels, and a class
-made by a kernel holds the support the kernel returned.
+triples, see `linalg`); its dense coefficients, exact values that are ints
+where integral (see `linalg._number`), are derived from the support when
+first read.  Every reduction, product, map image, class sum and linear
+solve walks supports through the `linalg` kernels, and a class made by a
+kernel holds the support the kernel returned.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -45,18 +45,20 @@ from .errors import (
 )
 from .linalg import (
     Inconsistent,
+    Number,
     Solution,
     Support,
     _ZERO,
     _combine,
     _from_support,
+    _number,
     _ratio,
     _transpose,
     as_fraction,
     solve_exact,
 )
 
-Formal = Mapping[str, Fraction]
+Formal = Mapping[str, Number]
 
 
 def product_label(basis_index: Mapping[str, int], a: str, b: str) -> str:
@@ -91,19 +93,20 @@ class TautClass:
         return f"TautClass(space={self.space!r}, degree={self.degree!r}, support={self.support!r})"
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """Every coefficient over the basis of the class's degree, as Fractions, built on first read."""
+    def coeffs(self) -> tuple[Number, ...]:
+        """Every coefficient over the basis of the class's degree, built on first read.
+
+        Each is an exact value: an int where it is integral, else a Fraction.
+        """
         try:
             return self._coeffs
         except AttributeError:
             self._coeffs = _from_support(self.support, len(self.space.basis(self.degree)))
             return self._coeffs
 
-    def coeff(self, label: str) -> Fraction:
-        i = self.space.basis_index(self.degree).get(label)
-        if i is None:
-            raise UnknownLabelError(f"{label!r} is not a degree-{self.degree} basis label of {self.space.id}")
-        return next((Fraction(n, d) for j, n, d in self.support if j == i), _ZERO)
+    def coeff(self, label: str) -> Number:
+        i = self.space.label_position(self.degree, label)
+        return next((_number(n, d) for j, n, d in self.support if j == i), _ZERO)
 
     def is_zero(self) -> bool:
         return not self.support
@@ -149,7 +152,7 @@ class RingSpace:
         # basis label or alias divisor symbol (e.g. psi_i on the two-pointed
         # genus-1 space) -> the support of its vector over divisor_basis
         divisor_supports: Mapping[str, Support],
-        relations: tuple[dict[str, Fraction], ...],
+        relations: tuple[dict[str, Number], ...],
         # special symbol -> the support of its vector over codim2_basis; bare
         # int tuples, so that a space and its classes form no reference cycle
         # and a dropped load is freed at once
@@ -189,6 +192,13 @@ class RingSpace:
         self.basis(degree)  # rejects a degree other than 1 or 2
         return self.divisor_index if degree == 1 else self.codim2_index
 
+    def label_position(self, degree: int, label: str) -> int:
+        """The position of a basis label in the basis of `degree`; another label raises."""
+        i = self.basis_index(degree).get(label)
+        if i is None:
+            raise UnknownLabelError(f"{label!r} is not a degree-{degree} basis label of {self.id}")
+        return i
+
     def zero(self, degree: int) -> TautClass:
         self.basis(degree)  # rejects a degree other than 1 or 2
         return TautClass(self, degree, ())
@@ -207,7 +217,7 @@ class RingSpace:
         return TautClass(self, degree, tuple(sorted(entries)))
 
     def basis_class(self, degree: int, label: str) -> TautClass:
-        return self.from_dict(degree, {label: 1})
+        return TautClass(self, degree, ((self.label_position(degree, label), 1, 1),))
 
 
 def _labelled(table: Mapping[str, Support], coeffs: Mapping[str, object], unknown) -> Support:
@@ -329,10 +339,15 @@ def divisor_product(a: TautClass, b: TautClass) -> TautClass:
         row = space.product_supports[i]
         for j, nb, db in b.support:
             if row[j] is None:
-                label = product_label(space.divisor_index, space.divisor_basis[i], space.divisor_basis[j])
-                raise UnknownLabelError(f"{label!r} cannot be reduced on {space.id}")
+                raise _no_product(space, i, j)
             terms.append((na * nb, da * db, row[j]))
     return TautClass(space, 2, _combine(terms))
+
+
+def _no_product(space: RingSpace, i: int, j: int) -> UnknownLabelError:
+    """The error for divisor generators i and j of a space that defines no product of them."""
+    label = product_label(space.divisor_index, space.divisor_basis[i], space.divisor_basis[j])
+    return UnknownLabelError(f"{label!r} cannot be reduced on {space.id}")
 
 
 def special_expand(space: RingSpace, symbol: str) -> TautClass:
@@ -485,7 +500,7 @@ def _on_factor(factors: Sequence[RingSpace], fac: int, support: Support) -> Supp
 
 def solve_boundary_class(
     gluing: GluingRestriction, weierstrass: TautClass
-) -> tuple[dict[str, Fraction], TautClass, Solution] | Inconsistent:
+) -> tuple[dict[str, Number], TautClass, Solution] | Inconsistent:
     """Express a Weierstrass boundary locus in the boundary-divisor sub-basis.
 
     Sets up the linear system ``sum_i x_i * restriction(label_i) = pullback of

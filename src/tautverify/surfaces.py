@@ -15,17 +15,17 @@ A functional holds the RingSpace of the family's target, so a class is
 paired with it without naming a space again.  Pairings run on supports (see
 `linalg`): the Gram matrix is kept as its row supports, and a functional
 keeps the support of its values over the codim-2 basis, so evaluating a
-class walks two int supports.
+class walks two int supports.  Values and pairings are exact: an int where
+integral, else a Fraction (see `linalg._number`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DataError, DegreeError, DimensionError, SpaceMismatchError, UnknownLabelError
-from .linalg import Support, _combine, _dot, _ratio, _ratio_sum, _support_of, _transpose, as_fraction
+from .linalg import Number, Support, _combine, _dot, _ratio, _ratio_sum, _support_of, _transpose, as_fraction
 from .rings import RingSpace, TautClass
 
 DERIVED = "derived"
@@ -45,11 +45,11 @@ class SurfaceFunctional:
         space: RingSpace,
         lattice_labels: tuple[str, ...],
         gram: tuple[Support, ...],  # the rows of the symmetric Gram matrix
-        values: Mapping[str, Fraction],
+        values: Mapping[str, Number],
         provenance: Mapping[str, str],
         # label -> lattice value: every formal product, basis or not, and
         # special product
-        derived: Mapping[str, Fraction],
+        derived: Mapping[str, Number],
     ):
         self.id, self.space, self.lattice_labels, self.gram = id, space, lattice_labels, gram
         self.values, self.provenance, self.derived = values, provenance, derived
@@ -65,14 +65,14 @@ def _gram_times(gram: Sequence[Support], w: Support) -> Support:
     return _combine((n, d, gram[j]) for j, n, d in w)
 
 
-def _pair(id: str, gram: Sequence[Support], v: Sequence, w: Sequence) -> Fraction:
+def _pair(id: str, gram: Sequence[Support], v: Sequence, w: Sequence) -> Number:
     vs, ws = _support_of(v), _support_of(w)
     if len(v) != len(gram) or len(w) != len(gram):
         raise DimensionError(f"{id}: lattice vectors must have length {len(gram)}")
     return _dot(vs, _gram_times(gram, ws))
 
 
-def pair_on_surface(functional: SurfaceFunctional, v: Sequence, w: Sequence) -> Fraction:
+def pair_on_surface(functional: SurfaceFunctional, v: Sequence, w: Sequence) -> Number:
     """Intersection number v . w on the base surface: v^T Gram w."""
     return _pair(functional.id, functional.gram, v, w)
 
@@ -129,7 +129,7 @@ def make_surface(
             raise DataError(f"{id}: special product for formal product {label!r}")
         derived[label] = _ratio_sum(_ratio(_pair(id, gram, v, w)) for v, w in pairs)
 
-    values: dict[str, Fraction] = {}
+    values: dict[str, Number] = {}
     prov: dict[str, str] = {}
     for label in dict.fromkeys((*space.codim2_basis, *stated, *special_products)):
         lattice_value = derived.get(label)
@@ -145,7 +145,7 @@ def make_surface(
     return SurfaceFunctional(id, space, labels, gram, values, prov, derived)
 
 
-def evaluate(functional: SurfaceFunctional, c: TautClass) -> Fraction:
+def evaluate(functional: SurfaceFunctional, c: TautClass) -> Number:
     """Pair the functional with a codim-2 class: sum of value * coefficient."""
     if c.space is not functional.space:
         raise SpaceMismatchError(
@@ -156,7 +156,7 @@ def evaluate(functional: SurfaceFunctional, c: TautClass) -> Fraction:
     return _dot(c.support, functional.support)
 
 
-def evaluate_formal_products(functional: SurfaceFunctional, formal: Mapping[str, object]) -> Fraction:
+def evaluate_formal_products(functional: SurfaceFunctional, formal: Mapping[str, object]) -> Number:
     """Pair a formal divisor-product vector with the family via raw Gram pairings.
 
     It reads the lattice values built at load, bypassing both the basis

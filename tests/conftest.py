@@ -37,6 +37,11 @@ rationals = st.sampled_from(_small_rationals)
 sparse_rationals = st.sampled_from([Fraction(0)] * len(_small_rationals) + _small_rationals)
 
 
+def is_exact_value(x) -> bool:
+    """An exact value as the package returns one: an int, or a Fraction that is not integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def mat(rows):
     """A matrix given by dense rows of ints or Fractions, as the row supports the kernels take."""
     return [_support_of(r) for r in rows]

@@ -26,8 +26,12 @@ from tautverify.checks import (
     solve_multiplicities,
 )
 from tautverify.cli import main
-from tautverify.data import Repo
-from tautverify.errors import UnknownNameError
+from tautverify.data import SPACE_IDS, SURFACE_IDS, Repo
+from tautverify.errors import UnknownLabelError, UnknownNameError
+from tautverify.linalg import Inconsistent
+from tautverify.rings import TautClass, divisor_product
+
+from conftest import is_exact_value
 
 CANONICAL_REPORT = Path(__file__).parent / "data" / "canonical_report.json"
 
@@ -198,7 +202,8 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
         assert calls["solve_boundary_class"] == 2
         assert [calls[f] for f in ("compute_hyp31", "compute_w2", "compute_f31", "compute_h4plus")] == [1, 1, 1, 1]
         assert (calls["jet_bundle_chern"], calls["jet_sum"]) == (2, 2)
-        assert (calls["divisor_product"], calls["pair_on_surface"], calls["evaluate"]) == (32, 0, 52)
+        # unit-class products are read from the table load built, not recomputed
+        assert (calls["divisor_product"], calls["pair_on_surface"], calls["evaluate"]) == (7, 0, 52)
         assert (calls["todd_inverse"], calls["series_inverse"]) == (1, 1)
 
 
@@ -253,8 +258,8 @@ def test_a_warm_run_builds_classes_through_the_plain_init(repo):
 
 
 def test_golden_values_are_parsed_once_at_load(repo, monkeypatch):
-    # load turns every golden number into a Fraction, so a warm run hands
-    # as_fraction no string to parse, in any module that imports it
+    # load turns every golden number into an exact value, so a warm run
+    # hands as_fraction no string to parse, in any module that imports it
     def leaves(node):
         if isinstance(node, dict):
             node = list(node.values())
@@ -270,7 +275,7 @@ def test_golden_values_are_parsed_once_at_load(repo, monkeypatch):
         return True
 
     golden = leaves(repo.golden)
-    assert all(type(v) in (Fraction, str) for v in golden)
+    assert all(type(v) is str or is_exact_value(v) for v in golden)
     assert not [v for v in golden if isinstance(v, str) and parses(v)]
     run_all(repo)
     seen = Counter()
@@ -285,6 +290,93 @@ def test_golden_values_are_parsed_once_at_load(repo, monkeypatch):
             monkeypatch.setattr(module, parser, counted)
     assert run_all(repo).all_passed
     assert seen[str] == 0 and seen[Fraction] > 0
+
+
+def _numbers(node):
+    """Every number held in a value that load or a check part holds; a bool or a text is none."""
+    if isinstance(node, (bool, str)) or node is None:
+        return
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, (list, tuple)):
+        for v in node:
+            yield from _numbers(v)
+    elif isinstance(node, TautClass):
+        yield from node.coeffs
+    elif isinstance(node, Inconsistent):
+        yield node.witness_rhs
+    else:
+        yield node
+
+
+def test_every_value_of_load_and_run_is_an_int_or_a_non_integral_fraction(repo):
+    catalog = json.loads(resources.files("tautverify").joinpath("data", "catalog.json").read_text())
+    counts = json.loads(resources.files("tautverify").joinpath("data", "counts.json").read_text())
+    loaded = {
+        "golden": repo.golden,
+        "relations": [repo.space(sid).relations for sid in SPACE_IDS],
+        "formal": [repo.formal_class(name) for name in catalog["formal_classes"]],
+        "catalog": [repo.catalog_class(name) for name in catalog["classes"]],
+        "families": [(f.values, f.derived) for f in map(repo.functional, SURFACE_IDS)],
+        "counts": [
+            (c.value, c.reevaluate(repo.counts)) for c in (repo.counts.get(e["id"]) for e in counts["constants"])
+        ],
+    }
+    for what, node in loaded.items():
+        values = list(_numbers(node))
+        assert values and all(is_exact_value(v) for v in values), what
+    run = Run(repo)
+    for check in CHECKS:
+        for name, expected, actual in check.fn(run):
+            assert all(is_exact_value(v) for v in _numbers((expected, actual))), (check.id, name)
+    assert all(is_exact_value(v) for v in run.lambda2.values())
+
+
+def test_divide_out_divides_exactly_by_an_int_multiplicity(repo):
+    run = Run(repo)
+    system = checks.F31_SYSTEM
+    assignment = run.solution("F31")[0]
+    known = run.known("F31")
+    rest = run.lhs("F31")
+    for comp, unknown in zip(system.components, system.unknowns):
+        if comp.ref:
+            rest = rest - known[comp.name].scale(assignment[unknown])
+        else:
+            divided = unknown
+    for n in (2, 3, -7, Fraction(3, 5)):
+        parts = []
+        got = checks._divide_out(run, system, {**assignment, divided: n}, parts)
+        assert got.coeffs == tuple(Fraction(x) / n for x in rest.coeffs)
+        assert all(is_exact_value(x) for x in got.coeffs)
+        assert parts == [("division_multiplicity_nonzero", True, True)]
+    parts = []
+    assert checks._divide_out(run, system, {**assignment, divided: 0}, parts) is None
+    assert parts == [("division_multiplicity_nonzero", True, False)]
+
+
+def test_products_missing_reads_the_products_load_stored(repo):
+    def reference(space, obstructions):
+        hits = []
+        for i, a in enumerate(space.divisor_basis):
+            for b in space.divisor_basis[i:]:
+                product = divisor_product(space.basis_class(1, a), space.basis_class(1, b))
+                hits.extend(f"{a}*{b}:{obs}" for obs in obstructions if product.coeff(obs))
+        return ",".join(hits) or "none"
+
+    for sid in ("M31", "M4"):
+        space = repo.space(sid)
+        assert checks._products_missing(space, space.codim2_basis) == reference(space, space.codim2_basis) != "none"
+    # an obstruction that is no codim-2 basis label raises as TautClass.coeff does
+    with pytest.raises(UnknownLabelError, match=r"^'mystery' is not a degree-2 basis label of M31$"):
+        checks._products_missing(repo.space("M31"), ("kappa2", "mystery"))
+    # a space that stores no products names the first product it lacks, as divisor_product does
+    pic_only = repo.space("M21")
+    gen = pic_only.basis_class(1, pic_only.divisor_basis[0])
+    with pytest.raises(UnknownLabelError) as err:
+        checks._products_missing(pic_only, ())
+    with pytest.raises(UnknownLabelError) as ref:
+        divisor_product(gen, gen)
+    assert str(err.value) == str(ref.value)
 
 
 def test_run_check_alone_matches_run_all(repo):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from tautverify.counts import (
+    CountRegistry,
     abel_difference_degree,
     even_theta_count,
     mixed_difference_degree,
@@ -11,6 +12,8 @@ from tautverify.counts import (
     scorza_triple_degree,
 )
 from tautverify.errors import UnknownNameError
+
+from conftest import is_exact_value
 
 
 @pytest.mark.parametrize("d, expected", [(1, 8), (2, 72), (3, 288)])
@@ -90,3 +93,20 @@ def test_sides_decomposition(repo):
     total = repo.counts.get("V2_H4plus").value
     cases = [repo.counts.get(f"V2_case_{c}").value for c in ("even_tail", "odd_tail", "interior")]
     assert total == sum(cases)
+
+
+@pytest.mark.parametrize(
+    "expr, value",
+    [
+        (["add", "1/2", "1/2"], 1),
+        (["sub", "7/3", "1/3"], 2),
+        (["mul", "3/4", ["torsion", 2]], 3),
+        (["mul", "3/4", 2], F(3, 2)),
+        (["sub", ["odd_theta", 2], 1], 5),
+    ],
+)
+def test_a_count_expression_is_an_int_where_it_is_integral(expr, value):
+    # Fraction arithmetic can give an integral Fraction; the registry hands back an int
+    registry = CountRegistry({"constants": [{"id": "c", "value": str(value), "expr": expr}]})
+    got = registry.get("c").reevaluate(registry)
+    assert got == value and is_exact_value(got)

@@ -166,6 +166,23 @@ def test_import_leaves_importlib_resources_unloaded():
     assert out.stdout == "[]\n"
 
 
+@pytest.mark.parametrize(
+    "prefix, replace",
+    [(b"\xff\xfe", True), (b"\xef\xbb\xbf", False)],
+    ids=["not_utf8", "utf8_bom"],
+)
+def test_a_file_that_is_not_plain_utf8_json_is_a_data_error(tmp_path, capsys, prefix, replace):
+    # bytes that are not UTF-8 fail to decode; a UTF-8 byte order mark decodes
+    # but is no JSON; either way the error names the file and exits 2
+    data_dir = _copy_embedded(tmp_path)
+    path = data_dir / "spaces" / "m31.json"
+    path.write_bytes(prefix + (b'{"id": "M31"}' if replace else path.read_bytes()))
+    with pytest.raises(DataError, match="spaces/m31.json"):
+        Repo(data_dir)
+    assert main(["--data-dir", str(data_dir), "run-all"]) == 2
+    assert "spaces/m31.json" in capsys.readouterr().err
+
+
 def _set(*keys, value):
     def edit(raw):
         node = raw

@@ -24,7 +24,7 @@ from tautverify.linalg import (
 from tautverify.poly import _collect, _exps_from_powers, monomial_degree
 from tautverify.rings import apply_hom
 
-from conftest import _small_rationals, mat, mul_vec, rationals, sparse_rationals
+from conftest import _small_rationals, is_exact_value, mat, mul_vec, rationals, sparse_rationals
 
 
 def identity(n):
@@ -201,7 +201,11 @@ def test_left_kernel_support_is_the_droppable_rows(m):
 
 
 def dense_rref_rows(rows, width):
-    """Reference: Gauss-Jordan elimination that does arithmetic on every entry, zeros included."""
+    """Reference: Gauss-Jordan elimination that does arithmetic on every entry, zeros included.
+
+    The entries become Fractions first, so that `/` divides exactly.
+    """
+    rows[:] = [[F(x) for x in r] for r in rows]
     pivots = []
     r = 0
     for c in range(width):
@@ -300,6 +304,7 @@ def test_basis_m31_pullback_matches_dense_oracle(repo):
     m31 = repo.space("M31")
     theta = repo.hom("theta_star")
     rows = [apply_hom(theta, m31.basis_class(2, lbl)).coeffs for lbl in m31.codim2_basis]
+    assert all(is_exact_value(x) for r in rows for x in r)
     assert max(x.denominator for r in rows for x in r) == 300
     for m in (rows, list(zip(*rows))):
         assert_elimination_matches_dense(len(m[0]), [list(r) + [F(1, 7 + i)] for i, r in enumerate(m)])
@@ -333,8 +338,8 @@ _KEYS = [
 keyed_terms = st.tuples(st.integers(0, 3), st.lists(st.tuples(st.sampled_from(_KEYS), kernel_entries), max_size=12))
 
 
-def _normalised_fractions(xs):
-    return all(type(x) is F and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1 for x in xs)
+def _normalised_values(xs):
+    return all(is_exact_value(x) and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1 for x in xs)
 
 
 def _is_support_of(s, xs):
@@ -354,11 +359,11 @@ def test_kernel_matches_plain_fraction_sums(case, pairs, keyed):
     expected = tuple(sum((F(c) * F(v[i]) for c, v in terms), F(0)) for i in range(width))
     assert _is_support_of(combined, expected)
     assert _from_support(combined, width) == expected
-    assert _normalised_fractions(_from_support(combined, width))
+    assert _normalised_values(_from_support(combined, width))
 
     dot = _dot(_support_of([x for x, _ in pairs]), _support_of([y for _, y in pairs]))
     assert dot == sum((F(x) * F(y) for x, y in pairs), F(0))
-    assert _normalised_fractions([dot])
+    assert _normalised_values([dot])
 
     # the same accumulator keyed by exponent tuple: zero sums and monomials
     # above the maximum degree are dropped, the rest sorted by key
@@ -401,7 +406,7 @@ def test_ratio_agrees_with_fraction(x):
     n, d = _ratio(x)
     assert type(n) is int and type(d) is int
     assert (n, d) == (F(x).numerator, F(x).denominator)
-    assert type(as_fraction(x)) is F and as_fraction(x) == F(x)
+    assert is_exact_value(as_fraction(x)) and as_fraction(x) == F(x)
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from tautverify.rings import (
     special_expand,
 )
 
-from conftest import rationals, sparse_rationals
+from conftest import is_exact_value, rationals, sparse_rationals
 
 
 def cls(space, degree, coeffs):
@@ -209,7 +209,7 @@ def test_classes_made_by_the_kernel_keep_their_true_support(repo, data):
     ]
     for c in made:
         assert c.support == _support_of(c.coeffs)
-        assert all(type(v) is F for v in c.coeffs)
+        assert all(is_exact_value(v) for v in c.coeffs)
 
 
 # --- special expansions ---------------------------------------------------
@@ -286,7 +286,7 @@ def test_coeff_reads_every_basis_label_of_every_catalog_class(repo):
         c = repo.catalog_class(name)
         for i, label in enumerate(c.space.basis(c.degree)):
             got = c.coeff(label)
-            assert type(got) is F and got == c.coeffs[i], (name, label)
+            assert is_exact_value(got) and got == c.coeffs[i], (name, label)
 
 
 def test_coeff_rejects_unknown_label(repo):
@@ -295,6 +295,17 @@ def test_coeff_rejects_unknown_label(repo):
         c.coeff("nope")
     with pytest.raises(UnknownLabelError, match=r"^'lam\^2' is not a degree-1 basis label of M4$"):
         c.coeff("lam^2")
+
+
+def test_basis_class_rejects_an_unknown_label_as_from_dict_does(repo):
+    m31 = repo.space("M31")
+    for degree in (1, 2):
+        assert m31.basis_class(degree, m31.basis(degree)[-1]) == m31.from_dict(degree, {m31.basis(degree)[-1]: 1})
+        with pytest.raises(UnknownLabelError) as made:
+            m31.basis_class(degree, "mystery")
+        with pytest.raises(UnknownLabelError) as read:
+            m31.from_dict(degree, {"mystery": 1})
+        assert str(made.value) == str(read.value) == f"'mystery' is not a degree-{degree} basis label of M31"
 
 
 def test_catalog_unknown_name(repo):
@@ -386,7 +397,7 @@ def test_apply_hom_matches_reference_sum(repo, data):
         for c in inputs:
             out = apply_hom(hom, c)
             assert (out.space, out.degree, out.coeffs) == (cod, out_degree, reference)
-            assert all(type(x) is F for x in out.coeffs)
+            assert all(is_exact_value(x) for x in out.coeffs)
         if degree == 2:
             with pytest.raises(MissingImageError) as err:
                 apply_hom(hom, {**formal, "mystery": F(1)})

@@ -20,7 +20,7 @@ from tautverify.surfaces import (
     pair_on_surface,
 )
 
-from conftest import rationals, sparse_rationals
+from conftest import is_exact_value, rationals, sparse_rationals
 
 SURFACE_TABLES = Path(__file__).parent / "data" / "surface_tables.txt"
 SHOW_TABLES = Path(__file__).resolve().parent.parent / "scripts" / "show_tables.py"
@@ -96,7 +96,7 @@ def test_sparse_arithmetic_matches_dense_formulas(repo, data):
     assert total == tuple(p + q for p, q in zip(x, y))
     assert diff == tuple(p - q for p, q in zip(x, y))
     assert scaled == tuple(t * p for p in x)
-    assert all(type(z) is F for z in (pairing, *total, *diff, *scaled))
+    assert all(is_exact_value(z) for z in (pairing, *total, *diff, *scaled))
 
 
 def test_functional_s1_nonzero_entries(repo):
