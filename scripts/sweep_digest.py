@@ -8,11 +8,12 @@ entry of the golden file deleted (``comment`` and ``anchor`` keys skipped).
 Each site runs ``Repo(dir)`` and ``run_all`` on a copy of the data dir in a
 temporary directory and prints
 
-    <site> <class> <exception type or -> <sha256 prefix>
+    <site> <class> <exception type or -> <sha256 prefix> [<failing checks>]
 
 where the hash covers the canonical JSON report, or the exception text with
-the data-dir path stripped.  A refactor must leave the output byte-identical
-to ``tests/data/sweep_digest.txt``:
+the data-dir path stripped, and a ``caught`` line ends with the sorted,
+comma-separated ids of the checks that fail.  A refactor must leave the
+output byte-identical to ``tests/data/sweep_digest.txt``:
 
     python3 scripts/sweep_digest.py > digest.txt
     cmp digest.txt tests/data/sweep_digest.txt
@@ -44,7 +45,7 @@ def _digest(text: str) -> str:
 
 
 def outcome(work: Path) -> str:
-    """`<class> <exception type or -> <hash>` of one load and run over `work`."""
+    """`<class> <exception type or -> <hash> [<failing checks>]` of one load and run over `work`."""
     try:
         repo = Repo(work)
     except TautVerifyError as exc:
@@ -55,8 +56,10 @@ def outcome(work: Path) -> str:
         report = run_all(repo)
     except Exception as exc:  # same: a check that raises aborts the run
         return _failed(sweep.ABORTED, exc, work)
-    cls = sweep.UNDETECTED if report.all_passed else sweep.CAUGHT
-    return f"{cls} - {_digest(report.to_json())}"
+    line = f"- {_digest(report.to_json())}"
+    if report.all_passed:
+        return f"{sweep.UNDETECTED} {line}"
+    return f"{sweep.CAUGHT} {line} {','.join(sorted(r.id for r in report.results if not r.passed))}"
 
 
 def _failed(cls: str, exc: Exception, work: Path) -> str:

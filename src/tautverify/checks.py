@@ -10,9 +10,9 @@ them, with `==`, and alone formats them: a passing check prints each
 expected value once, a failing one both sides of its differing parts only,
 so a 16-entry vector mismatch reports just the offending entries.  Both
 sides of a part have one type, since `==` tells a tuple from a list and True
-from 1.  Four parts stay text, because their report text is no value's
-format: the surface_tables mismatch list, the two obstruction lists, the
-cofactor's "inconsistent (X)" and the printed order-0 spin character.
+from 1.  Three parts stay text, because their report text is no value's
+format: the surface_tables mismatch list, the two obstruction lists and the
+cofactor's "inconsistent (X)".
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from .linalg import (
     Number,
     Solution,
     _ZERO,
+    _combine,
+    _ratio,
     _support_of,
     _transpose,
     det3,
@@ -55,7 +57,6 @@ from .rings import (
     _no_product,
     apply_hom,
     divisor_product,
-    reduce_to_basis,
     solve_boundary_class,
     special_expand,
 )
@@ -441,23 +442,28 @@ def solve_multiplicities(system_id: str, run: Run):
     return assignment, redundant, parts
 
 
-def _divide_out(run: Run, system: MultiplicitySystem, assignment: dict, parts: list[Part]) -> TautClass | None:
+def _divide_out(run: Run, system: MultiplicitySystem, assignment: dict, parts: list[Part]) -> TautClass:
     """The unknown component's class, from the solved multiplicities.
 
     The left-hand product minus each known component times its multiplicity,
     divided by the multiplicity of the unknown component.  Appends whether
-    that multiplicity is nonzero to `parts`; returns None if it is zero.
+    that multiplicity is nonzero to `parts`.  A failed solve (no assignment)
+    or a zero multiplicity gives the zero class, which fails the class part.
     """
     rest = run.lhs(system.id)
+    if not assignment:
+        return rest.space.zero(rest.degree)
     known = run.known(system.id)
     for comp, unknown in zip(system.components, system.unknowns):
         if comp.ref:
             rest = rest - known[comp.name].scale(assignment[unknown])
         else:
-            n = assignment[unknown]
-    parts.append(("division_multiplicity_nonzero", True, n != 0))
-    # Fraction(1, n), not 1 / n: an int multiplicity divides exactly
-    return rest.scale(Fraction(1, n)) if n else None
+            num, den = _ratio(assignment[unknown])
+    parts.append(("division_multiplicity_nonzero", True, num != 0))
+    if not num:
+        return rest.space.zero(rest.degree)
+    # scale by 1/n as an int pair, its sign in the numerator: no Fraction is built
+    return TautClass(rest.space, rest.degree, _combine(((den if num > 0 else -den, abs(num), rest.support),)))
 
 
 # --- individual checks ----------------------------------------------------
@@ -502,12 +508,9 @@ def _parts_prop4(run: Run) -> list[Part]:
     m31 = repo.space("M31")
     theta = repo.hom("theta_star")
     golden = repo.golden["prop4"]
-    parts: list[Part] = []
-    # the dependent-product identity is the stored relation; it must die both
-    # on the space itself and under the gluing pullback
-    rel = m31.relations[0]
-    parts.append(("lam_d11_relation_reduces", m31.zero(2), reduce_to_basis(m31, rel)))
-    parts.append(("lam_d11_relation_pullback", theta.codomain.zero(2), apply_hom(theta, rel)))
+    # the dependent-product identity is the stored relation, which load has
+    # reduced to zero on M31; it must also die under the gluing pullback
+    parts: list[Part] = [("lam_d11_relation_pullback", theta.codomain.zero(2), apply_hom(theta, m31.relations[0]))]
     for sym in ("d00", "d1|1", "gamma1", "gamma2"):
         expansion = special_expand(m31, sym)
         parts.append(
@@ -590,34 +593,27 @@ def compute_w2(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
 def compute_f31(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
     """Assemble the marked-hyperflex class from the solved multiplicities.
 
-    An inconsistent system (its solve parts carry the certificate) or a zero
-    division multiplicity gives the zero class.
+    The solve's own parts belong to multiplicities_f31.  An inconsistent
+    system or a zero division multiplicity gives the zero class, which fails
+    the class part.
     """
-    m31 = run.repo.space("M31")
-    golden = run.repo.golden["f31"]
-    assignment, _, solve_parts = run.solution("F31")
-    parts = list(solve_parts)
-    result = _divide_out(run, F31_SYSTEM, assignment, parts) if assignment else None
-    if result is None:
-        return {"F31_theorem": m31.zero(2)}, parts
-    parts.append(("class", m31.from_dict(2, golden["class"]), result))
+    parts: list[Part] = []
+    result = _divide_out(run, F31_SYSTEM, run.solution("F31")[0], parts)
+    parts.append(("class", result.space.from_dict(2, run.repo.golden["f31"]["class"]), result))
     return {"F31_theorem": result}, parts
 
 
 def compute_h4plus(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
-    """Assemble the even-theta triple-vanishing class from the solved system."""
-    m4 = run.repo.space("M4")
+    """Assemble the even-theta triple-vanishing class from the solved system, as compute_f31 does.
+
+    The system's lam^2 row makes the class's lam^2 entry the pipeline's
+    H4_plus value whenever the class is not the zero class.
+    """
     golden = run.repo.golden["h4plus"]
-    assignment, _, solve_parts = run.solution("H4plus")
-    parts = list(solve_parts)
-    if not assignment:
-        return {"H4plus_theorem": m4.zero(2)}, parts
-    parts.append(("lhs_product", m4.from_dict(2, golden["lhs_product"]), run.lhs("H4plus")))
-    result = _divide_out(run, H4PLUS_SYSTEM, assignment, parts)
-    if result is None:
-        return {"H4plus_theorem": m4.zero(2)}, parts
-    parts.append(("class", m4.from_dict(2, golden["class"]), result))
-    parts.append(("lambda2_entry_agrees", run.lambda2["H4_plus"], result.coeff("lam^2")))
+    lhs = run.lhs("H4plus")
+    parts: list[Part] = [("lhs_product", lhs.space.from_dict(2, golden["lhs_product"]), lhs)]
+    result = _divide_out(run, H4PLUS_SYSTEM, run.solution("H4plus")[0], parts)
+    parts.append(("class", result.space.from_dict(2, golden["class"]), result))
     return {"H4plus_theorem": result}, parts
 
 
@@ -667,17 +663,11 @@ def _parts_surface_tables(run: Run) -> list[Part]:
 
 
 def _parts_relation_hygiene(run: Run) -> list[Part]:
+    # load has reduced every stored relation to zero on its own space
     repo = run.repo
-    parts: list[Part] = []
-    for sid in ("M31", "M4", "M22"):
-        space = repo.space(sid)
-        for i, rel in enumerate(space.relations):
-            parts.append(
-                (f"{sid}:relation{i}_reduces", space.zero(2), reduce_to_basis(space, rel))
-            )
     j3 = repo.hom("j3_star")
     rel_formal = repo.formal_class("kappa2_relation_M4")
-    parts.append(("kappa2_relation_pullback", j3.codomain.zero(2), apply_hom(j3, rel_formal)))
+    parts: list[Part] = [("kappa2_relation_pullback", j3.codomain.zero(2), apply_hom(j3, rel_formal))]
     for sid in SURFACE_IDS:
         functional = repo.functional(sid)
         for i, rel in enumerate(functional.space.relations):
@@ -738,12 +728,8 @@ def _parts_grr_spin(run: Run) -> list[Part]:
     top = grr_spin_character(GRR_MAX_ORDER)
     for order, key in ((4, "order4"), (2, "order2")):
         actual = lower_order_character(top, order)
-        actual_map = {
-            sym: actual.coeff({sym: 1}) for sym in ("kappa0", "kappa1", "kappa2", "kappa3")
-        }
-        actual_map = {k: v for k, v in actual_map.items() if v != 0}
-        parts.append((f"character_order{order}", golden[key], actual_map))
-    parts.append(("character_order0", "0", str(lower_order_character(top, 0))))
+        coeffs = {sym: actual.coeff({sym: 1}) for sym in ("kappa0", "kappa1", "kappa2", "kappa3")}
+        parts.append((f"character_order{order}", golden[key], {k: v for k, v in coeffs.items() if v != 0}))
     return parts
 
 
@@ -783,23 +769,14 @@ def _parts_enumerative(run: Run) -> list[Part]:
         parts.append((f"correspondence_class:{g}", tuple(v), (cc.a, cc.b, cc.c)))
     total, triple_parts = scorza_triple_degree()
     parts.append(("triple_total", golden["scorza_triple"]["total"], total))
-    parts.append(
-        ("triple_parts", tuple(golden["scorza_triple"]["parts"]), triple_parts)
-    )
-    parts.append(("triple_sum_consistent", 0, total - sum(triple_parts)))
+    parts.append(("triple_parts", tuple(golden["scorza_triple"]["parts"]), triple_parts))
     theta_count = {"odd": odd_theta_count, "even": even_theta_count}
     for key, v in golden["spin_cover"].items():
         g, parity = key.split(",")
         parts.append((f"spin_cover:{key}", v, theta_count[parity](int(g))))
+    # load has re-evaluated each constant from its decomposition
     for cid, v in golden["count_values"].items():
-        const = repo.counts.get(cid)
-        parts.append((f"count:{cid}", v, const.value))
-        parts.append((f"count_reevaluates:{cid}", const.value, const.reevaluate(repo.counts)))
-    # the two one-variable/two-variable formulas agree where they overlap
-    agree = all(
-        abel_difference_degree(d) == mixed_difference_degree(d + 1, d) for d in range(1, 11)
-    )
-    parts.append(("difference_formulas_agree", True, agree))
+        parts.append((f"count:{cid}", v, repo.counts.get(cid).value))
     return parts
 
 

@@ -13,6 +13,8 @@ from .errors import DegreeError
 from .poly import TruncatedPoly
 
 CHERN_MAX_DEGREE = 3
+# built once: `scale` reads each back as an int pair
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
 class ChernVector:
@@ -51,8 +53,8 @@ def chern_from_character(
         if not chi.is_pure_degree(i):
             raise DegreeError(f"ch{i} must have pure total degree {i}")
     c1 = ch1
-    c2 = (c1 * c1 - ch2.scale(2)).scale(Fraction(1, 2))
-    c3 = ch3.scale(2) - (c1 * c1 * c1).scale(Fraction(1, 3)) + c1 * c2
+    c2 = (c1 * c1 - ch2.scale(2)).scale(_HALF)
+    c3 = ch3.scale(2) - (c1 * c1 * c1).scale(_THIRD) + c1 * c2
     return ChernVector(rank, c1, c2, c3)
 
 

@@ -23,8 +23,12 @@ from .series import exp_scaled, jet_sum, todd_inverse
 
 GRR_MAX_ORDER = 4
 _KAPPA = ("kappa0", "kappa1", "kappa2", "kappa3")
+# the spin weight, and the lambda coefficient of c1 in spin_porteous_class;
+# built once, since the kernels read each back as an int pair
+_HALF = Fraction(1, 2)
+_SPIN_C1 = Fraction(-1, 4)
 # name -> (order n, weight w) of the jet bundles the pipelines use
-JET_BUNDLES = {"J2_spin": (2, Fraction(1, 2)), "J5_canonical": (5, 1)}
+JET_BUNDLES = {"J2_spin": (2, _HALF), "J5_canonical": (5, 1)}
 
 
 def grr_spin_character(order: int) -> TruncatedPoly:
@@ -38,7 +42,7 @@ def grr_spin_character(order: int) -> TruncatedPoly:
         raise DegreeError("order must be >= 0")
     if order > GRR_MAX_ORDER:
         raise DegreeError(f"order {order} exceeds the configured series support {GRR_MAX_ORDER}")
-    s = todd_inverse(order) * exp_scaled(Fraction(1, 2), order)
+    s = todd_inverse(order) * exp_scaled(_HALF, order)
     kappas = ((_exps_from_powers({_KAPPA[e[0] - 1]: 1}), n, d) for e, n, d in s.triples if e[0])
     return TruncatedPoly(max(order - 1, 0), _collect(kappas, max(order - 1, 0)))
 
@@ -129,7 +133,7 @@ def spin_porteous_class(cJ: ChernVector) -> TruncatedPoly:
     """kappa-pushforward of the spin degeneracy class at genus 4, given the J2_spin jet bundle."""
     # c1 of the pushforward line bundle is -lambda/4 (the stated value is the
     # doubled one); its c2 vanishes as an input datum.
-    cE = ChernVector.line_bundle(TruncatedPoly.monomial({"lam": 1}, Fraction(-1, 4), CHERN_MAX_DEGREE))
+    cE = ChernVector.line_bundle(TruncatedPoly.monomial({"lam": 1}, _SPIN_C1, CHERN_MAX_DEGREE))
     return kappa_pushforward(porteous_c3(cJ, cE), g=4)
 
 

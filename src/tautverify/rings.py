@@ -111,15 +111,9 @@ class TautClass:
     def is_zero(self) -> bool:
         return not self.support
 
-    def __add__(self, other: "TautClass") -> "TautClass":
-        return self._plus(other, 1)
-
     def __sub__(self, other: "TautClass") -> "TautClass":
-        return self._plus(other, -1)
-
-    def _plus(self, other: "TautClass", sign: int) -> "TautClass":
         _check_same(self, other)
-        return TautClass(self.space, self.degree, _combine(((1, 1, self.support), (sign, 1, other.support))))
+        return TautClass(self.space, self.degree, _combine(((1, 1, self.support), (-1, 1, other.support))))
 
     def scale(self, c) -> "TautClass":
         return TautClass(self.space, self.degree, _combine(((*_ratio(c), self.support),)))

@@ -210,7 +210,7 @@ def _make_product_properties(repo):
         a, b, c = draw_vec(), draw_vec(), draw_vec()
         t = data.draw(rationals)
         assert divisor_product(a, b) == divisor_product(b, a)
-        assert divisor_product(a + b.scale(t), c) == divisor_product(a, c) + divisor_product(b, c).scale(t)
+        assert divisor_product(a - b.scale(-t), c) == divisor_product(a, c) - divisor_product(b, c).scale(-t)
 
     return _prop_bilinear_symmetric
 

@@ -120,27 +120,26 @@ def test_no_computed_name_is_a_catalog_class(repo):
 
 
 def test_inconsistent_system_fails_with_certificate(tmp_path):
-    # perturbing one published divisor coefficient makes the genus-4 system
-    # inconsistent; the checks must fail with a witness, never crash
-    import json
-    import shutil
-    from importlib import resources
+    # perturbing one published coefficient makes a multiplicity system
+    # inconsistent: its check fails with a witness, never crashes, and the
+    # zero class the assembly then gives fails that check's class part
+    for check_id, space, name, label, value in (
+        ("h4plus", "M4", "Theta_null_M4", "lam", 35),
+        ("f31", "M31", "F31_pushforward_M3", "d1", -75),
+    ):
+        def edit(raw):
+            raw["classes"][name]["coeffs"][label] = value
 
-    from tautverify.data import Repo
-
-    src = resources.files("tautverify").joinpath("data")
-    with resources.as_file(src) as p:
-        shutil.copytree(p, tmp_path / "data")
-    path = tmp_path / "data" / "catalog.json"
-    raw = json.loads(path.read_text())
-    raw["classes"]["Theta_null_M4"]["coeffs"]["lam"] = 35
-    path.write_text(json.dumps(raw))
-    broken = Repo(tmp_path / "data")
-    result = run_check("multiplicities_h4plus", broken)
-    assert not result.passed
-    assert "witness" in result.actual
-    assembled = run_check("h4plus", broken)
-    assert not assembled.passed
+        broken = Repo(_data_copy_with(tmp_path / check_id, "catalog.json", edit))
+        result = run_check(f"multiplicities_{check_id}", broken)
+        assert not result.passed
+        assert result.expected == "consistent: true"
+        assert result.actual.startswith("consistent: false (witness rhs ")
+        assembled = run_check(check_id, broken)
+        assert not assembled.passed
+        golden = broken.space(space).from_dict(2, broken.golden[check_id]["class"])
+        assert assembled.expected.endswith(f"class: {checks._fmt(golden)}")
+        assert assembled.actual.endswith("class: 0")
 
 
 def test_failure_reports_minimal_diff(repo):
@@ -349,9 +348,13 @@ def test_divide_out_divides_exactly_by_an_int_multiplicity(repo):
         assert got.coeffs == tuple(Fraction(x) / n for x in rest.coeffs)
         assert all(is_exact_value(x) for x in got.coeffs)
         assert parts == [("division_multiplicity_nonzero", True, True)]
+    # a zero multiplicity, or no assignment from a failed solve, gives the zero class
     parts = []
-    assert checks._divide_out(run, system, {**assignment, divided: 0}, parts) is None
+    assert checks._divide_out(run, system, {**assignment, divided: 0}, parts) == rest.space.zero(2)
     assert parts == [("division_multiplicity_nonzero", True, False)]
+    parts = []
+    assert checks._divide_out(run, system, {}, parts) == rest.space.zero(2)
+    assert parts == []
 
 
 def test_products_missing_reads_the_products_load_stored(repo):
