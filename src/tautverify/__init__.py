@@ -20,20 +20,6 @@ __all__ = [
     "special_expand",
     "apply_hom",
     "evaluate",
-    "run_all",
-    "run_check",
     "__version__",
 ]
 
-
-def run_all(repo):
-    """Run every registered check; see tautverify.checks for the full API."""
-    from .checks import run_all as _run_all
-
-    return _run_all(repo)
-
-
-def run_check(check_id, repo):
-    from .checks import run_check as _run_check
-
-    return _run_check(check_id, repo)

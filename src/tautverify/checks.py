@@ -21,7 +21,6 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from . import __version__
@@ -278,10 +277,11 @@ class Run:
     """The results that several checks of one run share, each computed on first use.
 
     A computed paper result, a system's left-hand product, known classes,
-    family pairings and solve are each built once per run.  run_all and
-    run_check make a fresh Run per call, so a second run on the same Repo
-    recomputes everything; nothing is kept on the Repo, which stays
-    immutable after load, or in module state.
+    family pairings and solve, the jet bundles and the lambda^2 values are
+    each built once per run, all through `_once`.  run_all and run_check
+    make a fresh Run per call, so a second run on the same Repo recomputes
+    everything; nothing is kept on the Repo, which stays immutable after
+    load, or in module state.
     """
 
     def __init__(self, repo: Repo):
@@ -293,14 +293,14 @@ class Run:
             self._memo[key] = make()
         return self._memo[key]
 
-    @cached_property
+    @property
     def jets(self) -> dict[str, tuple[TruncatedPoly, ChernVector]]:
         """The Chern character and classes of each jet bundle, read by jet_chern and the lambda^2 pipelines."""
-        return jet_bundles()
+        return self._once("jets", jet_bundles)
 
-    @cached_property
+    @property
     def lambda2(self) -> dict[str, Number]:
-        return lambda2_values(self.repo, self.jets)
+        return self._once("lambda2", lambda: lambda2_values(self.repo, self.jets))
 
     def cls(self, name: str) -> TautClass:
         """A class by name: a computed paper result (COMPUTED), else a catalog input."""
@@ -374,7 +374,7 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
                 row.append(values[comp.name])
             else:
                 cid = (comp.counts or {}).get(sid)
-                row.append(repo.counts.get(cid).value if cid else _ZERO)
+                row.append(repo.counts.get(cid) if cid else _ZERO)
         names.append(f"family:{sid}")
         rows.append(_support_of(row))
         rhs.append(values[system.lhs_key])
@@ -765,8 +765,7 @@ def _parts_enumerative(run: Run) -> list[Part]:
         d1, d2 = (int(x) for x in key.split(","))
         parts.append((f"mixed:{key}", v, mixed_difference_degree(d1, d2)))
     for g, v in golden["scorza_class"].items():
-        cc = scorza_correspondence_class(int(g))
-        parts.append((f"correspondence_class:{g}", tuple(v), (cc.a, cc.b, cc.c)))
+        parts.append((f"correspondence_class:{g}", tuple(v), scorza_correspondence_class(int(g))))
     total, triple_parts = scorza_triple_degree()
     parts.append(("triple_total", golden["scorza_triple"]["total"], total))
     parts.append(("triple_parts", tuple(golden["scorza_triple"]["parts"]), triple_parts))
@@ -776,7 +775,7 @@ def _parts_enumerative(run: Run) -> list[Part]:
         parts.append((f"spin_cover:{key}", v, theta_count[parity](int(g))))
     # load has re-evaluated each constant from its decomposition
     for cid, v in golden["count_values"].items():
-        parts.append((f"count:{cid}", v, repo.counts.get(cid).value))
+        parts.append((f"count:{cid}", v, repo.counts.get(cid)))
     return parts
 
 

@@ -28,14 +28,6 @@ class ChernVector:
             if not ci.is_pure_degree(i):
                 raise DegreeError(f"c{i} must have pure total degree {i}, got {ci}")
 
-    def __eq__(self, other):
-        if other.__class__ is not ChernVector:
-            return NotImplemented
-        return (self.rank, self.c1, self.c2, self.c3) == (other.rank, other.c1, other.c2, other.c3)
-
-    def __hash__(self):
-        return hash((self.rank, self.c1, self.c2, self.c3))
-
     @classmethod
     def line_bundle(cls, c1: TruncatedPoly) -> "ChernVector":
         z = TruncatedPoly.zero(CHERN_MAX_DEGREE)

@@ -4,8 +4,9 @@ The closed-form degrees (difference maps on a genus-2 curve, theta
 characteristic counts) are computed; counts that rest on degeneration case
 analysis are data, and only their arithmetic assembly is re-evaluated here.
 Every registered constant's expression tree is re-evaluated at load and must
-reproduce its stored value exactly.  Values are exact: an int where integral,
-else a Fraction (see `linalg.as_fraction`).
+reproduce its stored value exactly; the registry then keeps only the value
+(each entry's `source` stays in `counts.json` for readers).  Values are
+exact: an int where integral, else a Fraction (see `linalg.as_fraction`).
 """
 
 from __future__ import annotations
@@ -31,20 +32,12 @@ def mixed_difference_degree(d1: int, d2: int) -> int:
     return 2 * d1 * d1 * d2 * d2
 
 
-class CorrespondenceClass:
-    """Class a*F1 + b*F2 + c*Delta on the square of a curve."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: Number, b: Number, c: Number):
-        self.a, self.b, self.c = a, b, c
-
-
-def scorza_correspondence_class(g: int) -> CorrespondenceClass:
-    """(g-1)F1 + (g-1)F2 + Delta, the class of a reduced Scorza correspondence."""
+def scorza_correspondence_class(g: int) -> tuple[int, int, int]:
+    """The coefficients (a, b, c) of F1, F2 and Delta in the class of a reduced
+    Scorza correspondence on the square of a curve: (g-1)F1 + (g-1)F2 + Delta."""
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
-    return CorrespondenceClass(g - 1, g - 1, 1)
+    return (g - 1, g - 1, 1)
 
 
 def even_theta_count(g: int) -> int:
@@ -102,41 +95,24 @@ _FUNCTIONS = {
 _OPS = {"add", "sub", "mul"}
 
 
-class CountConstant:
-    __slots__ = ("id", "value", "expr", "source")
-
-    def __init__(self, id: str, value: Number, expr: tuple, source: str):
-        self.id, self.value, self.expr, self.source = id, value, expr, source
-
-    def reevaluate(self, registry: "CountRegistry") -> Number:
-        return registry.eval_expr(self.expr)
-
-
 def _freeze(expr):
     return tuple(_freeze(e) for e in expr) if isinstance(expr, list) else expr
 
 
 class CountRegistry:
-    """Named constants with re-evaluable arithmetic decompositions."""
+    """Named constants, each kept only once its decomposition gives its stored value."""
 
     def __init__(self, raw: Mapping):
-        self._constants: dict[str, CountConstant] = {}
+        self._values: dict[str, Number] = {}
         for entry in raw["constants"]:
             cid = entry["id"]
-            if cid in self._constants:
+            if cid in self._values:
                 raise DataError(f"duplicate count constant {cid!r}")
-            const = CountConstant(
-                id=cid,
-                value=as_fraction(entry["value"]),
-                expr=_freeze(entry["expr"]),
-                source=entry.get("source", ""),
-            )
-            actual = const.reevaluate(self)
-            if actual != const.value:
-                raise DataError(
-                    f"count constant {cid!r}: decomposition gives {actual}, stored {const.value}"
-                )
-            self._constants[cid] = const
+            value = as_fraction(entry["value"])
+            actual = self.eval_expr(_freeze(entry["expr"]))
+            if actual != value:
+                raise DataError(f"count constant {cid!r}: decomposition gives {actual}, stored {value}")
+            self._values[cid] = value
 
     def eval_expr(self, expr) -> Number:
         if isinstance(expr, (int, str)):
@@ -145,7 +121,7 @@ class CountRegistry:
             raise DataError(f"malformed count expression: {expr!r}")
         head = expr[0]
         if head == "ref":
-            return self.get(expr[1]).value
+            return self.get(expr[1])
         if head in _OPS:
             args = [self.eval_expr(e) for e in expr[1:]]
             if head == "add":
@@ -164,8 +140,8 @@ class CountRegistry:
             return _FUNCTIONS[head](*expr[1:])
         raise DataError(f"unknown count expression head {head!r}")
 
-    def get(self, cid: str) -> CountConstant:
+    def get(self, cid: str) -> Number:
         try:
-            return self._constants[cid]
+            return self._values[cid]
         except KeyError:
             raise UnknownNameError(f"unknown count constant {cid!r}") from None

@@ -191,14 +191,6 @@ class Solution:
     def __init__(self, vector: Vector, kernel_dim: int):
         self.vector, self.kernel_dim = vector, kernel_dim
 
-    def __eq__(self, other):
-        if other.__class__ is not Solution:
-            return NotImplemented
-        return (self.vector, self.kernel_dim) == (other.vector, other.kernel_dim)
-
-    def __hash__(self):
-        return hash((self.vector, self.kernel_dim))
-
     @property
     def unique(self) -> bool:
         return self.kernel_dim == 0
@@ -216,9 +208,6 @@ class Inconsistent:
         if other.__class__ is not Inconsistent:
             return NotImplemented
         return self.witness_rhs == other.witness_rhs
-
-    def __hash__(self):
-        return hash(self.witness_rhs)
 
 
 def _rref_rows(rows: Sequence[Support], width: int) -> tuple[list[Support], list[int]]:

@@ -79,14 +79,6 @@ class TruncatedPoly:
     def __init__(self, max_degree: int, triples: tuple[Triple, ...]):
         self.max_degree, self.triples = max_degree, triples
 
-    def __eq__(self, other):
-        if other.__class__ is not TruncatedPoly:
-            return NotImplemented
-        return (self.max_degree, self.triples) == (other.max_degree, other.triples)
-
-    def __hash__(self):
-        return hash((self.max_degree, self.triples))
-
     @classmethod
     def from_terms(cls, terms: Mapping[Exps, Number] | Iterable[tuple[Exps, Number]], max_degree: int) -> "TruncatedPoly":
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -94,15 +86,15 @@ class TruncatedPoly:
         return cls(max_degree, _collect(triples, max_degree))
 
     @classmethod
-    def zero(cls, max_degree: int = 4) -> "TruncatedPoly":
+    def zero(cls, max_degree: int) -> "TruncatedPoly":
         return cls(max_degree, ())
 
     @classmethod
-    def monomial(cls, powers: Mapping[str, int], coeff, max_degree: int = 4) -> "TruncatedPoly":
+    def monomial(cls, powers: Mapping[str, int], coeff, max_degree: int) -> "TruncatedPoly":
         return cls.from_terms({_exps_from_powers(powers): coeff}, max_degree)
 
     @classmethod
-    def constant(cls, coeff, max_degree: int = 4) -> "TruncatedPoly":
+    def constant(cls, coeff, max_degree: int) -> "TruncatedPoly":
         return cls.monomial({}, coeff, max_degree)
 
     def coeff(self, powers: Mapping[str, int]) -> Number:

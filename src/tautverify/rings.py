@@ -86,9 +86,6 @@ class TautClass:
             return NotImplemented
         return (self.space, self.degree, self.support) == (other.space, other.degree, other.support)
 
-    def __hash__(self):
-        return hash((self.space, self.degree, self.support))
-
     def __repr__(self) -> str:
         return f"TautClass(space={self.space!r}, degree={self.degree!r}, support={self.support!r})"
 

@@ -14,14 +14,13 @@ rows, beside its values and each lattice value.
 A functional holds the RingSpace of the family's target, so a class is
 paired with it without naming a space again.  Pairings run on supports (see
 `linalg`): the Gram matrix is kept as its row supports, and a functional
-keeps the support of its values over the codim-2 basis, so evaluating a
-class walks two int supports.  Values and pairings are exact: an int where
+keeps the support of its values over the codim-2 basis, built at load, so
+evaluating a class walks two int supports.  Values and pairings are exact: an int where
 integral, else a Fraction (see `linalg._number`).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DataError, DegreeError, DimensionError, SpaceMismatchError, UnknownLabelError
@@ -36,8 +35,11 @@ OVERRIDE = "override"
 class SurfaceFunctional:
     """A family as it pairs with classes: its lattice and its value on every label.
 
-    No __slots__: the cached `support` is kept in the instance __dict__.
+    `support` is the support of the values over the codim-2 basis of the
+    space, built by `make_surface` once every basis label has a value.
     """
+
+    __slots__ = ("id", "space", "lattice_labels", "gram", "values", "provenance", "derived", "support")
 
     def __init__(
         self,
@@ -50,14 +52,10 @@ class SurfaceFunctional:
         # label -> lattice value: every formal product, basis or not, and
         # special product
         derived: Mapping[str, Number],
+        support: Support,
     ):
         self.id, self.space, self.lattice_labels, self.gram = id, space, lattice_labels, gram
-        self.values, self.provenance, self.derived = values, provenance, derived
-
-    @cached_property
-    def support(self) -> Support:
-        """The support of the values over the codim-2 basis of the space."""
-        return _support_of(self.values[label] for label in self.space.codim2_basis)
+        self.values, self.provenance, self.derived, self.support = values, provenance, derived, support
 
 
 def _gram_times(gram: Sequence[Support], w: Support) -> Support:
@@ -142,7 +140,8 @@ def make_surface(
         prov[label] = DIRECT if lattice_value is None else DERIVED if value == lattice_value else OVERRIDE
         if prov[label] == OVERRIDE and label in space.codim2_index and label not in overrides:
             raise DataError(f"{id}: direct value {value} of {label!r} is not its lattice value {lattice_value}")
-    return SurfaceFunctional(id, space, labels, gram, values, prov, derived)
+    support = _support_of(values[label] for label in space.codim2_basis)
+    return SurfaceFunctional(id, space, labels, gram, values, prov, derived, support)
 
 
 def evaluate(functional: SurfaceFunctional, c: TautClass) -> Number:

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import HealthCheck, settings
 import hypothesis.strategies as st
 
+from tautverify.chern import ChernVector
 from tautverify.data import Repo
-from tautverify.linalg import _dot, _support_of
+from tautverify.linalg import Solution, _dot, _support_of
+from tautverify.poly import TruncatedPoly
 
 settings.register_profile(
     "exact",
@@ -51,3 +53,23 @@ def mul_vec(rows, v):
     """The dense product A v of row supports with a dense vector."""
     vs = _support_of(v)
     return tuple(_dot(r, vs) for r in rows)
+
+
+def fields(x):
+    """What a test compares where a value class compares by identity.
+
+    A `TruncatedPoly` is its (max_degree, triples), a `ChernVector` its rank
+    and the fields of its classes, a `Solution` its (vector, kernel_dim);
+    tuples, lists and dict values are mapped through, anything else is kept.
+    """
+    if isinstance(x, TruncatedPoly):
+        return x.max_degree, x.triples
+    if isinstance(x, ChernVector):
+        return x.rank, fields((x.c1, x.c2, x.c3))
+    if isinstance(x, Solution):
+        return x.vector, x.kernel_dim
+    if isinstance(x, (tuple, list)):
+        return tuple(fields(v) for v in x)
+    if isinstance(x, dict):
+        return {k: fields(v) for k, v in x.items()}
+    return x

@@ -26,6 +26,7 @@ from tautverify.checks import (
     solve_multiplicities,
 )
 from tautverify.cli import main
+from tautverify.counts import _freeze
 from tautverify.data import SPACE_IDS, SURFACE_IDS, Repo
 from tautverify.errors import UnknownLabelError, UnknownNameError
 from tautverify.linalg import Inconsistent
@@ -220,14 +221,31 @@ def _profile(action, on_call):
         sys.setprofile(None)
 
 
+# The budgets below are the counts measured on Python 3.10-3.13, all alike.
+# A Fraction is counted as a call of Fraction.__new__ seen by sys.setprofile,
+# which works alike on every interpreter (a wrapper of __new__ would not: its
+# signature changed in 3.12); from 3.12 on, Fraction arithmetic makes its
+# results without calling __new__, so 3.10 and 3.11 also count those.
+
+
 def test_load_builds_fractions_only_for_values_read_as_fractions():
-    # every other number becomes an int pair where it is read: golden values,
-    # family values, stored relations and count constants are the Fractions
-    # (1,183 before the numeric parser, 556 after, on Python 3.11)
+    # an exact value is an int unless it is not integral, and every other
+    # number becomes an int pair where it is read (1,183 Fractions before the
+    # numeric parser, 529 before whole numbers stayed ints)
     new = Fraction.__new__.__code__
     built = []
     _profile(Repo, lambda frame: built.append(frame.f_code is new))
-    assert sum(built) <= 560
+    assert sum(built) <= 55
+
+
+def test_a_warm_run_builds_fractions_only_for_non_integral_values(repo):
+    # the kernels work on int pairs and return ints where a value is integral
+    # (224 Fractions before whole numbers stayed ints)
+    new = Fraction.__new__.__code__
+    built = []
+    run_all(repo)
+    _profile(lambda: run_all(repo), lambda frame: built.append(frame.f_code is new))
+    assert sum(built) <= 33
 
 
 def test_a_warm_run_formats_each_part_once(repo):
@@ -238,7 +256,7 @@ def test_a_warm_run_formats_each_part_once(repo):
     calls = []
     run_all(repo)
     _profile(lambda: run_all(repo), lambda frame: calls.append(frame.f_code is fmt))
-    assert sum(calls) <= 270
+    assert sum(calls) <= 204
 
 
 def test_a_warm_run_builds_classes_through_the_plain_init(repo):
@@ -318,7 +336,7 @@ def test_every_value_of_load_and_run_is_an_int_or_a_non_integral_fraction(repo):
         "catalog": [repo.catalog_class(name) for name in catalog["classes"]],
         "families": [(f.values, f.derived) for f in map(repo.functional, SURFACE_IDS)],
         "counts": [
-            (c.value, c.reevaluate(repo.counts)) for c in (repo.counts.get(e["id"]) for e in counts["constants"])
+            (repo.counts.get(e["id"]), repo.counts.eval_expr(_freeze(e["expr"]))) for e in counts["constants"]
         ],
     }
     for what, node in loaded.items():

@@ -8,7 +8,7 @@ from tautverify.chern import ChernVector, character_from_chern, chern_from_chara
 from tautverify.errors import DegreeError
 from tautverify.poly import TruncatedPoly
 
-from conftest import rationals
+from conftest import fields, rationals
 
 
 def psi(k, coeff):
@@ -21,14 +21,14 @@ def ch_input(c1, c2, c3):
 
 def test_spin_jet_example():
     cv = chern_from_character(3, *ch_input(F(9, 2), F(35, 8), F(51, 16)))
-    assert cv.c1 == psi(1, F(9, 2))
-    assert cv.c2 == psi(2, F(23, 4))
-    assert cv.c3 == psi(3, F(15, 8))
+    assert fields(cv.c1) == fields(psi(1, F(9, 2)))
+    assert fields(cv.c2) == fields(psi(2, F(23, 4)))
+    assert fields(cv.c3) == fields(psi(3, F(15, 8)))
 
 
 def test_canonical_jet_example():
     cv = chern_from_character(6, *ch_input(21, F(91, 2), F(441, 6)))
-    assert (cv.c1, cv.c2, cv.c3) == (psi(1, 21), psi(2, 175), psi(3, 735))
+    assert fields((cv.c1, cv.c2, cv.c3)) == fields((psi(1, 21), psi(2, 175), psi(3, 735)))
 
 
 def test_trivial_character():
@@ -47,7 +47,7 @@ def test_degree_validation():
 def test_character_roundtrip(a, b, c):
     cv = chern_from_character(3, *ch_input(a, b, c))
     ch1, ch2, ch3 = character_from_chern(cv)
-    assert (ch1, ch2, ch3) == ch_input(a, b, c)
+    assert fields((ch1, ch2, ch3)) == fields(ch_input(a, b, c))
 
 
 # --- TruncatedPoly behaviour -------------------------------------------------
@@ -81,5 +81,5 @@ def test_poly_unknown_symbol_rejected():
 def test_poly_arithmetic_commutes(a, b):
     p = TruncatedPoly.monomial({"psi": 1}, a, 3) + TruncatedPoly.monomial({"lam": 1}, b, 3)
     q = TruncatedPoly.monomial({"psi": 1}, b, 3)
-    assert p * q == q * p
-    assert p + q == q + p
+    assert fields(p * q) == fields(q * p)
+    assert fields(p + q) == fields(q + p)

@@ -19,6 +19,8 @@ from tautverify.grr import (
 from tautverify.poly import TruncatedPoly
 from tautverify.series import jet_sum
 
+from conftest import fields
+
 
 def mono(powers, coeff, deg=3):
     return TruncatedPoly.monomial(powers, coeff, deg)
@@ -31,11 +33,11 @@ def jet(n, w):
 
 def test_spin_character_order4():
     out = grr_spin_character(4)
-    assert out == mono({"kappa1": 1}, F(-1, 24)) + mono({"kappa3": 1}, F(7, 5760))
+    assert fields(out) == fields(mono({"kappa1": 1}, F(-1, 24)) + mono({"kappa3": 1}, F(7, 5760)))
 
 
 def test_spin_character_order2():
-    assert grr_spin_character(2) == mono({"kappa1": 1}, F(-1, 24), deg=1)
+    assert fields(grr_spin_character(2)) == fields(mono({"kappa1": 1}, F(-1, 24), deg=1))
 
 
 def test_spin_character_order0():
@@ -45,7 +47,7 @@ def test_spin_character_order0():
 def test_lower_orders_read_off_the_top_order():
     top = grr_spin_character(4)
     for order in range(5):
-        assert lower_order_character(top, order) == grr_spin_character(order)
+        assert fields(lower_order_character(top, order)) == fields(grr_spin_character(order))
 
 
 def test_spin_character_order_cap():
@@ -56,21 +58,22 @@ def test_spin_character_order_cap():
 def test_jet_chern_spin():
     cv = jet(2, F(1, 2))
     assert cv.rank == 3
-    assert cv.c1 == mono({"psi": 1}, F(9, 2))
-    assert cv.c2 == mono({"psi": 2}, F(23, 4))
-    assert cv.c3 == mono({"psi": 3}, F(15, 8))
+    assert fields(cv.c1) == fields(mono({"psi": 1}, F(9, 2)))
+    assert fields(cv.c2) == fields(mono({"psi": 2}, F(23, 4)))
+    assert fields(cv.c3) == fields(mono({"psi": 3}, F(15, 8)))
 
 
 def test_jet_chern_canonical():
     cv = jet(5, 1)
     assert cv.rank == 6
-    assert (cv.c1, cv.c2, cv.c3) == (mono({"psi": 1}, 21), mono({"psi": 2}, 175), mono({"psi": 3}, 735))
+    expected = (mono({"psi": 1}, 21), mono({"psi": 2}, 175), mono({"psi": 3}, 735))
+    assert fields((cv.c1, cv.c2, cv.c3)) == fields(expected)
 
 
 def test_jet_chern_order_zero():
     cv = jet(0, F(1, 2))
     assert cv.rank == 1
-    assert cv.c1 == mono({"psi": 1}, F(1, 2))
+    assert fields(cv.c1) == fields(mono({"psi": 1}, F(1, 2)))
     assert not cv.c2.triples and not cv.c3.triples
 
 
@@ -78,7 +81,7 @@ def test_porteous_with_trivial_denominator():
     cJ = jet(2, F(1, 2))
     z = TruncatedPoly.zero(3)
     out = porteous_c3(cJ, ChernVector(1, z, z, z))
-    assert out == cJ.c3
+    assert fields(out) == fields(cJ.c3)
 
 
 def test_porteous_spin_case():
@@ -90,10 +93,10 @@ def test_porteous_spin_case():
         + mono({"psi": 2, "lam": 1}, F(23, 16))
         + mono({"psi": 1, "lam": 2}, F(9, 32))
     )
-    assert out == expected
+    assert fields(out) == fields(expected)
     # with c2(E) = 0 the quotient agrees with the published three-term form
     manual = cJ.c3 - cE.c1 * cJ.c2 + cE.c1 * cE.c1 * cJ.c1
-    assert out == manual
+    assert fields(out) == fields(manual)
 
 
 def test_porteous_hodge_case():
@@ -106,16 +109,15 @@ def test_porteous_hodge_case():
         + mono({"psi": 1, "lam1": 2}, 21)
         + mono({"psi": 1, "lam2": 1}, -21)
     )
-    assert out == expected
+    assert fields(out) == fields(expected)
 
 
 def test_kappa_pushforward_rules():
-    assert kappa_pushforward(mono({"psi": 3}, 1), 4) == mono({"kappa2": 1}, 1)
-    assert kappa_pushforward(mono({"psi": 2, "lam1": 1}, -175), 4) == mono(
-        {"kappa1": 1, "lam1": 1}, -175
-    )
+    assert fields(kappa_pushforward(mono({"psi": 3}, 1), 4)) == fields(mono({"kappa2": 1}, 1))
+    out = kappa_pushforward(mono({"psi": 2, "lam1": 1}, -175), 4)
+    assert fields(out) == fields(mono({"kappa1": 1, "lam1": 1}, -175))
     out = kappa_pushforward(mono({"psi": 1, "lam1": 2}, 21) + mono({"psi": 1, "lam2": 1}, -21), 4)
-    assert out == mono({"lam1": 2}, 126) + mono({"lam2": 1}, -126)
+    assert fields(out) == fields(mono({"lam1": 2}, 126) + mono({"lam2": 1}, -126))
 
 
 def test_kappa_pushforward_needs_fiber_class():
@@ -148,10 +150,11 @@ def test_specialize_rejects_wrong_degree():
 def test_jet_bundles_are_the_pipelines_jet_bundles():
     # each bundle's Chern character is kept beside its Chern classes
     jets = jet_bundles()
-    assert jets == {
+    expected = {
         "J2_spin": (jet_sum(2, F(1, 2), 3), jet(2, F(1, 2))),
         "J5_canonical": (jet_sum(5, 1, 3), jet(5, 1)),
     }
+    assert fields(jets) == fields(expected)
 
 
 def test_pipeline_classes():

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -16,6 +17,7 @@ from tautverify.linalg import (
     _rref_rows,
     _support_of,
     as_fraction,
+    det3,
     kernel_basis,
     left_kernel,
     row_space_rref,
@@ -24,7 +26,7 @@ from tautverify.linalg import (
 from tautverify.poly import _collect, _exps_from_powers, monomial_degree
 from tautverify.rings import apply_hom
 
-from conftest import _small_rationals, is_exact_value, mat, mul_vec, rationals, sparse_rationals
+from conftest import _small_rationals, fields, is_exact_value, mat, mul_vec, rationals, sparse_rationals
 
 
 def identity(n):
@@ -140,6 +142,35 @@ def test_solve_inconsistent_certificate():
     assert sol.witness_rhs != 0
 
 
+def _det_by_permutations(rows):
+    """Leibniz's formula: the sum over permutations p of sign(p) times the product of rows[k][p[k]]."""
+    total = F(0)
+    for p in permutations(range(3)):
+        inversions = sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3))
+        total += (-1) ** inversions * rows[0][p[0]] * rows[1][p[1]] * rows[2][p[2]]
+    return total
+
+
+def test_det3_of_a_matrix_with_no_zero_entry():
+    # every entry nonzero, so each of the six products, and each sign, counts
+    rows = ((2, -3, F(1, 2)), (5, 7, -1), (F(-4, 3), 6, 11))
+    assert det3(rows) == _det_by_permutations(rows) == F(1040, 3)
+
+
+@given(st.lists(rationals.filter(bool), min_size=9, max_size=9))
+def test_det3_matches_the_permutation_expansion(xs):
+    rows = (xs[0:3], xs[3:6], xs[6:9])
+    assert det3(rows) == _det_by_permutations(rows)
+
+
+@pytest.mark.parametrize(
+    "rows", [((1, 2), (3, 4)), ((1, 2, 3), (4, 5), (6, 7, 8)), ((1, 2, 3),) * 4, ((1, 2, 3, 4),) * 3]
+)
+def test_det3_needs_a_3x3_matrix(rows):
+    with pytest.raises(DimensionError, match="^det3 needs a 3x3 matrix$"):
+        det3(rows)
+
+
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionError):
         solve_exact(identity(2), [1, 2, 3], 2)
@@ -149,7 +180,7 @@ def test_rows_with_no_columns():
     # a matrix with rows but no columns: every row is zero, so the left
     # kernel is the whole row space and a nonzero rhs is inconsistent
     assert left_kernel([(), (), ()]) == [((0, 1, 1),), ((1, 1, 1),), ((2, 1, 1),)]
-    assert solve_exact([(), ()], [0, 0], 0) == Solution((), 0)
+    assert fields(solve_exact([(), ()], [0, 0], 0)) == ((), 0)
     assert solve_exact([()], [1], 0) == Inconsistent(F(1))
 
 
@@ -245,9 +276,9 @@ def assert_elimination_matches_dense(width, aug):
         x = [F(0)] * width
         for r, c in enumerate(pivots):
             x[c] = rows[r][-1]
-        expected = Solution(tuple(x), width - len(pivots))
+        expected = (tuple(x), width - len(pivots))  # a Solution's vector and kernel_dim
     got = solve_exact(m, [r[width] for r in aug], width)
-    assert got == expected
+    assert fields(got) == expected
     return got
 
 

@@ -444,6 +444,20 @@ def test_j3_star_on_relation_class(repo):
 # --- boundary Weierstrass solves --------------------------------------------
 
 
+def test_gluing_columns_put_factor_2_after_factor_1(repo):
+    # a column is over M12's divisor basis followed by M21's, so a factor-2
+    # label lands past M12's two divisors: "2:d0" is M21's d0 (its index 1)
+    # at index 3, and M12's alias psi1 = d0/12 + d0_12
+    gluing = repo.gluing("xi_star_m31")
+    assert [f.divisor_basis for f in gluing.factors] == [("d0", "d0_12"), ("psi", "d0", "d1")]
+    assert dict(zip(gluing.domain_labels, gluing.columns)) == {
+        "psi*d11": ((0, 1, 12), (1, 1, 1)),
+        "d0*d11": ((0, 1, 1), (3, 1, 1)),
+        "d11^2": ((0, -1, 12), (1, -1, 1), (2, -1, 1)),
+        "d11*d21": ((1, 1, 1), (4, 1, 1)),
+    }
+
+
 def test_w2_solve_m31(repo):
     pres, reduced, sol = solve_boundary_class(repo.gluing("xi_star_m31"), repo.catalog_class("W21"))
     assert sol.unique
