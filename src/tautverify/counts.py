@@ -87,7 +87,6 @@ _FUNCTIONS = {
     "mixed": lambda d1, d2: mixed_difference_degree(d1, d2),
     "even_theta": lambda g: even_theta_count(g),
     "odd_theta": lambda g: odd_theta_count(g),
-    "hyp_weierstrass": lambda g: hyperelliptic_weierstrass_count(g),
     "ell_mult_deg": lambda d: elliptic_mult_degree(d),
     "torsion": lambda n: torsion_count(n),
 }

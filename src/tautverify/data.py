@@ -29,16 +29,8 @@ from contextlib import contextmanager
 from .counts import CountRegistry
 from .errors import DataError, TautVerifyError, UnknownNameError
 from .linalg import _RATIONAL, Number, as_fraction
-from .rings import (
-    GluingRestriction,
-    RingHom,
-    RingSpace,
-    TautClass,
-    make_gluing,
-    make_hom,
-    make_space,
-)
-from .surfaces import SurfaceFunctional, make_surface
+from .rings import GluingRestriction, RingHom, RingSpace, TautClass
+from .surfaces import SurfaceFunctional
 
 SPACE_IDS = ("M22", "M31", "M3", "M4", "M12", "M21")
 RING_HOM_IDS = ("theta_star", "j3_star", "p_star_pushforward", "p_pullback_m3")
@@ -121,7 +113,7 @@ class Repo:
     def _load(self):
         for sid in SPACE_IDS:
             with self._building(f"spaces/{sid.lower()}.json", sid) as raw:
-                self._spaces[sid] = make_space(
+                self._spaces[sid] = RingSpace(
                     id=raw["id"],
                     divisor_basis=raw["divisor_basis"],
                     codim2_basis=raw["codim2_basis"],
@@ -135,11 +127,11 @@ class Repo:
             with self._building(f"homs/{hid}.json", hid) as raw:
                 # the fields left after these four are the image fields of the kind
                 _, kind, domain, codomain = (raw.pop(k) for k in ("id", "kind", "domain", "codomain"))
-                self._homs[hid] = make_hom(hid, kind, self.space(domain), self.space(codomain), **raw)
+                self._homs[hid] = RingHom(hid, kind, self.space(domain), self.space(codomain), **raw)
 
         for gid in GLUING_IDS:
             with self._building(f"homs/{gid}.json", gid) as raw:
-                self._gluings[gid] = make_gluing(
+                self._gluings[gid] = GluingRestriction(
                     id=raw["id"],
                     domain=self.space(raw["domain"]),
                     domain_labels=raw["domain_labels"],
@@ -158,7 +150,7 @@ class Repo:
 
         for sid in SURFACE_IDS:
             with self._building(f"surfaces/{sid.lower()}.json", sid) as raw:
-                self._functionals[sid] = make_surface(
+                self._functionals[sid] = SurfaceFunctional(
                     id=raw["id"],
                     space=self.space(raw["target_space"]),
                     lattice=raw["lattice"],

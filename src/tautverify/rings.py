@@ -1,12 +1,13 @@
 """Data-driven models of the graded ring pieces and the maps between them.
 
-A RingSpace is a pure data object: an ordered divisor basis, an ordered
-codimension-two basis, rewrite rules sending divisor aliases and non-basis
-formal divisor products into the bases, relation vectors that must reduce to
-zero, and expansions of special codimension-two symbols.  Every coefficient
-lives in a definition file; this module only implements the bilinear
-expansion, the basis reduction, the homomorphism rules and the node-smoothing
-solves.
+A RingSpace holds an ordered divisor basis, an ordered codimension-two
+basis, rewrite rules sending divisor aliases and non-basis formal divisor
+products into the bases, relation vectors that must reduce to zero, and
+expansions of special codimension-two symbols.  Every coefficient lives in a
+definition file; this module only implements the bilinear expansion, the
+basis reduction, the homomorphism rules and the node-smoothing solves.  Each
+space, map and gluing restriction builds and validates itself from its
+file's fields in its own constructor.
 
 Classes, maps and gluing restrictions hold the RingSpace objects they live
 on, so no function takes a space beside an object that already names it.
@@ -124,7 +125,23 @@ def _check_same(a: TautClass, b: TautClass):
 
 
 class RingSpace:
-    """One moduli space: bases, product rewrites, relations, special expansions."""
+    """One moduli space: bases, product rewrites, relations, special expansions.
+
+    Built and validated from raw definition data.  Beside the bases, their
+    indexes and the stored relations it keeps:
+    - `divisor_supports`: basis label or alias divisor symbol (e.g. psi_i on
+      the two-pointed genus-1 space) -> the support of its vector over
+      divisor_basis;
+    - `special_expansions`: special symbol -> the support of its vector over
+      codim2_basis; bare int tuples, so that a space and its classes form no
+      reference cycle and a dropped load is freed at once;
+    - `product_pairs`: (gen_a, gen_b) pairs for every canonical product label;
+    - `codim2_supports`: basis label or reduced product label -> the support
+      of its vector over codim2_basis;
+    - `product_supports`: [i][j] -> the support of the product of divisor
+      generators i and j, as in codim2_supports, or None where no product is
+      defined.
+    """
 
     # __weakref__: a dropped load must be seen to be freed
     __slots__ = (
@@ -136,38 +153,64 @@ class RingSpace:
     def __init__(
         self,
         id: str,
-        divisor_basis: tuple[str, ...],
-        codim2_basis: tuple[str, ...],
-        divisor_index: Mapping[str, int],
-        codim2_index: Mapping[str, int],
-        # basis label or alias divisor symbol (e.g. psi_i on the two-pointed
-        # genus-1 space) -> the support of its vector over divisor_basis
-        divisor_supports: Mapping[str, Support],
-        relations: tuple[dict[str, Number], ...],
-        # special symbol -> the support of its vector over codim2_basis; bare
-        # int tuples, so that a space and its classes form no reference cycle
-        # and a dropped load is freed at once
-        special_expansions: Mapping[str, Support],
-        # (gen_a, gen_b) pairs for every canonical product label
-        product_pairs: Mapping[str, tuple[str, str]],
-        # basis label or reduced product label -> the support of its vector
-        # over codim2_basis
-        codim2_supports: Mapping[str, Support],
-        # [i][j] -> the support of the product of divisor generators i and j,
-        # as in codim2_supports, or None where no product is defined
-        product_supports: Sequence[Sequence[Support | None]],
+        divisor_basis: Sequence[str],
+        codim2_basis: Sequence[str],
+        product_reductions: Mapping[str, Mapping],
+        divisor_reductions: Mapping[str, Mapping],
+        relations: Sequence[Mapping],
+        special_expansions_formal: Mapping[str, Mapping],
     ):
-        self.id = id
-        self.divisor_basis = divisor_basis
-        self.codim2_basis = codim2_basis
-        self.divisor_index = divisor_index
-        self.codim2_index = codim2_index
-        self.divisor_supports = divisor_supports
-        self.relations = relations
-        self.special_expansions = special_expansions
-        self.product_pairs = product_pairs
-        self.codim2_supports = codim2_supports
-        self.product_supports = product_supports
+        div = tuple(divisor_basis)
+        cod = tuple(codim2_basis)
+        div_index = {l: i for i, l in enumerate(div)}
+        cod_index = {l: i for i, l in enumerate(cod)}
+        if len(div_index) != len(div) or len(cod_index) != len(cod):
+            raise DataError(f"{id}: duplicate basis labels")
+
+        pairs: dict[str, tuple[str, str]] = {}
+        for i, a in enumerate(div):
+            for b in div[i:]:
+                pairs[product_label(div_index, a, b)] = (a, b)
+
+        cod_units = {label: ((i, 1, 1),) for label, i in cod_index.items()}
+        supports = dict(cod_units)
+        for label, vec in product_reductions.items():
+            if label not in pairs:
+                raise DataError(f"{id}: reduction target {label!r} is not a formal product")
+            if label in cod_index:
+                raise DataError(f"{id}: basis label {label!r} must not carry a reduction")
+            unknown = lambda k: DataError(f"{id}: reduction of {label!r} mentions non-basis label {k!r}")
+            supports[label] = _labelled(cod_units, vec, unknown)
+        # Pic-only auxiliary spaces carry no degree-2 piece; products are not
+        # defined there and the completeness requirement is vacuous.
+        if cod:
+            for label in pairs:
+                if label not in supports:
+                    raise DataError(f"{id}: formal product {label!r} has neither basis slot nor reduction")
+
+        div_units = {label: ((i, 1, 1),) for label, i in div_index.items()}
+        div_supports = dict(div_units)
+        for alias, vec in divisor_reductions.items():
+            if alias in div_index:
+                raise DataError(f"{id}: basis label {alias!r} must not carry a reduction")
+            unknown = lambda k: DataError(f"{id}: divisor reduction of {alias!r} mentions {k!r}")
+            div_supports[alias] = _labelled(div_units, vec, unknown)
+        products = [[None] * len(div) for _ in div]
+        for label, (a, b) in pairs.items():
+            i, j = div_index[a], div_index[b]
+            products[i][j] = products[j][i] = supports.get(label)
+        self.id, self.divisor_basis, self.codim2_basis = id, div, cod
+        self.divisor_index, self.codim2_index, self.divisor_supports = div_index, cod_index, div_supports
+        self.product_pairs, self.codim2_supports, self.product_supports = pairs, supports, products
+        self.relations = tuple({k: as_fraction(v) for k, v in rel.items()} for rel in relations)
+        self.special_expansions = {
+            name: reduce_to_basis(self, formal).support for name, formal in special_expansions_formal.items()
+        }
+
+        for i, (raw, rel) in enumerate(zip(relations, self.relations)):
+            if not reduce_to_basis(self, raw).is_zero():
+                terms = ", ".join(f"{k}: {v}" for k, v in rel.items())
+                raise DataError(f"{id}: relations/{i} {{{terms}}} does not reduce to zero")
 
     def __repr__(self) -> str:
         return f"RingSpace({self.id!r})"
@@ -227,79 +270,6 @@ def _labelled(table: Mapping[str, Support], coeffs: Mapping[str, object], unknow
     return _combine(terms)
 
 
-def make_space(
-    id: str,
-    divisor_basis: Sequence[str],
-    codim2_basis: Sequence[str],
-    product_reductions: Mapping[str, Mapping],
-    divisor_reductions: Mapping[str, Mapping],
-    relations: Sequence[Mapping],
-    special_expansions_formal: Mapping[str, Mapping],
-) -> RingSpace:
-    """Build and validate a RingSpace from raw definition data."""
-    div = tuple(divisor_basis)
-    cod = tuple(codim2_basis)
-    div_index = {l: i for i, l in enumerate(div)}
-    cod_index = {l: i for i, l in enumerate(cod)}
-    if len(div_index) != len(div) or len(cod_index) != len(cod):
-        raise DataError(f"{id}: duplicate basis labels")
-
-    pairs: dict[str, tuple[str, str]] = {}
-    for i, a in enumerate(div):
-        for b in div[i:]:
-            pairs[product_label(div_index, a, b)] = (a, b)
-
-    cod_units = {label: ((i, 1, 1),) for label, i in cod_index.items()}
-    supports = dict(cod_units)
-    for label, vec in product_reductions.items():
-        if label not in pairs:
-            raise DataError(f"{id}: reduction target {label!r} is not a formal product")
-        if label in cod_index:
-            raise DataError(f"{id}: basis label {label!r} must not carry a reduction")
-        unknown = lambda k: DataError(f"{id}: reduction of {label!r} mentions non-basis label {k!r}")
-        supports[label] = _labelled(cod_units, vec, unknown)
-    # Pic-only auxiliary spaces carry no degree-2 piece; products are not
-    # defined there and the completeness requirement is vacuous.
-    if cod:
-        for label in pairs:
-            if label not in supports:
-                raise DataError(f"{id}: formal product {label!r} has neither basis slot nor reduction")
-
-    div_units = {label: ((i, 1, 1),) for label, i in div_index.items()}
-    div_supports = dict(div_units)
-    for alias, vec in divisor_reductions.items():
-        if alias in div_index:
-            raise DataError(f"{id}: basis label {alias!r} must not carry a reduction")
-        unknown = lambda k: DataError(f"{id}: divisor reduction of {alias!r} mentions {k!r}")
-        div_supports[alias] = _labelled(div_units, vec, unknown)
-    products = [[None] * len(div) for _ in div]
-    for label, (a, b) in pairs.items():
-        i, j = div_index[a], div_index[b]
-        products[i][j] = products[j][i] = supports.get(label)
-    space = RingSpace(
-        id=id,
-        divisor_basis=div,
-        codim2_basis=cod,
-        divisor_index=div_index,
-        codim2_index=cod_index,
-        divisor_supports=div_supports,
-        relations=tuple({k: as_fraction(v) for k, v in rel.items()} for rel in relations),
-        special_expansions={},
-        product_pairs=pairs,
-        codim2_supports=supports,
-        product_supports=products,
-    )
-    space.special_expansions.update(
-        (name, reduce_to_basis(space, formal).support) for name, formal in special_expansions_formal.items()
-    )
-
-    for i, (raw, rel) in enumerate(zip(relations, space.relations)):
-        if not reduce_to_basis(space, raw).is_zero():
-            terms = ", ".join(f"{k}: {v}" for k, v in rel.items())
-            raise DataError(f"{id}: relations/{i} {{{terms}}} does not reduce to zero")
-    return space
-
-
 def reduce_to_basis(space: RingSpace, formal: Formal) -> TautClass:
     """Reduce a formal vector over divisor products (and basis labels) to the basis.
 
@@ -351,30 +321,22 @@ def special_expand(space: RingSpace, symbol: str) -> TautClass:
 class RingHom:
     """A pullback (ring rule) or pushforward (plain table) between two spaces.
 
-    `images` maps each source degree the map acts on to (image degree,
-    {label: support of its image}); see the module docstring.
+    Built and validated from raw definition data.  A ring map takes
+    `divisor_images` and `special_images`, whose vectors may name the
+    codomain's special expansions as ``special:<name>``; a table map takes
+    `table_images`, one entry per codim-2 basis label.  Any other field is an
+    error.  `images` maps each source degree the map acts on to (image
+    degree, {label: support of its image}); see the module docstring.
     """
 
     __slots__ = ("id", "domain", "codomain", "images")
 
-    def __init__(
-        self, id: str, domain: RingSpace, codomain: RingSpace, images: Mapping[int, tuple[int, Mapping[str, Support]]]
-    ):
-        self.id, self.domain, self.codomain, self.images = id, domain, codomain, images
-
-
-def make_hom(id: str, kind: str, domain: RingSpace, codomain: RingSpace, **maps) -> RingHom:
-    """Build and validate a RingHom from raw definition data.
-
-    A ring map takes `divisor_images` and `special_images`, whose vectors may
-    name the codomain's special expansions as ``special:<name>``; a table map
-    takes `table_images`, one entry per codim-2 basis label.  Any other field
-    is an error.
-    """
-    build = {"ring": _ring_images, "table": _table_images}.get(kind)
-    if build is None:
-        raise DataError(f"{id}: unknown hom kind {kind!r}")
-    return RingHom(id, domain, codomain, build(id, domain, codomain, **maps))
+    def __init__(self, id: str, kind: str, domain: RingSpace, codomain: RingSpace, **maps):
+        build = {"ring": _ring_images, "table": _table_images}.get(kind)
+        if build is None:
+            raise DataError(f"{id}: unknown hom kind {kind!r}")
+        self.id, self.domain, self.codomain = id, domain, codomain
+        self.images = build(id, domain, codomain, **maps)
 
 
 def _ring_images(id, domain, codomain, divisor_images, special_images):
@@ -449,38 +411,25 @@ class GluingRestriction:
         self,
         id: str,
         domain: RingSpace,
-        domain_labels: tuple[str, ...],
+        domain_labels: Sequence[str],
         factors: tuple[RingSpace, RingSpace],
-        columns: tuple[Support, ...],
-        weierstrass_factors: tuple[int, ...],
+        images: Mapping[str, Mapping[str, object]],
+        weierstrass_factors: Sequence[int],
     ):
-        self.id, self.domain, self.domain_labels = id, domain, domain_labels
-        self.factors, self.columns, self.weierstrass_factors = factors, columns, weierstrass_factors
-
-
-def make_gluing(
-    id: str,
-    domain: RingSpace,
-    domain_labels: Sequence[str],
-    factors: tuple[RingSpace, RingSpace],
-    images: Mapping[str, Mapping[str, object]],
-    weierstrass_factors: Sequence[int],
-) -> GluingRestriction:
-    for fac in weierstrass_factors:
-        if fac not in (1, 2):
-            raise DataError(f"{id}: weierstrass factor {fac!r} is neither 1 nor 2")
-    # "<factor>:<divisor label or alias>" -> its vector over both factors' bases
-    keyed = ((fac, k, s) for fac in (1, 2) for k, s in factors[fac - 1].divisor_supports.items())
-    table = {f"{fac}:{k}": _on_factor(factors, fac, s) for fac, k, s in keyed}
-    columns = []
-    for label in domain_labels:
-        if label not in images:
-            raise MissingImageError(f"{id}: no restriction stored for {label!r}")
-        unknown = lambda key: DataError(f"{id}: image key {key!r} of {label!r} names no factor 1 or 2 label")
-        columns.append(_labelled(table, images[label], unknown))
-    return GluingRestriction(
-        id, domain, tuple(domain_labels), tuple(factors), tuple(columns), tuple(weierstrass_factors)
-    )
+        for fac in weierstrass_factors:
+            if fac not in (1, 2):
+                raise DataError(f"{id}: weierstrass factor {fac!r} is neither 1 nor 2")
+        # "<factor>:<divisor label or alias>" -> its vector over both factors' bases
+        keyed = ((fac, k, s) for fac in (1, 2) for k, s in factors[fac - 1].divisor_supports.items())
+        table = {f"{fac}:{k}": _on_factor(factors, fac, s) for fac, k, s in keyed}
+        columns = []
+        for label in domain_labels:
+            if label not in images:
+                raise MissingImageError(f"{id}: no restriction stored for {label!r}")
+            unknown = lambda key: DataError(f"{id}: image key {key!r} of {label!r} names no factor 1 or 2 label")
+            columns.append(_labelled(table, images[label], unknown))
+        self.id, self.domain, self.domain_labels, self.factors = id, domain, tuple(domain_labels), tuple(factors)
+        self.columns, self.weierstrass_factors = tuple(columns), tuple(weierstrass_factors)
 
 
 def _on_factor(factors: Sequence[RingSpace], fac: int, support: Support) -> Support:

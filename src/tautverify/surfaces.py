@@ -5,11 +5,11 @@ surface (a small Gram matrix), restriction vectors for the divisor
 generators, and directly stated values for the special classes.  One rule
 sets each value: a stated value wins over the lattice value of its label,
 and the provenance records how the two compare, so a stated value that
-differs from its lattice value is an override.  `make_surface` turns a
-family file into its one object, the functional, at load: the restriction
-and special-product vectors become supports and are paired there, and the
-functional keeps only what pairing needs, the lattice labels and the Gram
-rows, beside its values and each lattice value.
+differs from its lattice value is an override.  A family file becomes one
+object at load, the `SurfaceFunctional`, which builds itself: the
+restriction and special-product vectors become supports and are paired
+there, and the functional keeps only what pairing needs, the lattice labels
+and the Gram rows, beside its values and each lattice value.
 
 A functional holds the RingSpace of the family's target, so a class is
 paired with it without naming a space again.  Pairings run on supports (see
@@ -35,8 +35,22 @@ OVERRIDE = "override"
 class SurfaceFunctional:
     """A family as it pairs with classes: its lattice and its value on every label.
 
-    `support` is the support of the values over the codim-2 basis of the
-    space, built by `make_surface` once every basis label has a value.
+    Built from the family's file: every codim-2 basis label gets a value.
+    One rule sets every value.  The stated values are `direct_values` plus
+    `overrides`, which may name basis products only.  The lattice values are
+    the Gram pairing of the divisor restrictions of every formal product and,
+    for each `special_products` label, the sum of the Gram pairings of its
+    lattice-vector pairs.  Each label of the basis, of the stated values and
+    of the special products takes its stated value if it has one, else its
+    lattice value; its provenance is direct if it has no lattice value,
+    override if the two differ and derived otherwise.  A label has at most
+    one stated and one lattice value, and only `overrides` may replace the
+    lattice value of a basis label: any other input is a DataError naming
+    the label, never dropped.
+
+    `gram` holds the rows of the symmetric Gram matrix, `derived` maps every
+    formal product, basis or not, and special product to its lattice value,
+    and `support` is the support of the values over the codim-2 basis.
     """
 
     __slots__ = ("id", "space", "lattice_labels", "gram", "values", "provenance", "derived", "support")
@@ -45,17 +59,57 @@ class SurfaceFunctional:
         self,
         id: str,
         space: RingSpace,
-        lattice_labels: tuple[str, ...],
-        gram: tuple[Support, ...],  # the rows of the symmetric Gram matrix
-        values: Mapping[str, Number],
-        provenance: Mapping[str, str],
-        # label -> lattice value: every formal product, basis or not, and
-        # special product
-        derived: Mapping[str, Number],
-        support: Support,
+        lattice: Sequence[str],
+        gram_rows: Sequence[Sequence],
+        restrictions: Mapping[str, Sequence],
+        overrides: Mapping[str, object],
+        direct_values: Mapping[str, object],
+        special_products: Mapping[str, Sequence],
     ):
-        self.id, self.space, self.lattice_labels, self.gram = id, space, lattice_labels, gram
-        self.values, self.provenance, self.derived, self.support = values, provenance, derived, support
+        labels = tuple(lattice)
+        gram = tuple(_support_of(r) for r in gram_rows)
+        if len(gram_rows) != len(labels) or any(len(r) != len(labels) for r in gram_rows):
+            raise DataError(f"{id}: gram matrix must be {len(labels)}x{len(labels)}")
+        # supports are canonical, so the rows equal the columns iff the matrix is symmetric
+        if list(gram) != _transpose(gram, len(labels)):
+            raise DataError(f"{id}: gram matrix must be symmetric")
+        restr = {}
+        for gen in space.divisor_basis:
+            if gen not in restrictions:
+                raise DataError(f"{id}: no restriction stored for divisor generator {gen!r}")
+            restr[gen] = _support_of(restrictions[gen])
+            if len(restrictions[gen]) != len(labels):
+                raise DataError(f"{id}: restriction of {gen!r} has wrong length")
+        stated = {k: as_fraction(v) for k, v in direct_values.items()}
+        for k, v in overrides.items():
+            if k not in space.product_pairs or k not in space.codim2_index:
+                raise DataError(f"{id}: override for non-basis product {k!r}")
+            if k in stated:
+                raise DataError(f"{id}: {k!r} has both a direct value and an override")
+            stated[k] = as_fraction(v)
+        gram_restr = {gen: _gram_times(gram, vec) for gen, vec in restr.items()}
+        derived = {label: _dot(restr[a], gram_restr[b]) for label, (a, b) in space.product_pairs.items()}
+        for label, pairs in special_products.items():
+            if label in derived:
+                raise DataError(f"{id}: special product for formal product {label!r}")
+            derived[label] = _ratio_sum(_ratio(_pair(id, gram, v, w)) for v, w in pairs)
+
+        values: dict[str, Number] = {}
+        prov: dict[str, str] = {}
+        for label in dict.fromkeys((*space.codim2_basis, *stated, *special_products)):
+            lattice_value = derived.get(label)
+            value = values[label] = stated.get(label, lattice_value)
+            if value is None:
+                raise DataError(f"{id}: codim-2 basis label {label!r} is not covered")
+            if label not in stated:
+                prov[label] = DERIVED
+                continue
+            prov[label] = DIRECT if lattice_value is None else DERIVED if value == lattice_value else OVERRIDE
+            if prov[label] == OVERRIDE and label in space.codim2_index and label not in overrides:
+                raise DataError(f"{id}: direct value {value} of {label!r} is not its lattice value {lattice_value}")
+        self.id, self.space, self.lattice_labels, self.gram = id, space, labels, gram
+        self.values, self.provenance, self.derived = values, prov, derived
+        self.support = _support_of(values[label] for label in space.codim2_basis)
 
 
 def _gram_times(gram: Sequence[Support], w: Support) -> Support:
@@ -73,75 +127,6 @@ def _pair(id: str, gram: Sequence[Support], v: Sequence, w: Sequence) -> Number:
 def pair_on_surface(functional: SurfaceFunctional, v: Sequence, w: Sequence) -> Number:
     """Intersection number v . w on the base surface: v^T Gram w."""
     return _pair(functional.id, functional.gram, v, w)
-
-
-def make_surface(
-    id: str,
-    space: RingSpace,
-    lattice: Sequence[str],
-    gram_rows: Sequence[Sequence],
-    restrictions: Mapping[str, Sequence],
-    overrides: Mapping[str, object],
-    direct_values: Mapping[str, object],
-    special_products: Mapping[str, Sequence],
-) -> SurfaceFunctional:
-    """Build a family's functional: every codim-2 basis label gets a value.
-
-    One rule sets every value.  The stated values are `direct_values` plus
-    `overrides`, which may name basis products only.  The lattice values are
-    the Gram pairing of the divisor restrictions of every formal product and,
-    for each `special_products` label, the sum of the Gram pairings of its
-    lattice-vector pairs.  Each label of the basis, of the stated values and
-    of the special products takes its stated value if it has one, else its
-    lattice value; its provenance is direct if it has no lattice value,
-    override if the two differ and derived otherwise.  A label has at most
-    one stated and one lattice value, and only `overrides` may replace the
-    lattice value of a basis label: any other input is a DataError naming
-    the label, never dropped.
-    """
-    labels = tuple(lattice)
-    gram = tuple(_support_of(r) for r in gram_rows)
-    if len(gram_rows) != len(labels) or any(len(r) != len(labels) for r in gram_rows):
-        raise DataError(f"{id}: gram matrix must be {len(labels)}x{len(labels)}")
-    # supports are canonical, so the rows equal the columns iff the matrix is symmetric
-    if list(gram) != _transpose(gram, len(labels)):
-        raise DataError(f"{id}: gram matrix must be symmetric")
-    restr = {}
-    for gen in space.divisor_basis:
-        if gen not in restrictions:
-            raise DataError(f"{id}: no restriction stored for divisor generator {gen!r}")
-        restr[gen] = _support_of(restrictions[gen])
-        if len(restrictions[gen]) != len(labels):
-            raise DataError(f"{id}: restriction of {gen!r} has wrong length")
-    stated = {k: as_fraction(v) for k, v in direct_values.items()}
-    for k, v in overrides.items():
-        if k not in space.product_pairs or k not in space.codim2_index:
-            raise DataError(f"{id}: override for non-basis product {k!r}")
-        if k in stated:
-            raise DataError(f"{id}: {k!r} has both a direct value and an override")
-        stated[k] = as_fraction(v)
-    gram_restr = {gen: _gram_times(gram, vec) for gen, vec in restr.items()}
-    derived = {label: _dot(restr[a], gram_restr[b]) for label, (a, b) in space.product_pairs.items()}
-    for label, pairs in special_products.items():
-        if label in derived:
-            raise DataError(f"{id}: special product for formal product {label!r}")
-        derived[label] = _ratio_sum(_ratio(_pair(id, gram, v, w)) for v, w in pairs)
-
-    values: dict[str, Number] = {}
-    prov: dict[str, str] = {}
-    for label in dict.fromkeys((*space.codim2_basis, *stated, *special_products)):
-        lattice_value = derived.get(label)
-        value = values[label] = stated.get(label, lattice_value)
-        if value is None:
-            raise DataError(f"{id}: codim-2 basis label {label!r} is not covered")
-        if label not in stated:
-            prov[label] = DERIVED
-            continue
-        prov[label] = DIRECT if lattice_value is None else DERIVED if value == lattice_value else OVERRIDE
-        if prov[label] == OVERRIDE and label in space.codim2_index and label not in overrides:
-            raise DataError(f"{id}: direct value {value} of {label!r} is not its lattice value {lattice_value}")
-    support = _support_of(values[label] for label in space.codim2_basis)
-    return SurfaceFunctional(id, space, labels, gram, values, prov, derived, support)
 
 
 def evaluate(functional: SurfaceFunctional, c: TautClass) -> Number:

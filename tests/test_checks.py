@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tautverify import checks, data, grr, rings, series, surfaces
+from tautverify import checks, grr, rings, series, surfaces
 
 from tautverify.checks import (
     CHECKS,
@@ -165,14 +165,14 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
     # and each family pairs with a system's classes once per run.
     calls = Counter()
 
-    def count(module, name):
-        original = getattr(module, name)
+    def count(owner, name, key=None):
+        original = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[key or name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     count(grr, "porteous_c3")
     for module in (grr, checks):  # wherever they are imported
@@ -183,8 +183,10 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
     count(checks, "solve_boundary_class")
     for name in ("compute_hyp31", "compute_w2", "compute_f31", "compute_h4plus"):
         count(checks, name)
-    count(surfaces, "make_surface")
-    count(data, "make_surface")
+    # each definition file's object is built by its class's constructor
+    built = (rings.RingSpace, rings.RingHom, rings.GluingRestriction, surfaces.SurfaceFunctional)
+    for cls in built:
+        count(cls, "__init__", cls.__name__)
     for module in (rings, checks):
         count(module, "divisor_product")
     count(surfaces, "pair_on_surface")
@@ -194,10 +196,15 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
     # the lower orders
     count(grr, "todd_inverse")
     count(series, "series_inverse")
+    # one object per definition file at load: 6 spaces, 4 maps, 2 gluing
+    # restrictions and 10 families
+    Repo()
+    assert [calls[cls.__name__] for cls in built] == [6, 4, 2, 10]
     for _ in range(2):
         calls.clear()
         assert run_all(repo).all_passed
-        assert (calls["porteous_c3"], calls["solve_multiplicities"], calls["make_surface"]) == (2, 2, 0)
+        assert (calls["porteous_c3"], calls["solve_multiplicities"]) == (2, 2)
+        assert [calls[cls.__name__] for cls in built] == [0, 0, 0, 0]
         # each computed paper result is built once and read from the Run
         assert calls["solve_boundary_class"] == 2
         assert [calls[f] for f in ("compute_hyp31", "compute_w2", "compute_f31", "compute_h4plus")] == [1, 1, 1, 1]

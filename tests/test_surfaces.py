@@ -14,9 +14,9 @@ from tautverify.errors import DataError, SpaceMismatchError, UnknownLabelError
 from tautverify.linalg import _from_support
 from tautverify.rings import divisor_product, special_expand
 from tautverify.surfaces import (
+    SurfaceFunctional,
     evaluate,
     evaluate_formal_products,
-    make_surface,
     pair_on_surface,
 )
 
@@ -62,7 +62,7 @@ def test_ragged_gram_rejected(repo):
     s1 = repo.functional("S1")
     for gram in ([[0, 1], [1]], [[0, 1]], [[0, 1, 0], [1, 0, 0]]):
         with pytest.raises(DataError, match="gram matrix must be 2x2"):
-            make_surface("S1", s1.space, s1.lattice_labels, gram, {}, {}, {}, {})
+            SurfaceFunctional("S1", s1.space, s1.lattice_labels, gram, {}, {}, {}, {})
 
 
 def test_pair_blowup_lattice(repo):
@@ -190,6 +190,23 @@ def test_formal_products_read_the_family_space(repo):
         evaluate_formal_products(v1, {"psi^2": 1})
 
 
+def test_formal_products_with_non_integral_lattice_values(repo):
+    # S1 with every Gram entry halved: psi*d21 = d11*d21 = 1/2, and the
+    # stated values all name labels that are not products
+    raw, space = family_file("S1"), repo.space("M31")
+    gram = [[F(x, 2) for x in row] for row in raw["gram"]]
+    f = SurfaceFunctional("S1", space, raw["lattice"], gram, raw["restrictions"], {}, raw["direct_values"], {})
+    assert f.derived["psi*d21"] == f.derived["d11*d21"] == F(1, 2)
+
+    def lattice_value(a, b):
+        v, w = raw["restrictions"][a], raw["restrictions"][b]
+        return sum(F(v[i]) * gram[i][j] * w[j] for i in range(len(v)) for j in range(len(w)))
+
+    formal = {"psi*d21": F(1, 3), "d11*d21": 5, "psi*d0": F(-2, 7), "d0^2": F(3, 4)}
+    expected = sum(F(c) * lattice_value(*space.product_pairs[label]) for label, c in formal.items())
+    assert evaluate_formal_products(f, formal) == expected == F(125, 21)
+
+
 def test_derived_values_cover_every_formal_product(repo):
     # the lattice value of each formal product, in the basis or not, is kept at load
     for sid in SURFACE_IDS:
@@ -267,7 +284,7 @@ def test_audit_label_with_direct_value_and_special_product(repo):
     # lattice value differs, the provenance marks it as an override
     raw, space = family_file("S1"), repo.space("M31")
     pair = (raw["restrictions"]["d0"], raw["restrictions"]["psi"])
-    f = make_surface(
+    f = SurfaceFunctional(
         "S1", space, raw["lattice"], raw["gram"], raw["restrictions"], raw["overrides"],
         raw["direct_values"], {"d1|1": [pair]},
     )
@@ -283,7 +300,7 @@ def test_stated_value_equal_to_its_lattice_value_reads_derived(repo):
     raw, space = family_file("S1"), repo.space("M31")
     pair = (raw["restrictions"]["d0"], raw["restrictions"]["psi"])
     lattice = pair_on_surface(repo.functional("S1"), *pair)
-    f = make_surface(
+    f = SurfaceFunctional(
         "S1", space, raw["lattice"], raw["gram"], raw["restrictions"], raw["overrides"],
         {**raw["direct_values"], "d1|1": lattice}, {"d1|1": [pair]},
     )
