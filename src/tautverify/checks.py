@@ -34,7 +34,7 @@ from .counts import (
     scorza_triple_degree,
 )
 from .data import SURFACE_IDS, Repo
-from .errors import UnknownNameError
+from .errors import DegreeError, SpaceMismatchError, UnknownNameError
 from .grr import GRR_MAX_ORDER, grr_spin_character, jet_bundles, lambda2_values, lower_order_character
 from .linalg import (
     Inconsistent,
@@ -49,6 +49,7 @@ from .linalg import (
     left_kernel,
     row_space_rref,
     solve_exact,
+    solve_with_left_kernel,
 )
 from .poly import TruncatedPoly
 from .rings import (
@@ -351,20 +352,24 @@ def _component_class(run: Run, space_id: str, ref: str) -> TautClass:
 
 
 def _assemble_system(run: Run, system: MultiplicitySystem):
-    """Rows of the linear system in the unknown multiplicities.
+    """Rows of the linear system in the unknown multiplicities, and its right-hand side.
 
     Functional constraints pair every component against a family (the
     unknown component contributes its fiber count, zero for disjoint
     families); pushforward constraints contribute one row per target divisor
     generator; coefficient constraints equate a single basis coordinate,
     with the unknown component's lam^2 entry taken from the jet pipeline.
+    The rows and the right-hand side are supports, read straight from the
+    classes' supports.  The unknown component's stated pushforward must be a
+    class on the map's codomain of the degree the map gives, else
+    SpaceMismatchError or DegreeError names it.
     """
     repo = run.repo
     lhs = run.lhs(system.id)
     known = run.known(system.id)
     names: list[str] = []
     rows: list = []  # supports over the components
-    rhs: list[Number] = []
+    rhs: list = []  # (row, numerator, denominator) triples
 
     for sid in system.functional_constraints:
         values = run.family_values(system.id, sid)
@@ -375,9 +380,11 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
             else:
                 cid = (comp.counts or {}).get(sid)
                 row.append(repo.counts.get(cid) if cid else _ZERO)
+        n, d = _ratio(values[system.lhs_key])
+        if n:
+            rhs.append((len(rows), n, d))
         names.append(f"family:{sid}")
         rows.append(_support_of(row))
-        rhs.append(values[system.lhs_key])
 
     for hid in system.pushforward_constraints:
         hom = repo.hom(hid)
@@ -387,28 +394,51 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
             if comp.ref:
                 images.append(apply_hom(hom, known[comp.name]).support)
             else:
-                images.append(repo.catalog_class(comp.pushforward_ref).support)
+                images.append(_pushforward_class(repo, system, comp, lhs_push).support)
+        rhs.extend((len(rows) + i, n, d) for i, n, d in lhs_push.support)
         names.extend(f"pushforward:{lbl}" for lbl in hom.codomain.divisor_basis)
         rows.extend(_transpose(images, len(hom.codomain.divisor_basis)))
-        rhs.extend(lhs_push.coeffs)
 
     for lbl in system.coefficient_constraints:
         idx = lhs.space.codim2_index[lbl]
         row = []
-        for comp in system.components:
+        for col, comp in enumerate(system.components):
             if comp.ref:
-                row.append(known[comp.name].coeffs[idx])
+                entry = _entry(known[comp.name].support, idx)
             elif comp.lambda2_from_pipeline and lbl == "lam^2":
-                row.append(run.lambda2["H4_plus"])
+                entry = _ratio(run.lambda2["H4_plus"])
             else:
                 raise UnknownNameError(
                     f"{system.id}: no source for coefficient {lbl!r} of component {comp.name!r}"
                 )
+            if entry[0]:
+                row.append((col, *entry))
+        n, d = _entry(lhs.support, idx)
+        if n:
+            rhs.append((len(rows), n, d))
         names.append(f"coefficient:{lbl}")
-        rows.append(_support_of(row))
-        rhs.append(lhs.coeffs[idx])
+        rows.append(tuple(row))
 
     return names, rows, tuple(rhs)
+
+
+def _entry(support, idx: int) -> tuple[int, int]:
+    """The (numerator, denominator) pair of a support at index `idx`: (0, 1) where it holds none."""
+    for i, n, d in support:
+        if i == idx:
+            return n, d
+    return 0, 1
+
+
+def _pushforward_class(repo: Repo, system: MultiplicitySystem, comp: Component, lhs_push: TautClass) -> TautClass:
+    """The unknown component's stated pushforward, a catalog class that must live where `lhs_push` does."""
+    c = repo.catalog_class(comp.pushforward_ref)
+    where = f"{system.id}: pushforward {comp.pushforward_ref!r} of component {comp.name!r}"
+    if c.space is not lhs_push.space:
+        raise SpaceMismatchError(f"{where} lives on {c.space.id}, not on {lhs_push.space.id}")
+    if c.degree != lhs_push.degree:
+        raise DegreeError(f"{where} has degree {c.degree}, not {lhs_push.degree}")
+    return c
 
 
 def solve_multiplicities(system_id: str, run: Run):
@@ -420,13 +450,14 @@ def solve_multiplicities(system_id: str, run: Run):
     satisfied by it), and the comparison parts.  With a unique
     solution a row is redundant iff some vector of the matrix's left kernel is
     nonzero there (the row is a combination of the others); else none is.
+    The solve and the left kernel come from one elimination.
     """
     try:
         system = _SYSTEMS[system_id]
     except KeyError:
         raise UnknownNameError(f"unknown multiplicity system {system_id!r}") from None
     names, rows, rhs = _assemble_system(run, system)
-    sol = solve_exact(rows, rhs, len(system.components))
+    sol, kernel = solve_with_left_kernel(rows, rhs, len(system.components))
     if isinstance(sol, Inconsistent):
         return {}, [], [("consistent", True, sol)]
     golden = run.repo.golden[f"multiplicities_{system_id.lower()}"]
@@ -434,8 +465,7 @@ def solve_multiplicities(system_id: str, run: Run):
     parts: list[Part] = [("solution", golden["solution"], assignment)]
     parts.append(("unique", True, sol.unique))
 
-    kernel = left_kernel(rows) if sol.unique else []
-    used = {i for v in kernel for i, _, _ in v}
+    used = {i for v in kernel for i, _, _ in v} if sol.unique else set()
     redundant = [name for i, name in enumerate(names) if i in used]
     bound = golden["min_redundant"]
     parts.append(("redundant_constraints_at_least", bound, min(len(redundant), bound)))
@@ -481,23 +511,11 @@ def _parts_basis_m31(run: Run) -> list[Part]:
     kernel = left_kernel(rows)
     parts = [("pullback_rank", golden["rank"], len(rows) - len(kernel))]
     parts.append(("kernel_dim", golden["kernel_dim"], len(kernel)))
-    gens = [
-        m31.from_dict(2, golden["relation_generators"][k]).support
-        for k in ("alpha", "beta", "gamma")
-    ]
+    gens = [m31.from_dict(2, golden["relation_generators"][k]) for k in ("alpha", "beta", "gamma")]
     width = len(m31.codim2_basis)
-    parts.append(
-        ("kernel_span_matches", True, row_space_rref(kernel, width) == row_space_rref(gens, width))
-    )
-    det = det3(
-        [
-            [
-                evaluate(repo.functional(sid), m31.from_dict(2, golden["relation_generators"][k]))
-                for k in ("alpha", "beta", "gamma")
-            ]
-            for sid in ("S1", "S2", "S3")
-        ]
-    )
+    spans_match = row_space_rref(kernel, width) == row_space_rref([g.support for g in gens], width)
+    parts.append(("kernel_span_matches", True, spans_match))
+    det = det3([[evaluate(repo.functional(sid), g) for g in gens] for sid in ("S1", "S2", "S3")])
     parts.append(("family_matrix_det", golden["surface_matrix_det"], det))
     parts.append(("relations_forced_to_zero", True, det != 0))
     return parts
@@ -712,7 +730,7 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
     factor = apply_hom(repo.hom("p_pullback_m3"), repo.catalog_class("Hyp3_M3"))
     columns = [divisor_product(factor, m31.basis_class(1, g)).support for g in m31.divisor_basis]
     rows = _transpose(columns, len(m31.codim2_basis))
-    sol = solve_exact(rows, run.cls("Hyp31_theorem").coeffs, len(columns))
+    sol = solve_exact(rows, run.cls("Hyp31_theorem").support, len(columns))
     if isinstance(sol, Solution):
         parts.append(("cofactor_unique", True, sol.unique))
         cofactor = m31.from_dict(1, dict(zip(m31.divisor_basis, sol.vector)))

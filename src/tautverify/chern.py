@@ -33,9 +33,6 @@ class ChernVector:
         z = TruncatedPoly.zero(CHERN_MAX_DEGREE)
         return cls(1, c1, z, z)
 
-    def total(self) -> TruncatedPoly:
-        return TruncatedPoly.constant(1, CHERN_MAX_DEGREE) + self.c1 + self.c2 + self.c3
-
 
 def chern_from_character(
     rank: int, ch1: TruncatedPoly, ch2: TruncatedPoly, ch3: TruncatedPoly
@@ -45,8 +42,9 @@ def chern_from_character(
         if not chi.is_pure_degree(i):
             raise DegreeError(f"ch{i} must have pure total degree {i}")
     c1 = ch1
-    c2 = (c1 * c1 - ch2.scale(2)).scale(_HALF)
-    c3 = ch3.scale(2) - (c1 * c1 * c1).scale(_THIRD) + c1 * c2
+    c1_squared = c1 * c1
+    c2 = (c1_squared - ch2.scale(2)).scale(_HALF)
+    c3 = ch3.scale(2) - (c1_squared * c1).scale(_THIRD) + c1 * c2
     return ChernVector(rank, c1, c2, c3)
 
 

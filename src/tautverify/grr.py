@@ -71,17 +71,25 @@ def jet_bundles() -> dict[str, tuple[TruncatedPoly, ChernVector]]:
 
 
 def porteous_c3(cJ: ChernVector, cE: ChernVector) -> TruncatedPoly:
-    """Degree-3 part of c(J)/c(E), keeping only fiber-positive monomials.
+    """The psi-positive part of the degree-3 part of c(J)/c(E).
 
     Terms without the fiber class psi die under the fiber pushforward, so the
-    published expansion keeps exactly the psi-positive part; monomials with
-    psi-exponent zero are dropped here for the same reason.
+    published expansion keeps exactly the psi-positive part.  The degree-3
+    part of c(J) s(E), with s(E) = c(E)^{-1} the Segre class, is the graded
+    sum of c_i(J) s_{3-i}(E) (Fulton, Intersection Theory, 3.2 and 14.4),
+    where s_1 = -e1, s_2 = e1^2 - e2 and s_3 = -e1^3 + 2 e1 e2 - e3.  E is
+    pulled back from the base, so c(E) has no psi term (a psi term raises
+    DegreeError): then s_3(E) is psi-free, and c_0(J) s_3(E) = s_3(E) is
+    dropped whole, so it is never formed.  The rest is
+    c3(J) - c2(J) e1 + c1(J) (e1^2 - e2).
     """
-    one = TruncatedPoly.constant(1, CHERN_MAX_DEGREE)
-    e = cE.c1 + cE.c2 + cE.c3
-    inv = one - e + e * e - e * e * e
-    total = cJ.total() * inv
-    return TruncatedPoly(CHERN_MAX_DEGREE, tuple(t for t in total.degree_part(3).triples if t[0][0] >= 1))
+    for ci in (cE.c1, cE.c2, cE.c3):
+        for e, _, _ in ci.triples:
+            if e[0]:
+                raise DegreeError(f"c(E) must not involve psi, got {ci}")
+    e1 = cE.c1
+    total = cJ.c3 - cJ.c2 * e1 + cJ.c1 * (e1 * e1 - cE.c2)
+    return TruncatedPoly(CHERN_MAX_DEGREE, tuple(t for t in total.triples if t[0][0]))
 
 
 def kappa_pushforward(p: TruncatedPoly, g: int) -> TruncatedPoly:

@@ -5,11 +5,12 @@ comparison in the test suite is a strict equality.  An exact vector is kept
 as its *support*: a tuple of ``(index, numerator, denominator)`` int triples
 for its nonzero entries, ascending in index, in lowest terms with positive
 denominators.  This is the one exact-vector format: a matrix is a sequence of
-row supports with a stated width, and elimination, kernels and row spaces
-take and return supports.  One parser, `_ratio`, turns a number (an int, a
-Fraction or a rational string; never a bool or a float) into an int pair, at
-the point where a data file or a kernel entry point reads it, so load builds
-supports without a Fraction round trip.  One constructor, `_number`, turns
+row supports with a stated width, and elimination, solves (the right-hand
+side included), kernels and row spaces take and return supports.  One
+parser, `_ratio`, turns a number (an int, a Fraction or a rational string;
+never a bool or a float) into an int pair, at the point where a data file
+or a kernel entry point reads it, so load builds supports without a
+Fraction round trip.  One constructor, `_number`, turns
 an int pair back into an exact value where one leaves the kernels (a dot
 product, a sum of ratios, a dense vector, the entries of a solution, an
 inconsistency witness) or is read as a value at load (golden values, family
@@ -26,8 +27,15 @@ its key's numerator over a running common denominator and normalises once
 per key; supports are keyed by index and `poly` terms by exponent tuple.
 Every scalar sum (dot products, pairings, the lambda^2 readout, the series
 inverse) is one plain loop, `_pair_sum` (inlined in `_dot`), keeping a
-running numerator over one denominator.  Elimination (`_rref_rows`) is
-Gauss-Jordan on rows cleared of denominators; it builds no Fraction.
+running numerator over one denominator; `_dot` reads its right operand as a
+table from index to int pair (`_table`), so an operand paired many times,
+such as a family's values, is turned into one once.  Elimination
+(`_rref_rows`) is Gauss-Jordan on rows cleared of denominators; it builds no
+Fraction.  A solve takes its right-hand side as a support over the rows,
+like every other vector.  `solve_with_left_kernel` eliminates [A | b | I]
+once, and the identity block of the rows that A's part reduces to zero is a
+basis of the left null space, so a solve that also wants the redundant rows
+runs one elimination, not a second one on the transpose.
 """
 
 from __future__ import annotations
@@ -149,12 +157,16 @@ def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Number:
     return _number(*_pair_sum(ratios))
 
 
-def _dot(xs: Support, ys: Support) -> Number:
-    """Exact sum of x_i * y_i over the indices that both supports hold."""
-    right = {i: (n, d) for i, n, d in ys}
+def _table(s: Support) -> dict[int, tuple[int, int]]:
+    """A support as a table from index to its (numerator, denominator) pair: the right operand of `_dot`."""
+    return {i: (n, d) for i, n, d in s}
+
+
+def _dot(xs: Support, table: dict[int, tuple[int, int]]) -> Number:
+    """Exact sum of x_i * y_i over the indices of `xs` that the table of y (see `_table`) holds."""
     num, den = 0, 1
     for i, n, d in xs:
-        r = right.get(i)
+        r = table.get(i)
         if r:
             n, d = n * r[0], d * r[1]
             if d == den:
@@ -277,29 +289,63 @@ def _rref_rows(rows: Sequence[Support], width: int) -> tuple[list[Support], list
     return out, pivots
 
 
-def solve_exact(rows: Sequence[Support], rhs: Sequence, width: int) -> Solution | Inconsistent:
-    """Solve A x = b exactly for A given by its rows as supports over `width` columns.
+def _augmented(rows: Sequence[Support], rhs: Support, width: int) -> list[Support]:
+    """The rows of [A | b]: the entry of b on row i goes to column `width` of row i."""
+    if rhs and not 0 <= rhs[0][0] <= rhs[-1][0] < len(rows):
+        raise DimensionError(f"matrix has {len(rows)} rows, rhs has an entry on row {rhs[-1][0]}")
+    b = _table(rhs)
+    out = []
+    for i, row in enumerate(rows):
+        e = b.get(i)
+        out.append((*row, (width, *e)) if e else row)
+    return out
 
-    Returns a Solution carrying one exact solution (the one with all free
-    variables set to 0) and the kernel dimension, or an Inconsistent
-    certificate if elimination produces a row reading 0 = nonzero.
-    """
-    if len(rhs) != len(rows):
-        raise DimensionError(f"matrix has {len(rows)} rows, rhs has {len(rhs)}")
-    augmented = []
-    for row, b in zip(rows, rhs):
-        n, d = _ratio(b)
-        augmented.append((*row, (width, n, d)) if n else row)
-    reduced, pivots = _rref_rows(augmented, width)
-    for row in reduced:
+
+def _read_solution(reduced: list[Support], pivots: list[int], width: int) -> Solution | Inconsistent:
+    """The Solution or Inconsistent certificate that [A | b ...], reduced on A's `width` columns, holds."""
+    for row in reduced[len(pivots) :]:
         if row and row[0][0] == width:
             return Inconsistent(_number(row[0][1], row[0][2]))
     x = [_ZERO] * width
     for row, c in zip(reduced, pivots):
-        j, n, d = row[-1]
-        if j == width:
-            x[c] = _number(n, d)
+        for j, n, d in row:
+            if j >= width:
+                if j == width:
+                    x[c] = _number(n, d)
+                break
     return Solution(tuple(x), width - len(pivots))
+
+
+def solve_exact(rows: Sequence[Support], rhs: Support, width: int) -> Solution | Inconsistent:
+    """Solve A x = b exactly for A given by its rows as supports over `width` columns.
+
+    The right-hand side b is a support over the rows: an entry on a row that
+    A lacks raises DimensionError.  Returns a Solution carrying one exact
+    solution (the one with all free variables set to 0) and the kernel
+    dimension, or an Inconsistent certificate if elimination produces a row
+    reading 0 = nonzero.
+    """
+    reduced, pivots = _rref_rows(_augmented(rows, rhs, width), width)
+    return _read_solution(reduced, pivots, width)
+
+
+def solve_with_left_kernel(
+    rows: Sequence[Support], rhs: Support, width: int
+) -> tuple[Solution | Inconsistent, list[Support]]:
+    """`solve_exact`, plus a basis of the left null space of A, from one elimination.
+
+    Eliminates [A | b | I] on A's columns.  The row operations are recorded
+    in the identity block, so each row that A's part reduces to zero carries
+    in that block a y with y A = 0, and those rows span the left null space
+    (McConnell, Mehlhorn, Naeher & Schweitzer, "Certifying algorithms", 2011).
+    The basis is not the canonical one of `left_kernel`, but it spans the
+    same space, so the rows that some basis vector uses are the same.
+    """
+    augmented = [(*row, (width + 1 + i, 1, 1)) for i, row in enumerate(_augmented(rows, rhs, width))]
+    reduced, pivots = _rref_rows(augmented, width)
+    shift = width + 1
+    kernel = [tuple((j - shift, n, d) for j, n, d in row if j >= shift) for row in reduced[len(pivots) :]]
+    return _read_solution(reduced, pivots, width), kernel
 
 
 def kernel_basis(rows: Sequence[Support], width: int) -> list[Support]:

@@ -93,10 +93,6 @@ class TruncatedPoly:
     def monomial(cls, powers: Mapping[str, int], coeff, max_degree: int) -> "TruncatedPoly":
         return cls.from_terms({_exps_from_powers(powers): coeff}, max_degree)
 
-    @classmethod
-    def constant(cls, coeff, max_degree: int) -> "TruncatedPoly":
-        return cls.monomial({}, coeff, max_degree)
-
     def coeff(self, powers: Mapping[str, int]) -> Number:
         target = _exps_from_powers(powers)
         for exps, n, d in self.triples:

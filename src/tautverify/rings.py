@@ -460,9 +460,8 @@ def solve_boundary_class(
                 f"Weierstrass divisor lives on {weierstrass.space.id}, factor is {factor_space.id}"
             )
         terms.append((1, 1, _on_factor(gluing.factors, fac, weierstrass.support)))
-    rhs = _from_support(_combine(terms), height)
 
-    sol = solve_exact(rows, rhs, len(gluing.domain_labels))
+    sol = solve_exact(rows, _combine(terms), len(gluing.domain_labels))
     if isinstance(sol, Inconsistent):
         return sol
     presentation = {lbl: sol.vector[i] for i, lbl in enumerate(gluing.domain_labels)}

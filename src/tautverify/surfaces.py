@@ -14,8 +14,9 @@ and the Gram rows, beside its values and each lattice value.
 A functional holds the RingSpace of the family's target, so a class is
 paired with it without naming a space again.  Pairings run on supports (see
 `linalg`): the Gram matrix is kept as its row supports, and a functional
-keeps the support of its values over the codim-2 basis, built at load, so
-evaluating a class walks two int supports.  Values and pairings are exact: an int where
+keeps its values over the codim-2 basis as a table from index to int pair,
+built at load, so evaluating a class walks the class's support and looks
+each index up in that table.  Values and pairings are exact: an int where
 integral, else a Fraction (see `linalg._number`).
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import DataError, DegreeError, DimensionError, SpaceMismatchError, UnknownLabelError
-from .linalg import Number, Support, _combine, _dot, _ratio, _ratio_sum, _support_of, _transpose, as_fraction
+from .linalg import Number, Support, _combine, _dot, _ratio, _ratio_sum, _support_of, _table, _transpose, as_fraction
 from .rings import RingSpace, TautClass
 
 DERIVED = "derived"
@@ -50,10 +51,13 @@ class SurfaceFunctional:
 
     `gram` holds the rows of the symmetric Gram matrix, `derived` maps every
     formal product, basis or not, and special product to its lattice value,
-    and `support` is the support of the values over the codim-2 basis.
+    and `table` maps the index of each codim-2 basis label whose value is
+    nonzero to that value's (numerator, denominator) pair.  It is built once
+    at load and is the right operand of every `evaluate`, so a pairing walks
+    the class's support and looks each index up in it.
     """
 
-    __slots__ = ("id", "space", "lattice_labels", "gram", "values", "provenance", "derived", "support")
+    __slots__ = ("id", "space", "lattice_labels", "gram", "values", "provenance", "derived", "table")
 
     def __init__(
         self,
@@ -87,7 +91,8 @@ class SurfaceFunctional:
             if k in stated:
                 raise DataError(f"{id}: {k!r} has both a direct value and an override")
             stated[k] = as_fraction(v)
-        gram_restr = {gen: _gram_times(gram, vec) for gen, vec in restr.items()}
+        # one table of Gram times each restriction, read by every pairing with it
+        gram_restr = {gen: _table(_gram_times(gram, vec)) for gen, vec in restr.items()}
         derived = {label: _dot(restr[a], gram_restr[b]) for label, (a, b) in space.product_pairs.items()}
         for label, pairs in special_products.items():
             if label in derived:
@@ -109,7 +114,7 @@ class SurfaceFunctional:
                 raise DataError(f"{id}: direct value {value} of {label!r} is not its lattice value {lattice_value}")
         self.id, self.space, self.lattice_labels, self.gram = id, space, labels, gram
         self.values, self.provenance, self.derived = values, prov, derived
-        self.support = _support_of(values[label] for label in space.codim2_basis)
+        self.table = _table(_support_of(values[label] for label in space.codim2_basis))
 
 
 def _gram_times(gram: Sequence[Support], w: Support) -> Support:
@@ -121,7 +126,7 @@ def _pair(id: str, gram: Sequence[Support], v: Sequence, w: Sequence) -> Number:
     vs, ws = _support_of(v), _support_of(w)
     if len(v) != len(gram) or len(w) != len(gram):
         raise DimensionError(f"{id}: lattice vectors must have length {len(gram)}")
-    return _dot(vs, _gram_times(gram, ws))
+    return _dot(vs, _table(_gram_times(gram, ws)))
 
 
 def pair_on_surface(functional: SurfaceFunctional, v: Sequence, w: Sequence) -> Number:
@@ -137,7 +142,7 @@ def evaluate(functional: SurfaceFunctional, c: TautClass) -> Number:
         )
     if c.degree != 2:
         raise DegreeError("evaluate needs a degree-2 class")
-    return _dot(c.support, functional.support)
+    return _dot(c.support, functional.table)
 
 
 def evaluate_formal_products(functional: SurfaceFunctional, formal: Mapping[str, object]) -> Number:

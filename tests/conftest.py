@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from tautverify.chern import ChernVector
 from tautverify.data import Repo
-from tautverify.linalg import Solution, _dot, _support_of
+from tautverify.linalg import Solution, _dot, _support_of, _table
 from tautverify.poly import TruncatedPoly
 
 settings.register_profile(
@@ -51,7 +51,7 @@ def mat(rows):
 
 def mul_vec(rows, v):
     """The dense product A v of row supports with a dense vector."""
-    vs = _support_of(v)
+    vs = _table(_support_of(v))
     return tuple(_dot(r, vs) for r in rows)
 
 

@@ -21,7 +21,7 @@ from tautverify.checks import (
 )
 from tautverify.counts import _freeze, abel_difference_degree, mixed_difference_degree, scorza_triple_degree
 from tautverify.grr import grr_spin_character, jet_bundles, lambda2_values
-from tautverify.linalg import Solution, _from_support, _rref_rows, kernel_basis, solve_exact
+from tautverify.linalg import Solution, _from_support, _rref_rows, _support_of, kernel_basis, solve_exact
 from tautverify.poly import TruncatedPoly
 from tautverify.rings import apply_hom, divisor_product, reduce_to_basis, special_expand
 from tautverify.series import exp_scaled, todd_inverse
@@ -194,7 +194,7 @@ def _prop_rref_idempotent(rows):
 def _prop_solve_and_kernel_exact(rows, x0):
     m = mat(rows)
     b = mul_vec(m, x0)
-    sol = solve_exact(m, b, 4)
+    sol = solve_exact(m, _support_of(b), 4)
     assert isinstance(sol, Solution)
     assert mul_vec(m, sol.vector) == b
     basis = kernel_basis(m, 4)

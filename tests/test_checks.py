@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tautverify import checks, grr, rings, series, surfaces
+from tautverify import checks, grr, linalg, rings, series, surfaces
 
 from tautverify.checks import (
     CHECKS,
@@ -196,6 +196,11 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
     # the lower orders
     count(grr, "todd_inverse")
     count(series, "series_inverse")
+    # one elimination per multiplicity system gives its solve and its left
+    # kernel; the basis check takes the one left kernel of the run
+    count(linalg, "_rref_rows")
+    for module in (linalg, checks):
+        count(module, "left_kernel")
     # one object per definition file at load: 6 spaces, 4 maps, 2 gluing
     # restrictions and 10 families
     Repo()
@@ -212,6 +217,7 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
         # unit-class products are read from the table load built, not recomputed
         assert (calls["divisor_product"], calls["pair_on_surface"], calls["evaluate"]) == (7, 0, 52)
         assert (calls["todd_inverse"], calls["series_inverse"]) == (1, 1)
+        assert (calls["_rref_rows"], calls["left_kernel"]) == (8, 1)
 
 
 def _profile(action, on_call):
@@ -247,12 +253,13 @@ def test_load_builds_fractions_only_for_values_read_as_fractions():
 
 def test_a_warm_run_builds_fractions_only_for_non_integral_values(repo):
     # the kernels work on int pairs and return ints where a value is integral
-    # (224 Fractions before whole numbers stayed ints)
+    # (224 Fractions before whole numbers stayed ints, 33 before the solves
+    # took their right-hand sides as supports)
     new = Fraction.__new__.__code__
     built = []
     run_all(repo)
     _profile(lambda: run_all(repo), lambda frame: built.append(frame.f_code is new))
-    assert sum(built) <= 33
+    assert sum(built) <= 24
 
 
 def test_a_warm_run_formats_each_part_once(repo):
@@ -523,6 +530,28 @@ def test_gluing_key_naming_no_factor_is_rejected_at_load(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "xi_star_m4: image key '3:d0' of 'd0*d2' names no factor 1 or 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "space, coeffs, error",
+    [
+        ("M21", {"psi": 308, "d0": -32, "d1": -76}, "lives on M21, not on M3"),
+        ("M3", {"lam^2": 308}, "has degree 2, not 1"),
+    ],
+)
+def test_a_pushforward_off_the_maps_codomain_is_an_error(tmp_path, capsys, space, coeffs, error):
+    # the marked-hyperflex pushforward is read over M3's divisor basis, so a
+    # class on another space or of another degree must not be read as one
+    def edit(raw):
+        cls = raw["classes"]["F31_pushforward_M3"]
+        cls["space"], cls["coeffs"] = space, coeffs
+        cls["degree"] = 1 if space == "M21" else 2
+
+    data_dir = _data_copy_with(tmp_path, "catalog.json", edit)
+    assert main(["--data-dir", data_dir, "run-all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"F31: pushforward 'F31_pushforward_M3' of component 'hyperflex' {error}" in captured.err
 
 
 def _drop_relations(raw):

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from tautverify.chern import ChernVector
 from tautverify.errors import DegreeError
@@ -16,10 +18,10 @@ from tautverify.grr import (
     porteous_c3,
     spin_porteous_class,
 )
-from tautverify.poly import TruncatedPoly
+from tautverify.poly import TruncatedPoly, _exps_from_powers
 from tautverify.series import jet_sum
 
-from conftest import fields
+from conftest import fields, rationals
 
 
 def mono(powers, coeff, deg=3):
@@ -75,6 +77,49 @@ def test_jet_chern_order_zero():
     assert cv.rank == 1
     assert fields(cv.c1) == fields(mono({"psi": 1}, F(1, 2)))
     assert not cv.c2.triples and not cv.c3.triples
+
+
+def porteous_c3_by_full_quotient(cJ, cE):
+    """Reference: the psi-positive degree-3 part of c(J) times the inverse of c(E), truncated at degree 3."""
+    one = mono({}, 1)
+    e = cE.c1 + cE.c2 + cE.c3
+    inv = one - e + e * e - e * e * e
+    total = (one + cJ.c1 + cJ.c2 + cJ.c3) * inv
+    return TruncatedPoly(3, tuple(t for t in total.degree_part(3).triples if t[0][0] >= 1))
+
+
+# every monomial of each degree in the base classes lam, lam1 and lam2
+_BASE_MONOMIALS = {
+    1: [{"lam": 1}, {"lam1": 1}],
+    2: [{"lam": 2}, {"lam": 1, "lam1": 1}, {"lam1": 2}, {"lam2": 1}],
+    3: [
+        {"lam": 3}, {"lam": 2, "lam1": 1}, {"lam": 1, "lam1": 2}, {"lam1": 3},
+        {"lam": 1, "lam2": 1}, {"lam1": 1, "lam2": 1},
+    ],
+}
+
+
+def psi_free(degree):
+    """A class of pure `degree` in lam, lam1 and lam2, every coefficient drawn from `rationals`."""
+    monomials = _BASE_MONOMIALS[degree]
+    return st.lists(rationals, min_size=len(monomials), max_size=len(monomials)).map(
+        lambda cs: TruncatedPoly.from_terms([(_exps_from_powers(m), c) for m, c in zip(monomials, cs)], 3)
+    )
+
+
+@given(st.integers(0, 5), rationals, psi_free(1), psi_free(2), psi_free(3))
+def test_graded_porteous_matches_the_full_quotient(n, w, c1, c2, c3):
+    cJ = jet(n, w)
+    cE = ChernVector(4, c1, c2, c3)
+    assert fields(porteous_c3(cJ, cE)) == fields(porteous_c3_by_full_quotient(cJ, cE))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_porteous_rejects_a_bundle_with_a_psi_term(degree):
+    classes = [TruncatedPoly.zero(3)] * 3
+    classes[degree - 1] = mono({"psi": 1, "lam": degree - 1}, 1)
+    with pytest.raises(DegreeError, match="must not involve psi"):
+        porteous_c3(jet(2, F(1, 2)), ChernVector(4, *classes))
 
 
 def test_porteous_with_trivial_denominator():

@@ -16,12 +16,15 @@ from tautverify.linalg import (
     _ratio,
     _rref_rows,
     _support_of,
+    _table,
+    _transpose,
     as_fraction,
     det3,
     kernel_basis,
     left_kernel,
     row_space_rref,
     solve_exact,
+    solve_with_left_kernel,
 )
 from tautverify.poly import _collect, _exps_from_powers, monomial_degree
 from tautverify.rings import apply_hom
@@ -104,7 +107,7 @@ def test_rref_pivots_normalized(m):
 
 def test_solve_identity():
     b = [F(3), F(-1, 2), F(7)]
-    sol = solve_exact(identity(3), b, 3)
+    sol = solve_exact(identity(3), _support_of(b), 3)
     assert isinstance(sol, Solution)
     assert sol.vector == tuple(b)
     assert sol.unique
@@ -119,7 +122,7 @@ def test_solve_f31_subsystem():
         [1, 0, 0, 0],
         [0, 1, 0, 0],
     ])
-    sol = solve_exact(a, [252, 388, 27, 7, 2], 4)
+    sol = solve_exact(a, _support_of([252, 388, 27, 7, 2]), 4)
     assert isinstance(sol, Solution) and sol.unique
     assert sol.vector == (F(7), F(2), F(3), F(3))
 
@@ -131,13 +134,13 @@ def test_solve_h4plus_system():
         [0, 0, -3, 12],
         [0, 0, -1, -2],
     ])
-    sol = solve_exact(a, [18432, 16896, 2304, -528], 4)
+    sol = solve_exact(a, _support_of([18432, 16896, 2304, -528]), 4)
     assert isinstance(sol, Solution) and sol.unique
     assert sol.vector == (F(320), F(2), F(96), F(216))
 
 
 def test_solve_inconsistent_certificate():
-    sol = solve_exact(mat([[1, 1], [1, 1]]), [1, 2], 2)
+    sol = solve_exact(mat([[1, 1], [1, 1]]), _support_of([1, 2]), 2)
     assert isinstance(sol, Inconsistent)
     assert sol.witness_rhs != 0
 
@@ -172,16 +175,17 @@ def test_det3_needs_a_3x3_matrix(rows):
 
 
 def test_solve_dimension_mismatch():
+    # the rhs is a support over the rows: an entry on a third row of a two-row matrix
     with pytest.raises(DimensionError):
-        solve_exact(identity(2), [1, 2, 3], 2)
+        solve_exact(identity(2), ((0, 1, 1), (2, 3, 1)), 2)
 
 
 def test_rows_with_no_columns():
     # a matrix with rows but no columns: every row is zero, so the left
     # kernel is the whole row space and a nonzero rhs is inconsistent
     assert left_kernel([(), (), ()]) == [((0, 1, 1),), ((1, 1, 1),), ((2, 1, 1),)]
-    assert fields(solve_exact([(), ()], [0, 0], 0)) == ((), 0)
-    assert solve_exact([()], [1], 0) == Inconsistent(F(1))
+    assert fields(solve_exact([(), ()], _support_of([0, 0]), 0)) == ((), 0)
+    assert solve_exact([()], _support_of([1]), 0) == Inconsistent(F(1))
 
 
 @given(matrices, st.data())
@@ -189,7 +193,7 @@ def test_solve_exactness(m, data):
     rows, width = m
     x0 = data.draw(st.lists(rationals, min_size=width, max_size=width))
     b = mul_vec(rows, x0)
-    sol = solve_exact(rows, b, width)
+    sol = solve_exact(rows, _support_of(b), width)
     assert isinstance(sol, Solution)
     assert mul_vec(rows, sol.vector) == b
 
@@ -227,8 +231,34 @@ def test_left_kernel_support_is_the_droppable_rows(m):
     # the rows some left-kernel vector uses are exactly those whose removal keeps full column rank
     rows, width = m
     used = {i for v in left_kernel(rows) for i, _, _ in v}
-    droppable = {i for i in range(len(rows)) if rank(rows[:i] + rows[i + 1 :], width) == width}
-    assert used == droppable
+    assert used == droppable_rows(rows, width)
+
+
+def droppable_rows(rows, width):
+    """The rows whose removal keeps a matrix of full column rank at full column rank."""
+    return {i for i in range(len(rows)) if rank(rows[:i] + rows[i + 1 :], width) == width}
+
+
+@given(st.one_of(full_column_rank, matrices), st.data())
+def test_one_elimination_solves_and_finds_the_left_kernel(m, data):
+    # the solve of [A | b | I] agrees with solve_exact, each y it returns has
+    # y A = 0, and for A of full column rank the rows its kernel uses are the
+    # droppable ones
+    rows, width = m
+    if data.draw(st.booleans()):
+        b = mul_vec(rows, data.draw(st.lists(rationals, min_size=width, max_size=width)))
+    else:
+        b = data.draw(st.lists(sparse_rationals, min_size=len(rows), max_size=len(rows)))
+    rhs = _support_of(b)
+    sol, kernel = solve_with_left_kernel(rows, rhs, width)
+    assert fields(sol) == fields(solve_exact(rows, rhs, width))
+    columns = [_table(c) for c in _transpose(rows, width)]
+    for y in kernel:
+        assert y and all(_dot(y, c) == 0 for c in columns)
+    # independent and as many as the left null space's dimension, so a basis of it
+    assert rank(kernel, len(rows)) == len(kernel) == len(rows) - rank(rows, width)
+    if rank(rows, width) == width:
+        assert {i for y in kernel for i, _, _ in y} == droppable_rows(rows, width)
 
 
 def dense_rref_rows(rows, width):
@@ -277,7 +307,7 @@ def assert_elimination_matches_dense(width, aug):
         for r, c in enumerate(pivots):
             x[c] = rows[r][-1]
         expected = (tuple(x), width - len(pivots))  # a Solution's vector and kernel_dim
-    got = solve_exact(m, [r[width] for r in aug], width)
+    got = solve_exact(m, _support_of([r[width] for r in aug]), width)
     assert fields(got) == expected
     return got
 
@@ -392,7 +422,7 @@ def test_kernel_matches_plain_fraction_sums(case, pairs, keyed):
     assert _from_support(combined, width) == expected
     assert _normalised_values(_from_support(combined, width))
 
-    dot = _dot(_support_of([x for x, _ in pairs]), _support_of([y for _, y in pairs]))
+    dot = _dot(_support_of([x for x, _ in pairs]), _table(_support_of([y for _, y in pairs])))
     assert dot == sum((F(x) * F(y) for x, y in pairs), F(0))
     assert _normalised_values([dot])
 
