@@ -46,8 +46,7 @@ from .linalg import (
     _support_of,
     _transpose,
     det3,
-    left_kernel,
-    row_space_rref,
+    rank,
     solve_exact,
     solve_with_left_kernel,
 )
@@ -506,14 +505,14 @@ def _parts_basis_m31(run: Run) -> list[Part]:
     golden = repo.golden["basis_m31"]
     # the image of each basis label, as load stored it
     images = theta.images[2][1]
-    rows = [images[lbl] for lbl in m31.codim2_basis]
-    # one elimination gives both numbers: rank = rows - dim(left kernel)
-    kernel = left_kernel(rows)
-    parts = [("pullback_rank", golden["rank"], len(rows) - len(kernel))]
-    parts.append(("kernel_dim", golden["kernel_dim"], len(kernel)))
-    gens = [m31.from_dict(2, golden["relation_generators"][k]) for k in ("alpha", "beta", "gamma")]
     width = len(m31.codim2_basis)
-    spans_match = row_space_rref(kernel, width) == row_space_rref([g.support for g in gens], width)
+    kernel_dim = width - rank([images[lbl] for lbl in m31.codim2_basis], len(theta.codomain.codim2_basis))
+    parts = [("pullback_rank", golden["rank"], width - kernel_dim), ("kernel_dim", golden["kernel_dim"], kernel_dim)]
+    gens = [m31.from_dict(2, golden["relation_generators"][k]) for k in ("alpha", "beta", "gamma")]
+    # over Q the generators span ker theta* iff each dies under theta*, they
+    # are independent, and they are as many as the kernel's dimension
+    in_kernel = all(apply_hom(theta, g).is_zero() for g in gens)
+    spans_match = in_kernel and rank([g.support for g in gens], width) == len(gens) == kernel_dim
     parts.append(("kernel_span_matches", True, spans_match))
     det = det3([[evaluate(repo.functional(sid), g) for g in gens] for sid in ("S1", "S2", "S3")])
     parts.append(("family_matrix_det", golden["surface_matrix_det"], det))
@@ -746,7 +745,7 @@ def _parts_grr_spin(run: Run) -> list[Part]:
     top = grr_spin_character(GRR_MAX_ORDER)
     for order, key in ((4, "order4"), (2, "order2")):
         actual = lower_order_character(top, order)
-        coeffs = {sym: actual.coeff({sym: 1}) for sym in ("kappa0", "kappa1", "kappa2", "kappa3")}
+        coeffs = {sym: actual.coeff({sym: 1}) for sym in ("kappa1", "kappa2", "kappa3")}
         parts.append((f"character_order{order}", golden[key], {k: v for k, v in coeffs.items() if v != 0}))
     return parts
 

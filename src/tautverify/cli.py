@@ -18,6 +18,7 @@ import sys
 from .checks import COMPUTED, Run, export_report, run_all, run_check
 from .data import Repo
 from .errors import TautVerifyError, UnknownNameError
+from .linalg import _number
 from .rings import TautClass
 from .surfaces import evaluate
 
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _format_class(c: TautClass) -> str:
     basis = c.space.basis(c.degree)
-    entries = [f"  {basis[i]:10s} {c.coeffs[i]}" for i, _, _ in c.support]
+    entries = [f"  {basis[i]:10s} {_number(n, d)}" for i, n, d in c.support]
     return "\n".join(entries) if entries else "  0"
 
 

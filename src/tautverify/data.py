@@ -7,8 +7,12 @@ Everything is validated once at load and is not changed afterwards, so a
 repository can be shared freely between threads; that immutability is a
 convention, since the value classes are plain classes that do not forbid
 assignment.  Load is the only place
-where raw JSON becomes values: each space, map and family is one object built
-from its file, which must declare the id it is loaded under.  Each number is
+where raw JSON becomes values: each space, map, gluing and family file, which
+must declare the id it is loaded under, goes whole to its object's
+constructor as keyword arguments, with the space ids it names resolved to
+the loaded spaces.  So a field's name is its parameter's name, and a missing
+or unknown field is an error naming the file and the field.  A ``homs/``
+file's own ``kind`` picks its class.  Each number is
 parsed once, where it is read, by the one parser of `linalg`: definition
 numbers become the int pairs of supports, and golden numbers, family values,
 count constants, stored relations and formal classes become exact values
@@ -33,8 +37,8 @@ from .rings import GluingRestriction, RingHom, RingSpace, TautClass
 from .surfaces import SurfaceFunctional
 
 SPACE_IDS = ("M22", "M31", "M3", "M4", "M12", "M21")
-RING_HOM_IDS = ("theta_star", "j3_star", "p_star_pushforward", "p_pullback_m3")
-GLUING_IDS = ("xi_star_m31", "xi_star_m4")
+# ring maps and gluing restrictions alike: each file's own "kind" picks its class
+HOM_IDS = ("theta_star", "j3_star", "p_star_pushforward", "p_pullback_m3", "xi_star_m31", "xi_star_m4")
 SURFACE_IDS = ("S1", "S2", "S3", "T1", "T2", "T3", "V1", "V2", "V3", "V4")
 
 
@@ -110,35 +114,27 @@ class Repo:
 
     # -- loading ----------------------------------------------------------
 
+    def _spaces_in(self, raw: dict) -> dict:
+        """A file's fields with each space id it names resolved to the loaded space."""
+        for key in ("domain", "codomain", "target_space"):
+            if key in raw:
+                raw[key] = self.space(raw[key])
+        if "factors" in raw:
+            raw["factors"] = tuple(map(self.space, raw["factors"]))
+        return raw
+
     def _load(self):
         for sid in SPACE_IDS:
             with self._building(f"spaces/{sid.lower()}.json", sid) as raw:
-                self._spaces[sid] = RingSpace(
-                    id=raw["id"],
-                    divisor_basis=raw["divisor_basis"],
-                    codim2_basis=raw["codim2_basis"],
-                    product_reductions=raw["product_reductions"],
-                    divisor_reductions=raw["divisor_reductions"],
-                    relations=raw["relations"],
-                    special_expansions_formal=raw["special_expansions"],
-                )
+                self._spaces[sid] = RingSpace(**raw)
 
-        for hid in RING_HOM_IDS:
+        for hid in HOM_IDS:
             with self._building(f"homs/{hid}.json", hid) as raw:
-                # the fields left after these four are the image fields of the kind
-                _, kind, domain, codomain = (raw.pop(k) for k in ("id", "kind", "domain", "codomain"))
-                self._homs[hid] = RingHom(hid, kind, self.space(domain), self.space(codomain), **raw)
-
-        for gid in GLUING_IDS:
-            with self._building(f"homs/{gid}.json", gid) as raw:
-                self._gluings[gid] = GluingRestriction(
-                    id=raw["id"],
-                    domain=self.space(raw["domain"]),
-                    domain_labels=raw["domain_labels"],
-                    factors=tuple(self.space(f) for f in raw["factors"]),
-                    images=raw["images"],
-                    weierstrass_factors=raw["weierstrass_factors"],
-                )
+                if self._spaces_in(raw)["kind"] == "gluing":
+                    del raw["kind"]
+                    self._gluings[hid] = GluingRestriction(**raw)
+                else:
+                    self._homs[hid] = RingHom(**raw)
 
         with self._building("catalog.json") as raw:
             for name, entry in raw["classes"].items():
@@ -150,16 +146,7 @@ class Repo:
 
         for sid in SURFACE_IDS:
             with self._building(f"surfaces/{sid.lower()}.json", sid) as raw:
-                self._functionals[sid] = SurfaceFunctional(
-                    id=raw["id"],
-                    space=self.space(raw["target_space"]),
-                    lattice=raw["lattice"],
-                    gram_rows=raw["gram"],
-                    restrictions=raw["restrictions"],
-                    overrides=raw["overrides"],
-                    direct_values=raw["direct_values"],
-                    special_products=raw["special_products"],
-                )
+                self._functionals[sid] = SurfaceFunctional(**self._spaces_in(raw))
 
         with self._building("counts.json") as raw:
             self.counts = CountRegistry(raw)

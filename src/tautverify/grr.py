@@ -7,43 +7,56 @@ A series from `series` is a `TruncatedPoly` in psi, read by degree part or
 term.  The two jet bundles are built once by `jet_bundles`, each as its
 Chern character beside its Chern classes; a run of the checks keeps them,
 and both the jet_chern check and the lambda^2 pipelines read that one copy.
-The readers work on the polynomials' int triples.
+The two pipelines are one readout, `porteous_lambda2`, which takes the
+bundle E of each jet bundle from one table of c(E).  The readers work on
+the polynomials' int triples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping
 
 from .chern import CHERN_MAX_DEGREE, ChernVector, chern_from_character
 from .errors import DegreeError
 from .linalg import Number, _ratio, _ratio_sum
-from .poly import SYMBOLS, TruncatedPoly, _collect, _exps_from_powers, monomial_degree
+from .poly import TruncatedPoly, _collect, _exps_from_powers, monomial_degree
 from .series import exp_scaled, jet_sum, todd_inverse
 
 GRR_MAX_ORDER = 4
-_KAPPA = ("kappa0", "kappa1", "kappa2", "kappa3")
-# the spin weight, and the lambda coefficient of c1 in spin_porteous_class;
-# built once, since the kernels read each back as an int pair
+# the spin weight; built once, since the kernels read it back as an int pair
 _HALF = Fraction(1, 2)
-_SPIN_C1 = Fraction(-1, 4)
 # name -> (order n, weight w) of the jet bundles the pipelines use
 JET_BUNDLES = {"J2_spin": (2, _HALF), "J5_canonical": (5, 1)}
+# jet bundle name -> c(E) of the bundle E it maps to, built once.  The spin
+# pushforward is a line bundle with c1 = -lambda/4 (the stated value is the
+# doubled one) and c2 = 0 as an input datum; the Hodge bundle has
+# c1 = lambda1 and c2 = lambda2.
+_BUNDLE_E = {
+    "J2_spin": ChernVector.line_bundle(TruncatedPoly.monomial({"lam1": 1}, Fraction(-1, 4), CHERN_MAX_DEGREE)),
+    "J5_canonical": ChernVector(
+        4,
+        TruncatedPoly.monomial({"lam1": 1}, 1, CHERN_MAX_DEGREE),
+        TruncatedPoly.monomial({"lam2": 1}, 1, CHERN_MAX_DEGREE),
+        TruncatedPoly.zero(CHERN_MAX_DEGREE),
+    ),
+}
 
 
 def grr_spin_character(order: int) -> TruncatedPoly:
     """Chern character of the (virtual) pushforward of the universal spin bundle.
 
     Multiplies the inverse Todd series by e^{psi/2}, then sends the psi^k
-    coefficient (k >= 1) to kappa_{k-1}.  The psi^1 coefficient vanishes, so
-    no kappa0 term ever appears.
+    coefficient (k >= 1) to kappa_{k-1}.  The psi^1 coefficient vanishes; a
+    psi^1 term would name kappa0, which is no symbol, and raise DegreeError.
     """
     if order < 0:
         raise DegreeError("order must be >= 0")
     if order > GRR_MAX_ORDER:
         raise DegreeError(f"order {order} exceeds the configured series support {GRR_MAX_ORDER}")
     s = todd_inverse(order) * exp_scaled(_HALF, order)
-    kappas = ((_exps_from_powers({_KAPPA[e[0] - 1]: 1}), n, d) for e, n, d in s.triples if e[0])
+    kappas = ((_exps_from_powers({f"kappa{e[0] - 1}": 1}), n, d) for e, n, d in s.triples if e[0])
     return TruncatedPoly(max(order - 1, 0), _collect(kappas, max(order - 1, 0)))
 
 
@@ -103,22 +116,16 @@ def kappa_pushforward(p: TruncatedPoly, g: int) -> TruncatedPoly:
         if a == 1:
             triples.append((rest, n * (2 * g - 2), d))
         else:
-            if a - 1 >= len(_KAPPA):
-                raise DegreeError(f"kappa_{a - 1} is outside the supported range")
-            kappa_exps = list(rest)
-            kappa_exps[SYMBOLS.index(_KAPPA[a - 1])] += 1
-            triples.append((tuple(kappa_exps), n, d))
+            triples.append((tuple(map(add, rest, _exps_from_powers({f"kappa{a - 1}": 1}))), n, d))
     return TruncatedPoly(p.max_degree, _collect(triples, p.max_degree))
 
 
 # lambda^2 extraction on the genus-4 interior: kappa1 = 12 lambda, Faber's
-# kappa2 = 27/2 lambda^2, lambda2 = lambda1^2/2, and lambda == lambda1;
+# kappa2 = 27/2 lambda^2 and lambda2 = lambda1^2/2, where lambda is lam1;
 # each factor is a (numerator, denominator) pair.
 _SPECIALIZE = {
     _exps_from_powers({"kappa2": 1}): (27, 2),
-    _exps_from_powers({"kappa1": 1, "lam": 1}): (12, 1),
     _exps_from_powers({"kappa1": 1, "lam1": 1}): (12, 1),
-    _exps_from_powers({"lam": 2}): (1, 1),
     _exps_from_powers({"lam1": 2}): (1, 1),
     _exps_from_powers({"lam2": 1}): (1, 2),
 }
@@ -137,24 +144,14 @@ def m4_specialize(p: TruncatedPoly) -> Number:
     return _ratio_sum(products)
 
 
-def spin_porteous_class(cJ: ChernVector) -> TruncatedPoly:
-    """kappa-pushforward of the spin degeneracy class at genus 4, given the J2_spin jet bundle."""
-    # c1 of the pushforward line bundle is -lambda/4 (the stated value is the
-    # doubled one); its c2 vanishes as an input datum.
-    cE = ChernVector.line_bundle(TruncatedPoly.monomial({"lam": 1}, _SPIN_C1, CHERN_MAX_DEGREE))
-    return kappa_pushforward(porteous_c3(cJ, cE), g=4)
+def porteous_lambda2(name: str, cJ: ChernVector) -> Number:
+    """The lambda^2 coefficient of the genus-4 degeneracy locus of the jet bundle `name` of JET_BUNDLES.
 
-
-def canonical_jet_porteous_class(cJ: ChernVector) -> TruncatedPoly:
-    """kappa-pushforward of the order-5 canonical jet degeneracy class at genus 4, given J5_canonical."""
-    z = TruncatedPoly.zero(CHERN_MAX_DEGREE)
-    cE = ChernVector(
-        4,
-        TruncatedPoly.monomial({"lam1": 1}, 1, CHERN_MAX_DEGREE),
-        TruncatedPoly.monomial({"lam2": 1}, 1, CHERN_MAX_DEGREE),
-        z,
-    )
-    return kappa_pushforward(porteous_c3(cJ, cE), g=4)
+    `cJ` is the jet bundle's Chern classes.  The degree-3 Porteous class of
+    J - E, with c(E) from `_BUNDLE_E`, is pushed forward along the fiber and
+    specialized on the genus-4 interior.
+    """
+    return m4_specialize(kappa_pushforward(porteous_c3(cJ, _BUNDLE_E[name]), g=4))
 
 
 _LOCI = ("SH4_minus", "H4_minus", "H4", "H4_plus")
@@ -173,9 +170,7 @@ def lambda2_values(repo, jets: Mapping[str, tuple[TruncatedPoly, ChernVector]]) 
     """
     from .counts import hyperelliptic_weierstrass_count, odd_theta_count
 
-    (_, c_spin), (_, c_canonical) = jets["J2_spin"], jets["J5_canonical"]
-    sh4_minus = m4_specialize(spin_porteous_class(c_spin))
-    h4 = m4_specialize(canonical_jet_porteous_class(c_canonical))
+    sh4_minus, h4 = (porteous_lambda2(name, jets[name][1]) for name in ("J2_spin", "J5_canonical"))
     (sn, sd), (hn, hd) = _ratio(sh4_minus), _ratio(h4)
     yn, yd = _ratio(repo.catalog_class("Hyp4").coeff("lam^2"))
     odd = odd_theta_count(4)

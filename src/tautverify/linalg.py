@@ -5,14 +5,16 @@ comparison in the test suite is a strict equality.  An exact vector is kept
 as its *support*: a tuple of ``(index, numerator, denominator)`` int triples
 for its nonzero entries, ascending in index, in lowest terms with positive
 denominators.  This is the one exact-vector format: a matrix is a sequence of
-row supports with a stated width, and elimination, solves (the right-hand
-side included), kernels and row spaces take and return supports.  One
-parser, `_ratio`, turns a number (an int, a Fraction or a rational string;
-never a bool or a float) into an int pair, at the point where a data file
-or a kernel entry point reads it, so load builds supports without a
-Fraction round trip.  One constructor, `_number`, turns
-an int pair back into an exact value where one leaves the kernels (a dot
-product, a sum of ratios, a dense vector, the entries of a solution, an
+row supports with a stated width, and elimination, ranks and solves (the
+right-hand side included) take supports.  There is no separate kernel or
+row-space routine: a check reads ranks, a solve's kernel dimension and the
+left null space that `solve_with_left_kernel` gets from its one elimination.
+One parser, `_ratio`, turns a number (an int, a Fraction or a rational
+string; never a bool or a float) into an int pair, at the point where a data
+file or a kernel entry point reads it, so load builds supports without a
+Fraction round trip.  One constructor, `_number`, turns an int pair back
+into an exact value where one leaves the kernels (a dot product, a sum of
+ratios, the entries of a solution, an
 inconsistency witness) or is read as a value at load (golden values, family
 values, stored relations and count constants, through `as_fraction`): an
 int when the value is integral, a Fraction only when it is not.  The two
@@ -101,14 +103,6 @@ def as_fraction(x) -> Number:
 def _support_of(xs: Iterable) -> Support:
     """The nonzero entries of a vector of numbers (see `_ratio`) as (index, numerator, denominator)."""
     return tuple((i, n, d) for i, (n, d) in enumerate(map(_ratio, xs)) if n)
-
-
-def _from_support(s: Support, width: int) -> Vector:
-    """The dense vector of length `width` whose nonzero entries are `s`."""
-    v = [_ZERO] * width
-    for i, n, d in s:
-        v[i] = _number(n, d)
-    return tuple(v)
 
 
 def _combine(terms: Iterable[tuple[int, int, Iterable]]) -> tuple[tuple[object, int, int], ...]:
@@ -338,8 +332,8 @@ def solve_with_left_kernel(
     in the identity block, so each row that A's part reduces to zero carries
     in that block a y with y A = 0, and those rows span the left null space
     (McConnell, Mehlhorn, Naeher & Schweitzer, "Certifying algorithms", 2011).
-    The basis is not the canonical one of `left_kernel`, but it spans the
-    same space, so the rows that some basis vector uses are the same.
+    Any basis of the left null space uses the same rows, so this one gives
+    the redundant rows as a canonical basis would.
     """
     augmented = [(*row, (width + 1 + i, 1, 1)) for i, row in enumerate(_augmented(rows, rhs, width))]
     reduced, pivots = _rref_rows(augmented, width)
@@ -348,37 +342,6 @@ def solve_with_left_kernel(
     return _read_solution(reduced, pivots, width), kernel
 
 
-def kernel_basis(rows: Sequence[Support], width: int) -> list[Support]:
-    """Canonical basis of the right null space of A, given by its rows over `width` columns.
-
-    For each free column f the basis vector has a 1 in position f, the
-    negated reduced-row entries in the pivot positions, and 0 elsewhere.
-    Vectors are ordered by free column index; empty iff full column rank.
-    """
-    reduced, pivots = _rref_rows(rows, width)
-    entries = [{j: (n, d) for j, n, d in row} for row in reduced[: len(pivots)]]
-    pivset = set(pivots)
-    basis = []
-    for f in range(width):
-        if f in pivset:
-            continue
-        v = [(f, 1, 1)] + [(c, -e[f][0], e[f][1]) for c, e in zip(pivots, entries) if f in e]
-        basis.append(tuple(sorted(v)))
-    return basis
-
-
-def left_kernel(rows: Sequence[Support]) -> list[Support]:
-    """Canonical basis of the left null space of A (the y with y A = 0), given A's rows.
-
-    It is the right null space of the transpose, whose columns are the rows.
-    """
-    width = 1 + max((row[-1][0] for row in rows if row), default=-1)
-    return kernel_basis(_transpose(rows, width), len(rows))
-
-
-def row_space_rref(rows: Sequence[Support], width: int) -> tuple[Support, ...]:
-    """Canonical form of the span of `rows` over `width` columns: RREF with zero rows dropped.
-
-    Two families span the same subspace iff their canonical forms are equal.
-    """
-    return tuple(row for row in _rref_rows(rows, width)[0] if row)
+def rank(rows: Sequence[Support], width: int) -> int:
+    """The rank of the matrix with these rows over `width` columns: its pivot count after one elimination."""
+    return len(_rref_rows(rows, width)[1])

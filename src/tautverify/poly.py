@@ -1,10 +1,10 @@
 """Multivariate truncated polynomials for the Riemann-Roch pipeline.
 
-The symbol set is fixed: the fiber class psi, the two Hodge-class notations
-lam (line-bundle case) and lam1/lam2 (rank-four case), and the pushforward
-classes kappa0..kappa3.  Grading weights: psi, lam, lam1 have weight 1, lam2
-weight 2, kappa_i weight i.  Monomials above the maximum total degree are
-dropped; zero coefficients are never stored.
+The symbol set is fixed at six: the fiber class psi, the Hodge classes lam1
+and lam2 (lam1 is the class lambda of the line-bundle case too), and the
+pushforward classes kappa1..kappa3.  Grading weights: psi and lam1 have
+weight 1, lam2 weight 2, kappa_i weight i.  Monomials above the maximum
+total degree are dropped; zero coefficients are never stored.
 
 Terms are stored as ``(exponents, numerator, denominator)`` int triples in
 lowest terms with positive denominators, sorted by exponent tuple, so that
@@ -27,8 +27,8 @@ from typing import Iterable
 from .errors import DegreeError
 from .linalg import _ZERO, Number, _combine, _number, _ratio
 
-SYMBOLS = ("psi", "lam", "lam1", "lam2", "kappa0", "kappa1", "kappa2", "kappa3")
-WEIGHTS = {"psi": 1, "lam": 1, "lam1": 1, "lam2": 2, "kappa0": 0, "kappa1": 1, "kappa2": 2, "kappa3": 3}
+SYMBOLS = ("psi", "lam1", "lam2", "kappa1", "kappa2", "kappa3")
+WEIGHTS = {"psi": 1, "lam1": 1, "lam2": 2, "kappa1": 1, "kappa2": 2, "kappa3": 3}
 _INDEX = {s: i for i, s in enumerate(SYMBOLS)}
 _WEIGHTS = tuple(WEIGHTS[s] for s in SYMBOLS)
 

@@ -26,9 +26,9 @@ degree, {label: support})`, so applying it is one lookup and one loop; a
 product of two divisor classes reads the product of each pair of generators
 from a table indexed by their basis positions.
 A class is stored as its support only (its nonzero coefficients as int
-triples, see `linalg`); its dense coefficients, exact values that are ints
-where integral (see `linalg._number`), are derived from the support when
-first read.  Every reduction, product, map image, class sum and linear
+triples, see `linalg`), with no dense view: `coeff` reads one coefficient
+as an exact value, an int where integral (see `linalg._number`).  Every
+reduction, product, map image, class sum and linear
 solve walks supports through the `linalg` kernels, and a class made by a
 kernel holds the support the kernel returned.
 """
@@ -51,7 +51,6 @@ from .linalg import (
     Support,
     _ZERO,
     _combine,
-    _from_support,
     _number,
     _ratio,
     _transpose,
@@ -77,7 +76,7 @@ class TautClass:
     plain slotted class, not a dataclass: kernels build hundreds per run.
     """
 
-    __slots__ = ("space", "degree", "support", "_coeffs")
+    __slots__ = ("space", "degree", "support")
 
     def __init__(self, space: "RingSpace", degree: int, support: Support):
         self.space, self.degree, self.support = space, degree, support
@@ -89,18 +88,6 @@ class TautClass:
 
     def __repr__(self) -> str:
         return f"TautClass(space={self.space!r}, degree={self.degree!r}, support={self.support!r})"
-
-    @property
-    def coeffs(self) -> tuple[Number, ...]:
-        """Every coefficient over the basis of the class's degree, built on first read.
-
-        Each is an exact value: an int where it is integral, else a Fraction.
-        """
-        try:
-            return self._coeffs
-        except AttributeError:
-            self._coeffs = _from_support(self.support, len(self.space.basis(self.degree)))
-            return self._coeffs
 
     def coeff(self, label: str) -> Number:
         i = self.space.label_position(self.degree, label)
@@ -158,7 +145,7 @@ class RingSpace:
         product_reductions: Mapping[str, Mapping],
         divisor_reductions: Mapping[str, Mapping],
         relations: Sequence[Mapping],
-        special_expansions_formal: Mapping[str, Mapping],
+        special_expansions: Mapping[str, Mapping],
     ):
         div = tuple(divisor_basis)
         cod = tuple(codim2_basis)
@@ -204,7 +191,7 @@ class RingSpace:
         self.product_pairs, self.codim2_supports, self.product_supports = pairs, supports, products
         self.relations = tuple({k: as_fraction(v) for k, v in rel.items()} for rel in relations)
         self.special_expansions = {
-            name: reduce_to_basis(self, formal).support for name, formal in special_expansions_formal.items()
+            name: reduce_to_basis(self, formal).support for name, formal in special_expansions.items()
         }
 
         for i, (raw, rel) in enumerate(zip(relations, self.relations)):

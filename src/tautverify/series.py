@@ -17,9 +17,9 @@ from typing import Iterable
 
 from .errors import DegreeError, NonUnitSeriesError
 from .linalg import _pair_sum, _ratio
-from .poly import TruncatedPoly
+from .poly import SYMBOLS, TruncatedPoly
 
-_REST = (0,) * 7  # the exponents of every symbol after psi
+_REST = (0,) * (len(SYMBOLS) - 1)  # the exponents of every symbol after psi
 
 
 def _series(pairs: Iterable[tuple[int, int]], order: int) -> TruncatedPoly:

@@ -62,18 +62,18 @@ class SurfaceFunctional:
     def __init__(
         self,
         id: str,
-        space: RingSpace,
+        target_space: RingSpace,
         lattice: Sequence[str],
-        gram_rows: Sequence[Sequence],
+        gram: Sequence[Sequence],
         restrictions: Mapping[str, Sequence],
         overrides: Mapping[str, object],
         direct_values: Mapping[str, object],
         special_products: Mapping[str, Sequence],
     ):
-        labels = tuple(lattice)
-        gram = tuple(_support_of(r) for r in gram_rows)
-        if len(gram_rows) != len(labels) or any(len(r) != len(labels) for r in gram_rows):
+        space, labels = target_space, tuple(lattice)
+        if len(gram) != len(labels) or any(len(r) != len(labels) for r in gram):
             raise DataError(f"{id}: gram matrix must be {len(labels)}x{len(labels)}")
+        gram = tuple(_support_of(r) for r in gram)
         # supports are canonical, so the rows equal the columns iff the matrix is symmetric
         if list(gram) != _transpose(gram, len(labels)):
             raise DataError(f"{id}: gram matrix must be symmetric")

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from tautverify.chern import ChernVector
 from tautverify.data import Repo
-from tautverify.linalg import Solution, _dot, _support_of, _table
+from tautverify.linalg import Solution, _dot, _number, _support_of, _table
 from tautverify.poly import TruncatedPoly
 
 settings.register_profile(
@@ -42,6 +42,19 @@ sparse_rationals = st.sampled_from([Fraction(0)] * len(_small_rationals) + _smal
 def is_exact_value(x) -> bool:
     """An exact value as the package returns one: an int, or a Fraction that is not integral."""
     return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def _from_support(s, width):
+    """The dense vector of length `width` whose nonzero entries are the support `s`."""
+    v = [0] * width
+    for i, n, d in s:
+        v[i] = _number(n, d)
+    return tuple(v)
+
+
+def coeffs(c):
+    """Every coefficient of a class over the basis of its degree, as exact values."""
+    return _from_support(c.support, len(c.space.basis(c.degree)))
 
 
 def mat(rows):

@@ -79,7 +79,7 @@ def test_poly_unknown_symbol_rejected():
 
 @given(rationals, rationals)
 def test_poly_arithmetic_commutes(a, b):
-    p = TruncatedPoly.monomial({"psi": 1}, a, 3) + TruncatedPoly.monomial({"lam": 1}, b, 3)
+    p = TruncatedPoly.monomial({"psi": 1}, a, 3) + TruncatedPoly.monomial({"lam1": 1}, b, 3)
     q = TruncatedPoly.monomial({"psi": 1}, b, 3)
     assert fields(p * q) == fields(q * p)
     assert fields(p + q) == fields(q + p)

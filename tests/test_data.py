@@ -29,7 +29,7 @@ def test_override_dir_loads_identically(repo, tmp_path):
     other = Repo(data_dir)
     # spaces compare by identity, so classes of two loads compare by content
     mine, theirs = repo.catalog_class("Hyp4"), other.catalog_class("Hyp4")
-    assert (theirs.space.id, theirs.degree, theirs.coeffs) == (mine.space.id, mine.degree, mine.coeffs)
+    assert (theirs.space.id, theirs.degree, theirs.support) == (mine.space.id, mine.degree, mine.support)
     assert theirs.space is not mine.space
     assert other.functional("T2").values == repo.functional("T2").values
 
@@ -125,7 +125,7 @@ def test_all_catalog_classes_well_formed(repo):
     for name, entry in catalog["classes"].items():
         c = repo.catalog_class(name)
         assert c.space is repo.space(entry["space"])
-        assert len(c.coeffs) == len(c.space.basis(c.degree))
+        assert all(0 <= i < len(c.space.basis(c.degree)) for i, _, _ in c.support)
 
 
 def test_a_dropped_load_is_freed_without_the_cycle_collector():
@@ -226,3 +226,23 @@ def test_input_that_load_would_drop_is_rejected(tmp_path, capsys, relpath, edit,
     assert str(err.value).startswith(f"{relpath}: ") and repr(label) in str(err.value)
     assert main(["--data-dir", str(data_dir), "run-all"]) == 2
     assert capsys.readouterr().err == f"configuration error: {err.value}\n"
+
+
+def test_every_missing_or_unknown_field_of_a_definition_file_names_the_file_and_the_field(tmp_path):
+    # each space, map, gluing and family file goes whole to its constructor,
+    # so every field is a parameter: none may be missing and no other may appear
+    data_dir = _copy_embedded(tmp_path)
+    relpaths = [f"{d}/{f}" for d in ("spaces", "homs", "surfaces") for f in sorted(os.listdir(data_dir / d))]
+    assert len(relpaths) == 22
+    for relpath in relpaths:
+        path = data_dir / relpath
+        text = path.read_text()
+        fields = [k for k in json.loads(text) if k != "comment"]
+        edits = [({k: v for k, v in json.loads(text).items() if k != field}, field) for field in fields]
+        edits.append(({**json.loads(text), "unexpected_field": []}, "unexpected_field"))
+        for raw, field in edits:
+            path.write_text(json.dumps(raw))
+            with pytest.raises(DataError) as err:
+                Repo(data_dir)
+            assert relpath in str(err.value) and repr(field) in str(err.value), (relpath, field, str(err.value))
+        path.write_text(text)

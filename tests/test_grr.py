@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 from tautverify.chern import ChernVector
 from tautverify.errors import DegreeError
 from tautverify.grr import (
-    canonical_jet_porteous_class,
     grr_spin_character,
     jet_bundle_chern,
     jet_bundles,
@@ -16,7 +15,7 @@ from tautverify.grr import (
     lower_order_character,
     m4_specialize,
     porteous_c3,
-    spin_porteous_class,
+    porteous_lambda2,
 )
 from tautverify.poly import TruncatedPoly, _exps_from_powers
 from tautverify.series import jet_sum
@@ -88,19 +87,16 @@ def porteous_c3_by_full_quotient(cJ, cE):
     return TruncatedPoly(3, tuple(t for t in total.degree_part(3).triples if t[0][0] >= 1))
 
 
-# every monomial of each degree in the base classes lam, lam1 and lam2
+# every monomial of each degree in the base classes lam1 and lam2
 _BASE_MONOMIALS = {
-    1: [{"lam": 1}, {"lam1": 1}],
-    2: [{"lam": 2}, {"lam": 1, "lam1": 1}, {"lam1": 2}, {"lam2": 1}],
-    3: [
-        {"lam": 3}, {"lam": 2, "lam1": 1}, {"lam": 1, "lam1": 2}, {"lam1": 3},
-        {"lam": 1, "lam2": 1}, {"lam1": 1, "lam2": 1},
-    ],
+    1: [{"lam1": 1}],
+    2: [{"lam1": 2}, {"lam2": 1}],
+    3: [{"lam1": 3}, {"lam1": 1, "lam2": 1}],
 }
 
 
 def psi_free(degree):
-    """A class of pure `degree` in lam, lam1 and lam2, every coefficient drawn from `rationals`."""
+    """A class of pure `degree` in lam1 and lam2, every coefficient drawn from `rationals`."""
     monomials = _BASE_MONOMIALS[degree]
     return st.lists(rationals, min_size=len(monomials), max_size=len(monomials)).map(
         lambda cs: TruncatedPoly.from_terms([(_exps_from_powers(m), c) for m, c in zip(monomials, cs)], 3)
@@ -117,7 +113,7 @@ def test_graded_porteous_matches_the_full_quotient(n, w, c1, c2, c3):
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_porteous_rejects_a_bundle_with_a_psi_term(degree):
     classes = [TruncatedPoly.zero(3)] * 3
-    classes[degree - 1] = mono({"psi": 1, "lam": degree - 1}, 1)
+    classes[degree - 1] = mono({"psi": 1, "lam1": degree - 1}, 1)
     with pytest.raises(DegreeError, match="must not involve psi"):
         porteous_c3(jet(2, F(1, 2)), ChernVector(4, *classes))
 
@@ -131,12 +127,12 @@ def test_porteous_with_trivial_denominator():
 
 def test_porteous_spin_case():
     cJ = jet(2, F(1, 2))
-    cE = ChernVector.line_bundle(mono({"lam": 1}, F(-1, 4)))
+    cE = ChernVector.line_bundle(mono({"lam1": 1}, F(-1, 4)))
     out = porteous_c3(cJ, cE)
     expected = (
         mono({"psi": 3}, F(15, 8))
-        + mono({"psi": 2, "lam": 1}, F(23, 16))
-        + mono({"psi": 1, "lam": 2}, F(9, 32))
+        + mono({"psi": 2, "lam1": 1}, F(23, 16))
+        + mono({"psi": 1, "lam1": 2}, F(9, 32))
     )
     assert fields(out) == fields(expected)
     # with c2(E) = 0 the quotient agrees with the published three-term form
@@ -167,14 +163,19 @@ def test_kappa_pushforward_rules():
 
 def test_kappa_pushforward_needs_fiber_class():
     with pytest.raises(DegreeError):
-        kappa_pushforward(mono({"lam": 3}, 1), 4)
+        kappa_pushforward(mono({"lam1": 3}, 1), 4)
+
+
+def test_kappa_pushforward_past_kappa3_is_an_unknown_symbol():
+    with pytest.raises(DegreeError, match="unknown symbol 'kappa4'"):
+        kappa_pushforward(mono({"psi": 5}, 1, deg=5), 4)
 
 
 def test_specialize_examples():
     spin = (
         mono({"kappa2": 1}, F(15, 8))
-        + mono({"kappa1": 1, "lam": 1}, F(23, 16))
-        + mono({"lam": 2}, F(27, 16))
+        + mono({"kappa1": 1, "lam1": 1}, F(23, 16))
+        + mono({"lam1": 2}, F(27, 16))
     )
     assert m4_specialize(spin) == F(177, 4)
     hodge = (
@@ -184,7 +185,7 @@ def test_specialize_examples():
         + mono({"lam2": 1}, -126)
     )
     assert m4_specialize(hodge) == F(15771, 2)
-    assert m4_specialize(mono({"lam": 2}, 1)) == 1
+    assert m4_specialize(mono({"lam1": 2}, 1)) == 1
 
 
 def test_specialize_rejects_wrong_degree():
@@ -204,8 +205,8 @@ def test_jet_bundles_are_the_pipelines_jet_bundles():
 
 def test_pipeline_classes():
     jets = jet_bundles()
-    assert m4_specialize(spin_porteous_class(jets["J2_spin"][1])) == F(177, 4)
-    assert m4_specialize(canonical_jet_porteous_class(jets["J5_canonical"][1])) == F(15771, 2)
+    assert porteous_lambda2("J2_spin", jets["J2_spin"][1]) == F(177, 4)
+    assert porteous_lambda2("J5_canonical", jets["J5_canonical"][1]) == F(15771, 2)
 
 
 def test_lambda2_values(repo):

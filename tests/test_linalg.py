@@ -1,18 +1,19 @@
+import copy
 from fractions import Fraction as F
 from itertools import permutations
 from math import gcd
 
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given
 import hypothesis.strategies as st
 
+from tautverify.checks import Run, _parts_basis_m31
 from tautverify.errors import DimensionError
 from tautverify.linalg import (
     Inconsistent,
     Solution,
     _combine,
     _dot,
-    _from_support,
     _ratio,
     _rref_rows,
     _support_of,
@@ -20,16 +21,24 @@ from tautverify.linalg import (
     _transpose,
     as_fraction,
     det3,
-    kernel_basis,
-    left_kernel,
-    row_space_rref,
+    rank,
     solve_exact,
     solve_with_left_kernel,
 )
 from tautverify.poly import _collect, _exps_from_powers, monomial_degree
 from tautverify.rings import apply_hom
 
-from conftest import _small_rationals, fields, is_exact_value, mat, mul_vec, rationals, sparse_rationals
+from conftest import (
+    _from_support,
+    _small_rationals,
+    coeffs,
+    fields,
+    is_exact_value,
+    mat,
+    mul_vec,
+    rationals,
+    sparse_rationals,
+)
 
 
 def identity(n):
@@ -40,8 +49,37 @@ def dense(rows, width):
     return [list(_from_support(r, width)) for r in rows]
 
 
-def rank(rows, width):
-    return len(_rref_rows(rows, width)[1])
+# --- oracles: canonical kernel and row-space forms, the reference for the
+# rank and membership criterion of the basis check
+
+
+def kernel_basis(rows, width):
+    """Canonical basis of the right null space of A, given by its rows over `width` columns.
+
+    For each free column f the basis vector has a 1 in position f, the
+    negated reduced-row entries in the pivot positions, and 0 elsewhere.
+    Vectors are ordered by free column index; empty iff full column rank.
+    """
+    reduced, pivots = _rref_rows(rows, width)
+    entries = [{j: (n, d) for j, n, d in row} for row in reduced[: len(pivots)]]
+    basis = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        v = [(f, 1, 1)] + [(c, -e[f][0], e[f][1]) for c, e in zip(pivots, entries) if f in e]
+        basis.append(tuple(sorted(v)))
+    return basis
+
+
+def left_kernel(rows):
+    """Canonical basis of the left null space of A (the y with y A = 0): the right null space of the transpose."""
+    width = 1 + max((row[-1][0] for row in rows if row), default=-1)
+    return kernel_basis(_transpose(rows, width), len(rows))
+
+
+def row_space_rref(rows, width):
+    """Canonical form of the span of `rows`: RREF with zero rows dropped, so equal iff the spans are."""
+    return tuple(row for row in _rref_rows(rows, width)[0] if row)
 
 
 # (rows as supports, width)
@@ -364,11 +402,66 @@ def test_basis_m31_pullback_matches_dense_oracle(repo):
     # the shipped theta-star pullback matrix, denominators up to 300, both ways round
     m31 = repo.space("M31")
     theta = repo.hom("theta_star")
-    rows = [apply_hom(theta, m31.basis_class(2, lbl)).coeffs for lbl in m31.codim2_basis]
+    rows = [coeffs(apply_hom(theta, m31.basis_class(2, lbl))) for lbl in m31.codim2_basis]
     assert all(is_exact_value(x) for r in rows for x in r)
     assert max(x.denominator for r in rows for x in r) == 300
     for m in (rows, list(zip(*rows))):
         assert_elimination_matches_dense(len(m[0]), [list(r) + [F(1, 7 + i)] for i, r in enumerate(m)])
+
+
+@given(st.one_of(sparse_augmented, matrices.map(lambda m: (m[1], dense(*m)))))
+@example((2, [[0, 0]] * 3))
+@example((0, [[], []]))
+def test_rank_is_the_pivot_count_of_the_dense_oracle(case):
+    # on the leftmost `width` columns; an augmented part is carried along
+    width, rows = case
+    assert rank(mat(rows), width) == len(dense_rref_rows([list(r) for r in rows], width)[1])
+
+
+def _kernel_span_matches_with(repo, gens):
+    """The basis_m31 check's kernel_span_matches part, with `gens` as the relation generators."""
+    m31 = repo.space("M31")
+    stated = {k: dict(zip(m31.codim2_basis, _from_support(g, 16))) for k, g in zip(("alpha", "beta", "gamma"), gens)}
+    swapped = copy.copy(repo)
+    swapped.golden = {**repo.golden, "basis_m31": {**repo.golden["basis_m31"], "relation_generators": stated}}
+    return next(actual for name, _, actual in _parts_basis_m31(Run(swapped)) if name == "kernel_span_matches")
+
+
+@given(st.data())
+def test_basis_criterion_matches_the_canonical_span_equality(repo, data):
+    # ker theta* is spanned by three classes iff each dies under theta*, they
+    # have rank 3, and 3 = 16 - rank theta*: the check's criterion must agree
+    # with comparing the canonical row spaces of the classes and of the
+    # transpose's kernel, on kernel combinations, dependent triples and
+    # triples with one class off the kernel
+    m31, theta = repo.space("M31"), repo.hom("theta_star")
+    rows = [theta.images[2][1][lbl] for lbl in m31.codim2_basis]
+    kernel = left_kernel(rows)
+    assert len(kernel) == 3
+
+    def combination(vectors):
+        cs = data.draw(st.lists(rationals, min_size=len(vectors), max_size=len(vectors)))
+        return _combine((c.numerator, c.denominator, v) for c, v in zip(cs, vectors))
+
+    gens = [combination(kernel) for _ in range(3)]
+    kind = data.draw(st.sampled_from(["kernel", "dependent", "off_kernel"]))
+    if kind == "dependent":
+        gens[2] = combination(gens[:2])
+    elif kind == "off_kernel":
+        i, label = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 15))
+        gens[i] = _combine(((1, 1, gens[i]), (*_ratio(data.draw(rationals.filter(bool))), ((label, 1, 1),))))
+    expected = row_space_rref(kernel, 16) == row_space_rref(gens, 16)
+    event(f"{kind}: {expected}")
+    assert _kernel_span_matches_with(repo, gens) is expected
+
+
+def test_basis_criterion_tells_a_spanning_triple_from_one_that_is_not(repo):
+    m31, theta = repo.space("M31"), repo.hom("theta_star")
+    kernel = left_kernel([theta.images[2][1][lbl] for lbl in m31.codim2_basis])
+    assert _kernel_span_matches_with(repo, kernel) is True
+    # two copies of one kernel vector, and psi^2, which theta* does not kill
+    assert _kernel_span_matches_with(repo, [kernel[0], kernel[0], kernel[1]]) is False
+    assert _kernel_span_matches_with(repo, [kernel[0], kernel[1], ((0, 1, 1),)]) is False
 
 
 def test_small_rationals_are_every_bounded_fraction():
@@ -394,7 +487,7 @@ kernel_terms = st.integers(0, 5).flatmap(
 # with monomials of degree 0 to 4, summed up to a maximum degree of 0 to 3
 _KEYS = [
     _exps_from_powers(p)
-    for p in ({}, {"psi": 1}, {"lam": 1}, {"psi": 2}, {"psi": 1, "lam": 1}, {"lam2": 1}, {"kappa3": 1, "psi": 1})
+    for p in ({}, {"psi": 1}, {"lam1": 1}, {"psi": 2}, {"psi": 1, "lam1": 1}, {"lam2": 1}, {"kappa3": 1, "psi": 1})
 ]
 keyed_terms = st.tuples(st.integers(0, 3), st.lists(st.tuples(st.sampled_from(_KEYS), kernel_entries), max_size=12))
 

@@ -56,13 +56,13 @@ def fraction_mul(p, q):
     return fraction_from_terms(acc.items(), deg)
 
 
-# a few monomials of degrees 0-4 over psi, lam, lam2 and kappa1, so that the
+# a few monomials of degrees 0-4 over psi, lam1, lam2 and kappa1, so that the
 # terms of one polynomial and the products of two collide often
 _MONOMIALS = [
     _exps_from_powers(p)
     for p in (
-        {}, {"psi": 1}, {"lam": 1}, {"kappa1": 1}, {"psi": 2}, {"psi": 1, "lam": 1}, {"lam2": 1},
-        {"psi": 1, "lam": 2}, {"psi": 3}, {"psi": 2, "lam2": 1},
+        {}, {"psi": 1}, {"lam1": 1}, {"kappa1": 1}, {"psi": 2}, {"psi": 1, "lam1": 1}, {"lam2": 1},
+        {"psi": 1, "lam1": 2}, {"psi": 3}, {"psi": 2, "lam2": 1},
     )
 ]
 poly_cases = st.tuples(
@@ -94,10 +94,10 @@ def test_poly_arithmetic_matches_fraction_oracle(a, b, c):
 
 
 def test_poly_product_collects_like_terms():
-    s = mono({"psi": 1}, 1) + mono({"lam": 1}, 1)
+    s = mono({"psi": 1}, 1) + mono({"lam1": 1}, 1)
     sq = s * s
-    assert sq.coeff({"psi": 1, "lam": 1}) == 2
-    assert fields(sq) == fields(mono({"psi": 2}, 1) + mono({"psi": 1, "lam": 1}, 2) + mono({"lam": 2}, 1))
+    assert sq.coeff({"psi": 1, "lam1": 1}) == 2
+    assert fields(sq) == fields(mono({"psi": 2}, 1) + mono({"psi": 1, "lam1": 1}, 2) + mono({"lam1": 2}, 1))
 
 
 def test_poly_sum_keeps_the_smaller_truncation_degree():
@@ -118,6 +118,14 @@ def test_poly_rejects_exponent_tuples_of_the_wrong_length():
     # a short tuple used to be stored beside the full-length key of the same
     # monomial: this printed "1*psi + 1*psi" with psi coefficient 1, not 2
     with pytest.raises(DegreeError):
-        TruncatedPoly.from_terms({(1,): 1, (1, 0, 0, 0, 0, 0, 0, 0): 1}, 3)
+        TruncatedPoly.from_terms({(1,): 1, (1, 0, 0, 0, 0, 0): 1}, 3)
     with pytest.raises(DegreeError):
-        TruncatedPoly.from_terms([((1, 0, 0, 0, 0, 0, 0, 0, 0), 1)], 3)
+        TruncatedPoly.from_terms([((1, 0, 0, 0, 0, 0, 0), 1)], 3)
+
+
+@pytest.mark.parametrize("symbol", ["kappa0", "lam"])
+def test_dropped_symbols_are_unknown(symbol):
+    # no term ever carried kappa0, and lam was a second name for the class lam1
+    assert SYMBOLS == ("psi", "lam1", "lam2", "kappa1", "kappa2", "kappa3")
+    with pytest.raises(DegreeError, match=f"unknown symbol '{symbol}'"):
+        mono({symbol: 1}, 1)

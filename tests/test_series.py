@@ -168,4 +168,4 @@ def test_negative_orders_raise():
 
 def test_inverse_rejects_other_symbols():
     with pytest.raises(DegreeError, match="series in psi alone"):
-        series_inverse(one(2) + TruncatedPoly.monomial({"lam": 1}, 1, 2))
+        series_inverse(one(2) + TruncatedPoly.monomial({"lam1": 1}, 1, 2))

@@ -11,7 +11,6 @@ import hypothesis.strategies as st
 
 from tautverify.data import SURFACE_IDS
 from tautverify.errors import DataError, SpaceMismatchError, UnknownLabelError
-from tautverify.linalg import _from_support
 from tautverify.rings import divisor_product, special_expand
 from tautverify.surfaces import (
     SurfaceFunctional,
@@ -20,7 +19,7 @@ from tautverify.surfaces import (
     pair_on_surface,
 )
 
-from conftest import is_exact_value, rationals, sparse_rationals
+from conftest import _from_support, coeffs, is_exact_value, rationals, sparse_rationals
 
 SURFACE_TABLES = Path(__file__).parent / "data" / "surface_tables.txt"
 SHOW_TABLES = Path(__file__).resolve().parent.parent / "scripts" / "show_tables.py"
@@ -92,7 +91,7 @@ def test_sparse_arithmetic_matches_dense_formulas(repo, data):
     k = len(space.codim2_basis)
     x, y = vec(k), vec(k)
     a, b = space.from_dict(2, dict(zip(space.codim2_basis, x))), space.from_dict(2, dict(zip(space.codim2_basis, y)))
-    total, diff, scaled = (a - b.scale(-1)).coeffs, (a - b).coeffs, a.scale(t).coeffs
+    total, diff, scaled = coeffs(a - b.scale(-1)), coeffs(a - b), coeffs(a.scale(t))
     assert total == tuple(p + q for p, q in zip(x, y))
     assert diff == tuple(p - q for p, q in zip(x, y))
     assert scaled == tuple(t * p for p in x)

@@ -71,10 +71,10 @@ def test_equal_fields_make_equal_objects(name):
 @pytest.mark.parametrize(
     "cs, text",
     [
-        ((_poly({"lam": 2}, 1), _Z, _poly({"psi": 1}, 1)), "c1 must have pure total degree 1, got 1*lam^2"),
+        ((_poly({"lam1": 2}, 1), _Z, _poly({"psi": 1}, 1)), "c1 must have pure total degree 1, got 1*lam1^2"),
         (
-            (_Z, _poly({"psi": 1}, 2) + _poly({"lam": 2}, 1), _Z),
-            "c2 must have pure total degree 2, got 1*lam^2 + 2*psi",
+            (_Z, _poly({"psi": 1}, 2) + _poly({"lam1": 2}, 1), _Z),
+            "c2 must have pure total degree 2, got 1*lam1^2 + 2*psi",
         ),
         ((_Z, _Z, _poly({"kappa2": 1}, "1/2")), "c3 must have pure total degree 3, got 1/2*kappa2"),
     ],
