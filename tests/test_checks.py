@@ -95,6 +95,41 @@ def test_multiplicity_solutions(repo):
     assert redundant4 == ["family:V1", "family:V2", "family:V3", "family:V4", "coefficient:lam^2"]
 
 
+# each system's (names, rows, rhs) as assembled from the shipped definitions;
+# a row and the right-hand side are supports of (index, numerator, denominator)
+ASSEMBLED = {
+    "F31": (
+        ["family:T1", "family:T2", "family:T3", "pushforward:lam", "pushforward:d0", "pushforward:d1"],
+        [
+            ((0, 18, 1), (1, 72, 1), (2, -6, 1)),
+            ((0, 30, 1), (1, 80, 1), (2, 6, 1)),
+            ((2, -3, 1), (3, 12, 1)),
+            ((0, 72, 1), (1, 308, 1)),
+            ((0, -8, 1), (1, -32, 1), (4, 1, 1)),
+            ((0, -24, 1), (1, -76, 1)),
+        ],
+        ((0, 252, 1), (1, 388, 1), (2, 27, 1), (3, 1120, 1), (4, -108, 1), (5, -320, 1)),
+    ),
+    "H4plus": (
+        ["family:V1", "family:V2", "family:V3", "family:V4", "coefficient:lam^2"],
+        [
+            ((0, 36, 1), (1, 4608, 1), (2, -24, 1)),
+            ((0, 30, 1), (1, 3360, 1), (2, 6, 1)),
+            ((2, -3, 1), (3, 12, 1)),
+            ((2, -1, 1), (3, -2, 1)),
+            ((0, 51, 4), (1, 2448, 1)),
+        ],
+        ((0, 18432, 1), (1, 16896, 1), (2, 2304, 1), (3, -528, 1), (4, 8976, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("system_id", sorted(ASSEMBLED))
+def test_assembled_system_is_pinned(repo, system_id):
+    names, rows, rhs = checks._assemble_system(Run(repo), checks._SYSTEMS[system_id])
+    assert (list(names), [tuple(r) for r in rows], tuple(rhs)) == ASSEMBLED[system_id]
+
+
 def test_computed_classes_match_catalog(repo):
     # each computed paper result equals its one statement, in the golden file
     m31, m4 = repo.space("M31"), repo.space("M4")
