@@ -167,34 +167,25 @@ def _finish(check_id: str, anchor: str, parts: Sequence[Part], t0: float) -> Che
 # --- multiplicity systems -------------------------------------------------
 
 
-class Component:
-    """One right-hand class of a multiplicity decomposition.
+class MultiplicitySystem:
+    """A left-hand product decomposed into components, each with an unknown multiplicity.
 
-    `ref` names a known class ("class:X", a computed paper result or a
-    catalog input, "special:X" or "basis:X"); the unknown component instead
-    carries per-family fiber counts, a known pushforward, and optionally
-    draws its lam^2 entry from the jet pipeline.  The name of a known
-    component is also its key in the surface tables of the golden file.
+    `components` are (name, ref) pairs.  A `ref` names a known class
+    ("class:X", a computed paper result or a catalog input, "special:X" or
+    "basis:X"), whose name is also its key in the golden surface tables; the
+    one pair with `ref` None is the unknown component.  Readout rule: a
+    class's rows are its pairing with each of `families`, then either its
+    image's entries under the `pushforward` map or its `coefficient` at one
+    basis label, whichever of the two is set.  The left-hand product (the
+    right-hand side) and each known component (its column) are read so; the
+    unknown component states its column: its `fiber_counts` (zero where a
+    family has none), then the catalog class `pushforward` names or the
+    lambda^2 value `coefficient` names.
     """
 
-    __slots__ = ("name", "ref", "counts", "pushforward_ref", "lambda2_from_pipeline")
-
-    def __init__(
-        self,
-        name: str,
-        ref: str | None = None,
-        counts: Mapping[str, str] | None = None,  # surface id -> count-constant id
-        pushforward_ref: str | None = None,
-        lambda2_from_pipeline: bool = False,
-    ):
-        self.name, self.ref, self.counts = name, ref, counts
-        self.pushforward_ref, self.lambda2_from_pipeline = pushforward_ref, lambda2_from_pipeline
-
-
-class MultiplicitySystem:
     __slots__ = (
         "id", "space", "lhs_key", "lhs_factors", "unknowns", "components",
-        "functional_constraints", "pushforward_constraints", "coefficient_constraints",
+        "families", "fiber_counts", "pushforward", "coefficient",
     )
 
     def __init__(
@@ -204,16 +195,15 @@ class MultiplicitySystem:
         lhs_key: str,  # surface-table key of the left-hand product
         lhs_factors: tuple[str, str],
         unknowns: tuple[str, ...],
-        components: tuple[Component, ...],
-        functional_constraints: tuple[str, ...],  # surface ids
-        pushforward_constraints: tuple[str, ...],  # hom ids
-        coefficient_constraints: tuple[str, ...],  # codim-2 basis labels
+        components: tuple[tuple[str, str | None], ...],  # (name, ref); ref None for the unknown
+        families: tuple[str, ...],  # surface ids
+        fiber_counts: Mapping[str, str],  # surface id -> count-constant id of the unknown
+        pushforward: tuple[str, str] | None = None,  # (hom id, catalog class of the unknown's image)
+        coefficient: tuple[str, str] | None = None,  # (codim-2 basis label, lambda^2 value of the unknown)
     ):
         self.id, self.space, self.lhs_key, self.lhs_factors = id, space, lhs_key, lhs_factors
-        self.unknowns, self.components = unknowns, components
-        self.functional_constraints = functional_constraints
-        self.pushforward_constraints = pushforward_constraints
-        self.coefficient_constraints = coefficient_constraints
+        self.unknowns, self.components, self.families = unknowns, components, families
+        self.fiber_counts, self.pushforward, self.coefficient = fiber_counts, pushforward, coefficient
 
 
 F31_SYSTEM = MultiplicitySystem(
@@ -223,19 +213,15 @@ F31_SYSTEM = MultiplicitySystem(
     lhs_factors=("W31", "Theta31"),
     unknowns=("m", "n", "k", "l", "j"),
     components=(
-        Component("Hyp31", ref="class:Hyp31_theorem"),
-        Component(
-            "hyperflex",
-            counts={"T1": "T1_F31_fibers", "T2": "T2_F31_fibers"},
-            pushforward_ref="F31_pushforward_M3",
-        ),
-        Component("W2", ref="class:W2_M31"),
-        Component("gamma1", ref="special:gamma1"),
-        Component("gamma2", ref="special:gamma2"),
+        ("Hyp31", "class:Hyp31_theorem"),
+        ("hyperflex", None),
+        ("W2", "class:W2_M31"),
+        ("gamma1", "special:gamma1"),
+        ("gamma2", "special:gamma2"),
     ),
-    functional_constraints=("T1", "T2", "T3"),
-    pushforward_constraints=("p_star_pushforward",),
-    coefficient_constraints=(),
+    families=("T1", "T2", "T3"),
+    fiber_counts={"T1": "T1_F31_fibers", "T2": "T2_F31_fibers"},
+    pushforward=("p_star_pushforward", "F31_pushforward_M3"),
 )
 
 H4PLUS_SYSTEM = MultiplicitySystem(
@@ -245,18 +231,14 @@ H4PLUS_SYSTEM = MultiplicitySystem(
     lhs_factors=("Theta_null_M4", "T_M4"),
     unknowns=("m", "n", "k", "l"),
     components=(
-        Component("Hyp4", ref="class:Hyp4"),
-        Component(
-            "even_triple_vanishing",
-            counts={"V1": "V1_H4plus", "V2": "V2_H4plus"},
-            lambda2_from_pipeline=True,
-        ),
-        Component("W2", ref="class:W2_M4"),
-        Component("gamma1", ref="basis:gamma1"),
+        ("Hyp4", "class:Hyp4"),
+        ("even_triple_vanishing", None),
+        ("W2", "class:W2_M4"),
+        ("gamma1", "basis:gamma1"),
     ),
-    functional_constraints=("V1", "V2", "V3", "V4"),
-    pushforward_constraints=(),
-    coefficient_constraints=("lam^2",),
+    families=("V1", "V2", "V3", "V4"),
+    fiber_counts={"V1": "V1_H4plus", "V2": "V2_H4plus"},
+    coefficient=("lam^2", "H4_plus"),
 )
 
 _SYSTEMS = {"F31": F31_SYSTEM, "H4plus": H4PLUS_SYSTEM}
@@ -318,7 +300,7 @@ class Run:
         system = _SYSTEMS[system_id]
         return self._once(
             ("known", system_id),
-            lambda: {c.name: _component_class(self, system.space, c.ref) for c in system.components if c.ref},
+            lambda: {name: _component_class(self, system.space, ref) for name, ref in system.components if ref},
         )
 
     def lhs(self, system_id: str) -> TautClass:
@@ -351,92 +333,55 @@ def _component_class(run: Run, space_id: str, ref: str) -> TautClass:
 
 
 def _assemble_system(run: Run, system: MultiplicitySystem):
-    """Rows of the linear system in the unknown multiplicities, and its right-hand side.
-
-    Functional constraints pair every component against a family (the
-    unknown component contributes its fiber count, zero for disjoint
-    families); pushforward constraints contribute one row per target divisor
-    generator; coefficient constraints equate a single basis coordinate,
-    with the unknown component's lam^2 entry taken from the jet pipeline.
-    The rows and the right-hand side are supports, read straight from the
-    classes' supports.  The unknown component's stated pushforward must be a
-    class on the map's codomain of the degree the map gives, else
-    SpaceMismatchError or DegreeError names it.
-    """
-    repo = run.repo
-    lhs = run.lhs(system.id)
+    """The row names, rows and right-hand side of a system; each column is a
+    class's readout (see MultiplicitySystem), and every row is a support."""
+    names = [f"family:{sid}" for sid in system.families]
+    if system.pushforward:
+        names += [f"pushforward:{lbl}" for lbl in run.repo.hom(system.pushforward[0]).codomain.divisor_basis]
+    else:
+        names.append(f"coefficient:{system.coefficient[0]}")
+    rhs = _read_rows(run, system, system.lhs_key, run.lhs(system.id))
     known = run.known(system.id)
-    names: list[str] = []
-    rows: list = []  # supports over the components
-    rhs: list = []  # (row, numerator, denominator) triples
-
-    for sid in system.functional_constraints:
-        values = run.family_values(system.id, sid)
-        row = []
-        for comp in system.components:
-            if comp.ref:
-                row.append(values[comp.name])
-            else:
-                cid = (comp.counts or {}).get(sid)
-                row.append(repo.counts.get(cid) if cid else _ZERO)
-        n, d = _ratio(values[system.lhs_key])
-        if n:
-            rhs.append((len(rows), n, d))
-        names.append(f"family:{sid}")
-        rows.append(_support_of(row))
-
-    for hid in system.pushforward_constraints:
-        hom = repo.hom(hid)
-        lhs_push = apply_hom(hom, lhs)
-        images = []
-        for comp in system.components:
-            if comp.ref:
-                images.append(apply_hom(hom, known[comp.name]).support)
-            else:
-                images.append(_pushforward_class(repo, system, comp, lhs_push).support)
-        rhs.extend((len(rows) + i, n, d) for i, n, d in lhs_push.support)
-        names.extend(f"pushforward:{lbl}" for lbl in hom.codomain.divisor_basis)
-        rows.extend(_transpose(images, len(hom.codomain.divisor_basis)))
-
-    for lbl in system.coefficient_constraints:
-        idx = lhs.space.codim2_index[lbl]
-        row = []
-        for col, comp in enumerate(system.components):
-            if comp.ref:
-                entry = _entry(known[comp.name].support, idx)
-            elif comp.lambda2_from_pipeline and lbl == "lam^2":
-                entry = _ratio(run.lambda2["H4_plus"])
-            else:
-                raise UnknownNameError(
-                    f"{system.id}: no source for coefficient {lbl!r} of component {comp.name!r}"
-                )
-            if entry[0]:
-                row.append((col, *entry))
-        n, d = _entry(lhs.support, idx)
-        if n:
-            rhs.append((len(rows), n, d))
-        names.append(f"coefficient:{lbl}")
-        rows.append(tuple(row))
-
-    return names, rows, tuple(rhs)
+    columns = [
+        _read_rows(run, system, name, known[name]) if ref else _unknown_rows(run, system, name)
+        for name, ref in system.components
+    ]
+    return names, _transpose(columns, len(names)), rhs
 
 
-def _entry(support, idx: int) -> tuple[int, int]:
-    """The (numerator, denominator) pair of a support at index `idx`: (0, 1) where it holds none."""
-    for i, n, d in support:
-        if i == idx:
-            return n, d
-    return 0, 1
+def _read_rows(run: Run, system: MultiplicitySystem, name: str, c: TautClass) -> tuple:
+    """Class `c`, paired with the families under `name`, as a support over the system's rows."""
+    values = [run.family_values(system.id, sid)[name] for sid in system.families]
+    if system.pushforward:
+        return _after(values, apply_hom(run.repo.hom(system.pushforward[0]), c).support)
+    idx = c.space.codim2_index[system.coefficient[0]]
+    return _after(values, [(0, n, d) for i, n, d in c.support if i == idx])
 
 
-def _pushforward_class(repo: Repo, system: MultiplicitySystem, comp: Component, lhs_push: TautClass) -> TautClass:
-    """The unknown component's stated pushforward, a catalog class that must live where `lhs_push` does."""
-    c = repo.catalog_class(comp.pushforward_ref)
-    where = f"{system.id}: pushforward {comp.pushforward_ref!r} of component {comp.name!r}"
-    if c.space is not lhs_push.space:
-        raise SpaceMismatchError(f"{where} lives on {c.space.id}, not on {lhs_push.space.id}")
-    if c.degree != lhs_push.degree:
-        raise DegreeError(f"{where} has degree {c.degree}, not {lhs_push.degree}")
+def _unknown_rows(run: Run, system: MultiplicitySystem, name: str) -> tuple:
+    """The unknown component's stated column: its fiber counts, then its pushforward or lambda^2 value."""
+    ids = [system.fiber_counts.get(sid) for sid in system.families]
+    counts = [run.repo.counts.get(cid) if cid else _ZERO for cid in ids]
+    if system.pushforward:
+        return _after(counts, _pushforward_class(run, system, name).support)
+    return _after(counts, _support_of([run.lambda2[system.coefficient[1]]]))
+
+
+def _after(values: list, tail) -> tuple:
+    """The support of `values`, then support `tail` in the rows after them."""
+    return _support_of(values) + tuple((len(values) + i, n, d) for i, n, d in tail)
+
+
+def _pushforward_class(run: Run, system: MultiplicitySystem, name: str) -> TautClass:
+    """The unknown component's stated pushforward: a catalog class on the map's codomain, of the degree it gives."""
+    hid, ref = system.pushforward
+    hom, c = run.repo.hom(hid), run.repo.catalog_class(ref)
+    degree = hom.images[run.lhs(system.id).degree][0]
+    where = f"{system.id}: pushforward {ref!r} of component {name!r}"
+    if c.space is not hom.codomain:
+        raise SpaceMismatchError(f"{where} lives on {c.space.id}, not on {hom.codomain.id}")
+    if c.degree != degree:
+        raise DegreeError(f"{where} has degree {c.degree}, not {degree}")
     return c
 
 
@@ -483,9 +428,9 @@ def _divide_out(run: Run, system: MultiplicitySystem, assignment: dict, parts: l
     if not assignment:
         return rest.space.zero(rest.degree)
     known = run.known(system.id)
-    for comp, unknown in zip(system.components, system.unknowns):
-        if comp.ref:
-            rest = rest - known[comp.name].scale(assignment[unknown])
+    for (name, ref), unknown in zip(system.components, system.unknowns):
+        if ref:
+            rest = rest - known[name].scale(assignment[unknown])
         else:
             num, den = _ratio(assignment[unknown])
     parts.append(("division_multiplicity_nonzero", True, num != 0))

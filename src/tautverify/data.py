@@ -12,16 +12,16 @@ must declare the id it is loaded under, goes whole to its object's
 constructor as keyword arguments, with the space ids it names resolved to
 the loaded spaces.  So a field's name is its parameter's name, and a missing
 or unknown field is an error naming the file and the field.  A ``homs/``
-file's own ``kind`` picks its class.  Each number is
-parsed once, where it is read, by the one parser of `linalg`: definition
-numbers become the int pairs of supports, and golden numbers, family values,
-count constants, stored relations and formal classes become exact values
-(an int where integral, else a Fraction; see `linalg._number`), so a run of
-the checks parses nothing.  A file is read as bytes and decoded as strict
-UTF-8.  Any error raised while a file is turned into objects names the file:
-the package's own keep their type, and any other (bytes that are not UTF-8,
-a missing key, a float or a bool for a number, a zero denominator, a value
-of the wrong type) becomes a DataError.
+file's own ``kind`` (ring, table or gluing, checked first) picks its class.
+Each number is parsed once, where it is read, by the one parser of `linalg`:
+definition numbers become the int pairs of supports, and golden numbers,
+family values, count constants, stored relations and formal classes become
+exact values (an int where integral, else a Fraction; see `linalg._number`),
+so a run of the checks parses nothing.  A file is read as bytes and decoded
+as strict UTF-8.  Any error raised while a file is turned into objects names
+the file: the package's own keep their type, and any other (bytes that are
+not UTF-8, a missing key, a float or a bool for a number, a zero
+denominator, a value of the wrong type) becomes a DataError.
 """
 
 from __future__ import annotations
@@ -130,11 +130,14 @@ class Repo:
 
         for hid in HOM_IDS:
             with self._building(f"homs/{hid}.json", hid) as raw:
-                if self._spaces_in(raw)["kind"] == "gluing":
+                kind = raw["kind"]
+                if kind not in ("ring", "table", "gluing"):
+                    raise DataError(f"unknown hom kind {kind!r}, not ring, table or gluing")
+                if kind == "gluing":
                     del raw["kind"]
-                    self._gluings[hid] = GluingRestriction(**raw)
+                    self._gluings[hid] = GluingRestriction(**self._spaces_in(raw))
                 else:
-                    self._homs[hid] = RingHom(**raw)
+                    self._homs[hid] = RingHom(**self._spaces_in(raw))
 
         with self._building("catalog.json") as raw:
             for name, entry in raw["classes"].items():

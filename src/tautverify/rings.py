@@ -319,9 +319,8 @@ class RingHom:
     __slots__ = ("id", "domain", "codomain", "images")
 
     def __init__(self, id: str, kind: str, domain: RingSpace, codomain: RingSpace, **maps):
-        build = {"ring": _ring_images, "table": _table_images}.get(kind)
-        if build is None:
-            raise DataError(f"{id}: unknown hom kind {kind!r}")
+        # load has checked `kind`
+        build = {"ring": _ring_images, "table": _table_images}[kind]
         self.id, self.domain, self.codomain = id, domain, codomain
         self.images = build(id, domain, codomain, **maps)
 

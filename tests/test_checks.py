@@ -404,9 +404,9 @@ def test_divide_out_divides_exactly_by_an_int_multiplicity(repo):
     assignment = run.solution("F31")[0]
     known = run.known("F31")
     rest = run.lhs("F31")
-    for comp, unknown in zip(system.components, system.unknowns):
-        if comp.ref:
-            rest = rest - known[comp.name].scale(assignment[unknown])
+    for (name, ref), unknown in zip(system.components, system.unknowns):
+        if ref:
+            rest = rest - known[name].scale(assignment[unknown])
         else:
             divided = unknown
     for n in (2, 3, -7, Fraction(3, 5)):
@@ -659,11 +659,6 @@ def _set_count_expr(cid, expr):
             _set_field("weierstrass_factor", []),
             "unexpected keyword argument 'weierstrass_factor'",
         ),
-        (
-            "homs/xi_star_m31.json",
-            _set_field("kind", "anything"),
-            "RingHom.__init__() missing 1 required positional argument: 'codomain'",
-        ),
         ("catalog.json", _set_hyp4_coeff(1.5), "TypeError: exact rational expected, got float: 1.5"),
         ("catalog.json", _set_hyp4_coeff("1/0"), "ZeroDivisionError"),
         ("homs/j3_star.json", _ring_map_with_table_images, "unexpected keyword argument 'table_images'"),
@@ -687,7 +682,6 @@ def _set_count_expr(cid, expr):
         "unknown_space_field",
         "unknown_family_field",
         "unknown_gluing_field",
-        "gluing_of_another_kind",
         "float",
         "zero_denominator",
         "field_of_another_hom_kind",
@@ -706,6 +700,19 @@ def test_malformed_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, 
     assert captured.out == ""
     assert captured.err.startswith(f"configuration error: malformed definition file {relpath!r}: ")
     assert error in captured.err
+
+
+@pytest.mark.parametrize("relpath", ["homs/xi_star_m31.json", "homs/j3_star.json"], ids=["gluing", "ring_hom"])
+def test_a_map_file_of_an_unknown_kind_is_rejected_naming_the_file_and_the_kind(tmp_path, capsys, relpath):
+    # the kind is checked before a constructor runs, so the error names the
+    # kind, not a parameter of the class the file was sent to
+    data_dir = _data_copy_with(tmp_path, relpath, _set_field("kind", "anything"))
+    assert main(["--data-dir", data_dir, "run-all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"configuration error: {relpath}: unknown hom kind 'anything', not ring, table or gluing\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ import pkgutil
 import pytest
 
 import tautverify
-from tautverify.checks import Component
 from tautverify.chern import ChernVector
 from tautverify.errors import DegreeError
 from tautverify.linalg import Inconsistent
@@ -38,7 +37,7 @@ def test_value_classes_are_slotted():
         "linalg.Solution", "linalg.Inconsistent",
         "rings.TautClass", "rings.RingSpace", "rings.RingHom", "rings.GluingRestriction",
         "surfaces.SurfaceFunctional", "poly.TruncatedPoly", "chern.ChernVector",
-        "checks.CheckResult", "checks.Report", "checks.Component", "checks.MultiplicitySystem",
+        "checks.CheckResult", "checks.Report", "checks.MultiplicitySystem",
     )
     classes = dict(_package_classes())
     for name in value_classes:
@@ -84,17 +83,3 @@ def test_an_impure_chern_class_raises_the_same_text(cs, text):
         ChernVector(1, *cs)
     assert str(err.value) == text
 
-
-def test_component_defaults_are_unchanged():
-    c = Component("W2")
-    assert (c.name, c.ref, c.counts, c.pushforward_ref, c.lambda2_from_pipeline) == ("W2", None, None, None, False)
-    params = inspect.signature(Component).parameters
-    assert {n: p.default for n, p in params.items()} == {
-        "name": inspect.Parameter.empty,
-        "ref": None,
-        "counts": None,
-        "pushforward_ref": None,
-        "lambda2_from_pipeline": False,
-    }
-    c = Component("hyperflex", counts={"T1": "T1_F31_fibers"}, pushforward_ref="F31_pushforward_M3")
-    assert (c.ref, c.counts, c.lambda2_from_pipeline) == (None, {"T1": "T1_F31_fibers"}, False)
