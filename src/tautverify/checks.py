@@ -5,10 +5,10 @@ compares against the golden expected values, exactly.  Load has already
 parsed the golden file into exact values (an int where integral, else a
 Fraction, as every value the kernels return), so a check reads its expected
 values as they are and parses nothing.  A check returns parts, each (name,
-expected, actual) holding the values themselves.  `_finish` alone compares
-them, with `==`, and alone formats them: a passing check prints each
-expected value once, a failing one both sides of its differing parts only,
-so a 16-entry vector mismatch reports just the offending entries.  Both
+expected, actual) holding the values themselves.  `differing` alone
+compares them, with `==`, and `_finish` alone formats them: a passing check
+prints each expected value once, a failing one both sides of its differing
+parts only, so a 16-entry mismatch reports just the offending entries.  Both
 sides of a part have one type, since `==` tells a tuple from a list and True
 from 1.  Three parts stay text, because their report text is no value's
 format: the surface_tables mismatch list, the two obstruction lists and the
@@ -33,8 +33,8 @@ from .counts import (
     scorza_correspondence_class,
     scorza_triple_degree,
 )
-from .data import SURFACE_IDS, Repo
-from .errors import DegreeError, SpaceMismatchError, UnknownNameError
+from .data import SURFACE_IDS, SYSTEM_IDS, MultiplicitySystem, Repo
+from .errors import UnknownNameError
 from .grr import GRR_MAX_ORDER, grr_spin_character, jet_bundles, lambda2_values, lower_order_character
 from .linalg import (
     Inconsistent,
@@ -52,6 +52,7 @@ from .linalg import (
 )
 from .poly import TruncatedPoly
 from .rings import (
+    RingSpace,
     TautClass,
     _no_product,
     apply_hom,
@@ -152,9 +153,14 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _finish(check_id: str, anchor: str, parts: Sequence[Part], t0: float) -> CheckResult:
+def differing(parts: Sequence[Part]) -> list[Part]:
+    """The parts whose two sides differ: a check passes iff there are none."""
     # `not ==`: Fraction defines no `__ne__`, so `!=` takes a slower generic path
-    diffs = [p for p in parts if not p[1] == p[2]]
+    return [p for p in parts if not p[1] == p[2]]
+
+
+def _finish(check_id: str, anchor: str, parts: Sequence[Part], t0: float) -> CheckResult:
+    diffs = differing(parts)
     if diffs:
         expected = "; ".join(f"{n}: {_fmt(e)}" for n, e, _ in diffs)
         actual = "; ".join(f"{n}: {_fmt(a)}" for n, _, a in diffs)
@@ -166,82 +172,6 @@ def _finish(check_id: str, anchor: str, parts: Sequence[Part], t0: float) -> Che
 
 # --- multiplicity systems -------------------------------------------------
 
-
-class MultiplicitySystem:
-    """A left-hand product decomposed into components, each with an unknown multiplicity.
-
-    `components` are (name, ref) pairs.  A `ref` names a known class
-    ("class:X", a computed paper result or a catalog input, "special:X" or
-    "basis:X"), whose name is also its key in the golden surface tables; the
-    one pair with `ref` None is the unknown component.  Readout rule: a
-    class's rows are its pairing with each of `families`, then either its
-    image's entries under the `pushforward` map or its `coefficient` at one
-    basis label, whichever of the two is set.  The left-hand product (the
-    right-hand side) and each known component (its column) are read so; the
-    unknown component states its column: its `fiber_counts` (zero where a
-    family has none), then the catalog class `pushforward` names or the
-    lambda^2 value `coefficient` names.
-    """
-
-    __slots__ = (
-        "id", "space", "lhs_key", "lhs_factors", "unknowns", "components",
-        "families", "fiber_counts", "pushforward", "coefficient",
-    )
-
-    def __init__(
-        self,
-        id: str,
-        space: str,
-        lhs_key: str,  # surface-table key of the left-hand product
-        lhs_factors: tuple[str, str],
-        unknowns: tuple[str, ...],
-        components: tuple[tuple[str, str | None], ...],  # (name, ref); ref None for the unknown
-        families: tuple[str, ...],  # surface ids
-        fiber_counts: Mapping[str, str],  # surface id -> count-constant id of the unknown
-        pushforward: tuple[str, str] | None = None,  # (hom id, catalog class of the unknown's image)
-        coefficient: tuple[str, str] | None = None,  # (codim-2 basis label, lambda^2 value of the unknown)
-    ):
-        self.id, self.space, self.lhs_key, self.lhs_factors = id, space, lhs_key, lhs_factors
-        self.unknowns, self.components, self.families = unknowns, components, families
-        self.fiber_counts, self.pushforward, self.coefficient = fiber_counts, pushforward, coefficient
-
-
-F31_SYSTEM = MultiplicitySystem(
-    id="F31",
-    space="M31",
-    lhs_key="WTheta",
-    lhs_factors=("W31", "Theta31"),
-    unknowns=("m", "n", "k", "l", "j"),
-    components=(
-        ("Hyp31", "class:Hyp31_theorem"),
-        ("hyperflex", None),
-        ("W2", "class:W2_M31"),
-        ("gamma1", "special:gamma1"),
-        ("gamma2", "special:gamma2"),
-    ),
-    families=("T1", "T2", "T3"),
-    fiber_counts={"T1": "T1_F31_fibers", "T2": "T2_F31_fibers"},
-    pushforward=("p_star_pushforward", "F31_pushforward_M3"),
-)
-
-H4PLUS_SYSTEM = MultiplicitySystem(
-    id="H4plus",
-    space="M4",
-    lhs_key="ThetaT",
-    lhs_factors=("Theta_null_M4", "T_M4"),
-    unknowns=("m", "n", "k", "l"),
-    components=(
-        ("Hyp4", "class:Hyp4"),
-        ("even_triple_vanishing", None),
-        ("W2", "class:W2_M4"),
-        ("gamma1", "basis:gamma1"),
-    ),
-    families=("V1", "V2", "V3", "V4"),
-    fiber_counts={"V1": "V1_H4plus", "V2": "V2_H4plus"},
-    coefficient=("lam^2", "H4_plus"),
-)
-
-_SYSTEMS = {"F31": F31_SYSTEM, "H4plus": H4PLUS_SYSTEM}
 
 # the paper results that a check computes and later checks read, each by the
 # name it is known by, with the id of that check; the golden file states
@@ -297,22 +227,20 @@ class Run:
 
     def known(self, system_id: str) -> dict[str, TautClass]:
         """The known component classes of a system, by component name."""
-        system = _SYSTEMS[system_id]
-        return self._once(
-            ("known", system_id),
-            lambda: {name: _component_class(self, system.space, ref) for name, ref in system.components if ref},
-        )
+        system = self.repo.system(system_id)
+        space = system.lhs_factors[0].space
+        known = lambda: {name: _component_class(self, space, ref) for name, ref in system.components if ref}
+        return self._once(("known", system_id), known)
 
     def lhs(self, system_id: str) -> TautClass:
-        factors = _SYSTEMS[system_id].lhs_factors
-        return self._once(("lhs", system_id), lambda: divisor_product(*map(self.repo.catalog_class, factors)))
+        return self._once(("lhs", system_id), lambda: divisor_product(*self.repo.system(system_id).lhs_factors))
 
     def family_values(self, system_id: str, sid: str) -> dict[str, Number]:
         """A family's pairing with each known component of a system and with its left-hand product."""
 
         def pair():
             f = self.repo.functional(sid)
-            classes = {**self.known(system_id), _SYSTEMS[system_id].lhs_key: self.lhs(system_id)}
+            classes = {**self.known(system_id), self.repo.system(system_id).lhs_key: self.lhs(system_id)}
             return {name: evaluate(f, c) for name, c in classes.items()}
 
         return self._once((system_id, sid), pair)
@@ -321,29 +249,29 @@ class Run:
         return self._once(("solution", system_id), lambda: solve_multiplicities(system_id, self))
 
 
-def _component_class(run: Run, space_id: str, ref: str) -> TautClass:
+def _component_class(run: Run, space: RingSpace, ref: str) -> TautClass:
     kind, _, name = ref.partition(":")
     if kind == "class":
         return run.cls(name)
     if kind == "special":
-        return special_expand(run.repo.space(space_id), name)
+        return special_expand(space, name)
     if kind == "basis":
-        return run.repo.space(space_id).basis_class(2, name)
+        return space.basis_class(2, name)
     raise UnknownNameError(f"unknown component reference {ref!r}")
 
 
 def _assemble_system(run: Run, system: MultiplicitySystem):
     """The row names, rows and right-hand side of a system; each column is a
     class's readout (see MultiplicitySystem), and every row is a support."""
-    names = [f"family:{sid}" for sid in system.families]
+    names = [f"family:{f.id}" for f in system.families]
     if system.pushforward:
-        names += [f"pushforward:{lbl}" for lbl in run.repo.hom(system.pushforward[0]).codomain.divisor_basis]
+        names += [f"pushforward:{lbl}" for lbl in system.pushforward[0].codomain.divisor_basis]
     else:
         names.append(f"coefficient:{system.coefficient[0]}")
     rhs = _read_rows(run, system, system.lhs_key, run.lhs(system.id))
     known = run.known(system.id)
     columns = [
-        _read_rows(run, system, name, known[name]) if ref else _unknown_rows(run, system, name)
+        _read_rows(run, system, name, known[name]) if ref else _unknown_rows(run, system)
         for name, ref in system.components
     ]
     return names, _transpose(columns, len(names)), rhs
@@ -351,38 +279,24 @@ def _assemble_system(run: Run, system: MultiplicitySystem):
 
 def _read_rows(run: Run, system: MultiplicitySystem, name: str, c: TautClass) -> tuple:
     """Class `c`, paired with the families under `name`, as a support over the system's rows."""
-    values = [run.family_values(system.id, sid)[name] for sid in system.families]
+    values = [run.family_values(system.id, f.id)[name] for f in system.families]
     if system.pushforward:
-        return _after(values, apply_hom(run.repo.hom(system.pushforward[0]), c).support)
+        return _after(values, apply_hom(system.pushforward[0], c).support)
     idx = c.space.codim2_index[system.coefficient[0]]
     return _after(values, [(0, n, d) for i, n, d in c.support if i == idx])
 
 
-def _unknown_rows(run: Run, system: MultiplicitySystem, name: str) -> tuple:
+def _unknown_rows(run: Run, system: MultiplicitySystem) -> tuple:
     """The unknown component's stated column: its fiber counts, then its pushforward or lambda^2 value."""
-    ids = [system.fiber_counts.get(sid) for sid in system.families]
-    counts = [run.repo.counts.get(cid) if cid else _ZERO for cid in ids]
+    counts = [system.fiber_counts.get(f.id, _ZERO) for f in system.families]
     if system.pushforward:
-        return _after(counts, _pushforward_class(run, system, name).support)
+        return _after(counts, system.pushforward[2].support)
     return _after(counts, _support_of([run.lambda2[system.coefficient[1]]]))
 
 
 def _after(values: list, tail) -> tuple:
     """The support of `values`, then support `tail` in the rows after them."""
     return _support_of(values) + tuple((len(values) + i, n, d) for i, n, d in tail)
-
-
-def _pushforward_class(run: Run, system: MultiplicitySystem, name: str) -> TautClass:
-    """The unknown component's stated pushforward: a catalog class on the map's codomain, of the degree it gives."""
-    hid, ref = system.pushforward
-    hom, c = run.repo.hom(hid), run.repo.catalog_class(ref)
-    degree = hom.images[run.lhs(system.id).degree][0]
-    where = f"{system.id}: pushforward {ref!r} of component {name!r}"
-    if c.space is not hom.codomain:
-        raise SpaceMismatchError(f"{where} lives on {c.space.id}, not on {hom.codomain.id}")
-    if c.degree != degree:
-        raise DegreeError(f"{where} has degree {c.degree}, not {degree}")
-    return c
 
 
 def solve_multiplicities(system_id: str, run: Run):
@@ -396,10 +310,7 @@ def solve_multiplicities(system_id: str, run: Run):
     nonzero there (the row is a combination of the others); else none is.
     The solve and the left kernel come from one elimination.
     """
-    try:
-        system = _SYSTEMS[system_id]
-    except KeyError:
-        raise UnknownNameError(f"unknown multiplicity system {system_id!r}") from None
+    system = run.repo.system(system_id)
     names, rows, rhs = _assemble_system(run, system)
     sol, kernel = solve_with_left_kernel(rows, rhs, len(system.components))
     if isinstance(sol, Inconsistent):
@@ -445,8 +356,8 @@ def _divide_out(run: Run, system: MultiplicitySystem, assignment: dict, parts: l
 
 def _parts_basis_m31(run: Run) -> list[Part]:
     repo = run.repo
-    m31 = repo.space("M31")
     theta = repo.hom("theta_star")
+    m31 = theta.domain
     golden = repo.golden["basis_m31"]
     # the image of each basis label, as load stored it
     images = theta.images[2][1]
@@ -467,17 +378,15 @@ def _parts_basis_m31(run: Run) -> list[Part]:
 
 def _parts_prop4(run: Run) -> list[Part]:
     repo = run.repo
-    m31 = repo.space("M31")
     theta = repo.hom("theta_star")
+    m31 = theta.domain
     golden = repo.golden["prop4"]
     # the dependent-product identity is the stored relation, which load has
     # reduced to zero on M31; it must also die under the gluing pullback
     parts: list[Part] = [("lam_d11_relation_pullback", theta.codomain.zero(2), apply_hom(theta, m31.relations[0]))]
-    for sym in ("d00", "d1|1", "gamma1", "gamma2"):
+    for sym in m31.special_expansions:
         expansion = special_expand(m31, sym)
-        parts.append(
-            (f"pullback_consistency:{sym}", apply_hom(theta, {sym: 1}), apply_hom(theta, expansion))
-        )
+        parts.append((f"pullback_consistency:{sym}", apply_hom(theta, {sym: 1}), apply_hom(theta, expansion)))
         actual = [evaluate(repo.functional(sid), expansion) for sid in golden["surface_order"]]
         parts.append((f"family_values:{sym}", tuple(golden["surface_values"][sym]), tuple(actual)))
     return parts
@@ -485,13 +394,12 @@ def _parts_prop4(run: Run) -> list[Part]:
 
 def _parts_prop4_alt(run: Run) -> list[Part]:
     repo = run.repo
-    m31 = repo.space("M31")
     pullback = repo.hom("p_pullback_m3")
-    parts = []
-    for sym, catalog_name in (("d00", "delta00_M3"), ("gamma1", "gamma1_M3")):
-        via_m3 = apply_hom(pullback, repo.catalog_class(catalog_name))
-        parts.append((f"alt_route:{sym}", special_expand(m31, sym), via_m3))
-    return parts
+    m31 = pullback.codomain
+    return [
+        (f"alt_route:{sym}", special_expand(m31, sym), apply_hom(pullback, repo.catalog_class(name)))
+        for sym, name in (("d00", "delta00_M3"), ("gamma1", "gamma1_M3"))
+    ]
 
 
 def compute_hyp31(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
@@ -513,14 +421,12 @@ def compute_hyp31(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
 
 def _parts_j3_table(run: Run) -> list[Part]:
     repo = run.repo
-    m31 = repo.space("M31")
     j3 = repo.hom("j3_star")
+    m31 = j3.codomain
     golden = repo.golden["j3_pullback_table"]
     parts = []
     for sym in ("d1|1", "gamma1"):
-        parts.append(
-            (f"pullback_image:{sym}", m31.from_dict(2, golden[sym]), apply_hom(j3, {sym: 1}))
-        )
+        parts.append((f"pullback_image:{sym}", m31.from_dict(2, golden[sym]), apply_hom(j3, {sym: 1})))
     parts.append(("pullback_image:d00", special_expand(m31, "d00"), apply_hom(j3, {"d00": 1})))
     return parts
 
@@ -560,7 +466,7 @@ def compute_f31(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
     the class part.
     """
     parts: list[Part] = []
-    result = _divide_out(run, F31_SYSTEM, run.solution("F31")[0], parts)
+    result = _divide_out(run, run.repo.system("F31"), run.solution("F31")[0], parts)
     parts.append(("class", result.space.from_dict(2, run.repo.golden["f31"]["class"]), result))
     return {"F31_theorem": result}, parts
 
@@ -574,7 +480,7 @@ def compute_h4plus(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
     golden = run.repo.golden["h4plus"]
     lhs = run.lhs("H4plus")
     parts: list[Part] = [("lhs_product", lhs.space.from_dict(2, golden["lhs_product"]), lhs)]
-    result = _divide_out(run, H4PLUS_SYSTEM, run.solution("H4plus")[0], parts)
+    result = _divide_out(run, run.repo.system("H4plus"), run.solution("H4plus")[0], parts)
     parts.append(("class", result.space.from_dict(2, golden["class"]), result))
     return {"H4plus_theorem": result}, parts
 
@@ -597,7 +503,7 @@ def _parts_pushforwards(run: Run) -> list[Part]:
 def _parts_surface_tables(run: Run) -> list[Part]:
     repo = run.repo
     golden = repo.golden["surface_tables"]
-    systems = {s.space: s for s in _SYSTEMS.values()}
+    systems = {s.lhs_factors[0].space.id: s.id for s in map(repo.system, SYSTEM_IDS)}
     parts: list[Part] = []
     for sid, block in golden["surfaces"].items():
         functional = repo.functional(sid)
@@ -612,8 +518,7 @@ def _parts_surface_tables(run: Run) -> list[Part]:
         for lbl, v in block["extra"].items():
             parts.append((f"{sid}:{lbl}", v, functional.values.get(lbl)))
         for key, v in block["evaluations"].items():
-            value = run.family_values(systems[space.id].id, sid)[key]
-            parts.append((f"{sid}:<{key}>", v, value))
+            parts.append((f"{sid}:<{key}>", v, run.family_values(systems[space.id], sid)[key]))
     override_rows = []
     for sid in golden["surfaces"]:
         for label, provenance in repo.functional(sid).provenance.items():

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import COMPUTED, Run, export_report, run_all, run_check
+from .checks import COMPUTED, Run, differing, export_report, run_all, run_check
 from .data import Repo
 from .errors import TautVerifyError, UnknownNameError
 from .linalg import _number
@@ -94,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
             c, source = repo.catalog_class(args.name), repo.catalog_source(args.name)
         else:
             classes, parts = Run(repo).result(check_id)
-            if any(expected != actual for _, expected, actual in parts):
+            if differing(parts):
                 print(f"error: {args.name} is computed by the {check_id} check, which fails", file=sys.stderr)
                 return 1
             c, source = classes[args.name], f"computed by the {check_id} check"

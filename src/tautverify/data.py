@@ -6,13 +6,14 @@ live in JSON files in the ``data`` directory beside this module; a
 Everything is validated once at load and is not changed afterwards, so a
 repository can be shared freely between threads; that immutability is a
 convention, since the value classes are plain classes that do not forbid
-assignment.  Load is the only place
-where raw JSON becomes values: each space, map, gluing and family file, which
-must declare the id it is loaded under, goes whole to its object's
-constructor as keyword arguments, with the space ids it names resolved to
-the loaded spaces.  So a field's name is its parameter's name, and a missing
-or unknown field is an error naming the file and the field.  A ``homs/``
-file's own ``kind`` (ring, table or gluing, checked first) picks its class.
+assignment.  Load is the only place where raw JSON becomes values: each
+space, map, gluing, family and multiplicity-system file, which must declare
+the id it is loaded under, goes whole to its object's constructor as keyword
+arguments, with the ids it names resolved to the loaded objects (see
+`Repo._resolved`).  So a field's name is its parameter's name, and a missing
+or unknown field or id is an error naming the file and the field.  A
+``homs/`` file's own ``kind`` (ring, table or gluing, checked first) picks
+its class.
 Each number is parsed once, where it is read, by the one parser of `linalg`:
 definition numbers become the int pairs of supports, and golden numbers,
 family values, count constants, stored relations and formal classes become
@@ -29,9 +30,10 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from typing import Mapping, Sequence
 
 from .counts import CountRegistry
-from .errors import DataError, TautVerifyError, UnknownNameError
+from .errors import DataError, DegreeError, SpaceMismatchError, TautVerifyError, UnknownNameError
 from .linalg import _RATIONAL, Number, as_fraction
 from .rings import GluingRestriction, RingHom, RingSpace, TautClass
 from .surfaces import SurfaceFunctional
@@ -40,6 +42,7 @@ SPACE_IDS = ("M22", "M31", "M3", "M4", "M12", "M21")
 # ring maps and gluing restrictions alike: each file's own "kind" picks its class
 HOM_IDS = ("theta_star", "j3_star", "p_star_pushforward", "p_pullback_m3", "xi_star_m31", "xi_star_m4")
 SURFACE_IDS = ("S1", "S2", "S3", "T1", "T2", "T3", "V1", "V2", "V3", "V4")
+SYSTEM_IDS = ("F31", "H4plus")
 
 
 def _drop_comment(obj: dict) -> dict:
@@ -65,6 +68,55 @@ def _golden_values(node):
     return as_fraction(node)
 
 
+class MultiplicitySystem:
+    """A left-hand product decomposed into components, each with an unknown multiplicity.
+
+    Built from a ``systems/`` file, whose fields README "Data conventions"
+    describes, with its ids resolved; `pushforward` becomes (map, catalog
+    name, catalog class).  Readout rule: a class's rows are its pairing with
+    each family, then its image's entries under the pushforward map or its
+    `coefficient` at one basis label.
+    """
+
+    __slots__ = ("id", "lhs_key", "lhs_factors", "unknowns", "components", "families", "fiber_counts",
+                 "pushforward", "coefficient")
+
+    def __init__(
+        self,
+        id: str,
+        lhs_key: str,  # surface-table key of the left-hand product
+        lhs_factors: tuple[TautClass, ...],
+        unknowns: Sequence[str],
+        components: Sequence[Sequence],  # (name, ref); ref None for the unknown
+        families: tuple[SurfaceFunctional, ...],
+        fiber_counts: Mapping[str, Number],  # family id -> fiber count of the unknown
+        pushforward: tuple[RingHom, str, TautClass] | None = None,
+        coefficient: Sequence[str] | None = None,  # (codim-2 basis label, lambda^2 value of the unknown)
+    ):
+        self.id, self.lhs_key, self.lhs_factors, self.families = id, lhs_key, lhs_factors, families
+        self.unknowns, self.components = tuple(unknowns), tuple((name, ref) for name, ref in components)
+        self.fiber_counts, self.pushforward, self.coefficient = fiber_counts, pushforward, coefficient
+        unknown = [name for name, ref in self.components if ref is None]
+        if len(unknown) != 1 or len(self.unknowns) != len(self.components):
+            raise DataError(f"{id}: needs as many 'unknowns' as 'components', exactly one of them of ref null")
+        if (pushforward is None) == (coefficient is None):
+            raise DataError(f"{id}: states neither or both of 'pushforward' and 'coefficient'")
+        space = lhs_factors[0].space
+        if any(c.space is not space for c in lhs_factors):
+            raise SpaceMismatchError(f"{id}: left-hand factors on {', '.join(c.space.id for c in lhs_factors)}")
+        stray = sorted(set(fiber_counts) - {f.id for f in families})
+        if stray:
+            raise DataError(f"{id}: fiber counts for {stray}, which are not among its 'families'")
+        if pushforward:
+            hom, ref, image = pushforward
+            degree = hom.images[sum(c.degree for c in lhs_factors)][0]
+            where = f"{id}: pushforward {ref!r} of component {unknown[0]!r}"
+            if image.space is not hom.codomain:
+                raise SpaceMismatchError(f"{where} lives on {image.space.id}, not on {hom.codomain.id}")
+            if image.degree != degree:
+                raise DegreeError(f"{where} has degree {image.degree}, not {degree}")
+
+
 class Repo:
     """One fully loaded, validated set of definitions and expected values."""
 
@@ -78,6 +130,7 @@ class Repo:
         self._catalog_sources: dict[str, str] = {}
         self._formal: dict[str, dict[str, Number]] = {}
         self._functionals: dict[str, SurfaceFunctional] = {}
+        self._systems: dict[str, MultiplicitySystem] = {}
         self._load()
 
     # -- raw file access ------------------------------------------------
@@ -114,13 +167,19 @@ class Repo:
 
     # -- loading ----------------------------------------------------------
 
-    def _spaces_in(self, raw: dict) -> dict:
-        """A file's fields with each space id it names resolved to the loaded space."""
+    def _resolved(self, raw: dict) -> dict:
+        """A file's fields with each id it names resolved to the loaded object."""
         for key in ("domain", "codomain", "target_space"):
             if key in raw:
                 raw[key] = self.space(raw[key])
-        if "factors" in raw:
-            raw["factors"] = tuple(map(self.space, raw["factors"]))
+        for key, find in (("factors", self.space), ("lhs_factors", self.catalog_class), ("families", self.functional)):
+            if key in raw:
+                raw[key] = tuple(map(find, raw[key]))
+        if "fiber_counts" in raw:
+            raw["fiber_counts"] = {sid: self.counts.get(cid) for sid, cid in raw["fiber_counts"].items()}
+        if "pushforward" in raw:
+            hid, ref = raw["pushforward"]
+            raw["pushforward"] = (self.hom(hid), ref, self.catalog_class(ref))
         return raw
 
     def _load(self):
@@ -135,9 +194,9 @@ class Repo:
                     raise DataError(f"unknown hom kind {kind!r}, not ring, table or gluing")
                 if kind == "gluing":
                     del raw["kind"]
-                    self._gluings[hid] = GluingRestriction(**self._spaces_in(raw))
+                    self._gluings[hid] = GluingRestriction(**self._resolved(raw))
                 else:
-                    self._homs[hid] = RingHom(**self._spaces_in(raw))
+                    self._homs[hid] = RingHom(**self._resolved(raw))
 
         with self._building("catalog.json") as raw:
             for name, entry in raw["classes"].items():
@@ -149,10 +208,13 @@ class Repo:
 
         for sid in SURFACE_IDS:
             with self._building(f"surfaces/{sid.lower()}.json", sid) as raw:
-                self._functionals[sid] = SurfaceFunctional(**self._spaces_in(raw))
+                self._functionals[sid] = SurfaceFunctional(**self._resolved(raw))
 
         with self._building("counts.json") as raw:
             self.counts = CountRegistry(raw)
+        for sid in SYSTEM_IDS:
+            with self._building(f"systems/{sid.lower()}.json", sid) as raw:
+                self._systems[sid] = MultiplicitySystem(**self._resolved(raw))
         with self._building("golden_checks.json") as raw:
             self.golden = _golden_values(raw)
 
@@ -185,3 +247,6 @@ class Repo:
 
     def functional(self, sid: str) -> SurfaceFunctional:
         return self._lookup(self._functionals, sid, "surface")
+
+    def system(self, sid: str) -> MultiplicitySystem:
+        return self._lookup(self._systems, sid, "multiplicity system")

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import shutil
@@ -27,7 +28,7 @@ from tautverify.checks import (
 )
 from tautverify.cli import main
 from tautverify.counts import _freeze
-from tautverify.data import SPACE_IDS, SURFACE_IDS, Repo
+from tautverify.data import HOM_IDS, SPACE_IDS, SURFACE_IDS, SYSTEM_IDS, Repo
 from tautverify.errors import UnknownLabelError, UnknownNameError
 from tautverify.linalg import Inconsistent
 from tautverify.rings import TautClass, divisor_product
@@ -126,7 +127,7 @@ ASSEMBLED = {
 
 @pytest.mark.parametrize("system_id", sorted(ASSEMBLED))
 def test_assembled_system_is_pinned(repo, system_id):
-    names, rows, rhs = checks._assemble_system(Run(repo), checks._SYSTEMS[system_id])
+    names, rows, rhs = checks._assemble_system(Run(repo), repo.system(system_id))
     assert (list(names), [tuple(r) for r in rows], tuple(rhs)) == ASSEMBLED[system_id]
 
 
@@ -144,6 +145,20 @@ def test_computed_classes_match_catalog(repo):
     run = Run(repo)
     assert run.cls("W2_M31") == m31.from_dict(2, repo.golden["w2_lemmas"]["m31_presentation"])
     assert run.cls("W2_M4") == m4.from_dict(2, repo.golden["w2_lemmas"]["m4_reduced"])
+
+
+# string constants in checks.py that name a loaded space, map, gluing,
+# catalog or formal class, family or system, or a COMPUTED class: a ratchet
+# that ROADMAP item 8 drives to 0, so it may only go down
+CHECKS_ID_LITERALS = 48
+
+
+def test_checks_names_no_more_loaded_ids_than_before():
+    catalog = json.loads(resources.files("tautverify").joinpath("data", "catalog.json").read_text())
+    ids = {*SPACE_IDS, *HOM_IDS, *SURFACE_IDS, *SYSTEM_IDS, *COMPUTED, *catalog["classes"], *catalog["formal_classes"]}
+    tree = ast.parse(Path(checks.__file__).read_text(encoding="utf-8"))
+    named = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value in ids]
+    assert len(named) <= CHECKS_ID_LITERALS, Counter(named)
 
 
 def test_no_computed_name_is_a_catalog_class(repo):
@@ -400,7 +415,7 @@ def test_every_value_of_load_and_run_is_an_int_or_a_non_integral_fraction(repo):
 
 def test_divide_out_divides_exactly_by_an_int_multiplicity(repo):
     run = Run(repo)
-    system = checks.F31_SYSTEM
+    system = repo.system("F31")
     assignment = run.solution("F31")[0]
     known = run.known("F31")
     rest = run.lhs("F31")
@@ -700,6 +715,52 @@ def test_malformed_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, 
     assert captured.out == ""
     assert captured.err.startswith(f"configuration error: malformed definition file {relpath!r}: ")
     assert error in captured.err
+
+
+@pytest.mark.parametrize(
+    "relpath, edit, error",
+    [
+        ("systems/f31.json", _set_field("families", ["T1", "T2", "T9"]), "unknown surface 'T9'"),
+        (
+            "systems/h4plus.json",
+            _set_field("fiber_counts", {"V1": "V1_H4plus", "V2": "V2_H4"}),
+            "unknown count constant 'V2_H4'",
+        ),
+        (
+            "systems/f31.json",
+            _set_field("pushforward", ["p_star", "F31_pushforward_M3"]),
+            "unknown homomorphism 'p_star'",
+        ),
+        ("systems/h4plus.json", _set_field("lhs_factors", ["Theta_null_M4", "T4"]), "unknown class 'T4'"),
+        (
+            "systems/f31.json",
+            _set_field("fiber_counts", {"T1": "T1_F31_fibers", "S1": "T2_F31_fibers"}),
+            "F31: fiber counts for ['S1'], which are not among its 'families'",
+        ),
+        ("systems/f31.json", _set_field("lhs_factors", ["W31", "Hyp4"]), "F31: left-hand factors on M31, M4"),
+    ],
+    ids=[
+        "unknown_family",
+        "unknown_count",
+        "unknown_map",
+        "unknown_catalog_class",
+        "fiber_count_off_the_families",
+        "lhs_factors_on_two_spaces",
+    ],
+)
+def test_malformed_system_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, edit, error):
+    # an id a system file names is resolved at load, so a bad one is the
+    # package's own error, which keeps its type and gains the file's name
+    data_dir = _data_copy_with(tmp_path, relpath, edit)
+    assert main(["--data-dir", data_dir, "run-all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {relpath}: {error}\n"
+
+
+def test_an_unknown_system_id_is_an_unknown_name(repo):
+    with pytest.raises(UnknownNameError, match="^unknown multiplicity system 'F4'$"):
+        solve_multiplicities("F4", Run(repo))
 
 
 @pytest.mark.parametrize("relpath", ["homs/xi_star_m31.json", "homs/j3_star.json"], ids=["gluing", "ring_hom"])

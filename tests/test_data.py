@@ -228,12 +228,27 @@ def test_input_that_load_would_drop_is_rejected(tmp_path, capsys, relpath, edit,
     assert capsys.readouterr().err == f"configuration error: {err.value}\n"
 
 
+def test_one_load_opens_every_data_file_once(monkeypatch):
+    # a definition file that load forgets, or a stray file beside the ones
+    # it reads, fails here
+    opened = []
+    read = Repo._read
+    monkeypatch.setattr(Repo, "_read", lambda self, relpath: opened.append(relpath) or read(self, relpath))
+    Repo()
+    with resources.as_file(resources.files("tautverify").joinpath("data")) as data_dir:
+        on_disk = sorted(p.relative_to(data_dir).as_posix() for p in data_dir.rglob("*.json"))
+    assert sorted(opened) == on_disk and len(on_disk) == 27
+
+
 def test_every_missing_or_unknown_field_of_a_definition_file_names_the_file_and_the_field(tmp_path):
-    # each space, map, gluing and family file goes whole to its constructor,
-    # so every field is a parameter: none may be missing and no other may appear
+    # each space, map, gluing, family and system file goes whole to its
+    # constructor, so every field is a parameter: none may be missing and no
+    # other may appear; a system without its one pushforward or coefficient
+    # names both fields
     data_dir = _copy_embedded(tmp_path)
-    relpaths = [f"{d}/{f}" for d in ("spaces", "homs", "surfaces") for f in sorted(os.listdir(data_dir / d))]
-    assert len(relpaths) == 22
+    dirs = ("spaces", "homs", "surfaces", "systems")
+    relpaths = [f"{d}/{f}" for d in dirs for f in sorted(os.listdir(data_dir / d))]
+    assert len(relpaths) == 24
     for relpath in relpaths:
         path = data_dir / relpath
         text = path.read_text()

@@ -37,7 +37,7 @@ def test_value_classes_are_slotted():
         "linalg.Solution", "linalg.Inconsistent",
         "rings.TautClass", "rings.RingSpace", "rings.RingHom", "rings.GluingRestriction",
         "surfaces.SurfaceFunctional", "poly.TruncatedPoly", "chern.ChernVector",
-        "checks.CheckResult", "checks.Report", "checks.MultiplicitySystem",
+        "checks.CheckResult", "checks.Report", "data.MultiplicitySystem",
     )
     classes = dict(_package_classes())
     for name in value_classes:
