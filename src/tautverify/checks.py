@@ -33,7 +33,7 @@ from .counts import (
     scorza_correspondence_class,
     scorza_triple_degree,
 )
-from .data import SURFACE_IDS, SYSTEM_IDS, MultiplicitySystem, Repo
+from .data import COMPUTED, SURFACE_IDS, SYSTEM_IDS, MultiplicitySystem, Repo
 from .errors import UnknownNameError
 from .grr import GRR_MAX_ORDER, grr_spin_character, jet_bundles, lambda2_values, lower_order_character
 from .linalg import (
@@ -52,7 +52,6 @@ from .linalg import (
 )
 from .poly import TruncatedPoly
 from .rings import (
-    RingSpace,
     TautClass,
     _no_product,
     apply_hom,
@@ -173,18 +172,6 @@ def _finish(check_id: str, anchor: str, parts: Sequence[Part], t0: float) -> Che
 # --- multiplicity systems -------------------------------------------------
 
 
-# the paper results that a check computes and later checks read, each by the
-# name it is known by, with the id of that check; the golden file states
-# each of them once, and no catalog class has one of these names
-COMPUTED = {
-    "Hyp31_theorem": "hyp31",
-    "W2_M31": "w2_lemmas",
-    "W2_M4": "w2_lemmas",
-    "F31_theorem": "f31",
-    "H4plus_theorem": "h4plus",
-}
-
-
 class Run:
     """The results that several checks of one run share, each computed on first use.
 
@@ -226,10 +213,9 @@ class Run:
         return self._once(check_id, lambda: _COMPUTE[check_id](self))
 
     def known(self, system_id: str) -> dict[str, TautClass]:
-        """The known component classes of a system, by component name."""
+        """The known component classes of a system, by component name: load resolved each ref to a class or a name."""
         system = self.repo.system(system_id)
-        space = system.lhs_factors[0].space
-        known = lambda: {name: _component_class(self, space, ref) for name, ref in system.components if ref}
+        known = lambda: {name: self.cls(ref) if type(ref) is str else ref for name, ref in system.components if ref}
         return self._once(("known", system_id), known)
 
     def lhs(self, system_id: str) -> TautClass:
@@ -247,17 +233,6 @@ class Run:
 
     def solution(self, system_id: str) -> tuple:
         return self._once(("solution", system_id), lambda: solve_multiplicities(system_id, self))
-
-
-def _component_class(run: Run, space: RingSpace, ref: str) -> TautClass:
-    kind, _, name = ref.partition(":")
-    if kind == "class":
-        return run.cls(name)
-    if kind == "special":
-        return special_expand(space, name)
-    if kind == "basis":
-        return space.basis_class(2, name)
-    raise UnknownNameError(f"unknown component reference {ref!r}")
 
 
 def _assemble_system(run: Run, system: MultiplicitySystem):
@@ -328,27 +303,30 @@ def solve_multiplicities(system_id: str, run: Run):
 
 
 def _divide_out(run: Run, system: MultiplicitySystem, assignment: dict, parts: list[Part]) -> TautClass:
-    """The unknown component's class, from the solved multiplicities.
+    """The unknown component's class, from the solved multiplicities, as one sum.
 
     The left-hand product minus each known component times its multiplicity,
     divided by the multiplicity of the unknown component.  Appends whether
     that multiplicity is nonzero to `parts`.  A failed solve (no assignment)
     or a zero multiplicity gives the zero class, which fails the class part.
     """
-    rest = run.lhs(system.id)
+    lhs = run.lhs(system.id)
     if not assignment:
-        return rest.space.zero(rest.degree)
+        return lhs.space.zero(lhs.degree)
     known = run.known(system.id)
+    terms = [(1, 1, lhs.support)]
     for (name, ref), unknown in zip(system.components, system.unknowns):
+        n, d = _ratio(assignment[unknown])
         if ref:
-            rest = rest - known[name].scale(assignment[unknown])
+            terms.append((-n, d, known[name].support))
         else:
-            num, den = _ratio(assignment[unknown])
+            num, den = n, d
     parts.append(("division_multiplicity_nonzero", True, num != 0))
     if not num:
-        return rest.space.zero(rest.degree)
-    # scale by 1/n as an int pair, its sign in the numerator: no Fraction is built
-    return TautClass(rest.space, rest.degree, _combine(((den if num > 0 else -den, abs(num), rest.support),)))
+        return lhs.space.zero(lhs.degree)
+    # int-pair scales, each sign in the numerator (no Fraction); the family pairings checked each class's space
+    sign = 1 if num > 0 else -1
+    return TautClass(lhs.space, lhs.degree, _combine((sign * den * n, abs(num) * d, s) for n, d, s in terms))
 
 
 # --- individual checks ----------------------------------------------------
@@ -505,9 +483,11 @@ def _parts_surface_tables(run: Run) -> list[Part]:
     golden = repo.golden["surface_tables"]
     systems = {s.lhs_factors[0].space.id: s.id for s in map(repo.system, SYSTEM_IDS)}
     parts: list[Part] = []
+    override_rows = []
     for sid, block in golden["surfaces"].items():
         functional = repo.functional(sid)
         space = functional.space
+        override_rows += ([sid, lbl] for lbl, provenance in functional.provenance.items() if provenance == OVERRIDE)
         nonzero = block["nonzero_basis"]
         mismatches = []
         for lbl in space.codim2_basis:
@@ -519,11 +499,6 @@ def _parts_surface_tables(run: Run) -> list[Part]:
             parts.append((f"{sid}:{lbl}", v, functional.values.get(lbl)))
         for key, v in block["evaluations"].items():
             parts.append((f"{sid}:<{key}>", v, run.family_values(systems[space.id], sid)[key]))
-    override_rows = []
-    for sid in golden["surfaces"]:
-        for label, provenance in repo.functional(sid).provenance.items():
-            if provenance == OVERRIDE:
-                override_rows.append([sid, label])
     parts.append(("override_count", golden["override_count"], len(override_rows)))
     parts.append(("override_at", [golden["override_at"]], override_rows))
     return parts
@@ -606,11 +581,7 @@ def _parts_jet_chern(run: Run) -> list[Part]:
     for key, (ch, cv) in run.jets.items():
         block = golden[key]
         parts.append((f"{key}:rank", block["rank"], cv.rank))
-        actual_c = (
-            cv.c1.coeff({"psi": 1}),
-            cv.c2.coeff({"psi": 2}),
-            cv.c3.coeff({"psi": 3}),
-        )
+        actual_c = tuple(c.coeff({"psi": k}) for k, c in enumerate((cv.c1, cv.c2, cv.c3), 1))
         parts.append((f"{key}:c", tuple(block["c"]), actual_c))
         actual_ch = tuple(ch.coeff({"psi": k}) for k in range(1, 4))
         parts.append((f"{key}:ch", tuple(block["ch"]), actual_ch))

@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import COMPUTED, Run, differing, export_report, run_all, run_check
-from .data import Repo
+from .checks import Run, differing, export_report, run_all, run_check
+from .data import COMPUTED, Repo
 from .errors import TautVerifyError, UnknownNameError
 from .linalg import _number
 from .rings import TautClass
@@ -68,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run-all":
             report = run_all(repo)
             sys.stdout.write(export_report(report, "human"))
-            if args.json:
+            if args.json is not None:
                 try:
                     with open(args.json, "w", encoding="utf-8") as fh:
                         fh.write(export_report(report, "json"))

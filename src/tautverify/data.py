@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 from .counts import CountRegistry
 from .errors import DataError, DegreeError, SpaceMismatchError, TautVerifyError, UnknownNameError
 from .linalg import _RATIONAL, Number, as_fraction
-from .rings import GluingRestriction, RingHom, RingSpace, TautClass
+from .rings import GluingRestriction, RingHom, RingSpace, TautClass, special_expand
 from .surfaces import SurfaceFunctional
 
 SPACE_IDS = ("M22", "M31", "M3", "M4", "M12", "M21")
@@ -43,6 +43,17 @@ SPACE_IDS = ("M22", "M31", "M3", "M4", "M12", "M21")
 HOM_IDS = ("theta_star", "j3_star", "p_star_pushforward", "p_pullback_m3", "xi_star_m31", "xi_star_m4")
 SURFACE_IDS = ("S1", "S2", "S3", "T1", "T2", "T3", "V1", "V2", "V3", "V4")
 SYSTEM_IDS = ("F31", "H4plus")
+
+# the paper results that a check computes and later checks read, each by the
+# name it is known by, with the id of that check; the golden file states
+# each of them once, and no catalog class has one of these names
+COMPUTED = {
+    "Hyp31_theorem": "hyp31",
+    "W2_M31": "w2_lemmas",
+    "W2_M4": "w2_lemmas",
+    "F31_theorem": "f31",
+    "H4plus_theorem": "h4plus",
+}
 
 
 def _drop_comment(obj: dict) -> dict:
@@ -87,7 +98,7 @@ class MultiplicitySystem:
         lhs_key: str,  # surface-table key of the left-hand product
         lhs_factors: tuple[TautClass, ...],
         unknowns: Sequence[str],
-        components: Sequence[Sequence],  # (name, ref); ref None for the unknown
+        components: Sequence[Sequence],  # (name, ref); see `Repo._component` for ref
         families: tuple[SurfaceFunctional, ...],
         fiber_counts: Mapping[str, Number],  # family id -> fiber count of the unknown
         pushforward: tuple[RingHom, str, TautClass] | None = None,
@@ -175,12 +186,30 @@ class Repo:
         for key, find in (("factors", self.space), ("lhs_factors", self.catalog_class), ("families", self.functional)):
             if key in raw:
                 raw[key] = tuple(map(find, raw[key]))
+        if "components" in raw:
+            space, components = raw["lhs_factors"][0].space, enumerate(raw["components"])
+            raw["components"] = [(name, self._component(space, i, ref)) for i, (name, ref) in components]
         if "fiber_counts" in raw:
             raw["fiber_counts"] = {sid: self.counts.get(cid) for sid, cid in raw["fiber_counts"].items()}
         if "pushforward" in raw:
             hid, ref = raw["pushforward"]
             raw["pushforward"] = (self.hom(hid), ref, self.catalog_class(ref))
         return raw
+
+    def _component(self, space: RingSpace, i: int, ref: str | None) -> TautClass | str | None:
+        """Entry `i` of a system's components: null stays None, ``special:<s>`` and ``basis:<label>`` become a
+        class on `space`, and ``class:<n>`` becomes n, a COMPUTED name or a degree-2 catalog class on `space`."""
+        if ref is None:
+            return None
+        kind, _, name = ref.partition(":")
+        stated = self._catalog.get(name)
+        if kind == "special" and name in space.special_expansions:
+            return special_expand(space, name)
+        if kind == "basis" and name in space.codim2_index:
+            return space.basis_class(2, name)
+        if kind == "class" and (name in COMPUTED or stated and (stated.space, stated.degree) == (space, 2)):
+            return name
+        raise DataError(f"components/{i}: {ref!r} names no degree-2 class on {space.id}")
 
     def _load(self):
         for sid in SPACE_IDS:

@@ -97,18 +97,14 @@ class TautClass:
         return not self.support
 
     def __sub__(self, other: "TautClass") -> "TautClass":
-        _check_same(self, other)
+        if self.space is not other.space or self.degree != other.degree:
+            raise SpaceMismatchError(
+                f"cannot combine ({self.space.id}, degree {self.degree}) with ({other.space.id}, degree {other.degree})"
+            )
         return TautClass(self.space, self.degree, _combine(((1, 1, self.support), (-1, 1, other.support))))
 
     def scale(self, c) -> "TautClass":
         return TautClass(self.space, self.degree, _combine(((*_ratio(c), self.support),)))
-
-
-def _check_same(a: TautClass, b: TautClass):
-    if a.space is not b.space or a.degree != b.degree:
-        raise SpaceMismatchError(
-            f"cannot combine ({a.space.id}, degree {a.degree}) with ({b.space.id}, degree {b.degree})"
-        )
 
 
 class RingSpace:

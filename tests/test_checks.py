@@ -15,7 +15,6 @@ from tautverify import checks, grr, linalg, rings, series, surfaces
 
 from tautverify.checks import (
     CHECKS,
-    COMPUTED,
     Run,
     check_ids,
     compute_f31,
@@ -28,7 +27,7 @@ from tautverify.checks import (
 )
 from tautverify.cli import main
 from tautverify.counts import _freeze
-from tautverify.data import HOM_IDS, SPACE_IDS, SURFACE_IDS, SYSTEM_IDS, Repo
+from tautverify.data import COMPUTED, HOM_IDS, SPACE_IDS, SURFACE_IDS, SYSTEM_IDS, Repo
 from tautverify.errors import UnknownLabelError, UnknownNameError
 from tautverify.linalg import Inconsistent
 from tautverify.rings import TautClass, divisor_product
@@ -150,7 +149,7 @@ def test_computed_classes_match_catalog(repo):
 # string constants in checks.py that name a loaded space, map, gluing,
 # catalog or formal class, family or system, or a COMPUTED class: a ratchet
 # that ROADMAP item 8 drives to 0, so it may only go down
-CHECKS_ID_LITERALS = 48
+CHECKS_ID_LITERALS = 43
 
 
 def test_checks_names_no_more_loaded_ids_than_before():
@@ -624,6 +623,13 @@ def _set_field(key, value):
     return edit
 
 
+def _set_component(i, ref):
+    def edit(raw):
+        raw["components"][i][1] = ref
+
+    return edit
+
+
 def _set_hyp4_coeff(value):
     def edit(raw):
         raw["classes"]["Hyp4"]["coeffs"]["lam^2"] = value
@@ -738,6 +744,17 @@ def test_malformed_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, 
             "F31: fiber counts for ['S1'], which are not among its 'families'",
         ),
         ("systems/f31.json", _set_field("lhs_factors", ["W31", "Hyp4"]), "F31: left-hand factors on M31, M4"),
+        *(
+            ("systems/h4plus.json", _set_component(i, ref), f"components/{i}: {ref!r} names no degree-2 class on M4")
+            for i, ref in (
+                (0, "klass:Hyp4"),
+                (3, "special:nope"),
+                (3, "basis:nope"),
+                (0, "class:Nope"),
+                (0, "class:Hyp3_M3"),
+                (2, "class:Theta_null_M4"),
+            )
+        ),
     ],
     ids=[
         "unknown_family",
@@ -746,16 +763,24 @@ def test_malformed_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, 
         "unknown_catalog_class",
         "fiber_count_off_the_families",
         "lhs_factors_on_two_spaces",
+        "unknown_component_ref_prefix",
+        "unknown_component_special_symbol",
+        "unknown_component_basis_label",
+        "unknown_component_class_name",
+        "component_class_on_another_space",
+        "component_class_of_degree_1",
     ],
 )
 def test_malformed_system_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, edit, error):
-    # an id a system file names is resolved at load, so a bad one is the
-    # package's own error, which keeps its type and gains the file's name
+    # an id or component reference a system file names is resolved at load,
+    # so a bad one is the package's own error, which keeps its type and gains
+    # the file's name; a check that never reads the system is refused too
     data_dir = _data_copy_with(tmp_path, relpath, edit)
-    assert main(["--data-dir", data_dir, "run-all"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"configuration error: {relpath}: {error}\n"
+    for command in (["run-all"], ["check", "basis_m31"]):
+        assert main(["--data-dir", data_dir, *command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {relpath}: {error}\n"
 
 
 def test_an_unknown_system_id_is_an_unknown_name(repo):
@@ -853,13 +878,14 @@ def test_cli_refuses_a_computed_class_whose_check_fails(tmp_path, capsys):
 
 
 def test_cli_unwritable_json_report_is_a_configuration_error(tmp_path, capsys):
-    # every check passes, so exit 1 would misreport a verification failure
-    out = tmp_path / "missing" / "report.json"
-    assert main(["run-all", "--json", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert "18/18 checks passed" in captured.out
-    assert captured.err == f"configuration error: cannot write report {str(out)!r}: No such file or directory\n"
-    assert not out.parent.exists()
+    # every check passes, so exit 1 would misreport a verification failure;
+    # an empty path is a path that cannot be written, not a request for no report
+    for out in (str(tmp_path / "missing" / "report.json"), ""):
+        assert main(["run-all", "--json", out]) == 2
+        captured = capsys.readouterr()
+        assert "18/18 checks passed" in captured.out
+        assert captured.err == f"configuration error: cannot write report {out!r}: No such file or directory\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_data_dir_override(tmp_path):
