@@ -45,7 +45,7 @@ from .linalg import (
     _ratio,
     _support_of,
     _transpose,
-    det3,
+    det,
     rank,
     solve_exact,
     solve_with_left_kernel,
@@ -203,10 +203,9 @@ class Run:
 
     def cls(self, name: str) -> TautClass:
         """A class by name: a computed paper result (COMPUTED), else a catalog input."""
-        check_id = COMPUTED.get(name)
-        if check_id is None:
+        if name not in COMPUTED:
             return self.repo.catalog_class(name)
-        return self.result(check_id)[0][name]
+        return self.result(COMPUTED[name][0])[0][name]
 
     def result(self, check_id: str) -> tuple[dict[str, TautClass], list[Part]]:
         """The classes a computing check builds, by name, and the check's parts."""
@@ -348,9 +347,9 @@ def _parts_basis_m31(run: Run) -> list[Part]:
     in_kernel = all(apply_hom(theta, g).is_zero() for g in gens)
     spans_match = in_kernel and rank([g.support for g in gens], width) == len(gens) == kernel_dim
     parts.append(("kernel_span_matches", True, spans_match))
-    det = det3([[evaluate(repo.functional(sid), g) for g in gens] for sid in ("S1", "S2", "S3")])
-    parts.append(("family_matrix_det", golden["surface_matrix_det"], det))
-    parts.append(("relations_forced_to_zero", True, det != 0))
+    family_det = det([[evaluate(repo.functional(sid), g) for g in gens] for sid in ("S1", "S2", "S3")])
+    parts.append(("family_matrix_det", golden["surface_matrix_det"], family_det))
+    parts.append(("relations_forced_to_zero", True, family_det != 0))
     return parts
 
 

@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
 
         # show-class and eval: a computed result only once its one check agrees
         functional = repo.functional(args.surface) if args.command == "eval" else None
-        check_id = COMPUTED.get(args.name)
+        check_id, _ = COMPUTED.get(args.name, (None, None))
         if check_id is None:
             c, source = repo.catalog_class(args.name), repo.catalog_source(args.name)
         else:

@@ -44,15 +44,15 @@ HOM_IDS = ("theta_star", "j3_star", "p_star_pushforward", "p_pullback_m3", "xi_s
 SURFACE_IDS = ("S1", "S2", "S3", "T1", "T2", "T3", "V1", "V2", "V3", "V4")
 SYSTEM_IDS = ("F31", "H4plus")
 
-# the paper results that a check computes and later checks read, each by the
-# name it is known by, with the id of that check; the golden file states
-# each of them once, and no catalog class has one of these names
+# each paper result that a check computes and later checks read, by its name:
+# the id of that check and of the space of its class, which is of degree 2; the
+# golden file states each once, and no catalog class has one of these names
 COMPUTED = {
-    "Hyp31_theorem": "hyp31",
-    "W2_M31": "w2_lemmas",
-    "W2_M4": "w2_lemmas",
-    "F31_theorem": "f31",
-    "H4plus_theorem": "h4plus",
+    "Hyp31_theorem": ("hyp31", "M31"),
+    "W2_M31": ("w2_lemmas", "M31"),
+    "W2_M4": ("w2_lemmas", "M4"),
+    "F31_theorem": ("f31", "M31"),
+    "H4plus_theorem": ("h4plus", "M4"),
 }
 
 
@@ -198,16 +198,17 @@ class Repo:
 
     def _component(self, space: RingSpace, i: int, ref: str | None) -> TautClass | str | None:
         """Entry `i` of a system's components: null stays None, ``special:<s>`` and ``basis:<label>`` become a
-        class on `space`, and ``class:<n>`` becomes n, a COMPUTED name or a degree-2 catalog class on `space`."""
+        class on `space`, and ``class:<n>`` becomes n, a COMPUTED or catalog class of degree 2 on `space`."""
         if ref is None:
             return None
         kind, _, name = ref.partition(":")
         stated = self._catalog.get(name)
+        where = (stated.space.id, stated.degree) if stated else (COMPUTED.get(name, (None, None))[1], 2)
         if kind == "special" and name in space.special_expansions:
             return special_expand(space, name)
         if kind == "basis" and name in space.codim2_index:
             return space.basis_class(2, name)
-        if kind == "class" and (name in COMPUTED or stated and (stated.space, stated.degree) == (space, 2)):
+        if kind == "class" and where == (space.id, 2):
             return name
         raise DataError(f"components/{i}: {ref!r} names no degree-2 class on {space.id}")
 

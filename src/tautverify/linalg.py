@@ -6,38 +6,31 @@ as its *support*: a tuple of ``(index, numerator, denominator)`` int triples
 for its nonzero entries, ascending in index, in lowest terms with positive
 denominators.  This is the one exact-vector format: a matrix is a sequence of
 row supports with a stated width, and elimination, ranks and solves (the
-right-hand side included) take supports.  There is no separate kernel or
-row-space routine: a check reads ranks, a solve's kernel dimension and the
-left null space that `solve_with_left_kernel` gets from its one elimination.
-One parser, `_ratio`, turns a number (an int, a Fraction or a rational
-string; never a bool or a float) into an int pair, at the point where a data
-file or a kernel entry point reads it, so load builds supports without a
-Fraction round trip.  One constructor, `_number`, turns an int pair back
-into an exact value where one leaves the kernels (a dot product, a sum of
-ratios, the entries of a solution, an
-inconsistency witness) or is read as a value at load (golden values, family
-values, stored relations and count constants, through `as_fraction`): an
-int when the value is integral, a Fraction only when it is not.  The two
-agree as values, since ``Fraction(n) == n``, ``hash(Fraction(n)) ==
-hash(n)`` and ``str(Fraction(n)) == str(n)``, and an int costs no
-normalising constructor and compares without Fraction's ABC check.
-Every keyed sum of products in the package (map images, basis reductions,
-divisor alias expansions, special images, gluing restrictions and their
-right-hand sides, class arithmetic, polynomial term collection) goes through
-one keyed integer accumulator, `_combine`: it adds each scaled entry into
-its key's numerator over a running common denominator and normalises once
-per key; supports are keyed by index and `poly` terms by exponent tuple.
-Every scalar sum (dot products, pairings, the lambda^2 readout, the series
-inverse) is one plain loop, `_pair_sum` (inlined in `_dot`), keeping a
-running numerator over one denominator; `_dot` reads its right operand as a
-table from index to int pair (`_table`), so an operand paired many times,
-such as a family's values, is turned into one once.  Elimination
-(`_rref_rows`) is Gauss-Jordan on rows cleared of denominators; it builds no
-Fraction.  A solve takes its right-hand side as a support over the rows,
-like every other vector.  `solve_with_left_kernel` eliminates [A | b | I]
-once, and the identity block of the rows that A's part reduces to zero is a
-basis of the left null space, so a solve that also wants the redundant rows
-runs one elimination, not a second one on the transpose.
+right-hand side included) take supports.  One parser, `_ratio`, turns a
+number (an int, a Fraction or a rational string; never a bool or a float)
+into an int pair where a data file or a kernel entry point reads it, so load
+builds supports without a Fraction round trip.  One constructor, `_number`,
+turns an int pair back into an exact value where one leaves the kernels or
+is read as a value at load (through `as_fraction`): an int when the value is
+integral, a Fraction only when it is not (``Fraction(n) == n``, with equal
+hash and str).  Every keyed sum of products in the package (map images,
+basis reductions, alias expansions, gluing restrictions, class arithmetic,
+polynomial term collection) goes through one keyed integer accumulator,
+`_combine`, which normalises once per key; every scalar sum (dot products,
+pairings, the lambda^2 readout, the series inverse) is one plain loop,
+`_pair_sum` (inlined in `_dot`), over one running denominator.  `_dot` reads
+its right operand as a table from index to int pair (`_table`), so an
+operand paired many times, such as a family's values, is turned into one
+once.  Elimination is one fraction-free pass, `_eliminate`, whose row-clearing
+step is written once; it builds no Fraction.  `rank`, `det` and `solve_exact`
+read its forward pass alone: the pivot count, the signed pivot product, and
+a zero row's inconsistency witness or else back-substitution of b's column
+over Q.  Gauss-Jordan (`_rref_rows`: also clearing above each pivot, then
+normalising every entry) runs only where reduced rows are read:
+`solve_with_left_kernel` eliminates [A | b | I] once; the rows that A's part
+reduces to zero carry a left null space basis in the identity block, and the
+solution read off the reduced rows is a second solve path that the tests
+hold `solve_exact` to, for an upward pass over a system's 4 or 5 columns.
 """
 
 from __future__ import annotations
@@ -146,6 +139,12 @@ def _pair_sum(ratios: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return num // g, den // g
 
 
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n / d, for d != 0, as a pair in lowest terms with a positive denominator."""
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    return n // g, d // g
+
+
 def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Number:
     """Exact sum of n / d over int pairs with d > 0."""
     return _number(*_pair_sum(ratios))
@@ -181,14 +180,6 @@ def _transpose(rows: Sequence[Support], width: int) -> list[Support]:
     return [tuple(c) for c in cols]
 
 
-def det3(rows: Sequence[Sequence[Number]]) -> Number:
-    """Determinant of a 3x3 matrix given as three rows (used by the basis check)."""
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise DimensionError("det3 needs a 3x3 matrix")
-    ((a, b, c), (d, e, f), (g, h, i)) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 class Solution:
     """One exact solution of A x = b, plus the dimension of ker A."""
 
@@ -216,38 +207,37 @@ class Inconsistent:
         return self.witness_rhs == other.witness_rhs
 
 
-def _rref_rows(rows: Sequence[Support], width: int) -> tuple[list[Support], list[int]]:
-    """Reduced row echelon form, on the leftmost `width` columns, of rows given as supports.
+def _eliminate(rows: Sequence[Support], width: int, upward: bool = False) -> tuple[list, list, list[int], int]:
+    """Fraction-free elimination, on the leftmost `width` columns, of rows given as supports.
 
-    Entries at column `width` and above (an augmented part, if any) are
-    carried along.  Pivots are scaled to 1 and cleared above and below; this
-    is the canonical normalization fixed by the design decisions, so each
-    input has one output.  Returns the reduced rows as supports, zero rows
-    included, and the pivot columns.  The work is in ints: each row is
-    cleared of denominators once and kept as a map from column to int times a
-    rational scale.  Clearing pivot row P (pivot p) from a row R with R[c] =
-    f is R = (p/g) R - (f/g) P, g = gcd(p, f), then R is divided by its
-    content; only rows with f != 0 and only P's nonzero entries are touched.
-    At the end a pivot row is x / pivot and any other row x times its scale,
-    exactly what eliminating over Q gives.
+    Each row is cleared of denominators once and kept as ints (a map from
+    column) times a rational scale.  Per column, the first row at or below
+    the next pivot position with an entry there is swapped up.  Each row R
+    with R[c] = f below that pivot row P (pivot p), and with `upward` above
+    it too, becomes (p/g) R - (f/g) P over its content, g = gcd(p, f), and
+    its scale keeps it equal to R - (f/p) P over Q.  Upward clearing touches
+    no row at or below the pivot, so it changes no pivot, swap or zero row.
+    Returns the int rows, their scales, the pivot columns and the swap count.
     """
-    ints: list[dict[int, int]] = []
-    scales = []
-    for row in rows:
-        den = lcm(*(d for _, _, d in row))
-        ints.append({j: n * (den // d) for j, n, d in row})
-        scales.append((1, den))
+    dens = [lcm(*[d for _, _, d in row]) for row in rows]
+    ints = [{j: n * (den // d) for j, n, d in row} for row, den in zip(rows, dens)]
+    scales = [(1, den) for den in dens]
     pivots: list[int] = []
-    r = 0
+    swaps, m = 0, len(ints)
     for c in range(width):
-        pivot_row = next((i for i in range(r, len(ints)) if c in ints[i]), None)
-        if pivot_row is None:
+        r = len(pivots)
+        for pivot_row in range(r, m):
+            if c in ints[pivot_row]:
+                break
+        else:
             continue
+        swaps += pivot_row != r
         ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
         scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
         p = ints[r][c]
         support = list(ints[r].items())
-        for i, row in enumerate(ints):
+        for i in range(0 if upward else r + 1, m):
+            row = ints[i]
             f = row.get(c)
             if i == r or not f:
                 continue
@@ -266,12 +256,20 @@ def _rref_rows(rows: Sequence[Support], width: int) -> tuple[list[Support], list
             num, den = scales[i]
             scales[i] = (num * g * h, den * p)
         pivots.append(c)
-        r += 1
-        if r == len(ints):
-            break
+    return ints, scales, pivots, swaps
+
+
+def _rref_rows(rows: Sequence[Support], width: int) -> tuple[list[Support], list[int]]:
+    """Reduced row echelon form, on the leftmost `width` columns, of rows given as supports.
+
+    `_eliminate` with `upward`, then pivots scaled to 1: the canonical form, one
+    output per input.  Returns the reduced rows as supports, zero rows included
+    and columns from `width` on carried along, and the pivot columns.
+    """
+    ints, scales, pivots, _ = _eliminate(rows, width, upward=True)
     out = []
     for i, row in enumerate(ints):
-        num, den = (1, row[pivots[i]]) if i < r else scales[i]
+        num, den = (1, row[pivots[i]]) if i < len(pivots) else scales[i]
         if den < 0:
             num, den = -num, -den
         reduced = []
@@ -288,26 +286,7 @@ def _augmented(rows: Sequence[Support], rhs: Support, width: int) -> list[Suppor
     if rhs and not 0 <= rhs[0][0] <= rhs[-1][0] < len(rows):
         raise DimensionError(f"matrix has {len(rows)} rows, rhs has an entry on row {rhs[-1][0]}")
     b = _table(rhs)
-    out = []
-    for i, row in enumerate(rows):
-        e = b.get(i)
-        out.append((*row, (width, *e)) if e else row)
-    return out
-
-
-def _read_solution(reduced: list[Support], pivots: list[int], width: int) -> Solution | Inconsistent:
-    """The Solution or Inconsistent certificate that [A | b ...], reduced on A's `width` columns, holds."""
-    for row in reduced[len(pivots) :]:
-        if row and row[0][0] == width:
-            return Inconsistent(_number(row[0][1], row[0][2]))
-    x = [_ZERO] * width
-    for row, c in zip(reduced, pivots):
-        for j, n, d in row:
-            if j >= width:
-                if j == width:
-                    x[c] = _number(n, d)
-                break
-    return Solution(tuple(x), width - len(pivots))
+    return [(*row, (width, *b[i])) if i in b else row for i, row in enumerate(rows)]
 
 
 def solve_exact(rows: Sequence[Support], rhs: Support, width: int) -> Solution | Inconsistent:
@@ -317,31 +296,67 @@ def solve_exact(rows: Sequence[Support], rhs: Support, width: int) -> Solution |
     A lacks raises DimensionError.  Returns a Solution carrying one exact
     solution (the one with all free variables set to 0) and the kernel
     dimension, or an Inconsistent certificate if elimination produces a row
-    reading 0 = nonzero.
+    reading 0 = nonzero.  One forward pass on [A | b]; back-substitution,
+    last pivot first, reads each pivot row's ints, whose scale cancels.
     """
-    reduced, pivots = _rref_rows(_augmented(rows, rhs, width), width)
-    return _read_solution(reduced, pivots, width)
+    ints, scales, pivots, _ = _eliminate(_augmented(rows, rhs, width), width)
+    r = len(pivots)
+    for row, (num, den) in zip(ints[r:], scales[r:]):
+        if row:
+            return Inconsistent(_number(*_lowest(row[width] * num, den)))
+    x: dict[int, tuple[int, int]] = {}
+    for row, c in zip(reversed(ints[:r]), reversed(pivots)):
+        n, d = row.get(width, 0), 1
+        for j, y in row.items():
+            e = x.get(j)
+            if e:
+                n, d = n * e[1] - y * e[0] * d, d * e[1]
+        x[c] = _lowest(n, d * row[c])
+    return Solution(tuple(_number(*x[c]) if c in x else _ZERO for c in range(width)), width - r)
 
 
 def solve_with_left_kernel(
     rows: Sequence[Support], rhs: Support, width: int
 ) -> tuple[Solution | Inconsistent, list[Support]]:
-    """`solve_exact`, plus a basis of the left null space of A, from one elimination.
+    """`solve_exact`, plus a basis of the left null space of A, from one Gauss-Jordan elimination.
 
     Eliminates [A | b | I] on A's columns.  The row operations are recorded
     in the identity block, so each row that A's part reduces to zero carries
     in that block a y with y A = 0, and those rows span the left null space
     (McConnell, Mehlhorn, Naeher & Schweitzer, "Certifying algorithms", 2011).
     Any basis of the left null space uses the same rows, so this one gives
-    the redundant rows as a canonical basis would.
+    the redundant rows as a canonical basis would.  The solution is read off
+    the reduced rows: each pivot's unknown is its row's entry in b's column.
     """
     augmented = [(*row, (width + 1 + i, 1, 1)) for i, row in enumerate(_augmented(rows, rhs, width))]
     reduced, pivots = _rref_rows(augmented, width)
-    shift = width + 1
-    kernel = [tuple((j - shift, n, d) for j, n, d in row if j >= shift) for row in reduced[len(pivots) :]]
-    return _read_solution(reduced, pivots, width), kernel
+    r, shift = len(pivots), width + 1
+    kernel = [tuple((j - shift, n, d) for j, n, d in row if j >= shift) for row in reduced[r:]]
+    witness = next((row[0][1:] for row in reduced[r:] if row and row[0][0] == width), None)
+    if witness:
+        return Inconsistent(_number(*witness)), kernel
+    x = [_ZERO] * width
+    for row, c in zip(reduced, pivots):
+        for j, n, d in row:
+            if j >= width:
+                if j == width:
+                    x[c] = _number(n, d)
+                break
+    return Solution(tuple(x), width - r), kernel
 
 
 def rank(rows: Sequence[Support], width: int) -> int:
-    """The rank of the matrix with these rows over `width` columns: its pivot count after one elimination."""
-    return len(_rref_rows(rows, width)[1])
+    """The rank of the matrix with these rows over `width` columns: the pivot count of one forward pass."""
+    return len(_eliminate(rows, width)[2])
+
+
+def det(rows: Sequence[Sequence[Number]]) -> Number:
+    """The determinant of a square matrix given as rows of numbers (see `_ratio`): its signed pivot product."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise DimensionError("det needs a square matrix")
+    ints, scales, pivots, swaps = _eliminate([_support_of(row) for row in rows], n)
+    num, den = (-1) ** swaps, 1
+    for row, c, (s, t) in zip(ints, pivots, scales):
+        num, den = num * row[c] * s, den * t
+    return _number(*_lowest(num, den)) if len(pivots) == n else _ZERO

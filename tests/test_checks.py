@@ -167,7 +167,15 @@ def test_no_computed_name_is_a_catalog_class(repo):
     for name in COMPUTED:
         with pytest.raises(UnknownNameError):
             repo.catalog_class(name)
-    assert set(COMPUTED.values()) <= set(check_ids())
+    assert {check_id for check_id, _ in COMPUTED.values()} <= set(check_ids())
+
+
+def test_each_computed_result_lies_on_the_space_computed_states(repo):
+    # load checks a system's class: references against these spaces
+    run = Run(repo)
+    assert {name: (run.cls(name).space.id, run.cls(name).degree) for name in COMPUTED} == {
+        name: (space_id, 2) for name, (_, space_id) in COMPUTED.items()
+    }
 
 
 def test_inconsistent_system_fails_with_certificate(tmp_path):
@@ -246,10 +254,12 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
     # the lower orders
     count(grr, "todd_inverse")
     count(series, "series_inverse")
-    # one elimination per multiplicity system gives its solve and its left
-    # kernel; the basis check takes two ranks, of the pullback and of the
-    # relation generators
+    # Gauss-Jordan only where reduced rows are read: one per multiplicity
+    # system gives its solve and its left kernel; a forward pass under each
+    # of those two, and one each for the basis check's two ranks and its
+    # family determinant, the two gluing solves and the cofactor solve
     count(linalg, "_rref_rows")
+    count(linalg, "_eliminate")
     # one object per definition file at load: 6 spaces, 4 maps, 2 gluing
     # restrictions and 10 families
     Repo()
@@ -266,7 +276,7 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
         # unit-class products are read from the table load built, not recomputed
         assert (calls["divisor_product"], calls["pair_on_surface"], calls["evaluate"]) == (7, 0, 52)
         assert (calls["todd_inverse"], calls["series_inverse"]) == (1, 1)
-        assert calls["_rref_rows"] == 7
+        assert (calls["_rref_rows"], calls["_eliminate"]) == (2, 8)
 
 
 def _profile(action, on_call):
@@ -753,6 +763,7 @@ def test_malformed_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, 
                 (0, "class:Nope"),
                 (0, "class:Hyp3_M3"),
                 (2, "class:Theta_null_M4"),
+                (2, "class:W2_M31"),
             )
         ),
     ],
@@ -769,6 +780,7 @@ def test_malformed_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, 
         "unknown_component_class_name",
         "component_class_on_another_space",
         "component_class_of_degree_1",
+        "component_computed_result_on_another_space",
     ],
 )
 def test_malformed_system_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, edit, error):

@@ -20,7 +20,7 @@ from tautverify.linalg import (
     _table,
     _transpose,
     as_fraction,
-    det3,
+    det,
     rank,
     solve_exact,
     solve_with_left_kernel,
@@ -185,31 +185,54 @@ def test_solve_inconsistent_certificate():
 
 def _det_by_permutations(rows):
     """Leibniz's formula: the sum over permutations p of sign(p) times the product of rows[k][p[k]]."""
+    n = len(rows)
     total = F(0)
-    for p in permutations(range(3)):
-        inversions = sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3))
-        total += (-1) ** inversions * rows[0][p[0]] * rows[1][p[1]] * rows[2][p[2]]
+    for p in permutations(range(n)):
+        term = F((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)))
+        for k in range(n):
+            term *= rows[k][p[k]]
+        total += term
     return total
 
 
-def test_det3_of_a_matrix_with_no_zero_entry():
-    # every entry nonzero, so each of the six products, and each sign, counts
-    rows = ((2, -3, F(1, 2)), (5, 7, -1), (F(-4, 3), 6, 11))
-    assert det3(rows) == _det_by_permutations(rows) == F(1040, 3)
+# n x n matrices, n = 1 to 4, about half of whose entries are zero
+square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(sparse_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+)
 
 
-@given(st.lists(rationals.filter(bool), min_size=9, max_size=9))
-def test_det3_matches_the_permutation_expansion(xs):
-    rows = (xs[0:3], xs[3:6], xs[6:9])
-    assert det3(rows) == _det_by_permutations(rows)
+@given(square_matrices)
+# every entry nonzero, so each of the six products, and each sign, counts
+@example([[2, -3, F(1, 2)], [5, 7, -1], [F(-4, 3), 6, 11]])
+# a zero row, and a singular matrix with no zero row
+@example([[1, 2, 3], [0, 0, 0], [4, 5, 6]])
+@example([[F(1, 2), 1, 2], [1, 2, 4], [3, F(-1, 3), 0]])
+# pivots that need a row swap: one swap, then two
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 2, 1], [0, 0, 1, 3], [F(5, 7), 1, 0, 0], [1, 2, 0, F(-1, 2)]])
+@example([[F(-3, 11)]])
+def test_det_matches_the_permutation_expansion(rows):
+    got = det(rows)
+    event("singular" if got == 0 else "regular")
+    assert is_exact_value(got)
+    assert got == _det_by_permutations(rows)
+
+
+def test_det_examples():
+    # the 4 x 4 matrix needs two row swaps, which leave the sign as it is
+    assert det([[2, -3, F(1, 2)], [5, 7, -1], [F(-4, 3), 6, 11]]) == F(1040, 3)
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[0, 0, 2, 1], [0, 0, 1, 3], [F(5, 7), 1, 0, 0], [1, 2, 0, F(-1, 2)]]) == F(15, 7)
+    assert det([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0
+    assert det([]) == 1
 
 
 @pytest.mark.parametrize(
-    "rows", [((1, 2), (3, 4)), ((1, 2, 3), (4, 5), (6, 7, 8)), ((1, 2, 3),) * 4, ((1, 2, 3, 4),) * 3]
+    "rows", [((1, 2),), ((1, 2, 3), (4, 5), (6, 7, 8)), ((1, 2, 3),) * 4, ((1, 2, 3, 4),) * 3]
 )
-def test_det3_needs_a_3x3_matrix(rows):
-    with pytest.raises(DimensionError, match="^det3 needs a 3x3 matrix$"):
-        det3(rows)
+def test_det_needs_a_square_matrix(rows):
+    with pytest.raises(DimensionError, match="^det needs a square matrix$"):
+        det(rows)
 
 
 def test_solve_dimension_mismatch():
@@ -336,18 +359,25 @@ def assert_elimination_matches_dense(width, aug):
     assert (dense(got, total), got_pivots) == dense_rref_rows([list(r) for r in aug], width)
     assert all(_is_support_of(s, row) for s, row in zip(reduced + got, dense(reduced, width) + dense(got, total)))
 
-    rows, pivots = dense_rref_rows([r[: width + 1] for r in aug], width)
+    got = solve_exact(m, _support_of([r[width] for r in aug]), width)
+    assert fields(got) == dense_solve(aug, width)
+    return got
+
+
+def dense_solve(aug, width):
+    """Reference: the solve of [A | b], given densely, read off `dense_rref_rows`.
+
+    An Inconsistent certificate with the first row reading 0 = rhs != 0, else
+    a Solution's (vector, kernel_dim) with every free variable 0.
+    """
+    rows, pivots = dense_rref_rows([list(r[: width + 1]) for r in aug], width)
     bad = next((r for r in rows if all(x == 0 for x in r[:-1]) and r[-1] != 0), None)
     if bad is not None:
-        expected = Inconsistent(bad[-1])
-    else:
-        x = [F(0)] * width
-        for r, c in enumerate(pivots):
-            x[c] = rows[r][-1]
-        expected = (tuple(x), width - len(pivots))  # a Solution's vector and kernel_dim
-    got = solve_exact(m, _support_of([r[width] for r in aug]), width)
-    assert fields(got) == expected
-    return got
+        return Inconsistent(bad[-1])
+    x = [F(0)] * width
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][-1]
+    return tuple(x), width - len(pivots)
 
 
 @given(sparse_augmented)
@@ -396,6 +426,39 @@ _LARGE_DENOMINATOR_SYSTEMS = [
 def test_large_denominators_match_dense_oracle(width, aug, consistent):
     got = assert_elimination_matches_dense(width, aug)
     assert isinstance(got, Solution) is consistent
+
+
+# systems that a forward pass and back-substitution decide, as (width, [A | b], expected)
+_BACK_SUBSTITUTION_SYSTEMS = [
+    # column 1 is free and left of the pivot in column 2, so x_1 is 0
+    (3, [[1, 2, 1, 4], [0, 0, 3, 6], [2, 4, 5, 14]], ((2, 0, 2), 1)),
+    # the last row reads 0 = rhs only after the rows above have both cleared
+    # it, the first after a swap; the witness keeps the row's scale
+    (3, [[0, 1, 1, 2], [1, 1, 0, 1], [F(1, 3), F(2, 3), F(1, 3), 3]], Inconsistent(2)),
+    (3, [[0, 2, -1, 1], [-3, 1, 0, 2], [6, 0, 1, F(1, 5)], [3, 5, -2, 0]], Inconsistent(F(-13, 5))),
+    # negative pivots that do not divide the entries below them
+    (2, [[-2, 3, 1], [5, -7, F(1, 2)]], ((F(17, 2), 6), 0)),
+    (3, [[-3, 2, 0, 1], [2, -5, 1, 0], [0, 4, -7, F(-1, 3)]], ((F(-7, 15), F(-1, 5), F(-1, 15)), 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "width, aug, expected",
+    [*_BACK_SUBSTITUTION_SYSTEMS, *((w, aug, None) for w, aug, _ in _LARGE_DENOMINATOR_SYSTEMS)],
+    ids=[
+        "free_column",
+        "late_zero_row",
+        "late_zero_row_negative_pivots",
+        "negative_pivots_2x2",
+        "negative_pivots_3x3",
+        *(f"large_denominators_{i}" for i in range(len(_LARGE_DENOMINATOR_SYSTEMS))),
+    ],
+)
+def test_back_substitution_matches_dense_oracle(width, aug, expected):
+    got = fields(solve_exact(mat([r[:width] for r in aug]), _support_of([r[width] for r in aug]), width))
+    assert got == dense_solve(aug, width)
+    if expected is not None:
+        assert got == expected
 
 
 def test_basis_m31_pullback_matches_dense_oracle(repo):
