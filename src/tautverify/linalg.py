@@ -21,16 +21,13 @@ pairings, the lambda^2 readout, the series inverse) is one plain loop,
 `_pair_sum` (inlined in `_dot`), over one running denominator.  `_dot` reads
 its right operand as a table from index to int pair (`_table`), so an
 operand paired many times, such as a family's values, is turned into one
-once.  Elimination is one fraction-free pass, `_eliminate`, whose row-clearing
-step is written once; it builds no Fraction.  `rank`, `det` and `solve_exact`
-read its forward pass alone: the pivot count, the signed pivot product, and
-a zero row's inconsistency witness or else back-substitution of b's column
-over Q.  Gauss-Jordan (`_rref_rows`: also clearing above each pivot, then
-normalising every entry) runs only where reduced rows are read:
-`solve_with_left_kernel` eliminates [A | b | I] once; the rows that A's part
-reduces to zero carry a left null space basis in the identity block, and the
-solution read off the reduced rows is a second solve path that the tests
-hold `solve_exact` to, for an upward pass over a system's 4 or 5 columns.
+once.  Elimination is one fraction-free forward pass, `_eliminate`, whose
+row-clearing step is written once; it builds no Fraction.  Every entry point
+runs it once and reads it: `rank` the pivot count, `det` the signed pivot
+product, and `solve_exact` and `solve_with_left_kernel` one back-substitution,
+`_back_substitute`, of b's column over Q, or else a zero row's inconsistency
+witness.  `solve_with_left_kernel` eliminates [A | b | I]: the rows that A's
+part reduces to zero carry a left null space basis in the identity block.
 """
 
 from __future__ import annotations
@@ -207,17 +204,17 @@ class Inconsistent:
         return self.witness_rhs == other.witness_rhs
 
 
-def _eliminate(rows: Sequence[Support], width: int, upward: bool = False) -> tuple[list, list, list[int], int]:
-    """Fraction-free elimination, on the leftmost `width` columns, of rows given as supports.
+def _eliminate(rows: Sequence[Support], width: int) -> tuple[list, list, list[int], int]:
+    """Fraction-free forward elimination, on the leftmost `width` columns, of rows given as supports.
 
     Each row is cleared of denominators once and kept as ints (a map from
     column) times a rational scale.  Per column, the first row at or below
     the next pivot position with an entry there is swapped up.  Each row R
-    with R[c] = f below that pivot row P (pivot p), and with `upward` above
-    it too, becomes (p/g) R - (f/g) P over its content, g = gcd(p, f), and
-    its scale keeps it equal to R - (f/p) P over Q.  Upward clearing touches
-    no row at or below the pivot, so it changes no pivot, swap or zero row.
-    Returns the int rows, their scales, the pivot columns and the swap count.
+    with R[c] = f below that pivot row P (pivot p) becomes (p/g) R - (f/g) P
+    over its content, g = gcd(p, f), and its scale keeps it equal to
+    R - (f/p) P over Q.  The rows past the last pivot are zero on those
+    columns.  Returns the int rows, their scales, the pivot columns and the
+    swap count.
     """
     dens = [lcm(*[d for _, _, d in row]) for row in rows]
     ints = [{j: n * (den // d) for j, n, d in row} for row, den in zip(rows, dens)]
@@ -236,10 +233,10 @@ def _eliminate(rows: Sequence[Support], width: int, upward: bool = False) -> tup
         scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
         p = ints[r][c]
         support = list(ints[r].items())
-        for i in range(0 if upward else r + 1, m):
+        for i in range(r + 1, m):
             row = ints[i]
             f = row.get(c)
-            if i == r or not f:
+            if not f:
                 continue
             g = gcd(p, f)
             a, b = p // g, f // g
@@ -259,28 +256,6 @@ def _eliminate(rows: Sequence[Support], width: int, upward: bool = False) -> tup
     return ints, scales, pivots, swaps
 
 
-def _rref_rows(rows: Sequence[Support], width: int) -> tuple[list[Support], list[int]]:
-    """Reduced row echelon form, on the leftmost `width` columns, of rows given as supports.
-
-    `_eliminate` with `upward`, then pivots scaled to 1: the canonical form, one
-    output per input.  Returns the reduced rows as supports, zero rows included
-    and columns from `width` on carried along, and the pivot columns.
-    """
-    ints, scales, pivots, _ = _eliminate(rows, width, upward=True)
-    out = []
-    for i, row in enumerate(ints):
-        num, den = (1, row[pivots[i]]) if i < len(pivots) else scales[i]
-        if den < 0:
-            num, den = -num, -den
-        reduced = []
-        for j, x in sorted(row.items()):
-            x *= num
-            g = gcd(x, den)
-            reduced.append((j, x // g, den // g))
-        out.append(tuple(reduced))
-    return out, pivots
-
-
 def _augmented(rows: Sequence[Support], rhs: Support, width: int) -> list[Support]:
     """The rows of [A | b]: the entry of b on row i goes to column `width` of row i."""
     if rhs and not 0 <= rhs[0][0] <= rhs[-1][0] < len(rows):
@@ -289,20 +264,17 @@ def _augmented(rows: Sequence[Support], rhs: Support, width: int) -> list[Suppor
     return [(*row, (width, *b[i])) if i in b else row for i, row in enumerate(rows)]
 
 
-def solve_exact(rows: Sequence[Support], rhs: Support, width: int) -> Solution | Inconsistent:
-    """Solve A x = b exactly for A given by its rows as supports over `width` columns.
+def _back_substitute(ints: list, scales: list, pivots: list[int], width: int) -> Solution | Inconsistent:
+    """The solve of A x = b read off `_eliminate` of [A | b ...], with b in column `width`.
 
-    The right-hand side b is a support over the rows: an entry on a row that
-    A lacks raises DimensionError.  Returns a Solution carrying one exact
-    solution (the one with all free variables set to 0) and the kernel
-    dimension, or an Inconsistent certificate if elimination produces a row
-    reading 0 = nonzero.  One forward pass on [A | b]; back-substitution,
-    last pivot first, reads each pivot row's ints, whose scale cancels.
+    The first zero row of A's part that keeps an entry in b's column reads
+    0 = rhs, and that entry times the row's scale is the witness.  Else
+    back-substitution, last pivot first, reads each pivot row's ints, whose
+    scale cancels, and sets every free variable to 0.
     """
-    ints, scales, pivots, _ = _eliminate(_augmented(rows, rhs, width), width)
     r = len(pivots)
     for row, (num, den) in zip(ints[r:], scales[r:]):
-        if row:
+        if width in row:
             return Inconsistent(_number(*_lowest(row[width] * num, den)))
     x: dict[int, tuple[int, int]] = {}
     for row, c in zip(reversed(ints[:r]), reversed(pivots)):
@@ -315,34 +287,39 @@ def solve_exact(rows: Sequence[Support], rhs: Support, width: int) -> Solution |
     return Solution(tuple(_number(*x[c]) if c in x else _ZERO for c in range(width)), width - r)
 
 
+def solve_exact(rows: Sequence[Support], rhs: Support, width: int) -> Solution | Inconsistent:
+    """Solve A x = b exactly for A given by its rows as supports over `width` columns.
+
+    The right-hand side b is a support over the rows: an entry on a row that
+    A lacks raises DimensionError.  Returns a Solution carrying one exact
+    solution (the one with all free variables set to 0) and the kernel
+    dimension, or an Inconsistent certificate if elimination produces a row
+    reading 0 = nonzero: one forward pass on [A | b], then `_back_substitute`.
+    """
+    ints, scales, pivots, _ = _eliminate(_augmented(rows, rhs, width), width)
+    return _back_substitute(ints, scales, pivots, width)
+
+
 def solve_with_left_kernel(
     rows: Sequence[Support], rhs: Support, width: int
 ) -> tuple[Solution | Inconsistent, list[Support]]:
-    """`solve_exact`, plus a basis of the left null space of A, from one Gauss-Jordan elimination.
+    """`solve_exact`, plus a basis of the left null space of A, from one forward pass.
 
     Eliminates [A | b | I] on A's columns.  The row operations are recorded
     in the identity block, so each row that A's part reduces to zero carries
-    in that block a y with y A = 0, and those rows span the left null space
-    (McConnell, Mehlhorn, Naeher & Schweitzer, "Certifying algorithms", 2011).
-    Any basis of the left null space uses the same rows, so this one gives
-    the redundant rows as a canonical basis would.  The solution is read off
-    the reduced rows: each pivot's unknown is its row's entry in b's column.
+    in that block, times its scale, a y with y A = 0, and those rows span the
+    left null space (McConnell, Mehlhorn, Naeher & Schweitzer, "Certifying
+    algorithms", 2011).  Any basis of the left null space uses the same rows,
+    so this one gives the redundant rows as a canonical basis would.
     """
-    augmented = [(*row, (width + 1 + i, 1, 1)) for i, row in enumerate(_augmented(rows, rhs, width))]
-    reduced, pivots = _rref_rows(augmented, width)
-    r, shift = len(pivots), width + 1
-    kernel = [tuple((j - shift, n, d) for j, n, d in row if j >= shift) for row in reduced[r:]]
-    witness = next((row[0][1:] for row in reduced[r:] if row and row[0][0] == width), None)
-    if witness:
-        return Inconsistent(_number(*witness)), kernel
-    x = [_ZERO] * width
-    for row, c in zip(reduced, pivots):
-        for j, n, d in row:
-            if j >= width:
-                if j == width:
-                    x[c] = _number(n, d)
-                break
-    return Solution(tuple(x), width - r), kernel
+    shift = width + 1
+    augmented = [(*row, (shift + i, 1, 1)) for i, row in enumerate(_augmented(rows, rhs, width))]
+    ints, scales, pivots, _ = _eliminate(augmented, width)
+    kernel = [
+        tuple((j - shift, *_lowest(x * num, den)) for j, x in sorted(row.items()) if j >= shift)
+        for row, (num, den) in zip(ints[len(pivots) :], scales[len(pivots) :])
+    ]
+    return _back_substitute(ints, scales, pivots, width), kernel
 
 
 def rank(rows: Sequence[Support], width: int) -> int:

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from tautverify.chern import ChernVector
 from tautverify.data import Repo
-from tautverify.linalg import Solution, _dot, _number, _support_of, _table
+from tautverify.linalg import Inconsistent, Solution, _dot, _number, _support_of, _table, rank, solve_with_left_kernel
 from tautverify.poly import TruncatedPoly
 
 settings.register_profile(
@@ -86,3 +86,65 @@ def fields(x):
     if isinstance(x, dict):
         return {k: fields(v) for k, v in x.items()}
     return x
+
+
+def dense_rref_rows(rows, width):
+    """Reference: Gauss-Jordan elimination that does arithmetic on every entry, zeros included.
+
+    The entries become Fractions first, so that `/` divides exactly.
+    """
+    rows[:] = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def dense_solve(aug, width):
+    """Reference: the solve of [A | b], given densely, read off `dense_rref_rows`.
+
+    An Inconsistent certificate with the first row reading 0 = rhs != 0, else
+    a Solution's (vector, kernel_dim) with every free variable 0.
+    """
+    rows, pivots = dense_rref_rows([list(r[: width + 1]) for r in aug], width)
+    bad = next((r for r in rows if all(x == 0 for x in r[:-1]) and r[-1] != 0), None)
+    if bad is not None:
+        return Inconsistent(bad[-1])
+    x = [Fraction(0)] * width
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][-1]
+    return tuple(x), width - len(pivots)
+
+
+def assert_one_pass_matches_dense(width, aug):
+    """`solve_with_left_kernel` and `rank` on the dense [A | b] rows `aug`, held to the dense oracle.
+
+    The solve of [A | b | I] is `dense_solve`'s, each kernel vector y has
+    y A = 0 computed densely, the kernel is independent and has m - rank
+    vectors, and `rank` is the dense pivot count.  Returns the solve and the
+    kernel.
+    """
+    a = mat([r[:width] for r in aug])
+    sol, kernel = solve_with_left_kernel(a, _support_of([r[width] for r in aug]), width)
+    assert fields(sol) == dense_solve(aug, width)
+    pivots = dense_rref_rows([list(r[:width]) for r in aug], width)[1]
+    assert rank(a, width) == len(pivots)
+    ys = [_from_support(y, len(aug)) for y in kernel]
+    for y in ys:
+        assert any(y) and all(sum(Fraction(y[i]) * r[j] for i, r in enumerate(aug)) == 0 for j in range(width))
+    assert len(dense_rref_rows([list(y) for y in ys], len(aug))[1]) == len(kernel) == len(aug) - len(pivots)
+    return sol, kernel

@@ -21,13 +21,13 @@ from tautverify.checks import (
 )
 from tautverify.counts import _freeze, abel_difference_degree, mixed_difference_degree, scorza_triple_degree
 from tautverify.grr import grr_spin_character, jet_bundles, lambda2_values
-from tautverify.linalg import Solution, _rref_rows, _support_of, rank, solve_exact
+from tautverify.linalg import Solution, _support_of, rank, solve_exact
 from tautverify.poly import TruncatedPoly
 from tautverify.rings import apply_hom, divisor_product, reduce_to_basis, special_expand
 from tautverify.series import exp_scaled, todd_inverse
 from tautverify.surfaces import evaluate
 
-from conftest import coeffs, mat, mul_vec, rationals
+from conftest import assert_one_pass_matches_dense, coeffs, mat, mul_vec, rationals
 
 
 def _line(num: int, name: str, ok: bool):
@@ -181,10 +181,12 @@ def test_criterion_10_enumerative(repo):
 # --- criterion 11: randomized property suites (fixed seed via the profile) ---
 
 
-@given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=5))
-def _prop_rref_idempotent(rows):
-    once = _rref_rows(mat(rows), 4)[0]
-    assert _rref_rows(once, 4)[0] == once
+@given(
+    st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=5),
+    st.lists(rationals, min_size=5, max_size=5),
+)
+def _prop_one_pass_matches_dense(rows, b):
+    assert_one_pass_matches_dense(4, [[*r, x] for r, x in zip(rows, b)])
 
 
 @given(
@@ -233,7 +235,7 @@ def _hom_law_everywhere(repo):
 
 
 def test_criterion_11_property_suites(repo):
-    _prop_rref_idempotent()
+    _prop_one_pass_matches_dense()
     _prop_solve_and_kernel_exact()
     _make_product_properties(repo)()
     integrand = todd_inverse(6) * exp_scaled(F(1, 2), 6)

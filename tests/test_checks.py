@@ -254,11 +254,10 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
     # the lower orders
     count(grr, "todd_inverse")
     count(series, "series_inverse")
-    # Gauss-Jordan only where reduced rows are read: one per multiplicity
-    # system gives its solve and its left kernel; a forward pass under each
-    # of those two, and one each for the basis check's two ranks and its
-    # family determinant, the two gluing solves and the cofactor solve
-    count(linalg, "_rref_rows")
+    # one forward pass per linear-algebra result: one per multiplicity system
+    # gives its solve and its left kernel, and one each for the basis check's
+    # two ranks and its family determinant, the two gluing solves and the
+    # cofactor solve
     count(linalg, "_eliminate")
     # one object per definition file at load: 6 spaces, 4 maps, 2 gluing
     # restrictions and 10 families
@@ -276,7 +275,7 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
         # unit-class products are read from the table load built, not recomputed
         assert (calls["divisor_product"], calls["pair_on_surface"], calls["evaluate"]) == (7, 0, 52)
         assert (calls["todd_inverse"], calls["series_inverse"]) == (1, 1)
-        assert (calls["_rref_rows"], calls["_eliminate"]) == (2, 8)
+        assert calls["_eliminate"] == 8
 
 
 def _profile(action, on_call):

@@ -15,10 +15,8 @@ from tautverify.linalg import (
     _combine,
     _dot,
     _ratio,
-    _rref_rows,
     _support_of,
     _table,
-    _transpose,
     as_fraction,
     det,
     rank,
@@ -31,7 +29,10 @@ from tautverify.rings import apply_hom
 from conftest import (
     _from_support,
     _small_rationals,
+    assert_one_pass_matches_dense,
     coeffs,
+    dense_rref_rows,
+    dense_solve,
     fields,
     is_exact_value,
     mat,
@@ -49,8 +50,9 @@ def dense(rows, width):
     return [list(_from_support(r, width)) for r in rows]
 
 
-# --- oracles: canonical kernel and row-space forms, the reference for the
-# rank and membership criterion of the basis check
+# --- oracles: canonical kernel and row-space forms, built on the dense
+# reference elimination, the reference for the rank and membership criterion
+# of the basis check and for the left kernel of the one forward pass
 
 
 def kernel_basis(rows, width):
@@ -60,26 +62,27 @@ def kernel_basis(rows, width):
     negated reduced-row entries in the pivot positions, and 0 elsewhere.
     Vectors are ordered by free column index; empty iff full column rank.
     """
-    reduced, pivots = _rref_rows(rows, width)
-    entries = [{j: (n, d) for j, n, d in row} for row in reduced[: len(pivots)]]
+    reduced, pivots = dense_rref_rows(dense(rows, width), width)
     basis = []
     for f in range(width):
-        if f in pivots:
-            continue
-        v = [(f, 1, 1)] + [(c, -e[f][0], e[f][1]) for c, e in zip(pivots, entries) if f in e]
-        basis.append(tuple(sorted(v)))
+        if f not in pivots:
+            v = [0] * width
+            v[f] = 1
+            for row, c in zip(reduced, pivots):
+                v[c] = -row[f]
+            basis.append(_support_of(v))
     return basis
 
 
 def left_kernel(rows):
     """Canonical basis of the left null space of A (the y with y A = 0): the right null space of the transpose."""
     width = 1 + max((row[-1][0] for row in rows if row), default=-1)
-    return kernel_basis(_transpose(rows, width), len(rows))
+    return kernel_basis(mat(zip(*dense(rows, width))), len(rows))
 
 
 def row_space_rref(rows, width):
-    """Canonical form of the span of `rows`: RREF with zero rows dropped, so equal iff the spans are."""
-    return tuple(row for row in _rref_rows(rows, width)[0] if row)
+    """Canonical form of the span of `rows`: dense RREF with zero rows dropped, so equal iff the spans are."""
+    return tuple(tuple(row) for row in dense_rref_rows(dense(rows, width), width)[0] if any(row))
 
 
 # (rows as supports, width)
@@ -105,42 +108,51 @@ full_column_rank = st.integers(1, 3).flatmap(
 ).filter(lambda m: rank(*m) == m[1])
 
 
-def test_rref_identity():
-    m = identity(3)
-    reduced, pivots = _rref_rows(m, 3)
-    assert reduced == m
-    assert pivots == [0, 1, 2]
+def test_one_pass_identity():
+    # A = I: the solve is b itself, and no row reduces to zero
+    b = [F(3), F(-1, 2), F(7)]
+    sol, kernel = assert_one_pass_matches_dense(3, [[int(i == j) for j in range(3)] + [x] for i, x in enumerate(b)])
+    assert fields(sol) == (tuple(b), 0)
+    assert kernel == []
 
 
-def test_rref_zero_matrix():
-    m = mat([[0, 0]] * 4)
-    assert m == [()] * 4
-    assert _rref_rows(m, 2) == (m, [])
+def test_one_pass_zero_matrix():
+    # every row of A = 0 is a zero row, so the left kernel is the identity block
+    sol, kernel = assert_one_pass_matches_dense(2, [[0, 0, 0]] * 4)
+    assert fields(sol) == ((0, 0), 2)
+    assert kernel == identity(4)
 
 
-def test_rref_rank_deficient():
-    reduced, pivots = _rref_rows(mat([[1, 2], [2, 4], [1, 0]]), 2)
-    assert len(pivots) == 2
-    assert reduced[0] == ((0, 1, 1),)
-    assert reduced[1] == ((1, 1, 1),)
+def test_one_pass_rank_deficient():
+    # row 1 is twice row 0, so its zero row records y = (-2, 1, 0); row 2
+    # becomes the second pivot row after a swap
+    sol, kernel = assert_one_pass_matches_dense(2, [[1, 2, 1], [2, 4, 2], [1, 0, 3]])
+    assert fields(sol) == ((3, -1), 0)
+    assert kernel == [((0, -2, 1), (1, 1, 1))]
+    # a pivot of 2 leaves the scale 1/2 on the zero row, which reads 0 = -3/2
+    sol, kernel = assert_one_pass_matches_dense(2, [[2, 4, 1], [3, 6, 0]])
+    assert sol == Inconsistent(F(-3, 2))
+    assert kernel == left_kernel(mat([[2, 4], [3, 6]])) == [((0, -3, 2), (1, 1, 1))]
 
 
-@given(matrices)
-def test_rref_idempotent(m):
+@given(matrices, st.data())
+def test_one_pass_solves_a_consistent_system(m, data):
+    # b = A x0: back-substitution finds a solution, and it solves A x = b
     rows, width = m
-    once = _rref_rows(rows, width)[0]
-    assert _rref_rows(once, width)[0] == once
+    b = mul_vec(rows, data.draw(st.lists(rationals, min_size=width, max_size=width)))
+    sol, _ = assert_one_pass_matches_dense(width, [[*r, x] for r, x in zip(dense(rows, width), b)])
+    assert isinstance(sol, Solution)
+    assert mul_vec(rows, sol.vector) == b
 
 
-@given(matrices)
-def test_rref_pivots_normalized(m):
+@given(matrices, st.data())
+def test_one_pass_reads_the_witness_or_the_solve(m, data):
+    # an arbitrary b: a zero row that keeps an entry in b's column is the witness
     rows, width = m
-    reduced, pivots = _rref_rows(rows, width)
-    entries = dense(reduced, width)
-    for r, c in enumerate(pivots):
-        col = [row[c] for row in entries]
-        assert col[r] == 1
-        assert all(x == 0 for i, x in enumerate(col) if i != r)
+    b = data.draw(st.lists(sparse_rationals, min_size=len(rows), max_size=len(rows)))
+    sol, kernel = assert_one_pass_matches_dense(width, [[*r, x] for r, x in zip(dense(rows, width), b)])
+    event("inconsistent" if isinstance(sol, Inconsistent) else "consistent")
+    assert row_space_rref(kernel, len(rows)) == row_space_rref(left_kernel(rows), len(rows))
 
 
 def test_solve_identity():
@@ -245,6 +257,7 @@ def test_rows_with_no_columns():
     # a matrix with rows but no columns: every row is zero, so the left
     # kernel is the whole row space and a nonzero rhs is inconsistent
     assert left_kernel([(), (), ()]) == [((0, 1, 1),), ((1, 1, 1),), ((2, 1, 1),)]
+    assert solve_with_left_kernel([(), (), ()], (), 0)[1] == left_kernel([(), (), ()])
     assert fields(solve_exact([(), ()], _support_of([0, 0]), 0)) == ((), 0)
     assert solve_exact([()], _support_of([1]), 0) == Inconsistent(F(1))
 
@@ -302,82 +315,29 @@ def droppable_rows(rows, width):
 
 @given(st.one_of(full_column_rank, matrices), st.data())
 def test_one_elimination_solves_and_finds_the_left_kernel(m, data):
-    # the solve of [A | b | I] agrees with solve_exact, each y it returns has
-    # y A = 0, and for A of full column rank the rows its kernel uses are the
-    # droppable ones
+    # the solve of [A | b | I] agrees with the dense oracle, its kernel is a
+    # basis of the left null space, spanning what the dense oracle's does, and
+    # for A of full column rank the rows its kernel uses are the droppable ones
     rows, width = m
     if data.draw(st.booleans()):
         b = mul_vec(rows, data.draw(st.lists(rationals, min_size=width, max_size=width)))
     else:
         b = data.draw(st.lists(sparse_rationals, min_size=len(rows), max_size=len(rows)))
-    rhs = _support_of(b)
-    sol, kernel = solve_with_left_kernel(rows, rhs, width)
-    assert fields(sol) == fields(solve_exact(rows, rhs, width))
-    columns = [_table(c) for c in _transpose(rows, width)]
-    for y in kernel:
-        assert y and all(_dot(y, c) == 0 for c in columns)
-    # independent and as many as the left null space's dimension, so a basis of it
-    assert rank(kernel, len(rows)) == len(kernel) == len(rows) - rank(rows, width)
+    _, kernel = assert_one_pass_matches_dense(width, [[*r, x] for r, x in zip(dense(rows, width), b)])
+    assert row_space_rref(kernel, len(rows)) == row_space_rref(left_kernel(rows), len(rows))
     if rank(rows, width) == width:
         assert {i for y in kernel for i, _, _ in y} == droppable_rows(rows, width)
 
 
-def dense_rref_rows(rows, width):
-    """Reference: Gauss-Jordan elimination that does arithmetic on every entry, zeros included.
-
-    The entries become Fractions first, so that `/` divides exactly.
-    """
-    rows[:] = [[F(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def assert_elimination_matches_dense(width, aug):
-    m = mat([r[:width] for r in aug])
-    reduced, pivots = _rref_rows(m, width)
-    assert (dense(reduced, width), pivots) == dense_rref_rows([list(r[:width]) for r in aug], width)
-
+    _, kernel = assert_one_pass_matches_dense(width, aug)
+    assert all(_is_support_of(y, _from_support(y, len(aug))) for y in kernel)
     # augmented columns are carried along, not eliminated
-    total = len(aug[0])
-    got, got_pivots = _rref_rows(mat(aug), width)
-    assert (dense(got, total), got_pivots) == dense_rref_rows([list(r) for r in aug], width)
-    assert all(_is_support_of(s, row) for s, row in zip(reduced + got, dense(reduced, width) + dense(got, total)))
+    assert rank(mat(aug), width) == rank(mat([r[:width] for r in aug]), width)
 
-    got = solve_exact(m, _support_of([r[width] for r in aug]), width)
+    got = solve_exact(mat([r[:width] for r in aug]), _support_of([r[width] for r in aug]), width)
     assert fields(got) == dense_solve(aug, width)
     return got
-
-
-def dense_solve(aug, width):
-    """Reference: the solve of [A | b], given densely, read off `dense_rref_rows`.
-
-    An Inconsistent certificate with the first row reading 0 = rhs != 0, else
-    a Solution's (vector, kernel_dim) with every free variable 0.
-    """
-    rows, pivots = dense_rref_rows([list(r[: width + 1]) for r in aug], width)
-    bad = next((r for r in rows if all(x == 0 for x in r[:-1]) and r[-1] != 0), None)
-    if bad is not None:
-        return Inconsistent(bad[-1])
-    x = [F(0)] * width
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][-1]
-    return tuple(x), width - len(pivots)
 
 
 @given(sparse_augmented)
