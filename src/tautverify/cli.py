@@ -1,18 +1,12 @@
-"""Command-line entry point: tautverify [--data-dir DIR] <subcommand> ...
+"""Command-line entry point; USAGE below is its synopsis.
 
-Subcommands:
-  run-all     run every check; exit 0 iff all pass, 1 on any failure
-  check ID    run one named check
-  show-class  print a catalog input or a computed paper result over its basis
-  eval        pair a family functional with such a class
-Either exits 1 on a computed result whose check fails.  Exit code 2 signals
-a configuration error (a bad or empty data dir, an unknown name, a JSON
-report that cannot be written).
+Exit code 0 means every check run passed; 1 a failed check, or a computed
+result whose check fails; 2 a usage error or a configuration error (a bad or
+empty data dir, an unknown name, a JSON report that cannot be written).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .checks import Run, differing, export_report, run_all, run_check
@@ -23,31 +17,45 @@ from .rings import TautClass
 from .surfaces import evaluate
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tautverify",
-        description="Exact-rational verification of intersection-theory computations on moduli of curves.",
-    )
-    parser.add_argument(
-        "--data-dir",
-        default=None,
-        help="directory of definition files replacing the embedded copies",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: tautverify [--data-dir DIR] run-all [--json OUT]
+       tautverify [--data-dir DIR] check ID
+       tautverify [--data-dir DIR] show-class NAME
+       tautverify [--data-dir DIR] eval --surface ID --class NAME
+"""
+# each subcommand's arguments by synopsis name, a positional first; all but --json are required
+COMMANDS = {"run-all": ("--json",), "check": ("ID",), "show-class": ("NAME",), "eval": ("--surface", "--class")}
 
-    p_all = sub.add_parser("run-all", help="run every registered check")
-    p_all.add_argument("--json", metavar="OUT", default=None, help="also write a JSON report")
 
-    p_check = sub.add_parser("check", help="run one named check")
-    p_check.add_argument("id", help="check id (see run-all output)")
-
-    p_show = sub.add_parser("show-class", help="print a catalog or computed class")
-    p_show.add_argument("name", help="catalog or computed class name")
-
-    p_eval = sub.add_parser("eval", help="pair a family functional with a class")
-    p_eval.add_argument("--surface", required=True, help="family id (S1..S3, T1..T3, V1..V4)")
-    p_eval.add_argument("--class", dest="name", required=True, help="catalog or computed class name")
-    return parser
+def _parse(argv: list[str]) -> dict[str, str] | None:
+    """Argument values by synopsis name, the subcommand as "command"; None for help, ValueError off the synopsis."""
+    args: dict[str, str] = {}
+    names: tuple[str, ...] = ("--data-dir",)
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return None
+        if len(word) > 1 and word[0] == "-":
+            name, eq, value = word.partition("=")
+            if name not in names:
+                raise ValueError(f"unrecognized arguments: {word}")
+            if not eq:
+                value = next(words, None)
+                if value is None or len(value) > 1 and value[0] == "-":
+                    raise ValueError(f"argument {name}: expected one argument")
+            args[name] = value
+        elif "command" not in args:
+            if word not in COMMANDS:
+                raise ValueError(f"invalid subcommand {word!r} (choose from {', '.join(COMMANDS)})")
+            args["command"], names = word, COMMANDS[word]
+        elif names[0][0] != "-" and names[0] not in args:
+            args[names[0]] = word
+        else:
+            raise ValueError(f"unrecognized arguments: {word}")
+    missing = [n for n in names if n not in args and n != "--json"] if "command" in args else ["subcommand"]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def _format_class(c: TautClass) -> str:
@@ -57,28 +65,34 @@ def _format_class(c: TautClass) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        repo = Repo(args.data_dir)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        sys.stderr.write(f"{USAGE}tautverify: error: {exc}\n")
+        return 2
+    if args is None:
+        sys.stdout.write(USAGE)
+        return 0
+    try:
+        repo = Repo(args.get("--data-dir"))
     except TautVerifyError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
     try:
-        if args.command == "run-all":
+        if args["command"] == "run-all":
             report = run_all(repo)
             sys.stdout.write(export_report(report, "human"))
-            if args.json is not None:
+            if (out := args.get("--json")) is not None:
                 try:
-                    with open(args.json, "w", encoding="utf-8") as fh:
+                    with open(out, "w", encoding="utf-8") as fh:
                         fh.write(export_report(report, "json"))
                 except OSError as exc:
-                    print(f"configuration error: cannot write report {args.json!r}: {exc.strerror}", file=sys.stderr)
+                    print(f"configuration error: cannot write report {out!r}: {exc.strerror}", file=sys.stderr)
                     return 2
             return 0 if report.all_passed else 1
 
-        if args.command == "check":
-            result = run_check(args.id, repo)
+        if args["command"] == "check":
+            result = run_check(args["ID"], repo)
             status = "PASS" if result.passed else "FAIL"
             print(f"[{status}] {result.id}  ({result.micros} us)")
             print(f"       {result.anchor}")
@@ -88,20 +102,21 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if result.passed else 1
 
         # show-class and eval: a computed result only once its one check agrees
-        functional = repo.functional(args.surface) if args.command == "eval" else None
-        check_id, _ = COMPUTED.get(args.name, (None, None))
+        name = args["NAME" if args["command"] == "show-class" else "--class"]
+        functional = repo.functional(args["--surface"]) if args["command"] == "eval" else None
+        check_id, _ = COMPUTED.get(name, (None, None))
         if check_id is None:
-            c, source = repo.catalog_class(args.name), repo.catalog_source(args.name)
+            c, source = repo.catalog_class(name), repo.catalog_source(name)
         else:
             classes, parts = Run(repo).result(check_id)
             if differing(parts):
-                print(f"error: {args.name} is computed by the {check_id} check, which fails", file=sys.stderr)
+                print(f"error: {name} is computed by the {check_id} check, which fails", file=sys.stderr)
                 return 1
-            c, source = classes[args.name], f"computed by the {check_id} check"
+            c, source = classes[name], f"computed by the {check_id} check"
         if functional is not None:
-            print(f"<{args.surface}, {args.name}> = {evaluate(functional, c)}")
+            print(f"<{args['--surface']}, {name}> = {evaluate(functional, c)}")
             return 0
-        print(f"{args.name}  (space {c.space.id}, degree {c.degree})")
+        print(f"{name}  (space {c.space.id}, degree {c.degree})")
         if source:
             print(f"  source: {source}")
         print(_format_class(c))

@@ -25,7 +25,7 @@ from tautverify.checks import (
     run_check,
     solve_multiplicities,
 )
-from tautverify.cli import main
+from tautverify.cli import USAGE, main
 from tautverify.counts import _freeze
 from tautverify.data import COMPUTED, HOM_IDS, SPACE_IDS, SURFACE_IDS, SYSTEM_IDS, Repo
 from tautverify.errors import UnknownLabelError, UnknownNameError
@@ -931,6 +931,11 @@ def test_console_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+    # main() with no argv reads sys.argv, and a usage error returns 2 with
+    # nothing on stdout and no traceback
+    proc = subprocess.run([sys.executable, "-m", "tautverify.cli", "bogus"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(USAGE) and "Traceback" not in proc.stderr
 
 
 def test_cli_eval_rejects_divisor_class(capsys):
@@ -942,3 +947,54 @@ def test_cli_eval_rejects_divisor_class(capsys):
 def test_cli_eval_rejects_space_mismatch(capsys):
     assert main(["eval", "--surface", "S1", "--class", "Hyp4"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["check"],
+        ["run-all", "--json"],
+        ["run-all", "extra"],
+        ["check", "enumerative", "extra"],
+        ["eval", "--surface", "V1"],
+        # --data-dir goes before the subcommand
+        ["check", "enumerative", "--data-dir", "DIR"],
+        # an abbreviated option is not the option
+        ["run-all", "--js", "OUT"],
+        # a value that starts with "-" must follow "="
+        ["run-all", "--json", "-OUT"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no_arguments",
+)
+def test_cli_usage_error_exits_2_with_the_synopsis(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a in ("DIR", "OUT") else a for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    synopsis, error = err[: len(USAGE)], err[len(USAGE) :].splitlines()
+    assert synopsis == USAGE and len(error) == 1 and error[0].startswith("tautverify: error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run-all", "-h"], ["--data-dir", "no-such-dir", "check", "-h"]])
+def test_cli_help_prints_the_synopsis(capsys, argv):
+    assert main(argv) == 0
+    assert tuple(capsys.readouterr()) == (USAGE, "")
+    assert USAGE == (
+        "usage: tautverify [--data-dir DIR] run-all [--json OUT]\n"
+        "       tautverify [--data-dir DIR] check ID\n"
+        "       tautverify [--data-dir DIR] show-class NAME\n"
+        "       tautverify [--data-dir DIR] eval --surface ID --class NAME\n"
+    )
+
+
+def test_cli_takes_an_option_value_after_equals(tmp_path, monkeypatch, capsys):
+    with resources.as_file(resources.files("tautverify").joinpath("data")) as data_dir:
+        assert main([f"--data-dir={data_dir}", "check", "enumerative"]) == 0
+    assert capsys.readouterr().out.startswith("[PASS] enumerative")
+    # after "=", a value may start with "-"
+    monkeypatch.chdir(tmp_path)
+    assert main(["run-all", "--json=-report.json"]) == 0
+    assert (tmp_path / "-report.json").read_bytes() == CANONICAL_REPORT.read_bytes()

@@ -166,6 +166,25 @@ def test_import_leaves_importlib_resources_unloaded():
     assert out.stdout == "[]\n"
 
 
+def test_a_cli_run_imports_no_argument_parser(tmp_path):
+    # a cold run-all pays for every module it imports; the command line needs
+    # neither argparse nor the gettext it imports, while cli still imports the
+    # checks at its top and exposes the names a split timing of a cold run reads
+    src = Path(tautverify.__file__).resolve().parent.parent
+    code = (
+        "import json, sys, tautverify.cli as cli\n"
+        "imported = 'tautverify.checks' in sys.modules\n"
+        "names = [n for n in ('Repo', 'run_all', 'export_report') if hasattr(cli, n)]\n"
+        "code = cli.main(['run-all', '--json', sys.argv[1]])\n"
+        "print(json.dumps([imported, names, code, [m for m in ('argparse', 'gettext') if m in sys.modules]]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-S", "-c", code, str(tmp_path / "report.json")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [True, ["Repo", "run_all", "export_report"], 0, []]
+    assert (tmp_path / "report.json").is_file()
+
+
 @pytest.mark.parametrize(
     "prefix, replace",
     [(b"\xff\xfe", True), (b"\xef\xbb\xbf", False)],

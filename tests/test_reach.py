@@ -89,6 +89,8 @@ def _argvs(tmp_path):
         argvs += [["eval", "--surface", sid, "--class", name] for sid in ("S1", "V1")]
     argvs += [["check", "nonexistent"], ["show-class", "nonexistent"]]
     argvs.append(["--data-dir", str(tmp_path / "missing"), "run-all"])
+    # usage errors and the help return before any load
+    argvs += [[], ["bogus"], ["check"], ["run-all", "--json"], ["--help"]]
     return argvs
 
 
