@@ -25,14 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import __version__
 from .chern import ChernVector
-from .counts import (
-    abel_difference_degree,
-    even_theta_count,
-    mixed_difference_degree,
-    odd_theta_count,
-    scorza_correspondence_class,
-    scorza_triple_degree,
-)
+from .counts import even_theta_count, odd_theta_count, scorza_triple_degree, theta_pullback
 from .data import COMPUTED, SURFACE_IDS, SYSTEM_IDS, MultiplicitySystem, Repo
 from .errors import UnknownNameError
 from .grr import GRR_MAX_ORDER, grr_spin_character, jet_bundles, lambda2_values, lower_order_character
@@ -597,12 +590,12 @@ def _parts_enumerative(run: Run) -> list[Part]:
     golden = repo.golden["enumerative"]
     parts = []
     for d, v in golden["abel"].items():
-        parts.append((f"abel:{d}", v, abel_difference_degree(int(d))))
+        parts.append((f"abel:{d}", v, theta_pullback(int(d) + 1, -int(d))[1]))
     for key, v in golden["mixed"].items():
         d1, d2 = (int(x) for x in key.split(","))
-        parts.append((f"mixed:{key}", v, mixed_difference_degree(d1, d2)))
+        parts.append((f"mixed:{key}", v, theta_pullback(d1, -d2)[1]))
     for g, v in golden["scorza_class"].items():
-        parts.append((f"correspondence_class:{g}", tuple(v), scorza_correspondence_class(int(g))))
+        parts.append((f"correspondence_class:{g}", tuple(v), theta_pullback(1, -1, int(g))[0]))
     total, triple_parts = scorza_triple_degree()
     parts.append(("triple_total", golden["scorza_triple"]["total"], total))
     parts.append(("triple_parts", tuple(golden["scorza_triple"]["parts"]), triple_parts))

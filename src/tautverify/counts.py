@@ -1,8 +1,8 @@
 """Enumerative degree formulas and the registry of fiber-count constants.
 
-The closed-form degrees (difference maps on a genus-2 curve, theta
-characteristic counts) are computed; counts that rest on degeneration case
-analysis are data, and only their arithmetic assembly is re-evaluated here.
+The closed-form degrees are computed, the difference maps on a genus-2 curve
+as one theta pullback on the curve square; counts that rest on degeneration
+case analysis are data, and only their arithmetic assembly is re-evaluated.
 Every registered constant's expression tree is re-evaluated at load and must
 reproduce its stored value exactly; the registry then keeps only the value
 (each entry's `source` stays in `counts.json` for readers).  Values are
@@ -11,33 +11,28 @@ exact: an int where integral, else a Fraction (see `linalg.as_fraction`).
 
 from __future__ import annotations
 
-from math import prod
+from math import factorial, prod
+from operator import mul
 from typing import Mapping
 
 from .errors import DataError, UnknownNameError
-from .linalg import Number, as_fraction
+from .linalg import Number, _lowest, _number, as_fraction
+from .surfaces import base_lattice
 
 
-def abel_difference_degree(d: int) -> int:
-    """Degree of (x, y) -> O((d+1)x - dy) on the square of a general genus-2 curve."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return 2 * d * d * (d + 1) * (d + 1)
+def theta_pullback(a: int, b: int, g: int = 2) -> tuple[tuple[int, int, int], Number]:
+    """phi*theta over (f1, f2, D) on the square of a genus-g curve, and (phi*theta)^2 / g!.
 
-
-def mixed_difference_degree(d1: int, d2: int) -> int:
-    """Degree of (x, y) -> O(d1 x - d2 y - p) for a fixed base point p, genus 2."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError(f"d1, d2 must be >= 1, got ({d1}, {d2})")
-    return 2 * d1 * d1 * d2 * d2
-
-
-def scorza_correspondence_class(g: int) -> tuple[int, int, int]:
-    """The coefficients (a, b, c) of F1, F2 and Delta in the class of a reduced
-    Scorza correspondence on the square of a curve: (g-1)F1 + (g-1)F2 + Delta."""
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
-    return (g - 1, g - 1, 1)
+    For phi(x, y) = O(ax + by) the class (a^2 g + ab, b^2 g + ab, -ab) is paired on the curve
+    square's Gram matrix; in genus 2 that is the degree of phi (Poincare's formula; ACGH, Ch. VIII).
+    (1, -1) gives the Scorza class (g-1, g-1, 1).  A map with ab = 0 is not finite and is refused.
+    """
+    if a * b == 0:
+        raise ValueError(f"x, y -> {a}x + {b}y is not finite: a*b must be nonzero")
+    cls = (a * a * g + a * b, b * b * g + a * b, -a * b)
+    gram = base_lattice("curve_square", genus=g)[1]
+    square = sum(x * sum(map(mul, row, cls)) for x, row in zip(cls, gram))  # cls . Gram cls
+    return cls, _number(*_lowest(square, factorial(g)))
 
 
 def even_theta_count(g: int) -> int:
@@ -56,42 +51,30 @@ def hyperelliptic_weierstrass_count(g: int) -> int:
 
 
 def elliptic_mult_degree(d: int) -> int:
-    """Degree of x -> O(dx) (up to translation) on an elliptic curve: d^2."""
+    """Degree of x -> O(dx) (up to translation) on an elliptic curve: d^2, also its number of d-torsion points."""
     return d * d
 
 
-def torsion_count(n: int) -> int:
-    """Number of n-torsion points on an elliptic curve: n^2."""
-    return n * n
-
-
 def scorza_triple_degree() -> tuple[int, tuple[int, int, int]]:
-    """Total degree of the triple-point correspondence count on genus 2.
-
-    The three parts come from pairing the correspondence class against the
-    two fiber classes and the diagonal; the diagonal part is cross-checked
-    against the one-variable difference formula at d = 2.
-    """
-    part1 = mixed_difference_degree(3, 1)
-    part2 = mixed_difference_degree(3, 1)
-    part3 = mixed_difference_degree(3, 2)
-    if part3 != abel_difference_degree(2):
-        raise DataError("diagonal part must agree with the d=2 difference degree")
-    return part1 + part2 + part3, (part1, part2, part3)
+    """Total degree of the triple-point correspondence count on genus 2, and its three parts: two
+    fiber parts, each the degree of (x, y) -> 3x - y, and a diagonal part, that of 3x - 2y."""
+    parts = tuple(theta_pullback(3, -d)[1] for d in (1, 1, 2))
+    return sum(parts), parts
 
 
 # --- constants registry -----------------------------------------------------
 
 _FUNCTIONS = {
-    "abel": lambda d: abel_difference_degree(d),
-    "mixed": lambda d1, d2: mixed_difference_degree(d1, d2),
+    "abel": lambda d: theta_pullback(d + 1, -d)[1],
+    "mixed": lambda d1, d2: theta_pullback(d1, -d2)[1],
     "even_theta": lambda g: even_theta_count(g),
     "odd_theta": lambda g: odd_theta_count(g),
     "ell_mult_deg": lambda d: elliptic_mult_degree(d),
-    "torsion": lambda n: torsion_count(n),
+    "torsion": lambda n: elliptic_mult_degree(n),
 }
 
 _OPS = {"add", "sub", "mul"}
+_ARITY = {"ref": 1, "sub": 2}  # the heads that take a fixed number of arguments
 
 
 def _freeze(expr):
@@ -118,25 +101,20 @@ class CountRegistry:
             return as_fraction(expr)  # a bool is rejected there
         if not isinstance(expr, tuple) or not expr:
             raise DataError(f"malformed count expression: {expr!r}")
-        head = expr[0]
+        head, args = expr[0], expr[1:]
+        if len(args) != _ARITY.get(head, len(args)):
+            raise DataError(f"{head} takes exactly {_ARITY[head]} argument{'s' * (_ARITY[head] > 1)}")
         if head == "ref":
-            return self.get(expr[1])
+            return self.get(args[0])
         if head in _OPS:
-            args = [self.eval_expr(e) for e in expr[1:]]
-            if head == "add":
-                out = sum(args, 0)
-            elif head == "mul":
-                out = prod(args, start=1)
-            elif len(args) != 2:
-                raise DataError("sub takes exactly two arguments")
-            else:
-                out = args[0] - args[1]
+            args = [self.eval_expr(e) for e in args]
+            out = sum(args, 0) if head == "add" else prod(args, start=1) if head == "mul" else args[0] - args[1]
             # Fraction arithmetic may give an integral Fraction, which is read back as an int
             return out if type(out) is int else as_fraction(out)
         if head in _FUNCTIONS:
-            if any(type(a) is not int for a in expr[1:]):
-                raise TypeError(f"count function {head!r} takes int arguments, got {list(expr[1:])!r}")
-            return _FUNCTIONS[head](*expr[1:])
+            if any(type(a) is not int for a in args):
+                raise TypeError(f"count function {head!r} takes int arguments, got {list(args)!r}")
+            return _FUNCTIONS[head](*args)
         raise DataError(f"unknown count expression head {head!r}")
 
     def get(self, cid: str) -> Number:

@@ -34,6 +34,7 @@ from typing import Mapping, Sequence
 
 from .counts import CountRegistry
 from .errors import DataError, DegreeError, SpaceMismatchError, TautVerifyError, UnknownNameError
+from .grr import LAMBDA2_LOCI
 from .linalg import _RATIONAL, Number, as_fraction
 from .rings import GluingRestriction, RingHom, RingSpace, TautClass, special_expand
 from .surfaces import SurfaceFunctional
@@ -118,6 +119,12 @@ class MultiplicitySystem:
         stray = sorted(set(fiber_counts) - {f.id for f in families})
         if stray:
             raise DataError(f"{id}: fiber counts for {stray}, which are not among its 'families'")
+        if coefficient:
+            label, locus = coefficient
+            if label not in space.codim2_index:
+                raise DataError(f"coefficient: {label!r} is not a codim-2 basis label on {space.id}")
+            if locus not in LAMBDA2_LOCI:
+                raise DataError(f"coefficient: {locus!r} is not one of the lambda^2 values {', '.join(LAMBDA2_LOCI)}")
         if pushforward:
             hom, ref, image = pushforward
             degree = hom.images[sum(c.degree for c in lhs_factors)][0]

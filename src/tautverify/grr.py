@@ -154,7 +154,7 @@ def porteous_lambda2(name: str, cJ: ChernVector) -> Number:
     return m4_specialize(kappa_pushforward(porteous_c3(cJ, _BUNDLE_E[name]), g=4))
 
 
-_LOCI = ("SH4_minus", "H4_minus", "H4", "H4_plus")
+LAMBDA2_LOCI = ("SH4_minus", "H4_minus", "H4", "H4_plus")
 
 
 def lambda2_values(repo, jets: Mapping[str, tuple[TruncatedPoly, ChernVector]]) -> dict[str, Number]:
@@ -176,4 +176,4 @@ def lambda2_values(repo, jets: Mapping[str, tuple[TruncatedPoly, ChernVector]]) 
     odd = odd_theta_count(4)
     h4_minus = _ratio_sum([(odd * sn, sd)])
     h4_plus = _ratio_sum([(hn, hd), (-hyperelliptic_weierstrass_count(4) * yn, yd), (-odd * sn, sd)])
-    return dict(zip(_LOCI, (sh4_minus, h4_minus, h4, h4_plus)))
+    return dict(zip(LAMBDA2_LOCI, (sh4_minus, h4_minus, h4, h4_plus)))

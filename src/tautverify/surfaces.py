@@ -1,15 +1,16 @@
 """Two-dimensional test families as linear functionals on codim-2 bases.
 
-Each family is given by the numerical-equivalence lattice of its base
-surface (a small Gram matrix), restriction vectors for the divisor
-generators, and directly stated values for the special classes.  One rule
-sets each value: a stated value wins over the lattice value of its label,
-and the provenance records how the two compare, so a stated value that
-differs from its lattice value is an override.  A family file becomes one
-object at load, the `SurfaceFunctional`, which builds itself: the
-restriction and special-product vectors become supports and are paired
-there, and the functional keeps only what pairing needs, the lattice labels
-and the Gram rows, beside its values and each lattice value.
+Each family is given by the kind of its base surface, from which
+`base_lattice` builds its lattice (labels and a small Gram matrix),
+restriction vectors for the divisor generators, and directly stated values
+for the special classes.  One rule sets each value: a stated value wins over
+the lattice value of its label, and the provenance records how the two
+compare, so a stated value that differs from its lattice value is an
+override.  A family file becomes one object at load, the
+`SurfaceFunctional`, which builds itself: the restriction and
+special-product vectors become supports and are paired there, and the
+functional keeps only what pairing needs, the lattice labels and the Gram
+rows, beside its values and each lattice value.
 
 A functional holds the RingSpace of the family's target, so a class is
 paired with it without naming a space again.  Pairings run on supports (see
@@ -22,15 +23,41 @@ integral, else a Fraction (see `linalg._number`).
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import DataError, DegreeError, DimensionError, SpaceMismatchError, UnknownLabelError
-from .linalg import Number, Support, _combine, _dot, _ratio, _ratio_sum, _support_of, _table, _transpose, as_fraction
+from .linalg import Number, Support, _combine, _dot, _ratio, _ratio_sum, _support_of, _table, as_fraction
 from .rings import RingSpace, TautClass
 
 DERIVED = "derived"
 DIRECT = "direct"
 OVERRIDE = "override"
+
+
+_M05 = tuple(combinations("12345", 2))  # the pairs ij of M0,5bar's ten boundary divisors D_ij, in order
+_BASES = {  # every kind but the curve square, whose D^2 = 2 - 2g is built from its genus
+    "curve_product": (("f1", "f2"), ((0, 1), (1, 0))),
+    "cubic_pencil_blowup": (("H", "S", "E0"), ((1, 0, 0), (0, -9, -1), (0, -1, -1))),
+    "m05": (tuple(f"D{i}{j}" for i, j in _M05), [[-1 if p == q else int(not {*p} & {*q}) for q in _M05] for p in _M05]),
+}
+
+
+def base_lattice(kind: str, **params) -> tuple[tuple[str, ...], Sequence[Sequence[int]]]:
+    """The lattice labels and Gram matrix of a base surface of one of four kinds (README "Data conventions").
+
+    The curve square's one parameter, its genus, is read by `linalg`'s parser, so a bool is refused;
+    on M0,5bar (Keel 1992) D_ij^2 = -1, and D_ij.D_kl is 1 exactly when the pairs are disjoint.
+    """
+    if kind == "curve_square" and list(params) == ["genus"]:
+        g, d = _ratio(params["genus"])
+        if d != 1 or g < 0:
+            raise DataError(f"base/genus: a genus is an integer >= 0, not {params['genus']!r}")
+        return ("f1", "f2", "D"), ((0, 1, 1), (1, 0, 1), (1, 1, 2 - 2 * g))
+    if kind in _BASES and not params:
+        return _BASES[kind]
+    raise DataError(f"base/kind: no base {kind!r} with parameters {list(params)}; the kinds are "
+                    "curve_product, curve_square (with its genus), cubic_pencil_blowup and m05")
 
 
 class SurfaceFunctional:
@@ -63,20 +90,14 @@ class SurfaceFunctional:
         self,
         id: str,
         target_space: RingSpace,
-        lattice: Sequence[str],
-        gram: Sequence[Sequence],
+        base: Mapping[str, object],
         restrictions: Mapping[str, Sequence],
         overrides: Mapping[str, object],
         direct_values: Mapping[str, object],
         special_products: Mapping[str, Sequence],
     ):
-        space, labels = target_space, tuple(lattice)
-        if len(gram) != len(labels) or any(len(r) != len(labels) for r in gram):
-            raise DataError(f"{id}: gram matrix must be {len(labels)}x{len(labels)}")
-        gram = tuple(_support_of(r) for r in gram)
-        # supports are canonical, so the rows equal the columns iff the matrix is symmetric
-        if list(gram) != _transpose(gram, len(labels)):
-            raise DataError(f"{id}: gram matrix must be symmetric")
+        space, (labels, gram) = target_space, base_lattice(**base)
+        gram = tuple(map(_support_of, gram))
         restr = {}
         for gen in space.divisor_basis:
             if gen not in restrictions:

@@ -655,8 +655,8 @@ def _target_space_as_list(raw):
 
 
 # each true stands where a 1 stood, so reading it as the number 1 would pass
-def _gram_off_diagonal_true(raw):
-    raw["gram"] = [[0, True], [True, 0]]
+def _genus_true(raw):
+    raw["base"]["genus"] = True
 
 
 def _reduction_coefficient_true(raw):
@@ -693,7 +693,7 @@ def _set_count_expr(cid, expr):
         ("catalog.json", _set_hyp4_coeff("1/0"), "ZeroDivisionError"),
         ("homs/j3_star.json", _ring_map_with_table_images, "unexpected keyword argument 'table_images'"),
         ("surfaces/s1.json", _target_space_as_list, "TypeError: unhashable type: 'list'"),
-        ("surfaces/s1.json", _gram_off_diagonal_true, "TypeError: exact rational expected, got bool: True"),
+        ("surfaces/t2.json", _genus_true, "TypeError: exact rational expected, got bool: True"),
         ("spaces/m22.json", _reduction_coefficient_true, "TypeError: exact rational expected, got bool: True"),
         ("golden_checks.json", _golden_value_true, "TypeError: exact rational expected, got bool: True"),
         (
@@ -716,7 +716,7 @@ def _set_count_expr(cid, expr):
         "zero_denominator",
         "field_of_another_hom_kind",
         "list_for_id",
-        "bool_gram_entry",
+        "bool_genus",
         "bool_reduction_coefficient",
         "bool_golden_value",
         "bool_count_leaf",
@@ -753,6 +753,16 @@ def test_malformed_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, 
             "F31: fiber counts for ['S1'], which are not among its 'families'",
         ),
         ("systems/f31.json", _set_field("lhs_factors", ["W31", "Hyp4"]), "F31: left-hand factors on M31, M4"),
+        (
+            "systems/h4plus.json",
+            _set_field("coefficient", ["lam^3", "H4_plus"]),
+            "coefficient: 'lam^3' is not a codim-2 basis label on M4",
+        ),
+        (
+            "systems/h4plus.json",
+            _set_field("coefficient", ["lam^2", "H4_pluss"]),
+            "coefficient: 'H4_pluss' is not one of the lambda^2 values SH4_minus, H4_minus, H4, H4_plus",
+        ),
         *(
             ("systems/h4plus.json", _set_component(i, ref), f"components/{i}: {ref!r} names no degree-2 class on M4")
             for i, ref in (
@@ -773,6 +783,8 @@ def test_malformed_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, 
         "unknown_catalog_class",
         "fiber_count_off_the_families",
         "lhs_factors_on_two_spaces",
+        "coefficient_off_the_codim2_basis",
+        "coefficient_of_no_lambda2_value",
         "unknown_component_ref_prefix",
         "unknown_component_special_symbol",
         "unknown_component_basis_label",

@@ -1,4 +1,5 @@
 import json
+import shutil
 from fractions import Fraction as F
 from importlib import resources
 
@@ -7,14 +8,14 @@ import pytest
 from tautverify.counts import (
     CountRegistry,
     _freeze,
-    abel_difference_degree,
+    elliptic_mult_degree,
     even_theta_count,
-    mixed_difference_degree,
     odd_theta_count,
-    scorza_correspondence_class,
     scorza_triple_degree,
+    theta_pullback,
 )
-from tautverify.errors import UnknownNameError
+from tautverify.data import Repo
+from tautverify.errors import DataError, UnknownNameError
 
 from conftest import is_exact_value
 
@@ -25,37 +26,45 @@ def _counts_file():
 
 @pytest.mark.parametrize("d, expected", [(1, 8), (2, 72), (3, 288)])
 def test_abel_degree(d, expected):
-    assert abel_difference_degree(d) == expected
+    # the one-variable difference map (x, y) -> (d+1)x - dy
+    assert theta_pullback(d + 1, -d)[1] == expected
 
 
 @pytest.mark.parametrize("d1, d2, expected", [(3, 1, 18), (1, 1, 2), (2, 3, 72)])
 def test_mixed_degree(d1, d2, expected):
-    assert mixed_difference_degree(d1, d2) == expected
+    # the two-variable difference map (x, y) -> d1 x - d2 y
+    assert theta_pullback(d1, -d2)[1] == expected
 
 
 def test_degree_formulas_agree():
-    for d in range(1, 11):
-        assert abel_difference_degree(d) == mixed_difference_degree(d + 1, d)
+    # in genus 2 the pairing gives the closed form 2 a^2 b^2 it replaced, over both signs of a and b
+    for a in (*range(-6, 0), *range(1, 7)):
+        for b in (*range(-6, 0), *range(1, 7)):
+            assert theta_pullback(a, b)[1] == 2 * a * a * b * b, (a, b)
 
 
 def test_mixed_symmetric():
-    for d1 in range(1, 7):
-        for d2 in range(1, 7):
-            assert mixed_difference_degree(d1, d2) == mixed_difference_degree(d2, d1)
+    # swapping the factors swaps f1 and f2 and keeps the degree
+    for a in range(1, 7):
+        for b in range(1, 7):
+            (f1, f2, diagonal), degree = theta_pullback(a, -b)
+            assert theta_pullback(-b, a) == ((f2, f1, diagonal), degree)
 
 
-def test_nonpositive_rejected():
-    with pytest.raises(ValueError):
-        abel_difference_degree(0)
-    with pytest.raises(ValueError):
-        mixed_difference_degree(1, 0)
-    with pytest.raises(ValueError):
-        scorza_correspondence_class(1)
+def test_a_map_that_is_not_finite_is_rejected():
+    for a, b in ((1, 0), (0, -1), (0, 0)):
+        with pytest.raises(ValueError, match="is not finite"):
+            theta_pullback(a, b)
 
 
 @pytest.mark.parametrize("g, triple", [(2, (1, 1, 1)), (3, (2, 2, 1)), (4, (3, 3, 1))])
 def test_correspondence_class(g, triple):
-    assert scorza_correspondence_class(g) == tuple(F(x) for x in triple)
+    # the Scorza correspondence is the pullback of theta under (x, y) -> x - y
+    assert theta_pullback(1, -1, g)[0] == triple
+
+
+def test_elliptic_mult_degree_counts_torsion():
+    assert [elliptic_mult_degree(d) for d in (1, 2, 3)] == [1, 4, 9]
 
 
 def test_triple_point_degree():
@@ -117,3 +126,29 @@ def test_a_count_expression_is_an_int_where_it_is_integral(expr, value):
     got = registry.eval_expr(_freeze(expr))
     assert got == value and is_exact_value(got)
     assert registry.get("c") == value
+
+
+@pytest.mark.parametrize(
+    "expr, error",
+    [
+        (["ref", "a", "junk"], "ref takes exactly 1 argument"),
+        (["ref"], "ref takes exactly 1 argument"),
+        (["sub", 2, 1, 1], "sub takes exactly 2 arguments"),
+    ],
+)
+def test_ref_takes_exactly_one_argument_as_sub_takes_two(expr, error):
+    # an extra argument is an error, not dropped
+    constants = [{"id": "a", "value": 1, "expr": 1}, {"id": "b", "value": 1, "expr": expr}]
+    with pytest.raises(DataError, match=f"^{error}$"):
+        CountRegistry({"constants": constants})
+
+
+def test_a_ref_with_an_extra_argument_fails_load_naming_counts_json(tmp_path):
+    data_dir = tmp_path / "data"
+    with resources.as_file(resources.files("tautverify").joinpath("data")) as src:
+        shutil.copytree(src, data_dir)
+    raw = _counts_file()
+    next(c for c in raw["constants"] if c["id"] == "V1_H4plus")["expr"][2].append("junk")
+    (data_dir / "counts.json").write_text(json.dumps(raw))
+    with pytest.raises(DataError, match="^counts.json: ref takes exactly 1 argument$"):
+        Repo(data_dir)

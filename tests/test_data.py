@@ -99,14 +99,17 @@ def test_bad_count_decomposition_rejected(tmp_path):
     assert str(err.value) == "counts.json: count constant 'weierstrass_g2': decomposition gives 6, stored 7"
 
 
-def test_asymmetric_gram_rejected(tmp_path):
+def test_unknown_base_kind_is_rejected_naming_the_file(tmp_path, capsys):
+    # a family states its base, and load builds the lattice from its kind
     data_dir = _copy_embedded(tmp_path)
     path = data_dir / "surfaces" / "s1.json"
     raw = json.loads(path.read_text())
-    raw["gram"] = [[0, 1], [2, 0]]
+    raw["base"] = {"kind": "curve_cube"}
     path.write_text(json.dumps(raw))
-    with pytest.raises(DataError):
-        Repo(data_dir)
+    assert main(["--data-dir", str(data_dir), "run-all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: surfaces/s1.json: base/kind: no base 'curve_cube' ")
 
 
 def test_unknown_lookups(repo):

@@ -14,6 +14,7 @@ from tautverify.errors import DataError, SpaceMismatchError, UnknownLabelError
 from tautverify.rings import divisor_product, special_expand
 from tautverify.surfaces import (
     SurfaceFunctional,
+    base_lattice,
     evaluate,
     evaluate_formal_products,
     pair_on_surface,
@@ -57,11 +58,35 @@ def test_lattice_invariants(repo):
         assert gram[0][0] == 0 and gram[1][1] == 0
 
 
-def test_ragged_gram_rejected(repo):
-    s1 = repo.functional("S1")
-    for gram in ([[0, 1], [1]], [[0, 1]], [[0, 1, 0], [1, 0, 0]]):
-        with pytest.raises(DataError, match="gram matrix must be 2x2"):
-            SurfaceFunctional("S1", s1.space, s1.lattice_labels, gram, {}, {}, {}, {})
+@pytest.mark.parametrize("genus", [0, 1, 2, 3, 7])
+def test_each_base_kind_builds_a_symmetric_gram_matrix(genus):
+    # the diagonals are the self-intersections: fibers 0, the curve square's
+    # diagonal 2 - 2g, H^2 = 1, S^2 = -9 and E0^2 = -1, and each D_ij^2 = -1
+    for kind, params, diagonal in (
+        ("curve_product", {}, [0, 0]),
+        ("curve_square", {"genus": genus}, [0, 0, 2 - 2 * genus]),
+        ("cubic_pencil_blowup", {}, [1, -9, -1]),
+        ("m05", {}, [-1] * 10),
+    ):
+        labels, gram = base_lattice(kind, **params)
+        assert list(map(tuple, gram)) == list(zip(*gram)), kind
+        assert [gram[i][i] for i in range(len(labels))] == diagonal, kind
+
+
+@pytest.mark.parametrize(
+    "base",
+    [{"kind": "curve_cube"}, {"kind": "curve_square"}, {"kind": "curve_product", "genus": 2}],
+    ids=["unknown_kind", "curve_square_without_genus", "curve_product_with_genus"],
+)
+def test_a_base_off_the_four_kinds_is_rejected(base):
+    with pytest.raises(DataError, match="^base/kind: no base "):
+        base_lattice(**base)
+
+
+@pytest.mark.parametrize("genus", ["3/2", -1])
+def test_a_genus_that_is_not_an_integer_at_least_0_is_rejected(genus):
+    with pytest.raises(DataError, match="^base/genus: a genus is an integer >= 0"):
+        base_lattice("curve_square", genus=genus)
 
 
 def test_pair_blowup_lattice(repo):
@@ -190,20 +215,21 @@ def test_formal_products_read_the_family_space(repo):
 
 
 def test_formal_products_with_non_integral_lattice_values(repo):
-    # S1 with every Gram entry halved: psi*d21 = d11*d21 = 1/2, and the
-    # stated values all name labels that are not products
+    # S1 with every restriction entry halved: psi*d21 = d11*d21 = 1/4, and
+    # the stated values all name labels that are not products
     raw, space = family_file("S1"), repo.space("M31")
-    gram = [[F(x, 2) for x in row] for row in raw["gram"]]
-    f = SurfaceFunctional("S1", space, raw["lattice"], gram, raw["restrictions"], {}, raw["direct_values"], {})
-    assert f.derived["psi*d21"] == f.derived["d11*d21"] == F(1, 2)
+    restrictions = {gen: [F(x, 2) for x in vec] for gen, vec in raw["restrictions"].items()}
+    f = SurfaceFunctional("S1", space, raw["base"], restrictions, {}, raw["direct_values"], {})
+    assert f.derived["psi*d21"] == f.derived["d11*d21"] == F(1, 4)
+    gram = [[0, 1], [1, 0]]  # the curve product's, stated here for the oracle
 
     def lattice_value(a, b):
-        v, w = raw["restrictions"][a], raw["restrictions"][b]
-        return sum(F(v[i]) * gram[i][j] * w[j] for i in range(len(v)) for j in range(len(w)))
+        v, w = restrictions[a], restrictions[b]
+        return sum(v[i] * gram[i][j] * w[j] for i in range(len(v)) for j in range(len(w)))
 
     formal = {"psi*d21": F(1, 3), "d11*d21": 5, "psi*d0": F(-2, 7), "d0^2": F(3, 4)}
     expected = sum(F(c) * lattice_value(*space.product_pairs[label]) for label, c in formal.items())
-    assert evaluate_formal_products(f, formal) == expected == F(125, 21)
+    assert evaluate_formal_products(f, formal) == expected == F(125, 42)
 
 
 def test_derived_values_cover_every_formal_product(repo):
@@ -284,7 +310,7 @@ def test_audit_label_with_direct_value_and_special_product(repo):
     raw, space = family_file("S1"), repo.space("M31")
     pair = (raw["restrictions"]["d0"], raw["restrictions"]["psi"])
     f = SurfaceFunctional(
-        "S1", space, raw["lattice"], raw["gram"], raw["restrictions"], raw["overrides"],
+        "S1", space, raw["base"], raw["restrictions"], raw["overrides"],
         raw["direct_values"], {"d1|1": [pair]},
     )
     assert "d1|1" not in space.codim2_index
@@ -300,7 +326,7 @@ def test_stated_value_equal_to_its_lattice_value_reads_derived(repo):
     pair = (raw["restrictions"]["d0"], raw["restrictions"]["psi"])
     lattice = pair_on_surface(repo.functional("S1"), *pair)
     f = SurfaceFunctional(
-        "S1", space, raw["lattice"], raw["gram"], raw["restrictions"], raw["overrides"],
+        "S1", space, raw["base"], raw["restrictions"], raw["overrides"],
         {**raw["direct_values"], "d1|1": lattice}, {"d1|1": [pair]},
     )
     assert "d1|1" not in space.codim2_index

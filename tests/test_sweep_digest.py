@@ -9,9 +9,9 @@ PINNED = Path(__file__).parent / "data" / "sweep_digest.txt"
 # one site of each outcome class; the full digest is compared in CI
 SAMPLE = (
     ("+1", "catalog.json", ("classes", "Hyp4", "degree")),  # rejected at load
-    ("+1", "surfaces/t2.json", ("gram", 0, 0)),  # caught by a check
+    ("+1", "surfaces/t2.json", ("base", "genus")),  # caught by a check
     ("+1", "catalog.json", ("classes", "Hyp3_M3", "coeffs", "lam")),  # caught: the cofactor solve is inconsistent
-    ("+1", "surfaces/t2.json", ("gram", 1, 1)),  # undetected
+    ("+1", "surfaces/t3.json", ("direct_values", "d00")),  # undetected
     ("del", "golden_checks.json", ("basis_m31", "rank")),  # aborts the run
     ("del", "golden_checks.json", ("surface_tables", "surfaces", "S1")),  # undetected
 )
@@ -27,7 +27,7 @@ def digest():
 
 def test_sample_sites_reproduce_the_pinned_digest(digest, tmp_path):
     pinned = PINNED.read_text(encoding="utf-8").splitlines()
-    assert len(pinned) == 1427
+    assert len(pinned) == 1273
     work = tmp_path / "data"
     digest.sweep.write_copy(digest.DATA, work)
     assert f"control {digest.outcome(work)}" == pinned[0]
