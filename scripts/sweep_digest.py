@@ -54,7 +54,7 @@ def outcome(work: Path) -> str:
         return _failed(sweep.ABORTED, exc, work)
     try:
         report = run_all(repo)
-    except Exception as exc:  # same: a check that raises aborts the run
+    except Exception as exc:  # same: a check that raises is a FAIL, so this is a raise outside the checks
         return _failed(sweep.ABORTED, exc, work)
     line = f"- {_digest(report.to_json())}"
     if report.all_passed:

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import __version__
 from .chern import ChernVector
-from .counts import even_theta_count, odd_theta_count, scorza_triple_degree, theta_pullback
+from .counts import theta_pullback
 from .data import COMPUTED, SURFACE_IDS, SYSTEM_IDS, MultiplicitySystem, Repo
 from .errors import UnknownNameError
 from .grr import GRR_MAX_ORDER, grr_spin_character, jet_bundles, lambda2_values, lower_order_character
@@ -586,26 +586,21 @@ def _parts_lambda2(run: Run) -> list[Part]:
 
 
 def _parts_enumerative(run: Run) -> list[Part]:
-    repo = run.repo
-    golden = repo.golden["enumerative"]
-    parts = []
-    for d, v in golden["abel"].items():
-        parts.append((f"abel:{d}", v, theta_pullback(int(d) + 1, -int(d))[1]))
+    counts = run.repo.counts
+    golden = run.repo.golden["enumerative"]
+    parts = [(f"abel:{d}", v, counts.eval_expr(("abel", int(d)))) for d, v in golden["abel"].items()]
     for key, v in golden["mixed"].items():
-        d1, d2 = (int(x) for x in key.split(","))
-        parts.append((f"mixed:{key}", v, theta_pullback(d1, -d2)[1]))
+        parts.append((f"mixed:{key}", v, counts.eval_expr(("mixed", *map(int, key.split(","))))))
     for g, v in golden["scorza_class"].items():
         parts.append((f"correspondence_class:{g}", tuple(v), theta_pullback(1, -1, int(g))[0]))
-    total, triple_parts = scorza_triple_degree()
-    parts.append(("triple_total", golden["scorza_triple"]["total"], total))
-    parts.append(("triple_parts", tuple(golden["scorza_triple"]["parts"]), triple_parts))
-    theta_count = {"odd": odd_theta_count, "even": even_theta_count}
+    parts.append(("triple_total", golden["scorza_triple"]["total"], counts.get("scorza_triple_total")))
+    parts.append(("triple_parts", tuple(golden["scorza_triple"]["parts"]), counts.terms("scorza_triple_total")))
     for key, v in golden["spin_cover"].items():
         g, parity = key.split(",")
-        parts.append((f"spin_cover:{key}", v, theta_count[parity](int(g))))
+        parts.append((f"spin_cover:{key}", v, counts.eval_expr((f"{parity}_theta", int(g)))))
     # load has re-evaluated each constant from its decomposition
     for cid, v in golden["count_values"].items():
-        parts.append((f"count:{cid}", v, repo.counts.get(cid)))
+        parts.append((f"count:{cid}", v, counts.get(cid)))
     return parts
 
 
@@ -658,9 +653,13 @@ def check_ids() -> list[str]:
 
 
 def _run_one(check: CheckDef, run: Run) -> CheckResult:
+    """One check's result; a check that raises fails with one part naming the error, and the run goes on."""
     anchor = run.repo.golden.get(check.id, {}).get("anchor", "")
     t0 = time.perf_counter()
-    parts = check.fn(run)
+    try:
+        parts = check.fn(run)
+    except Exception as exc:  # type and message only, no traceback, so the report stays byte-stable
+        parts = [("completes", True, f"{type(exc).__name__}: {exc}")]
     return _finish(check.id, anchor, parts, t0)
 
 

@@ -1,15 +1,16 @@
 """Command-line entry point; USAGE below is its synopsis.
 
-Exit code 0 means every check run passed; 1 a failed check, or a computed
-result whose check fails; 2 a usage error or a configuration error (a bad or
-empty data dir, an unknown name, a JSON report that cannot be written).
+Exit code 0 means every check run passed; 1 a failed check (a check that
+raises fails, naming the error), or a computed result whose check fails; 2
+a usage error or a configuration error (a bad or empty data dir, an unknown
+name, a JSON report that cannot be written).
 """
 
 from __future__ import annotations
 
 import sys
 
-from .checks import Run, differing, export_report, run_all, run_check
+from .checks import _CHECK_INDEX, Run, _run_one, export_report, run_all, run_check
 from .data import COMPUTED, Repo
 from .errors import TautVerifyError, UnknownNameError
 from .linalg import _number
@@ -108,11 +109,11 @@ def main(argv: list[str] | None = None) -> int:
         if check_id is None:
             c, source = repo.catalog_class(name), repo.catalog_source(name)
         else:
-            classes, parts = Run(repo).result(check_id)
-            if differing(parts):
+            run = Run(repo)
+            if not _run_one(_CHECK_INDEX[check_id], run).passed:
                 print(f"error: {name} is computed by the {check_id} check, which fails", file=sys.stderr)
                 return 1
-            c, source = classes[name], f"computed by the {check_id} check"
+            c, source = run.cls(name), f"computed by the {check_id} check"
         if functional is not None:
             print(f"<{args['--surface']}, {name}> = {evaluate(functional, c)}")
             return 0

@@ -1,12 +1,14 @@
 """Enumerative degree formulas and the registry of fiber-count constants.
 
-The closed-form degrees are computed, the difference maps on a genus-2 curve
-as one theta pullback on the curve square; counts that rest on degeneration
-case analysis are data, and only their arithmetic assembly is re-evaluated.
-Every registered constant's expression tree is re-evaluated at load and must
-reproduce its stored value exactly; the registry then keeps only the value
-(each entry's `source` stays in `counts.json` for readers).  Values are
-exact: an int where integral, else a Fraction (see `linalg.as_fraction`).
+Each count formula is written once, as a head of `_FUNCTIONS`: the
+difference maps on a genus-2 curve as one theta pullback on the curve
+square, the classical counts in closed form.  Counts that rest on
+degeneration case analysis are data, and only their arithmetic assembly is
+re-evaluated.  Every registered constant's expression tree is frozen and
+re-evaluated at load and must reproduce its stored value exactly; the
+registry keeps the value and the expression (each entry's `source` stays in
+`counts.json` for readers), and checks evaluate counts through it.  Values
+are exact: an int where integral, else a Fraction (see `linalg.as_fraction`).
 """
 
 from __future__ import annotations
@@ -35,46 +37,25 @@ def theta_pullback(a: int, b: int, g: int = 2) -> tuple[tuple[int, int, int], Nu
     return cls, _number(*_lowest(square, factorial(g)))
 
 
-def even_theta_count(g: int) -> int:
-    """Number of even theta characteristics: 2^{g-1}(2^g + 1)."""
-    return 2 ** (g - 1) * (2**g + 1)
-
-
-def odd_theta_count(g: int) -> int:
-    """Number of odd theta characteristics: 2^{g-1}(2^g - 1)."""
-    return 2 ** (g - 1) * (2**g - 1)
-
-
-def hyperelliptic_weierstrass_count(g: int) -> int:
-    """Weierstrass points of a hyperelliptic curve of genus g: 2g + 2."""
-    return 2 * g + 2
-
-
-def elliptic_mult_degree(d: int) -> int:
-    """Degree of x -> O(dx) (up to translation) on an elliptic curve: d^2, also its number of d-torsion points."""
-    return d * d
-
-
-def scorza_triple_degree() -> tuple[int, tuple[int, int, int]]:
-    """Total degree of the triple-point correspondence count on genus 2, and its three parts: two
-    fiber parts, each the degree of (x, y) -> 3x - y, and a diagonal part, that of 3x - 2y."""
-    parts = tuple(theta_pullback(3, -d)[1] for d in (1, 1, 2))
-    return sum(parts), parts
-
-
 # --- constants registry -----------------------------------------------------
 
+# the one definition of each count formula, by expression head
 _FUNCTIONS = {
+    # the degree (phi*theta)^2/2 of phi = (d+1)x - dy, and of d1 x - d2 y, on the genus-2 curve square
     "abel": lambda d: theta_pullback(d + 1, -d)[1],
     "mixed": lambda d1, d2: theta_pullback(d1, -d2)[1],
-    "even_theta": lambda g: even_theta_count(g),
-    "odd_theta": lambda g: odd_theta_count(g),
-    "ell_mult_deg": lambda d: elliptic_mult_degree(d),
-    "torsion": lambda n: elliptic_mult_degree(n),
+    # even and odd theta characteristics in genus g: 2^{g-1}(2^g +/- 1) (Mumford 1971)
+    "even_theta": lambda g: 2 ** (g - 1) * (2**g + 1),
+    "odd_theta": lambda g: 2 ** (g - 1) * (2**g - 1),
+    # Weierstrass points of a hyperelliptic curve of genus g
+    "hyp_weierstrass": lambda g: 2 * g + 2,
+    # the degree of x -> O(dx) on an elliptic curve is also its number of d-torsion points
+    **dict.fromkeys(("ell_mult_deg", "torsion"), lambda d: d * d),
 }
 
 _OPS = {"add", "sub", "mul"}
 _ARITY = {"ref": 1, "sub": 2}  # the heads that take a fixed number of arguments
+_ENTRY_FIELDS = {"id", "value", "expr", "source"}
 
 
 def _freeze(expr):
@@ -82,19 +63,23 @@ def _freeze(expr):
 
 
 class CountRegistry:
-    """Named constants, each kept only once its decomposition gives its stored value."""
+    """Named constants, each kept with its expression once that gives its stored value."""
 
     def __init__(self, raw: Mapping):
-        self._values: dict[str, Number] = {}
-        for entry in raw["constants"]:
+        self._constants: dict[str, tuple[Number, object]] = {}  # id -> (value, frozen expression)
+        if stray := sorted(set(raw) - {"constants"}):
+            raise DataError(f"unknown fields {stray}, not 'constants'")
+        for i, entry in enumerate(raw["constants"]):
+            if stray := sorted(set(entry) - _ENTRY_FIELDS):
+                raise DataError(f"constants/{i}: unknown fields {stray}, not id, value, expr or source")
             cid = entry["id"]
-            if cid in self._values:
+            if cid in self._constants:
                 raise DataError(f"duplicate count constant {cid!r}")
-            value = as_fraction(entry["value"])
-            actual = self.eval_expr(_freeze(entry["expr"]))
+            value, expr = as_fraction(entry["value"]), _freeze(entry["expr"])
+            actual = self.eval_expr(expr)
             if actual != value:
                 raise DataError(f"count constant {cid!r}: decomposition gives {actual}, stored {value}")
-            self._values[cid] = value
+            self._constants[cid] = value, expr
 
     def eval_expr(self, expr) -> Number:
         if isinstance(expr, (int, str)):
@@ -118,7 +103,16 @@ class CountRegistry:
         raise DataError(f"unknown count expression head {head!r}")
 
     def get(self, cid: str) -> Number:
+        return self._lookup(cid)[0]
+
+    def terms(self, cid: str) -> tuple[Number, ...]:
+        """The values of the top-level arguments of a constant's add, sub, mul or count-function expression:
+        (18, 18, 72) for a total of 18 + 18 + 72; a constant stated as a number has none."""
+        expr = self._lookup(cid)[1]
+        return tuple(map(self.eval_expr, expr[1:])) if isinstance(expr, tuple) else ()
+
+    def _lookup(self, cid: str) -> tuple[Number, object]:
         try:
-            return self._values[cid]
+            return self._constants[cid]
         except KeyError:
             raise UnknownNameError(f"unknown count constant {cid!r}") from None

@@ -165,15 +165,14 @@ def lambda2_values(repo, jets: Mapping[str, tuple[TruncatedPoly, ChernVector]]) 
     them).  SH4_minus comes from the spin pipeline; H4_minus multiplies it by the odd spin cover degree;
     H4 comes from the canonical-jet pipeline; H4_plus subtracts the
     hyperelliptic contribution (one per Weierstrass point) and H4_minus from
-    H4.  The two combinations are summed on int pairs, so each value is an
-    int where it is integral.
+    H4.  Both counts are evaluated through the repo's count registry.  The
+    two combinations are summed on int pairs, so each value is an int where
+    it is integral.
     """
-    from .counts import hyperelliptic_weierstrass_count, odd_theta_count
-
     sh4_minus, h4 = (porteous_lambda2(name, jets[name][1]) for name in ("J2_spin", "J5_canonical"))
     (sn, sd), (hn, hd) = _ratio(sh4_minus), _ratio(h4)
     yn, yd = _ratio(repo.catalog_class("Hyp4").coeff("lam^2"))
-    odd = odd_theta_count(4)
+    odd, weierstrass = (repo.counts.eval_expr((head, 4)) for head in ("odd_theta", "hyp_weierstrass"))
     h4_minus = _ratio_sum([(odd * sn, sd)])
-    h4_plus = _ratio_sum([(hn, hd), (-hyperelliptic_weierstrass_count(4) * yn, yd), (-odd * sn, sd)])
+    h4_plus = _ratio_sum([(hn, hd), (-weierstrass * yn, yd), (-odd * sn, sd)])
     return dict(zip(LAMBDA2_LOCI, (sh4_minus, h4_minus, h4, h4_plus)))

@@ -98,6 +98,8 @@ class SurfaceFunctional:
     ):
         space, (labels, gram) = target_space, base_lattice(**base)
         gram = tuple(map(_support_of, gram))
+        if stray := sorted(set(restrictions) - set(space.divisor_basis)):
+            raise DataError(f"{id}: restrictions for {stray}, which are not divisor generators of {space.id}")
         restr = {}
         for gen in space.divisor_basis:
             if gen not in restrictions:

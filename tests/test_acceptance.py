@@ -19,7 +19,7 @@ from tautverify.checks import (
     run_check,
     solve_multiplicities,
 )
-from tautverify.counts import _freeze, scorza_triple_degree, theta_pullback
+from tautverify.counts import _freeze, theta_pullback
 from tautverify.grr import grr_spin_character, jet_bundles, lambda2_values
 from tautverify.linalg import Solution, _support_of, rank, solve_exact
 from tautverify.poly import TruncatedPoly
@@ -172,7 +172,8 @@ def test_criterion_10_enumerative(repo):
         [theta_pullback(d + 1, -d)[1] for d in (1, 2, 3)] == [8, 72, 288]
         and [theta_pullback(d1, -d2)[1] for d1, d2 in ((3, 1), (1, 1), (2, 3))] == [18, 2, 72]
         and all(theta_pullback(1, -1, g)[0] == (g - 1, g - 1, 1) for g in (2, 3, 4))
-        and scorza_triple_degree() == (108, (18, 18, 72))
+        and repo.counts.get("scorza_triple_total") == 108
+        and repo.counts.terms("scorza_triple_total") == (18, 18, 72)
         and counts_ok
     )
     _line(10, "enumerative degrees and fiber counts", ok)

@@ -900,6 +900,35 @@ def test_cli_refuses_a_computed_class_whose_check_fails(tmp_path, capsys):
     assert capsys.readouterr().out == HYP4_SHOWN
 
 
+def test_a_check_that_raises_fails_alone_and_the_run_goes_on(tmp_path, capsys):
+    # a golden key the check reads is missing: the KeyError becomes that
+    # check's FAIL, with its type and message, and the other 17 checks run
+    def edit(raw):
+        del raw["basis_m31"]["rank"]
+
+    data_dir = _data_copy_with(tmp_path, "golden_checks.json", edit)
+    report = run_all(Repo(data_dir))
+    failed = [r for r in report.results if not r.passed]
+    assert [r.id for r in failed] == ["basis_m31"] and len(report.results) == 18
+    assert (failed[0].expected, failed[0].actual) == ("completes: true", "completes: KeyError: 'rank'")
+    assert main(["--data-dir", data_dir, "check", "basis_m31"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("[FAIL] basis_m31")
+    assert "actual:   completes: KeyError: 'rank'\n" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_refuses_a_computed_class_whose_check_raises(tmp_path, capsys):
+    def edit(raw):
+        del raw["hyp31"]["class"]
+
+    data_dir = _data_copy_with(tmp_path, "golden_checks.json", edit)
+    assert main(["--data-dir", data_dir, "show-class", "Hyp31_theorem"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Hyp31_theorem is computed by the hyp31 check, which fails\n"
+
+
 def test_cli_unwritable_json_report_is_a_configuration_error(tmp_path, capsys):
     # every check passes, so exit 1 would misreport a verification failure;
     # an empty path is a path that cannot be written, not a request for no report

@@ -5,15 +5,7 @@ from importlib import resources
 
 import pytest
 
-from tautverify.counts import (
-    CountRegistry,
-    _freeze,
-    elliptic_mult_degree,
-    even_theta_count,
-    odd_theta_count,
-    scorza_triple_degree,
-    theta_pullback,
-)
+from tautverify.counts import CountRegistry, _freeze, theta_pullback
 from tautverify.data import Repo
 from tautverify.errors import DataError, UnknownNameError
 
@@ -63,21 +55,26 @@ def test_correspondence_class(g, triple):
     assert theta_pullback(1, -1, g)[0] == triple
 
 
-def test_elliptic_mult_degree_counts_torsion():
-    assert [elliptic_mult_degree(d) for d in (1, 2, 3)] == [1, 4, 9]
+def test_elliptic_mult_degree_counts_torsion(repo):
+    # one formula, d^2, under both heads
+    for head in ("ell_mult_deg", "torsion"):
+        assert [repo.counts.eval_expr((head, d)) for d in (1, 2, 3)] == [1, 4, 9]
 
 
-def test_triple_point_degree():
-    total, parts = scorza_triple_degree()
+def test_triple_point_degree(repo):
+    # counts.json states the total as two fiber parts 3x - y and a diagonal part 3x - 2y
+    total, parts = repo.counts.get("scorza_triple_total"), repo.counts.terms("scorza_triple_total")
     assert (total, parts) == (108, (18, 18, 72))
     assert total == sum(parts)
 
 
-def test_theta_counts():
-    assert even_theta_count(2) == 10
-    assert odd_theta_count(2) == 6
-    assert even_theta_count(1) == 3
-    assert odd_theta_count(4) == 120
+def test_theta_counts(repo):
+    count = lambda head, g: repo.counts.eval_expr((head, g))
+    assert count("even_theta", 2) == 10
+    assert count("odd_theta", 2) == 6
+    assert count("even_theta", 1) == 3
+    assert count("odd_theta", 4) == 120
+    assert count("hyp_weierstrass", 4) == 10
 
 
 def test_registry_values(repo):
@@ -99,8 +96,23 @@ def test_registry_values(repo):
 
 
 def test_registry_unknown_id(repo):
-    with pytest.raises(UnknownNameError):
+    with pytest.raises(UnknownNameError, match="^unknown count constant 'no_such_constant'$"):
         repo.counts.get("no_such_constant")
+    with pytest.raises(UnknownNameError, match="^unknown count constant 'no_such_constant'$"):
+        repo.counts.terms("no_such_constant")
+
+
+def test_terms_are_the_values_of_the_top_level_arguments():
+    constants = [
+        {"id": "a", "value": 6, "expr": ["mul", 2, 3]},
+        {"id": "b", "value": 10, "expr": ["add", ["ref", "a"], ["sub", ["torsion", 2], "0"]]},
+        {"id": "c", "value": 1, "expr": 1},
+    ]
+    registry = CountRegistry({"constants": constants})
+    assert registry.terms("a") == (2, 3)
+    assert registry.terms("b") == (6, 4)
+    # a constant stated as a number has no terms
+    assert registry.terms("c") == ()
 
 
 def test_sides_decomposition(repo):

@@ -228,6 +228,11 @@ def _set(*keys, value):
         ("surfaces/t2.json", _set("direct_values", "psi*d21", value=-6), "psi*d21"),
         # a divisor reduction of a divisor basis label
         ("spaces/m21.json", _set("divisor_reductions", "d0", value={"d1": 7}), "d0"),
+        # a restriction for a label that is not a divisor generator of the target space
+        ("surfaces/s1.json", _set("restrictions", "d99", value=[5, 5]), "d99"),
+        # a misspelt field of a count constant, and a top-level field beside its constants
+        ("counts.json", _set("constants", 0, "valeu", value=99), "valeu"),
+        ("counts.json", _set("constants_extra", value=[]), "constants_extra"),
     ],
     ids=[
         "direct_on_basis_product",
@@ -235,6 +240,9 @@ def _set(*keys, value):
         "special_on_formal_product",
         "stated_twice",
         "basis_divisor_reduction",
+        "restriction_of_a_non_generator",
+        "unknown_count_constant_field",
+        "unknown_counts_top_level_field",
     ],
 )
 def test_input_that_load_would_drop_is_rejected(tmp_path, capsys, relpath, edit, label):

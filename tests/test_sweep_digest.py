@@ -12,7 +12,7 @@ SAMPLE = (
     ("+1", "surfaces/t2.json", ("base", "genus")),  # caught by a check
     ("+1", "catalog.json", ("classes", "Hyp3_M3", "coeffs", "lam")),  # caught: the cofactor solve is inconsistent
     ("+1", "surfaces/t3.json", ("direct_values", "d00")),  # undetected
-    ("del", "golden_checks.json", ("basis_m31", "rank")),  # aborts the run
+    ("del", "golden_checks.json", ("basis_m31", "rank")),  # caught: the check raises KeyError and fails alone
     ("del", "golden_checks.json", ("surface_tables", "surfaces", "S1")),  # undetected
 )
 
