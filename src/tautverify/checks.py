@@ -1,7 +1,8 @@
 """Named, independently runnable checks covering every verified result.
 
-Each check recomputes a published statement from the loaded definitions and
-compares against the golden expected values, exactly.  Load has already
+A check is `fn(run, expected)`: it recomputes a published statement from the
+loaded definitions and compares it, exactly, with `expected`, its block of
+the golden file, which `Run.parts` alone reads and hands it.  Load has already
 parsed the golden file into exact values (an int where integral, else a
 Fraction, as every value the kernels return), so a check reads its expected
 values as they are and parses nothing.  A check returns parts, each (name,
@@ -21,7 +22,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .chern import ChernVector
@@ -168,22 +169,37 @@ def _finish(check_id: str, anchor: str, parts: Sequence[Part], t0: float) -> Che
 class Run:
     """The results that several checks of one run share, each computed on first use.
 
-    A computed paper result, a system's left-hand product, known classes,
-    family pairings and solve, the jet bundles and the lambda^2 values are
-    each built once per run, all through `_once`.  run_all and run_check
-    make a fresh Run per call, so a second run on the same Repo recomputes
-    everything; nothing is kept on the Repo, which stays immutable after
-    load, or in module state.
+    Each check's parts, a system's left-hand product, known classes, family
+    pairings and solve, the jet bundles and the lambda^2 values are each
+    built once per run through `_once`, which keeps a raised error as it
+    keeps a result.  A computing check stores its classes in `classes`, and
+    `cls` runs it (COMPUTED) through `parts`: it runs once per run, failing
+    or not, and each reader of a failed one fails with its error.  run_all
+    and run_check make a fresh Run per call, so a second run on the same
+    Repo recomputes everything; nothing is kept on the Repo, which stays
+    immutable after load, or in module state.
     """
 
     def __init__(self, repo: Repo):
         self.repo = repo
+        self.classes: dict[str, TautClass] = {}
         self._memo: dict = {}
+        self._errors: dict = {}
 
     def _once(self, key, make: Callable[[], object]):
         if key not in self._memo:
-            self._memo[key] = make()
+            if key in self._errors:
+                raise self._errors[key]
+            try:
+                self._memo[key] = make()
+            except Exception as exc:
+                self._errors[key] = exc
+                raise
         return self._memo[key]
+
+    def parts(self, check_id: str) -> list[Part]:
+        """A check's parts against its golden block, which only this reads; the check is looked up as it runs."""
+        return self._once(("parts", check_id), lambda: _CHECK_INDEX[check_id].fn(self, self.repo.golden[check_id]))
 
     @property
     def jets(self) -> dict[str, tuple[TruncatedPoly, ChernVector]]:
@@ -198,11 +214,8 @@ class Run:
         """A class by name: a computed paper result (COMPUTED), else a catalog input."""
         if name not in COMPUTED:
             return self.repo.catalog_class(name)
-        return self.result(COMPUTED[name][0])[0][name]
-
-    def result(self, check_id: str) -> tuple[dict[str, TautClass], list[Part]]:
-        """The classes a computing check builds, by name, and the check's parts."""
-        return self._once(check_id, lambda: _COMPUTE[check_id](self))
+        self.parts(COMPUTED[name][0])
+        return self.classes[name]
 
     def known(self, system_id: str) -> dict[str, TautClass]:
         """The known component classes of a system, by component name: load resolved each ref to a class or a name."""
@@ -269,10 +282,11 @@ def _after(values: list, tail) -> tuple:
 def solve_multiplicities(system_id: str, run: Run):
     """Solve a registered multiplicity system and find its redundant rows.
 
-    Returns (assignment, redundant_names, parts): the exact solution keyed by
-    unknown name, the constraints whose removal keeps the system uniquely
+    Returns (assignment, redundant_names, solution): the exact solution keyed
+    by unknown name, the constraints whose removal keeps the system uniquely
     solvable with the same solution (each such constraint is automatically
-    satisfied by it), and the comparison parts.  With a unique
+    satisfied by it), and the Solution, or the Inconsistent certificate with
+    no assignment and no redundant rows.  With a unique
     solution a row is redundant iff some vector of the matrix's left kernel is
     nonzero there (the row is a combination of the others); else none is.
     The solve and the left kernel come from one elimination.
@@ -281,17 +295,19 @@ def solve_multiplicities(system_id: str, run: Run):
     names, rows, rhs = _assemble_system(run, system)
     sol, kernel = solve_with_left_kernel(rows, rhs, len(system.components))
     if isinstance(sol, Inconsistent):
-        return {}, [], [("consistent", True, sol)]
-    golden = run.repo.golden[f"multiplicities_{system_id.lower()}"]
-    assignment = dict(zip(system.unknowns, sol.vector))
-    parts: list[Part] = [("solution", golden["solution"], assignment)]
-    parts.append(("unique", True, sol.unique))
-
+        return {}, [], sol
     used = {i for v in kernel for i, _, _ in v} if sol.unique else set()
-    redundant = [name for i, name in enumerate(names) if i in used]
-    bound = golden["min_redundant"]
+    return dict(zip(system.unknowns, sol.vector)), [name for i, name in enumerate(names) if i in used], sol
+
+
+def _parts_multiplicities(system_id: str, run: Run, expected: dict) -> list[Part]:
+    assignment, redundant, sol = run.solution(system_id)
+    if isinstance(sol, Inconsistent):
+        return [("consistent", True, sol)]
+    parts: list[Part] = [("solution", expected["solution"], assignment), ("unique", True, sol.unique)]
+    bound = expected["min_redundant"]
     parts.append(("redundant_constraints_at_least", bound, min(len(redundant), bound)))
-    return assignment, redundant, parts
+    return parts
 
 
 def _divide_out(run: Run, system: MultiplicitySystem, assignment: dict, parts: list[Part]) -> TautClass:
@@ -324,45 +340,44 @@ def _divide_out(run: Run, system: MultiplicitySystem, assignment: dict, parts: l
 # --- individual checks ----------------------------------------------------
 
 
-def _parts_basis_m31(run: Run) -> list[Part]:
+def _parts_basis_m31(run: Run, expected: dict) -> list[Part]:
     repo = run.repo
     theta = repo.hom("theta_star")
     m31 = theta.domain
-    golden = repo.golden["basis_m31"]
     # the image of each basis label, as load stored it
     images = theta.images[2][1]
     width = len(m31.codim2_basis)
     kernel_dim = width - rank([images[lbl] for lbl in m31.codim2_basis], len(theta.codomain.codim2_basis))
-    parts = [("pullback_rank", golden["rank"], width - kernel_dim), ("kernel_dim", golden["kernel_dim"], kernel_dim)]
-    gens = [m31.from_dict(2, golden["relation_generators"][k]) for k in ("alpha", "beta", "gamma")]
+    parts = [("pullback_rank", expected["rank"], width - kernel_dim)]
+    parts.append(("kernel_dim", expected["kernel_dim"], kernel_dim))
+    gens = [m31.from_dict(2, expected["relation_generators"][k]) for k in ("alpha", "beta", "gamma")]
     # over Q the generators span ker theta* iff each dies under theta*, they
     # are independent, and they are as many as the kernel's dimension
     in_kernel = all(apply_hom(theta, g).is_zero() for g in gens)
     spans_match = in_kernel and rank([g.support for g in gens], width) == len(gens) == kernel_dim
     parts.append(("kernel_span_matches", True, spans_match))
     family_det = det([[evaluate(repo.functional(sid), g) for g in gens] for sid in ("S1", "S2", "S3")])
-    parts.append(("family_matrix_det", golden["surface_matrix_det"], family_det))
+    parts.append(("family_matrix_det", expected["surface_matrix_det"], family_det))
     parts.append(("relations_forced_to_zero", True, family_det != 0))
     return parts
 
 
-def _parts_prop4(run: Run) -> list[Part]:
+def _parts_prop4(run: Run, expected: dict) -> list[Part]:
     repo = run.repo
     theta = repo.hom("theta_star")
     m31 = theta.domain
-    golden = repo.golden["prop4"]
     # the dependent-product identity is the stored relation, which load has
     # reduced to zero on M31; it must also die under the gluing pullback
     parts: list[Part] = [("lam_d11_relation_pullback", theta.codomain.zero(2), apply_hom(theta, m31.relations[0]))]
     for sym in m31.special_expansions:
         expansion = special_expand(m31, sym)
         parts.append((f"pullback_consistency:{sym}", apply_hom(theta, {sym: 1}), apply_hom(theta, expansion)))
-        actual = [evaluate(repo.functional(sid), expansion) for sid in golden["surface_order"]]
-        parts.append((f"family_values:{sym}", tuple(golden["surface_values"][sym]), tuple(actual)))
+        actual = [evaluate(repo.functional(sid), expansion) for sid in expected["surface_order"]]
+        parts.append((f"family_values:{sym}", tuple(expected["surface_values"][sym]), tuple(actual)))
     return parts
 
 
-def _parts_prop4_alt(run: Run) -> list[Part]:
+def _parts_prop4_alt(run: Run, expected: dict) -> list[Part]:
     repo = run.repo
     pullback = repo.hom("p_pullback_m3")
     m31 = pullback.codomain
@@ -372,131 +387,128 @@ def _parts_prop4_alt(run: Run) -> list[Part]:
     ]
 
 
-def compute_hyp31(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
+def compute_hyp31(run: Run, expected: dict) -> list[Part]:
     """Pull the genus-4 hyperelliptic class back along the elliptic-tail map."""
     repo = run.repo
-    golden = repo.golden["hyp31"]
-    result = apply_hom(repo.hom("j3_star"), repo.catalog_class("Hyp4"))
-    parts = [
-        ("class", result.space.from_dict(2, golden["class"]), result),
+    result = run.classes["Hyp31_theorem"] = apply_hom(repo.hom("j3_star"), repo.catalog_class("Hyp4"))
+    return [
+        ("class", result.space.from_dict(2, expected["class"]), result),
         (
             "pushforward_is_multiple",
-            repo.catalog_class("Hyp3_M3").scale(golden["hyp3_multiple"]),
+            repo.catalog_class("Hyp3_M3").scale(expected["hyp3_multiple"]),
             apply_hom(repo.hom("p_star_pushforward"), result),
         ),
         ("double_ramification_catalog", repo.catalog_class("DR2_2"), apply_hom(repo.hom("theta_star"), result)),
     ]
-    return {"Hyp31_theorem": result}, parts
 
 
-def _parts_j3_table(run: Run) -> list[Part]:
+def _parts_j3_table(run: Run, expected: dict) -> list[Part]:
     repo = run.repo
     j3 = repo.hom("j3_star")
     m31 = j3.codomain
-    golden = repo.golden["j3_pullback_table"]
     parts = []
     for sym in ("d1|1", "gamma1"):
-        parts.append((f"pullback_image:{sym}", m31.from_dict(2, golden[sym]), apply_hom(j3, {sym: 1})))
+        parts.append((f"pullback_image:{sym}", m31.from_dict(2, expected[sym]), apply_hom(j3, {sym: 1})))
     parts.append(("pullback_image:d00", special_expand(m31, "d00"), apply_hom(j3, {"d00": 1})))
     return parts
 
 
-def compute_w2(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
+def compute_w2(run: Run, expected: dict) -> list[Part]:
     """Both node-smoothing lemmas: solve the restriction systems exactly.
 
     An inconsistent system fails the lemma with its certificate, as an
     inconsistent multiplicity system does, and gives the zero class.
     """
     repo = run.repo
-    golden = repo.golden["w2_lemmas"]
     weier = repo.catalog_class("W21")
-    m4_reduced = repo.space("M4").from_dict(2, golden["m4_reduced"])
-    classes: dict[str, TautClass] = {}
+    m4_reduced = repo.space("M4").from_dict(2, expected["m4_reduced"])
     parts: list[Part] = []
     for key, name, reduced in (("m31", "W2_M31", None), ("m4", "W2_M4", m4_reduced)):
         gluing = repo.gluing(f"xi_star_{key}")
         solved = solve_boundary_class(gluing, weier)
         if isinstance(solved, Inconsistent):
             parts.append((f"{key}_consistent", True, solved))
-            classes[name] = gluing.domain.zero(2)
+            run.classes[name] = gluing.domain.zero(2)
             continue
-        pres, classes[name], sol = solved
+        pres, run.classes[name], sol = solved
         parts.append((f"{key}_unique", True, sol.unique))
-        parts.append((f"{key}_presentation", golden[f"{key}_presentation"], pres))
+        parts.append((f"{key}_presentation", expected[f"{key}_presentation"], pres))
         if reduced is not None:
-            parts.append((f"{key}_reduced", reduced, classes[name]))
-    return classes, parts
+            parts.append((f"{key}_reduced", reduced, run.classes[name]))
+    return parts
 
 
-def compute_f31(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
+def compute_f31(run: Run, expected: dict) -> list[Part]:
     """Assemble the marked-hyperflex class from the solved multiplicities.
 
-    The solve's own parts belong to multiplicities_f31.  An inconsistent
+    The solve's own parts belong to multiplicities_f31, which must complete
+    first: a check that raises there raises here too.  An inconsistent
     system or a zero division multiplicity gives the zero class, which fails
     the class part.
     """
+    run.parts("multiplicities_f31")
     parts: list[Part] = []
-    result = _divide_out(run, run.repo.system("F31"), run.solution("F31")[0], parts)
-    parts.append(("class", result.space.from_dict(2, run.repo.golden["f31"]["class"]), result))
-    return {"F31_theorem": result}, parts
+    system = run.repo.system("F31")
+    result = run.classes["F31_theorem"] = _divide_out(run, system, run.solution("F31")[0], parts)
+    parts.append(("class", result.space.from_dict(2, expected["class"]), result))
+    return parts
 
 
-def compute_h4plus(run: Run) -> tuple[dict[str, TautClass], list[Part]]:
+def compute_h4plus(run: Run, expected: dict) -> list[Part]:
     """Assemble the even-theta triple-vanishing class from the solved system, as compute_f31 does.
 
     The system's lam^2 row makes the class's lam^2 entry the pipeline's
     H4_plus value whenever the class is not the zero class.
     """
-    golden = run.repo.golden["h4plus"]
     lhs = run.lhs("H4plus")
-    parts: list[Part] = [("lhs_product", lhs.space.from_dict(2, golden["lhs_product"]), lhs)]
-    result = _divide_out(run, run.repo.system("H4plus"), run.solution("H4plus")[0], parts)
-    parts.append(("class", result.space.from_dict(2, golden["class"]), result))
-    return {"H4plus_theorem": result}, parts
+    parts: list[Part] = [("lhs_product", lhs.space.from_dict(2, expected["lhs_product"]), lhs)]
+    run.parts("multiplicities_h4plus")
+    system = run.repo.system("H4plus")
+    result = run.classes["H4plus_theorem"] = _divide_out(run, system, run.solution("H4plus")[0], parts)
+    parts.append(("class", result.space.from_dict(2, expected["class"]), result))
+    return parts
 
 
-def _parts_pushforwards(run: Run) -> list[Part]:
+def _parts_pushforwards(run: Run, expected: dict) -> list[Part]:
     repo = run.repo
     push = repo.hom("p_star_pushforward")
-    golden = repo.golden["pushforwards"]
     wtheta = run.lhs("F31")
-    parts = [("divisor_product", wtheta.space.from_dict(2, golden["wtheta_product_m31"]), wtheta)]
+    parts = [("divisor_product", wtheta.space.from_dict(2, expected["wtheta_product_m31"]), wtheta)]
     for name, key, c in (
         ("wtheta_pushforward", "wtheta", wtheta),
         ("hyp31_pushforward", "hyp31", run.cls("Hyp31_theorem")),
         ("f31_pushforward", "f31", run.cls("F31_theorem")),
     ):
-        parts.append((name, push.codomain.from_dict(1, golden[key]), apply_hom(push, c)))
+        parts.append((name, push.codomain.from_dict(1, expected[key]), apply_hom(push, c)))
     return parts
 
 
-def _parts_surface_tables(run: Run) -> list[Part]:
+def _parts_surface_tables(run: Run, expected: dict) -> list[Part]:
     repo = run.repo
-    golden = repo.golden["surface_tables"]
     systems = {s.lhs_factors[0].space.id: s.id for s in map(repo.system, SYSTEM_IDS)}
     parts: list[Part] = []
     override_rows = []
-    for sid, block in golden["surfaces"].items():
+    for sid, block in expected["surfaces"].items():
         functional = repo.functional(sid)
         space = functional.space
         override_rows += ([sid, lbl] for lbl, provenance in functional.provenance.items() if provenance == OVERRIDE)
         nonzero = block["nonzero_basis"]
         mismatches = []
         for lbl in space.codim2_basis:
-            expected = nonzero.get(lbl, _ZERO)
-            if not functional.values[lbl] == expected:
-                mismatches.append(f"{lbl}:{functional.values[lbl]}!={expected}")
+            stated = nonzero.get(lbl, _ZERO)
+            if not functional.values[lbl] == stated:
+                mismatches.append(f"{lbl}:{functional.values[lbl]}!={stated}")
         parts.append((f"{sid}:table", "exact", "exact" if not mismatches else ",".join(mismatches)))
         for lbl, v in block["extra"].items():
             parts.append((f"{sid}:{lbl}", v, functional.values.get(lbl)))
         for key, v in block["evaluations"].items():
             parts.append((f"{sid}:<{key}>", v, run.family_values(systems[space.id], sid)[key]))
-    parts.append(("override_count", golden["override_count"], len(override_rows)))
-    parts.append(("override_at", [golden["override_at"]], override_rows))
+    parts.append(("override_count", expected["override_count"], len(override_rows)))
+    parts.append(("override_at", [expected["override_at"]], override_rows))
     return parts
 
 
-def _parts_relation_hygiene(run: Run) -> list[Part]:
+def _parts_relation_hygiene(run: Run, expected: dict) -> list[Part]:
     # load has reduced every stored relation to zero on its own space
     repo = run.repo
     j3 = repo.hom("j3_star")
@@ -527,10 +539,9 @@ def _products_missing(space, obstructions: tuple[str, ...]) -> str:
     return ",".join(hits) or "none"
 
 
-def _parts_complete_intersection(run: Run) -> list[Part]:
+def _parts_complete_intersection(run: Run, expected: dict) -> list[Part]:
     """Obstruction coordinates vanish on divisor products but not on the loci."""
     repo = run.repo
-    golden = repo.golden["complete_intersection"]
     m31, m4 = repo.space("M31"), repo.space("M4")
     parts = [("m31_products_miss_obstructions", "none", _products_missing(m31, ("kappa2", "d01a")))]
     parts.append(("f31_kappa2_nonzero", True, run.cls("F31_theorem").coeff("kappa2") != 0))
@@ -550,28 +561,26 @@ def _parts_complete_intersection(run: Run) -> list[Part]:
     if isinstance(sol, Solution):
         parts.append(("cofactor_unique", True, sol.unique))
         cofactor = m31.from_dict(1, dict(zip(m31.divisor_basis, sol.vector)))
-        parts.append(("cofactor", m31.from_dict(1, golden["cofactor"]), cofactor))
+        parts.append(("cofactor", m31.from_dict(1, expected["cofactor"]), cofactor))
     else:
         parts.append(("cofactor_unique", True, f"inconsistent ({sol.witness_rhs})"))
     return parts
 
 
-def _parts_grr_spin(run: Run) -> list[Part]:
-    golden = run.repo.golden["grr_spin"]
+def _parts_grr_spin(run: Run, expected: dict) -> list[Part]:
     parts = []
     top = grr_spin_character(GRR_MAX_ORDER)
     for order, key in ((4, "order4"), (2, "order2")):
         actual = lower_order_character(top, order)
         coeffs = {sym: actual.coeff({sym: 1}) for sym in ("kappa1", "kappa2", "kappa3")}
-        parts.append((f"character_order{order}", golden[key], {k: v for k, v in coeffs.items() if v != 0}))
+        parts.append((f"character_order{order}", expected[key], {k: v for k, v in coeffs.items() if v != 0}))
     return parts
 
 
-def _parts_jet_chern(run: Run) -> list[Part]:
-    golden = run.repo.golden["jet_chern"]
+def _parts_jet_chern(run: Run, expected: dict) -> list[Part]:
     parts = []
     for key, (ch, cv) in run.jets.items():
-        block = golden[key]
+        block = expected[key]
         parts.append((f"{key}:rank", block["rank"], cv.rank))
         actual_c = tuple(c.coeff({"psi": k}) for k, c in enumerate((cv.c1, cv.c2, cv.c3), 1))
         parts.append((f"{key}:c", tuple(block["c"]), actual_c))
@@ -580,26 +589,24 @@ def _parts_jet_chern(run: Run) -> list[Part]:
     return parts
 
 
-def _parts_lambda2(run: Run) -> list[Part]:
-    golden = run.repo.golden["lambda2_values"]
-    return [(which, golden[which], value) for which, value in run.lambda2.items()]
+def _parts_lambda2(run: Run, expected: dict) -> list[Part]:
+    return [(which, expected[which], value) for which, value in run.lambda2.items()]
 
 
-def _parts_enumerative(run: Run) -> list[Part]:
+def _parts_enumerative(run: Run, expected: dict) -> list[Part]:
     counts = run.repo.counts
-    golden = run.repo.golden["enumerative"]
-    parts = [(f"abel:{d}", v, counts.eval_expr(("abel", int(d)))) for d, v in golden["abel"].items()]
-    for key, v in golden["mixed"].items():
+    parts = [(f"abel:{d}", v, counts.eval_expr(("abel", int(d)))) for d, v in expected["abel"].items()]
+    for key, v in expected["mixed"].items():
         parts.append((f"mixed:{key}", v, counts.eval_expr(("mixed", *map(int, key.split(","))))))
-    for g, v in golden["scorza_class"].items():
+    for g, v in expected["scorza_class"].items():
         parts.append((f"correspondence_class:{g}", tuple(v), theta_pullback(1, -1, int(g))[0]))
-    parts.append(("triple_total", golden["scorza_triple"]["total"], counts.get("scorza_triple_total")))
-    parts.append(("triple_parts", tuple(golden["scorza_triple"]["parts"]), counts.terms("scorza_triple_total")))
-    for key, v in golden["spin_cover"].items():
+    parts.append(("triple_total", expected["scorza_triple"]["total"], counts.get("scorza_triple_total")))
+    parts.append(("triple_parts", tuple(expected["scorza_triple"]["parts"]), counts.terms("scorza_triple_total")))
+    for key, v in expected["spin_cover"].items():
         g, parity = key.split(",")
         parts.append((f"spin_cover:{key}", v, counts.eval_expr((f"{parity}_theta", int(g)))))
     # load has re-evaluated each constant from its decomposition
-    for cid, v in golden["count_values"].items():
+    for cid, v in expected["count_values"].items():
         parts.append((f"count:{cid}", v, counts.get(cid)))
     return parts
 
@@ -612,29 +619,20 @@ def _parts_enumerative(run: Run) -> list[Part]:
 @dataclass(frozen=True)
 class CheckDef:
     id: str
-    fn: Callable[[Run], list[Part]]
+    fn: Callable[[Run, dict], list[Part]]  # (run, the check's golden block) -> parts
 
-
-# each computing check by id; a lambda looks its function up when called, so
-# a wrapped or patched function is the one that runs
-_COMPUTE: dict[str, Callable[[Run], tuple[dict[str, TautClass], list[Part]]]] = {
-    "hyp31": lambda run: compute_hyp31(run),
-    "w2_lemmas": lambda run: compute_w2(run),
-    "f31": lambda run: compute_f31(run),
-    "h4plus": lambda run: compute_h4plus(run),
-}
 
 CHECKS: tuple[CheckDef, ...] = (
     CheckDef("basis_m31", _parts_basis_m31),
     CheckDef("prop4", _parts_prop4),
     CheckDef("prop4_alt_route", _parts_prop4_alt),
-    CheckDef("hyp31", lambda run: run.result("hyp31")[1]),
+    CheckDef("hyp31", compute_hyp31),
     CheckDef("j3_pullback_table", _parts_j3_table),
-    CheckDef("w2_lemmas", lambda run: run.result("w2_lemmas")[1]),
-    CheckDef("multiplicities_f31", lambda run: run.solution("F31")[2]),
-    CheckDef("f31", lambda run: run.result("f31")[1]),
-    CheckDef("multiplicities_h4plus", lambda run: run.solution("H4plus")[2]),
-    CheckDef("h4plus", lambda run: run.result("h4plus")[1]),
+    CheckDef("w2_lemmas", compute_w2),
+    CheckDef("multiplicities_f31", lambda run, expected: _parts_multiplicities("F31", run, expected)),
+    CheckDef("f31", compute_f31),
+    CheckDef("multiplicities_h4plus", lambda run, expected: _parts_multiplicities("H4plus", run, expected)),
+    CheckDef("h4plus", compute_h4plus),
     CheckDef("pushforwards", _parts_pushforwards),
     CheckDef("surface_tables", _parts_surface_tables),
     CheckDef("relation_hygiene", _parts_relation_hygiene),
@@ -652,26 +650,22 @@ def check_ids() -> list[str]:
     return [c.id for c in CHECKS]
 
 
-def _run_one(check: CheckDef, run: Run) -> CheckResult:
+def _run_one(check_id: str, run: Run) -> CheckResult:
     """One check's result; a check that raises fails with one part naming the error, and the run goes on."""
-    anchor = run.repo.golden.get(check.id, {}).get("anchor", "")
+    anchor = run.repo.golden.get(check_id, {}).get("anchor", "")
     t0 = time.perf_counter()
     try:
-        parts = check.fn(run)
+        parts = run.parts(check_id)
     except Exception as exc:  # type and message only, no traceback, so the report stays byte-stable
         parts = [("completes", True, f"{type(exc).__name__}: {exc}")]
-    return _finish(check.id, anchor, parts, t0)
+    return _finish(check_id, anchor, parts, t0)
 
 
 def run_check(check_id: str, repo: Repo) -> CheckResult:
     """Run one named check on a fresh Run; pure given the loaded repository."""
-    try:
-        check = _CHECK_INDEX[check_id]
-    except KeyError:
-        raise UnknownNameError(
-            f"unknown check {check_id!r}; known ids: {', '.join(check_ids())}"
-        ) from None
-    return _run_one(check, Run(repo))
+    if check_id not in _CHECK_INDEX:
+        raise UnknownNameError(f"unknown check {check_id!r}; known ids: {', '.join(check_ids())}")
+    return _run_one(check_id, Run(repo))
 
 
 def run_all(repo: Repo) -> Report:
@@ -680,7 +674,7 @@ def run_all(repo: Repo) -> Report:
     The checks share one Run, so each shared result is computed once per call.
     """
     run = Run(repo)
-    return Report(__version__, tuple(_run_one(c, run) for c in CHECKS))
+    return Report(__version__, tuple(_run_one(c.id, run) for c in CHECKS))
 
 
 def export_report(report: Report, format: str) -> str:

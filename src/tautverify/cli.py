@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 
-from .checks import _CHECK_INDEX, Run, _run_one, export_report, run_all, run_check
+from .checks import Run, _run_one, export_report, run_all, run_check
 from .data import COMPUTED, Repo
 from .errors import TautVerifyError, UnknownNameError
 from .linalg import _number
@@ -110,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
             c, source = repo.catalog_class(name), repo.catalog_source(name)
         else:
             run = Run(repo)
-            if not _run_one(_CHECK_INDEX[check_id], run).passed:
+            if not _run_one(check_id, run).passed:
                 print(f"error: {name} is computed by the {check_id} check, which fails", file=sys.stderr)
                 return 1
             c, source = run.cls(name), f"computed by the {check_id} check"

@@ -253,6 +253,11 @@ class Repo:
             with self._building(f"systems/{sid.lower()}.json", sid) as raw:
                 self._systems[sid] = MultiplicitySystem(**self._resolved(raw))
         with self._building("golden_checks.json") as raw:
+            if type(raw) is not dict:
+                raise DataError(f"the golden document must be an object, not {type(raw).__name__}")
+            for check_id, block in raw.items():  # a check reads its block by its id
+                if type(block) is not dict:
+                    raise DataError(f"{check_id}: a check's golden block must be an object, not {type(block).__name__}")
             self.golden = _golden_values(raw)
 
     # -- accessors --------------------------------------------------------

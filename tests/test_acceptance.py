@@ -11,14 +11,7 @@ from importlib import resources
 from hypothesis import given
 import hypothesis.strategies as st
 
-from tautverify.checks import (
-    Run,
-    compute_f31,
-    compute_h4plus,
-    compute_hyp31,
-    run_check,
-    solve_multiplicities,
-)
+from tautverify.checks import Run, run_check, solve_multiplicities
 from tautverify.counts import _freeze, theta_pullback
 from tautverify.grr import grr_spin_character, jet_bundles, lambda2_values
 from tautverify.linalg import Solution, _support_of, rank, solve_exact
@@ -36,22 +29,22 @@ def _line(num: int, name: str, ok: bool):
 
 
 def test_criterion_01_theorem1_reproduction(repo):
-    m31 = repo.space("M31")
-    hyp31, hyp_parts = compute_hyp31(Run(repo))
-    f31, f_parts = compute_f31(Run(repo))
+    m31, run = repo.space("M31"), Run(repo)
+    hyp_parts, f_parts = run.parts("hyp31"), run.parts("f31")
     ok = (
-        hyp31["Hyp31_theorem"] == m31.from_dict(2, repo.golden["hyp31"]["class"])
-        and f31["F31_theorem"] == m31.from_dict(2, repo.golden["f31"]["class"])
-        and f31["F31_theorem"].coeff("kappa2") == 3
+        run.cls("Hyp31_theorem") == m31.from_dict(2, repo.golden["hyp31"]["class"])
+        and run.cls("F31_theorem") == m31.from_dict(2, repo.golden["f31"]["class"])
+        and run.cls("F31_theorem").coeff("kappa2") == 3
         and all(e == a for _, e, a in hyp_parts + f_parts)
     )
     _line(1, "pointed genus-3 classes", ok)
 
 
 def test_criterion_02_theorem2_reproduction(repo):
-    h4plus, parts = compute_h4plus(Run(repo))
+    run = Run(repo)
+    parts = run.parts("h4plus")
     expected = (2448, -542, -1608, 276, 32, 178, 336, 276, 576, -4, 12, -60, -144)
-    ok = coeffs(h4plus["H4plus_theorem"]) == tuple(F(x) for x in expected) and all(e == a for _, e, a in parts)
+    ok = coeffs(run.cls("H4plus_theorem")) == tuple(F(x) for x in expected) and all(e == a for _, e, a in parts)
     _line(2, "genus-4 even-theta class", ok)
 
 

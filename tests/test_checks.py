@@ -17,9 +17,6 @@ from tautverify.checks import (
     CHECKS,
     Run,
     check_ids,
-    compute_f31,
-    compute_h4plus,
-    compute_hyp31,
     export_report,
     run_all,
     run_check,
@@ -133,12 +130,12 @@ def test_assembled_system_is_pinned(repo, system_id):
 def test_computed_classes_match_catalog(repo):
     # each computed paper result equals its one statement, in the golden file
     m31, m4 = repo.space("M31"), repo.space("M4")
-    hyp31 = compute_hyp31(Run(repo))[0]["Hyp31_theorem"]
+    hyp31 = Run(repo).cls("Hyp31_theorem")
     assert hyp31 == m31.from_dict(2, repo.golden["hyp31"]["class"])
-    f31 = compute_f31(Run(repo))[0]["F31_theorem"]
+    f31 = Run(repo).cls("F31_theorem")
     assert f31 == m31.from_dict(2, repo.golden["f31"]["class"])
     assert f31.coeff("kappa2") == 3
-    h4plus = compute_h4plus(Run(repo))[0]["H4plus_theorem"]
+    h4plus = Run(repo).cls("H4plus_theorem")
     assert h4plus == m4.from_dict(2, repo.golden["h4plus"]["class"])
     assert h4plus.coeff("lam^2") == 2448
     run = Run(repo)
@@ -158,6 +155,18 @@ def test_checks_names_no_more_loaded_ids_than_before():
     tree = ast.parse(Path(checks.__file__).read_text(encoding="utf-8"))
     named = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value in ids]
     assert len(named) <= CHECKS_ID_LITERALS, Counter(named)
+
+
+# reads of a `golden` attribute in checks.py: `Run.parts` reads a check's
+# block and `_run_one` its anchor; a check body that reads the golden file
+# under a literal id raises the count, so it may only go down
+CHECKS_GOLDEN_READS = 2
+
+
+def test_checks_reads_the_golden_file_in_no_more_places_than_before():
+    tree = ast.parse(Path(checks.__file__).read_text(encoding="utf-8"))
+    reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "golden"]
+    assert len(reads) <= CHECKS_GOLDEN_READS, reads
 
 
 def test_no_computed_name_is_a_catalog_class(repo):
@@ -214,6 +223,16 @@ def test_failure_reports_minimal_diff(repo):
     assert result.actual == "H4_minus: 5310"
 
 
+def counted_as(calls: Counter, fn):
+    """`fn`, adding one to `calls[fn.__name__]` on each call."""
+
+    def counted(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
 def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
     # one pass of each lambda^2 pipeline, each jet bundle built once (jet_chern
     # and the pipelines share its character and Chern classes), one solve per
@@ -239,8 +258,11 @@ def test_run_all_computes_shared_results_once_per_run(repo, monkeypatch):
                 count(module, name)
     count(checks, "solve_multiplicities")
     count(checks, "solve_boundary_class")
-    for name in ("compute_hyp31", "compute_w2", "compute_f31", "compute_h4plus"):
-        count(checks, name)
+    # each computing check, in the index a Run looks a check up in when it runs it
+    index = dict(checks._CHECK_INDEX)
+    for check_id in ("hyp31", "w2_lemmas", "f31", "h4plus"):
+        index[check_id] = dataclasses.replace(index[check_id], fn=counted_as(calls, index[check_id].fn))
+    monkeypatch.setattr(checks, "_CHECK_INDEX", index)
     # each definition file's object is built by its class's constructor
     built = (rings.RingSpace, rings.RingHom, rings.GluingRestriction, surfaces.SurfaceFunctional)
     for cls in built:
@@ -416,7 +438,7 @@ def test_every_value_of_load_and_run_is_an_int_or_a_non_integral_fraction(repo):
         assert values and all(is_exact_value(v) for v in values), what
     run = Run(repo)
     for check in CHECKS:
-        for name, expected, actual in check.fn(run):
+        for name, expected, actual in run.parts(check.id):
             assert all(is_exact_value(v) for v in _numbers((expected, actual))), (check.id, name)
     assert all(is_exact_value(v) for v in run.lambda2.values())
 
@@ -567,13 +589,14 @@ def test_cli_show_class_of_every_computed_class_is_pinned(capsys):
 
 
 def _data_copy_with(tmp_path, relpath, edit):
+    """A copy of the data dir whose file `relpath` is `edit`ed in place, or replaced by what `edit` returns."""
     src = resources.files("tautverify").joinpath("data")
     with resources.as_file(src) as p:
         shutil.copytree(p, tmp_path / "data")
     path = tmp_path / "data" / relpath
     raw = json.loads(path.read_text())
-    edit(raw)
-    path.write_text(json.dumps(raw))
+    replaced = edit(raw)
+    path.write_text(json.dumps(raw if replaced is None else replaced))
     return str(tmp_path / "data")
 
 
@@ -775,6 +798,10 @@ def test_malformed_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, 
                 (2, "class:W2_M31"),
             )
         ),
+        # a check reads its golden block by its id: a list there is refused
+        # at load, not an AttributeError out of run_all
+        ("golden_checks.json", _set_field("hyp31", []), "hyp31: a check's golden block must be an object, not list"),
+        ("golden_checks.json", lambda raw: list(raw.values()), "the golden document must be an object, not list"),
     ],
     ids=[
         "unknown_family",
@@ -792,12 +819,15 @@ def test_malformed_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, 
         "component_class_on_another_space",
         "component_class_of_degree_1",
         "component_computed_result_on_another_space",
+        "golden_block_not_an_object",
+        "golden_document_not_an_object",
     ],
 )
 def test_malformed_system_file_fails_closed_naming_the_file(tmp_path, capsys, relpath, edit, error):
     # an id or component reference a system file names is resolved at load,
-    # so a bad one is the package's own error, which keeps its type and gains
-    # the file's name; a check that never reads the system is refused too
+    # and the golden file's blocks are checked there, so a bad one is the
+    # package's own error, which keeps its type and gains the file's name; a
+    # check that never reads the system or the block is refused too
     data_dir = _data_copy_with(tmp_path, relpath, edit)
     for command in (["run-all"], ["check", "basis_m31"]):
         assert main(["--data-dir", data_dir, *command]) == 2
@@ -927,6 +957,22 @@ def test_cli_refuses_a_computed_class_whose_check_raises(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Hyp31_theorem is computed by the hyp31 check, which fails\n"
+
+
+def test_a_computing_check_that_raises_runs_once_per_run(tmp_path):
+    # the Run keeps the error as it keeps a result: each check that reads the
+    # class fails with it, and none runs the computing check again
+    def edit(raw):
+        del raw["hyp31"]["class"]
+
+    repo = Repo(_data_copy_with(tmp_path, "golden_checks.json", edit))
+    code = checks.compute_hyp31.__code__
+    calls, reports = [], []
+    _profile(lambda: reports.append(run_all(repo)), lambda frame: calls.append(frame.f_code is code))
+    assert sum(calls) == 1
+    failed = {r.id: r.actual for r in reports[0].results if not r.passed}
+    readers = ("hyp31", "multiplicities_f31", "f31", "pushforwards", "surface_tables", "complete_intersection")
+    assert failed == dict.fromkeys(readers, "completes: KeyError: 'class'")
 
 
 def test_cli_unwritable_json_report_is_a_configuration_error(tmp_path, capsys):
